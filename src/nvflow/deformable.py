@@ -131,6 +131,35 @@ class MassSpringModel:
         object.__setattr__(self, "rest_lengths", rest)
         object.__setattr__(self, "attachment", attachment)
         object.__setattr__(self, "pinned", pinned)
+        self._check_stable()
+
+    def _check_stable(self) -> None:
+        """Reject a substep that makes semi-implicit Euler unstable.
+
+        Linearized, each mode of the free particles is a damped oscillator of
+        stiffness k * lam, with lam an eigenvalue of the edge-graph Laplacian
+        restricted to free particles (attached and pinned ones are fixed).  One
+        substep of length h then has characteristic polynomial
+        z^2 - (2 - a - b) z + (1 - a), with a = h c / m and b = h^2 k lam / m,
+        and Jury's criterion makes it stable iff a < 2 and b < 4 - 2 a.
+        """
+        h = self.dt / self.substeps
+        a = h * self.damping / self.mass
+        if a >= 2.0:
+            raise ValueError(
+                f"unstable integrator: h*c/m = {a:.4g} must be < 2 "
+                f"(h = dt/substeps = {h:.4g} s); raise substeps")
+        free = np.setdiff1d(np.arange(self.n_particles), self.attachment + self.pinned)
+        lam_max = 0.0
+        if self.edges.size and free.size:
+            inc = self.incidence()[free]
+            lam_max = float(np.linalg.eigvalsh(inc @ inc.T)[-1])
+        b = h * h * self.stiffness * lam_max / self.mass
+        if b >= 4.0 - 2.0 * a:
+            raise ValueError(
+                f"unstable integrator: h^2*k*lambda_max(L_free)/m = {b:.4g} must be "
+                f"< 4 - 2*h*c/m = {4.0 - 2.0 * a:.4g} (h = dt/substeps = {h:.4g} s); "
+                f"raise substeps or lower stiffness")
 
     def incidence(self) -> np.ndarray:
         """Dense (N, E) incidence matrix: -1 at the edge tail, +1 at its head."""

@@ -10,8 +10,14 @@ interior configurations are decision variables, so the endpoints come back
 bit-identical.  Collision terms hinge on the swept signed distance between
 robot collision spheres and analytic obstacles, sampled along each segment.
 
-The Levenberg-Marquardt solver here is generic and also serves the tests as
-a plain curve fitter.
+Every residual row touches at most two consecutive interior frames: smooth,
+velocity and collision rows touch frames t and t+1, rest and limit rows
+frame t alone.  The Jacobian is therefore kept as per-row frame blocks
+(``FrameJacobian``) and never as an m x n matrix, and J^T J is exactly
+block-tridiagonal with dof x dof blocks.  Levenberg-Marquardt forms those
+blocks and solves each damped step by block Cholesky in time linear in the
+horizon.  The solver stays generic: a plain (m, n) Jacobian, as the tests'
+curve fits use, is the one-block case of the same normal equations.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .kinematics import (JointTrajectory, RobotModel, load_robot, robot_from_doc
 __all__ = [
     "LMOptions",
     "LMResult",
+    "FrameJacobian",
     "NonFiniteResidualError",
     "levenberg_marquardt",
     "SphereObstacle",
@@ -36,7 +43,6 @@ __all__ = [
     "HalfspaceObstacle",
     "Obstacle",
     "obstacles_from_doc",
-    "obstacles_to_doc",
     "signed_distance",
     "cost_smooth",
     "cost_rest",
@@ -83,6 +89,96 @@ class LMResult:
     cost_history: tuple[float, ...]  # cost after each accepted step, incl. start
 
 
+@dataclass(frozen=True)
+class FrameJacobian:
+    """A Jacobian whose every row touches one frame of variables and the next.
+
+    The variables are ``n_frames`` frames of ``cur.shape[1]`` values each,
+    laid out frame-major.  Row i has coefficients ``cur[i]`` on frame
+    ``frame[i]`` and ``nxt[i]`` on frame ``frame[i] + 1``; a row on the last
+    frame has a zero ``nxt``.  J^T J of such a matrix is block-tridiagonal.
+    """
+
+    frame: np.ndarray   # (m,) int
+    cur: np.ndarray     # (m, b)
+    nxt: np.ndarray     # (m, b)
+    n_frames: int
+
+    @classmethod
+    def one_block(cls, jac: np.ndarray) -> "FrameJacobian":
+        """A plain (m, n) Jacobian as one frame of n variables."""
+        jac = np.asarray(jac, dtype=float)
+        return cls(np.zeros(jac.shape[0], dtype=int), jac, np.zeros_like(jac), 1)
+
+
+def _normal_equations(jac: FrameJacobian, r: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks of J^T J and J^T r for F frames of b variables.
+
+    Returns the diagonal blocks (F, b, b), the blocks (k, k+1) (F-1, b, b)
+    and the gradient J^T r as (F, b).
+    """
+    order = np.argsort(jac.frame, kind="stable")
+    cur, nxt, r = jac.cur[order], jac.nxt[order], r[order]
+    bounds = np.searchsorted(jac.frame[order], np.arange(jac.n_frames + 1))
+    n_frames, b = jac.n_frames, cur.shape[1]
+    diag = np.zeros((n_frames, b, b))
+    upper = np.zeros((n_frames - 1, b, b))
+    grad = np.zeros((n_frames, b))
+    for k in range(n_frames):
+        rows = slice(bounds[k], bounds[k + 1])
+        c, rk = cur[rows], r[rows]
+        diag[k] += c.T @ c
+        grad[k] += c.T @ rk
+        if k + 1 < n_frames:
+            n = nxt[rows]
+            diag[k + 1] += n.T @ n
+            upper[k] = c.T @ n
+            grad[k + 1] += n.T @ rk
+    return diag, upper, grad
+
+
+def _solve_block_tridiagonal(diag: np.ndarray, upper: np.ndarray,
+                             rhs: np.ndarray) -> np.ndarray:
+    """Solve the SPD block-tridiagonal system A x = rhs by block Cholesky.
+
+    ``diag`` (F, b, b) holds the diagonal blocks, ``upper`` (F-1, b, b) the
+    blocks A[k, k+1], ``rhs`` is (F, b).  A = L L^T with L block
+    lower-bidiagonal: L[k, k] is the Cholesky factor of the Schur complement
+    D_k - L[k, k-1] L[k, k-1]^T, and L[k+1, k] = (L[k, k]^-1 A[k, k+1])^T.
+
+    Raises:
+        numpy.linalg.LinAlgError: A is not positive definite.
+    """
+    n_frames, b = rhs.shape
+    eye = np.eye(b)
+    inv_diag = np.empty_like(diag)     # L[k, k]^-1
+    lower = np.empty_like(upper)       # L[k+1, k]
+    y = np.empty_like(rhs)
+    schur, rhs_k = diag[0], rhs[0]
+    for k in range(n_frames):
+        inv_diag[k] = np.linalg.solve(np.linalg.cholesky(schur), eye)
+        y[k] = inv_diag[k] @ rhs_k
+        if k + 1 < n_frames:
+            lower[k] = (inv_diag[k] @ upper[k]).T
+            schur = diag[k + 1] - lower[k] @ lower[k].T
+            rhs_k = rhs[k + 1] - lower[k] @ y[k]
+    x = np.empty_like(rhs)
+    x[-1] = inv_diag[-1].T @ y[-1]
+    for k in range(n_frames - 2, -1, -1):
+        x[k] = inv_diag[k].T @ (y[k] - lower[k].T @ x[k + 1])
+    return x
+
+
+def _damped_step(diag: np.ndarray, upper: np.ndarray, grad: np.ndarray,
+                 lam: float) -> np.ndarray:
+    """The flat step d of (J^T J + lam diag(J^T J)) d = -J^T r, from the blocks."""
+    idx = np.arange(diag.shape[1])
+    damped = diag.copy()
+    damped[:, idx, idx] += lam * np.maximum(diag[:, idx, idx], 1e-12)
+    return -_solve_block_tridiagonal(damped, upper, grad).ravel()
+
+
 def _fd_jacobian(residual_fn, x: np.ndarray, r0: np.ndarray, h: float) -> np.ndarray:
     jac = np.empty((r0.size, x.size))
     for k in range(x.size):
@@ -94,16 +190,23 @@ def _fd_jacobian(residual_fn, x: np.ndarray, r0: np.ndarray, h: float) -> np.nda
 
 def levenberg_marquardt(residual_fn: Callable[[np.ndarray], np.ndarray],
                         x0: np.ndarray,
-                        jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
+                        jacobian: Callable[[np.ndarray], np.ndarray | FrameJacobian]
+                        | None = None,
                         options: LMOptions = LMOptions()) -> LMResult:
     """Minimize ||residual_fn(x)||^2 with diagonal-scaled damping.
 
     Each candidate step solves (J^T J + lambda diag(J^T J)) d = -J^T r and is
     accepted only if the cost decreases, so the final cost never exceeds the
-    initial one.  Convergence is declared when the gradient infinity norm
-    falls below ``grad_tol`` or an accepted step is shorter than ``step_tol``.
-    Without an analytic ``jacobian``, forward differences with step
-    ``fd_step`` are used.
+    initial one.  ``jacobian`` may return a ``FrameJacobian``, whose rows
+    each touch two consecutive frames of variables; J^T J is then
+    block-tridiagonal and is formed and factored by blocks, by block
+    Cholesky, in time linear in the number of frames.  A plain (m, n) array
+    is the one-block case of the same normal equations and solver.  A damped
+    system that is not numerically positive definite counts as a rejected
+    step and raises lambda.  Convergence is declared when the gradient
+    infinity norm falls below ``grad_tol`` or an accepted step is shorter
+    than ``step_tol``.  Without an analytic ``jacobian``, forward differences
+    with step ``fd_step`` are used.
 
     Raises:
         NonFiniteResidualError: a residual evaluation returned NaN/inf; the
@@ -122,20 +225,21 @@ def levenberg_marquardt(residual_fn: Callable[[np.ndarray], np.ndarray],
     for _ in range(options.max_iters):
         jac = jacobian(x) if jacobian is not None else _fd_jacobian(
             residual_fn, x, r, options.fd_step)
-        grad = jac.T @ r
-        if np.linalg.norm(grad, ord=np.inf) < options.grad_tol:
+        if not isinstance(jac, FrameJacobian):
+            jac = FrameJacobian.one_block(jac)
+        diag, upper, grad = _normal_equations(jac, r)
+        if np.abs(grad).max(initial=0.0) < options.grad_tol:
             converged = True
             break
-        jtj = jac.T @ jac
-        diag = np.maximum(np.diag(jtj), 1e-12)
 
         accepted = False
         step_norm = 0.0
         while lam <= options.lambda_max:
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                step = _damped_step(diag, upper, grad, lam)
             except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(jtj + lam * np.diag(diag), -grad, rcond=None)[0]
+                lam *= options.lambda_up
+                continue
             x_new = x + step
             r_new = np.asarray(residual_fn(x_new), dtype=float)
             if not np.isfinite(r_new).all():
@@ -250,24 +354,6 @@ def obstacles_from_doc(docs: Sequence[dict]) -> tuple[Obstacle, ...]:
         else:
             raise ValueError(f"unknown obstacle type {kind!r}")
     return tuple(out)
-
-
-def obstacles_to_doc(obstacles: Sequence[Obstacle]) -> list[dict]:
-    docs = []
-    for obs in obstacles:
-        if isinstance(obs, SphereObstacle):
-            docs.append({"type": "sphere", "center": list(map(float, obs.center)),
-                         "radius": obs.radius})
-        elif isinstance(obs, BoxObstacle):
-            docs.append({"type": "box", "center": list(map(float, obs.center)),
-                         "half_extents": list(map(float, obs.half_extents)),
-                         "rotation": [float(x) for x in obs.rotation.ravel()]})
-        elif isinstance(obs, HalfspaceObstacle):
-            docs.append({"type": "halfspace", "point": list(map(float, obs.point)),
-                         "normal": list(map(float, obs.normal))})
-        else:
-            raise TypeError(f"unknown obstacle {obs!r}")
-    return docs
 
 
 # -- residual blocks -----------------------------------------------------------
@@ -487,7 +573,7 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
 
     x0 = init_trajectory(q_start, q_end, steps)[1:-1].ravel()
     residual_fn = lambda x: residuals_of(assemble(x))
-    jac_fn = _make_jacobian(problem, q_rest, assemble)
+    jac_fn = _make_jacobian(problem, assemble)
     lm = levenberg_marquardt(residual_fn, x0, jacobian=jac_fn, options=problem.lm)
 
     full = assemble(lm.x)
@@ -502,108 +588,107 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
     )
 
 
-def _make_jacobian(problem: TrajOptProblem, q_rest: np.ndarray,
-                   assemble) -> Callable[[np.ndarray], np.ndarray]:
+def _make_jacobian(problem: TrajOptProblem,
+                   assemble) -> Callable[[np.ndarray], FrameJacobian]:
     """Jacobian of the stacked residual w.r.t. interior configurations.
 
-    The smooth/rest/limit blocks are linear or hinge-linear and filled
-    analytically; collision rows use segment-local forward differences (each
-    segment depends on two frames only), batched through one FK call.
+    Rows are first written against full frames: each touches frames t and
+    t+1 (smooth, velocity, collision) or frame t alone (rest, limits).
+    ``_interior_rows`` then drops the coefficients on the pinned endpoints
+    and renumbers the frames.  The smooth/rest/limit blocks are linear or
+    hinge-linear and filled analytically; collision rows use segment-local
+    forward differences (each segment depends on two frames only), batched
+    through one FK call.
     """
     model = problem.model
     dof = model.dof
     steps = problem.steps
     w = problem.weights
     n_obs = len(problem.obstacles)
-    n_vars = (steps - 2) * dof
-    n_sm = (steps - 1) * dof
-    n_rest = steps * dof
-    n_lim = steps * dof          # upper; same again for lower
-    n_vel = (steps - 1) * dof
-    n_coll = (steps - 1) * n_obs
-    off_rest = n_sm
-    off_hi = off_rest + n_rest
-    off_lo = off_hi + n_lim
-    off_vel = off_lo + n_lim
-    off_coll = off_vel + n_vel
-    n_res = off_coll + n_coll
     root_s, root_l, root_c = np.sqrt(w.smooth), np.sqrt(w.limits), np.sqrt(w.collision)
     root_r = np.sqrt(w.rest)
     h = problem.lm.fd_step
     s_grid = np.linspace(0.0, 1.0, problem.swept_samples)
     radii = sphere_radii(model)
+    caps = model.velocity_limits * problem.dt
+    eye = np.eye(dof)
+    seg_lo = np.repeat(np.arange(steps - 1), dof)
+    frame_lo = np.repeat(np.arange(steps), dof)
+    # first full frame of each row, in residual order: smooth, rest, upper,
+    # lower, velocity, collision
+    lo = np.concatenate([seg_lo, frame_lo, frame_lo, frame_lo, seg_lo,
+                         np.repeat(np.arange(steps - 1), n_obs)])
+    # Collision perturbations per (segment, side, joint): side 0 moves the
+    # segment's first frame, side 1 its second; endpoint frames are fixed.
+    moved = np.arange(steps - 1)[:, None] + np.arange(2)
+    perturbed = (moved >= 1) & (moved <= steps - 2)
+    perturbed_seg = np.nonzero(perturbed)[0]
+    collide = bool(n_obs and model.collision_spheres)
 
-    def var(frame: int, joint: int) -> int:
-        return (frame - 1) * dof + joint
+    def one_hot(values: np.ndarray) -> np.ndarray:
+        """(F, dof) per-joint coefficients as (F * dof, dof) rows, one joint each."""
+        return (values[:, :, None] * eye).reshape(-1, dof)
 
-    def jac(x: np.ndarray) -> np.ndarray:
-        full = assemble(x)
-        out = np.zeros((n_res, n_vars))
-        # smooth rows: r = root_s (q_t - q_{t-1}), t = 1..steps-1
-        for t in range(1, steps):
-            for j in range(dof):
-                row = (t - 1) * dof + j
-                if 1 <= t <= steps - 2:
-                    out[row, var(t, j)] = root_s
-                if 1 <= t - 1:
-                    out[row, var(t - 1, j)] = -root_s
-        # rest rows
-        for t in range(1, steps - 1):
-            for j in range(dof):
-                out[off_rest + t * dof + j, var(t, j)] = root_r
-        # limit hinges
-        for t in range(1, steps - 1):
-            for j in range(dof):
-                if full[t, j] > model.q_max[j]:
-                    out[off_hi + t * dof + j, var(t, j)] = root_l
-                if full[t, j] < model.q_min[j]:
-                    out[off_lo + t * dof + j, var(t, j)] = -root_l
-        # velocity hinges: r_t = root_l max(0, |q_{t+1} - q_t| - cap), t = 0..steps-2
-        caps = model.velocity_limits * problem.dt
-        for t in range(steps - 1):
-            delta = full[t + 1] - full[t]
-            for j in range(dof):
-                if abs(delta[j]) > caps[j]:
-                    row = off_vel + t * dof + j
-                    sign = np.sign(delta[j])
-                    if 1 <= t + 1 <= steps - 2:
-                        out[row, var(t + 1, j)] = root_l * sign
-                    if 1 <= t <= steps - 2:
-                        out[row, var(t, j)] = -root_l * sign
-        # collision rows by segment-local forward differences
-        if n_obs and model.collision_spheres:
+    smooth = one_hot(np.full((steps - 1, dof), -root_s))
+    rest = one_hot(np.full((steps, dof), root_r))
+    zero = np.zeros((steps * dof, dof))
+
+    def collision_rows(full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        coef = np.zeros((steps - 1, 2, dof, n_obs))
+        if collide:
             base = _segment_min_distances(model, full, problem.obstacles,
                                           problem.swept_samples)
             boundary = problem.eps_safe + problem.collision_pad
             base_r = root_c * np.maximum(boundary - base, 0.0)  # (T-1, n_obs)
-            perturbations = []  # (segment, frame, joint)
-            swept_blocks = []
-            for t in range(steps - 1):
-                for frame in (t, t + 1):
-                    if not 1 <= frame <= steps - 2:
-                        continue
-                    for j in range(dof):
-                        qa, qb = full[t].copy(), full[t + 1].copy()
-                        (qa if frame == t else qb)[j] += h
-                        swept_blocks.append(qa + s_grid[:, None] * (qb - qa))
-                        perturbations.append((t, frame, j))
-            if perturbations:
-                batch = np.concatenate(swept_blocks, axis=0)
-                centers = sphere_centers_batch(model, batch)
-                n_pert = len(perturbations)
-                n_s = len(s_grid)
-                dmin = np.empty((n_pert, n_obs))
-                for i, obs in enumerate(problem.obstacles):
-                    d = obs.distance(centers) - radii
-                    dmin[:, i] = d.reshape(n_pert, n_s, -1).min(axis=(1, 2))
-                pert_r = root_c * np.maximum(boundary - dmin, 0.0)
-                for idx, (t, frame, j) in enumerate(perturbations):
-                    col = var(frame, j)
-                    rows = slice(off_coll + t * n_obs, off_coll + (t + 1) * n_obs)
-                    out[rows, col] = (pert_r[idx] - base_r[t]) / h
-        return out
+            ends = np.stack([full[:-1], full[1:]], axis=1)      # (T-1, 2, dof)
+            pert = np.broadcast_to(ends[:, None, None],
+                                   (steps - 1, 2, dof, 2, dof)).copy()
+            pert[:, 0, :, 0, :] += h * eye
+            pert[:, 1, :, 1, :] += h * eye
+            pert = pert[perturbed]                              # (P, dof, 2, dof)
+            qa, qb = pert[..., 0, :], pert[..., 1, :]
+            swept = qa[..., None, :] + s_grid[:, None] * (qb - qa)[..., None, :]
+            centers = sphere_centers_batch(model, swept.reshape(-1, dof))
+            n_pert = pert.shape[0] * dof
+            dmin = np.empty((n_pert, n_obs))
+            for i, obs in enumerate(problem.obstacles):
+                d = obs.distance(centers) - radii
+                dmin[:, i] = d.reshape(n_pert, -1).min(axis=1)
+            pert_r = root_c * np.maximum(boundary - dmin, 0.0)
+            coef[perturbed] = (pert_r.reshape(-1, dof, n_obs)
+                               - base_r[perturbed_seg, None, :]) / h
+        # rows ordered (segment, obstacle), coefficients over joints
+        return (coef[:, 0].transpose(0, 2, 1).reshape(-1, dof),
+                coef[:, 1].transpose(0, 2, 1).reshape(-1, dof))
+
+    def jac(x: np.ndarray) -> FrameJacobian:
+        full = assemble(x)
+        delta = np.diff(full, axis=0)
+        upper = one_hot(root_l * (full > model.q_max))
+        lower = one_hot(-root_l * (full < model.q_min))
+        vel = one_hot(root_l * np.sign(delta) * (np.abs(delta) > caps))
+        coll_a, coll_b = collision_rows(full)
+        c_lo = np.concatenate([smooth, rest, upper, lower, -vel, coll_a])
+        c_hi = np.concatenate([-smooth, zero, zero, zero, vel, coll_b])
+        return _interior_rows(lo, c_lo, c_hi, steps)
 
     return jac
+
+
+def _interior_rows(lo: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray,
+                   steps: int) -> FrameJacobian:
+    """Rows with coefficients on full frames lo and lo+1 -> interior frame blocks.
+
+    Full frame t is interior frame t-1; coefficients on frames 0 and
+    steps-1 (the eliminated endpoints) are dropped.  A row whose first frame
+    is the start frame becomes a one-frame row on interior frame 0.
+    """
+    c_lo = c_lo * ((lo >= 1) & (lo <= steps - 2))[:, None]
+    c_hi = c_hi * (lo + 1 <= steps - 2)[:, None]
+    at_start = (lo == 0)[:, None]
+    frame = np.clip(lo - 1, 0, steps - 3)
+    return FrameJacobian(frame=frame, cur=np.where(at_start, c_hi, c_lo),
+                         nxt=np.where(at_start, 0.0, c_hi), n_frames=steps - 2)
 
 
 # -- problem/result documents ---------------------------------------------------

@@ -204,6 +204,23 @@ class TestConfigErrors:
         assert_one_error_line(err)
         assert "--state" in err
 
+    @pytest.mark.parametrize("edit,bound", [({"substeps": 1}, "h*c/m"),
+                                            ({"stiffness": 1e5}, "lambda_max(L_free)")])
+    def test_plan_deformable_rejects_unstable_integrator(
+            self, tmp_path, rope_bundle_dir, capsys, edit, bound):
+        dynamics = json.loads((rope_bundle_dir / "dynamics.json").read_text())
+        dynamics.update(edit)
+        path = tmp_path / "dynamics.json"
+        path.write_text(json.dumps(dynamics))
+        out = tmp_path / "o"
+        assert run_main(["plan-deformable",
+                         "--flow", rope_bundle_dir / "gt_flow.nvfl",
+                         "--dynamics", path, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "unstable integrator" in err and bound in err
+        assert not out.exists()      # rejected before any planning
+
     def test_optimize_traj_without_config(self, tmp_path, capsys):
         assert run_main(["optimize-traj", "--out-dir", tmp_path / "o"]) == 2
         err = capsys.readouterr().err

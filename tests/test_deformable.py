@@ -151,6 +151,30 @@ class TestModelContainers:
         with pytest.raises(ValueError, match="substeps"):
             MassSpringModel(n_particles=1, substeps=0, **no_edges)
 
+    def test_stability_bound_on_a_pinned_spring(self):
+        # One free particle on a spring to a pinned one: L_free = [1], so with
+        # no damping the bound is h^2 k / m < 4, i.e. h < 0.00894 s here.
+        # dt / 7 (h^2 k / m = 3.99) passes and a small stretch stays bounded
+        # over 200 steps, though near the bound it swings about 17x wider;
+        # dt / 6 is rejected.
+        spring = dict(n_particles=2, edges=np.array([[0, 1]]),
+                      rest_lengths=np.array([0.1]), stiffness=500.0, damping=0.0,
+                      mass=0.01, dt=1.0 / 16.0, pinned=(0,))
+        model = MassSpringModel(substeps=7, **spring)
+        state = ParticleState.at_rest(np.array([[0.0, 0.0, 0.0], [0.1001, 0.0, 0.0]]))
+        swing = 0.0
+        for _ in range(200):
+            state = mass_spring_step(model, state, np.zeros(3))
+            swing = max(swing, abs(state.positions[1, 0] - 0.1))
+        assert swing <= 0.005
+        with pytest.raises(ValueError, match=r"h\^2\*k\*lambda_max\(L_free\)/m"):
+            MassSpringModel(substeps=6, **spring)
+        # Damping alone: h c / m < 2 needs h < 0.02 s at c / m = 100.
+        drag = {**spring, "damping": 1.0, "stiffness": 0.0}
+        MassSpringModel(substeps=4, **drag)
+        with pytest.raises(ValueError, match=r"h\*c/m = 2\.083 must be < 2"):
+            MassSpringModel(substeps=3, **drag)
+
     def test_particle_state_validation(self):
         with pytest.raises(ValueError, match="positions"):
             ParticleState(np.zeros((2, 2)), np.zeros((2, 2)))

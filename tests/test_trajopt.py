@@ -1,8 +1,12 @@
 """Tests for the damped least-squares solver and trajectory optimization."""
 
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
+import nvflow.trajopt as trajopt
 from conftest import one_link_with_sphere, planar_two_link, spinner_with_tip_sphere
 from nvflow.geometry import SE3Pose
 from nvflow.kinematics import (
@@ -14,8 +18,10 @@ from nvflow.kinematics import (
 )
 from nvflow.trajopt import (
     BoxObstacle,
+    FrameJacobian,
     HalfspaceObstacle,
     LMOptions,
+    LMResult,
     NonFiniteResidualError,
     SphereObstacle,
     TrajOptProblem,
@@ -25,7 +31,6 @@ from nvflow.trajopt import (
     init_trajectory,
     levenberg_marquardt,
     obstacles_from_doc,
-    obstacles_to_doc,
     optimize_trajectory,
     penalty_collision,
     penalty_limits,
@@ -140,6 +145,129 @@ class TestLevenbergMarquardt:
         assert np.array_equal(excinfo.value.x, x0)
 
 
+    def test_rank_deficient_linear_problem_reaches_lstsq_minimum(self, rng):
+        a = rng.standard_normal((12, 4))
+        a[:, 3] = a[:, 2]                       # duplicated column: J^T J is singular
+        b = rng.standard_normal(12)
+        result = levenberg_marquardt(lambda x: a @ x - b, np.zeros(4),
+                                     jacobian=lambda x: a)
+        x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert result.cost == pytest.approx(float(np.sum((a @ x_ref - b) ** 2)),
+                                            rel=1e-9)
+        assert result.converged
+
+
+def packaged_problem(steps: int) -> TrajOptProblem:
+    """The packaged colliding 7-dof problem with its horizon set to ``steps``."""
+    fixtures = resources.files("nvflow") / "fixtures"
+    doc = json.loads((fixtures / "trajopt_fixture.json").read_text())
+    doc["steps"] = steps
+    return problem_from_doc(doc, base_dir=str(fixtures))
+
+
+def planar_problem(steps: int = 12) -> TrajOptProblem:
+    return TrajOptProblem(model=planar_two_link(), q_start=np.array([-0.5, 0.3]),
+                          q_end=np.array([2.8, -0.4]), steps=steps)
+
+
+def lm_inputs(problem: TrajOptProblem, monkeypatch):
+    """The residual, Jacobian and start point that optimize_trajectory gives LM."""
+    seen = {}
+
+    def capture(residual_fn, x0, jacobian=None, options=None):
+        seen.update(residual=residual_fn, jacobian=jacobian, x0=x0)
+        return LMResult(x=x0, cost=0.0, iterations=0, converged=False,
+                        cost_history=(0.0,))
+
+    monkeypatch.setattr(trajopt, "levenberg_marquardt", capture)
+    optimize_trajectory(problem)
+    return seen["residual"], seen["jacobian"], seen["x0"]
+
+
+def perturbed(x0: np.ndarray, seed: int = 3) -> np.ndarray:
+    """A point off the straight line, so limit and velocity hinges engage."""
+    return x0 + 0.3 * np.random.default_rng(seed).standard_normal(x0.size)
+
+
+def dense(jac: FrameJacobian) -> np.ndarray:
+    """The (m, n) matrix that frame blocks stand for."""
+    b = jac.cur.shape[1]
+    rows = np.arange(jac.frame.size)
+    out = np.zeros((jac.frame.size, (jac.n_frames + 1) * b))
+    for col in range(b):
+        out[rows, jac.frame * b + col] += jac.cur[:, col]
+        out[rows, (jac.frame + 1) * b + col] += jac.nxt[:, col]
+    assert not out[:, jac.n_frames * b:].any(), "coefficients past the last frame"
+    return out[:, :jac.n_frames * b]
+
+
+def random_block_tridiagonal(rng, n_frames: int, b: int):
+    """A dense SPD block-tridiagonal matrix B B^T + I/10 (B block lower-bidiagonal)
+    with its diagonal blocks and its (k, k+1) blocks."""
+    n = n_frames * b
+    factor = np.zeros((n, n))
+    for k in range(n_frames):
+        factor[k * b:(k + 1) * b, k * b:(k + 1) * b] = rng.standard_normal((b, b))
+        if k:
+            factor[k * b:(k + 1) * b, (k - 1) * b:k * b] = rng.standard_normal((b, b))
+    a = factor @ factor.T + 0.1 * np.eye(n)
+    blocks = a.reshape(n_frames, b, n_frames, b).transpose(0, 2, 1, 3)
+    k = np.arange(n_frames)
+    return a, blocks[k, k], blocks[k[:-1], k[1:]]
+
+
+class TestStructuredSolve:
+    @pytest.mark.parametrize("n_frames,b", [(1, 1), (1, 6), (9, 1), (12, 3), (40, 7)])
+    def test_block_cholesky_matches_dense_solve(self, rng, n_frames, b):
+        a, diag, upper = random_block_tridiagonal(rng, n_frames, b)
+        rhs = rng.standard_normal((n_frames, b))
+        x = trajopt._solve_block_tridiagonal(diag, upper, rhs)
+        ref = np.linalg.solve(a, rhs.ravel())
+        assert np.linalg.norm(x.ravel() - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_block_cholesky_rejects_indefinite_system(self, rng):
+        _, diag, upper = random_block_tridiagonal(rng, 5, 2)
+        diag[3] -= 100.0 * np.eye(2)
+        with pytest.raises(np.linalg.LinAlgError):
+            trajopt._solve_block_tridiagonal(diag, upper, np.ones((5, 2)))
+
+    def test_trajectory_jacobian_matches_forward_differences(self, monkeypatch):
+        residual, jacobian, x0 = lm_inputs(packaged_problem(21), monkeypatch)
+        x = perturbed(x0)
+        jac = dense(jacobian(x))
+        r0 = residual(x)
+        h = 1e-6
+        fd = np.empty_like(jac)
+        for k in range(x.size):
+            xk = x.copy()
+            xk[k] += h
+            fd[:, k] = (residual(xk) - r0) / h
+        assert jac.shape == (r0.size, x.size)
+        np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-6 * np.abs(fd).max())
+        # every kind of row is exercised: limits, velocity and collision hinges
+        dof, steps = 7, 21
+        n_limit = 2 * steps * dof
+        off_limit = (2 * steps - 1) * dof
+        off_vel = off_limit + n_limit
+        off_coll = off_vel + (steps - 1) * dof
+        assert jac[off_limit:off_vel].any()
+        assert jac[off_vel:off_coll].any()
+        assert jac[off_coll:].any()
+
+    @pytest.mark.parametrize("make", [lambda: packaged_problem(21), planar_problem],
+                             ids=["fixture", "planar_two_link"])
+    def test_damped_step_matches_dense_normal_equations(self, monkeypatch, make):
+        residual, jacobian, x0 = lm_inputs(make(), monkeypatch)
+        x = perturbed(x0)
+        blocks, r = jacobian(x), residual(x)
+        jac = dense(blocks)
+        jtj = jac.T @ jac
+        scale = np.diag(np.maximum(np.diag(jtj), 1e-12))
+        for lam in (1e-6, 1e-3, 1.0):
+            step = trajopt._damped_step(*trajopt._normal_equations(blocks, r), lam)
+            ref = np.linalg.solve(jtj + lam * scale, -jac.T @ r)
+            assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+
 class TestObstacles:
     def test_sphere_signed_distance(self):
         obs = SphereObstacle(center=np.array([1.0, 0.0, 0.0]), radius=0.5)
@@ -178,24 +306,27 @@ class TestObstacles:
         with pytest.raises(ValueError, match="normal"):
             HalfspaceObstacle(point=np.zeros(3), normal=np.zeros(3))
 
-    def test_doc_round_trip(self):
-        rot_z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        obstacles = (
-            SphereObstacle(center=np.array([0.1, 0.2, 0.3]), radius=0.4),
-            BoxObstacle(center=np.array([1.0, 0.0, 0.0]),
-                        half_extents=np.array([0.1, 0.2, 0.3]), rotation=rot_z),
-            HalfspaceObstacle(point=np.zeros(3), normal=np.array([0.0, 0.0, 1.0])),
-        )
-        docs = obstacles_to_doc(obstacles)
-        back = obstacles_from_doc(docs)
-        assert isinstance(back[0], SphereObstacle)
-        assert isinstance(back[1], BoxObstacle)
-        assert isinstance(back[2], HalfspaceObstacle)
-        np.testing.assert_allclose(back[0].center, obstacles[0].center)
-        assert back[0].radius == obstacles[0].radius
-        np.testing.assert_allclose(back[1].rotation, rot_z)
-        np.testing.assert_allclose(back[1].half_extents, obstacles[1].half_extents)
-        np.testing.assert_allclose(back[2].normal, obstacles[2].normal)
+    def test_from_doc_literal_values(self):
+        docs = [
+            {"type": "sphere", "center": [0.1, 0.2, 0.3], "radius": 0.4},
+            {"type": "box", "center": [1.0, 0.0, 0.0], "half_extents": [0.1, 0.2, 0.3],
+             "rotation": [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]},
+            {"type": "box", "center": [0.0, 0.0, 1.0], "half_extents": [0.5, 0.5, 0.5]},
+            {"type": "halfspace", "point": [0.0, 0.0, 0.0], "normal": [0.0, 0.0, 2.0]},
+        ]
+        sphere, box, plain_box, halfspace = obstacles_from_doc(docs)
+        assert isinstance(sphere, SphereObstacle)
+        assert sphere.center.tolist() == [0.1, 0.2, 0.3]
+        assert sphere.radius == 0.4
+        assert isinstance(box, BoxObstacle)
+        assert box.center.tolist() == [1.0, 0.0, 0.0]
+        assert box.half_extents.tolist() == [0.1, 0.2, 0.3]
+        assert box.rotation.tolist() == [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                                         [0.0, 0.0, 1.0]]
+        assert plain_box.rotation.tolist() == np.eye(3).tolist()
+        assert isinstance(halfspace, HalfspaceObstacle)
+        assert halfspace.point.tolist() == [0.0, 0.0, 0.0]
+        assert halfspace.normal.tolist() == [0.0, 0.0, 1.0]   # normalized
 
     def test_unknown_obstacle_type_rejected(self):
         with pytest.raises(ValueError, match="obstacle"):
