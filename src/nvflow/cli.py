@@ -8,8 +8,6 @@ byte-reproducible for a fixed seed.
 
 Exit codes: 0 success, 2 missing/malformed configuration or input files,
 3 runtime failure.  Errors print a one-line message, never a traceback.
-The NVFLOW_THREADS environment variable caps parallel candidate scoring
-(0 = pick automatically).
 """
 
 from __future__ import annotations
@@ -18,12 +16,9 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -81,7 +76,7 @@ from .trajopt import (
     result_to_doc,
 )
 
-__all__ = ["ConfigError", "RunManifest", "main"]
+__all__ = ["ConfigError", "main"]
 
 
 class ConfigError(Exception):
@@ -162,17 +157,6 @@ def _fixture_path(name: str) -> Path:
     return Path(str(resources.files("nvflow") / "fixtures" / name))
 
 
-def _thread_count() -> int | None:
-    raw = os.environ.get("NVFLOW_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"NVFLOW_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ConfigError("NVFLOW_THREADS must be non-negative")
-    return None if n == 0 else n
-
-
 def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -197,58 +181,28 @@ class _Stages:
         return out
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record for one CLI invocation.
-
-    The manifest file holds only reproducible content (inputs, seed, library
-    versions, output hashes); wall-clock stage timings live in timings.json
-    beside it so re-running with the same seed yields a byte-identical
-    manifest.
-    """
-
-    subcommand: str
-    config_hash: str                     # digest over all named input hashes
-    seed: int
-    versions: dict
-    inputs: dict                         # input name -> sha256 / doc digest
-    files: dict                          # output rel path -> sha256
-    timings: tuple = ()                  # (stage, seconds), not in the manifest
-
-    def write(self, out_dir: Path) -> None:
-        doc = {
-            "version": 1,
-            "subcommand": self.subcommand,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "versions": self.versions,
-            "inputs": self.inputs,
-            "files": self.files,
-        }
-        _write_json(out_dir / "run_manifest.json", doc)
-        _write_json(out_dir / "timings.json", {
-            "stages": [[name, sec] for name, sec in self.timings],
-            "total": sum(sec for _, sec in self.timings),
-        })
-
-
-def _versions() -> dict:
-    return {"nvflow": __version__, "numpy": np.__version__,
-            "python": platform.python_version()}
-
-
 def _finish(out_dir: Path, subcommand: str, seed: int, inputs: dict,
             files: list[str], stages: _Stages) -> None:
-    manifest = RunManifest(
-        subcommand=subcommand,
-        config_hash=_doc_hash(inputs),
-        seed=seed,
-        versions=_versions(),
-        inputs=inputs,
-        files={rel: sha256_file(out_dir / rel) for rel in sorted(files)},
-        timings=tuple(stages.timings),
-    )
-    manifest.write(out_dir)
+    """Write the run manifest and, beside it, the stage timings.
+
+    The manifest holds only reproducible content (inputs, seed, library
+    versions, output hashes); wall-clock stage timings go to timings.json so
+    re-running with the same seed yields a byte-identical manifest.
+    """
+    _write_json(out_dir / "run_manifest.json", {
+        "version": 1,
+        "subcommand": subcommand,
+        "config_hash": _doc_hash(inputs),
+        "seed": seed,
+        "versions": {"nvflow": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
+        "inputs": inputs,
+        "files": {rel: sha256_file(out_dir / rel) for rel in sorted(files)},
+    })
+    _write_json(out_dir / "timings.json", {
+        "stages": [[name, sec] for name, sec in stages.timings],
+        "total": sum(sec for _, sec in stages.timings),
+    })
 
 
 def _out_dir(args) -> Path:
@@ -323,12 +277,8 @@ def _do_distill(bundle: SceneBundle, out: Path, candidates: int, seed: int,
 
     flows = stages.run("corrupt", corrupt_ladder)
 
-    def score_all():
-        with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-            scores = list(pool.map(lambda f: score_flow(f, intr), flows))
-        return [FlowCandidate(k, f, s) for k, (f, s) in enumerate(zip(flows, scores))]
-
-    scored = stages.run("score", score_all)
+    scored = stages.run("score", lambda: [
+        FlowCandidate(k, f, score_flow(f, intr)) for k, f in enumerate(flows)])
     selected = select_candidate(scored)
 
     def write_outputs():
@@ -513,9 +463,7 @@ def cmd_optimize_traj(args) -> None:
     doc = _load_json(args.config)
     try:
         problem = problem_from_doc(doc, base_dir=Path(args.config).parent)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"bad problem file {args.config}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (FileNotFoundError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem file {args.config}: {exc}") from None
     out = _out_dir(args)
     stages = _Stages(args.verbose)
@@ -604,8 +552,7 @@ def cmd_eval(args) -> None:
     if not run_dir.is_dir():
         raise ConfigError(f"no such directory: {run_dir}")
     bundle = _load_bundle(args.gt_dir)
-    out = Path(args.out_dir) if args.out_dir else run_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     stages = _Stages(args.verbose)
     metrics = _do_eval(run_dir, bundle, stages)
     _write_json(out / "metrics.json", metrics.to_doc())
@@ -668,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="seed for all randomness (recorded in the manifest)")
     common.add_argument("--out-dir", default=None, help="output directory")
-    common.add_argument("--config", default=None, help="configuration file")
     common.add_argument("--verbose", action="store_true",
                         help="narrate pipeline stages on stderr")
 
@@ -680,6 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common],
                        help="render a synthetic scene bundle from a config")
+    p.add_argument("--config", default=None, help="scene config JSON")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("distill", parents=[common],
@@ -712,6 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize-traj", parents=[common],
                        help="solve one trajectory optimization problem file")
+    p.add_argument("--config", default=None, help="trajectory problem JSON")
     p.set_defaults(func=cmd_optimize_traj)
 
     p = sub.add_parser("eval", parents=[common],
@@ -722,6 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[common],
                        help="full pipeline: simulate, distill, plan, evaluate")
+    p.add_argument("--config", default=None,
+                   help="scene config JSON (default: the rigid demo scene)")
     p.add_argument("--robot", default=None,
                    help="robot model JSON (default: the packaged 7-dof arm)")
     p.add_argument("--obstacles", default=None,

@@ -1,4 +1,4 @@
-"""On-disk formats: flow files, netpbm images, RLE masks, and raw depth.
+"""On-disk formats: flow files and netpbm images (masks, depth, renders).
 
 Formats defined here:
 
@@ -7,13 +7,9 @@ Formats defined here:
   frame-major, keypoint-minor, xyz order.  The label is not stored.
 * flow, JSON (``.json``): ``{"version": 1, "frames": T, "points": K,
   "label": str, "positions": [[[x, y, z] * K] * T]}``.
-* masks: stacks of binary PGM (P5, maxval 255) files, or a single JSON
-  run-length encoding ``{"version": 1, "width": W, "height": H,
-  "frames": [[[start, length], ...], ...]}`` with runs of true pixels over the
-  flattened row-major frame.
-* depth: 16-bit PGM (P5, maxval 65535) holding millimeters, or raw float32
-  (magic ``NVDF``, u32 version, u32 width, u32 height, float32 meters,
-  row-major, little-endian).  A zero value marks an invalid pixel either way.
+* masks: stacks of binary PGM (P5, maxval 255) files.
+* depth: 16-bit PGM (P5, maxval 65535) holding millimeters.  A zero value
+  marks an invalid pixel.
 """
 
 from __future__ import annotations
@@ -34,17 +30,12 @@ __all__ = [
     "write_pgm",
     "read_pgm",
     "write_ppm",
-    "write_mask_rle",
-    "read_mask_rle",
-    "write_depth_f32",
-    "read_depth_f32",
     "depth_to_pgm",
     "depth_from_pgm",
     "sha256_file",
 ]
 
 FLOW_MAGIC = b"NVFL"
-DEPTH_MAGIC = b"NVDF"
 FLOW_VERSION = 1
 
 
@@ -202,41 +193,6 @@ def mask_from_pgm(path) -> np.ndarray:
     return values > 127
 
 
-def write_mask_rle(path, masks: np.ndarray) -> None:
-    """Write a (T, H, W) boolean stack as JSON run-length encoding."""
-    m = np.asarray(masks)
-    if m.ndim != 3 or m.dtype != bool:
-        raise ValueError(f"masks must be (T, H, W) boolean, got {m.shape} {m.dtype}")
-    frames = []
-    for frame in m:
-        flat = frame.ravel()
-        # run boundaries: indices where the value changes
-        diff = np.flatnonzero(np.diff(flat.astype(np.int8)))
-        bounds = np.concatenate([[0], diff + 1, [flat.size]])
-        runs = []
-        for start, end in zip(bounds[:-1], bounds[1:]):
-            if flat[start]:
-                runs.append([int(start), int(end - start)])
-        frames.append(runs)
-    doc = {"version": 1, "width": int(m.shape[2]), "height": int(m.shape[1]),
-           "frames": frames}
-    Path(path).write_text(json.dumps(doc) + "\n")
-
-
-def read_mask_rle(path) -> np.ndarray:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported mask RLE version {doc.get('version')}")
-    width, height = int(doc["width"]), int(doc["height"])
-    out = np.zeros((len(doc["frames"]), height * width), dtype=bool)
-    for i, runs in enumerate(doc["frames"]):
-        for start, length in runs:
-            if start < 0 or start + length > height * width:
-                raise ValueError(f"run [{start}, {length}] exceeds frame size")
-            out[i, start:start + length] = True
-    return out.reshape(-1, height, width)
-
-
 # -- depth -------------------------------------------------------------------
 
 def depth_to_pgm(path, depth: DepthMap) -> None:
@@ -252,25 +208,6 @@ def depth_from_pgm(path) -> DepthMap:
     if maxval != 65535:
         raise ValueError("depth PGM must be 16-bit (maxval 65535)")
     return DepthMap(values.astype(float) / 1000.0)
-
-
-def write_depth_f32(path, depth: DepthMap) -> None:
-    header = DEPTH_MAGIC + struct.pack("<III", 1, depth.width, depth.height)
-    Path(path).write_bytes(header + depth.values.astype("<f4").tobytes(order="C"))
-
-
-def read_depth_f32(path) -> DepthMap:
-    blob = Path(path).read_bytes()
-    if len(blob) < 4 or blob[:4] != DEPTH_MAGIC:
-        raise ValueError("not a depth file (bad magic)")
-    version, width, height = struct.unpack_from("<III", blob, 4)
-    if version != 1:
-        raise ValueError(f"unsupported depth version {version}")
-    count = width * height
-    data = np.frombuffer(blob, dtype="<f4", count=count, offset=16)
-    if data.size < count:
-        raise ValueError("unexpected end of file in depth raster")
-    return DepthMap(data.reshape(height, width).astype(float))
 
 
 def sha256_file(path) -> str:

@@ -25,7 +25,6 @@ __all__ = [
     "DepthCalibrationError",
     "GroundingError",
     "calibrate_depth",
-    "sample_query_grid",
     "distill_flow",
     "score_flow",
     "select_candidate",
@@ -177,21 +176,6 @@ def calibrate_depth(estimated: list[DepthMap],
         raise DepthCalibrationError("non-positive depth median")
     scale = med_ref / med_est
     return [d.scaled(scale) for d in estimated], scale
-
-
-def sample_query_grid(intrinsics: CameraIntrinsics, rows: int = 32,
-                      cols: int = 32) -> np.ndarray:
-    """Uniform (rows*cols, 2) pixel grid with half-cell offset centers.
-
-    Grid centers are u_j = (j + 0.5) * width / cols and the analogous v_i,
-    returned row-major, so every point is strictly inside the image.
-    """
-    if rows < 1 or cols < 1:
-        raise ValueError("grid must have at least one row and one column")
-    u = (np.arange(cols) + 0.5) * intrinsics.width / cols
-    v = (np.arange(rows) + 0.5) * intrinsics.height / rows
-    uu, vv = np.meshgrid(u, v)
-    return np.stack([uu.ravel(), vv.ravel()], axis=1)
 
 
 def _inside_mask(mask: np.ndarray, uv: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ them.  One subprocess smoke test checks the installed entry points.
 """
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nvflow
 from nvflow.cli import main
 from nvflow.fileio import read_flow, sha256_file, write_flow
 from nvflow.sim import ObjectSpec, RopeSpec, SceneConfig
@@ -233,23 +235,17 @@ class TestConfigErrors:
         assert_one_error_line(err)
         assert "no such directory" in err
 
-    def test_threads_env_must_be_an_integer(self, rope_bundle_dir, tmp_path,
-                                            monkeypatch, capsys):
-        monkeypatch.setenv("NVFLOW_THREADS", "abc")
-        assert run_main(["distill", rope_bundle_dir,
-                         "--out-dir", tmp_path / "o"]) == 2
-        err = capsys.readouterr().err
-        assert_one_error_line(err)
-        assert "NVFLOW_THREADS" in err
-
-    def test_threads_env_must_be_non_negative(self, rope_bundle_dir, tmp_path,
-                                              monkeypatch, capsys):
-        monkeypatch.setenv("NVFLOW_THREADS", "-1")
-        assert run_main(["distill", rope_bundle_dir,
-                         "--out-dir", tmp_path / "o"]) == 2
-        err = capsys.readouterr().err
-        assert_one_error_line(err)
-        assert "non-negative" in err
+    @pytest.mark.parametrize("argv", [
+        ["distill", "bundle"],
+        ["plan-rigid", "--flow", "f.nvfl", "--robot", "r.json"],
+        ["plan-deformable", "--flow", "f.nvfl", "--dynamics", "d.json"],
+        ["eval", "plan", "scene"],
+    ], ids=lambda argv: argv[0])
+    def test_config_flag_only_where_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--config", "x.json"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 class TestRuntimeErrors:
@@ -320,20 +316,6 @@ class TestDistill:
         assert set(manifest["files"]) == {
             "flow.nvfl", "scores.json",
             "flow_00.ppm", "flow_01.ppm", "flow_02.ppm", "flow_03.ppm"}
-
-    def test_thread_cap_does_not_change_results(self, rope_bundle_dir,
-                                                tmp_path, monkeypatch):
-        out_auto = tmp_path / "auto"
-        assert run_main(["distill", rope_bundle_dir, "--candidates", 3,
-                         "--out-dir", out_auto]) == 0
-        monkeypatch.setenv("NVFLOW_THREADS", "1")
-        out_one = tmp_path / "one"
-        assert run_main(["distill", rope_bundle_dir, "--candidates", 3,
-                         "--out-dir", out_one]) == 0
-        assert ((out_auto / "scores.json").read_bytes()
-                == (out_one / "scores.json").read_bytes())
-        assert ((out_auto / "flow.nvfl").read_bytes()
-                == (out_one / "flow.nvfl").read_bytes())
 
 
 class TestPlanDeformable:
@@ -442,10 +424,31 @@ class TestFullRun:
         pipeline = json.loads((out / "metrics.json").read_text())
         assert regraded == pipeline
 
+    def test_eval_without_out_dir_leaves_plan_untouched(
+            self, rigid_config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_main(["run", "--config", rigid_config_path,
+                         "--candidates", 1, "--out-dir", out]) == 0
+        plan = tmp_path / "plan"
+        assert run_main(["plan-rigid", "--flow", out / "flow" / "flow.nvfl",
+                         "--robot", fixture_path("arm7.json"),
+                         "--out-dir", plan]) == 0
+        manifest = (plan / "run_manifest.json").read_bytes()
+        capsys.readouterr()
+        assert run_main(["eval", plan, out / "scene"]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "--out-dir" in err
+        assert (plan / "run_manifest.json").read_bytes() == manifest
+        assert not (plan / "metrics.json").exists()
+
 
 class TestInstalledEntryPoints:
     def test_module_invocation(self):
+        src = str(Path(nvflow.__file__).resolve().parent.parent)
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run([sys.executable, "-m", "nvflow.cli", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.startswith("nvflow")

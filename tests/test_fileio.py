@@ -1,4 +1,4 @@
-"""Tests for the on-disk formats: flow binaries, netpbm, RLE masks, depth."""
+"""Tests for the on-disk formats: flow binaries, netpbm, masks, depth."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,11 @@ from nvflow.fileio import (
     depth_to_pgm,
     mask_from_pgm,
     mask_to_pgm,
-    read_depth_f32,
     read_flow,
-    read_mask_rle,
     read_pgm,
     read_ppm,
     sha256_file,
-    write_depth_f32,
     write_flow,
-    write_mask_rle,
     write_pgm,
     write_ppm,
 )
@@ -154,52 +150,8 @@ class TestMasks:
         mask_to_pgm(path, mask)
         assert np.array_equal(mask_from_pgm(path), mask)
 
-    def test_rle_round_trip(self, tmp_path, rng):
-        masks = rng.random((4, 6, 8)) > 0.5
-        path = tmp_path / "masks.json"
-        write_mask_rle(path, masks)
-        assert np.array_equal(read_mask_rle(path), masks)
-
-    def test_rle_all_false_and_all_true(self, tmp_path):
-        masks = np.zeros((2, 3, 3), dtype=bool)
-        masks[1] = True
-        path = tmp_path / "masks.json"
-        write_mask_rle(path, masks)
-        assert np.array_equal(read_mask_rle(path), masks)
-
-    def test_rle_rejects_out_of_range_run(self, tmp_path):
-        path = tmp_path / "masks.json"
-        path.write_text('{"version": 1, "width": 2, "height": 2, "frames": [[[3, 5]]]}')
-        with pytest.raises(ValueError, match="exceeds frame size"):
-            read_mask_rle(path)
-
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(seed=st.integers(0, 2**31 - 1), frames=st.integers(1, 4),
-           height=st.integers(1, 12), width=st.integers(1, 12))
-    def test_rle_round_trip_property(self, tmp_path, seed, frames, height, width):
-        gen = np.random.default_rng(seed)
-        masks = gen.random((frames, height, width)) > 0.3
-        path = tmp_path / f"{seed}.json"
-        write_mask_rle(path, masks)
-        assert np.array_equal(read_mask_rle(path), masks)
-
 
 class TestDepth:
-    def test_f32_round_trip(self, tmp_path, rng):
-        values = rng.uniform(0.0, 5.0, size=(11, 17)).astype(np.float32)
-        depth = DepthMap(values.astype(float))
-        path = tmp_path / "depth.nvdf"
-        write_depth_f32(path, depth)
-        back = read_depth_f32(path)
-        assert np.array_equal(back.values, values.astype(float))
-
-    def test_f32_wrong_magic(self, tmp_path):
-        path = tmp_path / "depth.nvdf"
-        path.write_bytes(b"XXXX" + b"\x00" * 12)
-        with pytest.raises(ValueError, match="not a depth file"):
-            read_depth_f32(path)
-
     def test_pgm_round_trip_at_millimeter_resolution(self, tmp_path, rng):
         mm = rng.integers(0, 3000, size=(6, 6)).astype(float)
         depth = DepthMap(mm / 1000.0)

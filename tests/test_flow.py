@@ -16,7 +16,6 @@ from nvflow.flow import (
     calibrate_depth,
     distill_flow,
     render_flow_image,
-    sample_query_grid,
     score_flow,
     select_candidate,
 )
@@ -110,26 +109,6 @@ class TestCalibrateDepth:
         assert abs(med_out - med_ref) <= 1e-9 * med_ref
         assert scale == pytest.approx(
             med_ref / sorted_median(est_values[est_values > 0.0]), rel=1e-12)
-
-
-class TestSampleQueryGrid:
-    def test_32x32_grid_on_720p(self):
-        intr = CameraIntrinsics(fx=600.0, fy=600.0, cx=640.0, cy=360.0,
-                                width=1280, height=720)
-        grid = sample_query_grid(intr, rows=32, cols=32)
-        assert grid.shape == (1024, 2)
-        assert np.allclose(grid[0], [20.0, 11.25])
-        assert grid[:, 0].min() > 0 and grid[:, 0].max() < 1280
-        assert grid[:, 1].min() > 0 and grid[:, 1].max() < 720
-
-    def test_2x2_grid_on_4x4_image(self):
-        intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=2.0, cy=2.0, width=4, height=4)
-        grid = sample_query_grid(intr, rows=2, cols=2)
-        assert np.allclose(grid, [[1.0, 1.0], [3.0, 1.0], [1.0, 3.0], [3.0, 3.0]])
-
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            sample_query_grid(INTR, rows=0, cols=4)
 
 
 def make_mask(center_uv=(320, 240), half=60, frames=3):
