@@ -521,6 +521,7 @@ def _executed_object_poses(plan_doc: dict, configs: np.ndarray,
 
 
 def _do_eval(run_dir: Path, bundle: SceneBundle, stages: _Stages):
+    """Grade a plan directory; returns the metrics and the files it graded."""
     plan_json = run_dir / "plan.json"
     final_state_json = run_dir / "final_state.json"
     if plan_json.exists():
@@ -533,7 +534,7 @@ def _do_eval(run_dir: Path, bundle: SceneBundle, stages: _Stages):
             executed = _executed_object_poses(plan_doc, configs, bundle.config.frames)
             return evaluate_rigid(executed, bundle.gt_poses)
 
-        return stages.run("evaluate", grade)
+        return stages.run("evaluate", grade), ["plan.json", "joint_traj.csv"]
     if final_state_json.exists():
         if bundle.initial_state is None:
             raise ConfigError("ground-truth bundle has no particle state to grade against")
@@ -543,7 +544,7 @@ def _do_eval(run_dir: Path, bundle: SceneBundle, stages: _Stages):
             corr = build_correspondence(bundle.gt_flow, bundle.initial_state.positions)
             return evaluate_deformable(final, bundle.gt_flow, corr)
 
-        return stages.run("evaluate", grade)
+        return stages.run("evaluate", grade), ["final_state.json"]
     raise ConfigError(f"no plan outputs (plan.json or final_state.json) in {run_dir}")
 
 
@@ -554,11 +555,12 @@ def cmd_eval(args) -> None:
     bundle = _load_bundle(args.gt_dir)
     out = _out_dir(args)
     stages = _Stages(args.verbose)
-    metrics = _do_eval(run_dir, bundle, stages)
+    metrics, graded = _do_eval(run_dir, bundle, stages)
     _write_json(out / "metrics.json", metrics.to_doc())
     seed = 0 if args.seed is None else args.seed
     inputs = {"gt_manifest": sha256_file(Path(args.gt_dir) / "manifest.json"),
-              "run_dir": str(run_dir), "seed": seed}
+              "graded": {name: sha256_file(run_dir / name) for name in graded},
+              "seed": seed}
     _finish(out, "eval", seed, inputs, ["metrics.json"], stages)
 
 
@@ -592,7 +594,7 @@ def cmd_run(args) -> None:
                             _mkdir(out / "plan"), args.horizon, seed,
                             args.cost_mode, stages)
 
-    metrics = _do_eval(out / "plan", bundle, stages)
+    metrics, _ = _do_eval(out / "plan", bundle, stages)
     _write_json(out / "metrics.json", metrics.to_doc())
 
     inputs = {"scene_config": _doc_hash(config.to_doc()),

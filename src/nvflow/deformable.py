@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,32 @@ class MassSpringModel:
         inc[self.edges[:, 1], np.arange(self.edges.shape[0])] = 1.0
         return inc
 
+    @cached_property
+    def _incident_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each particle's incident edges as a padded (N, D) table, D the max degree.
+
+        Row i lists the edges that touch particle i in increasing edge index,
+        with sign +1 where i is the tail and -1 where it is the head; padding
+        slots name edge 0 with sign 0.  Summed along a row in slot order, sign
+        times edge force adds the nonzero terms of ``-incidence() @ edge_force``
+        in the order the dense product adds them.
+        """
+        n_edges = self.edges.shape[0]
+        ends = self.edges.T.ravel()                    # tails, then heads
+        edge_ids = np.tile(np.arange(n_edges), 2)
+        signs = np.repeat([1.0, -1.0], n_edges)
+        order = np.lexsort((edge_ids, ends))           # by particle, then edge
+        ends, edge_ids, signs = ends[order], edge_ids[order], signs[order]
+        degree = np.bincount(ends, minlength=self.n_particles)
+        first = np.cumsum(degree) - degree
+        slot = np.arange(ends.size) - first[ends]
+        width = int(degree.max()) if n_edges else 0
+        table = np.zeros((self.n_particles, width), dtype=int)
+        table_signs = np.zeros((self.n_particles, width))
+        table[ends, slot] = edge_ids
+        table_signs[ends, slot] = signs
+        return table, table_signs
+
 
 def save_dynamics(model: MassSpringModel, path) -> None:
     doc = {
@@ -206,27 +233,45 @@ def load_dynamics(path) -> MassSpringModel:
 
 
 def _step_batch(model: MassSpringModel, positions: np.ndarray, velocities: np.ndarray,
-                deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a batch of states one control step; arrays are (B, N, 3), (B, 3)."""
+                deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance a batch of states one control step.
+
+    Takes (B, N, 3) positions and velocities and (B, 3) gripper deltas, and
+    returns the new positions and velocities with a (B,) mask of dead samples.
+    Spring vectors are gathered per edge as ``pos[:, head] - pos[:, tail]``;
+    edge forces are scattered back through the model's incident-edge table,
+    one slot at a time onto zeros.  That adds the same terms in the same order,
+    from the same +0.0 start, as the dense product with the (N, E) incidence
+    matrix, so the result is bit-identical to it without building one.
+
+    A sample with a spring shorter than 1e-9 m is dead: its forces are not
+    evaluated (no division by the zero length) and it is frozen at its state
+    from the substep where the collapse was seen.
+    """
     h = model.dt / model.substeps
-    inc = model.incidence()
+    tail, head = model.edges[:, 0], model.edges[:, 1]
+    slots, signs = model._incident_edges
     attached = list(model.attachment)
     pinned = list(model.pinned)
     pos = positions.copy()
     vel = velocities.copy()
+    dead = np.zeros(pos.shape[0], dtype=bool)
     kinematic_vel = deltas / model.dt  # (B, 3)
     for _ in range(model.substeps):
-        if model.edges.size:
-            d = np.einsum("ne,bnc->bec", inc, pos)
-            lengths = np.linalg.norm(d, axis=-1)
-            if lengths.min() < 1e-9:
-                raise DegenerateEdgeError(
-                    "degenerate edge: spring endpoints coincide")
-            stretch = model.stiffness * (lengths - model.rest_lengths)
-            edge_force = (stretch / lengths)[..., None] * d
-            force = np.einsum("ne,bec->bnc", -inc, edge_force)
-        else:
-            force = np.zeros_like(pos)
+        prev_pos, prev_vel = pos, vel
+        d = pos[:, head] - pos[:, tail]
+        lengths = np.linalg.norm(d, axis=-1)
+        short = lengths < 1e-9
+        if short.any():
+            dead |= short.any(axis=1)
+            lengths[dead] = 1.0   # any nonzero length; dead samples are reset below
+        stretch = model.stiffness * (lengths - model.rest_lengths)
+        edge_force = (stretch / lengths)[..., None] * d
+        terms = edge_force[:, slots]  # (B, N, D, 3)
+        terms *= signs[..., None]
+        force = np.zeros_like(pos)
+        for k in range(slots.shape[1]):
+            force += terms[:, :, k]
         force -= model.damping * vel
         if model.gravity:
             force[..., 2] -= 9.81 * model.mass
@@ -240,7 +285,10 @@ def _step_batch(model: MassSpringModel, positions: np.ndarray, velocities: np.nd
         if below.any():
             pos[..., 2] = np.maximum(pos[..., 2], model.ground_height)
             vel[..., 2] = np.where(below, np.maximum(vel[..., 2], 0.0), vel[..., 2])
-    return pos, vel
+        if dead.any():
+            pos[dead] = prev_pos[dead]
+            vel[dead] = prev_vel[dead]
+    return pos, vel, dead
 
 
 def mass_spring_step(model: MassSpringModel, state: ParticleState,
@@ -256,7 +304,10 @@ def mass_spring_step(model: MassSpringModel, state: ParticleState,
     if state.count != model.n_particles:
         raise ValueError(f"state has {state.count} particles, model expects "
                          f"{model.n_particles}")
-    pos, vel = _step_batch(model, state.positions[None], state.velocities[None], d[None])
+    pos, vel, dead = _step_batch(model, state.positions[None], state.velocities[None],
+                                 d[None])
+    if dead[0]:
+        raise DegenerateEdgeError("degenerate edge: spring endpoints coincide")
     return ParticleState(pos[0], vel[0])
 
 
@@ -346,19 +397,23 @@ def _cap_actions(seqs: np.ndarray, cap: float) -> np.ndarray:
 
 def _batch_costs(model: MassSpringModel, state: ParticleState, seqs: np.ndarray,
                  targets: np.ndarray, final_goal: np.ndarray | None) -> np.ndarray:
-    """Cumulative tracking cost of action sequences (B, H, 3) -> (B,)."""
+    """Cumulative tracking cost of action sequences (B, H, 3) -> (B,).
+
+    A sequence whose rollout collapses a spring costs +inf.
+    """
     batch = seqs.shape[0]
     pos = np.broadcast_to(state.positions, (batch,) + state.positions.shape).copy()
     vel = np.broadcast_to(state.velocities, (batch,) + state.velocities.shape).copy()
     costs = np.zeros(batch)
     for j in range(seqs.shape[1]):
-        pos, vel = _step_batch(model, pos, vel, seqs[:, j])
+        pos, vel, dead = _step_batch(model, pos, vel, seqs[:, j])
         if final_goal is None:
             diff = pos - targets[j]
             costs += np.sum(diff ** 2, axis=(1, 2))
         else:
             d2 = np.sum((pos[:, :, None, :] - final_goal[None, None, :, :]) ** 2, axis=-1)
             costs += d2.min(axis=2).mean(axis=1) + d2.min(axis=1).mean(axis=1)
+        costs[dead] = np.inf
     return costs
 
 
@@ -387,7 +442,9 @@ def plan_actions(model: MassSpringModel, state: ParticleState, flow: ActionableF
     Returns a (H' * substeps_per_frame, 3) sequence with H' = min(horizon,
     frames - t); the rollout executes only the first frame's worth of it.  The
     zero sequence is injected into every population, so the returned plan
-    never costs more than doing nothing.  ``cost_mode="chamfer_final"`` scores
+    never costs more than doing nothing.  A sample whose rollout collapses a
+    spring costs +inf; when every sample of an iteration does,
+    ``DegenerateEdgeError`` is raised.  ``cost_mode="chamfer_final"`` scores
     rollouts against the final flow frame with the symmetric Chamfer distance
     instead of corresponded tracking.
 
@@ -424,6 +481,9 @@ def plan_actions(model: MassSpringModel, state: ParticleState, flow: ActionableF
         samples[1] = _cap_actions(mean[None], config.action_cap)[0]
         costs = _batch_costs(model, state, samples, targets, final_goal)
         order = np.argsort(costs, kind="stable")
+        if costs[order[0]] == np.inf:
+            raise DegenerateEdgeError(
+                "degenerate edge: every sampled action sequence collapses a spring")
         if costs[order[0]] < best_cost:
             best_cost = float(costs[order[0]])
             best_seq = samples[order[0]].copy()

@@ -339,6 +339,26 @@ class TestPlanDeformable:
         assert np.asarray(final["positions"]).shape == (8, 3)
         assert np.isfinite(np.asarray(final["velocities"])).all()
 
+    def test_eval_manifest_follows_a_rewritten_final_state(self, rope_bundle_dir,
+                                                            tmp_path):
+        plan = tmp_path / "plan"
+        assert run_main(["plan-deformable",
+                         "--flow", rope_bundle_dir / "gt_flow.nvfl",
+                         "--dynamics", rope_bundle_dir / "dynamics.json",
+                         "--horizon", 2, "--out-dir", plan]) == 0
+        assert run_main(["eval", plan, rope_bundle_dir, "--out-dir", tmp_path / "a"]) == 0
+        state = plan / "final_state.json"
+        state.write_text(json.dumps(json.loads(state.read_text()), indent=1))
+        assert run_main(["eval", plan, rope_bundle_dir, "--out-dir", tmp_path / "b"]) == 0
+        # Same values, so the same metrics; the graded bytes changed, so the
+        # manifest must too.
+        assert ((tmp_path / "a" / "metrics.json").read_bytes()
+                == (tmp_path / "b" / "metrics.json").read_bytes())
+        before = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
+        after = json.loads((tmp_path / "b" / "run_manifest.json").read_text())
+        assert before["inputs"]["graded"] != after["inputs"]["graded"]
+        assert after["inputs"]["graded"] == {"final_state.json": sha256_file(state)}
+
     def test_same_seed_same_plan(self, rope_bundle_dir, tmp_path):
         args = ["plan-deformable",
                 "--flow", rope_bundle_dir / "gt_flow.nvfl",
@@ -423,6 +443,21 @@ class TestFullRun:
         regraded = json.loads((eval_out / "metrics.json").read_text())
         pipeline = json.loads((out / "metrics.json").read_text())
         assert regraded == pipeline
+
+    def test_eval_manifest_does_not_depend_on_the_path_spelling(
+            self, rigid_config_path, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert run_main(["run", "--config", rigid_config_path,
+                         "--candidates", 1, "--out-dir", out]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert run_main(["eval", "run/plan", "run/scene", "--out-dir", "rel"]) == 0
+        assert run_main(["eval", out / "plan", out / "scene",
+                         "--out-dir", tmp_path / "abs"]) == 0
+        manifest = (tmp_path / "rel" / "run_manifest.json").read_bytes()
+        assert manifest == (tmp_path / "abs" / "run_manifest.json").read_bytes()
+        assert json.loads(manifest)["inputs"]["graded"] == {
+            name: sha256_file(out / "plan" / name)
+            for name in ("plan.json", "joint_traj.csv")}
 
     def test_eval_without_out_dir_leaves_plan_untouched(
             self, rigid_config_path, tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Tests for particle dynamics, tracking costs, and the CEM planner."""
 
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from nvflow import deformable
 from nvflow.deformable import (
     Correspondence,
     DegenerateEdgeError,
@@ -19,6 +23,7 @@ from nvflow.deformable import (
     save_dynamics,
 )
 from nvflow.flow import ActionableFlow
+from nvflow.sim import SceneConfig, generate_scene
 
 
 def chain(n=5, spacing=0.1, **overrides):
@@ -46,6 +51,79 @@ def spring_energy(model: MassSpringModel, state: ParticleState) -> float:
 
 def constant_flow(positions: np.ndarray, frames: int) -> ActionableFlow:
     return ActionableFlow(np.tile(positions, (frames, 1, 1)))
+
+
+def einsum_step(model: MassSpringModel, positions: np.ndarray,
+                velocities: np.ndarray, deltas: np.ndarray):
+    """Reference control step: springs through the dense (N, E) incidence.
+
+    This is the formulation ``_step_batch`` replaced; the edge gather and the
+    incident-edge scatter must reproduce it bit for bit.
+    """
+    h = model.dt / model.substeps
+    inc = model.incidence()
+    pos = positions.copy()
+    vel = velocities.copy()
+    kinematic_vel = deltas / model.dt
+    for _ in range(model.substeps):
+        if model.edges.size:
+            d = np.einsum("ne,bnc->bec", inc, pos)
+            lengths = np.linalg.norm(d, axis=-1)
+            stretch = model.stiffness * (lengths - model.rest_lengths)
+            edge_force = (stretch / lengths)[..., None] * d
+            force = np.einsum("ne,bec->bnc", -inc, edge_force)
+        else:
+            force = np.zeros_like(pos)
+        force -= model.damping * vel
+        if model.gravity:
+            force[..., 2] -= 9.81 * model.mass
+        vel = vel + (h / model.mass) * force
+        if model.attachment:
+            vel[:, list(model.attachment), :] = kinematic_vel[:, None, :]
+        if model.pinned:
+            vel[:, list(model.pinned), :] = 0.0
+        pos = pos + h * vel
+        below = pos[..., 2] < model.ground_height
+        if below.any():
+            pos[..., 2] = np.maximum(pos[..., 2], model.ground_height)
+            vel[..., 2] = np.where(below, np.maximum(vel[..., 2], 0.0), vel[..., 2])
+    return pos, vel
+
+
+def packaged_rope():
+    doc = json.loads((resources.files("nvflow") / "fixtures" / "scene_rope.json").read_text())
+    bundle = generate_scene(SceneConfig.from_doc(doc))
+    return bundle.dynamics, bundle.initial_state.positions
+
+
+def dense_random_graph(seed=0, n=12):
+    """Particle 0 joins every other particle (degree n - 1), plus random edges."""
+    rng = np.random.default_rng(seed)
+    positions = 0.3 * rng.random((n, 3))
+    pairs = {(0, j) for j in range(1, n)}
+    for i, j in rng.integers(0, n, size=(3 * n, 2)):
+        if i != j:
+            pairs.add((int(i), int(j)))        # either orientation, any order
+    edges = rng.permutation(sorted(pairs))
+    lengths = np.linalg.norm(positions[edges[:, 1]] - positions[edges[:, 0]], axis=-1)
+    model = MassSpringModel(n_particles=n, edges=edges,
+                            rest_lengths=lengths * rng.uniform(0.8, 1.2, len(edges)),
+                            stiffness=20.0, attachment=(1,))
+    return model, positions
+
+
+def gravity_chain():
+    """Falls onto the ground plane while its head is dragged down into it."""
+    model, state = chain(n=6, gravity=True, ground_height=-0.003,
+                         attachment=(0,), pinned=(5,))
+    return model, state.positions
+
+
+def edgeless():
+    model = MassSpringModel(n_particles=3, edges=np.zeros((0, 2), dtype=int),
+                            rest_lengths=np.zeros(0), gravity=True,
+                            ground_height=0.0, attachment=(2,))
+    return model, np.array([[0.0, 0.0, 0.01], [0.1, 0.0, 0.2], [0.2, 0.0, 0.0]])
 
 
 class TestMassSpringStep:
@@ -128,6 +206,109 @@ class TestMassSpringStep:
         small = ParticleState.at_rest(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="particles"):
             mass_spring_step(model, small, np.zeros(3))
+
+
+class TestSpringStepOracle:
+    """``_step_batch`` against the dense-incidence step, compared with array_equal."""
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("build", [
+        packaged_rope, dense_random_graph, lambda: dense_random_graph(seed=1, n=30),
+        gravity_chain, edgeless], ids=["rope", "graph12", "graph30", "gravity", "edgeless"])
+    def test_bit_identical_to_einsum_step(self, build, batch):
+        model, start = build()
+        rng = np.random.default_rng(batch)
+        pos = np.broadcast_to(start, (batch,) + start.shape).copy()
+        pos += 0.002 * rng.standard_normal(pos.shape)
+        vel = 0.01 * rng.standard_normal(pos.shape)
+        ref_pos, ref_vel = pos, vel
+        for _ in range(6):
+            deltas = 0.01 * rng.standard_normal((batch, 3))
+            deltas[:, 2] -= 0.004             # drives the gravity chain into the ground
+            pos, vel, dead = deformable._step_batch(model, pos, vel, deltas)
+            ref_pos, ref_vel = einsum_step(model, ref_pos, ref_vel, deltas)
+            assert not dead.any()
+            assert np.array_equal(pos, ref_pos)
+            assert np.array_equal(vel, ref_vel)
+
+    def test_oracle_models_cover_the_cases(self):
+        rope, _ = packaged_rope()
+        assert rope.incidence().shape == (20, 37)
+        graph, _ = dense_random_graph()
+        assert graph._incident_edges[0].shape[1] >= 8
+        model, start = gravity_chain()
+        pos = start[None]
+        for _ in range(3):
+            pos, _, _ = deformable._step_batch(model, pos, np.zeros_like(pos),
+                                               np.array([[0.0, 0.0, -0.004]]))
+        assert (pos[0, :, 2] == model.ground_height).any()
+
+    def test_incident_edge_table(self):
+        model = MassSpringModel(n_particles=4, edges=np.array([[2, 0], [0, 1], [1, 2]]),
+                                rest_lengths=np.ones(3))
+        table, signs = model._incident_edges
+        assert table.tolist() == [[0, 1], [1, 2], [0, 2], [0, 0]]
+        assert signs.tolist() == [[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [0.0, 0.0]]
+
+
+def point_on_a_pin(gap):
+    """An attached particle ``gap`` meters along x from a pinned one, joined by a spring."""
+    model = MassSpringModel(n_particles=2, edges=np.array([[0, 1]]),
+                            rest_lengths=np.array([2e-9]), attachment=(0,), pinned=(1,))
+    return model, ParticleState.at_rest(np.array([[0.0, 0.0, 0.0], [gap, 0.0, 0.0]]))
+
+
+class TestDegenerateSamples:
+    def test_dead_sample_is_frozen_and_leaves_the_batch_alone(self):
+        model, state = point_on_a_pin(2e-9)
+        onto_pin = np.array([2e-9, 0.0, 0.0])
+        away = np.array([-1e-9, 0.0, 0.0])
+        pos = np.stack([state.positions] * 2)
+        with np.errstate(divide="raise", invalid="raise"):
+            out_pos, out_vel, dead = deformable._step_batch(
+                model, pos, np.zeros_like(pos), np.stack([onto_pin, away]))
+        assert dead.tolist() == [True, False]
+        assert np.isfinite(out_pos).all() and np.isfinite(out_vel).all()
+        assert np.linalg.norm(out_pos[0, 1] - out_pos[0, 0]) < 1e-9
+        alone = mass_spring_step(model, state, away)
+        assert np.array_equal(out_pos[1], alone.positions)
+        assert np.array_equal(out_vel[1], alone.velocities)
+        with pytest.raises(DegenerateEdgeError, match="degenerate edge"):
+            mass_spring_step(model, state, onto_pin)
+
+    def test_planner_survives_a_collapsing_sample(self, monkeypatch):
+        model, state = point_on_a_pin(2e-9)
+        positions = np.tile(state.positions, (4, 1, 1))
+        positions[:, 0, 0] += 1.5e-9 * np.arange(4)   # the flow drags 0 past the pin
+        flow = ActionableFlow(positions)
+        corr = Correspondence(np.arange(2), 0.0)
+        config = MPCConfig(horizon=3, population=32, elites=4, iterations=3,
+                           init_std=2e-9, min_std=1e-12, action_cap=1e-8, seed=0)
+        batch_costs = deformable._batch_costs
+        seen = []
+
+        def spy(*args):
+            costs = batch_costs(*args)
+            seen.append(costs)
+            return costs
+
+        monkeypatch.setattr(deformable, "_batch_costs", spy)
+        with np.errstate(divide="raise", invalid="raise"):
+            plan = plan_actions(model, state, flow, 1, config, corr)
+        scored = np.concatenate(seen)
+        assert np.isinf(scored).any() and np.isfinite(scored).any()
+        assert np.isfinite(plan).all()
+        replay = state
+        for delta in plan:       # raises if the returned plan collapses the spring
+            replay = mass_spring_step(model, replay, delta)
+
+    def test_planner_raises_when_every_sample_collapses(self):
+        model, state = point_on_a_pin(5e-10)
+        flow = constant_flow(state.positions, frames=3)
+        corr = Correspondence(np.arange(2), 0.0)
+        config = MPCConfig(horizon=2, population=8, elites=2, iterations=1)
+        with pytest.raises(DegenerateEdgeError, match="every sampled"):
+            plan_actions(model, state, flow, 1, config, corr)
 
 
 class TestModelContainers:
