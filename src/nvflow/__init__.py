@@ -10,99 +10,4 @@ the whole pipeline.
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    CameraIntrinsics,
-    DepthMap,
-    SE3Pose,
-    backproject,
-    project,
-    rotation_from_axis_angle,
-    axis_angle_from_rotation,
-    rotation_geodesic_angle,
-    screw_interpolate,
-)
-from .fileio import read_flow, write_flow, read_ppm, write_ppm
-from .flow import (
-    ActionableFlow,
-    FlowCandidate,
-    FlowScoreConfig,
-    MaskSequence,
-    TrackSet,
-    calibrate_depth,
-    distill_flow,
-    render_flow_image,
-    score_flow,
-    select_candidate,
-)
-from .rigid import (
-    GraspApproach,
-    GraspProposal,
-    ObjectPoseTrajectory,
-    compose_ee_trajectory,
-    estimate_rigid_transform,
-    flow_to_pose_trajectory,
-    propose_grasp,
-)
-from .kinematics import (
-    IKOptions,
-    JointTrajectory,
-    RobotModel,
-    forward_kinematics,
-    jacobian,
-    load_robot,
-    save_robot,
-    solve_ik,
-)
-from .trajopt import (
-    LMOptions,
-    LMResult,
-    TrajOptProblem,
-    TrajOptResult,
-    TrajOptWeights,
-    levenberg_marquardt,
-    optimize_trajectory,
-)
-from .deformable import (
-    Correspondence,
-    MassSpringModel,
-    MPCConfig,
-    ParticleState,
-    build_correspondence,
-    chamfer_cost,
-    flow_cost,
-    mass_spring_step,
-    mpc_rollout,
-    plan_actions,
-)
-from .sim import (
-    Metrics,
-    SceneBundle,
-    SceneConfig,
-    corrupt_flow,
-    evaluate_deformable,
-    evaluate_rigid,
-    generate_scene,
-)
-
-__all__ = [
-    "__version__",
-    "CameraIntrinsics", "DepthMap", "SE3Pose", "backproject", "project",
-    "rotation_from_axis_angle", "axis_angle_from_rotation",
-    "rotation_geodesic_angle", "screw_interpolate",
-    "read_flow", "write_flow", "read_ppm", "write_ppm",
-    "ActionableFlow", "FlowCandidate", "FlowScoreConfig", "MaskSequence",
-    "TrackSet", "calibrate_depth", "distill_flow", "render_flow_image",
-    "score_flow", "select_candidate",
-    "GraspApproach", "GraspProposal", "ObjectPoseTrajectory",
-    "compose_ee_trajectory", "estimate_rigid_transform",
-    "flow_to_pose_trajectory", "propose_grasp",
-    "IKOptions", "JointTrajectory", "RobotModel", "forward_kinematics",
-    "jacobian", "load_robot", "save_robot", "solve_ik",
-    "LMOptions", "LMResult", "TrajOptProblem", "TrajOptResult",
-    "TrajOptWeights", "levenberg_marquardt", "optimize_trajectory",
-    "Correspondence", "MassSpringModel", "MPCConfig", "ParticleState",
-    "build_correspondence", "chamfer_cost", "flow_cost", "mass_spring_step",
-    "mpc_rollout", "plan_actions",
-    "Metrics", "SceneBundle", "SceneConfig", "corrupt_flow",
-    "evaluate_deformable", "evaluate_rigid", "generate_scene",
-]
+__all__ = ["__version__"]

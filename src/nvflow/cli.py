@@ -54,7 +54,6 @@ from .kinematics import (
     solve_ik,
 )
 from .rigid import (
-    GraspApproach,
     ObjectPoseTrajectory,
     compose_ee_trajectory,
     flow_to_pose_trajectory,
@@ -101,7 +100,7 @@ def _load_scene_config(path) -> SceneConfig:
     doc = _load_json(path)
     try:
         return SceneConfig.from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scene config {path}: {exc}") from None
 
 
@@ -109,7 +108,7 @@ def _load_robot_file(path) -> RobotModel:
     doc = _load_json(path)
     try:
         return robot_from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad robot model {path}: {exc}") from None
 
 
@@ -119,7 +118,7 @@ def _load_obstacles_file(path) -> tuple:
         doc = doc.get("obstacles", [])
     try:
         return obstacles_from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad obstacle file {path}: {exc}") from None
 
 
@@ -127,11 +126,13 @@ def _load_flow_file(path) -> ActionableFlow:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such file: {path}")
+    if path.is_dir():
+        raise ConfigError(f"expected a file, got a directory: {path}")
     try:
         positions, label = read_flow(path)
-    except ValueError as exc:  # covers FlowFormatError
+        return ActionableFlow(np.asarray(positions, dtype=float), label=label)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # FlowFormatError is a ValueError
         raise ConfigError(f"bad flow file {path}: {exc}") from None
-    return ActionableFlow(np.asarray(positions, dtype=float), label=label)
 
 
 def _load_bundle(path) -> SceneBundle:
@@ -140,7 +141,7 @@ def _load_bundle(path) -> SceneBundle:
         raise ConfigError(f"not a scene bundle (no manifest.json): {root}")
     try:
         return SceneBundle.read(root)
-    except (KeyError, TypeError, ValueError, FileNotFoundError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, FileNotFoundError) as exc:
         raise ConfigError(f"bad scene bundle {root}: {exc}") from None
 
 
@@ -149,7 +150,7 @@ def _load_state_file(path) -> ParticleState:
     try:
         return ParticleState(np.asarray(doc["positions"], dtype=float),
                              np.asarray(doc["velocities"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad particle state {path}: {exc}") from None
 
 
@@ -329,8 +330,7 @@ def _do_plan_rigid(flow: ActionableFlow, model: RobotModel, obstacles: tuple,
     poses = stages.run("poses", lambda: flow_to_pose_trajectory(flow))
 
     def grasp_stage():
-        proposals = propose_grasp(flow.positions[0],
-                                  approach=GraspApproach.ALONG_MINUS_Z)
+        proposals = propose_grasp(flow.positions[0])
         if not proposals:
             raise RuntimeError("no feasible grasp for this object")
         return proposals[0]
@@ -394,6 +394,8 @@ def cmd_plan_rigid(args) -> None:
 def _do_plan_deformable(flow: ActionableFlow, model: MassSpringModel,
                         state: ParticleState, out: Path, horizon: int,
                         seed: int, cost_mode: str, stages: _Stages) -> list[str]:
+    if horizon < 1:
+        raise ConfigError("--horizon must be at least 1")
     config = MPCConfig(horizon=horizon, seed=seed)
     correspondence = build_correspondence(flow, state.positions)
     rollout = stages.run("mpc", lambda: mpc_rollout(
@@ -404,7 +406,7 @@ def _do_plan_deformable(flow: ActionableFlow, model: MassSpringModel,
         _write_json(out / "actions.json", {
             "version": 1,
             "dt": model.dt,
-            "substeps_per_frame": config.substeps_per_frame,
+            "substeps_per_frame": 1,
             "actions": [[float(v) for v in row] for row in rollout.actions],
         })
         files.append("actions.json")
@@ -431,7 +433,9 @@ def cmd_plan_deformable(args) -> None:
         model = load_dynamics(args.dynamics)
     except FileNotFoundError:
         raise ConfigError(f"no such file: {args.dynamics}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except IsADirectoryError:
+        raise ConfigError(f"expected a file, got a directory: {args.dynamics}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad dynamics file {args.dynamics}: {exc}") from None
     if args.state:
         state = _load_state_file(args.state)
@@ -463,7 +467,7 @@ def cmd_optimize_traj(args) -> None:
     doc = _load_json(args.config)
     try:
         problem = problem_from_doc(doc, base_dir=Path(args.config).parent)
-    except (FileNotFoundError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, FileNotFoundError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem file {args.config}: {exc}") from None
     out = _out_dir(args)
     stages = _Stages(args.verbose)
@@ -496,18 +500,26 @@ def _read_joint_csv(path) -> np.ndarray:
         raise ConfigError(f"bad joint trajectory CSV {path}: {exc}") from None
 
 
-def _executed_object_poses(plan_doc: dict, configs: np.ndarray,
-                           frames: int) -> ObjectPoseTrajectory:
+def _load_plan_file(path: Path) -> tuple[RobotModel, SE3Pose, int]:
+    """The robot, grasp and trajectory steps per flow frame of a rigid plan."""
+    plan_doc = _load_json(path)
+    try:
+        model = robot_from_doc(plan_doc["robot"])
+        grasp = SE3Pose(np.asarray(plan_doc["grasp"]["rotation"], dtype=float).reshape(3, 3),
+                        np.asarray(plan_doc["grasp"]["translation"], dtype=float))
+        return model, grasp, int(plan_doc["steps_per_flow_frame"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad plan file {path}: {exc}") from None
+
+
+def _executed_object_poses(model: RobotModel, grasp: SE3Pose, spf: int,
+                           configs: np.ndarray, frames: int) -> ObjectPoseTrajectory:
     """Object poses implied by the executed joint trajectory.
 
     The grasped object moves rigidly with the gripper, so its pose at flow
     frame t is the forward-kinematics end-effector pose at that frame's
     trajectory index composed with the inverse grasp transform.
     """
-    model = robot_from_doc(plan_doc["robot"])
-    grasp = SE3Pose(np.asarray(plan_doc["grasp"]["rotation"], dtype=float).reshape(3, 3),
-                    np.asarray(plan_doc["grasp"]["translation"], dtype=float))
-    spf = int(plan_doc["steps_per_flow_frame"])
     expected = (frames - 1) * spf + 1
     if configs.shape[0] != expected:
         raise ConfigError(f"joint trajectory has {configs.shape[0]} steps, "
@@ -525,13 +537,14 @@ def _do_eval(run_dir: Path, bundle: SceneBundle, stages: _Stages):
     plan_json = run_dir / "plan.json"
     final_state_json = run_dir / "final_state.json"
     if plan_json.exists():
-        plan_doc = _load_json(plan_json)
+        model, grasp, spf = _load_plan_file(plan_json)
         configs = _read_joint_csv(run_dir / "joint_traj.csv")
         if bundle.gt_poses is None:
             raise ConfigError("ground-truth bundle has no object poses to grade against")
 
         def grade():
-            executed = _executed_object_poses(plan_doc, configs, bundle.config.frames)
+            executed = _executed_object_poses(model, grasp, spf, configs,
+                                              bundle.config.frames)
             return evaluate_rigid(executed, bundle.gt_poses)
 
         return stages.run("evaluate", grade), ["plan.json", "joint_traj.csv"]

@@ -15,7 +15,6 @@ baseline it is compared against.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -23,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .flow import ActionableFlow
+from .geometry import _frozen
 
 __all__ = [
     "DegenerateEdgeError",
@@ -44,12 +44,6 @@ __all__ = [
 
 class DegenerateEdgeError(RuntimeError):
     """Two particles joined by a spring (near-)coincide; forces are undefined."""
-
-
-def _frozen(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -366,25 +360,19 @@ def build_correspondence(flow: ActionableFlow, particles: np.ndarray) -> Corresp
 @dataclass(frozen=True)
 class MPCConfig:
     horizon: int = 5              # flow frames per planning window
-    optimizer: str = "cem"        # "cem" or "random_shooting" (debug baseline)
     population: int = 64
     elites: int = 8
     iterations: int = 5
     init_std: float = 0.02        # meters, initial action noise
     min_std: float = 1e-4
     action_cap: float = 0.05      # max |delta| per control step, meters
-    substeps_per_frame: int = 1   # >1 interpolates targets between flow frames
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.optimizer not in ("cem", "random_shooting"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 1 <= self.elites <= self.population:
             raise ValueError("need 1 <= elites <= population")
         if self.horizon < 1 or self.iterations < 1:
             raise ValueError("horizon and iterations must be positive")
-        if self.substeps_per_frame < 1:
-            raise ValueError("substeps_per_frame must be at least 1")
         if self.action_cap <= 0.0 or self.init_std <= 0.0 or self.min_std <= 0.0:
             raise ValueError("action_cap, init_std and min_std must be positive")
 
@@ -417,30 +405,13 @@ def _batch_costs(model: MassSpringModel, state: ParticleState, seqs: np.ndarray,
     return costs
 
 
-def _step_targets(flow: ActionableFlow, correspondence: Correspondence, t: int,
-                  horizon_frames: int, substeps_per_frame: int) -> np.ndarray:
-    """Per-dynamics-step particle targets, linearly interpolated between frames."""
-    tracked = flow.positions[:, correspondence.indices, :]  # (T, N, 3)
-    if substeps_per_frame == 1:
-        return tracked[t:t + horizon_frames]
-    steps = horizon_frames * substeps_per_frame
-    out = np.zeros((steps,) + tracked.shape[1:])
-    for k in range(steps):
-        frac = t - 1 + (k + 1) / substeps_per_frame
-        lo = min(int(math.floor(frac)), flow.frames - 1)
-        hi = min(lo + 1, flow.frames - 1)
-        tau = frac - lo
-        out[k] = (1.0 - tau) * tracked[lo] + tau * tracked[hi]
-    return out
-
-
 def plan_actions(model: MassSpringModel, state: ParticleState, flow: ActionableFlow,
                  t: int, config: MPCConfig, correspondence: Correspondence,
                  cost_mode: str = "flow") -> np.ndarray:
     """Plan a gripper action sequence toward flow frames t, t+1, ...
 
-    Returns a (H' * substeps_per_frame, 3) sequence with H' = min(horizon,
-    frames - t); the rollout executes only the first frame's worth of it.  The
+    Returns an (H, 3) sequence of per-frame gripper deltas with H =
+    min(horizon, frames - t); the rollout executes only its first action.  The
     zero sequence is injected into every population, so the returned plan
     never costs more than doing nothing.  A sample whose rollout collapses a
     spring costs +inf; when every sample of an iteration does,
@@ -450,17 +421,15 @@ def plan_actions(model: MassSpringModel, state: ParticleState, flow: ActionableF
 
     Deterministic: each sample draws from its own stream keyed on (seed, frame
     index, iteration, sample index), so results do not depend on evaluation
-    order or parallelism.
+    order.
     """
     if not 1 <= t < flow.frames:
         raise ValueError(f"frame index t must be in [1, {flow.frames - 1}], got {t}")
     if cost_mode not in ("flow", "chamfer_final"):
         raise ValueError(f"unknown cost mode {cost_mode!r}")
-    horizon_frames = min(config.horizon, flow.frames - t)
-    steps = horizon_frames * config.substeps_per_frame
+    steps = min(config.horizon, flow.frames - t)
     if cost_mode == "flow":
-        targets = _step_targets(flow, correspondence, t, horizon_frames,
-                                config.substeps_per_frame)
+        targets = flow.positions[t:t + steps][:, correspondence.indices, :]
         final_goal = None
     else:
         targets = np.zeros((steps, 1, 3))
@@ -487,11 +456,9 @@ def plan_actions(model: MassSpringModel, state: ParticleState, flow: ActionableF
         if costs[order[0]] < best_cost:
             best_cost = float(costs[order[0]])
             best_seq = samples[order[0]].copy()
-        if config.optimizer == "cem":
-            elite = samples[order[:config.elites]]
-            mean = elite.mean(axis=0)
-            std = np.maximum(elite.std(axis=0), config.min_std)
-        # random_shooting keeps sampling around zero with the initial std
+        elite = samples[order[:config.elites]]
+        mean = elite.mean(axis=0)
+        std = np.maximum(elite.std(axis=0), config.min_std)
 
     final = _cap_actions(mean[None], config.action_cap)[0]
     final_cost = float(_batch_costs(model, state, final[None], targets, final_goal)[0])
@@ -502,8 +469,14 @@ def plan_actions(model: MassSpringModel, state: ParticleState, flow: ActionableF
 
 @dataclass(frozen=True)
 class RolloutResult:
+    """What a rollout executed, for a flow of T frames.
+
+    One control step is taken per flow frame: ``actions[t - 1]`` moves the
+    gripper from ``states[t - 1]`` to ``states[t]``.
+    """
+
     states: tuple[ParticleState, ...]   # length T (one state per flow frame)
-    actions: np.ndarray                 # ((T-1) * substeps_per_frame, 3) deltas
+    actions: np.ndarray                 # (T-1, 3) gripper deltas, meters
     costs: np.ndarray                   # (T,) corresponded flow cost per frame
 
     def __post_init__(self) -> None:
@@ -517,23 +490,21 @@ def mpc_rollout(model: MassSpringModel, initial: ParticleState, flow: Actionable
     """Receding-horizon rollout across all flow frames.
 
     At each frame the planner is re-run from the current state and only the
-    first frame's worth of actions is executed.  The recorded per-frame cost
+    first action of its plan is executed.  The recorded per-frame cost
     is always the corresponded flow cost, so rollouts under different planning
     objectives stay comparable.
     """
     if correspondence is None:
         correspondence = build_correspondence(flow, initial.positions)
-    spf = config.substeps_per_frame
     states = [initial]
-    actions = np.zeros(((flow.frames - 1) * spf, 3))
+    actions = np.zeros((flow.frames - 1, 3))
     costs = np.zeros(flow.frames)
     costs[0] = flow_cost(initial, flow.positions[0], correspondence.indices)
     state = initial
     for t in range(1, flow.frames):
         plan = plan_actions(model, state, flow, t, config, correspondence, cost_mode)
-        for s in range(spf):
-            actions[(t - 1) * spf + s] = plan[s]
-            state = mass_spring_step(model, state, plan[s])
+        actions[t - 1] = plan[0]
+        state = mass_spring_step(model, state, plan[0])
         states.append(state)
         costs[t] = flow_cost(state, flow.positions[t], correspondence.indices)
     return RolloutResult(tuple(states), actions, costs)

@@ -9,19 +9,17 @@ for planning.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, DepthMap, project
+from .geometry import CameraIntrinsics, DepthMap, _frozen, project
 
 __all__ = [
     "TrackSet",
     "MaskSequence",
     "ActionableFlow",
     "FlowCandidate",
-    "FlowScoreConfig",
     "DepthCalibrationError",
     "GroundingError",
     "calibrate_depth",
@@ -30,15 +28,6 @@ __all__ = [
     "select_candidate",
     "render_flow_image",
 ]
-
-logger = logging.getLogger(__name__)
-
-
-def _frozen(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
 
 class DepthCalibrationError(ValueError):
     pass
@@ -190,20 +179,16 @@ def _inside_mask(mask: np.ndarray, uv: np.ndarray) -> np.ndarray:
 
 
 def distill_flow(tracks: TrackSet, masks: MaskSequence, intrinsics: CameraIntrinsics,
-                 label: str = "", mask_containment: str = "first") -> ActionableFlow:
+                 label: str = "") -> ActionableFlow:
     """Keep tracks that start on the object and stay visible throughout.
 
     A track is kept when (a) its first-frame projection lands inside the
-    first-frame object mask and (b) it is visible in every frame.  With
-    ``mask_containment="all"`` the projection must additionally stay inside
-    the per-frame masks (useful when masks are tracked over time; off by
-    default because later-frame masks are usually noisier).
+    first-frame object mask and (b) it is visible in every frame.  Later-frame
+    masks are not consulted, because they are usually noisier.
 
     Raises:
         GroundingError: if no track survives ("object not grounded").
     """
-    if mask_containment not in ("first", "all"):
-        raise ValueError(f"mask_containment must be 'first' or 'all', got {mask_containment!r}")
     if masks.frames != tracks.frames:
         raise ValueError(f"track frames ({tracks.frames}) and mask frames "
                          f"({masks.frames}) differ")
@@ -216,54 +201,37 @@ def distill_flow(tracks: TrackSet, masks: MaskSequence, intrinsics: CameraIntrin
         uv0[front] = project(intrinsics, pos0[front])
     keep &= front & _inside_mask(masks.masks[0], uv0)
 
-    if mask_containment == "all":
-        for t in range(1, tracks.frames):
-            pos_t = tracks.positions[t]
-            front_t = pos_t[:, 2] > 0.0
-            uv_t = np.zeros((tracks.count, 2))
-            if front_t.any():
-                uv_t[front_t] = project(intrinsics, pos_t[front_t])
-            keep &= front_t & _inside_mask(masks.masks[t], uv_t)
-
     if not keep.any():
         raise GroundingError("object not grounded (no track passed the mask "
                              "and visibility tests)")
     return ActionableFlow(tracks.positions[:, keep, :], label=label)
 
 
-@dataclass(frozen=True)
-class FlowScoreConfig:
-    """Weights for the heuristic flow scorer (all terms are penalties)."""
-
-    w_jump: float = 1.0
-    w_spread: float = 1.0
-    w_teleport: float = 10.0
-    jump_cap: float = 0.15       # meters per frame
-    compact_threshold: float = 0.5  # fraction of the image area
-
-    def __post_init__(self) -> None:
-        if self.jump_cap <= 0.0:
-            raise ValueError("jump_cap must be positive")
-        if not 0.0 < self.compact_threshold <= 1.0:
-            raise ValueError("compact_threshold must be in (0, 1]")
+# Heuristic flow-scorer weights (all terms are penalties) and thresholds.
+_W_JUMP = 1.0
+_W_SPREAD = 1.0
+_W_TELEPORT = 10.0
+_JUMP_CAP = 0.15           # meters per frame
+_COMPACT_THRESHOLD = 0.5   # fraction of the image area
 
 
-def score_flow(flow: ActionableFlow, intrinsics: CameraIntrinsics,
-               config: FlowScoreConfig = FlowScoreConfig()) -> float:
+def score_flow(flow: ActionableFlow, intrinsics: CameraIntrinsics) -> float:
     """Heuristic plausibility score; higher is better, 0 is a perfect score.
 
     Three penalties, each a mean or an extent (never a raw sum) so that
     duplicating keypoints leaves the score unchanged:
 
-    * jump: mean squared per-step displacement beyond ``jump_cap``,
+    * jump: mean squared per-step displacement beyond 0.15 m per frame,
     * spread: first-frame projected bounding-box area as a fraction of the
-      image, hinged above ``compact_threshold``,
-    * teleport: fraction of per-step displacements exceeding ``jump_cap``.
+      image, hinged above one half,
+    * teleport: fraction of per-step displacements exceeding 0.15 m.
+
+    The score is minus the weighted sum jump + spread + 10 * teleport.
     """
     steps = np.linalg.norm(np.diff(flow.positions, axis=0), axis=2)  # (T-1, K)
-    excess = np.maximum(steps - config.jump_cap, 0.0)
+    excess = np.maximum(steps - _JUMP_CAP, 0.0)
     jump_term = float(np.mean(excess ** 2))
-    teleport_term = float(np.mean(steps > config.jump_cap))
+    teleport_term = float(np.mean(steps > _JUMP_CAP))
 
     pos0 = flow.positions[0]
     front = pos0[:, 2] > 0.0
@@ -272,11 +240,9 @@ def score_flow(flow: ActionableFlow, intrinsics: CameraIntrinsics,
         uv = project(intrinsics, pos0[front])
         extent = uv.max(axis=0) - uv.min(axis=0)
         area_fraction = (extent[0] * extent[1]) / (intrinsics.width * intrinsics.height)
-        spread_term = max(0.0, float(area_fraction) - config.compact_threshold)
+        spread_term = max(0.0, float(area_fraction) - _COMPACT_THRESHOLD)
 
-    return -(config.w_jump * jump_term
-             + config.w_spread * spread_term
-             + config.w_teleport * teleport_term)
+    return -(_W_JUMP * jump_term + _W_SPREAD * spread_term + _W_TELEPORT * teleport_term)
 
 
 def select_candidate(candidates: list[FlowCandidate]) -> int:

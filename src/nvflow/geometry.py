@@ -33,7 +33,6 @@ __all__ = [
     "rotation_from_quaternion",
     "quaternion_from_rotation",
     "rotation_geodesic_angle",
-    "orthonormalize_rotation",
     "se3_exp",
     "se3_log",
     "screw_interpolate",
@@ -44,6 +43,7 @@ ROTATION_TOL = 1e-9
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
+    """Read-only copy of ``a``; every module's value types store arrays this way."""
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
@@ -87,29 +87,6 @@ class SE3Pose:
     def identity(cls) -> "SE3Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_axis_angle(cls, axis_angle, translation=(0.0, 0.0, 0.0)) -> "SE3Pose":
-        return cls(rotation_from_axis_angle(np.asarray(axis_angle, dtype=float)),
-                   np.asarray(translation, dtype=float))
-
-    @classmethod
-    def from_quaternion(cls, quat_wxyz, translation=(0.0, 0.0, 0.0)) -> "SE3Pose":
-        return cls(rotation_from_quaternion(np.asarray(quat_wxyz, dtype=float)),
-                   np.asarray(translation, dtype=float))
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "SE3Pose":
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"homogeneous matrix must be (4, 4), got {m.shape}")
-        return cls(m[:3, :3], m[:3, 3])
-
-    def as_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one (3,) point or an (..., 3) array of points."""
         p = np.asarray(points, dtype=float)
@@ -120,10 +97,6 @@ class SE3Pose:
 
     def inverse(self) -> "SE3Pose":
         return se3_inverse(self)
-
-    def orthonormalized(self) -> "SE3Pose":
-        """Re-project the rotation onto SO(3); use after long composition chains."""
-        return SE3Pose(orthonormalize_rotation(self.rotation), self.translation)
 
     def allclose(self, other: "SE3Pose", atol: float = 1e-9) -> bool:
         return bool(
@@ -326,13 +299,6 @@ def rotation_geodesic_angle(a: np.ndarray, b: np.ndarray) -> float:
     rel = np.asarray(a, dtype=float) @ np.asarray(b, dtype=float).T
     cos_theta = np.clip((np.trace(rel) - 1.0) / 2.0, -1.0, 1.0)
     return float(np.arccos(cos_theta))
-
-
-def orthonormalize_rotation(matrix: np.ndarray) -> np.ndarray:
-    """Nearest proper rotation in the Frobenius sense (polar decomposition)."""
-    u, _, vt = np.linalg.svd(np.asarray(matrix, dtype=float))
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
 def se3_exp(twist: np.ndarray) -> SE3Pose:

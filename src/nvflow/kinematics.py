@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,6 @@ __all__ = [
     "IKOptions",
     "IKUnreachableError",
     "load_robot",
-    "save_robot",
     "forward_kinematics",
     "link_frames_batch",
     "sphere_centers_batch",
@@ -171,10 +170,6 @@ def robot_from_doc(doc: dict) -> RobotModel:
     return RobotModel(joints=joints, ee_offset=_pose_from_doc(doc["ee_offset"]),
                       collision_spheres=spheres, base_pose=base,
                       name=doc.get("name", ""))
-
-
-def save_robot(model: RobotModel, path) -> None:
-    Path(path).write_text(json.dumps(robot_to_doc(model), indent=2) + "\n")
 
 
 def load_robot(path) -> RobotModel:

@@ -8,22 +8,19 @@ composed with a grasp transform to produce end-effector pose targets.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .flow import ActionableFlow
-from .geometry import SE3Pose, quaternion_from_rotation, se3_compose
+from .geometry import SE3Pose, se3_compose
 
 __all__ = [
     "DegenerateCloudError",
     "GraspWarning",
-    "GraspApproach",
     "GraspProposal",
     "ObjectPoseTrajectory",
     "estimate_rigid_transform",
@@ -118,16 +115,6 @@ class ObjectPoseTrajectory:
             poses.append(SE3Pose(rotation, np.asarray(entry["translation"], dtype=float)))
         return cls(tuple(poses), frame=doc.get("frame", "camera"))
 
-    def to_csv(self, path) -> None:
-        """CSV rows (t, qw, qx, qy, qz, x, y, z) with 9 significant digits."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t", "qw", "qx", "qy", "qz", "x", "y", "z"])
-            for t, pose in enumerate(self.poses):
-                quat = quaternion_from_rotation(pose.rotation)
-                row = [str(t)] + [f"{v:.9g}" for v in (*quat, *pose.translation)]
-                writer.writerow(row)
-
 
 def flow_to_pose_trajectory(flow: ActionableFlow) -> ObjectPoseTrajectory:
     """Per-frame object poses relative to the first flow frame.
@@ -152,19 +139,6 @@ def compose_ee_trajectory(object_poses: ObjectPoseTrajectory,
     return [se3_compose(pose, grasp_pose) for pose in object_poses.poses]
 
 
-class GraspApproach(Enum):
-    """Approach axis convention for the top-down grasp heuristic.
-
-    TOP_DOWN treats +z as up (world-style frames): the gripper descends along
-    -z onto the highest points.  ALONG_MINUS_Z treats -z as up (a camera
-    looking straight down): the gripper moves along +z onto the points nearest
-    the camera.
-    """
-
-    TOP_DOWN = "top_down"
-    ALONG_MINUS_Z = "along_minus_z"
-
-
 @dataclass(frozen=True)
 class GraspProposal:
     grasp_pose: SE3Pose   # gripper frame: x = closing axis, z = approach axis
@@ -178,21 +152,24 @@ class GraspProposal:
             raise ValueError("width must be positive")
 
 
-def propose_grasp(object_points: np.ndarray,
-                  approach: GraspApproach = GraspApproach.TOP_DOWN,
-                  max_width: float = 0.085,
-                  clearance: float = 0.01,
-                  top_fraction: float = 0.2) -> list[GraspProposal]:
-    """Top-down parallel-jaw grasp proposals from an object point cloud.
+# Parallel-jaw gripper geometry for the grasp heuristic.
+_MAX_WIDTH = 0.085     # largest jaw opening, meters
+_CLEARANCE = 0.01      # slack added to the closing extent, meters
+_TOP_FRACTION = 0.2    # share of points, nearest the camera, the grasp centers on
 
-    The gripper is centered on the centroid of the top ``top_fraction`` of
-    points by height, approaches along the configured axis, and closes along a
-    principal axis of the horizontal point spread (minor axis first).  The jaw
-    opening is the extent along the closing axis plus ``clearance``; quality
-    decreases linearly with the closing extent relative to ``max_width``.
 
-    Proposals are sorted by quality.  Axes whose extent exceeds ``max_width``
-    are dropped; if none fit, an empty list is returned and a
+def propose_grasp(object_points: np.ndarray) -> list[GraspProposal]:
+    """Top-down parallel-jaw grasp proposals from a camera-frame point cloud.
+
+    The camera looks straight down, so -z is up: the gripper is centered on
+    the centroid of the 20% of points nearest the camera, approaches along
+    +z, and closes along a principal axis of the horizontal (x, y) point
+    spread (minor axis first).  The jaw opening is the extent along the
+    closing axis plus 1 cm; quality decreases linearly with the closing
+    extent relative to the 8.5 cm maximum opening.
+
+    Proposals are sorted by quality.  Axes whose extent exceeds the maximum
+    opening are dropped; if none fit, an empty list is returned and a
     :class:`GraspWarning` is emitted.
 
     Raises:
@@ -206,14 +183,10 @@ def propose_grasp(object_points: np.ndarray,
     if not np.isfinite(pts).all():
         raise ValueError("object points contain non-finite values")
 
-    if approach is GraspApproach.TOP_DOWN:
-        height = pts[:, 2]
-        approach_vec = np.array([0.0, 0.0, -1.0])
-    else:
-        height = -pts[:, 2]
-        approach_vec = np.array([0.0, 0.0, 1.0])
+    height = -pts[:, 2]
+    approach_vec = np.array([0.0, 0.0, 1.0])
 
-    cutoff = np.quantile(height, 1.0 - top_fraction)
+    cutoff = np.quantile(height, 1.0 - _TOP_FRACTION)
     top = pts[height >= cutoff]
     center = top.mean(axis=0)
 
@@ -225,7 +198,7 @@ def propose_grasp(object_points: np.ndarray,
     for idx in range(2):
         axis2d = eigvecs[:, idx]
         extent = float(np.ptp(horizontal @ axis2d))
-        if extent > max_width:
+        if extent > _MAX_WIDTH:
             continue
         closing = np.array([axis2d[0], axis2d[1], 0.0])
         closing /= np.linalg.norm(closing)
@@ -233,8 +206,8 @@ def propose_grasp(object_points: np.ndarray,
         rotation = np.stack([closing, y_axis, approach_vec], axis=1)
         proposals.append(GraspProposal(
             grasp_pose=SE3Pose(rotation, center),
-            width=min(extent + clearance, max_width),
-            quality=max(0.0, 1.0 - extent / max_width),
+            width=min(extent + _CLEARANCE, _MAX_WIDTH),
+            quality=max(0.0, 1.0 - extent / _MAX_WIDTH),
         ))
     if not proposals:
         warnings.warn("no grasp axis fits within the gripper width", GraspWarning)

@@ -45,6 +45,7 @@ from .geometry import (
     CameraIntrinsics,
     DepthMap,
     SE3Pose,
+    _frozen,
     project,
     rotation_from_axis_angle,
     rotation_geodesic_angle,
@@ -75,12 +76,6 @@ CAMERA_IN_WORLD = SE3Pose(
     rotation=np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]),
     translation=np.array([0.45, 0.0, 0.9]),
 )
-
-
-def _frozen(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.flags.writeable = False
-    return out
 
 
 # -- configuration ---------------------------------------------------------------
@@ -830,28 +825,15 @@ def generate_scene(config: SceneConfig, seed: int | None = None) -> "SceneBundle
 
 # -- flow corruption (candidate ladders) -------------------------------------------
 
-def corrupt_flow(flow: ActionableFlow, sigma: float = 0.0, dropout: float = 0.0,
+def corrupt_flow(flow: ActionableFlow, sigma: float = 0.0,
                  seed: int = 0) -> ActionableFlow:
-    """Degrade a flow: i.i.d. Gaussian offsets plus keypoint dropout.
-
-    Dropped keypoints are removed consistently across all frames.  The noise
-    field is drawn before the dropout mask, so the surviving keypoints'
-    offsets do not depend on which ones were dropped.
-
-    Raises:
-        ValueError: if dropout leaves fewer than 3 keypoints.
-    """
-    if sigma < 0.0 or not 0.0 <= dropout <= 1.0:
-        raise ValueError("sigma must be non-negative and dropout in [0, 1]")
+    """Degrade a flow with i.i.d. Gaussian offsets of standard deviation ``sigma``."""
+    if sigma < 0.0:
+        raise ValueError("sigma must be non-negative")
     rng = np.random.default_rng(seed)
     positions = flow.positions.copy()
     if sigma > 0.0:
         positions = positions + sigma * rng.standard_normal(positions.shape)
-    if dropout > 0.0:
-        keep = rng.random(flow.keypoints) >= dropout
-        if keep.sum() < 3:
-            raise ValueError("dropout leaves fewer than 3 keypoints")
-        positions = positions[:, keep, :]
     return ActionableFlow(positions, label=flow.label)
 
 

@@ -22,7 +22,6 @@ curve fits use, is the one-block case of the same normal equations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence, Union

@@ -65,6 +65,109 @@ def rope_bundle_dir(rope_config_path, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def rigid_bundle_dir(rigid_config_path, tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundles") / "rigid"
+    assert run_main(["simulate", "--config", rigid_config_path,
+                     "--out-dir", out]) == 0
+    return out
+
+
+class MalformedInputs:
+    """Builds the files one malformed-input case passes on its command line."""
+
+    def __init__(self, tmp_path, request):
+        self.tmp = tmp_path
+        self.out = tmp_path / "o"
+        self._request = request
+
+    def fixture(self, name):
+        return self._request.getfixturevalue(name)
+
+    def write(self, doc, name="input.json"):
+        path = self.tmp / name
+        path.write_text(json.dumps(doc))
+        return path
+
+    def edited(self, path, **changes):
+        doc = json.loads(Path(path).read_text())
+        doc.update(changes)
+        return self.write(doc)
+
+    def flow(self):
+        path = self.tmp / "flow.nvfl"
+        write_flow(path, np.tile([0.0, 0.0, 1.0], (2, 12, 1)))
+        return path
+
+    def trajopt(self, **changes):
+        return self.edited(fixture_path("trajopt_fixture.json"),
+                           robot=str(fixture_path("arm7.json")), **changes)
+
+    def rigid_plan(self, plan_doc):
+        plan = self.tmp / "plan"
+        plan.mkdir()
+        (plan / "plan.json").write_text(json.dumps(plan_doc))
+        (plan / "joint_traj.csv").write_text("t,q0\n0,0\n1,0\n2,0\n")
+        return plan
+
+
+def _plan_rigid(c, flow):
+    return ["plan-rigid", "--flow", flow, "--robot", fixture_path("arm7.json"),
+            "--out-dir", c.out]
+
+
+def _eval(c, plan_doc):
+    return ["eval", c.rigid_plan(plan_doc), c.fixture("rigid_bundle_dir"),
+            "--out-dir", c.out]
+
+
+# Each builds the argv of one malformed input that must exit 2 with one
+# error line, never 3 with a bare Python message.
+MALFORMED_INPUT_CASES = {
+    "simulate-config-list": lambda c: [
+        "simulate", "--config", c.write([1]), "--out-dir", c.out],
+    "run-config-list": lambda c: [
+        "run", "--config", c.write([1]), "--out-dir", c.out],
+    "scene-image-list": lambda c: [
+        "simulate", "--config", c.edited(c.fixture("rigid_config_path"), image=[]),
+        "--out-dir", c.out],
+    "scene-noise-number": lambda c: [
+        "simulate", "--config", c.edited(c.fixture("rigid_config_path"), noise=5),
+        "--out-dir", c.out],
+    "scene-rope-list": lambda c: [
+        "simulate", "--config", c.edited(c.fixture("rope_config_path"), rope=[1]),
+        "--out-dir", c.out],
+    "plan-rigid-obstacle-number": lambda c: _plan_rigid(c, c.flow()) + [
+        "--obstacles", c.write([5])],
+    "run-obstacle-list": lambda c: [
+        "run", "--config", c.fixture("rigid_config_path"), "--candidates", 1,
+        "--obstacles", c.write({"obstacles": [[1]]}), "--out-dir", c.out],
+    "trajopt-obstacle-number": lambda c: [
+        "optimize-traj", "--config", c.trajopt(obstacles=[7]), "--out-dir", c.out],
+    "trajopt-weights-list": lambda c: [
+        "optimize-traj", "--config", c.trajopt(weights=[1]), "--out-dir", c.out],
+    "eval-plan-list": lambda c: _eval(c, [1]),
+    "eval-plan-robot-number": lambda c: _eval(c, {"robot": 3}),
+    "flow-json-without-positions": lambda c: _plan_rigid(
+        c, c.write({"version": 1, "frames": 2, "points": 1}, "f.json")),
+    "flow-json-list": lambda c: _plan_rigid(c, c.write([1], "f.json")),
+    "flow-directory": lambda c: _plan_rigid(c, c.tmp),
+    "flow-json-one-frame": lambda c: _plan_rigid(c, c.write(
+        {"version": 1, "frames": 1, "points": 1, "positions": [[[0.0, 0.0, 1.0]]]},
+        "f.json")),
+    "run-rope-horizon-0": lambda c: [
+        "run", "--config", c.fixture("rope_config_path"), "--candidates", 1,
+        "--horizon", 0, "--out-dir", c.out],
+    "plan-deformable-dynamics-directory": lambda c: [
+        "plan-deformable", "--flow", c.fixture("rope_bundle_dir") / "gt_flow.nvfl",
+        "--dynamics", c.tmp, "--out-dir", c.out],
+    "plan-deformable-horizon-0": lambda c: [
+        "plan-deformable", "--flow", c.fixture("rope_bundle_dir") / "gt_flow.nvfl",
+        "--dynamics", c.fixture("rope_bundle_dir") / "dynamics.json",
+        "--horizon", 0, "--out-dir", c.out],
+}
+
+
 class TestArgumentSurface:
     def test_no_command_returns_2_with_usage(self, capsys):
         assert main([]) == 2
@@ -222,6 +325,13 @@ class TestConfigErrors:
         assert_one_error_line(err)
         assert "unstable integrator" in err and bound in err
         assert not out.exists()      # rejected before any planning
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUT_CASES))
+    def test_malformed_input_exits_2(self, case, tmp_path, request, capsys):
+        argv = MALFORMED_INPUT_CASES[case](MalformedInputs(tmp_path, request))
+        capsys.readouterr()          # drop what building the inputs printed
+        assert run_main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err)
 
     def test_optimize_traj_without_config(self, tmp_path, capsys):
         assert run_main(["optimize-traj", "--out-dir", tmp_path / "o"]) == 2

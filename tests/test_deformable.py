@@ -565,10 +565,6 @@ class TestMPCConfig:
             MPCConfig(population=4, elites=8)
         with pytest.raises(ValueError, match="horizon"):
             MPCConfig(horizon=0)
-        with pytest.raises(ValueError, match="optimizer"):
-            MPCConfig(optimizer="adam")
-        with pytest.raises(ValueError, match="substeps_per_frame"):
-            MPCConfig(substeps_per_frame=0)
         with pytest.raises(ValueError, match="positive"):
             MPCConfig(init_std=0.0)
 
@@ -592,15 +588,6 @@ class TestMPCRollout:
         corr = build_correspondence(flow, state.positions)
         assert result.costs[0] == flow_cost(state, flow.positions[0],
                                             corr.indices)
-
-    def test_substeps_multiply_action_count(self):
-        model, state = chain(n=4, attachment=(0,))
-        flow = self.drifting_flow(state)
-        config = MPCConfig(horizon=2, population=16, elites=4, iterations=2,
-                           substeps_per_frame=2, seed=11)
-        result = mpc_rollout(model, state, flow, config)
-        assert result.actions.shape == ((flow.frames - 1) * 2, 3)
-        assert len(result.states) == flow.frames
 
     def test_bit_identical_across_runs(self):
         model, state = chain(n=4, attachment=(0,))

@@ -9,7 +9,6 @@ from nvflow.flow import (
     ActionableFlow,
     DepthCalibrationError,
     FlowCandidate,
-    FlowScoreConfig,
     GroundingError,
     MaskSequence,
     TrackSet,
@@ -19,7 +18,7 @@ from nvflow.flow import (
     score_flow,
     select_candidate,
 )
-from nvflow.geometry import CameraIntrinsics, DepthMap, project
+from nvflow.geometry import CameraIntrinsics, DepthMap
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -155,21 +154,6 @@ class TestDistillFlow:
         flow = distill_flow(tracks, make_mask(frames=2), INTR)
         assert flow.keypoints == 1
 
-    def test_mask_containment_all_drops_escaping_track(self):
-        frames = 3
-        positions = np.zeros((frames, 2, 3))
-        positions[:, 0] = [0.0, 0.0, 1.0]
-        # track 1 starts on the object, then walks off it
-        positions[0, 1] = [0.0, 0.0, 1.0]
-        positions[1, 1] = [0.3, 0.0, 1.0]
-        positions[2, 1] = [0.3, 0.0, 1.0]
-        tracks = TrackSet(positions, np.ones((frames, 2), dtype=bool))
-        masks = make_mask(frames=frames)
-        first_only = distill_flow(tracks, masks, INTR, mask_containment="first")
-        assert first_only.keypoints == 2
-        strict = distill_flow(tracks, masks, INTR, mask_containment="all")
-        assert strict.keypoints == 1
-
     def test_nothing_grounded_raises(self):
         positions = np.full((2, 2, 3), [0.3, 0.3, 1.0])
         tracks = TrackSet(positions, np.ones((2, 2), dtype=bool))
@@ -226,12 +210,6 @@ class TestScoreFlow:
         score = score_flow(flow, INTR)
         assert score < 0.0  # the penalties are active, not vacuously zero
         assert abs(score - score_flow(doubled, INTR)) < 1e-12
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FlowScoreConfig(jump_cap=0.0)
-        with pytest.raises(ValueError):
-            FlowScoreConfig(compact_threshold=1.5)
 
 
 class TestSelectCandidate:

@@ -13,7 +13,6 @@ from nvflow.geometry import (
     SE3Pose,
     axis_angle_from_rotation,
     backproject,
-    orthonormalize_rotation,
     project,
     quaternion_from_rotation,
     rotation_from_axis_angle,
@@ -99,12 +98,6 @@ class TestSE3Pose:
         with pytest.raises(ValueError):
             SE3Pose(np.eye(3), np.array([np.nan, 0.0, 0.0]))
 
-    def test_from_axis_angle_quarter_turn(self):
-        pose = SE3Pose.from_axis_angle(np.array([0.0, 0.0, math.pi / 2.0]),
-                                       np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(pose.rotation, rot_z(math.pi / 2.0), atol=1e-15)
-        assert np.allclose(pose.translation, [1.0, 0.0, 0.0])
-
 
 class TestRotationConversions:
     def test_quaternion_round_trip(self, rng):
@@ -141,19 +134,6 @@ class TestRotationConversions:
             axis /= np.linalg.norm(axis)
             rot = rotation_from_axis_angle(axis * angle)
             assert abs(rotation_geodesic_angle(np.eye(3), rot) - angle) < 1e-7
-
-    def test_orthonormalize_fixes_perturbation(self, rng):
-        rot = random_rotation(rng)
-        noisy = rot + 1e-6 * rng.standard_normal((3, 3))
-        fixed = orthonormalize_rotation(noisy)
-        assert np.allclose(fixed @ fixed.T, np.eye(3), atol=1e-12)
-        assert np.linalg.det(fixed) > 0.0
-        assert np.linalg.norm(fixed - rot) < 1e-5
-
-    def test_orthonormalize_never_returns_reflection(self, rng):
-        mirrored = np.diag([1.0, 1.0, -1.0]) @ random_rotation(rng)
-        fixed = orthonormalize_rotation(mirrored)
-        assert np.isclose(np.linalg.det(fixed), 1.0, atol=1e-12)
 
     def test_exp_log_round_trip(self, rng):
         for _ in range(100):

@@ -1,6 +1,5 @@
 """Tests for rigid pose estimation from flow and grasp composition."""
 
-import csv
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from nvflow.flow import ActionableFlow
 from nvflow.geometry import SE3Pose, rotation_from_axis_angle
 from nvflow.rigid import (
     DegenerateCloudError,
-    GraspApproach,
     GraspProposal,
     GraspWarning,
     ObjectPoseTrajectory,
@@ -188,39 +186,44 @@ def fibonacci_sphere(radius, count=400):
     return radius * np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
+# Grasp clouds are in the camera frame, where -z is up: negating z turns a
+# cloud whose top face is at +z into one whose top face is nearest the camera.
+FLIP_Z = np.array([1.0, 1.0, -1.0])
+
+
 class TestProposeGrasp:
     def test_box_closes_along_minor_axis(self):
-        cloud = box_surface_cloud((0.04, 0.02, 0.02))
+        cloud = box_surface_cloud((0.04, 0.02, 0.02)) * FLIP_Z
         proposals = propose_grasp(cloud)
         assert len(proposals) == 2
         best = proposals[0]
         assert abs(best.width - 0.03) < 1e-3
         closing = best.grasp_pose.rotation[:, 0]
         assert abs(closing[1]) > 0.99  # closes across the 2 cm side
-        assert np.allclose(best.grasp_pose.rotation[:, 2], [0.0, 0.0, -1.0])
+        assert np.allclose(best.grasp_pose.rotation[:, 2], [0.0, 0.0, 1.0])
         assert abs(proposals[1].width - 0.05) < 1e-3
         assert best.quality > proposals[1].quality
 
     def test_sphere_width_is_diameter_plus_clearance(self):
-        cloud = fibonacci_sphere(0.025)
+        cloud = fibonacci_sphere(0.025) * FLIP_Z
         proposals = propose_grasp(cloud)
         assert proposals
         assert abs(proposals[0].width - 0.06) < 3e-3
 
     def test_grasp_pose_is_a_proper_rotation(self):
-        proposals = propose_grasp(box_surface_cloud((0.04, 0.02, 0.02)))
+        proposals = propose_grasp(box_surface_cloud((0.04, 0.02, 0.02)) * FLIP_Z)
         rot = proposals[0].grasp_pose.rotation
         assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-12)
         assert np.isclose(np.linalg.det(rot), 1.0)
 
     def test_center_sits_on_top_points(self):
-        cloud = box_surface_cloud((0.04, 0.02, 0.02))
+        cloud = box_surface_cloud((0.04, 0.02, 0.02)) * FLIP_Z
         best = propose_grasp(cloud)[0]
-        assert best.grasp_pose.translation[2] > 0.005
+        assert best.grasp_pose.translation[2] < -0.005
 
     def test_along_minus_z_flips_approach(self):
         cloud = box_surface_cloud((0.04, 0.02, 0.02)) + [0.0, 0.0, 1.0]
-        best = propose_grasp(cloud, approach=GraspApproach.ALONG_MINUS_Z)[0]
+        best = propose_grasp(cloud)[0]
         assert np.allclose(best.grasp_pose.rotation[:, 2], [0.0, 0.0, 1.0])
         assert best.grasp_pose.translation[2] < 1.0 - 0.005  # nearest-to-camera face
 
@@ -229,7 +232,7 @@ class TestProposeGrasp:
             propose_grasp(np.zeros((5, 3)))
 
     def test_oversized_object_yields_no_proposals(self):
-        cloud = box_surface_cloud((0.2, 0.2, 0.02))
+        cloud = box_surface_cloud((0.2, 0.2, 0.02)) * FLIP_Z
         with pytest.warns(GraspWarning):
             proposals = propose_grasp(cloud)
         assert proposals == []
@@ -253,20 +256,6 @@ class TestObjectPoseTrajectoryIO:
         for a, b in zip(traj.poses, back.poses):
             assert np.array_equal(a.rotation, b.rotation)
             assert np.array_equal(a.translation, b.translation)
-
-    def test_csv_has_unit_quaternions(self, tmp_path, rng):
-        traj = ObjectPoseTrajectory(tuple(random_pose(rng) for _ in range(4)))
-        path = tmp_path / "poses.csv"
-        traj.to_csv(path)
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["t", "qw", "qx", "qy", "qz", "x", "y", "z"]
-        assert len(rows) == 5
-        for t, row in enumerate(rows[1:]):
-            assert int(row[0]) == t
-            quat = np.array([float(v) for v in row[1:5]])
-            assert quat[0] >= 0.0
-            assert abs(np.linalg.norm(quat) - 1.0) < 1e-6
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):

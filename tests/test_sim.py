@@ -177,35 +177,15 @@ class TestCorruptFlow:
 
     def test_identity_without_noise_or_dropout(self):
         flow = self.smooth_flow()
-        out = corrupt_flow(flow, sigma=0.0, dropout=0.0, seed=3)
+        out = corrupt_flow(flow, sigma=0.0, seed=3)
         assert np.array_equal(out.positions, flow.positions)
         assert out.label == flow.label
 
     def test_deterministic_per_seed(self):
         flow = self.smooth_flow()
-        a = corrupt_flow(flow, sigma=0.01, dropout=0.3, seed=4)
-        b = corrupt_flow(flow, sigma=0.01, dropout=0.3, seed=4)
+        a = corrupt_flow(flow, sigma=0.01, seed=4)
+        b = corrupt_flow(flow, sigma=0.01, seed=4)
         assert np.array_equal(a.positions, b.positions)
-
-    def test_dropout_keeps_a_plausible_survivor_count(self):
-        flow = self.smooth_flow(keypoints=200)
-        out = corrupt_flow(flow, dropout=0.5, seed=1)
-        # binomial(200, 0.5) stays within 5 sigma of its mean
-        assert abs(out.keypoints - 100) <= 5 * math.sqrt(200 * 0.25)
-        assert out.keypoints < 200
-
-    def test_noise_is_drawn_before_dropout(self):
-        flow = self.smooth_flow(keypoints=30)
-        full = corrupt_flow(flow, sigma=0.01, dropout=0.0, seed=7)
-        dropped = corrupt_flow(flow, sigma=0.01, dropout=0.4, seed=7)
-        kept = []
-        for j in range(dropped.keypoints):
-            matches = [i for i in range(full.keypoints)
-                       if np.array_equal(dropped.positions[:, j],
-                                         full.positions[:, i])]
-            assert len(matches) == 1, "kept column must appear in uncut flow"
-            kept.append(matches[0])
-        assert kept == sorted(kept)
 
     def test_noise_scale_is_honest(self):
         keypoints = 50000
@@ -219,17 +199,10 @@ class TestCorruptFlow:
         assert abs(chi2 - n) < 5.0 * math.sqrt(2.0 * n)
         assert abs(noise.std() - sigma) / sigma < 0.05
 
-    def test_too_aggressive_dropout_raises(self):
-        flow = self.smooth_flow(keypoints=4)
-        with pytest.raises(ValueError, match="fewer than 3"):
-            corrupt_flow(flow, dropout=0.999, seed=0)
-
     def test_parameter_validation(self):
         flow = self.smooth_flow()
         with pytest.raises(ValueError, match="sigma"):
             corrupt_flow(flow, sigma=-0.1)
-        with pytest.raises(ValueError, match="dropout"):
-            corrupt_flow(flow, dropout=1.5)
 
 
 class TestEvaluateRigid:

@@ -14,7 +14,6 @@ from nvflow.kinematics import (
     Joint,
     RobotModel,
     robot_to_doc,
-    save_robot,
 )
 from nvflow.trajopt import (
     BoxObstacle,
@@ -689,7 +688,7 @@ class TestProblemDocuments:
         model = planar_two_link()
         robot_dir = tmp_path / "robots"
         robot_dir.mkdir()
-        save_robot(model, robot_dir / "planar.json")
+        (robot_dir / "planar.json").write_text(json.dumps(robot_to_doc(model)))
         doc = {"robot": "robots/planar.json", "q_start": [0.0, 0.0],
                "q_end": [0.5, 0.5], "steps": 8}
         problem = problem_from_doc(doc, base_dir=tmp_path)
