@@ -154,6 +154,11 @@ def _load_state_file(path) -> ParticleState:
         raise ConfigError(f"bad particle state {path}: {exc}") from None
 
 
+def _check_at_least_one(value: int, flag: str) -> None:
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1")
+
+
 def _fixture_path(name: str) -> Path:
     return Path(str(resources.files("nvflow") / "fixtures" / name))
 
@@ -257,8 +262,6 @@ def _candidate_sigmas(count: int) -> list[float]:
 
 def _do_distill(bundle: SceneBundle, out: Path, candidates: int, seed: int,
                 stages: _Stages) -> tuple[ActionableFlow, list[str]]:
-    if candidates < 1:
-        raise ConfigError("--candidates must be at least 1")
     intr = bundle.config.intrinsics
 
     def calibrate():
@@ -309,6 +312,7 @@ def _do_distill(bundle: SceneBundle, out: Path, candidates: int, seed: int,
 
 
 def cmd_distill(args) -> None:
+    _check_at_least_one(args.candidates, "--candidates")
     bundle = _load_bundle(args.bundle_dir)
     seed = 0 if args.seed is None else args.seed
     out = _out_dir(args)
@@ -324,9 +328,6 @@ def cmd_distill(args) -> None:
 def _do_plan_rigid(flow: ActionableFlow, model: RobotModel, obstacles: tuple,
                    out: Path, steps_per_frame: int, seed: int,
                    stages: _Stages) -> list[str]:
-    if steps_per_frame < 1:
-        raise ConfigError("--steps-per-frame must be at least 1")
-
     poses = stages.run("poses", lambda: flow_to_pose_trajectory(flow))
 
     def grasp_stage():
@@ -375,6 +376,7 @@ def _do_plan_rigid(flow: ActionableFlow, model: RobotModel, obstacles: tuple,
 
 
 def cmd_plan_rigid(args) -> None:
+    _check_at_least_one(args.steps_per_frame, "--steps-per-frame")
     flow = _load_flow_file(args.flow)
     model = _load_robot_file(args.robot)
     obstacles = _load_obstacles_file(args.obstacles) if args.obstacles else ()
@@ -394,8 +396,6 @@ def cmd_plan_rigid(args) -> None:
 def _do_plan_deformable(flow: ActionableFlow, model: MassSpringModel,
                         state: ParticleState, out: Path, horizon: int,
                         seed: int, cost_mode: str, stages: _Stages) -> list[str]:
-    if horizon < 1:
-        raise ConfigError("--horizon must be at least 1")
     config = MPCConfig(horizon=horizon, seed=seed)
     correspondence = build_correspondence(flow, state.positions)
     rollout = stages.run("mpc", lambda: mpc_rollout(
@@ -428,6 +428,7 @@ def _do_plan_deformable(flow: ActionableFlow, model: MassSpringModel,
 
 
 def cmd_plan_deformable(args) -> None:
+    _check_at_least_one(args.horizon, "--horizon")
     flow = _load_flow_file(args.flow)
     try:
         model = load_dynamics(args.dynamics)
@@ -580,10 +581,19 @@ def cmd_eval(args) -> None:
 # -- full pipeline ------------------------------------------------------------------
 
 def cmd_run(args) -> None:
+    """Every option and input file is checked before the first stage runs."""
     if args.config:
         config = _load_scene_config(args.config)
     else:
         config = SceneConfig.rigid_demo(noise=DEFAULT_SENSOR_NOISE)
+    _check_at_least_one(args.candidates, "--candidates")
+    if config.scene == "rigid":
+        _check_at_least_one(args.steps_per_frame, "--steps-per-frame")
+        model = _load_robot_file(args.robot or _fixture_path("arm7.json"))
+        obstacles = _load_obstacles_file(args.obstacles
+                                         or _fixture_path("obstacles_demo.json"))
+    else:
+        _check_at_least_one(args.horizon, "--horizon")
     seed = config.seed if args.seed is None else args.seed
     out = _out_dir(args)
     stages = _Stages(args.verbose)
@@ -592,12 +602,6 @@ def cmd_run(args) -> None:
     flow, _ = _do_distill(bundle, _mkdir(out / "flow"), args.candidates, seed, stages)
 
     if config.scene == "rigid":
-        robot_path = Path(args.robot) if args.robot else _fixture_path("arm7.json")
-        model = _load_robot_file(robot_path)
-        if args.obstacles:
-            obstacles = _load_obstacles_file(args.obstacles)
-        else:
-            obstacles = _load_obstacles_file(_fixture_path("obstacles_demo.json"))
         _do_plan_rigid(flow, model, obstacles, _mkdir(out / "plan"),
                        args.steps_per_frame, seed, stages)
     else:

@@ -265,13 +265,37 @@ _DIGITS = {
 }
 
 
-def _draw_segment(img: np.ndarray, a: np.ndarray, b: np.ndarray, color: np.ndarray) -> None:
-    height, width = img.shape[:2]
-    n = int(max(abs(b[0] - a[0]), abs(b[1] - a[1]))) * 2 + 1
-    us = np.round(np.linspace(a[0], b[0], n)).astype(int)
-    vs = np.round(np.linspace(a[1], b[1], n)).astype(int)
-    ok = (us >= 0) & (us < width) & (vs >= 0) & (vs < height)
-    img[vs[ok], us[ok]] = color
+def _segment_pixels(a: np.ndarray, b: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Flat indices ``row * width + col`` of the on-image pixels sampled along
+    the straight segments ``a[j] -> b[j]`` ((S, 2), in pixels).
+
+    Segment j is sampled at ``n = int(max(|du|, |dv|)) * 2 + 1`` points,
+    ``start + i * step`` with ``step = (stop - start) / (n - 1)`` and the last
+    sample set to ``stop``: the arithmetic of ``np.linspace(start, stop, n)``.
+    Samples are rounded to the nearest pixel.
+    """
+    delta = b - a
+    span = np.abs(delta).max(axis=1)
+    # Also false for nan/inf.  Below 2**52 every sample index is exact in
+    # float64; beyond it np.linspace could not allocate the samples either.
+    if not np.all(span < 2.0 ** 52):
+        raise ValueError("cannot rasterize a flow segment with a non-finite or "
+                         "out-of-range endpoint")
+    n = span.astype(np.int64) * 2 + 1
+    step = delta / np.maximum(n - 1, 1)[:, None]
+    ends = np.cumsum(n)
+    i = np.arange(n.sum(), dtype=float) - np.repeat(ends - n, n)
+    tail = n > 1
+    coords = []
+    for axis in (0, 1):
+        y = np.repeat(step[:, axis], n)
+        y *= i
+        y += np.repeat(a[:, axis], n)
+        y[ends[tail] - 1] = b[tail, axis]
+        coords.append(np.round(y, out=y))
+    u, v = coords
+    ok = (u >= 0) & (u < width) & (v >= 0) & (v < height)
+    return (v * width + u)[ok].astype(np.intp)
 
 
 def _stamp_digits(img: np.ndarray, text: str, origin: tuple[int, int], scale: int = 3) -> None:
@@ -294,7 +318,10 @@ def render_flow_image(flow: ActionableFlow, intrinsics: CameraIntrinsics,
     """Rasterize keypoint trajectories over a background image.
 
     Each keypoint leaves a polyline colored from blue (first frame) to red
-    (last); a stationary flow degenerates to single dots.  When given,
+    (last); a stationary flow degenerates to single dots.  Only segments with
+    both endpoints in front of the camera are drawn.  Paint order: frame
+    pairs are drawn in frame order, each in one pass and one color, and a
+    later pair overwrites the pixels of earlier ones.  When given,
     ``candidate_id`` is stamped in the top-left corner so a downstream
     verifier can tell candidates apart.  Returns (H, W, 3) uint8.
     """
@@ -314,12 +341,13 @@ def render_flow_image(flow: ActionableFlow, intrinsics: CameraIntrinsics,
     if front.any():
         uv[front] = project(intrinsics, pos[front])
 
+    pixels = img.reshape(-1, 3)
     for t in range(frames - 1):
         frac = t / max(frames - 2, 1)
         color = np.array([round(255 * frac), 0, round(255 * (1.0 - frac))], dtype=np.uint8)
-        for k in range(flow.keypoints):
-            if front[t, k] and front[t + 1, k]:
-                _draw_segment(img, uv[t, k], uv[t + 1, k], color)
+        key = front[t] & front[t + 1]
+        pixels[_segment_pixels(uv[t, key], uv[t + 1, key],
+                               intrinsics.width, intrinsics.height)] = color
     if candidate_id is not None:
         _stamp_digits(img, str(int(candidate_id)), origin=(4, 4))
     return img

@@ -333,6 +333,16 @@ class TestConfigErrors:
         assert run_main(argv) == 2
         assert_one_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("case", ["run-rope-horizon-0", "run-obstacle-list"])
+    def test_run_rejects_input_before_any_stage(self, case, tmp_path, request, capsys):
+        inputs = MalformedInputs(tmp_path, request)
+        argv = MALFORMED_INPUT_CASES[case](inputs)
+        capsys.readouterr()
+        assert run_main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err)
+        assert not (inputs.out / "scene").exists()
+        assert not (inputs.out / "flow").exists()
+
     def test_optimize_traj_without_config(self, tmp_path, capsys):
         assert run_main(["optimize-traj", "--out-dir", tmp_path / "o"]) == 2
         err = capsys.readouterr().err

@@ -12,13 +12,15 @@ from nvflow.flow import (
     GroundingError,
     MaskSequence,
     TrackSet,
+    _stamp_digits,
     calibrate_depth,
     distill_flow,
     render_flow_image,
     score_flow,
     select_candidate,
 )
-from nvflow.geometry import CameraIntrinsics, DepthMap
+from nvflow.geometry import CameraIntrinsics, DepthMap, project
+from nvflow.sim import DEFAULT_SENSOR_NOISE, SceneConfig, corrupt_flow, generate_scene
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -282,6 +284,132 @@ class TestRenderFlowImage:
         with pytest.raises(ValueError, match="background"):
             render_flow_image(smooth_flow(), INTR,
                               background=np.zeros((10, 10, 3), dtype=np.uint8))
+
+
+def _draw_segment(img, a, b, color):
+    """Reference rasterizer: one segment at a time, two np.linspace calls each."""
+    height, width = img.shape[:2]
+    n = int(max(abs(b[0] - a[0]), abs(b[1] - a[1]))) * 2 + 1
+    us = np.round(np.linspace(a[0], b[0], n)).astype(int)
+    vs = np.round(np.linspace(a[1], b[1], n)).astype(int)
+    ok = (us >= 0) & (us < width) & (vs >= 0) & (vs < height)
+    img[vs[ok], us[ok]] = color
+
+
+def reference_render(flow, intrinsics, background=None, candidate_id=None):
+    """Oracle for render_flow_image: the per-keypoint, per-segment loop."""
+    if background is None:
+        img = np.zeros((intrinsics.height, intrinsics.width, 3), dtype=np.uint8)
+    else:
+        img = background.copy()
+    frames, pos = flow.frames, flow.positions
+    front = pos[:, :, 2] > 0.0
+    uv = np.zeros((frames, flow.keypoints, 2))
+    if front.any():
+        uv[front] = project(intrinsics, pos[front])
+    for t in range(frames - 1):
+        frac = t / max(frames - 2, 1)
+        color = np.array([round(255 * frac), 0, round(255 * (1.0 - frac))], dtype=np.uint8)
+        for k in range(flow.keypoints):
+            if front[t, k] and front[t + 1, k]:
+                _draw_segment(img, uv[t, k], uv[t + 1, k], color)
+    if candidate_id is not None:
+        _stamp_digits(img, str(int(candidate_id)), origin=(4, 4))
+    return img
+
+
+@pytest.fixture(scope="module")
+def demo_flow():
+    """The flow `nvflow distill` selects on the default rigid demo, and its camera."""
+    bundle = generate_scene(SceneConfig.rigid_demo(noise=DEFAULT_SENSOR_NOISE), 0)
+    _, scale = calibrate_depth(list(bundle.depth), bundle.depth_ref)
+    tracks = TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible)
+    intr = bundle.config.intrinsics
+    return distill_flow(tracks, bundle.masks, intr), intr
+
+
+def assert_renders_like_reference(flow, intrinsics=INTR, **kwargs):
+    expected = reference_render(flow, intrinsics, **kwargs)
+    assert np.array_equal(render_flow_image(flow, intrinsics, **kwargs), expected)
+    return expected
+
+
+class TestRenderMatchesReference:
+    @pytest.mark.parametrize("sigma", [0.0, 0.02, 0.15, 0.3, 1.0])
+    def test_distilled_flow_and_noisy_copies(self, demo_flow, sigma):
+        flow, intr = demo_flow
+        noisy = corrupt_flow(flow, sigma=sigma, seed=11)
+        assert assert_renders_like_reference(noisy, intr, candidate_id=3).any()
+
+    def test_keypoints_behind_camera_in_some_frames(self, rng):
+        positions = 0.1 * rng.standard_normal((6, 12, 3))
+        positions[..., 2] += 0.8
+        positions[2, :4, 2] = -0.5        # behind the camera
+        positions[4, 4:8, 2] = 0.0        # on the camera plane: not in front
+        assert assert_renders_like_reference(ActionableFlow(positions)).any()
+        positions[..., 2] = -positions[..., 2] - 0.1                  # all behind
+        assert not assert_renders_like_reference(ActionableFlow(positions)).any()
+
+    def test_segments_partly_and_entirely_off_image(self):
+        pixels = np.array([      # (frame, keypoint, u/v); keypoints 4-6 run far past the edges
+            [[320, 240], [740, 240], [1520, 1440], [-40, 240], [-5000, 239.5],
+             [-9000, -7000], [639.5, -3000]],
+            [[860, 300], [800, 420], [1820, 1140], [380, 300], [6000, 240.5],
+             [9640, 7480], [639.5, 4000]],
+            [[-220, -120], [680, 600], [2120, -960], [560, 360], [-4000, 479.5],
+             [-0.5, 479.5], [-0.5, -9000]],
+        ])
+        depth = np.array([1.0, 1.0, 0.5])[:, None, None]
+        xy = (pixels - [INTR.cx, INTR.cy]) / [INTR.fx, INTR.fy] * depth
+        positions = np.concatenate([xy, np.broadcast_to(depth, xy.shape[:2] + (1,))], axis=2)
+        img = assert_renders_like_reference(ActionableFlow(positions))
+        assert img[:, 0].any() and img[:, 639].any()     # clipped at both edges
+
+    def test_zero_length_and_subpixel_segments(self):
+        positions = np.zeros((4, 3, 3))
+        positions[:, 0] = [0.0, 0.0, 1.0]                       # stationary
+        positions[:, 1] = [[0.05, 0.0, 1.0], [0.05 + 1e-6, 0.0, 1.0],
+                           [0.05 + 5e-4, 1e-300, 1.0], [0.05, 0.0, 1.0]]
+        positions[:, 2] = [[-0.25 / 600, 0.25 / 600, 1.0]] * 4  # dot on a half pixel
+        assert assert_renders_like_reference(ActionableFlow(positions)).any()
+
+    def test_last_sample_is_the_endpoint(self):
+        # Sampled as start + (n - 1) * step these end 3e-14 past / short of a
+        # half pixel (174.5 -> 175, 119.5 -> 119); np.linspace ends exactly there.
+        pixels = np.array([[[0.137, 100.0], [1.416, 200.0]],
+                           [[174.5, 100.0], [119.5, 200.0]]])
+        xy = (pixels - [INTR.cx, INTR.cy]) / [INTR.fx, INTR.fy]
+        positions = np.concatenate([xy, np.ones(xy.shape[:2] + (1,))], axis=2)
+        img = assert_renders_like_reference(ActionableFlow(positions))
+        assert img[100, 174].any() and not img[100, 175].any()
+        assert img[200, 120].any()
+
+    @pytest.mark.parametrize("frames", [2, 3])
+    def test_two_and_three_frame_flows(self, frames, rng):
+        positions = 0.05 * rng.standard_normal((frames, 10, 3))
+        positions[..., 2] += 1.0
+        img = assert_renders_like_reference(ActionableFlow(positions))
+        assert img[..., 2].any()          # the first pair is pure blue
+
+    def test_background_and_candidate_stamp(self, rng):
+        background = rng.integers(0, 256, size=(480, 640, 3), dtype=np.uint8)
+        positions = 0.03 * rng.standard_normal((5, 20, 3))
+        positions[:, :, :2] += [-0.5, -0.38]                     # runs under the stamp
+        positions[..., 2] += 1.0
+        for candidate_id in (None, 0, 12):
+            assert_renders_like_reference(ActionableFlow(positions),
+                                          background=background,
+                                          candidate_id=candidate_id)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_endpoint_raises(self):
+        positions = np.tile([0.01, 0.0, 1.0], (3, 2, 1))
+        positions[1, 1, 2] = 1e-310       # projects to inf
+        flow = ActionableFlow(positions)
+        with pytest.raises(OverflowError):
+            reference_render(flow, INTR)
+        with pytest.raises(ValueError, match="endpoint"):
+            render_flow_image(flow, INTR)
 
 
 class TestContainers:
