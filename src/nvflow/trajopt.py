@@ -28,6 +28,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .geometry import SE3Pose
 from .kinematics import (JointTrajectory, RobotModel, load_robot, robot_from_doc,
                          sphere_centers_batch, sphere_radii)
 
@@ -269,9 +270,18 @@ def _vec(v) -> np.ndarray:
     out = np.array(v, dtype=float)
     if out.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError("obstacle vectors must be finite")
     out.flags.writeable = False
     return out
 
+
+# Every obstacle's ``distance`` is 1-Lipschitz in the query point, which the
+# collision Jacobian's active set relies on (see ``_make_jacobian``): a
+# sphere's distance is a norm minus a constant, a box's is the distance to a
+# convex set (negated depth inside) after a rigid change of frame, and a
+# halfspace's is a projection on a unit normal.  So the box rotation must be
+# a proper rotation, and every field must be finite.
 
 @dataclass(frozen=True)
 class SphereObstacle:
@@ -280,8 +290,8 @@ class SphereObstacle:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", _vec(self.center))
-        if self.radius <= 0.0:
-            raise ValueError("obstacle radius must be positive")
+        if not (np.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError("obstacle radius must be positive and finite")
 
     def distance(self, points: np.ndarray) -> np.ndarray:
         """Signed distance from (..., 3) points to the surface; negative inside."""
@@ -297,10 +307,10 @@ class BoxObstacle:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", _vec(self.center))
         object.__setattr__(self, "half_extents", _vec(self.half_extents))
-        rot = np.array(self.rotation, dtype=float)
-        if rot.shape != (3, 3):
-            raise ValueError("box rotation must be (3, 3)")
-        rot.flags.writeable = False
+        try:   # the orthonormality and determinant test of a pose
+            rot = SE3Pose(self.rotation, np.zeros(3)).rotation
+        except ValueError as exc:
+            raise ValueError(f"box rotation: {exc}") from None
         object.__setattr__(self, "rotation", rot)
         if (self.half_extents <= 0.0).any():
             raise ValueError("box half extents must be positive")
@@ -322,11 +332,11 @@ class HalfspaceObstacle:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "point", _vec(self.point))
-        n = np.array(self.normal, dtype=float)
+        n = _vec(self.normal)
         norm = np.linalg.norm(n)
         if norm < 1e-12:
             raise ValueError("halfspace normal must be non-zero")
-        n /= norm
+        n = n / norm
         n.flags.writeable = False
         object.__setattr__(self, "normal", n)
 
@@ -460,6 +470,12 @@ class TrajOptWeights:
     limits: float = 100.0
     collision: float = 15.0
 
+    def __post_init__(self) -> None:
+        for name in ("smooth", "rest", "limits", "collision"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"weight {name} must be finite and >= 0, got {value}")
+
 
 @dataclass(frozen=True)
 class TrajOptProblem:
@@ -475,6 +491,19 @@ class TrajOptProblem:
     dt: float = 0.1                     # seconds per step, for velocity hinges
     obstacles: tuple[Obstacle, ...] = ()
     lm: LMOptions = LMOptions()
+
+    def __post_init__(self) -> None:
+        if self.steps < 2:
+            raise ValueError(f"steps must be at least 2, got {self.steps}")
+        if self.swept_samples < 2:
+            raise ValueError("swept_samples must be at least 2 to cover both "
+                             f"endpoints, got {self.swept_samples}")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not np.isfinite(self.eps_safe):
+            raise ValueError(f"eps_safe must be finite, got {self.eps_safe}")
+        if not (np.isfinite(self.collision_pad) and self.collision_pad >= 0.0):
+            raise ValueError(f"collision_pad must be finite and >= 0, got {self.collision_pad}")
 
 
 @dataclass(frozen=True)
@@ -531,8 +560,6 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
             or (q_end < model.q_min).any() or (q_end > model.q_max).any():
         raise ValueError("start or end configuration violates joint limits")
     steps = problem.steps
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
     q_rest = np.asarray(problem.q_rest, dtype=float) if problem.q_rest is not None \
         else 0.5 * (model.q_min + model.q_max)
     w = problem.weights
@@ -596,19 +623,42 @@ def _make_jacobian(problem: TrajOptProblem,
     ``_interior_rows`` then drops the coefficients on the pinned endpoints
     and renumbers the frames.  The smooth/rest/limit blocks are linear or
     hinge-linear and filled analytically; collision rows use segment-local
-    forward differences (each segment depends on two frames only), batched
-    through one FK call.
+    forward differences with step h = ``lm.fd_step`` (each segment depends
+    on two frames only), batched through one FK call.
+
+    Only segments near the hinge boundary b = eps_safe + collision_pad are
+    forward-differenced.  Let R be the sum of the joint-origin offset norms
+    plus the largest sphere-center norm.  A segment whose clearance d (the
+    minimum over swept samples, spheres and obstacles) satisfies
+    d >= b + margin, with margin = h R + 1e-9 m, has every collision
+    coefficient exactly 0 and needs no FK:
+
+    1. A swept sample q_a + s (q_b - q_a) is affine in the endpoints, so
+       moving one endpoint by h in joint j moves each sample by (1 - s) h or
+       s h, at most h, in joint j alone.
+    2. Turning joint j by at most h rotates everything after it about joint
+       j's axis.  A sphere center at distance r from that axis moves by
+       2 r sin(h / 2) <= h r, and r is at most the offsets of the joints
+       after j plus the sphere's own center offset, so at most R.
+    3. Every obstacle's ``distance`` is 1-Lipschitz in the point, so no
+       sample's clearance falls by more than h R.
+
+    Every perturbed clearance is then at least b + 1e-9 m; the 1e-9 m
+    absorbs the rounding of the interpolation, FK and distances, which is
+    of order 1e-15 m for joint angles and positions of order 1.  The hinge
+    max(b - d, 0) is exactly 0 before and after each perturbation, and its
+    difference quotient is the exact 0.0 that differencing the segment
+    would give.  A NaN clearance fails the comparison and stays active.
+    Active segments run the same arithmetic as when every segment is
+    differenced, so the Jacobian is bit-identical to that one.
     """
     model = problem.model
     dof = model.dof
     steps = problem.steps
     w = problem.weights
     n_obs = len(problem.obstacles)
-    root_s, root_l, root_c = np.sqrt(w.smooth), np.sqrt(w.limits), np.sqrt(w.collision)
+    root_s, root_l = np.sqrt(w.smooth), np.sqrt(w.limits)
     root_r = np.sqrt(w.rest)
-    h = problem.lm.fd_step
-    s_grid = np.linspace(0.0, 1.0, problem.swept_samples)
-    radii = sphere_radii(model)
     caps = model.velocity_limits * problem.dt
     eye = np.eye(dof)
     seg_lo = np.repeat(np.arange(steps - 1), dof)
@@ -617,12 +667,6 @@ def _make_jacobian(problem: TrajOptProblem,
     # lower, velocity, collision
     lo = np.concatenate([seg_lo, frame_lo, frame_lo, frame_lo, seg_lo,
                          np.repeat(np.arange(steps - 1), n_obs)])
-    # Collision perturbations per (segment, side, joint): side 0 moves the
-    # segment's first frame, side 1 its second; endpoint frames are fixed.
-    moved = np.arange(steps - 1)[:, None] + np.arange(2)
-    perturbed = (moved >= 1) & (moved <= steps - 2)
-    perturbed_seg = np.nonzero(perturbed)[0]
-    collide = bool(n_obs and model.collision_spheres)
 
     def one_hot(values: np.ndarray) -> np.ndarray:
         """(F, dof) per-joint coefficients as (F * dof, dof) rows, one joint each."""
@@ -632,46 +676,76 @@ def _make_jacobian(problem: TrajOptProblem,
     rest = one_hot(np.full((steps, dof), root_r))
     zero = np.zeros((steps * dof, dof))
 
-    def collision_rows(full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        coef = np.zeros((steps - 1, 2, dof, n_obs))
-        if collide:
-            base = _segment_min_distances(model, full, problem.obstacles,
-                                          problem.swept_samples)
-            boundary = problem.eps_safe + problem.collision_pad
-            base_r = root_c * np.maximum(boundary - base, 0.0)  # (T-1, n_obs)
-            ends = np.stack([full[:-1], full[1:]], axis=1)      # (T-1, 2, dof)
-            pert = np.broadcast_to(ends[:, None, None],
-                                   (steps - 1, 2, dof, 2, dof)).copy()
-            pert[:, 0, :, 0, :] += h * eye
-            pert[:, 1, :, 1, :] += h * eye
-            pert = pert[perturbed]                              # (P, dof, 2, dof)
-            qa, qb = pert[..., 0, :], pert[..., 1, :]
-            swept = qa[..., None, :] + s_grid[:, None] * (qb - qa)[..., None, :]
-            centers = sphere_centers_batch(model, swept.reshape(-1, dof))
-            n_pert = pert.shape[0] * dof
-            dmin = np.empty((n_pert, n_obs))
-            for i, obs in enumerate(problem.obstacles):
-                d = obs.distance(centers) - radii
-                dmin[:, i] = d.reshape(n_pert, -1).min(axis=1)
-            pert_r = root_c * np.maximum(boundary - dmin, 0.0)
-            coef[perturbed] = (pert_r.reshape(-1, dof, n_obs)
-                               - base_r[perturbed_seg, None, :]) / h
-        # rows ordered (segment, obstacle), coefficients over joints
-        return (coef[:, 0].transpose(0, 2, 1).reshape(-1, dof),
-                coef[:, 1].transpose(0, 2, 1).reshape(-1, dof))
-
     def jac(x: np.ndarray) -> FrameJacobian:
         full = assemble(x)
         delta = np.diff(full, axis=0)
         upper = one_hot(root_l * (full > model.q_max))
         lower = one_hot(-root_l * (full < model.q_min))
         vel = one_hot(root_l * np.sign(delta) * (np.abs(delta) > caps))
-        coll_a, coll_b = collision_rows(full)
+        coll_a, coll_b = _collision_rows(problem, full)
         c_lo = np.concatenate([smooth, rest, upper, lower, -vel, coll_a])
         c_hi = np.concatenate([-smooth, zero, zero, zero, vel, coll_b])
         return _interior_rows(lo, c_lo, c_hi, steps)
 
     return jac
+
+
+def _sphere_reach(model: RobotModel) -> float:
+    """Bound R on any collision sphere center's distance from any joint axis."""
+    offsets = sum(float(np.linalg.norm(j.origin.translation)) for j in model.joints)
+    return offsets + max(float(np.linalg.norm(s.center)) for s in model.collision_spheres)
+
+
+def _collision_rows(problem: TrajOptProblem,
+                    full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collision-row coefficients on each segment's first and second frame.
+
+    Rows are ordered (segment, obstacle), coefficients over joints.  Only
+    segments with clearance below the hinge boundary plus ``margin`` are
+    forward-differenced; ``_make_jacobian`` proves every other coefficient
+    is exactly 0.
+    """
+    model = problem.model
+    steps, dof = full.shape
+    n_obs = len(problem.obstacles)
+    coef = np.zeros((steps - 1, 2, dof, n_obs))
+    if n_obs and model.collision_spheres:
+        h = problem.lm.fd_step
+        root_c = np.sqrt(problem.weights.collision)
+        boundary = problem.eps_safe + problem.collision_pad
+        margin = h * _sphere_reach(model) + 1e-9
+        base = _segment_min_distances(model, full, problem.obstacles,
+                                      problem.swept_samples)
+        base_r = root_c * np.maximum(boundary - base, 0.0)  # (T-1, n_obs)
+        # Perturbations per (segment, side, joint): side 0 moves the
+        # segment's first frame, side 1 its second; endpoint frames are
+        # fixed, and segments clear of boundary + margin are skipped.
+        moved = np.arange(steps - 1)[:, None] + np.arange(2)
+        active = (moved >= 1) & (moved <= steps - 2) \
+            & ~(base.min(axis=1) >= boundary + margin)[:, None]
+        if active.any():
+            eye = np.eye(dof)
+            ends = np.stack([full[:-1], full[1:]], axis=1)      # (T-1, 2, dof)
+            pert = np.broadcast_to(ends[:, None, None],
+                                   (steps - 1, 2, dof, 2, dof)).copy()
+            pert[:, 0, :, 0, :] += h * eye
+            pert[:, 1, :, 1, :] += h * eye
+            pert = pert[active]                                 # (P, dof, 2, dof)
+            qa, qb = pert[..., 0, :], pert[..., 1, :]
+            s_grid = np.linspace(0.0, 1.0, problem.swept_samples)
+            swept = qa[..., None, :] + s_grid[:, None] * (qb - qa)[..., None, :]
+            centers = sphere_centers_batch(model, swept.reshape(-1, dof))
+            radii = sphere_radii(model)
+            n_pert = pert.shape[0] * dof
+            dmin = np.empty((n_pert, n_obs))
+            for i, obs in enumerate(problem.obstacles):
+                d = obs.distance(centers) - radii
+                dmin[:, i] = d.reshape(n_pert, -1).min(axis=1)
+            pert_r = root_c * np.maximum(boundary - dmin, 0.0)
+            coef[active] = (pert_r.reshape(-1, dof, n_obs)
+                            - base_r[np.nonzero(active)[0], None, :]) / h
+    return (coef[:, 0].transpose(0, 2, 1).reshape(-1, dof),
+            coef[:, 1].transpose(0, 2, 1).reshape(-1, dof))
 
 
 def _interior_rows(lo: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray,

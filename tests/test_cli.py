@@ -116,6 +116,13 @@ def _plan_rigid(c, flow):
             "--out-dir", c.out]
 
 
+def _optimize_traj(c, **changes):
+    return ["optimize-traj", "--config", c.trajopt(**changes), "--out-dir", c.out]
+
+
+NAN, INF = float("nan"), float("inf")     # written as NaN and Infinity in JSON
+
+
 def _eval(c, plan_doc):
     return ["eval", c.rigid_plan(plan_doc), c.fixture("rigid_bundle_dir"),
             "--out-dir", c.out]
@@ -146,6 +153,23 @@ MALFORMED_INPUT_CASES = {
         "optimize-traj", "--config", c.trajopt(obstacles=[7]), "--out-dir", c.out],
     "trajopt-weights-list": lambda c: [
         "optimize-traj", "--config", c.trajopt(weights=[1]), "--out-dir", c.out],
+    "trajopt-steps-1": lambda c: _optimize_traj(c, steps=1),
+    "trajopt-swept-samples-0": lambda c: _optimize_traj(c, swept_samples=0),
+    "trajopt-swept-samples-1": lambda c: _optimize_traj(c, swept_samples=1),
+    "trajopt-dt-0": lambda c: _optimize_traj(c, dt=0),
+    "trajopt-dt-nan": lambda c: _optimize_traj(c, dt=NAN),
+    "trajopt-eps-safe-nan": lambda c: _optimize_traj(c, eps_safe=NAN),
+    "trajopt-collision-pad-nan": lambda c: _optimize_traj(c, collision_pad=NAN),
+    "trajopt-collision-pad-negative": lambda c: _optimize_traj(c, collision_pad=-0.01),
+    "trajopt-weight-nan": lambda c: _optimize_traj(c, weights={"smooth": NAN}),
+    "trajopt-weight-negative": lambda c: _optimize_traj(c, weights={"collision": -1.0}),
+    "trajopt-box-rotation-scaled": lambda c: _optimize_traj(c, obstacles=[{
+        "type": "box", "center": [0.01, 0.0, 0.87], "half_extents": [0.03] * 3,
+        "rotation": [2.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 2.0]}]),
+    "trajopt-sphere-center-nan": lambda c: _optimize_traj(c, obstacles=[{
+        "type": "sphere", "center": [0.01, NAN, 0.87], "radius": 0.03}]),
+    "trajopt-halfspace-normal-inf": lambda c: _optimize_traj(c, obstacles=[{
+        "type": "halfspace", "point": [0.0, 0.0, 0.0], "normal": [0.0, 0.0, INF]}]),
     "eval-plan-list": lambda c: _eval(c, [1]),
     "eval-plan-robot-number": lambda c: _eval(c, {"robot": 3}),
     "flow-json-without-positions": lambda c: _plan_rigid(

@@ -1,5 +1,6 @@
 """Tests for the damped least-squares solver and trajectory optimization."""
 
+import dataclasses
 import json
 from importlib import resources
 
@@ -8,12 +9,13 @@ import pytest
 
 import nvflow.trajopt as trajopt
 from conftest import one_link_with_sphere, planar_two_link, spinner_with_tip_sphere
-from nvflow.geometry import SE3Pose
+from nvflow.geometry import SE3Pose, rotation_from_axis_angle
 from nvflow.kinematics import (
     CollisionSphere,
     Joint,
     RobotModel,
     robot_to_doc,
+    sphere_radii,
 )
 from nvflow.trajopt import (
     BoxObstacle,
@@ -267,6 +269,207 @@ class TestStructuredSolve:
             ref = np.linalg.solve(jtj + lam * scale, -jac.T @ r)
             assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
 
+def full_collision_rows(problem: TrajOptProblem, full: np.ndarray):
+    """Collision-row coefficients with every (segment, side, joint) pair
+    forward-differenced, as before the active set: the oracle for
+    ``trajopt._collision_rows``."""
+    model = problem.model
+    steps, dof = full.shape
+    n_obs = len(problem.obstacles)
+    h = problem.lm.fd_step
+    root_c = np.sqrt(problem.weights.collision)
+    s_grid = np.linspace(0.0, 1.0, problem.swept_samples)
+    radii = sphere_radii(model)
+    eye = np.eye(dof)
+    moved = np.arange(steps - 1)[:, None] + np.arange(2)
+    perturbed = (moved >= 1) & (moved <= steps - 2)
+    perturbed_seg = np.nonzero(perturbed)[0]
+    coef = np.zeros((steps - 1, 2, dof, n_obs))
+    if n_obs and model.collision_spheres:
+        base = trajopt._segment_min_distances(model, full, problem.obstacles,
+                                              problem.swept_samples)
+        boundary = problem.eps_safe + problem.collision_pad
+        base_r = root_c * np.maximum(boundary - base, 0.0)
+        ends = np.stack([full[:-1], full[1:]], axis=1)
+        pert = np.broadcast_to(ends[:, None, None],
+                               (steps - 1, 2, dof, 2, dof)).copy()
+        pert[:, 0, :, 0, :] += h * eye
+        pert[:, 1, :, 1, :] += h * eye
+        pert = pert[perturbed]
+        qa, qb = pert[..., 0, :], pert[..., 1, :]
+        swept = qa[..., None, :] + s_grid[:, None] * (qb - qa)[..., None, :]
+        centers = trajopt.sphere_centers_batch(model, swept.reshape(-1, dof))
+        n_pert = pert.shape[0] * dof
+        dmin = np.empty((n_pert, n_obs))
+        for i, obs in enumerate(problem.obstacles):
+            d = obs.distance(centers) - radii
+            dmin[:, i] = d.reshape(n_pert, -1).min(axis=1)
+        pert_r = root_c * np.maximum(boundary - dmin, 0.0)
+        coef[perturbed] = (pert_r.reshape(-1, dof, n_obs)
+                           - base_r[perturbed_seg, None, :]) / h
+    return (coef[:, 0].transpose(0, 2, 1).reshape(-1, dof),
+            coef[:, 1].transpose(0, 2, 1).reshape(-1, dof))
+
+
+@pytest.fixture
+def fk_batches(monkeypatch):
+    """Sizes of the batches trajopt passes to ``sphere_centers_batch``, in order."""
+    sizes = []
+    fk = trajopt.sphere_centers_batch
+
+    def counting(model, configs):
+        sizes.append(configs.shape[0])
+        return fk(model, configs)
+
+    monkeypatch.setattr(trajopt, "sphere_centers_batch", counting)
+    return sizes
+
+
+def with_obstacles(problem: TrajOptProblem, *obstacles) -> TrajOptProblem:
+    return dataclasses.replace(problem, obstacles=tuple(obstacles))
+
+
+def tilted_plane(height: float = 0.93) -> HalfspaceObstacle:
+    """A plane above the packaged problem's arm, free space below it."""
+    return HalfspaceObstacle(point=np.array([0.0, 0.0, height]),
+                             normal=np.array([0.1, 0.0, -1.0]))
+
+
+def rotated_box() -> BoxObstacle:
+    return BoxObstacle(center=np.array([0.01, 0.0, 0.87]),
+                       half_extents=np.array([0.03, 0.02, 0.04]),
+                       rotation=rotation_from_axis_angle(
+                           np.array([0.5, 0.5, 0.0]) / np.sqrt(2.0)))
+
+
+class TestActiveSetJacobian:
+    """The collision Jacobian differences only segments near the hinge
+    boundary and is bit-identical to differencing every segment."""
+
+    @staticmethod
+    def oracle(jacobian, x: np.ndarray) -> FrameJacobian:
+        """``jacobian(x)`` with every segment forward-differenced."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trajopt, "_collision_rows", full_collision_rows)
+            return jacobian(x)
+
+    @staticmethod
+    def assert_identical(fast: FrameJacobian, full: FrameJacobian):
+        assert fast.n_frames == full.n_frames
+        for name in ("frame", "cur", "nxt"):
+            assert np.array_equal(getattr(fast, name), getattr(full, name)), name
+
+    @pytest.mark.parametrize("steps", [21, 81, 241])
+    @pytest.mark.parametrize("at", [0.0, 0.05, 1.0],
+                             ids=["initial", "near-initial", "converged"])
+    def test_packaged_problem(self, monkeypatch, fk_batches, steps, at):
+        """At ``at`` of the way from the initial guess to the solution.  The
+        solution clears the boundary everywhere, so nothing is differenced;
+        at 5% some segments still cut it."""
+        problem = packaged_problem(steps)
+        converged = optimize_trajectory(problem).trajectory.configs[1:-1].ravel()
+        _, jacobian, x0 = lm_inputs(problem, monkeypatch)
+        x = x0 + at * (converged - x0)
+        fk_batches.clear()
+        fast = jacobian(x)
+        assert len(fk_batches) == (1 if at == 1.0 else 2)
+        assert fast.cur[-(steps - 1):].any() == (at < 1.0)   # live collision rows
+        self.assert_identical(fast, self.oracle(jacobian, x))
+
+    @pytest.mark.parametrize("obstacles", [
+        (rotated_box(),), (tilted_plane(),), (rotated_box(), tilted_plane()),
+    ], ids=["rotated-box", "halfspace", "box-and-halfspace"])
+    def test_box_and_halfspace(self, monkeypatch, fk_batches, obstacles):
+        problem = with_obstacles(packaged_problem(41), *obstacles)
+        _, jacobian, x0 = lm_inputs(problem, monkeypatch)
+        every_pair = 39 * 2 * 7 * problem.swept_samples
+        for x in (x0, perturbed(x0, seed=5)):
+            fk_batches.clear()
+            fast = jacobian(x)
+            base, differenced = fk_batches    # some segments skipped, some not
+            assert base == 40 * problem.swept_samples
+            assert 0 < differenced < every_pair
+            self.assert_identical(fast, self.oracle(jacobian, x))
+
+    @pytest.mark.parametrize("gap", [5e-7, -5e-7], ids=["outside", "inside"])
+    def test_clearance_next_to_the_active_boundary(self, monkeypatch, fk_batches, gap):
+        """The closest segment sits ``gap`` from boundary + margin."""
+        problem = with_obstacles(packaged_problem(81), tilted_plane())
+        full_q = trajopt.init_trajectory(problem.q_start, problem.q_end, 81)
+
+        def closest(problem):
+            return trajopt._segment_min_distances(
+                problem.model, full_q, problem.obstacles, problem.swept_samples).min()
+
+        margin = problem.lm.fd_step * trajopt._sphere_reach(problem.model) + 1e-9
+        target = problem.eps_safe + problem.collision_pad + margin + gap
+        plane = problem.obstacles[0]
+        shift = closest(problem) - target        # every distance falls by shift
+        problem = with_obstacles(problem, HalfspaceObstacle(
+            point=plane.point + shift * plane.normal, normal=plane.normal))
+        assert abs(closest(problem) - target) < 1e-12
+        _, jacobian, x0 = lm_inputs(problem, monkeypatch)
+        fk_batches.clear()
+        fast = jacobian(x0)
+        assert len(fk_batches) == (1 if gap > 0 else 2)
+        self.assert_identical(fast, self.oracle(jacobian, x0))
+
+    def test_no_active_segment_skips_perturbation_fk(self, monkeypatch, fk_batches):
+        far = SphereObstacle(center=np.array([5.0, 5.0, 5.0]), radius=0.03)
+        problem = with_obstacles(packaged_problem(41), far)
+        _, jacobian, x0 = lm_inputs(problem, monkeypatch)
+        fk_batches.clear()
+        fast = jacobian(x0)
+        assert fk_batches == [40 * problem.swept_samples]   # the base sweep only
+        assert not fast.cur[-40:].any() and not fast.nxt[-40:].any()
+        self.assert_identical(fast, self.oracle(jacobian, x0))
+
+    def test_margin_is_tight_on_a_spinner(self):
+        """A tip sphere at unit distance from its axis moves by sin(h) ~ h
+        toward a plane, so a clearance h - 1e-7 above the boundary still
+        gives a nonzero coefficient, while boundary + margin + 1e-7 gives 0."""
+        model = spinner_with_tip_sphere(arm=1.0, radius=0.05)
+        assert trajopt._sphere_reach(model) == 1.0
+        base = TrajOptProblem(model=model, q_start=np.zeros(1), q_end=np.zeros(1),
+                              steps=3)
+        h = base.lm.fd_step
+        boundary = base.eps_safe + base.collision_pad
+        full_q = np.zeros((3, 1))
+        for clearance, live in ((boundary + h - 1e-7, True),
+                                (boundary + h + 1e-9 + 1e-7, False)):
+            # free space along -y; the tip at (1, 0, 0) turns toward +y
+            wall = HalfspaceObstacle(point=np.array([0.0, clearance + 0.05, 0.0]),
+                                     normal=np.array([0.0, -1.0, 0.0]))
+            problem = with_obstacles(base, wall)
+            rows = trajopt._collision_rows(problem, full_q)
+            oracle = full_collision_rows(problem, full_q)
+            for fast, full in zip(rows, oracle):
+                assert np.array_equal(fast, full)
+            assert bool(np.any(rows[0]) or np.any(rows[1])) == live
+
+    def test_nan_clearance_stays_active(self):
+        problem = packaged_problem(21)
+        full_q = trajopt.init_trajectory(problem.q_start, problem.q_end, 21)
+        full_q[10, 3] = np.nan
+        rows = trajopt._collision_rows(problem, full_q)
+        oracle = full_collision_rows(problem, full_q)
+        assert np.isnan(rows[0]).any()
+        for fast, full in zip(rows, oracle):
+            assert np.array_equal(fast, full, equal_nan=True)
+
+    def test_fk_configurations_fall_at_241_steps(self, monkeypatch, fk_batches):
+        problem = packaged_problem(241)
+        fast = optimize_trajectory(problem)
+        fast_configs = sum(fk_batches)
+        fk_batches.clear()
+        monkeypatch.setattr(trajopt, "_collision_rows", full_collision_rows)
+        full = optimize_trajectory(problem)
+        full_configs = sum(fk_batches)
+        assert np.array_equal(fast.trajectory.configs, full.trajectory.configs)
+        assert fast.final_cost == full.final_cost
+        assert fast_configs < full_configs / 3
+
+
 class TestObstacles:
     def test_sphere_signed_distance(self):
         obs = SphereObstacle(center=np.array([1.0, 0.0, 0.0]), radius=0.5)
@@ -304,6 +507,28 @@ class TestObstacles:
             BoxObstacle(center=np.zeros(3), half_extents=np.array([1.0, -1.0, 1.0]))
         with pytest.raises(ValueError, match="normal"):
             HalfspaceObstacle(point=np.zeros(3), normal=np.zeros(3))
+
+        # The distance must stay 1-Lipschitz: a box rotation passes the
+        # orthonormality and determinant test of a pose (2 I would double it).
+        for rotation, match in ((2.0 * np.eye(3), "orthonormal"),
+                                (np.diag([1.0, 1.0, -1.0]), "determinant"),
+                                (np.full((3, 3), np.nan), "non-finite"),
+                                (np.eye(2), "3, 3")):
+            with pytest.raises(ValueError, match=match):
+                BoxObstacle(center=np.zeros(3), half_extents=np.ones(3),
+                            rotation=rotation)
+        up = np.array([0.0, 0.0, 1.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            vec = np.array([0.0, bad, 0.0])
+            for make in (lambda: SphereObstacle(center=vec, radius=0.1),
+                         lambda: SphereObstacle(center=np.zeros(3), radius=bad),
+                         lambda: BoxObstacle(center=vec, half_extents=np.ones(3)),
+                         lambda: BoxObstacle(center=np.zeros(3),
+                                             half_extents=np.abs(vec) + 1.0),
+                         lambda: HalfspaceObstacle(point=vec, normal=up),
+                         lambda: HalfspaceObstacle(point=np.zeros(3), normal=vec + up)):
+                with pytest.raises(ValueError, match="finite"):
+                    make()
 
     def test_from_doc_literal_values(self):
         docs = [
