@@ -30,7 +30,6 @@ from .deformable import (
     MPCConfig,
     ParticleState,
     build_correspondence,
-    load_dynamics,
     mpc_rollout,
 )
 from .fileio import read_flow, sha256_file, write_flow, write_ppm
@@ -82,44 +81,37 @@ class ConfigError(Exception):
     """Bad usage, missing file, or malformed configuration (exit code 2)."""
 
 
-def _load_json(path) -> dict | list:
+# What a document that parses but does not build into its type raises: a
+# wrong type or shape, a missing key, a file it names that cannot be read,
+# or a value out of range (Infinity in an integer field overflows).
+_MALFORMED = (AttributeError, KeyError, OSError, OverflowError, TypeError, ValueError)
+
+
+def _load_doc(path, what: str, build):
+    """``build`` applied to the JSON document at ``path``.
+
+    Every JSON file named on the command line, or found in a plan directory,
+    is read here, so a missing, unparsable or malformed one is always a
+    ConfigError (exit 2).
+    """
     path = Path(path)
     try:
-        text = path.read_text()
+        doc = json.loads(path.read_text())
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}") from None
     except IsADirectoryError:
         raise ConfigError(f"expected a file, got a directory: {path}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:    # not JSON, or not text at all
         raise ConfigError(f"malformed JSON in {path}: {exc}") from None
-
-
-def _load_scene_config(path) -> SceneConfig:
-    doc = _load_json(path)
     try:
-        return SceneConfig.from_doc(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scene config {path}: {exc}") from None
+        return build(doc)
+    except _MALFORMED as exc:
+        raise ConfigError(f"bad {what} {path}: {exc}") from None
 
 
-def _load_robot_file(path) -> RobotModel:
-    doc = _load_json(path)
-    try:
-        return robot_from_doc(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad robot model {path}: {exc}") from None
-
-
-def _load_obstacles_file(path) -> tuple:
-    doc = _load_json(path)
-    if isinstance(doc, dict):
-        doc = doc.get("obstacles", [])
-    try:
-        return obstacles_from_doc(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad obstacle file {path}: {exc}") from None
+def _obstacles_from_doc(doc) -> tuple:
+    """An obstacle file is a list of obstacles or an object holding one."""
+    return obstacles_from_doc(doc.get("obstacles", []) if isinstance(doc, dict) else doc)
 
 
 def _load_flow_file(path) -> ActionableFlow:
@@ -131,7 +123,7 @@ def _load_flow_file(path) -> ActionableFlow:
     try:
         positions, label = read_flow(path)
         return ActionableFlow(np.asarray(positions, dtype=float), label=label)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # FlowFormatError is a ValueError
+    except _MALFORMED as exc:  # FlowFormatError is a ValueError
         raise ConfigError(f"bad flow file {path}: {exc}") from None
 
 
@@ -141,17 +133,15 @@ def _load_bundle(path) -> SceneBundle:
         raise ConfigError(f"not a scene bundle (no manifest.json): {root}")
     try:
         return SceneBundle.read(root)
-    except (AttributeError, KeyError, TypeError, ValueError, FileNotFoundError) as exc:
+    except _MALFORMED as exc:
         raise ConfigError(f"bad scene bundle {root}: {exc}") from None
 
 
-def _load_state_file(path) -> ParticleState:
-    doc = _load_json(path)
-    try:
-        return ParticleState(np.asarray(doc["positions"], dtype=float),
-                             np.asarray(doc["velocities"], dtype=float))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad particle state {path}: {exc}") from None
+def _seed(text: str) -> int:
+    """Type of ``--seed``: numpy's generators take only non-negative integers."""
+    if not text.isdecimal():
+        raise ConfigError(f"--seed must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _check_at_least_one(value: int, flag: str) -> None:
@@ -241,7 +231,7 @@ def _do_simulate(config: SceneConfig, seed: int, out: Path,
 def cmd_simulate(args) -> None:
     if not args.config:
         raise ConfigError("simulate requires a scene config (--config)")
-    config = _load_scene_config(args.config)
+    config = _load_doc(args.config, "scene config", SceneConfig.from_doc)
     seed = config.seed if args.seed is None else args.seed
     out = _out_dir(args)
     stages = _Stages(args.verbose)
@@ -363,8 +353,7 @@ def _do_plan_rigid(flow: ActionableFlow, model: RobotModel, obstacles: tuple,
         _write_json(out / "plan.json", {
             "version": 1,
             "robot": robot_to_doc(model),
-            "grasp": {"rotation": [float(x) for x in grasp.grasp_pose.rotation.ravel()],
-                      "translation": [float(x) for x in grasp.grasp_pose.translation],
+            "grasp": {**grasp.grasp_pose.to_doc(),
                       "width": grasp.width, "quality": grasp.quality},
             "steps_per_flow_frame": steps_per_frame,
             "flow_frames": flow.frames,
@@ -378,8 +367,9 @@ def _do_plan_rigid(flow: ActionableFlow, model: RobotModel, obstacles: tuple,
 def cmd_plan_rigid(args) -> None:
     _check_at_least_one(args.steps_per_frame, "--steps-per-frame")
     flow = _load_flow_file(args.flow)
-    model = _load_robot_file(args.robot)
-    obstacles = _load_obstacles_file(args.obstacles) if args.obstacles else ()
+    model = _load_doc(args.robot, "robot model", robot_from_doc)
+    obstacles = _load_doc(args.obstacles, "obstacle file",
+                          _obstacles_from_doc) if args.obstacles else ()
     seed = 0 if args.seed is None else args.seed
     out = _out_dir(args)
     stages = _Stages(args.verbose)
@@ -416,11 +406,7 @@ def _do_plan_deformable(flow: ActionableFlow, model: MassSpringModel,
             for t, cost in enumerate(rollout.costs):
                 writer.writerow([str(t), f"{cost:.9g}"])
         files.append("costs.csv")
-        final = rollout.states[-1]
-        _write_json(out / "final_state.json", {
-            "positions": final.positions.tolist(),
-            "velocities": final.velocities.tolist(),
-        })
+        _write_json(out / "final_state.json", rollout.states[-1].to_doc())
         files.append("final_state.json")
         return files
 
@@ -430,16 +416,9 @@ def _do_plan_deformable(flow: ActionableFlow, model: MassSpringModel,
 def cmd_plan_deformable(args) -> None:
     _check_at_least_one(args.horizon, "--horizon")
     flow = _load_flow_file(args.flow)
-    try:
-        model = load_dynamics(args.dynamics)
-    except FileNotFoundError:
-        raise ConfigError(f"no such file: {args.dynamics}") from None
-    except IsADirectoryError:
-        raise ConfigError(f"expected a file, got a directory: {args.dynamics}") from None
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad dynamics file {args.dynamics}: {exc}") from None
+    model = _load_doc(args.dynamics, "dynamics file", MassSpringModel.from_doc)
     if args.state:
-        state = _load_state_file(args.state)
+        state = _load_doc(args.state, "particle state", ParticleState.from_doc)
     elif flow.keypoints == model.n_particles:
         state = ParticleState.at_rest(flow.positions[0])
     else:
@@ -465,11 +444,8 @@ def cmd_plan_deformable(args) -> None:
 def cmd_optimize_traj(args) -> None:
     if not args.config:
         raise ConfigError("optimize-traj requires a problem file (--config)")
-    doc = _load_json(args.config)
-    try:
-        problem = problem_from_doc(doc, base_dir=Path(args.config).parent)
-    except (AttributeError, FileNotFoundError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad problem file {args.config}: {exc}") from None
+    problem = _load_doc(args.config, "problem file", lambda doc: problem_from_doc(
+        doc, base_dir=Path(args.config).parent))
     out = _out_dir(args)
     stages = _Stages(args.verbose)
     result = stages.run("optimize", lambda: optimize_trajectory(problem))
@@ -501,16 +477,10 @@ def _read_joint_csv(path) -> np.ndarray:
         raise ConfigError(f"bad joint trajectory CSV {path}: {exc}") from None
 
 
-def _load_plan_file(path: Path) -> tuple[RobotModel, SE3Pose, int]:
+def _plan_from_doc(doc: dict) -> tuple[RobotModel, SE3Pose, int]:
     """The robot, grasp and trajectory steps per flow frame of a rigid plan."""
-    plan_doc = _load_json(path)
-    try:
-        model = robot_from_doc(plan_doc["robot"])
-        grasp = SE3Pose(np.asarray(plan_doc["grasp"]["rotation"], dtype=float).reshape(3, 3),
-                        np.asarray(plan_doc["grasp"]["translation"], dtype=float))
-        return model, grasp, int(plan_doc["steps_per_flow_frame"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad plan file {path}: {exc}") from None
+    return (robot_from_doc(doc["robot"]), SE3Pose.from_doc(doc["grasp"]),
+            int(doc["steps_per_flow_frame"]))
 
 
 def _executed_object_poses(model: RobotModel, grasp: SE3Pose, spf: int,
@@ -538,7 +508,7 @@ def _do_eval(run_dir: Path, bundle: SceneBundle, stages: _Stages):
     plan_json = run_dir / "plan.json"
     final_state_json = run_dir / "final_state.json"
     if plan_json.exists():
-        model, grasp, spf = _load_plan_file(plan_json)
+        model, grasp, spf = _load_doc(plan_json, "plan file", _plan_from_doc)
         configs = _read_joint_csv(run_dir / "joint_traj.csv")
         if bundle.gt_poses is None:
             raise ConfigError("ground-truth bundle has no object poses to grade against")
@@ -552,7 +522,7 @@ def _do_eval(run_dir: Path, bundle: SceneBundle, stages: _Stages):
     if final_state_json.exists():
         if bundle.initial_state is None:
             raise ConfigError("ground-truth bundle has no particle state to grade against")
-        final = _load_state_file(final_state_json)
+        final = _load_doc(final_state_json, "particle state", ParticleState.from_doc)
 
         def grade():
             corr = build_correspondence(bundle.gt_flow, bundle.initial_state.positions)
@@ -583,15 +553,16 @@ def cmd_eval(args) -> None:
 def cmd_run(args) -> None:
     """Every option and input file is checked before the first stage runs."""
     if args.config:
-        config = _load_scene_config(args.config)
+        config = _load_doc(args.config, "scene config", SceneConfig.from_doc)
     else:
         config = SceneConfig.rigid_demo(noise=DEFAULT_SENSOR_NOISE)
     _check_at_least_one(args.candidates, "--candidates")
     if config.scene == "rigid":
         _check_at_least_one(args.steps_per_frame, "--steps-per-frame")
-        model = _load_robot_file(args.robot or _fixture_path("arm7.json"))
-        obstacles = _load_obstacles_file(args.obstacles
-                                         or _fixture_path("obstacles_demo.json"))
+        model = _load_doc(args.robot or _fixture_path("arm7.json"), "robot model",
+                          robot_from_doc)
+        obstacles = _load_doc(args.obstacles or _fixture_path("obstacles_demo.json"),
+                              "obstacle file", _obstacles_from_doc)
     else:
         _check_at_least_one(args.horizon, "--horizon")
     seed = config.seed if args.seed is None else args.seed
@@ -631,7 +602,7 @@ def _mkdir(path: Path) -> Path:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_seed, default=None,
                         help="seed for all randomness (recorded in the manifest)")
     common.add_argument("--out-dir", default=None, help="output directory")
     common.add_argument("--verbose", action="store_true",
@@ -710,11 +681,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) is None:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
+        args = parser.parse_args(argv)    # a bad --seed raises ConfigError here
+        if getattr(args, "command", None) is None:
+            parser.print_usage(sys.stderr)
+            return 2
         args.func(args)
     except ConfigError as exc:
         print(f"nvflow: error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .flow import ActionableFlow
-from .geometry import _frozen
+from .geometry import _doc_fields, _frozen
 
 __all__ = [
     "DegenerateEdgeError",
@@ -62,6 +62,14 @@ class ParticleState:
             raise ValueError("particle state contains non-finite values")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "velocities", vel)
+
+    def to_doc(self) -> dict:
+        return {"positions": self.positions.tolist(),
+                "velocities": self.velocities.tolist()}
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "ParticleState":
+        return cls(doc["positions"], doc["velocities"])
 
     @classmethod
     def at_rest(cls, positions: np.ndarray) -> "ParticleState":
@@ -156,6 +164,33 @@ class MassSpringModel:
                 f"< 4 - 2*h*c/m = {4.0 - 2.0 * a:.4g} (h = dt/substeps = {h:.4g} s); "
                 f"raise substeps or lower stiffness")
 
+    def to_doc(self) -> dict:
+        return {
+            "n_particles": self.n_particles,
+            "edges": [[int(i), int(j)] for i, j in self.edges],
+            "rest_lengths": [float(x) for x in self.rest_lengths],
+            "stiffness": self.stiffness,
+            "damping": self.damping,
+            "mass": self.mass,
+            "dt": self.dt,
+            "substeps": self.substeps,
+            "gravity": self.gravity,
+            "ground_height": self.ground_height,
+            "attachment": list(self.attachment),
+            "pinned": list(self.pinned),
+        }
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "MassSpringModel":
+        return cls(**_doc_fields(doc, {
+            "n_particles": int,
+            "edges": lambda edges: np.asarray(edges, dtype=int).reshape(-1, 2),
+            "rest_lengths": lambda lengths: np.asarray(lengths, dtype=float),
+            "stiffness": float, "damping": float, "mass": float, "dt": float,
+            "substeps": int, "gravity": bool, "ground_height": float,
+            "attachment": tuple, "pinned": tuple,
+        }))
+
     def incidence(self) -> np.ndarray:
         """Dense (N, E) incidence matrix: -1 at the edge tail, +1 at its head."""
         inc = np.zeros((self.n_particles, self.edges.shape[0]))
@@ -191,39 +226,11 @@ class MassSpringModel:
 
 
 def save_dynamics(model: MassSpringModel, path) -> None:
-    doc = {
-        "n_particles": model.n_particles,
-        "edges": [[int(i), int(j)] for i, j in model.edges],
-        "rest_lengths": [float(x) for x in model.rest_lengths],
-        "stiffness": model.stiffness,
-        "damping": model.damping,
-        "mass": model.mass,
-        "dt": model.dt,
-        "substeps": model.substeps,
-        "gravity": model.gravity,
-        "ground_height": model.ground_height,
-        "attachment": list(model.attachment),
-        "pinned": list(model.pinned),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json.dumps(model.to_doc(), indent=2) + "\n")
 
 
 def load_dynamics(path) -> MassSpringModel:
-    doc = json.loads(Path(path).read_text())
-    return MassSpringModel(
-        n_particles=int(doc["n_particles"]),
-        edges=np.asarray(doc["edges"], dtype=int).reshape(-1, 2),
-        rest_lengths=np.asarray(doc["rest_lengths"], dtype=float),
-        stiffness=float(doc.get("stiffness", 500.0)),
-        damping=float(doc.get("damping", 1.0)),
-        mass=float(doc.get("mass", 0.01)),
-        dt=float(doc.get("dt", 1.0 / 16.0)),
-        substeps=int(doc.get("substeps", 20)),
-        gravity=bool(doc.get("gravity", False)),
-        ground_height=float(doc.get("ground_height", -1.0)),
-        attachment=tuple(doc.get("attachment", ())),
-        pinned=tuple(doc.get("pinned", ())),
-    )
+    return MassSpringModel.from_doc(json.loads(Path(path).read_text()))
 
 
 def _step_batch(model: MassSpringModel, positions: np.ndarray, velocities: np.ndarray,

@@ -49,6 +49,21 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _doc_fields(doc, casts: dict) -> dict:
+    """Constructor arguments from the keys of a JSON object that ``casts`` names.
+
+    Each present key is passed through its cast; an absent key is left out,
+    so the constructor supplies the default its type declares.  Every JSON
+    reader builds its types this way, and unknown keys are ignored.
+
+    Raises:
+        TypeError: ``doc`` is not a JSON object.
+    """
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+    return {key: cast(doc[key]) for key, cast in casts.items() if key in doc}
+
+
 def _skew(v: np.ndarray) -> np.ndarray:
     return np.array([
         [0.0, -v[2], v[1]],
@@ -86,6 +101,16 @@ class SE3Pose:
     @classmethod
     def identity(cls) -> "SE3Pose":
         return cls(np.eye(3), np.zeros(3))
+
+    def to_doc(self) -> dict:
+        """The JSON pose object: 9 row-major rotation floats and 3 translation floats."""
+        return {"rotation": [float(x) for x in self.rotation.ravel()],
+                "translation": [float(x) for x in self.translation]}
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "SE3Pose":
+        return cls(np.asarray(doc["rotation"], dtype=float).reshape(3, 3),
+                   np.asarray(doc["translation"], dtype=float))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one (3,) point or an (..., 3) array of points."""

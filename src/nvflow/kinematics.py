@@ -23,8 +23,11 @@ The robot JSON schema (see ``fixtures/arm7.json`` for a complete example):
       ]
     }
 
-``base_pose`` is the pose of the base in whatever frame the end-effector
-targets live in (it defaults to the identity).
+Every pose object (``base_pose``, each joint ``origin``, ``ee_offset``) is
+the one ``SE3Pose.to_doc`` writes.  ``base_pose`` is the pose of the base in
+whatever frame the end-effector targets live in; it, ``collision_spheres``
+and ``name`` may be left out, and then take the defaults ``RobotModel``
+declares (the identity, none, and "").
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import SE3Pose, axis_angle_from_rotation
+from .geometry import SE3Pose, _doc_fields, axis_angle_from_rotation
 
 __all__ = [
     "Joint",
@@ -125,26 +128,16 @@ class RobotModel:
         return np.array([j.velocity_limit for j in self.joints])
 
 
-def _pose_to_doc(pose: SE3Pose) -> dict:
-    return {"rotation": [float(x) for x in pose.rotation.ravel()],
-            "translation": [float(x) for x in pose.translation]}
-
-
-def _pose_from_doc(doc: dict) -> SE3Pose:
-    return SE3Pose(np.asarray(doc["rotation"], dtype=float).reshape(3, 3),
-                   np.asarray(doc["translation"], dtype=float))
-
-
 def robot_to_doc(model: RobotModel) -> dict:
     return {
         "name": model.name,
-        "base_pose": _pose_to_doc(model.base_pose),
+        "base_pose": model.base_pose.to_doc(),
         "joints": [
-            {"axis": [float(x) for x in j.axis], "origin": _pose_to_doc(j.origin),
+            {"axis": [float(x) for x in j.axis], "origin": j.origin.to_doc(),
              "q_min": j.q_min, "q_max": j.q_max, "velocity_limit": j.velocity_limit}
             for j in model.joints
         ],
-        "ee_offset": _pose_to_doc(model.ee_offset),
+        "ee_offset": model.ee_offset.to_doc(),
         "collision_spheres": [
             {"link": s.link, "center": [float(x) for x in s.center], "radius": s.radius}
             for s in model.collision_spheres
@@ -153,23 +146,22 @@ def robot_to_doc(model: RobotModel) -> dict:
 
 
 def robot_from_doc(doc: dict) -> RobotModel:
-    joints = tuple(
-        Joint(axis=np.asarray(j["axis"], dtype=float),
-              origin=_pose_from_doc(j["origin"]),
-              q_min=float(j["q_min"]), q_max=float(j["q_max"]),
-              velocity_limit=float(j["velocity_limit"]))
-        for j in doc["joints"]
-    )
-    spheres = tuple(
-        CollisionSphere(link=int(s["link"]),
-                        center=np.asarray(s["center"], dtype=float),
-                        radius=float(s["radius"]))
-        for s in doc.get("collision_spheres", [])
-    )
-    base = _pose_from_doc(doc["base_pose"]) if "base_pose" in doc else SE3Pose.identity()
-    return RobotModel(joints=joints, ee_offset=_pose_from_doc(doc["ee_offset"]),
-                      collision_spheres=spheres, base_pose=base,
-                      name=doc.get("name", ""))
+    return RobotModel(**_doc_fields(doc, {
+        "joints": lambda joints: tuple(
+            Joint(axis=np.asarray(j["axis"], dtype=float),
+                  origin=SE3Pose.from_doc(j["origin"]),
+                  q_min=float(j["q_min"]), q_max=float(j["q_max"]),
+                  velocity_limit=float(j["velocity_limit"]))
+            for j in joints),
+        "ee_offset": SE3Pose.from_doc,
+        "collision_spheres": lambda spheres: tuple(
+            CollisionSphere(link=int(s["link"]),
+                            center=np.asarray(s["center"], dtype=float),
+                            radius=float(s["radius"]))
+            for s in spheres),
+        "base_pose": SE3Pose.from_doc,
+        "name": str,
+    }))
 
 
 def load_robot(path) -> RobotModel:

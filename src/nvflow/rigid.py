@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .flow import ActionableFlow
-from .geometry import SE3Pose, se3_compose
+from .geometry import SE3Pose, _doc_fields, se3_compose
 
 __all__ = [
     "DegenerateCloudError",
@@ -95,25 +95,15 @@ class ObjectPoseTrajectory:
         return self.poses[index]
 
     def to_json(self, path) -> None:
-        """JSON list of {t, rotation: 9 floats row-major, translation: 3}."""
-        doc = [
-            {
-                "t": t,
-                "rotation": [float(x) for x in pose.rotation.ravel()],
-                "translation": [float(x) for x in pose.translation],
-            }
-            for t, pose in enumerate(self.poses)
-        ]
+        """JSON ``{"frame", "poses"}``; each pose is ``SE3Pose.to_doc`` plus its index ``t``."""
+        doc = [{"t": t, **pose.to_doc()} for t, pose in enumerate(self.poses)]
         Path(path).write_text(json.dumps({"frame": self.frame, "poses": doc}) + "\n")
 
     @classmethod
     def from_json(cls, path) -> "ObjectPoseTrajectory":
-        doc = json.loads(Path(path).read_text())
-        poses = []
-        for entry in doc["poses"]:
-            rotation = np.asarray(entry["rotation"], dtype=float).reshape(3, 3)
-            poses.append(SE3Pose(rotation, np.asarray(entry["translation"], dtype=float)))
-        return cls(tuple(poses), frame=doc.get("frame", "camera"))
+        return cls(**_doc_fields(json.loads(Path(path).read_text()), {
+            "poses": lambda poses: tuple(SE3Pose.from_doc(p) for p in poses),
+            "frame": str}))
 
 
 def flow_to_pose_trajectory(flow: ActionableFlow) -> ObjectPoseTrajectory:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,7 @@ from .geometry import (
     CameraIntrinsics,
     DepthMap,
     SE3Pose,
+    _doc_fields,
     _frozen,
     project,
     rotation_from_axis_angle,
@@ -222,6 +223,8 @@ class SceneConfig:
     def __post_init__(self) -> None:
         if self.scene not in ("rigid", "rope"):
             raise ValueError(f"unknown scene kind {self.scene!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.frames < 2:
             raise ValueError("a scene needs at least two frames")
         if self.focal <= 0.0 or self.width < 16 or self.height < 16:
@@ -249,85 +252,39 @@ class SceneConfig:
             "seed": self.seed,
             "frames": self.frames,
             "image": {"width": self.width, "height": self.height, "focal": self.focal},
-            "camera": {"rotation": [float(x) for x in self.camera.rotation.ravel()],
-                       "translation": [float(x) for x in self.camera.translation]},
+            "camera": self.camera.to_doc(),
             "distractor_points": self.distractor_points,
-            "noise": {
-                "track_sigma": self.noise.track_sigma,
-                "depth_sigma": self.noise.depth_sigma,
-                "dropout_prob": self.noise.dropout_prob,
-                "depth_scale": self.noise.depth_scale,
-            },
+            "noise": asdict(self.noise),
         }
         if self.scene == "rigid":
-            doc["object"] = {"shape": self.object.shape,
-                             "size": list(self.object.size),
-                             "surface_samples": self.object.surface_samples,
-                             "label": self.object.label}
-            doc["motion_script"] = [
-                {"time": w.time, "position": list(w.position), "yaw": w.yaw}
-                for w in self.waypoints
-            ]
+            doc["object"] = asdict(self.object)
+            doc["motion_script"] = [asdict(w) for w in self.waypoints]
         else:
-            doc["rope"] = {
-                "length": self.rope.length,
-                "particles": self.rope.particles,
-                "flow_keypoints": self.rope.flow_keypoints,
-                "center": list(self.rope.center),
-                "height": self.rope.height,
-                "pinned": self.rope.pinned,
-                "script": [list(key) for key in self.rope.script],
-            }
+            doc["rope"] = asdict(self.rope)
         return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SceneConfig":
-        image = doc.get("image", {})
-        noise_doc = doc.get("noise", {})
-        kwargs = dict(
-            scene=doc.get("scene", "rigid"),
-            seed=int(doc.get("seed", 0)),
-            frames=int(doc.get("frames", 21)),
-            width=int(image.get("width", 640)),
-            height=int(image.get("height", 480)),
-            focal=float(image.get("focal", 600.0)),
-            distractor_points=int(doc.get("distractor_points", 300)),
-            noise=NoiseConfig(
-                track_sigma=float(noise_doc.get("track_sigma", 0.0)),
-                depth_sigma=float(noise_doc.get("depth_sigma", 0.0)),
-                dropout_prob=float(noise_doc.get("dropout_prob", 0.0)),
-                depth_scale=float(noise_doc.get("depth_scale", 1.0)),
-            ),
-        )
-        if "camera" in doc:
-            cam = doc["camera"]
-            kwargs["camera"] = SE3Pose(
-                np.asarray(cam["rotation"], dtype=float).reshape(3, 3),
-                np.asarray(cam["translation"], dtype=float))
-        if "object" in doc:
-            obj = doc["object"]
-            kwargs["object"] = ObjectSpec(
-                shape=obj.get("shape", "box"),
-                size=tuple(obj.get("size", (0.08, 0.06, 0.05))),
-                surface_samples=int(obj.get("surface_samples", 40)),
-                label=obj.get("label", "box"))
-        if "motion_script" in doc:
-            kwargs["waypoints"] = tuple(
-                Waypoint(time=float(w["time"]), position=tuple(w["position"]),
-                         yaw=float(w.get("yaw", 0.0)))
-                for w in doc["motion_script"]
-            )
-        if "rope" in doc:
-            rope = doc["rope"]
-            kwargs["rope"] = RopeSpec(
-                length=float(rope.get("length", 0.3)),
-                particles=int(rope.get("particles", 20)),
-                flow_keypoints=int(rope.get("flow_keypoints", 20)),
-                center=tuple(rope.get("center", (0.45, 0.0))),
-                height=float(rope.get("height", 0.02)),
-                pinned=bool(rope.get("pinned", True)),
-                script=tuple(tuple(k) for k in rope.get("script", ((0.0, math.pi, 0.0), (1.0, 0.0, 0.0)))),
-            )
+        """Inverse of ``to_doc``; a left-out key takes the default its type declares."""
+        kwargs = _doc_fields(doc, {
+            "scene": str, "seed": int, "frames": int, "distractor_points": int,
+            "camera": SE3Pose.from_doc,
+            "noise": lambda noise: NoiseConfig(**_doc_fields(noise, dict.fromkeys(
+                ("track_sigma", "depth_sigma", "dropout_prob", "depth_scale"), float))),
+            "object": lambda obj: ObjectSpec(**_doc_fields(obj, {
+                "shape": str, "size": tuple, "surface_samples": int, "label": str})),
+            "motion_script": lambda script: tuple(
+                Waypoint(**_doc_fields(w, {"time": float, "position": tuple, "yaw": float}))
+                for w in script),
+            "rope": lambda rope: RopeSpec(**_doc_fields(rope, {
+                "length": float, "particles": int, "flow_keypoints": int,
+                "center": tuple, "height": float, "pinned": bool, "script": tuple})),
+        })
+        if "motion_script" in kwargs:
+            kwargs["waypoints"] = kwargs.pop("motion_script")
+        if "image" in doc:
+            kwargs.update(_doc_fields(doc["image"], {"width": int, "height": int,
+                                                     "focal": float}))
         return cls(**kwargs)
 
     def save(self, path) -> None:
@@ -981,9 +938,8 @@ class SceneBundle:
             save_dynamics(self.dynamics, out / "dynamics.json")
             files.append("dynamics.json")
         if self.initial_state is not None:
-            state_doc = {"positions": self.initial_state.positions.tolist(),
-                         "velocities": self.initial_state.velocities.tolist()}
-            (out / "initial_state.json").write_text(json.dumps(state_doc, sort_keys=True) + "\n")
+            (out / "initial_state.json").write_text(
+                json.dumps(self.initial_state.to_doc(), sort_keys=True) + "\n")
             files.append("initial_state.json")
 
         manifest = {
@@ -1032,9 +988,8 @@ class SceneBundle:
         if (root / "dynamics.json").exists():
             dynamics = load_dynamics(root / "dynamics.json")
         if (root / "initial_state.json").exists():
-            state_doc = json.loads((root / "initial_state.json").read_text())
-            initial_state = ParticleState(np.asarray(state_doc["positions"], dtype=float),
-                                          np.asarray(state_doc["velocities"], dtype=float))
+            initial_state = ParticleState.from_doc(
+                json.loads((root / "initial_state.json").read_text()))
 
         return cls(config=config, seed=int(manifest["seed"]), tracks=tracks,
                    pixels=pixels, masks=MaskSequence(masks), depth=depth,

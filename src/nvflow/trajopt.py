@@ -28,7 +28,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .geometry import SE3Pose
+from .geometry import SE3Pose, _doc_fields, _frozen
 from .kinematics import (JointTrajectory, RobotModel, load_robot, robot_from_doc,
                          sphere_centers_batch, sphere_radii)
 
@@ -79,11 +79,16 @@ class LMOptions:
     fd_step: float = 1e-6      # forward-difference step when no Jacobian is given
     lambda_max: float = 1e12
 
+    def __post_init__(self) -> None:
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+
 
 @dataclass(frozen=True)
 class LMResult:
     x: np.ndarray
-    cost: float                # sum of squared residuals at x
+    residual: np.ndarray       # the residuals at x
+    cost: float                # their sum of squares
     iterations: int            # accepted steps
     converged: bool
     cost_history: tuple[float, ...]  # cost after each accepted step, incl. start
@@ -260,7 +265,7 @@ def levenberg_marquardt(residual_fn: Callable[[np.ndarray], np.ndarray],
             converged = True
             break
 
-    return LMResult(x=x, cost=cost, iterations=accepted_steps,
+    return LMResult(x=x, residual=r, cost=cost, iterations=accepted_steps,
                     converged=converged, cost_history=tuple(history))
 
 
@@ -504,6 +509,19 @@ class TrajOptProblem:
             raise ValueError(f"eps_safe must be finite, got {self.eps_safe}")
         if not (np.isfinite(self.collision_pad) and self.collision_pad >= 0.0):
             raise ValueError(f"collision_pad must be finite and >= 0, got {self.collision_pad}")
+        dof = self.model.dof
+        for name in ("q_start", "q_end", "q_rest"):
+            if name == "q_rest" and self.q_rest is None:
+                continue        # optimize_trajectory uses the mid-range configuration
+            q = _frozen(getattr(self, name))
+            if q.shape != (dof,) or not np.isfinite(q).all():
+                raise ValueError(f"{name} must be a finite ({dof},) vector, "
+                                 f"got shape {q.shape}")
+            object.__setattr__(self, name, q)
+        q_min, q_max = self.model.q_min, self.model.q_max
+        if ((self.q_start < q_min) | (self.q_start > q_max)
+                | (self.q_end < q_min) | (self.q_end > q_max)).any():
+            raise ValueError("start or end configuration violates joint limits")
 
 
 @dataclass(frozen=True)
@@ -516,58 +534,30 @@ class TrajOptResult:
     min_clearance: float     # from a dense sweep at 2x swept_samples
 
 
-def _term_costs(problem: TrajOptProblem, configs: np.ndarray) -> dict:
-    w = problem.weights
-    q = configs
-    rest = problem.q_rest if problem.q_rest is not None else \
-        0.5 * (problem.model.q_min + problem.model.q_max)
-    root_l = np.sqrt(w.limits)
-    upper = root_l * np.maximum(q - problem.model.q_max, 0.0)
-    lower = root_l * np.maximum(problem.model.q_min - q, 0.0)
-    vel = root_l * np.maximum(
-        np.abs(np.diff(q, axis=0)) - problem.model.velocity_limits * problem.dt, 0.0)
-    coll = penalty_collision(q, problem.model, problem.obstacles, w.collision,
-                             problem.eps_safe, problem.swept_samples,
-                             pad=problem.collision_pad)
-    return {
-        "smooth": float(np.sum(cost_smooth(q, w.smooth) ** 2)),
-        "rest": float(np.sum(cost_rest(q, rest, w.rest) ** 2)),
-        "limits": float(np.sum(upper ** 2) + np.sum(lower ** 2)),
-        "velocity": float(np.sum(vel ** 2)),
-        "collision": float(np.sum(coll ** 2)),
-    }
-
-
 def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
     """Optimize interior configurations between hard start/end constraints.
 
-    The stacked residual is [smooth, rest, limit hinges, collision hinges];
-    endpoints are eliminated from the decision vector and returned
-    bit-identical to the inputs.  Collision hinges penalize distances below
-    ``eps_safe + collision_pad`` so the settled trajectory clears
-    ``eps_safe`` itself.  The reported ``min_clearance`` comes from a final
-    sweep at twice the optimization sampling; ``converged`` is false when
-    the solver stalled or the clearance still violates ``eps_safe`` (beyond
-    a 1e-4 slack).
+    The stacked residual is [smooth, rest, limit hinges (upper, lower,
+    velocity), collision hinges]; each term cost is the squared sum of its
+    blocks at the solution.  Endpoints are eliminated from the decision
+    vector and returned bit-identical to the inputs.  Collision hinges
+    penalize distances below ``eps_safe + collision_pad`` so the settled
+    trajectory clears ``eps_safe`` itself.  The reported ``min_clearance``
+    comes from a final sweep at twice the optimization sampling;
+    ``converged`` is false when the solver stalled or the clearance still
+    violates ``eps_safe`` (beyond a 1e-4 slack).
     """
     model = problem.model
     dof = model.dof
-    q_start = np.asarray(problem.q_start, dtype=float)
-    q_end = np.asarray(problem.q_end, dtype=float)
-    if q_start.shape != (dof,) or q_end.shape != (dof,):
-        raise ValueError(f"endpoint configurations must be ({dof},)")
-    if (q_start < model.q_min).any() or (q_start > model.q_max).any() \
-            or (q_end < model.q_min).any() or (q_end > model.q_max).any():
-        raise ValueError("start or end configuration violates joint limits")
     steps = problem.steps
-    q_rest = np.asarray(problem.q_rest, dtype=float) if problem.q_rest is not None \
+    q_rest = problem.q_rest if problem.q_rest is not None \
         else 0.5 * (model.q_min + model.q_max)
     w = problem.weights
 
     def assemble(x: np.ndarray) -> np.ndarray:
         full = np.empty((steps, dof))
-        full[0] = q_start
-        full[-1] = q_end
+        full[0] = problem.q_start
+        full[-1] = problem.q_end
         if steps > 2:
             full[1:-1] = x.reshape(steps - 2, dof)
         return full
@@ -582,34 +572,33 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
                               pad=problem.collision_pad),
         ])
 
-    def min_clearance_of(full: np.ndarray) -> float:
-        dense = _segment_min_distances(model, full, problem.obstacles,
-                                       2 * problem.swept_samples)
-        return float(dense.min()) if dense.size else np.inf
-
     if steps == 2:
         full = assemble(np.zeros(0))
-        cost = float(np.sum(residuals_of(full) ** 2))
-        clearance = min_clearance_of(full)
-        return TrajOptResult(
-            trajectory=JointTrajectory(full, problem.dt), final_cost=cost,
-            term_costs=_term_costs(problem, full), iterations=0,
-            converged=clearance >= problem.eps_safe - 1e-4,
-            min_clearance=clearance)
+        residual = residuals_of(full)
+        cost, iterations, converged = float(np.sum(residual ** 2)), 0, True
+    else:
+        x0 = init_trajectory(problem.q_start, problem.q_end, steps)[1:-1].ravel()
+        lm = levenberg_marquardt(lambda x: residuals_of(assemble(x)), x0,
+                                 jacobian=_make_jacobian(problem, assemble),
+                                 options=problem.lm)
+        full, residual = assemble(lm.x), lm.residual
+        cost, iterations, converged = lm.cost, lm.iterations, lm.converged
 
-    x0 = init_trajectory(q_start, q_end, steps)[1:-1].ravel()
-    residual_fn = lambda x: residuals_of(assemble(x))
-    jac_fn = _make_jacobian(problem, assemble)
-    lm = levenberg_marquardt(residual_fn, x0, jacobian=jac_fn, options=problem.lm)
-
-    full = assemble(lm.x)
-    clearance = min_clearance_of(full)
+    # Block ends in the stacked residual: smooth, rest, upper, lower, velocity.
+    segment_rows, frame_rows = (steps - 1) * dof, steps * dof
+    ends = np.cumsum([segment_rows, frame_rows, frame_rows, frame_rows, segment_rows])
+    smooth, rest, upper, lower, velocity, collision = (
+        float(np.sum(block ** 2)) for block in np.split(residual, ends))
+    dense = _segment_min_distances(model, full, problem.obstacles,
+                                   2 * problem.swept_samples)
+    clearance = float(dense.min()) if dense.size else np.inf
     return TrajOptResult(
         trajectory=JointTrajectory(full, problem.dt),
-        final_cost=lm.cost,
-        term_costs=_term_costs(problem, full),
-        iterations=lm.iterations,
-        converged=lm.converged and clearance >= problem.eps_safe - 1e-4,
+        final_cost=cost,
+        term_costs={"smooth": smooth, "rest": rest, "limits": upper + lower,
+                    "velocity": velocity, "collision": collision},
+        iterations=iterations,
+        converged=converged and clearance >= problem.eps_safe - 1e-4,
         min_clearance=clearance,
     )
 
@@ -770,39 +759,35 @@ def problem_from_doc(doc: dict, base_dir=None) -> TrajOptProblem:
     """Build a problem from its JSON document.
 
     ``robot`` may be an inline robot document or a path (resolved against
-    ``base_dir`` when relative).  Optional keys: q_rest, weights, eps_safe,
+    ``base_dir`` when relative).  Required keys: robot, q_start, q_end,
+    steps.  Optional keys, which default as ``TrajOptProblem``,
+    ``TrajOptWeights`` and ``LMOptions`` declare: q_rest, weights, eps_safe,
     collision_pad, swept_samples, dt, obstacles, max_iters.
     """
-    robot = doc["robot"]
-    if isinstance(robot, str):
-        robot_path = Path(robot)
-        if base_dir is not None and not robot_path.is_absolute():
-            robot_path = Path(base_dir) / robot_path
-        model = load_robot(robot_path)
-    else:
-        model = robot_from_doc(robot)
-    weights_doc = doc.get("weights", {})
-    weights = TrajOptWeights(
-        smooth=float(weights_doc.get("smooth", 10.0)),
-        rest=float(weights_doc.get("rest", 0.1)),
-        limits=float(weights_doc.get("limits", 100.0)),
-        collision=float(weights_doc.get("collision", 15.0)),
-    )
-    lm = LMOptions(max_iters=int(doc.get("max_iters", 100)))
-    return TrajOptProblem(
-        model=model,
-        q_start=np.asarray(doc["q_start"], dtype=float),
-        q_end=np.asarray(doc["q_end"], dtype=float),
-        steps=int(doc["steps"]),
-        q_rest=np.asarray(doc["q_rest"], dtype=float) if "q_rest" in doc else None,
-        weights=weights,
-        eps_safe=float(doc.get("eps_safe", 0.02)),
-        collision_pad=float(doc.get("collision_pad", 0.005)),
-        swept_samples=int(doc.get("swept_samples", 5)),
-        dt=float(doc.get("dt", 0.1)),
-        obstacles=obstacles_from_doc(doc.get("obstacles", [])),
-        lm=lm,
-    )
+    def robot(value) -> RobotModel:
+        if not isinstance(value, str):
+            return robot_from_doc(value)
+        path = Path(value)
+        if base_dir is not None and not path.is_absolute():
+            path = Path(base_dir) / path
+        return load_robot(path)
+
+    def vector(value) -> np.ndarray:
+        return np.asarray(value, dtype=float)
+
+    kwargs = _doc_fields(doc, {
+        "robot": robot, "q_start": vector, "q_end": vector, "steps": int,
+        "q_rest": vector,
+        "weights": lambda weights: TrajOptWeights(**_doc_fields(weights, dict.fromkeys(
+            ("smooth", "rest", "limits", "collision"), float))),
+        "eps_safe": float, "collision_pad": float, "swept_samples": int, "dt": float,
+        "obstacles": obstacles_from_doc,
+        "max_iters": lambda max_iters: LMOptions(max_iters=int(max_iters)),
+    })
+    kwargs["model"] = kwargs.pop("robot")
+    if "max_iters" in kwargs:
+        kwargs["lm"] = kwargs.pop("max_iters")
+    return TrajOptProblem(**kwargs)
 
 
 def result_to_doc(result: TrajOptResult) -> dict:

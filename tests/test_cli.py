@@ -90,9 +90,9 @@ class MalformedInputs:
         return path
 
     def edited(self, path, **changes):
-        doc = json.loads(Path(path).read_text())
-        doc.update(changes)
-        return self.write(doc)
+        """A copy of the JSON object at ``path``; a key set to DELETE is removed."""
+        doc = {**json.loads(Path(path).read_text()), **changes}
+        return self.write({k: v for k, v in doc.items() if v is not DELETE})
 
     def flow(self):
         path = self.tmp / "flow.nvfl"
@@ -101,7 +101,12 @@ class MalformedInputs:
 
     def trajopt(self, **changes):
         return self.edited(fixture_path("trajopt_fixture.json"),
-                           robot=str(fixture_path("arm7.json")), **changes)
+                           **{"robot": str(fixture_path("arm7.json")), **changes})
+
+    def rope_edited(self, **changes):
+        path = self.fixture("rope_config_path")
+        rope = json.loads(path.read_text())["rope"]
+        return self.edited(path, rope={**rope, **changes})
 
     def rigid_plan(self, plan_doc):
         plan = self.tmp / "plan"
@@ -121,6 +126,11 @@ def _optimize_traj(c, **changes):
 
 
 NAN, INF = float("nan"), float("inf")     # written as NaN and Infinity in JSON
+DELETE = object()                         # MalformedInputs.edited removes the key
+
+
+def _simulate(c, config):
+    return ["simulate", "--config", config, "--out-dir", c.out]
 
 
 def _eval(c, plan_doc):
@@ -189,6 +199,44 @@ MALFORMED_INPUT_CASES = {
         "plan-deformable", "--flow", c.fixture("rope_bundle_dir") / "gt_flow.nvfl",
         "--dynamics", c.fixture("rope_bundle_dir") / "dynamics.json",
         "--horizon", 0, "--out-dir", c.out],
+    "trajopt-steps-inf": lambda c: _optimize_traj(c, steps=INF),
+    "trajopt-swept-samples-inf": lambda c: _optimize_traj(c, swept_samples=INF),
+    "trajopt-max-iters-inf": lambda c: _optimize_traj(c, max_iters=INF),
+    "scene-frames-inf": lambda c: _simulate(
+        c, c.edited(c.fixture("rigid_config_path"), frames=INF)),
+    "scene-rope-particles-inf": lambda c: _simulate(c, c.rope_edited(particles=INF)),
+    "run-seed-flag-negative": lambda c: [
+        "run", "--config", c.fixture("rope_config_path"), "--candidates", 1,
+        "--seed", -1, "--out-dir", c.out],
+    "scene-seed-negative": lambda c: _simulate(
+        c, c.edited(c.fixture("rigid_config_path"), seed=-1)),
+    "trajopt-max-iters-negative": lambda c: _optimize_traj(c, max_iters=-5),
+    "trajopt-q-start-nan": lambda c: _optimize_traj(c, q_start=[0.0, NAN, 0.0, -1.0,
+                                                                0.0, -1.0, 0.0]),
+    "trajopt-q-rest-nan": lambda c: _optimize_traj(c, q_rest=[NAN] * 7),
+    "trajopt-q-rest-2-vector": lambda c: _optimize_traj(c, q_rest=[0.0, 0.0]),
+    "trajopt-q-start-out-of-limits": lambda c: _optimize_traj(c, q_start=[10.0] * 7),
+    "trajopt-robot-directory": lambda c: _optimize_traj(c, robot=str(c.tmp)),
+}
+
+# Every top-level key of the two documents a user writes by hand, each
+# deleted or set to every one of these values.
+BAD_VALUES = {"deleted": DELETE, "string": "x", "list": [], "object": {},
+              "null": None, "nan": NAN, "inf": INF, "minus-1": -1}
+PROBLEM_KEYS = ("robot", "q_start", "q_end", "steps", "q_rest", "weights", "eps_safe",
+                "collision_pad", "swept_samples", "dt", "obstacles", "max_iters")
+# Each scene key maps to the small config it is edited in: "rope" is read
+# only in a rope scene, "object" and "motion_script" only in a rigid one.
+SCENE_KEYS = {"scene": "rigid", "seed": "rigid", "frames": "rigid", "image": "rigid",
+              "camera": "rigid", "object": "rigid", "motion_script": "rigid",
+              "distractor_points": "rigid", "noise": "rigid", "rope": "rope"}
+READER_TABLE = {
+    **{f"problem-{key}-{name}": (lambda c, key=key, value=value: _optimize_traj(
+        c, **{"steps": 11, key: value})) for key in PROBLEM_KEYS
+       for name, value in BAD_VALUES.items()},
+    **{f"scene-{key}-{name}": (lambda c, key=key, value=value, kind=kind: _simulate(
+        c, c.edited(c.fixture(f"{kind}_config_path"), **{key: value})))
+       for key, kind in SCENE_KEYS.items() for name, value in BAD_VALUES.items()},
 }
 
 
@@ -357,7 +405,17 @@ class TestConfigErrors:
         assert run_main(argv) == 2
         assert_one_error_line(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("case", ["run-rope-horizon-0", "run-obstacle-list"])
+    @pytest.mark.parametrize("case", sorted(READER_TABLE))
+    def test_reader_table_never_exits_3(self, case, tmp_path, request, capsys):
+        argv = READER_TABLE[case](MalformedInputs(tmp_path, request))
+        capsys.readouterr()
+        code = run_main(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert_one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("case", ["run-rope-horizon-0", "run-obstacle-list",
+                                      "run-seed-flag-negative"])
     def test_run_rejects_input_before_any_stage(self, case, tmp_path, request, capsys):
         inputs = MalformedInputs(tmp_path, request)
         argv = MALFORMED_INPUT_CASES[case](inputs)

@@ -177,8 +177,8 @@ def lm_inputs(problem: TrajOptProblem, monkeypatch):
 
     def capture(residual_fn, x0, jacobian=None, options=None):
         seen.update(residual=residual_fn, jacobian=jacobian, x0=x0)
-        return LMResult(x=x0, cost=0.0, iterations=0, converged=False,
-                        cost_history=(0.0,))
+        return LMResult(x=x0, residual=residual_fn(x0), cost=0.0, iterations=0,
+                        converged=False, cost_history=(0.0,))
 
     monkeypatch.setattr(trajopt, "levenberg_marquardt", capture)
     optimize_trajectory(problem)
