@@ -255,7 +255,8 @@ def _do_distill(bundle: SceneBundle, out: Path, candidates: int, seed: int,
     intr = bundle.config.intrinsics
 
     def calibrate():
-        scaled, scale = calibrate_depth(list(bundle.depth), bundle.depth_ref)
+        # the scale depends on frame 0 alone, and only the scale is used
+        _, scale = calibrate_depth([bundle.depth[0]], bundle.depth_ref)
         tracks = TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible)
         return tracks, scale
 

@@ -238,12 +238,19 @@ def _step_batch(model: MassSpringModel, positions: np.ndarray, velocities: np.nd
     """Advance a batch of states one control step.
 
     Takes (B, N, 3) positions and velocities and (B, 3) gripper deltas, and
-    returns the new positions and velocities with a (B,) mask of dead samples.
-    Spring vectors are gathered per edge as ``pos[:, head] - pos[:, tail]``;
-    edge forces are scattered back through the model's incident-edge table,
-    one slot at a time onto zeros.  That adds the same terms in the same order,
+    returns new C-contiguous (B, N, 3) positions and velocities with a (B,)
+    mask of dead samples.  The substeps run on (N, 3, B) copies, batch
+    innermost, so that every operation is a contiguous loop over the batch
+    rather than numpy's inner loop over a length-3 axis.
+
+    Spring vectors are gathered per edge as ``pos[head] - pos[tail]``; edge
+    forces are scattered back through the model's incident-edge table, one
+    slot at a time onto zeros.  That adds the same terms in the same order,
     from the same +0.0 start, as the dense product with the (N, E) incidence
-    matrix, so the result is bit-identical to it without building one.
+    matrix, so the result is bit-identical to it without building one.  The
+    spring length is ``sqrt((x^2 + y^2) + z^2)``, in that order, because that
+    is the order in which ``np.linalg.norm`` reduces a length-3 axis; any
+    other grouping changes the last bit of some lengths.
 
     A sample with a spring shorter than 1e-9 m is dead: its forces are not
     evaluated (no division by the zero length) and it is frozen at its state
@@ -252,44 +259,49 @@ def _step_batch(model: MassSpringModel, positions: np.ndarray, velocities: np.nd
     h = model.dt / model.substeps
     tail, head = model.edges[:, 0], model.edges[:, 1]
     slots, signs = model._incident_edges
+    signs = signs[:, :, None, None]
     attached = list(model.attachment)
     pinned = list(model.pinned)
-    pos = positions.copy()
-    vel = velocities.copy()
-    dead = np.zeros(pos.shape[0], dtype=bool)
-    kinematic_vel = deltas / model.dt  # (B, 3)
+    # np.array copies even where the transpose is already contiguous (B = 1)
+    pos = np.array(positions.transpose(1, 2, 0), order="C")
+    vel = np.array(velocities.transpose(1, 2, 0), order="C")
+    dead = np.zeros(pos.shape[2], dtype=bool)
+    kinematic_vel = (deltas / model.dt).T  # (3, B)
+    rest = model.rest_lengths[:, None]
     for _ in range(model.substeps):
         prev_pos, prev_vel = pos, vel
-        d = pos[:, head] - pos[:, tail]
-        lengths = np.linalg.norm(d, axis=-1)
+        d = pos[head] - pos[tail]  # (E, 3, B)
+        sq = d * d
+        lengths = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
         short = lengths < 1e-9
         if short.any():
-            dead |= short.any(axis=1)
-            lengths[dead] = 1.0   # any nonzero length; dead samples are reset below
-        stretch = model.stiffness * (lengths - model.rest_lengths)
-        edge_force = (stretch / lengths)[..., None] * d
-        terms = edge_force[:, slots]  # (B, N, D, 3)
-        terms *= signs[..., None]
+            dead |= short.any(axis=0)
+            lengths[:, dead] = 1.0   # any nonzero length; dead samples are reset below
+        stretch = model.stiffness * (lengths - rest)
+        edge_force = (stretch / lengths)[:, None, :] * d
+        terms = edge_force[slots]  # (N, D, 3, B)
+        terms *= signs
         force = np.zeros_like(pos)
         for k in range(slots.shape[1]):
-            force += terms[:, :, k]
+            force += terms[:, k]
         force -= model.damping * vel
         if model.gravity:
-            force[..., 2] -= 9.81 * model.mass
+            force[:, 2] -= 9.81 * model.mass
         vel = vel + (h / model.mass) * force
         if attached:
-            vel[:, attached, :] = kinematic_vel[:, None, :]
+            vel[attached] = kinematic_vel
         if pinned:
-            vel[:, pinned, :] = 0.0
+            vel[pinned] = 0.0
         pos = pos + h * vel
-        below = pos[..., 2] < model.ground_height
+        below = pos[:, 2] < model.ground_height
         if below.any():
-            pos[..., 2] = np.maximum(pos[..., 2], model.ground_height)
-            vel[..., 2] = np.where(below, np.maximum(vel[..., 2], 0.0), vel[..., 2])
+            pos[:, 2] = np.maximum(pos[:, 2], model.ground_height)
+            vel[:, 2] = np.where(below, np.maximum(vel[:, 2], 0.0), vel[:, 2])
         if dead.any():
-            pos[dead] = prev_pos[dead]
-            vel[dead] = prev_vel[dead]
-    return pos, vel, dead
+            pos[..., dead] = prev_pos[..., dead]
+            vel[..., dead] = prev_vel[..., dead]
+    return (np.ascontiguousarray(pos.transpose(2, 0, 1)),
+            np.ascontiguousarray(vel.transpose(2, 0, 1)), dead)
 
 
 def mass_spring_step(model: MassSpringModel, state: ParticleState,

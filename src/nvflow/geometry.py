@@ -64,6 +64,20 @@ def _doc_fields(doc, casts: dict) -> dict:
     return {key: cast(doc[key]) for key, cast in casts.items() if key in doc}
 
 
+def _doc_list(doc) -> list:
+    """``doc`` itself, once checked to be a JSON array.
+
+    A JSON object in its place would iterate as its keys, so an object where
+    a list belongs would read as an empty or default list.
+
+    Raises:
+        TypeError: ``doc`` is not a JSON array.
+    """
+    if not isinstance(doc, list):
+        raise TypeError(f"expected a JSON array, got {type(doc).__name__}")
+    return doc
+
+
 def _skew(v: np.ndarray) -> np.ndarray:
     return np.array([
         [0.0, -v[2], v[1]],

@@ -46,6 +46,7 @@ from .geometry import (
     DepthMap,
     SE3Pose,
     _doc_fields,
+    _doc_list,
     _frozen,
     project,
     rotation_from_axis_angle,
@@ -81,6 +82,10 @@ CAMERA_IN_WORLD = SE3Pose(
 
 # -- configuration ---------------------------------------------------------------
 
+def _finite(*values: float) -> bool:
+    return all(math.isfinite(v) for v in values)
+
+
 @dataclass(frozen=True)
 class ObjectSpec:
     """A rigid solid with keypoints sampled uniformly over its surface.
@@ -98,11 +103,12 @@ class ObjectSpec:
         if self.shape not in ("box", "cylinder"):
             raise ValueError(f"unknown object shape {self.shape!r}")
         wanted = 3 if self.shape == "box" else 2
-        if len(self.size) != wanted or any(s <= 0.0 for s in self.size):
-            raise ValueError(f"a {self.shape} needs {wanted} positive dimensions")
+        size = tuple(float(s) for s in self.size)
+        if len(size) != wanted or not _finite(*size) or any(s <= 0.0 for s in size):
+            raise ValueError(f"a {self.shape} needs {wanted} positive finite dimensions")
         if self.surface_samples < 4:
             raise ValueError("need at least four surface samples for pose estimation")
-        object.__setattr__(self, "size", tuple(float(s) for s in self.size))
+        object.__setattr__(self, "size", size)
 
     @property
     def rest_height(self) -> float:
@@ -121,9 +127,12 @@ class Waypoint:
     def __post_init__(self) -> None:
         if not 0.0 <= self.time <= 1.0:
             raise ValueError("waypoint time must be in [0, 1]")
-        if len(self.position) != 3:
+        position = tuple(float(x) for x in self.position)
+        if len(position) != 3:
             raise ValueError("waypoint position must be (x, y, z)")
-        object.__setattr__(self, "position", tuple(float(x) for x in self.position))
+        if not _finite(*position, self.yaw):
+            raise ValueError("waypoint position and yaw must be finite")
+        object.__setattr__(self, "position", position)
 
     def pose(self) -> SE3Pose:
         rot = rotation_from_axis_angle(np.array([0.0, 0.0, self.yaw]))
@@ -152,6 +161,11 @@ class RopeSpec:
     script: tuple[tuple[float, ...], ...] = ((0.0, math.pi, 0.0), (1.0, 0.0, 0.0))
 
     def __post_init__(self) -> None:
+        center = tuple(float(c) for c in self.center)
+        if len(center) != 2:
+            raise ValueError("rope center must be (x, y)")
+        if not _finite(self.length, self.height, *center):
+            raise ValueError("rope length, height and center must be finite")
         if self.length <= 0.0 or self.height < 0.0:
             raise ValueError("rope length must be positive and height non-negative")
         if self.particles < 4:
@@ -170,12 +184,14 @@ class RopeSpec:
                                  "or (time, bend, turn, dx, dy)")
             script.append((float(t), float(b), float(w), float(dx), float(dy)))
         script = tuple(script)
+        if not _finite(*(x for key in script for x in key)):
+            raise ValueError("script keyframes must be finite")
         if len(script) < 2 or script[0][0] != 0.0 or script[-1][0] != 1.0:
             raise ValueError("script must start at time 0 and end at time 1")
         times = [k[0] for k in script]
         if any(t1 <= t0 for t0, t1 in zip(times[:-1], times[1:])):
             raise ValueError("script keyframe times must increase strictly")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "script", script)
 
 
@@ -189,6 +205,9 @@ class NoiseConfig:
     depth_scale: float = 1.0      # sensor depth miscalibration factor
 
     def __post_init__(self) -> None:
+        if not _finite(self.track_sigma, self.depth_sigma, self.dropout_prob,
+                       self.depth_scale):
+            raise ValueError("noise values must be finite")
         if self.track_sigma < 0.0 or self.depth_sigma < 0.0:
             raise ValueError("noise sigmas must be non-negative")
         if not 0.0 <= self.dropout_prob < 1.0:
@@ -227,7 +246,8 @@ class SceneConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.frames < 2:
             raise ValueError("a scene needs at least two frames")
-        if self.focal <= 0.0 or self.width < 16 or self.height < 16:
+        if (not _finite(self.focal) or self.focal <= 0.0
+                or self.width < 16 or self.height < 16):
             raise ValueError("image geometry is degenerate")
         if self.distractor_points < 0:
             raise ValueError("distractor count must be non-negative")
@@ -275,7 +295,7 @@ class SceneConfig:
                 "shape": str, "size": tuple, "surface_samples": int, "label": str})),
             "motion_script": lambda script: tuple(
                 Waypoint(**_doc_fields(w, {"time": float, "position": tuple, "yaw": float}))
-                for w in script),
+                for w in _doc_list(script)),
             "rope": lambda rope: RopeSpec(**_doc_fields(rope, {
                 "length": float, "particles": int, "flow_keypoints": int,
                 "center": tuple, "height": float, "pinned": bool, "script": tuple})),

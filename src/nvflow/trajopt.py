@@ -28,7 +28,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .geometry import SE3Pose, _doc_fields, _frozen
+from .geometry import SE3Pose, _doc_fields, _doc_list, _frozen
 from .kinematics import (JointTrajectory, RobotModel, load_robot, robot_from_doc,
                          sphere_centers_batch, sphere_radii)
 
@@ -352,9 +352,9 @@ class HalfspaceObstacle:
 Obstacle = Union[SphereObstacle, BoxObstacle, HalfspaceObstacle]
 
 
-def obstacles_from_doc(docs: Sequence[dict]) -> tuple[Obstacle, ...]:
+def obstacles_from_doc(docs: list[dict]) -> tuple[Obstacle, ...]:
     out: list[Obstacle] = []
-    for doc in docs:
+    for doc in _doc_list(docs):
         kind = doc.get("type")
         if kind == "sphere":
             out.append(SphereObstacle(center=doc["center"], radius=float(doc["radius"])))

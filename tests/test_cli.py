@@ -108,6 +108,12 @@ class MalformedInputs:
         rope = json.loads(path.read_text())["rope"]
         return self.edited(path, rope={**rope, **changes})
 
+    def rigid_edited(self, part, **changes):
+        """The small rigid config with keys of its ``part`` object changed."""
+        path = self.fixture("rigid_config_path")
+        doc = json.loads(path.read_text())[part]
+        return self.edited(path, **{part: {**doc, **changes}})
+
     def rigid_plan(self, plan_doc):
         plan = self.tmp / "plan"
         plan.mkdir()
@@ -217,6 +223,27 @@ MALFORMED_INPUT_CASES = {
     "trajopt-q-rest-2-vector": lambda c: _optimize_traj(c, q_rest=[0.0, 0.0]),
     "trajopt-q-start-out-of-limits": lambda c: _optimize_traj(c, q_start=[10.0] * 7),
     "trajopt-robot-directory": lambda c: _optimize_traj(c, robot=str(c.tmp)),
+    "scene-object-size-nan": lambda c: _simulate(
+        c, c.rigid_edited("object", size=[0.08, NAN, 0.05])),
+    "scene-waypoint-position-nan": lambda c: _simulate(c, c.edited(
+        c.fixture("rigid_config_path"), motion_script=[
+            {"time": 0.0, "position": [0.4, 0.0, 0.025]},
+            {"time": 1.0, "position": [0.5, NAN, 0.025]}])),
+    "scene-waypoint-yaw-inf": lambda c: _simulate(c, c.edited(
+        c.fixture("rigid_config_path"), motion_script=[
+            {"time": 0.0, "position": [0.4, 0.0, 0.025]},
+            {"time": 1.0, "position": [0.5, 0.0, 0.025], "yaw": INF}])),
+    "scene-rope-length-nan": lambda c: _simulate(c, c.rope_edited(length=NAN)),
+    "scene-rope-center-inf": lambda c: _simulate(c, c.rope_edited(center=[INF, 0.0])),
+    "scene-rope-center-1-vector": lambda c: _simulate(c, c.rope_edited(center=[0.45])),
+    "scene-rope-script-nan": lambda c: _simulate(c, c.rope_edited(
+        script=[[0.0, 3.0, 0.0], [0.5, NAN, 0.0], [1.0, 0.0, 0.0]])),
+    "scene-noise-track-sigma-nan": lambda c: _simulate(
+        c, c.rigid_edited("noise", track_sigma=NAN)),
+    "scene-image-focal-inf": lambda c: _simulate(c, c.rigid_edited("image", focal=INF)),
+    "scene-motion-script-object": lambda c: _simulate(
+        c, c.edited(c.fixture("rigid_config_path"), motion_script={})),
+    "trajopt-obstacles-object": lambda c: _optimize_traj(c, steps=11, obstacles={}),
 }
 
 # Every top-level key of the two documents a user writes by hand, each

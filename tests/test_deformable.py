@@ -208,10 +208,16 @@ class TestMassSpringStep:
             mass_spring_step(model, small, np.zeros(3))
 
 
-class TestSpringStepOracle:
-    """``_step_batch`` against the dense-incidence step, compared with array_equal."""
+def assert_same_bits(got, want):
+    """Equal values and equal bytes: a flipped signed zero fails too."""
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("batch", [1, 64])
+
+class TestSpringStepOracle:
+    """``_step_batch`` against the dense-incidence step, compared bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 64, 256])
     @pytest.mark.parametrize("build", [
         packaged_rope, dense_random_graph, lambda: dense_random_graph(seed=1, n=30),
         gravity_chain, edgeless], ids=["rope", "graph12", "graph30", "gravity", "edgeless"])
@@ -225,11 +231,34 @@ class TestSpringStepOracle:
         for _ in range(6):
             deltas = 0.01 * rng.standard_normal((batch, 3))
             deltas[:, 2] -= 0.004             # drives the gravity chain into the ground
-            pos, vel, dead = deformable._step_batch(model, pos, vel, deltas)
+            given = pos.copy(), vel.copy(), deltas.copy()
+            new_pos, new_vel, dead = deformable._step_batch(model, pos, vel, deltas)
+            for before, after in zip(given, (pos, vel, deltas)):
+                assert_same_bits(after, before)      # the caller's arrays are untouched
+            pos, vel = new_pos, new_vel
             ref_pos, ref_vel = einsum_step(model, ref_pos, ref_vel, deltas)
             assert not dead.any()
-            assert np.array_equal(pos, ref_pos)
-            assert np.array_equal(vel, ref_vel)
+            for out in (pos, vel):
+                assert out.shape == (batch, model.n_particles, 3)
+                assert out.flags.c_contiguous
+            assert_same_bits(pos, ref_pos)
+            assert_same_bits(vel, ref_vel)
+
+    def test_read_only_single_state(self):
+        """``mass_spring_step`` passes a read-only (1, N, 3) view of its state."""
+        model, start = packaged_rope()
+        state = ParticleState(start + 0.002, np.full(start.shape, 0.01))
+        pos, vel = state.positions[None], state.velocities[None]
+        assert not pos.flags.writeable and not vel.flags.writeable
+        deltas = np.array([[0.01, -0.004, 0.002]])
+        ref_pos, ref_vel = einsum_step(model, pos, vel, deltas)
+        out_pos, out_vel, dead = deformable._step_batch(model, pos, vel, deltas)
+        assert not dead.any()
+        assert_same_bits(out_pos, ref_pos)
+        assert_same_bits(out_vel, ref_vel)
+        after = mass_spring_step(model, state, deltas[0])
+        assert_same_bits(after.positions, ref_pos[0])
+        assert_same_bits(after.velocities, ref_vel[0])
 
     def test_oracle_models_cover_the_cases(self):
         rope, _ = packaged_rope()
