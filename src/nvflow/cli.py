@@ -255,14 +255,13 @@ def _do_distill(bundle: SceneBundle, out: Path, candidates: int, seed: int,
     intr = bundle.config.intrinsics
 
     def calibrate():
-        # the scale depends on frame 0 alone, and only the scale is used
-        _, scale = calibrate_depth([bundle.depth[0]], bundle.depth_ref)
+        scale = calibrate_depth(bundle.depth, bundle.depth_ref)
         tracks = TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible)
         return tracks, scale
 
     tracks, scale = stages.run("calibrate", calibrate)
     clean = stages.run("distill", lambda: distill_flow(
-        tracks, bundle.masks, intr, label=bundle.gt_flow.label))
+        tracks, bundle.mask, intr, label=bundle.gt_flow.label))
 
     def corrupt_ladder():
         flows = [clean]

@@ -118,8 +118,13 @@ class MassSpringModel:
             raise ValueError("edge indices out of range")
         if edges.size and (edges[:, 0] == edges[:, 1]).any():
             raise ValueError("self-edges are not allowed")
-        if (rest <= 0.0).any():
-            raise ValueError("rest lengths must be positive")
+        if not (np.isfinite(rest).all() and (rest > 0.0).all()):
+            raise ValueError("rest lengths must be positive and finite")
+        # Every comparison with NaN is false, so the range checks below and
+        # the stability check would let a non-finite scalar through.
+        if not np.isfinite([self.stiffness, self.damping, self.mass, self.dt,
+                            self.ground_height]).all():
+            raise ValueError("stiffness, damping, mass, dt and ground_height must be finite")
         if self.stiffness < 0.0 or self.damping < 0.0:
             raise ValueError("stiffness and damping must be non-negative")
         if self.mass <= 0.0 or self.dt <= 0.0 or self.substeps < 1:

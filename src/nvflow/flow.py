@@ -17,7 +17,6 @@ from .geometry import CameraIntrinsics, DepthMap, _frozen, project
 
 __all__ = [
     "TrackSet",
-    "MaskSequence",
     "ActionableFlow",
     "FlowCandidate",
     "DepthCalibrationError",
@@ -75,31 +74,6 @@ class TrackSet:
 
 
 @dataclass(frozen=True)
-class MaskSequence:
-    """Per-frame boolean object masks, (T, H, W)."""
-
-    masks: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = _frozen(self.masks, dtype=bool)
-        if m.ndim != 3 or m.shape[0] < 1:
-            raise ValueError(f"masks must be (T, H, W), got {m.shape}")
-        object.__setattr__(self, "masks", m)
-
-    @property
-    def frames(self) -> int:
-        return self.masks.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.masks.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.masks.shape[2]
-
-
-@dataclass(frozen=True)
 class ActionableFlow:
     """Object keypoint trajectories: (T, K, 3) camera-frame meters, all finite."""
 
@@ -132,39 +106,31 @@ class FlowCandidate:
     score: float
 
 
-def calibrate_depth(estimated: list[DepthMap],
-                    reference_first: DepthMap) -> tuple[list[DepthMap], float]:
-    """Rescale an estimated depth sequence against a metric first frame.
+def calibrate_depth(first: DepthMap, reference: DepthMap) -> float:
+    """Scale that brings an estimated first-frame depth map onto a metric one.
 
-    A single global scale, median(reference) / median(estimated[0]) with each
-    median taken over that map's own valid pixels, is applied to every frame.
-    Because a positive scale commutes with the median, the calibrated first
-    frame's median matches the reference median exactly; the median ratio is
-    also robust to outlier pixels, which is why it is preferred over an
-    affine fit here.
-
-    Returns:
-        (scaled sequence, scale factor)
+    The scale is median(reference) / median(first), each median taken over
+    that map's own valid pixels.  Because a positive scale commutes with the
+    median, ``first`` times the scale has the reference's median exactly; the
+    median ratio is also robust to outlier pixels, which is why it is
+    preferred over an affine fit here.  One global scale serves the whole
+    clip: multiply the 3-d tracks (or any later depth map) by it.
 
     Raises:
-        DepthCalibrationError: if either map has no valid pixel ("empty
-            depth") or either median is non-positive.
+        DepthCalibrationError: if the two maps differ in size, either map has
+            no valid pixel ("empty depth") or either median is non-positive.
     """
-    if len(estimated) < 1:
-        raise DepthCalibrationError("empty depth sequence")
-    first = estimated[0]
-    if first.values.shape != reference_first.values.shape:
+    if first.values.shape != reference.values.shape:
         raise DepthCalibrationError(
             f"estimated {first.values.shape} and reference "
-            f"{reference_first.values.shape} sizes differ")
-    if not first.valid.any() or not reference_first.valid.any():
+            f"{reference.values.shape} sizes differ")
+    if not first.valid.any() or not reference.valid.any():
         raise DepthCalibrationError("empty depth (a map has no valid pixels)")
     med_est = float(np.median(first.values[first.valid]))
-    med_ref = float(np.median(reference_first.values[reference_first.valid]))
+    med_ref = float(np.median(reference.values[reference.valid]))
     if med_est <= 0.0 or med_ref <= 0.0:
         raise DepthCalibrationError("non-positive depth median")
-    scale = med_ref / med_est
-    return [d.scaled(scale) for d in estimated], scale
+    return med_ref / med_est
 
 
 def _inside_mask(mask: np.ndarray, uv: np.ndarray) -> np.ndarray:
@@ -178,20 +144,23 @@ def _inside_mask(mask: np.ndarray, uv: np.ndarray) -> np.ndarray:
     return out
 
 
-def distill_flow(tracks: TrackSet, masks: MaskSequence, intrinsics: CameraIntrinsics,
+def distill_flow(tracks: TrackSet, mask: np.ndarray, intrinsics: CameraIntrinsics,
                  label: str = "") -> ActionableFlow:
     """Keep tracks that start on the object and stay visible throughout.
 
-    A track is kept when (a) its first-frame projection lands inside the
-    first-frame object mask and (b) it is visible in every frame.  Later-frame
-    masks are not consulted, because they are usually noisier.
+    A track is kept when (a) its first-frame projection lands inside
+    ``mask``, the (H, W) first-frame object mask, and (b) it is visible in
+    every frame.  Later-frame masks are not needed, because they are usually
+    noisier.
 
     Raises:
+        ValueError: if the mask is not the intrinsics' (height, width).
         GroundingError: if no track survives ("object not grounded").
     """
-    if masks.frames != tracks.frames:
-        raise ValueError(f"track frames ({tracks.frames}) and mask frames "
-                         f"({masks.frames}) differ")
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (intrinsics.height, intrinsics.width):
+        raise ValueError(f"mask is {mask.shape}, the camera image is "
+                         f"{(intrinsics.height, intrinsics.width)}")
     keep = tracks.visible.all(axis=0)
 
     pos0 = tracks.positions[0]
@@ -199,7 +168,7 @@ def distill_flow(tracks: TrackSet, masks: MaskSequence, intrinsics: CameraIntrin
     uv0 = np.zeros((tracks.count, 2))
     if front.any():
         uv0[front] = project(intrinsics, pos0[front])
-    keep &= front & _inside_mask(masks.masks[0], uv0)
+    keep &= front & _inside_mask(mask, uv0)
 
     if not keep.any():
         raise GroundingError("object not grounded (no track passed the mask "

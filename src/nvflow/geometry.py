@@ -203,12 +203,6 @@ class DepthMap:
     def valid(self) -> np.ndarray:
         return self.values > 0.0
 
-    def scaled(self, scale: float) -> "DepthMap":
-        """Multiply all valid depths by ``scale`` (invalid pixels stay 0)."""
-        if not (np.isfinite(scale) and scale > 0.0):
-            raise ValueError(f"scale must be positive and finite, got {scale}")
-        return DepthMap(self.values * scale)
-
 
 def project(intrinsics: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
     """Project camera-frame points (..., 3) to pixel coordinates (..., 2).

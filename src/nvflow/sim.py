@@ -4,9 +4,10 @@ Scenes are rendered from a fixed overhead camera looking down at a table
 (world z up, table at z = 0).  A rigid scene moves a box or cylinder through
 screw-interpolated waypoints; a rope scene deforms a constant-length
 circular-arc centerline through scripted bend/turn keyframes.  Each scene
-yields the observations the planning pipeline consumes (3-d tracks, per-frame
-object masks, depth maps) plus the ground truth to grade it against (keypoint
-flow, relative object poses, track membership, rope dynamics).
+yields the observations the planning pipeline consumes (3-d tracks, the
+first-frame object mask and depth map, a metric first-frame reference depth)
+plus the ground truth to grade it against (keypoint flow, relative object
+poses, track membership, rope dynamics).
 
 All randomness is drawn from one generator seeded per scene, so a given
 config-and-seed pair reproduces byte-identical bundles.
@@ -40,7 +41,7 @@ from .fileio import (
     sha256_file,
     write_flow,
 )
-from .flow import ActionableFlow, MaskSequence, TrackSet
+from .flow import ActionableFlow, TrackSet
 from .geometry import (
     CameraIntrinsics,
     DepthMap,
@@ -488,53 +489,53 @@ def _place_distractors(config: SceneConfig, rng: np.random.Generator,
 
 
 def _observe_tracks(config: SceneConfig, rng: np.random.Generator,
-                    true_camera: np.ndarray) -> tuple[TrackSet, np.ndarray]:
-    """Apply sensor noise to true camera-frame points; returns tracks and pixels.
+                    true_camera: np.ndarray) -> TrackSet:
+    """Apply sensor noise to true camera-frame points.
 
     Track jitter is isotropic 3-d Gaussian in metric units, then the whole
     cloud is multiplied by the depth miscalibration factor (the tracker's 3-d
     output inherits the depth sensor's scale error).
     """
-    intr = config.intrinsics
     noise = config.noise
     frames, count = true_camera.shape[:2]
     positions = true_camera.copy()
     if noise.track_sigma > 0.0:
         positions = positions + noise.track_sigma * rng.standard_normal(positions.shape)
     positions[..., 2] = np.maximum(positions[..., 2], 1e-6)
-    pixels = project(intr, positions.reshape(-1, 3)).reshape(frames, count, 2)
     positions = positions * noise.depth_scale
     if noise.dropout_prob > 0.0:
         visible = rng.random((frames, count)) >= noise.dropout_prob
     else:
         visible = np.ones((frames, count), dtype=bool)
-    return TrackSet(positions, visible), pixels
+    return TrackSet(positions, visible)
+
+
+def _first_object_depth(points: np.ndarray) -> float:
+    """Mean camera z of the object's keypoints in frame 0, from (T, K, 3) points.
+
+    Taken as row 0 of the per-frame means: numpy sums a row of the (T, K)
+    array in another order than the 1-d slice ``points[0, :, 2]``, and for
+    the rope's 20 keypoints the two means differ in the last bit.
+    """
+    return float(points[..., 2].mean(axis=1)[0])
 
 
 def _render_depth(config: SceneConfig, rng: np.random.Generator,
-                  masks: np.ndarray, object_depth: np.ndarray,
-                  plane_z: float = 0.0) -> tuple[list[DepthMap], DepthMap]:
-    """Per-frame sensor depth maps plus the metric first-frame reference.
+                  mask: np.ndarray, object_depth: float,
+                  plane_z: float = 0.0) -> tuple[DepthMap, DepthMap]:
+    """First-frame sensor depth map plus the metric first-frame reference.
 
     Depth noise is relative (multiplicative 1 + sigma * N); the reference map
-    is the true first frame, unscaled and noise-free.
+    is the same frame, unscaled and noise-free.  Only the first frame is
+    rendered, because no stage reads a later one.
     """
-    intr = config.intrinsics
     noise = config.noise
-    ground = _ground_depth(intr, config.camera.inverse(), plane_z=plane_z)
-    frames = masks.shape[0]
-    true_first: np.ndarray | None = None
-    maps: list[DepthMap] = []
-    for t in range(frames):
-        depth = ground.copy()
-        depth[masks[t]] = object_depth[t]
-        if t == 0:
-            true_first = depth.copy()
-        if noise.depth_sigma > 0.0:
-            depth = np.maximum(depth * (1.0 + noise.depth_sigma * rng.standard_normal(depth.shape)), 0.0)
-        maps.append(DepthMap(depth * noise.depth_scale))
-    assert true_first is not None
-    return maps, DepthMap(true_first)
+    depth = _ground_depth(config.intrinsics, config.camera.inverse(), plane_z=plane_z)
+    depth[mask] = object_depth
+    reference = DepthMap(depth)
+    if noise.depth_sigma > 0.0:
+        depth = np.maximum(depth * (1.0 + noise.depth_sigma * rng.standard_normal(depth.shape)), 0.0)
+    return DepthMap(depth * noise.depth_scale), reference
 
 
 # -- rigid scenes -----------------------------------------------------------------
@@ -617,18 +618,16 @@ def generate_rigid_scene(config: SceneConfig, seed: int | None = None) -> "Scene
         [gt_points, np.broadcast_to(distractors_cam, (config.frames,) + distractors_cam.shape)],
         axis=1)
 
-    tracks, pixels = _observe_tracks(config, rng, true_camera)
-    object_depth = gt_points[..., 2].mean(axis=1)
-    depth_maps, depth_ref = _render_depth(config, rng, masks, object_depth)
+    tracks = _observe_tracks(config, rng, true_camera)
+    depth, depth_ref = _render_depth(config, rng, masks[0], _first_object_depth(gt_points))
 
     n_object = config.object.surface_samples
     membership = {"object": list(range(n_object)),
                   "distractors": list(range(n_object, true_camera.shape[1]))}
     gt_flow = ActionableFlow(gt_points, label=config.object.label)
-    return SceneBundle(config=config, seed=seed, tracks=tracks, pixels=pixels,
-                       masks=MaskSequence(masks), depth=tuple(depth_maps),
-                       depth_ref=depth_ref, gt_flow=gt_flow, gt_poses=gt_poses,
-                       membership=membership)
+    return SceneBundle(config=config, seed=seed, tracks=tracks, mask=masks[0],
+                       depth=depth, depth_ref=depth_ref, gt_flow=gt_flow,
+                       gt_poses=gt_poses, membership=membership)
 
 
 # -- rope scenes ------------------------------------------------------------------
@@ -779,17 +778,15 @@ def generate_rope_scene(config: SceneConfig, seed: int | None = None) -> "SceneB
         [gt_points, np.broadcast_to(distractors_cam, (config.frames,) + distractors_cam.shape)],
         axis=1)
 
-    tracks, pixels = _observe_tracks(config, rng, true_camera)
-    object_depth = gt_points[..., 2].mean(axis=1)
-    depth_maps, depth_ref = _render_depth(config, rng, masks, object_depth)
+    tracks = _observe_tracks(config, rng, true_camera)
+    depth, depth_ref = _render_depth(config, rng, masks[0], _first_object_depth(gt_points))
 
     membership = {"object": list(range(len(kp_idx))),
                   "distractors": list(range(len(kp_idx), true_camera.shape[1]))}
     gt_flow = ActionableFlow(gt_points, label="rope")
     audit = _spurious_shape_audit(spec, gt_points, kp_idx, extr)
-    return SceneBundle(config=config, seed=seed, tracks=tracks, pixels=pixels,
-                       masks=MaskSequence(masks), depth=tuple(depth_maps),
-                       depth_ref=depth_ref, gt_flow=gt_flow, gt_poses=None,
+    return SceneBundle(config=config, seed=seed, tracks=tracks, mask=masks[0],
+                       depth=depth, depth_ref=depth_ref, gt_flow=gt_flow, gt_poses=None,
                        membership=membership, dynamics=_rope_model(spec),
                        initial_state=ParticleState.at_rest(cam[0]), audit=audit)
 
@@ -888,15 +885,19 @@ def evaluate_deformable(final: ParticleState, flow: ActionableFlow,
 
 @dataclass(frozen=True)
 class SceneBundle:
-    """Everything a scene provides: observations, ground truth, provenance."""
+    """Everything a scene provides: observations, ground truth, provenance.
+
+    Of the rendered images the bundle keeps only what a stage reads: the
+    first-frame object mask, the first-frame sensor depth map and the metric
+    reference for that frame, each at the config's image size.
+    """
 
     config: SceneConfig
     seed: int
     tracks: TrackSet
-    pixels: np.ndarray                       # (T, M, 2) observed pixels
-    masks: MaskSequence
-    depth: tuple[DepthMap, ...]
-    depth_ref: DepthMap
+    mask: np.ndarray                         # (H, W) bool, first frame
+    depth: DepthMap                          # first frame, sensor scale
+    depth_ref: DepthMap                      # first frame, metric
     gt_flow: ActionableFlow
     gt_poses: ObjectPoseTrajectory | None = None
     membership: dict = field(default_factory=dict)
@@ -905,7 +906,13 @@ class SceneBundle:
     audit: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pixels", _frozen(self.pixels))
+        mask = _frozen(self.mask, dtype=bool)
+        size = (self.config.height, self.config.width)
+        for name, shape in (("mask", mask.shape), ("depth map", self.depth.values.shape),
+                            ("reference depth map", self.depth_ref.values.shape)):
+            if shape != size:
+                raise ValueError(f"{name} is {shape}, the config's image is {size}")
+        object.__setattr__(self, "mask", mask)
 
     def write(self, out_dir) -> Path:
         """Write the bundle; the manifest hashes every file and is written last."""
@@ -927,21 +934,14 @@ class SceneBundle:
                            "width": intr.width, "height": intr.height},
             "positions": self.tracks.positions.tolist(),
             "visible": self.tracks.visible.tolist(),
-            "pixels": self.pixels.tolist(),
         }
         (out / "tracks.json").write_text(json.dumps(tracks_doc, sort_keys=True) + "\n")
         files.append("tracks.json")
 
-        for t in range(self.masks.frames):
-            rel = f"masks/{t:04d}.pgm"
-            mask_to_pgm(out / rel, self.masks.masks[t])
-            files.append(rel)
-        for t, depth in enumerate(self.depth):
-            rel = f"depth/{t:04d}.pgm"
-            depth_to_pgm(out / rel, depth)
-            files.append(rel)
+        mask_to_pgm(out / "masks/0000.pgm", self.mask)
+        depth_to_pgm(out / "depth/0000.pgm", self.depth)
         depth_to_pgm(out / "depth_ref.pgm", self.depth_ref)
-        files.append("depth_ref.pgm")
+        files += ["masks/0000.pgm", "depth/0000.pgm", "depth_ref.pgm"]
 
         write_flow(out / "gt_flow.nvfl", self.gt_flow.positions)
         files.append("gt_flow.nvfl")
@@ -985,11 +985,9 @@ class SceneBundle:
         tracks_doc = json.loads((root / "tracks.json").read_text())
         tracks = TrackSet(np.asarray(tracks_doc["positions"], dtype=float),
                           np.asarray(tracks_doc["visible"], dtype=bool))
-        pixels = np.asarray(tracks_doc["pixels"], dtype=float)
 
-        frames = int(manifest["frames"])
-        masks = np.stack([mask_from_pgm(root / f"masks/{t:04d}.pgm") for t in range(frames)])
-        depth = tuple(depth_from_pgm(root / f"depth/{t:04d}.pgm") for t in range(frames))
+        mask = mask_from_pgm(root / "masks/0000.pgm")
+        depth = depth_from_pgm(root / "depth/0000.pgm")
         depth_ref = depth_from_pgm(root / "depth_ref.pgm")
 
         flow_positions, _ = read_flow(root / "gt_flow.nvfl")
@@ -1012,7 +1010,7 @@ class SceneBundle:
                 json.loads((root / "initial_state.json").read_text()))
 
         return cls(config=config, seed=int(manifest["seed"]), tracks=tracks,
-                   pixels=pixels, masks=MaskSequence(masks), depth=depth,
-                   depth_ref=depth_ref, gt_flow=gt_flow, gt_poses=gt_poses,
+                   mask=mask, depth=depth, depth_ref=depth_ref,
+                   gt_flow=gt_flow, gt_poses=gt_poses,
                    membership=membership, dynamics=dynamics, initial_state=initial_state,
                    audit=dict(manifest.get("audit", {})))

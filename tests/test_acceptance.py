@@ -68,9 +68,9 @@ def random_rotation(rng):
 
 def distill_pose_trajectory(bundle):
     """The pipeline's estimation path: calibrate, rescale, distill, fit poses."""
-    scaled, scale = calibrate_depth(list(bundle.depth), bundle.depth_ref)
+    scale = calibrate_depth(bundle.depth, bundle.depth_ref)
     tracks = TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible)
-    flow = distill_flow(tracks, bundle.masks, bundle.config.intrinsics,
+    flow = distill_flow(tracks, bundle.mask, bundle.config.intrinsics,
                         label=bundle.gt_flow.label)
     return flow_to_pose_trajectory(flow)
 
@@ -320,9 +320,8 @@ def test_criterion_05_depth_calibration():
                                 est_vals * rng.uniform(5.0, 50.0, shape), est_vals)
             ref_vals = np.where((rng.random(shape) < 0.05) & (ref_vals > 0),
                                 ref_vals * rng.uniform(5.0, 50.0, shape), ref_vals)
-        calibrated, _ = calibrate_depth(
-            [DepthMap(est_vals), DepthMap(base)], DepthMap(ref_vals))
-        first = calibrated[0]
+        scale = calibrate_depth(DepthMap(est_vals), DepthMap(ref_vals))
+        first = DepthMap(est_vals * scale)
         med_cal = float(np.median(first.values[first.valid]))
         med_ref = float(np.median(ref_vals[ref_vals > 0.0]))
         worst_rel = max(worst_rel, abs(med_cal - med_ref) / med_ref)
@@ -420,9 +419,9 @@ def test_criterion_09_candidate_selection():
     bundle = generate_scene(SceneConfig.rigid_demo(seed=0,
                                                    noise=DEFAULT_SENSOR_NOISE))
     intr = bundle.config.intrinsics
-    scaled, scale = calibrate_depth(list(bundle.depth), bundle.depth_ref)
+    scale = calibrate_depth(bundle.depth, bundle.depth_ref)
     tracks = TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible)
-    clean = distill_flow(tracks, bundle.masks, intr, label=bundle.gt_flow.label)
+    clean = distill_flow(tracks, bundle.mask, intr, label=bundle.gt_flow.label)
     clean_score = score_flow(clean, intr)
 
     sigmas = np.linspace(0.02, 0.15, 7)

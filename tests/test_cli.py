@@ -7,6 +7,7 @@ them.  One subprocess smoke test checks the installed entry points.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -17,7 +18,7 @@ import pytest
 
 import nvflow
 from nvflow.cli import main
-from nvflow.fileio import read_flow, sha256_file, write_flow
+from nvflow.fileio import read_flow, read_pgm, sha256_file, write_flow, write_pgm
 from nvflow.sim import ObjectSpec, RopeSpec, SceneConfig
 
 SUBCOMMANDS = ("simulate", "distill", "plan-rigid", "plan-deformable",
@@ -114,6 +115,15 @@ class MalformedInputs:
         doc = json.loads(path.read_text())[part]
         return self.edited(path, **{part: {**doc, **changes}})
 
+    def cropped_bundle(self, *names):
+        """A copy of the small rigid bundle with the named images cut to 240 x 320."""
+        bundle = self.tmp / "bundle"
+        shutil.copytree(self.fixture("rigid_bundle_dir"), bundle)
+        for name in names:
+            values, maxval = read_pgm(bundle / name)
+            write_pgm(bundle / name, values[:240, :320], maxval=maxval)
+        return bundle
+
     def rigid_plan(self, plan_doc):
         plan = self.tmp / "plan"
         plan.mkdir()
@@ -137,6 +147,17 @@ DELETE = object()                         # MalformedInputs.edited removes the k
 
 def _simulate(c, config):
     return ["simulate", "--config", config, "--out-dir", c.out]
+
+
+def _distill(c, bundle):
+    return ["distill", bundle, "--out-dir", c.out]
+
+
+def _plan_deformable(c, **dynamics):
+    bundle = c.fixture("rope_bundle_dir")
+    return ["plan-deformable", "--flow", bundle / "gt_flow.nvfl",
+            "--dynamics", c.edited(bundle / "dynamics.json", **dynamics),
+            "--horizon", 2, "--out-dir", c.out]
 
 
 def _eval(c, plan_doc):
@@ -244,6 +265,13 @@ MALFORMED_INPUT_CASES = {
     "scene-motion-script-object": lambda c: _simulate(
         c, c.edited(c.fixture("rigid_config_path"), motion_script={})),
     "trajopt-obstacles-object": lambda c: _optimize_traj(c, steps=11, obstacles={}),
+    "bundle-mask-cropped": lambda c: _distill(c, c.cropped_bundle("masks/0000.pgm")),
+    "bundle-depth-cropped": lambda c: _distill(
+        c, c.cropped_bundle("depth/0000.pgm", "depth_ref.pgm")),
+    "dynamics-stiffness-nan": lambda c: _plan_deformable(c, stiffness=NAN),
+    "dynamics-damping-nan": lambda c: _plan_deformable(c, damping=NAN),
+    "dynamics-mass-inf": lambda c: _plan_deformable(c, mass=INF),
+    "dynamics-ground-height-nan": lambda c: _plan_deformable(c, ground_height=NAN),
 }
 
 # Every top-level key of the two documents a user writes by hand, each

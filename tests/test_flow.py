@@ -10,7 +10,6 @@ from nvflow.flow import (
     DepthCalibrationError,
     FlowCandidate,
     GroundingError,
-    MaskSequence,
     TrackSet,
     _stamp_digits,
     calibrate_depth,
@@ -36,61 +35,49 @@ def sorted_median(values) -> float:
 
 class TestCalibrateDepth:
     def test_constant_maps(self):
-        est = [DepthMap(np.full((4, 4), 2.0))]
+        est = DepthMap(np.full((4, 4), 2.0))
         ref = DepthMap(np.full((4, 4), 1.0))
-        calibrated, scale = calibrate_depth(est, ref)
+        scale = calibrate_depth(est, ref)
         assert scale == 0.5
-        assert np.array_equal(calibrated[0].values, np.full((4, 4), 1.0))
+        assert np.array_equal(est.values * scale, np.full((4, 4), 1.0))
 
     def test_identity_when_estimate_matches_reference(self, rng):
         values = rng.uniform(0.5, 3.0, size=(8, 8))
-        est = [DepthMap(values), DepthMap(values * 1.1)]
-        calibrated, scale = calibrate_depth(est, DepthMap(values))
+        scale = calibrate_depth(DepthMap(values), DepthMap(values))
         assert scale == 1.0
-        assert np.array_equal(calibrated[0].values, values)
+        assert np.array_equal(values * scale, values)
 
     def test_outlier_robust_hand_computed_medians(self):
-        est = [DepthMap(np.array([[1.0, 2.0, 3.0, 4.0, 100.0]]))]
+        est = DepthMap(np.array([[1.0, 2.0, 3.0, 4.0, 100.0]]))
         ref = DepthMap(np.array([[2.0, 4.0, 6.0, 0.0, 0.0]]))
-        calibrated, scale = calibrate_depth(est, ref)
+        scale = calibrate_depth(est, ref)
         med_est = sorted_median([1.0, 2.0, 3.0, 4.0, 100.0])
         med_ref = sorted_median([2.0, 4.0, 6.0])
         assert med_est == 3.0 and med_ref == 4.0
         assert np.isclose(scale, 4.0 / 3.0, rtol=1e-12)
-        out = calibrated[0]
+        out = DepthMap(est.values * scale)
         assert abs(sorted_median(out.values[out.valid]) - med_ref) < 1e-9 * med_ref
 
-    def test_scale_applies_to_every_frame(self, rng):
-        frames = [DepthMap(rng.uniform(0.5, 2.0, size=(5, 5))) for _ in range(3)]
-        ref = DepthMap(np.full((5, 5), 4.0))
-        calibrated, scale = calibrate_depth(frames, ref)
-        for before, after in zip(frames, calibrated):
-            assert np.allclose(after.values, before.values * scale)
-
     def test_scale_invariant_to_added_invalid_pixels(self):
-        est_small = [DepthMap(np.array([[1.0, 2.0, 3.0]]))]
+        est_small = DepthMap(np.array([[1.0, 2.0, 3.0]]))
         ref_small = DepthMap(np.array([[2.0, 2.0, 2.0]]))
-        _, scale_small = calibrate_depth(est_small, ref_small)
-        est_big = [DepthMap(np.array([[1.0, 2.0, 3.0, 0.0, 0.0]]))]
+        scale_small = calibrate_depth(est_small, ref_small)
+        est_big = DepthMap(np.array([[1.0, 2.0, 3.0, 0.0, 0.0]]))
         ref_big = DepthMap(np.array([[2.0, 2.0, 2.0, 0.0, 0.0]]))
-        _, scale_big = calibrate_depth(est_big, ref_big)
+        scale_big = calibrate_depth(est_big, ref_big)
         assert scale_small == scale_big
-
-    def test_empty_sequence_raises(self):
-        with pytest.raises(DepthCalibrationError, match="empty depth"):
-            calibrate_depth([], DepthMap(np.ones((2, 2))))
 
     def test_all_invalid_estimate_raises(self):
         with pytest.raises(DepthCalibrationError, match="empty depth"):
-            calibrate_depth([DepthMap(np.zeros((2, 2)))], DepthMap(np.ones((2, 2))))
+            calibrate_depth(DepthMap(np.zeros((2, 2))), DepthMap(np.ones((2, 2))))
 
     def test_all_invalid_reference_raises(self):
         with pytest.raises(DepthCalibrationError, match="empty depth"):
-            calibrate_depth([DepthMap(np.ones((2, 2)))], DepthMap(np.zeros((2, 2))))
+            calibrate_depth(DepthMap(np.ones((2, 2))), DepthMap(np.zeros((2, 2))))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DepthCalibrationError, match="differ"):
-            calibrate_depth([DepthMap(np.ones((2, 2)))], DepthMap(np.ones((3, 3))))
+            calibrate_depth(DepthMap(np.ones((2, 2))), DepthMap(np.ones((3, 3))))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), side=st.integers(2, 12),
@@ -103,8 +90,8 @@ class TestCalibrateDepth:
         ref_values[gen.random((side, side)) < dropout] = 0.0
         if not est_values.any() or not ref_values.any():
             return
-        calibrated, scale = calibrate_depth([DepthMap(est_values)], DepthMap(ref_values))
-        out = calibrated[0]
+        scale = calibrate_depth(DepthMap(est_values), DepthMap(ref_values))
+        out = DepthMap(est_values * scale)
         med_out = sorted_median(out.values[out.valid])
         med_ref = sorted_median(ref_values[ref_values > 0.0])
         assert abs(med_out - med_ref) <= 1e-9 * med_ref
@@ -112,11 +99,11 @@ class TestCalibrateDepth:
             med_ref / sorted_median(est_values[est_values > 0.0]), rel=1e-12)
 
 
-def make_mask(center_uv=(320, 240), half=60, frames=3):
-    masks = np.zeros((frames, 480, 640), dtype=bool)
+def make_mask(center_uv=(320, 240), half=60):
+    mask = np.zeros((480, 640), dtype=bool)
     u, v = center_uv
-    masks[:, v - half:v + half, u - half:u + half] = True
-    return MaskSequence(masks)
+    mask[v - half:v + half, u - half:u + half] = True
+    return mask
 
 
 class TestDistillFlow:
@@ -132,7 +119,7 @@ class TestDistillFlow:
         visible = np.ones((frames, 3), dtype=bool)
         visible[1, 2] = False
         tracks = TrackSet(positions, visible)
-        flow = distill_flow(tracks, make_mask(frames=frames), INTR, label="box")
+        flow = distill_flow(tracks, make_mask(), INTR, label="box")
         assert flow.keypoints == 1
         assert flow.label == "box"
         assert np.array_equal(flow.positions[:, 0], positions[:, 0])
@@ -144,7 +131,7 @@ class TestDistillFlow:
         positions = np.broadcast_to(
             np.concatenate([obj, bg]), (frames, n_obj + n_bg, 3)).copy()
         tracks = TrackSet(positions, np.ones((frames, n_obj + n_bg), dtype=bool))
-        flow = distill_flow(tracks, make_mask(frames=frames), INTR)
+        flow = distill_flow(tracks, make_mask(), INTR)
         assert flow.keypoints == n_obj
         assert np.allclose(flow.positions[0], obj)
 
@@ -153,21 +140,21 @@ class TestDistillFlow:
         positions[:, 0] = [0.0, 0.0, 1.0]
         positions[:, 1] = [0.0, 0.0, -1.0]
         tracks = TrackSet(positions, np.ones((2, 2), dtype=bool))
-        flow = distill_flow(tracks, make_mask(frames=2), INTR)
+        flow = distill_flow(tracks, make_mask(), INTR)
         assert flow.keypoints == 1
 
     def test_nothing_grounded_raises(self):
         positions = np.full((2, 2, 3), [0.3, 0.3, 1.0])
         tracks = TrackSet(positions, np.ones((2, 2), dtype=bool))
         with pytest.raises(GroundingError, match="not grounded"):
-            distill_flow(tracks, make_mask(frames=2), INTR)
+            distill_flow(tracks, make_mask(), INTR)
 
-    def test_frame_count_mismatch_raises(self):
+    def test_mask_size_mismatch_raises(self):
         positions = np.zeros((2, 1, 3))
         positions[..., 2] = 1.0
         tracks = TrackSet(positions, np.ones((2, 1), dtype=bool))
-        with pytest.raises(ValueError, match="frames"):
-            distill_flow(tracks, make_mask(frames=3), INTR)
+        with pytest.raises(ValueError, match="mask"):
+            distill_flow(tracks, make_mask()[:240, :320], INTR)
 
 
 def smooth_flow(step=0.001, frames=6, keypoints=4):
@@ -322,10 +309,10 @@ def reference_render(flow, intrinsics, background=None, candidate_id=None):
 def demo_flow():
     """The flow `nvflow distill` selects on the default rigid demo, and its camera."""
     bundle = generate_scene(SceneConfig.rigid_demo(noise=DEFAULT_SENSOR_NOISE), 0)
-    _, scale = calibrate_depth(list(bundle.depth), bundle.depth_ref)
+    scale = calibrate_depth(bundle.depth, bundle.depth_ref)
     tracks = TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible)
     intr = bundle.config.intrinsics
-    return distill_flow(tracks, bundle.masks, intr), intr
+    return distill_flow(tracks, bundle.mask, intr), intr
 
 
 def assert_renders_like_reference(flow, intrinsics=INTR, **kwargs):

@@ -205,12 +205,6 @@ class TestDepthMap:
         depth = DepthMap(np.array([[0.0, 1.0], [2.0, 0.0]]))
         assert np.array_equal(depth.valid, [[False, True], [True, False]])
 
-    def test_scaled_multiplies_and_keeps_invalid(self):
-        depth = DepthMap(np.array([[0.0, 2.0]]))
-        scaled = depth.scaled(1.5)
-        assert np.allclose(scaled.values, [[0.0, 3.0]])
-        assert np.array_equal(scaled.valid, depth.valid)
-
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             DepthMap(np.array([[-1.0]]))

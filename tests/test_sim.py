@@ -1,5 +1,7 @@
 """Tests for synthetic scene generation, corruption, and evaluation."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,16 +9,18 @@ import pytest
 
 from nvflow.deformable import ParticleState, build_correspondence
 from nvflow.fileio import sha256_file
-from nvflow.flow import ActionableFlow
-from nvflow.geometry import SE3Pose, rotation_from_axis_angle
+from nvflow.flow import ActionableFlow, distill_flow
+from nvflow.geometry import DepthMap, SE3Pose, project, rotation_from_axis_angle
 from nvflow.rigid import ObjectPoseTrajectory, flow_to_pose_trajectory
 from nvflow.sim import (
+    DEFAULT_SENSOR_NOISE,
     NoiseConfig,
     ObjectSpec,
     RopeSpec,
     SceneBundle,
     SceneConfig,
     Waypoint,
+    _render_mask,
     corrupt_flow,
     evaluate_deformable,
     evaluate_rigid,
@@ -94,12 +98,31 @@ class TestRigidScenes:
         assert bundle.membership["object"] == list(range(n_obj))
         assert len(bundle.membership["distractors"]) == config.distractor_points
         assert bundle.tracks.count == n_obj + config.distractor_points
-        assert bundle.pixels.shape == (config.frames, bundle.tracks.count, 2)
+        image = (config.height, config.width)
+        assert bundle.mask.shape == image and bundle.mask.dtype == bool
+        assert bundle.depth.values.shape == image
+        assert bundle.depth_ref.values.shape == image
 
     def test_masks_cover_the_object(self):
+        # The generator renders every frame's mask (distractor placement reads
+        # them all) and keeps the first; re-render each from the true pixels.
         bundle = generate_scene(small_rigid_config(distractor_points=0))
+        intr = bundle.config.intrinsics
+        pixels = project(intr, bundle.gt_flow.positions)
         for t in range(bundle.config.frames):
-            assert bundle.masks.masks[t].any()
+            mask = _render_mask(intr, pixels[t])
+            u, v = np.round(pixels[t]).astype(int).T
+            assert mask[v, u].all()
+        assert np.array_equal(bundle.mask, _render_mask(intr, pixels[0]))
+
+    def test_image_of_the_wrong_size_is_an_error(self):
+        bundle = generate_scene(small_rigid_config(distractor_points=0))
+        cropped = {"mask": bundle.mask[:240, :320],
+                   "depth": DepthMap(bundle.depth.values[:240, :320]),
+                   "depth_ref": DepthMap(bundle.depth_ref.values[:240, :320])}
+        for name, value in cropped.items():
+            with pytest.raises(ValueError, match="config's image"):
+                dataclasses.replace(bundle, **{name: value})
 
     def test_object_leaving_view_is_an_error(self):
         rest = ObjectSpec().rest_height
@@ -303,7 +326,6 @@ class TestBundleIO:
         manifest_a = (dir_a / "manifest.json").read_bytes()
         manifest_b = (dir_b / "manifest.json").read_bytes()
         assert manifest_a == manifest_b
-        import json
         for rel, digest in json.loads(manifest_a)["files"].items():
             assert sha256_file(dir_b / rel) == digest, rel
 
@@ -333,13 +355,11 @@ class TestBundleIO:
         assert back.config.to_doc() == bundle.config.to_doc()
         assert np.array_equal(back.tracks.positions, bundle.tracks.positions)
         assert np.array_equal(back.tracks.visible, bundle.tracks.visible)
-        assert np.array_equal(back.pixels, bundle.pixels)
         np.testing.assert_allclose(back.gt_flow.positions,
                                    bundle.gt_flow.positions, atol=1e-5)
         assert back.gt_flow.label == bundle.gt_flow.label
-        assert np.array_equal(back.masks.masks, bundle.masks.masks)
-        for a, b in zip(back.depth, bundle.depth):
-            np.testing.assert_allclose(a.values, b.values, atol=6e-4)
+        assert np.array_equal(back.mask, bundle.mask)
+        np.testing.assert_allclose(back.depth.values, bundle.depth.values, atol=6e-4)
         np.testing.assert_allclose(back.depth_ref.values,
                                    bundle.depth_ref.values, atol=6e-4)
         assert back.membership == bundle.membership
@@ -363,6 +383,36 @@ class TestBundleIO:
             assert np.allclose(a.translation, b.translation, atol=1e-12)
         assert back.dynamics is None
         assert back.initial_state is None
+
+    @pytest.mark.parametrize("kind", ["rigid", "rope"])
+    def test_manifest_lists_one_mask_and_one_depth_map(self, kind, tmp_path):
+        if kind == "rigid":
+            config, extra = small_rigid_config(), {"gt_poses.json"}
+        else:
+            config = SceneConfig(scene="rope", rope=RopeSpec(particles=8, flow_keypoints=8),
+                                 frames=6, distractor_points=5)
+            extra = {"dynamics.json", "initial_state.json"}
+        manifest = generate_scene(config).write(tmp_path / "scene")
+        files = set(json.loads(manifest.read_text())["files"])
+        assert files == {"scene_config.json", "tracks.json", "masks/0000.pgm",
+                         "depth/0000.pgm", "depth_ref.pgm", "gt_flow.nvfl",
+                         "gt_membership.json"} | extra
+        on_disk = {p.relative_to(tmp_path / "scene").as_posix()
+                   for p in (tmp_path / "scene").rglob("*") if p.is_file()}
+        assert on_disk == files | {"manifest.json"}
+        assert "pixels" not in json.loads((tmp_path / "scene" / "tracks.json").read_text())
+
+    def test_distill_from_disk_matches_distill_in_memory(self, tmp_path):
+        config = SceneConfig.rigid_demo(seed=2, noise=DEFAULT_SENSOR_NOISE)
+        bundle = generate_scene(config)
+        bundle.write(tmp_path / "scene")
+        back = SceneBundle.read(tmp_path / "scene")
+        intr = config.intrinsics
+        expected = distill_flow(bundle.tracks, bundle.mask, intr, label="box")
+        actual = distill_flow(back.tracks, back.mask, intr, label="box")
+        assert 0 < expected.keypoints < bundle.tracks.count
+        assert actual.positions.tobytes() == expected.positions.tobytes()
+        assert actual.label == expected.label
 
 
 class TestNoiseHonesty:
