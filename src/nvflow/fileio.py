@@ -7,7 +7,7 @@ Formats defined here:
   frame-major, keypoint-minor, xyz order.  The label is not stored.
 * flow, JSON (``.json``): ``{"version": 1, "frames": T, "points": K,
   "label": str, "positions": [[[x, y, z] * K] * T]}``.
-* masks: stacks of binary PGM (P5, maxval 255) files.
+* mask: the first frame's object mask, one PGM (P5, maxval 255, 255 = object).
 * depth: 16-bit PGM (P5, maxval 65535) holding millimeters.  A zero value
   marks an invalid pixel.
 """

@@ -417,10 +417,13 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.asarray(lower[:-1] + upper[:-1], dtype=float)
 
 
-def _render_mask(intrinsics: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:
-    """Filled convex hull of the projections plus a 3x3 stamp per point."""
+def _render_mask(intrinsics: CameraIntrinsics, pixels: np.ndarray,
+                 mask: np.ndarray | None = None) -> np.ndarray:
+    """Filled convex hull of in-image projections plus a 3x3 stamp per point,
+    ORed into ``mask`` if given, else drawn on a new (H, W) image."""
     height, width = intrinsics.height, intrinsics.width
-    mask = np.zeros((height, width), dtype=bool)
+    if mask is None:
+        mask = np.zeros((height, width), dtype=bool)
     hull = _convex_hull(pixels)
     if len(hull) >= 3:
         area = 0.0
@@ -434,57 +437,65 @@ def _render_mask(intrinsics: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray
         y0 = max(int(math.floor(hull[:, 1].min())), 0)
         y1 = min(int(math.ceil(hull[:, 1].max())), height - 1)
         if x1 >= x0 and y1 >= y0:
-            uu, vv = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
-            inside = np.ones(uu.shape, dtype=bool)
-            for i in range(len(hull)):
-                a, b = hull[i], hull[(i + 1) % len(hull)]
-                inside &= ((b[0] - a[0]) * (vv - a[1])
-                           - (b[1] - a[1]) * (uu - a[0])) >= -1e-9
-            mask[y0:y1 + 1, x0:x1 + 1] |= inside
-    for u, v in np.round(pixels).astype(int):
-        mask[max(v - 1, 0):v + 2, max(u - 1, 0):u + 2] = True
+            # Every edge's half-plane test in one (edges, rows, cols) broadcast.
+            a, b = hull[:, :, None, None], np.roll(hull, -1, axis=0)[:, :, None, None]
+            u, v = np.arange(x0, x1 + 1), np.arange(y0, y1 + 1)[:, None]
+            side = (b[:, 0] - a[:, 0]) * (v - a[:, 1]) - (b[:, 1] - a[:, 1]) * (u - a[:, 0])
+            mask[y0:y1 + 1, x0:x1 + 1] |= (side >= -1e-9).all(axis=0)
+    u, v = np.round(pixels).astype(int).T
+    step = np.arange(-1, 2)
+    mask[np.clip(v[:, None, None] + step[:, None], 0, height - 1),
+         np.clip(u[:, None, None] + step, 0, width - 1)] = True
     return mask
 
 
-def _check_in_view(intrinsics: CameraIntrinsics, pixels: np.ndarray) -> None:
-    if (pixels[..., 0].min() < 0.0 or pixels[..., 0].max() > intrinsics.width - 1
-            or pixels[..., 1].min() < 0.0 or pixels[..., 1].max() > intrinsics.height - 1):
-        raise ValueError("object leaves view: keypoints project outside the image")
-
-
 def _place_distractors(config: SceneConfig, rng: np.random.Generator,
-                       object_pixels: np.ndarray, masks: np.ndarray) -> np.ndarray:
+                       object_pixels: np.ndarray, union: np.ndarray) -> np.ndarray:
     """World ground points whose projections stay clear of the object.
 
-    A candidate is rejected when it lies inside any frame's object mask or
+    A candidate is rejected when the 5x5 window around its rounded projection
+    touches ``union``, the OR of every frame's object mask, or when it lies
     within 4 px of any object keypoint projection in any frame, which keeps
-    the ground-truth track membership unambiguous.
+    the ground-truth track membership unambiguous.  Each round draws one
+    (x, y) pair per point still missing and accepts the passing pairs in draw
+    order, so the stream is consumed as by testing one pair at a time.  A
+    point that meets 500 rejections in a row is an error.
     """
     intr = config.intrinsics
-    extr = config.camera.inverse()
     cx, cy = float(config.camera.translation[0]), float(config.camera.translation[1])
+    low, high = np.array([cx - 0.4, cy - 0.3]), np.array([cx + 0.4, cy + 0.3])
     flat = object_pixels.reshape(-1, 2)
+    near_low, near_high = flat.min(axis=0) - 5.0, flat.max(axis=0) + 5.0
+    padded = np.pad(union, 2)   # windows of in-bounds centers are never clipped
+    rows = padded[:-4] | padded[1:-3] | padded[2:-2] | padded[3:-1] | padded[4:]
+    blocked = rows[:, :-4] | rows[:, 1:-3] | rows[:, 2:-2] | rows[:, 3:-1] | rows[:, 4:]
     out = np.zeros((config.distractor_points, 3))
-    for k in range(config.distractor_points):
-        for _attempt in range(500):
-            x = rng.uniform(cx - 0.4, cx + 0.4)
-            y = rng.uniform(cy - 0.3, cy + 0.3)
-            cam = extr.apply(np.array([x, y, 0.0]))
-            if cam[2] <= 0.0:
-                continue
-            uv = project(intr, cam[None])[0]
-            if not (4.0 <= uv[0] <= intr.width - 5 and 4.0 <= uv[1] <= intr.height - 5):
-                continue
-            if np.linalg.norm(flat - uv, axis=1).min() < 4.0:
-                continue
-            iu, iv = int(round(uv[0])), int(round(uv[1]))
-            window = masks[:, max(iv - 2, 0):iv + 3, max(iu - 2, 0):iu + 3]
-            if window.any():
-                continue
-            out[k] = (x, y, 0.0)
-            break
-        else:
+    filled = misses = 0
+    while filled < len(out):
+        xy = rng.uniform(low, high, size=(len(out) - filled, 2))
+        # One point per matmul row, the product a single (3,) point gets.
+        cam = config.camera.inverse().apply(np.insert(xy, 2, 0.0, axis=1)[:, None])[:, 0]
+        ok = cam[:, 2] > 0.0
+        uv = np.full(xy.shape, -1.0)
+        uv[ok] = project(intr, cam[ok])
+        ok &= ((4.0 <= uv[:, 0]) & (uv[:, 0] <= intr.width - 5)
+               & (4.0 <= uv[:, 1]) & (uv[:, 1] <= intr.height - 5))
+        iu, iv = np.rint(uv[ok]).astype(int).T
+        ok[ok] = ~blocked[iv, iu]
+        # Outside the keypoints' box grown by 5 px, every keypoint is > 4 px away.
+        near = np.flatnonzero(ok & np.all((uv >= near_low) & (uv <= near_high), axis=1))
+        for chunk in np.array_split(near, max(1, len(near) * len(flat) >> 18)):
+            du, dv = flat[:, 0] - uv[chunk, :1], flat[:, 1] - uv[chunk, 1:]
+            # The sum np.linalg.norm forms over a length-2 axis.
+            ok[chunk] = np.sqrt(du * du + dv * dv).min(axis=1) >= 4.0
+        taken = np.flatnonzero(ok)
+        # Rejections in a row before each acceptance, and after the last one.
+        runs = np.diff(taken, prepend=-1 - misses, append=len(xy)) - 1
+        if runs.max() >= 500:
             raise ValueError("could not place distractors clear of the object")
+        misses = runs[-1]
+        out[filled:filled + len(taken), :2] = xy[taken]
+        filled += len(taken)
     return out
 
 
@@ -521,8 +532,7 @@ def _first_object_depth(points: np.ndarray) -> float:
 
 
 def _render_depth(config: SceneConfig, rng: np.random.Generator,
-                  mask: np.ndarray, object_depth: float,
-                  plane_z: float = 0.0) -> tuple[DepthMap, DepthMap]:
+                  mask: np.ndarray, object_depth: float) -> tuple[DepthMap, DepthMap]:
     """First-frame sensor depth map plus the metric first-frame reference.
 
     Depth noise is relative (multiplicative 1 + sigma * N); the reference map
@@ -530,12 +540,38 @@ def _render_depth(config: SceneConfig, rng: np.random.Generator,
     rendered, because no stage reads a later one.
     """
     noise = config.noise
-    depth = _ground_depth(config.intrinsics, config.camera.inverse(), plane_z=plane_z)
+    depth = _ground_depth(config.intrinsics, config.camera.inverse())
     depth[mask] = object_depth
     reference = DepthMap(depth)
     if noise.depth_sigma > 0.0:
         depth = np.maximum(depth * (1.0 + noise.depth_sigma * rng.standard_normal(depth.shape)), 0.0)
     return DepthMap(depth * noise.depth_scale), reference
+
+
+def _observe(config: SceneConfig, rng: np.random.Generator, gt_points: np.ndarray) -> dict:
+    """What the sensors see of true camera-frame object keypoints (T, K, 3).
+
+    Returns the ``SceneBundle`` fields ``tracks``, ``mask``, ``depth``, ``depth_ref``
+    and ``membership``; ``rng`` draws distractors, then track and depth noise.
+    """
+    intr = config.intrinsics
+    pixels = project(intr, gt_points.reshape(-1, 3)).reshape(gt_points.shape[:2] + (2,))
+    if (pixels[..., 0].min() < 0.0 or pixels[..., 0].max() > intr.width - 1
+            or pixels[..., 1].min() < 0.0 or pixels[..., 1].max() > intr.height - 1):
+        raise ValueError("object leaves view: keypoints project outside the image")
+    mask = _render_mask(intr, pixels[0])
+    union = mask.copy()
+    for frame in pixels[1:]:
+        _render_mask(intr, frame, union)
+    distractors = config.camera.inverse().apply(_place_distractors(config, rng, pixels, union))
+    true_camera = np.concatenate(
+        [gt_points, np.broadcast_to(distractors, (config.frames,) + distractors.shape)], axis=1)
+    tracks = _observe_tracks(config, rng, true_camera)
+    depth, depth_ref = _render_depth(config, rng, mask, _first_object_depth(gt_points))
+    n_object = gt_points.shape[1]
+    return {"tracks": tracks, "mask": mask, "depth": depth, "depth_ref": depth_ref,
+            "membership": {"object": list(range(n_object)),
+                           "distractors": list(range(n_object, true_camera.shape[1]))}}
 
 
 # -- rigid scenes -----------------------------------------------------------------
@@ -594,7 +630,6 @@ def generate_rigid_scene(config: SceneConfig, seed: int | None = None) -> "Scene
         raise ValueError(f"config is for a {config.scene!r} scene")
     seed = config.seed if seed is None else seed
     rng = np.random.default_rng(seed)
-    intr = config.intrinsics
     extr = config.camera.inverse()
 
     obj_pts = _sample_surface_points(config.object, rng)
@@ -602,8 +637,6 @@ def generate_rigid_scene(config: SceneConfig, seed: int | None = None) -> "Scene
     cam_poses = [extr.compose(p) for p in world_poses]
 
     gt_points = np.stack([p.apply(obj_pts) for p in cam_poses])  # (T, K, 3)
-    gt_pixels = project(intr, gt_points.reshape(-1, 3)).reshape(config.frames, -1, 2)
-    _check_in_view(intr, gt_pixels)
 
     rel = [SE3Pose.identity()]
     base_inv = cam_poses[0].inverse()
@@ -611,23 +644,9 @@ def generate_rigid_scene(config: SceneConfig, seed: int | None = None) -> "Scene
         rel.append(pose.compose(base_inv))
     gt_poses = ObjectPoseTrajectory(tuple(rel), frame="camera")
 
-    masks = np.stack([_render_mask(intr, gt_pixels[t]) for t in range(config.frames)])
-    distractors_world = _place_distractors(config, rng, gt_pixels, masks)
-    distractors_cam = extr.apply(distractors_world)
-    true_camera = np.concatenate(
-        [gt_points, np.broadcast_to(distractors_cam, (config.frames,) + distractors_cam.shape)],
-        axis=1)
-
-    tracks = _observe_tracks(config, rng, true_camera)
-    depth, depth_ref = _render_depth(config, rng, masks[0], _first_object_depth(gt_points))
-
-    n_object = config.object.surface_samples
-    membership = {"object": list(range(n_object)),
-                  "distractors": list(range(n_object, true_camera.shape[1]))}
     gt_flow = ActionableFlow(gt_points, label=config.object.label)
-    return SceneBundle(config=config, seed=seed, tracks=tracks, mask=masks[0],
-                       depth=depth, depth_ref=depth_ref, gt_flow=gt_flow,
-                       gt_poses=gt_poses, membership=membership)
+    return SceneBundle(config=config, seed=seed, gt_flow=gt_flow, gt_poses=gt_poses,
+                       **_observe(config, rng, gt_points))
 
 
 # -- rope scenes ------------------------------------------------------------------
@@ -761,34 +780,16 @@ def generate_rope_scene(config: SceneConfig, seed: int | None = None) -> "SceneB
     seed = config.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     spec = config.rope
-    intr = config.intrinsics
     extr = config.camera.inverse()
 
     world = _rope_world_frames(spec, config.frames)            # (T, N, 3)
     cam = extr.apply(world.reshape(-1, 3)).reshape(world.shape)
     kp_idx = np.round(np.linspace(0, spec.particles - 1, spec.flow_keypoints)).astype(int)
     gt_points = cam[:, kp_idx, :]                              # (T, K, 3)
-    gt_pixels = project(intr, gt_points.reshape(-1, 3)).reshape(config.frames, -1, 2)
-    _check_in_view(intr, gt_pixels)
-
-    masks = np.stack([_render_mask(intr, gt_pixels[t]) for t in range(config.frames)])
-    distractors_world = _place_distractors(config, rng, gt_pixels, masks)
-    distractors_cam = extr.apply(distractors_world)
-    true_camera = np.concatenate(
-        [gt_points, np.broadcast_to(distractors_cam, (config.frames,) + distractors_cam.shape)],
-        axis=1)
-
-    tracks = _observe_tracks(config, rng, true_camera)
-    depth, depth_ref = _render_depth(config, rng, masks[0], _first_object_depth(gt_points))
-
-    membership = {"object": list(range(len(kp_idx))),
-                  "distractors": list(range(len(kp_idx), true_camera.shape[1]))}
-    gt_flow = ActionableFlow(gt_points, label="rope")
-    audit = _spurious_shape_audit(spec, gt_points, kp_idx, extr)
-    return SceneBundle(config=config, seed=seed, tracks=tracks, mask=masks[0],
-                       depth=depth, depth_ref=depth_ref, gt_flow=gt_flow, gt_poses=None,
-                       membership=membership, dynamics=_rope_model(spec),
-                       initial_state=ParticleState.at_rest(cam[0]), audit=audit)
+    return SceneBundle(config=config, seed=seed, gt_flow=ActionableFlow(gt_points, label="rope"),
+                       dynamics=_rope_model(spec), initial_state=ParticleState.at_rest(cam[0]),
+                       audit=_spurious_shape_audit(spec, gt_points, kp_idx, extr),
+                       **_observe(config, rng, gt_points))
 
 
 def generate_scene(config: SceneConfig, seed: int | None = None) -> "SceneBundle":

@@ -1,5 +1,6 @@
 """Tests for synthetic scene generation, corruption, and evaluation."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -12,6 +13,7 @@ from nvflow.fileio import sha256_file
 from nvflow.flow import ActionableFlow, distill_flow
 from nvflow.geometry import DepthMap, SE3Pose, project, rotation_from_axis_angle
 from nvflow.rigid import ObjectPoseTrajectory, flow_to_pose_trajectory
+import nvflow.sim as sim
 from nvflow.sim import (
     DEFAULT_SENSOR_NOISE,
     NoiseConfig,
@@ -20,6 +22,8 @@ from nvflow.sim import (
     SceneBundle,
     SceneConfig,
     Waypoint,
+    _convex_hull,
+    _place_distractors,
     _render_mask,
     corrupt_flow,
     evaluate_deformable,
@@ -104,8 +108,8 @@ class TestRigidScenes:
         assert bundle.depth_ref.values.shape == image
 
     def test_masks_cover_the_object(self):
-        # The generator renders every frame's mask (distractor placement reads
-        # them all) and keeps the first; re-render each from the true pixels.
+        # The generator ORs every frame's mask into the union distractor
+        # placement reads and keeps the first; re-render each from the true pixels.
         bundle = generate_scene(small_rigid_config(distractor_points=0))
         intr = bundle.config.intrinsics
         pixels = project(intr, bundle.gt_flow.positions)
@@ -523,3 +527,139 @@ class TestDispatch:
             generate_rigid_scene(rope_config)
         with pytest.raises(ValueError, match="scene"):
             generate_rope_scene(small_rigid_config())
+
+
+# -- oracles: scene generation one frame and one attempt at a time ---------------
+
+def render_mask_per_edge(intrinsics, pixels):
+    """One frame's object mask, one hull edge and one 3x3 stamp at a time."""
+    height, width = intrinsics.height, intrinsics.width
+    mask = np.zeros((height, width), dtype=bool)
+    hull = _convex_hull(pixels)
+    if len(hull) >= 3:
+        area = 0.0
+        for i in range(len(hull)):
+            a, b = hull[i], hull[(i + 1) % len(hull)]
+            area += a[0] * b[1] - b[0] * a[1]
+        if area < 0.0:
+            hull = hull[::-1]
+        x0 = max(int(math.floor(hull[:, 0].min())), 0)
+        x1 = min(int(math.ceil(hull[:, 0].max())), width - 1)
+        y0 = max(int(math.floor(hull[:, 1].min())), 0)
+        y1 = min(int(math.ceil(hull[:, 1].max())), height - 1)
+        if x1 >= x0 and y1 >= y0:
+            uu, vv = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+            inside = np.ones(uu.shape, dtype=bool)
+            for i in range(len(hull)):
+                a, b = hull[i], hull[(i + 1) % len(hull)]
+                inside &= ((b[0] - a[0]) * (vv - a[1])
+                           - (b[1] - a[1]) * (uu - a[0])) >= -1e-9
+            mask[y0:y1 + 1, x0:x1 + 1] |= inside
+    for u, v in np.round(pixels).astype(int):
+        mask[max(v - 1, 0):v + 2, max(u - 1, 0):u + 2] = True
+    return mask
+
+
+def place_distractors_per_attempt(config, rng, object_pixels, masks):
+    """Distractor placement one (x, y) attempt at a time against a (T, H, W) mask stack."""
+    intr = config.intrinsics
+    extr = config.camera.inverse()
+    cx, cy = float(config.camera.translation[0]), float(config.camera.translation[1])
+    flat = object_pixels.reshape(-1, 2)
+    out = np.zeros((config.distractor_points, 3))
+    for k in range(config.distractor_points):
+        for _attempt in range(500):
+            x = rng.uniform(cx - 0.4, cx + 0.4)
+            y = rng.uniform(cy - 0.3, cy + 0.3)
+            cam = extr.apply(np.array([x, y, 0.0]))
+            if cam[2] <= 0.0:
+                continue
+            uv = project(intr, cam[None])[0]
+            if not (4.0 <= uv[0] <= intr.width - 5 and 4.0 <= uv[1] <= intr.height - 5):
+                continue
+            if np.linalg.norm(flat - uv, axis=1).min() < 4.0:
+                continue
+            iu, iv = int(round(uv[0])), int(round(uv[1]))
+            if masks[:, max(iv - 2, 0):iv + 3, max(iu - 2, 0):iu + 3].any():
+                continue
+            out[k] = (x, y, 0.0)
+            break
+        else:
+            raise ValueError("could not place distractors clear of the object")
+    return out
+
+
+def generator_at_state(state):
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+def yawed_camera_config(seed):
+    """The rigid demo seen by a camera turned 0.3 rad about the vertical."""
+    demo = SceneConfig.rigid_demo(seed=seed)
+    yaw = rotation_from_axis_angle(np.array([0.0, 0.0, 0.3]))
+    return dataclasses.replace(
+        demo, camera=SE3Pose(yaw @ demo.camera.rotation, demo.camera.translation))
+
+
+ORACLE_CONFIGS = (
+    [pytest.param(SceneConfig.rigid_demo(seed=s), id=f"rigid-{s}") for s in range(16)]
+    + [pytest.param(SceneConfig.rope_demo(seed=s), id=f"rope-{s}") for s in range(4)]
+    + [pytest.param(SceneConfig.rope_demo(mirrored=True, seed=s), id=f"mirrored-{s}")
+       for s in range(4)]
+    + [pytest.param(yawed_camera_config(s), id=f"yawed-camera-{s}") for s in range(2)])
+
+
+class TestGenerationOracles:
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS)
+    def test_masks_and_distractors_match_the_per_frame_per_attempt_code(
+            self, config, monkeypatch):
+        calls = []
+
+        def spy(config, rng, object_pixels, union):
+            before = copy.deepcopy(rng.bit_generator.state)
+            placed = _place_distractors(config, rng, object_pixels, union)
+            calls.append((before, object_pixels, union, placed, rng.bit_generator.state))
+            return placed
+
+        monkeypatch.setattr(sim, "_place_distractors", spy)
+        bundle = generate_scene(config)
+        [(before, pixels, union, placed, after)] = calls
+
+        stack = np.stack([render_mask_per_edge(config.intrinsics, frame) for frame in pixels])
+        assert np.array_equal(bundle.mask, stack[0])
+        assert np.array_equal(union, stack.any(axis=0))
+        rng = generator_at_state(before)
+        expected = place_distractors_per_attempt(config, rng, pixels, stack)
+        assert placed.tobytes() == expected.tobytes()
+        assert after == rng.bit_generator.state
+
+
+class TestRejectionCap:
+    PIXELS = np.array([[[320.0, 240.0], [330.0, 250.0], [320.0, 250.0], [330.0, 240.0]]])
+
+    def test_a_fully_covered_image_is_an_error_after_500_draws(self):
+        # With one point to place, each round draws one pair, so both codes
+        # stop at the same stream position.
+        config = small_rigid_config(distractor_points=1)
+        union = np.ones((config.height, config.width), dtype=bool)
+        rng, oracle_rng = np.random.default_rng(0), np.random.default_rng(0)
+        with pytest.raises(ValueError, match="could not place distractors"):
+            _place_distractors(config, rng, self.PIXELS, union)
+        with pytest.raises(ValueError, match="could not place distractors"):
+            place_distractors_per_attempt(config, oracle_rng, self.PIXELS, union[None])
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_a_small_free_region_matches_the_per_attempt_code(self):
+        # About one draw in thirty is accepted (177 draws for 6 points), so
+        # most rounds accept nothing and the rejection count runs on across
+        # rounds; the keypoints sit in the free box, so the distance test runs.
+        config = small_rigid_config(distractor_points=6)
+        union = np.ones((config.height, config.width), dtype=bool)
+        union[200:300, 250:400] = False
+        rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
+        placed = _place_distractors(config, rng, self.PIXELS, union)
+        expected = place_distractors_per_attempt(config, oracle_rng, self.PIXELS, union[None])
+        assert placed.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
