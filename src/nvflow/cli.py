@@ -222,10 +222,10 @@ def _walk_outputs(out_dir: Path, skip: tuple[str, ...] = ()) -> list[str]:
 
 def _do_simulate(config: SceneConfig, seed: int, out: Path,
                  stages: _Stages) -> SceneBundle:
+    """Generate and write a bundle; returns it as ``distill`` will read it back."""
     from .sim import generate_scene
     bundle = stages.run("simulate", lambda: generate_scene(config, seed))
-    stages.run("write_bundle", lambda: bundle.write(out))
-    return bundle
+    return stages.run("write_bundle", lambda: bundle.write(out))
 
 
 def cmd_simulate(args) -> None:
@@ -252,6 +252,7 @@ def _candidate_sigmas(count: int) -> list[float]:
 
 def _do_distill(bundle: SceneBundle, out: Path, candidates: int, seed: int,
                 stages: _Stages) -> tuple[ActionableFlow, list[str]]:
+    """Returns the selected flow as ``flow.nvfl`` stores it, and the files written."""
     intr = bundle.config.intrinsics
 
     def calibrate():
@@ -277,8 +278,7 @@ def _do_distill(bundle: SceneBundle, out: Path, candidates: int, seed: int,
 
     def write_outputs():
         files = []
-        write_flow(out / "flow.nvfl", scored[selected].flow.positions,
-                   label=scored[selected].flow.label)
+        stored = write_flow(out / "flow.nvfl", scored[selected].flow.positions)
         files.append("flow.nvfl")
         for cand in scored:
             rel = f"flow_{cand.candidate_id:02d}.ppm"
@@ -295,10 +295,9 @@ def _do_distill(bundle: SceneBundle, out: Path, candidates: int, seed: int,
             ],
         })
         files.append("scores.json")
-        return files
+        return ActionableFlow(stored), files
 
-    files = stages.run("write_flow", write_outputs)
-    return scored[selected].flow, files
+    return stages.run("write_flow", write_outputs)
 
 
 def cmd_distill(args) -> None:
@@ -503,12 +502,14 @@ def _executed_object_poses(model: RobotModel, grasp: SE3Pose, spf: int,
     return ObjectPoseTrajectory(tuple(poses), frame="camera")
 
 
-def _do_eval(run_dir: Path, bundle: SceneBundle, stages: _Stages):
-    """Grade a plan directory; returns the metrics and the files it graded."""
-    plan_json = run_dir / "plan.json"
-    final_state_json = run_dir / "final_state.json"
-    if plan_json.exists():
-        model, grasp, spf = _load_doc(plan_json, "plan file", _plan_from_doc)
+def _do_eval(run_dir: Path, bundle: SceneBundle, out: Path, stages: _Stages):
+    """Grade a plan directory as the bundle's scene kind asks; writes metrics.json.
+
+    Returns the metrics and the plan files it graded.
+    """
+    if bundle.config.scene == "rigid":
+        graded = ["plan.json", "joint_traj.csv"]
+        model, grasp, spf = _load_doc(run_dir / "plan.json", "plan file", _plan_from_doc)
         configs = _read_joint_csv(run_dir / "joint_traj.csv")
         if bundle.gt_poses is None:
             raise ConfigError("ground-truth bundle has no object poses to grade against")
@@ -517,19 +518,20 @@ def _do_eval(run_dir: Path, bundle: SceneBundle, stages: _Stages):
             executed = _executed_object_poses(model, grasp, spf, configs,
                                               bundle.config.frames)
             return evaluate_rigid(executed, bundle.gt_poses)
-
-        return stages.run("evaluate", grade), ["plan.json", "joint_traj.csv"]
-    if final_state_json.exists():
+    else:
+        graded = ["final_state.json"]
+        final = _load_doc(run_dir / "final_state.json", "particle state",
+                          ParticleState.from_doc)
         if bundle.initial_state is None:
             raise ConfigError("ground-truth bundle has no particle state to grade against")
-        final = _load_doc(final_state_json, "particle state", ParticleState.from_doc)
 
         def grade():
             corr = build_correspondence(bundle.gt_flow, bundle.initial_state.positions)
             return evaluate_deformable(final, bundle.gt_flow, corr)
 
-        return stages.run("evaluate", grade), ["final_state.json"]
-    raise ConfigError(f"no plan outputs (plan.json or final_state.json) in {run_dir}")
+    metrics = stages.run("evaluate", grade)
+    _write_json(out / "metrics.json", metrics.to_doc())
+    return metrics, graded
 
 
 def cmd_eval(args) -> None:
@@ -539,8 +541,7 @@ def cmd_eval(args) -> None:
     bundle = _load_bundle(args.gt_dir)
     out = _out_dir(args)
     stages = _Stages(args.verbose)
-    metrics, graded = _do_eval(run_dir, bundle, stages)
-    _write_json(out / "metrics.json", metrics.to_doc())
+    _, graded = _do_eval(run_dir, bundle, out, stages)
     seed = 0 if args.seed is None else args.seed
     inputs = {"gt_manifest": sha256_file(Path(args.gt_dir) / "manifest.json"),
               "graded": {name: sha256_file(run_dir / name) for name in graded},
@@ -576,14 +577,11 @@ def cmd_run(args) -> None:
         _do_plan_rigid(flow, model, obstacles, _mkdir(out / "plan"),
                        args.steps_per_frame, seed, stages)
     else:
-        if bundle.dynamics is None or bundle.initial_state is None:
-            raise ConfigError("rope pipeline needs dynamics in the scene bundle")
         _do_plan_deformable(flow, bundle.dynamics, bundle.initial_state,
                             _mkdir(out / "plan"), args.horizon, seed,
                             args.cost_mode, stages)
 
-    metrics, _ = _do_eval(out / "plan", bundle, stages)
-    _write_json(out / "metrics.json", metrics.to_doc())
+    metrics, _ = _do_eval(out / "plan", bundle, out, stages)
 
     inputs = {"scene_config": _doc_hash(config.to_doc()),
               "candidates": args.candidates, "seed": seed}

@@ -47,12 +47,13 @@ class FlowFormatError(ValueError):
         self.byte_offset = byte_offset
 
 
-def write_flow(path, positions: np.ndarray, label: str = "") -> None:
+def write_flow(path, positions: np.ndarray, label: str = "") -> np.ndarray:
     """Write a flow to ``path``; JSON when the suffix is ``.json``, else binary.
 
     ``positions`` must be a finite (T, K, 3) array.  The binary layout stores
     float32 positions and no label; the JSON layout keeps full precision and
-    the label.
+    the label.  Returns the positions :func:`read_flow` gives back, as
+    float64: the float32 values for the binary layout, ``positions`` for JSON.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 3 or pos.shape[2] != 3 or pos.shape[0] < 1 or pos.shape[1] < 1:
@@ -70,10 +71,11 @@ def write_flow(path, positions: np.ndarray, label: str = "") -> None:
             "positions": pos.tolist(),
         }
         path.write_text(json.dumps(doc) + "\n")
-        return
-    payload = pos.astype("<f4").tobytes(order="C")
+        return pos
+    stored = pos.astype("<f4")
     header = FLOW_MAGIC + struct.pack("<III", FLOW_VERSION, frames, points)
-    path.write_bytes(header + payload)
+    path.write_bytes(header + stored.tobytes(order="C"))
+    return stored.astype(float)
 
 
 def read_flow(path) -> tuple[np.ndarray, str]:
@@ -195,19 +197,28 @@ def mask_from_pgm(path) -> np.ndarray:
 
 # -- depth -------------------------------------------------------------------
 
-def depth_to_pgm(path, depth: DepthMap) -> None:
-    """Write depth as 16-bit PGM millimeters (rounded; 0 stays invalid)."""
+def _depth_from_mm(mm: np.ndarray) -> DepthMap:
+    return DepthMap(mm.astype(float) / 1000.0)
+
+
+def depth_to_pgm(path, depth: DepthMap) -> DepthMap:
+    """Write depth as 16-bit PGM millimeters (rounded; 0 stays invalid).
+
+    Returns the depth map :func:`depth_from_pgm` decodes from the file.
+    """
     mm = np.round(depth.values * 1000.0)
     if mm.max(initial=0.0) > 65535:
         raise ValueError("depth exceeds the 65.535 m range of 16-bit millimeters")
-    write_pgm(path, mm.astype(np.uint16), maxval=65535)
+    stored = mm.astype(np.uint16)
+    write_pgm(path, stored, maxval=65535)
+    return _depth_from_mm(stored)
 
 
 def depth_from_pgm(path) -> DepthMap:
     values, maxval = read_pgm(path)
     if maxval != 65535:
         raise ValueError("depth PGM must be 16-bit (maxval 65535)")
-    return DepthMap(values.astype(float) / 1000.0)
+    return _depth_from_mm(values)
 
 
 def sha256_file(path) -> str:

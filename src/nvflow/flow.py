@@ -282,9 +282,8 @@ def _stamp_digits(img: np.ndarray, text: str, origin: tuple[int, int], scale: in
 
 
 def render_flow_image(flow: ActionableFlow, intrinsics: CameraIntrinsics,
-                      background: np.ndarray | None = None,
                       candidate_id: int | None = None) -> np.ndarray:
-    """Rasterize keypoint trajectories over a background image.
+    """Rasterize keypoint trajectories onto a black image.
 
     Each keypoint leaves a polyline colored from blue (first frame) to red
     (last); a stationary flow degenerates to single dots.  Only segments with
@@ -294,15 +293,7 @@ def render_flow_image(flow: ActionableFlow, intrinsics: CameraIntrinsics,
     ``candidate_id`` is stamped in the top-left corner so a downstream
     verifier can tell candidates apart.  Returns (H, W, 3) uint8.
     """
-    if background is None:
-        img = np.zeros((intrinsics.height, intrinsics.width, 3), dtype=np.uint8)
-    else:
-        img = np.asarray(background)
-        if img.shape != (intrinsics.height, intrinsics.width, 3) or img.dtype != np.uint8:
-            raise ValueError(f"background must be ({intrinsics.height}, "
-                             f"{intrinsics.width}, 3) uint8, got {img.shape} {img.dtype}")
-        img = img.copy()
-
+    img = np.zeros((intrinsics.height, intrinsics.width, 3), dtype=np.uint8)
     frames = flow.frames
     pos = flow.positions
     front = pos[:, :, 2] > 0.0

@@ -27,7 +27,6 @@ __all__ = [
     "se3_compose",
     "se3_inverse",
     "project",
-    "backproject",
     "rotation_from_axis_angle",
     "axis_angle_from_rotation",
     "rotation_from_quaternion",
@@ -220,25 +219,6 @@ def project(intrinsics: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
     uv[..., 0] = intrinsics.fx * p[..., 0] / z + intrinsics.cx
     uv[..., 1] = intrinsics.fy * p[..., 1] / z + intrinsics.cy
     return uv
-
-
-def backproject(intrinsics: CameraIntrinsics, pixels: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """Lift pixels (..., 2) with depths (...,) back to camera-frame points.
-
-    Raises:
-        ValueError: if any depth is non-positive (invalid pixels cannot be lifted).
-    """
-    uv = np.asarray(pixels, dtype=float)
-    z = np.asarray(depth, dtype=float)
-    if uv.shape[-1] != 2:
-        raise ValueError(f"pixels must have a trailing dimension of 2, got {uv.shape}")
-    if np.any(z <= 0.0):
-        raise ValueError("cannot backproject an invalid depth (z <= 0)")
-    out = np.empty(uv.shape[:-1] + (3,))
-    out[..., 0] = (uv[..., 0] - intrinsics.cx) * z / intrinsics.fx
-    out[..., 1] = (uv[..., 1] - intrinsics.cy) * z / intrinsics.fy
-    out[..., 2] = z
-    return out
 
 
 def rotation_from_axis_angle(axis_angle: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -915,8 +915,13 @@ class SceneBundle:
                 raise ValueError(f"{name} is {shape}, the config's image is {size}")
         object.__setattr__(self, "mask", mask)
 
-    def write(self, out_dir) -> Path:
-        """Write the bundle; the manifest hashes every file and is written last."""
+    def write(self, out_dir) -> "SceneBundle":
+        """Write the bundle; the manifest hashes every file and is written last.
+
+        Returns the bundle :meth:`read` gives back: the depth maps in whole
+        millimeters and the ground-truth flow at float32 precision, as the
+        files store them.  Every other field round-trips bit for bit.
+        """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "masks").mkdir(exist_ok=True)
@@ -940,11 +945,11 @@ class SceneBundle:
         files.append("tracks.json")
 
         mask_to_pgm(out / "masks/0000.pgm", self.mask)
-        depth_to_pgm(out / "depth/0000.pgm", self.depth)
-        depth_to_pgm(out / "depth_ref.pgm", self.depth_ref)
+        depth = depth_to_pgm(out / "depth/0000.pgm", self.depth)
+        depth_ref = depth_to_pgm(out / "depth_ref.pgm", self.depth_ref)
         files += ["masks/0000.pgm", "depth/0000.pgm", "depth_ref.pgm"]
 
-        write_flow(out / "gt_flow.nvfl", self.gt_flow.positions)
+        gt_flow = write_flow(out / "gt_flow.nvfl", self.gt_flow.positions)
         files.append("gt_flow.nvfl")
 
         if self.gt_poses is not None:
@@ -975,7 +980,8 @@ class SceneBundle:
             "files": {rel: sha256_file(out / rel) for rel in sorted(files)},
         }
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        return out / "manifest.json"
+        return replace(self, depth=depth, depth_ref=depth_ref,
+                       gt_flow=ActionableFlow(gt_flow, label=self.gt_flow.label))
 
     @classmethod
     def read(cls, bundle_dir) -> "SceneBundle":

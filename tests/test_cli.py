@@ -19,7 +19,7 @@ import pytest
 import nvflow
 from nvflow.cli import main
 from nvflow.fileio import read_flow, read_pgm, sha256_file, write_flow, write_pgm
-from nvflow.sim import ObjectSpec, RopeSpec, SceneConfig
+from nvflow.sim import DEFAULT_SENSOR_NOISE, ObjectSpec, RopeSpec, SceneConfig
 
 SUBCOMMANDS = ("simulate", "distill", "plan-rigid", "plan-deformable",
                "optimize-traj", "eval", "run")
@@ -689,17 +689,84 @@ class TestFullRun:
         assert metrics["final_correspondence_rmse_mm"] is not None
         assert (out / "plan" / "final_state.json").exists()
 
-    def test_eval_subcommand_matches_pipeline_metrics(self, rigid_config_path,
-                                                      tmp_path):
+    @pytest.mark.parametrize("kind", ["rigid-noisy", "rope-flow", "rope-chamfer_final"])
+    def test_run_equals_its_subcommands_chained(self, kind, rope_config_path, tmp_path):
+        """Each stage of `run` consumes what the stage before it wrote."""
+        if kind.startswith("rope"):
+            config = rope_config_path
+            plan_args = ["--horizon", 2, "--cost-mode", kind.partition("-")[2]]
+        else:
+            config = tmp_path / "rigid_noisy.json"
+            SceneConfig(scene="rigid", frames=9, object=ObjectSpec(surface_samples=24),
+                        distractor_points=10, noise=DEFAULT_SENSOR_NOISE).save(config)
+            plan_args = []
+        seed = ["--seed", 3]
+        run, chain = tmp_path / "run", tmp_path / "chain"
+        assert run_main(["run", "--config", config, "--candidates", 3,
+                         "--out-dir", run] + plan_args + seed) == 0
+        scene = chain / "scene"
+        assert run_main(["simulate", "--config", config, "--out-dir", scene] + seed) == 0
+        assert run_main(["distill", scene, "--candidates", 3,
+                         "--out-dir", chain / "flow"] + seed) == 0
+        flow = ["--flow", chain / "flow" / "flow.nvfl", "--out-dir", chain / "plan"]
+        if kind.startswith("rope"):
+            assert run_main(["plan-deformable", *flow, "--dynamics", scene / "dynamics.json",
+                             "--state", scene / "initial_state.json"]
+                            + plan_args + seed) == 0
+        else:
+            assert run_main(["plan-rigid", *flow, "--robot", fixture_path("arm7.json"),
+                             "--obstacles", fixture_path("obstacles_demo.json")]
+                            + seed) == 0
+        assert run_main(["eval", chain / "plan", scene, "--out-dir", chain / "eval"]) == 0
+
+        def outputs(root):    # a subcommand's own manifest and timings aside
+            return {p.relative_to(root).as_posix(): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()
+                    and p.name not in ("run_manifest.json", "timings.json")}
+
+        for stage in ("scene", "flow", "plan"):
+            written, chained = outputs(run / stage), outputs(chain / stage)
+            assert written.keys() == chained.keys(), stage
+            for rel, blob in written.items():
+                assert blob == chained[rel], f"{stage}/{rel}"
+        assert (run / "metrics.json").read_bytes() == \
+            (chain / "eval" / "metrics.json").read_bytes()
+
+    def test_rerun_with_the_other_scene_kind_grades_that_kind(
+            self, rigid_config_path, rope_config_path, tmp_path):
         out = tmp_path / "run"
         assert run_main(["run", "--config", rigid_config_path,
-                         "--candidates", 2, "--out-dir", out]) == 0
-        eval_out = tmp_path / "regraded"
-        assert run_main(["eval", out / "plan", out / "scene",
-                         "--out-dir", eval_out]) == 0
-        regraded = json.loads((eval_out / "metrics.json").read_text())
-        pipeline = json.loads((out / "metrics.json").read_text())
-        assert regraded == pipeline
+                         "--candidates", 1, "--out-dir", out]) == 0
+        assert run_main(["run", "--config", rope_config_path, "--candidates", 1,
+                         "--horizon", 2, "--out-dir", out]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["final_correspondence_rmse_mm"] is not None
+        assert "translation_error_mm" not in metrics
+
+    def test_rerun_after_a_rope_run_grades_the_rigid_scene(
+            self, rigid_config_path, rope_config_path, tmp_path):
+        out = tmp_path / "run"
+        assert run_main(["run", "--config", rope_config_path, "--candidates", 1,
+                         "--horizon", 2, "--out-dir", out]) == 0
+        assert run_main(["run", "--config", rigid_config_path,
+                         "--candidates", 1, "--out-dir", out]) == 0
+        assert (out / "plan" / "final_state.json").exists()    # left by the rope run
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["translation_error_mm"] is not None
+        assert "final_correspondence_rmse_mm" not in metrics
+
+    def test_eval_of_a_rigid_bundle_needs_a_rigid_plan(
+            self, rope_bundle_dir, rigid_bundle_dir, tmp_path, capsys):
+        plan = tmp_path / "plan"
+        assert run_main(["plan-deformable", "--flow", rope_bundle_dir / "gt_flow.nvfl",
+                         "--dynamics", rope_bundle_dir / "dynamics.json",
+                         "--horizon", 1, "--out-dir", plan]) == 0
+        capsys.readouterr()
+        assert run_main(["eval", plan, rigid_bundle_dir,
+                         "--out-dir", tmp_path / "eval"]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "plan.json" in err
 
     def test_eval_manifest_does_not_depend_on_the_path_spelling(
             self, rigid_config_path, tmp_path, monkeypatch):

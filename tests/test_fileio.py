@@ -26,18 +26,32 @@ class TestFlowFiles:
     def test_binary_round_trip_is_bit_exact(self, tmp_path, rng):
         positions = rng.standard_normal((41, 200, 3)).astype(np.float32)
         path = tmp_path / "flow.nvfl"
-        write_flow(path, positions, label="ignored in binary")
+        stored = write_flow(path, positions, label="ignored in binary")
         back, label = read_flow(path)
         assert back.dtype == np.float32
         assert np.array_equal(back, positions)
+        assert stored.dtype == np.float64
+        assert np.array_equal(stored, back)
         assert label == ""
+
+    def test_binary_writer_returns_the_float32_values_it_stored(self, tmp_path, rng):
+        positions = rng.standard_normal((6, 9, 3))
+        path = tmp_path / "flow.nvfl"
+        stored = write_flow(path, positions)
+        back, _ = read_flow(path)
+        assert stored.dtype == np.float64
+        assert np.array_equal(stored, back)
+        assert not np.array_equal(stored, positions)
+        np.testing.assert_allclose(stored, positions, rtol=2**-24)
 
     def test_json_round_trip_keeps_label_and_precision(self, tmp_path, rng):
         positions = rng.standard_normal((5, 7, 3))
         path = tmp_path / "flow.json"
-        write_flow(path, positions, label="mug")
+        stored = write_flow(path, positions, label="mug")
         back, label = read_flow(path)
         assert np.array_equal(back, positions)
+        assert stored.dtype == back.dtype == np.float64
+        assert np.array_equal(stored, back)
         assert label == "mug"
 
     def test_truncated_file_reports_unexpected_end(self, tmp_path, rng):
@@ -92,9 +106,10 @@ class TestFlowFiles:
         gen = np.random.default_rng(seed)
         positions = gen.standard_normal((frames, points, 3)).astype(np.float32)
         path = tmp_path / f"{seed}.nvfl"
-        write_flow(path, positions)
+        stored = write_flow(path, positions)
         back, _ = read_flow(path)
         assert np.array_equal(back, positions)
+        assert np.array_equal(stored, back)
 
 
 class TestNetpbm:
@@ -156,17 +171,30 @@ class TestDepth:
         mm = rng.integers(0, 3000, size=(6, 6)).astype(float)
         depth = DepthMap(mm / 1000.0)
         path = tmp_path / "depth.pgm"
-        depth_to_pgm(path, depth)
+        stored = depth_to_pgm(path, depth)
         back = depth_from_pgm(path)
         assert np.allclose(back.values, depth.values, atol=1e-12)
+        assert stored.values.tobytes() == back.values.tobytes()
 
     def test_pgm_quantizes_to_millimeters(self, tmp_path):
         depth = DepthMap(np.array([[1.2344, 0.0]]))
         path = tmp_path / "depth.pgm"
-        depth_to_pgm(path, depth)
+        stored = depth_to_pgm(path, depth)
         back = depth_from_pgm(path)
         assert np.isclose(back.values[0, 0], 1.234)
         assert back.values[0, 1] == 0.0
+        assert stored.values.tobytes() == back.values.tobytes()
+
+    def test_pgm_writer_returns_the_depth_the_reader_decodes(self, tmp_path, rng):
+        values = rng.uniform(0.2, 3.0, size=(7, 9))     # sub-millimetre sensor depth
+        values[rng.random(values.shape) < 0.2] = 0.0    # invalid pixels
+        path = tmp_path / "depth.pgm"
+        stored = depth_to_pgm(path, DepthMap(values))
+        back = depth_from_pgm(path)
+        assert stored.values.dtype == back.values.dtype == np.float64
+        assert stored.values.tobytes() == back.values.tobytes()
+        assert np.abs(stored.values - values).max() <= 0.0005 + 1e-12
+        assert np.array_equal(stored.values == 0.0, values == 0.0)
 
     def test_pgm_rejects_out_of_range_depth(self, tmp_path):
         with pytest.raises(ValueError, match="range"):

@@ -261,17 +261,6 @@ class TestRenderFlowImage:
         assert (corner == 255).any()
         assert not (img_plain[:30, :30] == 255).any()
 
-    def test_background_is_preserved_outside_strokes(self, rng):
-        background = np.full((480, 640, 3), 9, dtype=np.uint8)
-        img = render_flow_image(smooth_flow(), INTR, background=background)
-        assert img[0, 0, 0] == 9
-        assert (img != 9).any()
-
-    def test_background_shape_validated(self):
-        with pytest.raises(ValueError, match="background"):
-            render_flow_image(smooth_flow(), INTR,
-                              background=np.zeros((10, 10, 3), dtype=np.uint8))
-
 
 def _draw_segment(img, a, b, color):
     """Reference rasterizer: one segment at a time, two np.linspace calls each."""
@@ -283,12 +272,9 @@ def _draw_segment(img, a, b, color):
     img[vs[ok], us[ok]] = color
 
 
-def reference_render(flow, intrinsics, background=None, candidate_id=None):
+def reference_render(flow, intrinsics, candidate_id=None):
     """Oracle for render_flow_image: the per-keypoint, per-segment loop."""
-    if background is None:
-        img = np.zeros((intrinsics.height, intrinsics.width, 3), dtype=np.uint8)
-    else:
-        img = background.copy()
+    img = np.zeros((intrinsics.height, intrinsics.width, 3), dtype=np.uint8)
     frames, pos = flow.frames, flow.positions
     front = pos[:, :, 2] > 0.0
     uv = np.zeros((frames, flow.keypoints, 2))
@@ -378,14 +364,12 @@ class TestRenderMatchesReference:
         img = assert_renders_like_reference(ActionableFlow(positions))
         assert img[..., 2].any()          # the first pair is pure blue
 
-    def test_background_and_candidate_stamp(self, rng):
-        background = rng.integers(0, 256, size=(480, 640, 3), dtype=np.uint8)
+    def test_candidate_stamp_over_strokes(self, rng):
         positions = 0.03 * rng.standard_normal((5, 20, 3))
         positions[:, :, :2] += [-0.5, -0.38]                     # runs under the stamp
         positions[..., 2] += 1.0
         for candidate_id in (None, 0, 12):
             assert_renders_like_reference(ActionableFlow(positions),
-                                          background=background,
                                           candidate_id=candidate_id)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

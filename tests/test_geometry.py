@@ -4,15 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nvflow.geometry import (
     CameraIntrinsics,
     DepthMap,
     SE3Pose,
     axis_angle_from_rotation,
-    backproject,
     project,
     quaternion_from_rotation,
     rotation_from_axis_angle,
@@ -170,30 +167,6 @@ class TestCamera:
     def test_project_behind_camera_raises(self):
         with pytest.raises(ValueError, match="behind camera"):
             project(INTR, np.array([[0.0, 0.0, -1.0]]))
-
-    def test_backproject_center_pixel(self):
-        point = backproject(INTR, np.array([[320.0, 240.0]]), np.array([2.5]))
-        assert np.allclose(point, [[0.0, 0.0, 2.5]])
-
-    def test_backproject_invalid_depth_raises(self):
-        with pytest.raises(ValueError, match="invalid depth"):
-            backproject(INTR, np.array([[320.0, 240.0]]), np.array([0.0]))
-
-    @settings(max_examples=200, deadline=None)
-    @given(u=st.floats(0.0, 639.0), v=st.floats(0.0, 479.0),
-           z=st.floats(0.1, 10.0))
-    def test_project_backproject_identity(self, u, v, z):
-        point = backproject(INTR, np.array([[u, v]]), np.array([z]))
-        uv = project(INTR, point)
-        assert np.allclose(uv, [[u, v]], atol=1e-9)
-        assert np.isclose(point[0, 2], z)
-
-    def test_backproject_project_identity(self, rng):
-        points = rng.uniform([-0.3, -0.3, 0.1], [0.3, 0.3, 10.0], size=(100, 3))
-        uv = project(INTR, points)
-        depths = points[:, 2]
-        back = backproject(INTR, uv, depths)
-        assert np.allclose(back, points, atol=1e-9)
 
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,23 @@ def small_rigid_config(frames=5, **overrides):
     return SceneConfig(**defaults)
 
 
+def assert_same_bits(a, b, where="bundle"):
+    """``a`` and ``b`` hold equal values, every array bit for bit."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            assert_same_bits(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), where
+        assert a.tobytes() == b.tobytes(), where
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), where
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert_same_bits(x, y, f"{where}[{k}]")
+    else:
+        assert a == b, where
+
+
 class TestRigidScenes:
     def test_static_script_produces_static_flow(self):
         spot = (0.45, 0.0, ObjectSpec().rest_height)
@@ -353,8 +370,9 @@ class TestBundleIO:
                                                dropout_prob=0.05,
                                                depth_scale=1.25))
         bundle = generate_scene(config)
-        bundle.write(tmp_path / "scene")
+        written = bundle.write(tmp_path / "scene")
         back = SceneBundle.read(tmp_path / "scene")
+        assert_same_bits(back, written)
         assert back.seed == bundle.seed
         assert back.config.to_doc() == bundle.config.to_doc()
         assert np.array_equal(back.tracks.positions, bundle.tracks.positions)
@@ -379,8 +397,9 @@ class TestBundleIO:
 
     def test_rigid_bundle_round_trip_keeps_poses(self, tmp_path):
         bundle = generate_scene(small_rigid_config(distractor_points=0))
-        bundle.write(tmp_path / "scene")
+        written = bundle.write(tmp_path / "scene")
         back = SceneBundle.read(tmp_path / "scene")
+        assert_same_bits(back, written)
         assert len(back.gt_poses) == len(bundle.gt_poses)
         for a, b in zip(back.gt_poses.poses, bundle.gt_poses.poses):
             assert np.allclose(a.rotation, b.rotation, atol=1e-12)
@@ -396,7 +415,8 @@ class TestBundleIO:
             config = SceneConfig(scene="rope", rope=RopeSpec(particles=8, flow_keypoints=8),
                                  frames=6, distractor_points=5)
             extra = {"dynamics.json", "initial_state.json"}
-        manifest = generate_scene(config).write(tmp_path / "scene")
+        generate_scene(config).write(tmp_path / "scene")
+        manifest = tmp_path / "scene" / "manifest.json"
         files = set(json.loads(manifest.read_text())["files"])
         assert files == {"scene_config.json", "tracks.json", "masks/0000.pgm",
                          "depth/0000.pgm", "depth_ref.pgm", "gt_flow.nvfl",
