@@ -209,23 +209,20 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _walk_outputs(out_dir: Path, skip: tuple[str, ...] = ()) -> list[str]:
-    names = []
-    for path in sorted(out_dir.rglob("*")):
-        rel = path.relative_to(out_dir).as_posix()
-        if path.is_file() and rel not in skip:
-            names.append(rel)
-    return names
-
-
 # -- simulate ----------------------------------------------------------------------
 
 def _do_simulate(config: SceneConfig, seed: int, out: Path,
-                 stages: _Stages) -> SceneBundle:
-    """Generate and write a bundle; returns it as ``distill`` will read it back."""
+                 stages: _Stages) -> tuple[SceneBundle, list[str]]:
+    """Generate and write a bundle.
+
+    Returns it as ``distill`` will read it back, and the files written: those
+    its manifest lists, and the manifest.
+    """
     from .sim import generate_scene
     bundle = stages.run("simulate", lambda: generate_scene(config, seed))
-    return stages.run("write_bundle", lambda: bundle.write(out))
+    stored = stages.run("write_bundle", lambda: bundle.write(out))
+    listed = json.loads((out / "manifest.json").read_text())["files"]
+    return stored, [*listed, "manifest.json"]
 
 
 def cmd_simulate(args) -> None:
@@ -235,10 +232,9 @@ def cmd_simulate(args) -> None:
     seed = config.seed if args.seed is None else args.seed
     out = _out_dir(args)
     stages = _Stages(args.verbose)
-    _do_simulate(config, seed, out, stages)
+    _, files = _do_simulate(config, seed, out, stages)
     inputs = {"scene_config": _doc_hash(config.to_doc()), "seed": seed}
-    _finish(out, "simulate", seed, inputs,
-            _walk_outputs(out, skip=("run_manifest.json", "timings.json")), stages)
+    _finish(out, "simulate", seed, inputs, files, stages)
 
 
 # -- distill -----------------------------------------------------------------------
@@ -570,23 +566,28 @@ def cmd_run(args) -> None:
     out = _out_dir(args)
     stages = _Stages(args.verbose)
 
-    bundle = _do_simulate(config, seed, out / "scene", stages)
-    flow, _ = _do_distill(bundle, _mkdir(out / "flow"), args.candidates, seed, stages)
+    bundle, scene_files = _do_simulate(config, seed, out / "scene", stages)
+    flow, flow_files = _do_distill(bundle, _mkdir(out / "flow"), args.candidates,
+                                   seed, stages)
 
     if config.scene == "rigid":
-        _do_plan_rigid(flow, model, obstacles, _mkdir(out / "plan"),
-                       args.steps_per_frame, seed, stages)
+        plan_files = _do_plan_rigid(flow, model, obstacles, _mkdir(out / "plan"),
+                                    args.steps_per_frame, seed, stages)
     else:
-        _do_plan_deformable(flow, bundle.dynamics, bundle.initial_state,
-                            _mkdir(out / "plan"), args.horizon, seed,
-                            args.cost_mode, stages)
+        plan_files = _do_plan_deformable(flow, bundle.dynamics, bundle.initial_state,
+                                         _mkdir(out / "plan"), args.horizon, seed,
+                                         args.cost_mode, stages)
 
     metrics, _ = _do_eval(out / "plan", bundle, out, stages)
 
+    # Only what this run wrote: files an earlier command left in --out-dir
+    # are not hashed into the manifest.
+    files = ([f"scene/{rel}" for rel in scene_files]
+             + [f"flow/{rel}" for rel in flow_files]
+             + [f"plan/{rel}" for rel in plan_files] + ["metrics.json"])
     inputs = {"scene_config": _doc_hash(config.to_doc()),
               "candidates": args.candidates, "seed": seed}
-    _finish(out, "run", seed, inputs,
-            _walk_outputs(out, skip=("run_manifest.json", "timings.json")), stages)
+    _finish(out, "run", seed, inputs, files, stages)
     if args.verbose:
         print(f"[nvflow] success={metrics.success}", file=sys.stderr)
 

@@ -288,12 +288,14 @@ def render_flow_image(flow: ActionableFlow, intrinsics: CameraIntrinsics,
     Each keypoint leaves a polyline colored from blue (first frame) to red
     (last); a stationary flow degenerates to single dots.  Only segments with
     both endpoints in front of the camera are drawn.  Paint order: frame
-    pairs are drawn in frame order, each in one pass and one color, and a
-    later pair overwrites the pixels of earlier ones.  When given,
-    ``candidate_id`` is stamped in the top-left corner so a downstream
-    verifier can tell candidates apart.  Returns (H, W, 3) uint8.
+    pairs are drawn in frame order, and a later pair overwrites the pixels
+    of earlier ones.  Pair t paints its number t + 1 (0 is background) into
+    one integer per pixel, and the numbers become colors once after the last
+    pair, so each pixel takes the color of the last pair that crossed it.
+    When given, ``candidate_id`` is stamped in the top-left corner so a
+    downstream verifier can tell candidates apart.  Returns (H, W, 3) uint8.
     """
-    img = np.zeros((intrinsics.height, intrinsics.width, 3), dtype=np.uint8)
+    width, height = intrinsics.width, intrinsics.height
     frames = flow.frames
     pos = flow.positions
     front = pos[:, :, 2] > 0.0
@@ -301,13 +303,17 @@ def render_flow_image(flow: ActionableFlow, intrinsics: CameraIntrinsics,
     if front.any():
         uv[front] = project(intrinsics, pos[front])
 
-    pixels = img.reshape(-1, 3)
+    last = np.zeros(height * width, dtype=np.intp)     # pair number per pixel
+    red = np.zeros(frames, dtype=np.uint8)              # color of each number
+    blue = np.zeros(frames, dtype=np.uint8)
     for t in range(frames - 1):
         frac = t / max(frames - 2, 1)
-        color = np.array([round(255 * frac), 0, round(255 * (1.0 - frac))], dtype=np.uint8)
+        red[t + 1], blue[t + 1] = round(255 * frac), round(255 * (1.0 - frac))
         key = front[t] & front[t + 1]
-        pixels[_segment_pixels(uv[t, key], uv[t + 1, key],
-                               intrinsics.width, intrinsics.height)] = color
+        last[_segment_pixels(uv[t, key], uv[t + 1, key], width, height)] = t + 1
+    img = np.zeros((height, width, 3), dtype=np.uint8)
+    img[..., 0] = red.take(last).reshape(height, width)
+    img[..., 2] = blue.take(last).reshape(height, width)
     if candidate_id is not None:
         _stamp_digits(img, str(int(candidate_id)), origin=(4, 4))
     return img

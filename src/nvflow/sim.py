@@ -1000,8 +1000,11 @@ class SceneBundle:
         flow_positions, _ = read_flow(root / "gt_flow.nvfl")
         gt_flow = ActionableFlow(flow_positions, label=manifest.get("label", ""))
 
+        # Optional files count only when listed: a file an earlier bundle
+        # left in the directory is not part of this one.
+        listed = manifest["files"]
         gt_poses = None
-        if (root / "gt_poses.json").exists():
+        if "gt_poses.json" in listed:
             gt_poses = ObjectPoseTrajectory.from_json(root / "gt_poses.json")
 
         membership_doc = json.loads((root / "gt_membership.json").read_text())
@@ -1010,9 +1013,9 @@ class SceneBundle:
 
         dynamics = None
         initial_state = None
-        if (root / "dynamics.json").exists():
+        if "dynamics.json" in listed:
             dynamics = load_dynamics(root / "dynamics.json")
-        if (root / "initial_state.json").exists():
+        if "initial_state.json" in listed:
             initial_state = ParticleState.from_doc(
                 json.loads((root / "initial_state.json").read_text()))
 

@@ -755,6 +755,37 @@ class TestFullRun:
         assert metrics["translation_error_mm"] is not None
         assert "final_correspondence_rmse_mm" not in metrics
 
+    def test_rerun_with_fewer_candidates_lists_only_its_files(self, rigid_config_path,
+                                                              tmp_path):
+        args = ["run", "--config", rigid_config_path, "--seed", 1]
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        assert run_main(args + ["--candidates", 8, "--out-dir", out]) == 0
+        assert run_main(args + ["--candidates", 2, "--out-dir", out]) == 0
+        assert run_main(args + ["--candidates", 2, "--out-dir", fresh]) == 0
+        assert (out / "flow" / "flow_07.ppm").exists()        # left by the first run
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert [rel for rel in manifest["files"] if rel.endswith(".ppm")] == [
+            "flow/flow_00.ppm", "flow/flow_01.ppm"]
+        assert (out / "run_manifest.json").read_bytes() == \
+            (fresh / "run_manifest.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    def test_rope_after_rigid_lists_only_rope_files(self, command, rigid_config_path,
+                                                    rope_config_path, tmp_path):
+        extra = ["--candidates", 1, "--horizon", 2] if command == "run" else []
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run_main([command, "--config", rigid_config_path, "--out-dir", out]
+                        + extra) == 0
+        assert run_main([command, "--config", rope_config_path, "--out-dir", out]
+                        + extra) == 0
+        assert run_main([command, "--config", rope_config_path, "--out-dir", fresh]
+                        + extra) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert not any(rel.endswith(("gt_poses.json", "plan.json", "joint_traj.csv"))
+                       for rel in manifest["files"])
+        assert (out / "run_manifest.json").read_bytes() == \
+            (fresh / "run_manifest.json").read_bytes()
+
     def test_eval_of_a_rigid_bundle_needs_a_rigid_plan(
             self, rope_bundle_dir, rigid_bundle_dir, tmp_path, capsys):
         plan = tmp_path / "plan"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvflow.cli import _candidate_sigmas
 from nvflow.flow import (
     ActionableFlow,
     DepthCalibrationError,
@@ -371,6 +372,47 @@ class TestRenderMatchesReference:
         for candidate_id in (None, 0, 12):
             assert_renders_like_reference(ActionableFlow(positions),
                                           candidate_id=candidate_id)
+
+    def test_later_pairs_repaint_earlier_ones(self):
+        # Keypoint 0 sweeps row 200 right, back and half-way right again;
+        # keypoint 1 runs down, up and down column 300 across it.
+        pixels = np.array([[[100, 200], [300, 100]],
+                           [[400, 200], [300, 300]],
+                           [[100, 200], [300, 100]],
+                           [[250, 200], [300, 300]]], dtype=float)
+        xy = (pixels - [INTR.cx, INTR.cy]) / [INTR.fx, INTR.fy]
+        positions = np.concatenate([xy, np.ones(xy.shape[:2] + (1,))], axis=2)
+        img = assert_renders_like_reference(ActionableFlow(positions))
+        assert img[200, 200].tolist() == [255, 0, 0]      # pair 2 over pairs 0 and 1
+        assert img[200, 350].tolist() == [128, 0, 128]    # pair 1 over pair 0
+        assert img[150, 300].tolist() == [255, 0, 0]      # the crossing pixels' last pair
+        assert img[200, 300].tolist() == [255, 0, 0]
+
+    def test_more_than_256_frames(self):
+        # One keypoint walks along row 240 two pixels a frame, so each pair
+        # paints pixels of its own; pair numbers run past 255.
+        frames = 300
+        u = 20.0 + 2.0 * np.arange(frames)
+        positions = np.zeros((frames, 1, 3))
+        positions[:, 0, 0] = (u - INTR.cx) / INTR.fx
+        positions[:, 0, 2] = 1.0
+        img = assert_renders_like_reference(ActionableFlow(positions))
+        assert img[240, 618].tolist() == [255, 0, 0]      # the last pair is pure red
+        assert img[240, 20].tolist() == [0, 0, 255]       # the first pure blue
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_candidate_distill_draws(self, seed, tmp_path):
+        # The images `nvflow run --candidates 8` writes: the flow distilled
+        # from the bundle as stored, and its noise ladder at seed * 1000 + k.
+        config = SceneConfig.rigid_demo(noise=DEFAULT_SENSOR_NOISE)
+        bundle = generate_scene(config, seed).write(tmp_path / "scene")
+        scale = calibrate_depth(bundle.depth, bundle.depth_ref)
+        tracks = TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible)
+        clean = distill_flow(tracks, bundle.mask, config.intrinsics)
+        assert_renders_like_reference(clean, config.intrinsics, candidate_id=0)
+        for k, sigma in enumerate(_candidate_sigmas(8), start=1):
+            noisy = corrupt_flow(clean, sigma=sigma, seed=seed * 1000 + k)
+            assert_renders_like_reference(noisy, config.intrinsics, candidate_id=k)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_endpoint_raises(self):

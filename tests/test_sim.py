@@ -407,6 +407,21 @@ class TestBundleIO:
         assert back.dynamics is None
         assert back.initial_state is None
 
+    def test_read_skips_files_the_manifest_does_not_list(self, tmp_path):
+        rigid = generate_scene(small_rigid_config())
+        rope = generate_scene(SceneConfig(scene="rope", frames=6, distractor_points=5,
+                                          rope=RopeSpec(particles=8, flow_keypoints=8)))
+        rigid.write(tmp_path / "scene")
+        rope.write(tmp_path / "scene")
+        assert (tmp_path / "scene" / "gt_poses.json").exists()   # the rigid bundle's
+        back = SceneBundle.read(tmp_path / "scene")
+        assert back.gt_poses is None
+        assert back.dynamics is not None and back.initial_state is not None
+        rigid.write(tmp_path / "scene")
+        back = SceneBundle.read(tmp_path / "scene")
+        assert back.gt_poses is not None
+        assert back.dynamics is None and back.initial_state is None
+
     @pytest.mark.parametrize("kind", ["rigid", "rope"])
     def test_manifest_lists_one_mask_and_one_depth_map(self, kind, tmp_path):
         if kind == "rigid":
