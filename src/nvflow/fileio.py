@@ -10,6 +10,10 @@ Formats defined here:
 * mask: the first frame's object mask, one PGM (P5, maxval 255, 255 = object).
 * depth: 16-bit PGM (P5, maxval 65535) holding millimeters.  A zero value
   marks an invalid pixel.
+
+A scene bundle (``sim.SceneBundle``) also holds its 3-d tracks in numpy's
+own ``.npy`` format, written by ``np.save`` and read without pickles:
+``tracks.npy`` (T, M, 3) float64 positions and ``visible.npy`` (T, M) bool.
 """
 
 from __future__ import annotations

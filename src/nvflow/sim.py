@@ -10,7 +10,10 @@ plus the ground truth to grade it against (keypoint flow, relative object
 poses, track membership, rope dynamics).
 
 All randomness is drawn from one generator seeded per scene, so a given
-config-and-seed pair reproduces byte-identical bundles.
+config-and-seed pair reproduces byte-identical bundles.  On disk a bundle
+keeps the tracks as binary ``tracks.npy`` and ``visible.npy`` arrays, the
+images as PGM, the flow as ``.nvfl`` and everything else as JSON (formats
+in ``fileio``).
 """
 
 from __future__ import annotations
@@ -381,25 +384,52 @@ def _ground_depth(intrinsics: CameraIntrinsics, extrinsic: SE3Pose,
     normal = extrinsic.rotation @ np.array([0.0, 0.0, 1.0])
     on_plane = extrinsic.apply(np.array([0.0, 0.0, plane_z]))
     offset = float(normal @ on_plane)
-    u = np.arange(intrinsics.width)
-    v = np.arange(intrinsics.height)
-    uu, vv = np.meshgrid(u, v)
-    rays = np.stack([(uu - intrinsics.cx) / intrinsics.fx,
-                     (vv - intrinsics.cy) / intrinsics.fy,
-                     np.ones_like(uu, dtype=float)], axis=-1)
+    # Each ray (u - cx) / fx, (v - cy) / fy, 1 broadcast along its row or column.
+    rays = np.empty((intrinsics.height, intrinsics.width, 3))
+    rays[..., 0] = (np.arange(intrinsics.width) - intrinsics.cx) / intrinsics.fx
+    rays[..., 1] = ((np.arange(intrinsics.height) - intrinsics.cy) / intrinsics.fy)[:, None]
+    rays[..., 2] = 1.0
     denom = rays @ normal
     depth = np.zeros((intrinsics.height, intrinsics.width))
-    hit = np.abs(denom) > 1e-9
-    depth[hit] = offset / denom[hit]
-    depth[depth < 0.0] = 0.0
+    np.divide(offset, denom, out=depth, where=np.abs(denom) > 1e-9)
+    np.copyto(depth, 0.0, where=depth < 0.0)
     return depth
 
 
+def _drop_interior(pts: np.ndarray) -> np.ndarray:
+    """``pts`` without the points strictly inside the polygon of its extremes.
+
+    The polygon joins, counterclockwise, the points extreme along x, x + y,
+    y, y - x and their opposites, with repeats removed (a zero-length edge
+    would keep every point).  A point inside it by more than 1e-6 on every
+    edge is no hull vertex.  Order is kept.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    s, d = x + y, x - y
+    ring = np.array([x.argmax(), s.argmax(), y.argmax(), d.argmin(),
+                     x.argmin(), s.argmin(), y.argmin(), d.argmax()])
+    ring = ring[ring != np.roll(ring, 1)]
+    if len(ring) < 3:
+        return pts
+    a, b = pts[ring][:, :, None], pts[np.roll(ring, -1)][:, :, None]
+    side = (b[:, 0] - a[:, 0]) * (y - a[:, 1]) - (b[:, 1] - a[:, 1]) * (x - a[:, 0])
+    return pts[~(side > 1e-6).all(axis=0)]
+
+
 def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain convex hull of 2-d points; collinear inputs collapse."""
-    pts = sorted(set((float(x), float(y)) for x, y in np.round(points, 6)))
+    """Monotone-chain convex hull of 2-d points; collinear inputs collapse.
+
+    The points are rounded to 1e-6, sorted by (x, y) and made distinct;
+    :func:`_drop_interior` then thins them before the chain.
+    """
+    pts = np.round(np.asarray(points, dtype=float).reshape(-1, 2), 6)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    distinct = np.ones(len(pts), dtype=bool)
+    distinct[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[distinct]
     if len(pts) <= 2:
-        return np.asarray(pts, dtype=float).reshape(-1, 2)
+        return pts
+    pts = _drop_interior(pts).tolist()
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -884,6 +914,18 @@ def evaluate_deformable(final: ParticleState, flow: ActionableFlow,
 
 # -- bundle I/O --------------------------------------------------------------------
 
+def _load_array(path: Path, dtype) -> np.ndarray:
+    """The array a ``.npy`` file holds, which must be of ``dtype``."""
+    try:
+        with open(path, "rb") as file:
+            array = np.load(file, allow_pickle=False)
+    except (EOFError, ValueError) as exc:     # empty, cut short, or pickled objects
+        raise ValueError(f"{path.name}: {exc}") from None
+    if not isinstance(array, np.ndarray) or array.dtype != dtype:
+        raise ValueError(f"{path.name} must hold a {np.dtype(dtype)} array")
+    return array
+
+
 @dataclass(frozen=True)
 class SceneBundle:
     """Everything a scene provides: observations, ground truth, provenance.
@@ -907,6 +949,12 @@ class SceneBundle:
     audit: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        frames = {"tracks": self.tracks.frames, "ground-truth flow": self.gt_flow.frames}
+        if self.gt_poses is not None:
+            frames["ground-truth poses"] = len(self.gt_poses)
+        for name, count in frames.items():
+            if count != self.config.frames:
+                raise ValueError(f"{name}: {count} frames, the config has {self.config.frames}")
         mask = _frozen(self.mask, dtype=bool)
         size = (self.config.height, self.config.width)
         for name, shape in (("mask", mask.shape), ("depth map", self.depth.values.shape),
@@ -931,18 +979,9 @@ class SceneBundle:
         self.config.save(out / "scene_config.json")
         files.append("scene_config.json")
 
-        intr = self.config.intrinsics
-        tracks_doc = {
-            "version": 1,
-            "frames": self.tracks.frames,
-            "tracks": self.tracks.count,
-            "intrinsics": {"fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
-                           "width": intr.width, "height": intr.height},
-            "positions": self.tracks.positions.tolist(),
-            "visible": self.tracks.visible.tolist(),
-        }
-        (out / "tracks.json").write_text(json.dumps(tracks_doc, sort_keys=True) + "\n")
-        files.append("tracks.json")
+        np.save(out / "tracks.npy", self.tracks.positions)
+        np.save(out / "visible.npy", self.tracks.visible)
+        files += ["tracks.npy", "visible.npy"]
 
         mask_to_pgm(out / "masks/0000.pgm", self.mask)
         depth = depth_to_pgm(out / "depth/0000.pgm", self.depth)
@@ -989,9 +1028,8 @@ class SceneBundle:
         manifest = json.loads((root / "manifest.json").read_text())
         config = SceneConfig.load(root / "scene_config.json")
 
-        tracks_doc = json.loads((root / "tracks.json").read_text())
-        tracks = TrackSet(np.asarray(tracks_doc["positions"], dtype=float),
-                          np.asarray(tracks_doc["visible"], dtype=bool))
+        tracks = TrackSet(_load_array(root / "tracks.npy", np.float64),
+                          _load_array(root / "visible.npy", np.bool_))
 
         mask = mask_from_pgm(root / "masks/0000.pgm")
         depth = depth_from_pgm(root / "depth/0000.pgm")

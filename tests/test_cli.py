@@ -5,6 +5,7 @@ exit codes and stderr discipline are asserted exactly as a shell would see
 them.  One subprocess smoke test checks the installed entry points.
 """
 
+import io
 import json
 import os
 import shutil
@@ -124,6 +125,31 @@ class MalformedInputs:
             write_pgm(bundle / name, values[:240, :320], maxval=maxval)
         return bundle
 
+    def edited_bundle(self, **edits):
+        """A copy of the small rigid bundle with files replaced.
+
+        ``edits`` maps a file's stem (``tracks`` for ``tracks.npy``,
+        ``gt_poses`` for ``gt_poses.json``) to a function of its array or
+        JSON document that returns what takes its place: raw bytes, None to
+        delete the file, or an array or document to save (pickled if it
+        must be).
+        """
+        bundle = self.tmp / "bundle"
+        shutil.copytree(self.fixture("rigid_bundle_dir"), bundle)
+        for stem, edit in edits.items():
+            path = next(bundle.glob(f"{stem}.*"))
+            is_json = path.suffix == ".json"
+            value = edit(json.loads(path.read_text()) if is_json else np.load(path))
+            if value is None:
+                path.unlink()
+            elif isinstance(value, bytes):
+                path.write_bytes(value)
+            elif is_json:
+                path.write_text(json.dumps(value))
+            else:
+                np.save(path, value, allow_pickle=True)
+        return bundle
+
     def rigid_plan(self, plan_doc):
         plan = self.tmp / "plan"
         plan.mkdir()
@@ -151,6 +177,12 @@ def _simulate(c, config):
 
 def _distill(c, bundle):
     return ["distill", bundle, "--out-dir", c.out]
+
+
+def _npy_bytes(array, save=np.save):
+    buffer = io.BytesIO()
+    save(buffer, array)
+    return buffer.getvalue()
 
 
 def _plan_deformable(c, **dynamics):
@@ -268,6 +300,29 @@ MALFORMED_INPUT_CASES = {
     "bundle-mask-cropped": lambda c: _distill(c, c.cropped_bundle("masks/0000.pgm")),
     "bundle-depth-cropped": lambda c: _distill(
         c, c.cropped_bundle("depth/0000.pgm", "depth_ref.pgm")),
+    "bundle-tracks-empty": lambda c: _distill(c, c.edited_bundle(tracks=lambda a: b"")),
+    "bundle-tracks-truncated": lambda c: _distill(
+        c, c.edited_bundle(tracks=lambda a: _npy_bytes(a)[:-24])),
+    "bundle-visible-header-truncated": lambda c: _distill(
+        c, c.edited_bundle(visible=lambda a: _npy_bytes(a)[:40])),
+    "bundle-tracks-pickled-objects": lambda c: _distill(
+        c, c.edited_bundle(tracks=lambda a: a.astype(object))),
+    "bundle-tracks-zip-archive": lambda c: _distill(
+        c, c.edited_bundle(tracks=lambda a: _npy_bytes(a, np.savez))),
+    "bundle-tracks-missing": lambda c: _distill(c, c.edited_bundle(tracks=lambda a: None)),
+    "bundle-visible-missing": lambda c: _distill(c, c.edited_bundle(visible=lambda a: None)),
+    "bundle-tracks-float32": lambda c: _distill(
+        c, c.edited_bundle(tracks=lambda a: a.astype(np.float32))),
+    "bundle-visible-uint8": lambda c: _distill(
+        c, c.edited_bundle(visible=lambda a: a.astype(np.uint8))),
+    "bundle-tracks-xy-only": lambda c: _distill(
+        c, c.edited_bundle(tracks=lambda a: a[..., :2])),
+    "bundle-visible-one-track-short": lambda c: _distill(
+        c, c.edited_bundle(visible=lambda a: a[:, :-1])),
+    "bundle-frames-fewer-than-config": lambda c: _distill(
+        c, c.edited_bundle(tracks=lambda a: a[:-3], visible=lambda a: a[:-3])),
+    "bundle-gt-poses-fewer-than-config": lambda c: _distill(c, c.edited_bundle(
+        gt_poses=lambda doc: {**doc, "poses": doc["poses"][:-3]})),
     "dynamics-stiffness-nan": lambda c: _plan_deformable(c, stiffness=NAN),
     "dynamics-damping-nan": lambda c: _plan_deformable(c, damping=NAN),
     "dynamics-mass-inf": lambda c: _plan_deformable(c, mass=INF),
@@ -536,6 +591,14 @@ class TestSimulate:
         assert timings["total"] > 0.0
         assert [name for name, _ in timings["stages"]] == ["simulate",
                                                            "write_bundle"]
+
+    def test_same_seed_gives_byte_identical_track_arrays(self, rigid_config_path, tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run_main(["simulate", "--config", rigid_config_path,
+                             "--seed", 3, "--out-dir", out]) == 0
+        for name in ("tracks.npy", "visible.npy", "manifest.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_seed_flag_overrides_config_seed(self, rigid_config_path,
                                              tmp_path):

@@ -10,8 +10,14 @@ import pytest
 
 from nvflow.deformable import ParticleState, build_correspondence
 from nvflow.fileio import sha256_file
-from nvflow.flow import ActionableFlow, distill_flow
-from nvflow.geometry import DepthMap, SE3Pose, project, rotation_from_axis_angle
+from nvflow.flow import ActionableFlow, TrackSet, distill_flow
+from nvflow.geometry import (
+    CameraIntrinsics,
+    DepthMap,
+    SE3Pose,
+    project,
+    rotation_from_axis_angle,
+)
 from nvflow.rigid import ObjectPoseTrajectory, flow_to_pose_trajectory
 import nvflow.sim as sim
 from nvflow.sim import (
@@ -23,6 +29,8 @@ from nvflow.sim import (
     SceneConfig,
     Waypoint,
     _convex_hull,
+    _drop_interior,
+    _ground_depth,
     _place_distractors,
     _render_mask,
     corrupt_flow,
@@ -144,6 +152,17 @@ class TestRigidScenes:
         for name, value in cropped.items():
             with pytest.raises(ValueError, match="config's image"):
                 dataclasses.replace(bundle, **{name: value})
+
+    def test_frame_count_other_than_the_config_s_is_an_error(self):
+        bundle = generate_scene(small_rigid_config(frames=6, distractor_points=0))
+        cut_tracks = TrackSet(bundle.tracks.positions[:-2], bundle.tracks.visible[:-2])
+        cut_flow = ActionableFlow(bundle.gt_flow.positions[:-2], label="box")
+        cut_poses = ObjectPoseTrajectory(bundle.gt_poses.poses[:-2], frame="camera")
+        for changes in ({"tracks": cut_tracks}, {"gt_flow": cut_flow},
+                        {"gt_poses": cut_poses},
+                        {"tracks": cut_tracks, "gt_flow": cut_flow, "gt_poses": cut_poses}):
+            with pytest.raises(ValueError, match="the config has 6"):
+                dataclasses.replace(bundle, **changes)
 
     def test_object_leaving_view_is_an_error(self):
         rest = ObjectSpec().rest_height
@@ -433,13 +452,21 @@ class TestBundleIO:
         generate_scene(config).write(tmp_path / "scene")
         manifest = tmp_path / "scene" / "manifest.json"
         files = set(json.loads(manifest.read_text())["files"])
-        assert files == {"scene_config.json", "tracks.json", "masks/0000.pgm",
+        assert files == {"scene_config.json", "tracks.npy", "visible.npy", "masks/0000.pgm",
                          "depth/0000.pgm", "depth_ref.pgm", "gt_flow.nvfl",
                          "gt_membership.json"} | extra
         on_disk = {p.relative_to(tmp_path / "scene").as_posix()
                    for p in (tmp_path / "scene").rglob("*") if p.is_file()}
         assert on_disk == files | {"manifest.json"}
-        assert "pixels" not in json.loads((tmp_path / "scene" / "tracks.json").read_text())
+
+    def test_tracks_and_visibility_round_trip_bit_for_bit(self, tmp_path):
+        config = SceneConfig.rigid_demo(seed=3, noise=DEFAULT_SENSOR_NOISE)
+        written = generate_scene(config).write(tmp_path / "scene")
+        back = SceneBundle.read(tmp_path / "scene")
+        assert not back.tracks.visible.all()      # dropout made some samples invisible
+        assert_same_bits(back.tracks, written.tracks, "tracks")
+        assert back.tracks.positions.dtype == np.float64
+        assert back.tracks.visible.dtype == np.bool_
 
     def test_distill_from_disk_matches_distill_in_memory(self, tmp_path):
         config = SceneConfig.rigid_demo(seed=2, noise=DEFAULT_SENSOR_NOISE)
@@ -566,11 +593,49 @@ class TestDispatch:
 
 # -- oracles: scene generation one frame and one attempt at a time ---------------
 
+def convex_hull_by_set(points):
+    """Monotone-chain hull over a Python set of the rounded points, no pre-filter."""
+    pts = sorted(set((float(x), float(y)) for x, y in np.round(points, 6)))
+    if len(pts) <= 2:
+        return np.asarray(pts, dtype=float).reshape(-1, 2)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0.0:
+            lower.pop()
+        lower.append(p)
+    upper: list = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
+            upper.pop()
+        upper.append(p)
+    return np.asarray(lower[:-1] + upper[:-1], dtype=float)
+
+
+def ground_depth_by_meshgrid(intrinsics, extrinsic, plane_z=0.0):
+    """Table-plane depth from a meshgrid of pixel coordinates stacked into rays."""
+    normal = extrinsic.rotation @ np.array([0.0, 0.0, 1.0])
+    offset = float(normal @ extrinsic.apply(np.array([0.0, 0.0, plane_z])))
+    uu, vv = np.meshgrid(np.arange(intrinsics.width), np.arange(intrinsics.height))
+    rays = np.stack([(uu - intrinsics.cx) / intrinsics.fx,
+                     (vv - intrinsics.cy) / intrinsics.fy,
+                     np.ones_like(uu, dtype=float)], axis=-1)
+    denom = rays @ normal
+    depth = np.zeros((intrinsics.height, intrinsics.width))
+    hit = np.abs(denom) > 1e-9
+    depth[hit] = offset / denom[hit]
+    depth[depth < 0.0] = 0.0
+    return depth
+
+
 def render_mask_per_edge(intrinsics, pixels):
     """One frame's object mask, one hull edge and one 3x3 stamp at a time."""
     height, width = intrinsics.height, intrinsics.width
     mask = np.zeros((height, width), dtype=bool)
-    hull = _convex_hull(pixels)
+    hull = convex_hull_by_set(pixels)
     if len(hull) >= 3:
         area = 0.0
         for i in range(len(hull)):
@@ -662,6 +727,11 @@ class TestGenerationOracles:
         bundle = generate_scene(config)
         [(before, pixels, union, placed, after)] = calls
 
+        for frame in pixels:
+            assert np.array_equal(_convex_hull(frame), convex_hull_by_set(frame))
+        extr = config.camera.inverse()
+        assert (_ground_depth(config.intrinsics, extr).tobytes()
+                == ground_depth_by_meshgrid(config.intrinsics, extr).tobytes())
         stack = np.stack([render_mask_per_edge(config.intrinsics, frame) for frame in pixels])
         assert np.array_equal(bundle.mask, stack[0])
         assert np.array_equal(union, stack.any(axis=0))
@@ -698,3 +768,90 @@ class TestRejectionCap:
         expected = place_distractors_per_attempt(config, oracle_rng, self.PIXELS, union[None])
         assert placed.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _cloud(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(0.0, 640.0, size=(240, 2))
+    if kind == "gaussian":
+        return rng.normal(300.0, 40.0, size=(2000, 2))
+    if kind == "grid-snapped":
+        return rng.integers(0, 12, size=(200, 2)).astype(float)
+    if kind == "duplicates":
+        return np.repeat(rng.uniform(0.0, 50.0, size=(20, 2)), 6, axis=0)[rng.permutation(120)]
+    if kind == "collinear":
+        t = rng.uniform(-5.0, 5.0, size=(60, 1))
+        return np.array([100.0, 200.0]) + t * rng.standard_normal(2)
+    if kind == "axis-lines":
+        return np.column_stack([np.full(30, 7.0), rng.uniform(0.0, 9.0, 30)])[
+            :, rng.permutation(2)]
+    if kind == "sub-rounding":
+        return 5.0 + rng.uniform(0.0, 3e-6, size=(40, 2))
+    return rng.uniform(0.0, 100.0, size=(1 + seed % 15, 2))     # "few": 1 to 15 points
+
+
+def _rotated_rectangle(angle, width=9, height=5, center=(320.0, 240.0)):
+    """A filled integer grid on a width x height rectangle, turned by ``angle``,
+    with the grid's (u, v) coordinates."""
+    u, v = np.meshgrid(np.arange(width + 1.0), np.arange(height + 1.0))
+    local = np.column_stack([u.ravel(), v.ravel()])
+    c, w = math.cos(angle), math.sin(angle)
+    return local @ np.array([[c, w], [-w, c]]) + np.array(center), local
+
+
+def _prepared(points):
+    """The sorted distinct rounded points ``_convex_hull`` hands to ``_drop_interior``."""
+    return np.unique(np.round(points, 6), axis=0)
+
+
+class TestHullOracle:
+    @pytest.mark.parametrize("kind", ["uniform", "gaussian", "grid-snapped", "duplicates",
+                                      "collinear", "axis-lines", "sub-rounding", "few"])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_matches_the_set_and_sort_code(self, kind, seed):
+        points = _cloud(kind, seed)
+        assert np.array_equal(_convex_hull(points), convex_hull_by_set(points))
+
+    @pytest.mark.parametrize("angle", [0.0, math.pi / 2, math.pi, math.pi / 4,
+                                       math.pi / 6, -0.5, 0.3])
+    def test_rotated_rectangles_keep_only_their_boundary(self, angle):
+        points, local = _rotated_rectangle(angle)
+        assert np.array_equal(_convex_hull(points), convex_hull_by_set(points))
+        kept = {tuple(p) for p in _drop_interior(_prepared(points)).tolist()}
+        edge = (local == 0.0).any(axis=1) | (local == [9.0, 5.0]).any(axis=1)
+        # Every grid point a unit or more inside is dropped, though several
+        # extremes share a corner (upright, the largest x and x - y do).
+        assert kept <= {tuple(p) for p in np.round(points[edge], 6).tolist()}
+
+    def test_a_rigid_demo_frame_is_thinned_before_the_chain(self):
+        bundle = generate_scene(SceneConfig.rigid_demo(seed=0))
+        intr = bundle.config.intrinsics
+        for frame in (0, 10, 20):
+            pixels = project(intr, bundle.gt_flow.positions[frame])
+            assert len(_drop_interior(_prepared(pixels))) < len(pixels) / 2
+
+
+def _camera(tilt=0.0, yaw=0.0):
+    """The demo camera yawed about the vertical, then tilted about world x.
+
+    Yawed first, the camera's own x axis leaves the tilt axis, so the plane
+    normal has all three camera-frame components.
+    """
+    turn = (rotation_from_axis_angle(np.array([tilt, 0.0, 0.0]))
+            @ rotation_from_axis_angle(np.array([0.0, 0.0, yaw])))
+    return SE3Pose(turn @ sim.CAMERA_IN_WORLD.rotation, sim.CAMERA_IN_WORLD.translation)
+
+
+class TestGroundDepthOracle:
+    @pytest.mark.parametrize("tilt,yaw", [(0.0, 0.0), (0.0, 0.3), (0.4, 0.0), (0.4, 0.7),
+                                          (-0.9, 0.2), (1.2, 0.7), (math.pi, 0.0)])
+    @pytest.mark.parametrize("intrinsics", [
+        SceneConfig().intrinsics,
+        CameraIntrinsics(fx=31.0, fy=27.5, cx=11.3, cy=16.0, width=37, height=23)],
+        ids=["demo", "small"])
+    def test_matches_the_meshgrid_code(self, tilt, yaw, intrinsics):
+        extr = _camera(tilt, yaw).inverse()
+        for plane_z in (0.0, 0.05):
+            expected = ground_depth_by_meshgrid(intrinsics, extr, plane_z)
+            assert _ground_depth(intrinsics, extr, plane_z).tobytes() == expected.tobytes()
