@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .flow import ActionableFlow
-from .geometry import _doc_fields, _frozen
+from .geometry import _bool, _doc_fields, _float, _frozen, _int
 
 __all__ = [
     "DegenerateEdgeError",
@@ -188,11 +188,11 @@ class MassSpringModel:
     @classmethod
     def from_doc(cls, doc: dict) -> "MassSpringModel":
         return cls(**_doc_fields(doc, {
-            "n_particles": int,
+            "n_particles": _int,
             "edges": lambda edges: np.asarray(edges, dtype=int).reshape(-1, 2),
             "rest_lengths": lambda lengths: np.asarray(lengths, dtype=float),
-            "stiffness": float, "damping": float, "mass": float, "dt": float,
-            "substeps": int, "gravity": bool, "ground_height": float,
+            "stiffness": _float, "damping": _float, "mass": _float, "dt": _float,
+            "substeps": _int, "gravity": _bool, "ground_height": _float,
             "attachment": tuple, "pinned": tuple,
         }))
 

@@ -63,6 +63,31 @@ def _doc_fields(doc, casts: dict) -> dict:
     return {key: cast(doc[key]) for key, cast in casts.items() if key in doc}
 
 
+def _int(value) -> int:
+    """A JSON integer as itself; ``_doc_fields`` tables cast integer keys with it.
+
+    ``int`` would truncate 21.7 to 21 and parse "8", and JSON true is an
+    ``int`` to Python; each of these is a TypeError here instead.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _float(value) -> float:
+    """A JSON number as a float; a string or true/false is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
+def _bool(value) -> bool:
+    """JSON true or false; ``bool`` would read the string "false" as true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected JSON true or false, got {value!r}")
+    return value
+
+
 def _doc_list(doc) -> list:
     """``doc`` itself, once checked to be a JSON array.
 

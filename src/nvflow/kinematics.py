@@ -36,6 +36,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,58 +179,111 @@ def _axis_rotations(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return np.eye(3) + sin * k + (1.0 - cos) * kk
 
 
-def link_frames_batch(model: RobotModel, configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Link frames for a batch of configurations.
+def link_frames_batch(model: RobotModel, configs: np.ndarray, start: int = 0,
+                      parent: tuple[np.ndarray, np.ndarray] | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Link frames for a batch of configurations, from link ``start`` on.
 
     Args:
-        configs: (B, dof) joint angles.
+        configs: (B, dof) joint angles; joints before ``start`` are not read.
+        start: the first joint to turn.  With 0 the chain starts at the base
+            pose.  Otherwise ``parent`` holds the frame of link ``start - 1``
+            for each configuration, (rotations (B, 3, 3), origins (B, 3)),
+            as an earlier call returned it.
 
     Returns:
-        (rotations (B, dof, 3, 3), origins (B, dof, 3)) of each link frame in
-        the base-pose frame.  The link origin doubles as the joint position.
+        (rotations (B, dof - start, 3, 3), origins (B, dof - start, 3)) of
+        links start..dof-1 in the base-pose frame.  The link origin doubles
+        as the joint position.  Each link runs the same arithmetic whatever
+        ``start`` is, so a chain resumed from an earlier call's frame of
+        link start-1 is bit-identical to the chain computed from the base.
     """
     q = np.asarray(configs, dtype=float)
     if q.ndim != 2 or q.shape[1] != model.dof:
         raise ValueError(f"configs must be (B, {model.dof}), got {q.shape}")
+    if not 0 <= start < model.dof:
+        raise ValueError(f"start must be a joint index below {model.dof}, got {start}")
     batch = q.shape[0]
-    rot = np.broadcast_to(model.base_pose.rotation, (batch, 3, 3))
-    pos = np.broadcast_to(model.base_pose.translation, (batch, 3))
-    rotations = np.empty((batch, model.dof, 3, 3))
-    origins = np.empty((batch, model.dof, 3))
-    for j, joint in enumerate(model.joints):
+    if start == 0:
+        rot = np.broadcast_to(model.base_pose.rotation, (batch, 3, 3))
+        pos = np.broadcast_to(model.base_pose.translation, (batch, 3))
+    else:
+        rot, pos = parent
+    rotations = np.empty((batch, model.dof - start, 3, 3))
+    origins = np.empty((batch, model.dof - start, 3))
+    for j, joint in enumerate(model.joints[start:]):
         pos = pos + rot @ joint.origin.translation
         rot = rot @ joint.origin.rotation
-        rot = rot @ _axis_rotations(joint.axis, q[:, j])
+        rot = rot @ _axis_rotations(joint.axis, q[:, start + j])
         rotations[:, j] = rot
         origins[:, j] = pos
     return rotations, origins
 
 
-def forward_kinematics(model: RobotModel, config: np.ndarray) -> tuple[SE3Pose, list[SE3Pose]]:
-    """End-effector pose and all link poses for one configuration."""
+class _Chain(NamedTuple):
+    """Forward kinematics of one configuration, as arrays."""
+
+    rotations: np.ndarray     # (dof, 3, 3) link frames
+    origins: np.ndarray       # (dof, 3)
+    ee_rotation: np.ndarray   # (3, 3) end effector
+    ee_position: np.ndarray   # (3,)
+
+
+def _chain(model: RobotModel, config: np.ndarray) -> _Chain:
+    """Link frames and end-effector pose of one (dof,) configuration; the
+    end effector is the last link composed with ``ee_offset`` by
+    ``se3_compose``'s arithmetic."""
+    rotations, origins = link_frames_batch(model, config[None, :])
+    last_rot, last_pos = rotations[0, -1], origins[0, -1]
+    ee = model.ee_offset
+    return _Chain(rotations[0], origins[0], last_rot @ ee.rotation,
+                  last_rot @ ee.translation + last_pos)
+
+
+def _one_config(model: RobotModel, config: np.ndarray) -> np.ndarray:
     q = np.asarray(config, dtype=float)
     if q.shape != (model.dof,):
         raise ValueError(f"config must be ({model.dof},), got {q.shape}")
-    rotations, origins = link_frames_batch(model, q[None, :])
-    links = [SE3Pose(rotations[0, j], origins[0, j]) for j in range(model.dof)]
-    ee = links[-1].compose(model.ee_offset)
-    return ee, links
+    return q
 
 
-def sphere_centers_batch(model: RobotModel, configs: np.ndarray) -> np.ndarray:
-    """World centers of all collision spheres, (B, n_spheres, 3)."""
-    rotations, origins = link_frames_batch(model, configs)
-    if not model.collision_spheres:
-        return np.zeros((configs.shape[0], 0, 3))
-    centers = np.empty((configs.shape[0], len(model.collision_spheres), 3))
-    for i, sphere in enumerate(model.collision_spheres):
-        link_rot = rotations[:, sphere.link]
-        centers[:, i] = origins[:, sphere.link] + link_rot @ sphere.center
-    return centers
+def forward_kinematics(model: RobotModel, config: np.ndarray) -> tuple[SE3Pose, list[SE3Pose]]:
+    """End-effector pose and all link poses for one configuration."""
+    chain = _chain(model, _one_config(model, config))
+    links = [SE3Pose(rot, pos) for rot, pos in zip(chain.rotations, chain.origins)]
+    return SE3Pose(chain.ee_rotation, chain.ee_position), links
+
+
+def sphere_centers_batch(model: RobotModel, configs: np.ndarray, start: int = 0,
+                         parent: tuple[np.ndarray, np.ndarray] | None = None,
+                         return_frames: bool = False):
+    """World centers of the collision spheres on links ``start`` and later.
+
+    ``start`` and ``parent`` are as for ``link_frames_batch``.  Returns the
+    centers as (B, n, 3), spheres in model order; with ``return_frames``,
+    (centers, rotations, origins) with the link frames that call returns.
+    """
+    rotations, origins = link_frames_batch(model, configs, start, parent)
+    spheres = [s for s in model.collision_spheres if s.link >= start]
+    centers = np.empty((rotations.shape[0], len(spheres), 3))
+    for i, sphere in enumerate(spheres):
+        link = sphere.link - start
+        centers[:, i] = origins[:, link] + rotations[:, link] @ sphere.center
+    return (centers, rotations, origins) if return_frames else centers
 
 
 def sphere_radii(model: RobotModel) -> np.ndarray:
     return np.array([s.radius for s in model.collision_spheres])
+
+
+def _jacobian(model: RobotModel, chain: _Chain) -> np.ndarray:
+    """``jacobian`` from the forward kinematics ``_chain`` gives."""
+    jac = np.zeros((6, model.dof))
+    for j, joint in enumerate(model.joints):
+        axis_world = chain.rotations[j] @ joint.axis
+        jac[:3, j] = np.cross(axis_world, chain.ee_position - chain.origins[j])
+        jac[3:, j] = axis_world
+    return jac
 
 
 def jacobian(model: RobotModel, config: np.ndarray) -> np.ndarray:
@@ -238,13 +292,7 @@ def jacobian(model: RobotModel, config: np.ndarray) -> np.ndarray:
     Rows 0..2 are the linear velocity map, rows 3..5 the angular one, both in
     the base-pose frame with the end-effector origin as the reference point.
     """
-    ee, links = forward_kinematics(model, config)
-    jac = np.zeros((6, model.dof))
-    for j, (joint, link) in enumerate(zip(model.joints, links)):
-        axis_world = link.rotation @ joint.axis
-        jac[:3, j] = np.cross(axis_world, ee.translation - link.translation)
-        jac[3:, j] = axis_world
-    return jac
+    return _jacobian(model, _chain(model, _one_config(model, config)))
 
 
 @dataclass(frozen=True)
@@ -268,10 +316,11 @@ class IKUnreachableError(RuntimeError):
         self.rot_err = rot_err
 
 
-def _pose_error(target: SE3Pose, current: SE3Pose) -> np.ndarray:
-    """6-vector (position error, rotation log-map error) from current to target."""
-    rot_err = axis_angle_from_rotation(target.rotation @ current.rotation.T)
-    return np.concatenate([target.translation - current.translation, rot_err])
+def _pose_error(target: SE3Pose, rotation: np.ndarray,
+                translation: np.ndarray) -> np.ndarray:
+    """6-vector (position error, rotation log-map error) from a pose to target."""
+    rot_err = axis_angle_from_rotation(target.rotation @ rotation.T)
+    return np.concatenate([target.translation - translation, rot_err])
 
 
 def solve_ik(model: RobotModel, target: SE3Pose, seed_config: np.ndarray | None = None,
@@ -281,6 +330,9 @@ def solve_ik(model: RobotModel, target: SE3Pose, seed_config: np.ndarray | None 
     Starts from ``seed_config`` (mid-range when omitted); on stagnation, up to
     ``options.restarts`` further attempts start from seeded-random
     configurations inside the limits.  Deterministic for fixed inputs.
+    Each iterate's forward kinematics is computed once: its link frames give
+    both the pose error and the Jacobian, which a rejected step leaves as
+    they were.
 
     Returns the first configuration meeting both tolerances.
 
@@ -292,6 +344,7 @@ def solve_ik(model: RobotModel, target: SE3Pose, seed_config: np.ndarray | None 
         seed_config = 0.5 * (q_min + q_max)
     seed_config = np.clip(np.asarray(seed_config, dtype=float), q_min, q_max)
     rng = np.random.default_rng(options.seed)
+    eye = np.eye(model.dof)
 
     best_pos, best_rot = np.inf, np.inf
     for attempt in range(options.restarts + 1):
@@ -300,8 +353,10 @@ def solve_ik(model: RobotModel, target: SE3Pose, seed_config: np.ndarray | None 
         else:
             q = rng.uniform(q_min, q_max)
         damping = options.damping
-        err = _pose_error(target, forward_kinematics(model, q)[0])
+        chain = _chain(model, q)
+        err = _pose_error(target, chain.ee_rotation, chain.ee_position)
         residual = np.linalg.norm(err)
+        normal = None            # (J^T J, J^T err) at q, once asked for
         stall = 0
         for _ in range(options.max_iters):
             pos_err = float(np.linalg.norm(err[:3]))
@@ -310,14 +365,17 @@ def solve_ik(model: RobotModel, target: SE3Pose, seed_config: np.ndarray | None 
                 best_pos, best_rot = pos_err, rot_err
             if pos_err <= options.pos_tol and rot_err <= options.rot_tol:
                 return q
-            jac = jacobian(model, q)
-            jtj = jac.T @ jac + damping**2 * np.eye(model.dof)
-            step = np.linalg.solve(jtj, jac.T @ err)
+            if normal is None:
+                jac = _jacobian(model, chain)
+                normal = jac.T @ jac, jac.T @ err
+            step = np.linalg.solve(normal[0] + damping**2 * eye, normal[1])
             q_new = np.clip(q + step, q_min, q_max)
-            err_new = _pose_error(target, forward_kinematics(model, q_new)[0])
+            chain_new = _chain(model, q_new)
+            err_new = _pose_error(target, chain_new.ee_rotation, chain_new.ee_position)
             residual_new = np.linalg.norm(err_new)
             if residual_new < residual:
-                q, err, residual = q_new, err_new, residual_new
+                q, chain, err, residual = q_new, chain_new, err_new, residual_new
+                normal = None
                 damping = max(damping * 0.5, 1e-6)
                 stall = 0
             else:

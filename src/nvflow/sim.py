@@ -49,9 +49,12 @@ from .geometry import (
     CameraIntrinsics,
     DepthMap,
     SE3Pose,
+    _bool,
     _doc_fields,
     _doc_list,
+    _float,
     _frozen,
+    _int,
     project,
     rotation_from_axis_angle,
     rotation_geodesic_angle,
@@ -291,24 +294,25 @@ class SceneConfig:
     def from_doc(cls, doc: dict) -> "SceneConfig":
         """Inverse of ``to_doc``; a left-out key takes the default its type declares."""
         kwargs = _doc_fields(doc, {
-            "scene": str, "seed": int, "frames": int, "distractor_points": int,
+            "scene": str, "seed": _int, "frames": _int, "distractor_points": _int,
             "camera": SE3Pose.from_doc,
             "noise": lambda noise: NoiseConfig(**_doc_fields(noise, dict.fromkeys(
-                ("track_sigma", "depth_sigma", "dropout_prob", "depth_scale"), float))),
+                ("track_sigma", "depth_sigma", "dropout_prob", "depth_scale"), _float))),
             "object": lambda obj: ObjectSpec(**_doc_fields(obj, {
-                "shape": str, "size": tuple, "surface_samples": int, "label": str})),
+                "shape": str, "size": tuple, "surface_samples": _int, "label": str})),
             "motion_script": lambda script: tuple(
-                Waypoint(**_doc_fields(w, {"time": float, "position": tuple, "yaw": float}))
+                Waypoint(**_doc_fields(w, {"time": _float, "position": tuple,
+                                           "yaw": _float}))
                 for w in _doc_list(script)),
             "rope": lambda rope: RopeSpec(**_doc_fields(rope, {
-                "length": float, "particles": int, "flow_keypoints": int,
-                "center": tuple, "height": float, "pinned": bool, "script": tuple})),
+                "length": _float, "particles": _int, "flow_keypoints": _int,
+                "center": tuple, "height": _float, "pinned": _bool, "script": tuple})),
         })
         if "motion_script" in kwargs:
             kwargs["waypoints"] = kwargs.pop("motion_script")
         if "image" in doc:
-            kwargs.update(_doc_fields(doc["image"], {"width": int, "height": int,
-                                                     "focal": float}))
+            kwargs.update(_doc_fields(doc["image"], {"width": _int, "height": _int,
+                                                     "focal": _float}))
         return cls(**kwargs)
 
     def save(self, path) -> None:

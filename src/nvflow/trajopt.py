@@ -28,7 +28,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .geometry import SE3Pose, _doc_fields, _doc_list, _frozen
+from .geometry import SE3Pose, _doc_fields, _doc_list, _float, _frozen, _int
 from .kinematics import (JointTrajectory, RobotModel, load_robot, robot_from_doc,
                          sphere_centers_batch, sphere_radii)
 
@@ -43,7 +43,6 @@ __all__ = [
     "HalfspaceObstacle",
     "Obstacle",
     "obstacles_from_doc",
-    "signed_distance",
     "cost_smooth",
     "cost_rest",
     "penalty_limits",
@@ -357,7 +356,7 @@ def obstacles_from_doc(docs: list[dict]) -> tuple[Obstacle, ...]:
     for doc in _doc_list(docs):
         kind = doc.get("type")
         if kind == "sphere":
-            out.append(SphereObstacle(center=doc["center"], radius=float(doc["radius"])))
+            out.append(SphereObstacle(center=doc["center"], radius=_float(doc["radius"])))
         elif kind == "box":
             rotation = np.asarray(doc["rotation"], dtype=float).reshape(3, 3) \
                 if "rotation" in doc else np.eye(3)
@@ -400,55 +399,86 @@ def penalty_limits(configs: np.ndarray, model: RobotModel, w_limits: float,
     return np.concatenate([upper.ravel(), lower.ravel(), vel.ravel()])
 
 
-def _segment_min_distances(model: RobotModel, configs: np.ndarray,
-                           obstacles: Sequence[Obstacle],
-                           swept_samples: int) -> np.ndarray:
-    """Min signed distance per (segment, obstacle) over swept samples, (T-1, n_obs)."""
-    q = np.asarray(configs, dtype=float)
-    segments = q.shape[0] - 1
-    if not obstacles or not model.collision_spheres or segments == 0:
-        return np.full((segments, len(obstacles)), np.inf)
-    s = np.linspace(0.0, 1.0, swept_samples)
-    # (T-1, S, dof) -> flat batch
-    swept = q[:-1, None, :] + s[None, :, None] * np.diff(q, axis=0)[:, None, :]
-    centers = sphere_centers_batch(model, swept.reshape(-1, q.shape[1]))
-    radii = sphere_radii(model)
-    out = np.empty((segments, len(obstacles)))
-    for i, obs in enumerate(obstacles):
-        d = obs.distance(centers) - radii           # (B, n_spheres)
-        out[:, i] = d.reshape(segments, -1).min(axis=1)
-    return out
+@dataclass(frozen=True)
+class _Sweep:
+    """The collision spheres swept along every segment of a trajectory.
+
+    Each segment q_a -> q_b is sampled at S evenly spaced points
+    q_a + s (q_b - q_a), s in [0, 1], both endpoints included.  Besides the
+    per-segment clearance, the sweep keeps what the collision Jacobian
+    reuses: the samples, their link frames and every sphere's distance.
+    Without obstacles, spheres or segments only ``seg_min`` is set.
+    """
+
+    seg_min: np.ndarray                    # (T-1, n_obs) min over samples and spheres
+    configs: np.ndarray | None = None      # (T-1, S, dof) joint-space samples
+    rotations: np.ndarray | None = None    # (T-1, S, dof, 3, 3) link frames
+    origins: np.ndarray | None = None      # (T-1, S, dof, 3)
+    distances: np.ndarray | None = None    # (n_obs, T-1, S, n_spheres) signed
 
 
-def signed_distance(model: RobotModel, q_a: np.ndarray, q_b: np.ndarray,
-                    obstacle: Obstacle, swept_samples: int = 5) -> float:
-    """Swept signed distance for the segment q_a -> q_b against one obstacle.
+def _sweep(model: RobotModel, configs: np.ndarray, obstacles: Sequence[Obstacle],
+           swept_samples: int) -> _Sweep:
+    """Sweep the collision spheres along each segment of ``configs`` (T, dof).
 
-    Joint-space interpolation is sampled at ``swept_samples`` points (the two
-    endpoints included); the minimum over samples and collision spheres is
-    returned.  Negative values mean penetration; a robot without collision
-    spheres is infinitely far from everything.
+    Negative distances mean penetration; a robot without collision spheres
+    is infinitely far from everything.
     """
     if swept_samples < 2:
         raise ValueError("swept_samples must be at least 2 to cover both endpoints")
-    configs = np.stack([np.asarray(q_a, dtype=float), np.asarray(q_b, dtype=float)])
-    return float(_segment_min_distances(model, configs, (obstacle,), swept_samples)[0, 0])
+    q = np.asarray(configs, dtype=float)
+    segments, dof = q.shape[0] - 1, q.shape[1]
+    if not obstacles or not model.collision_spheres or segments == 0:
+        return _Sweep(np.full((segments, len(obstacles)), np.inf))
+    s = np.linspace(0.0, 1.0, swept_samples)
+    swept = q[:-1, None, :] + s[None, :, None] * np.diff(q, axis=0)[:, None, :]
+    centers, rotations, origins = sphere_centers_batch(
+        model, swept.reshape(-1, dof), return_frames=True)
+    radii = sphere_radii(model)
+    distances = np.stack([obs.distance(centers) - radii for obs in obstacles])
+    seg_min = distances.reshape(len(obstacles), segments, -1).min(axis=2).T.copy()
+    return _Sweep(seg_min, swept,
+                  rotations.reshape(segments, swept_samples, dof, 3, 3),
+                  origins.reshape(segments, swept_samples, dof, 3),
+                  distances.reshape(len(obstacles), segments, swept_samples, -1))
 
 
 def penalty_collision(configs: np.ndarray, model: RobotModel,
                       obstacles: Sequence[Obstacle], w_collision: float,
                       eps_safe: float, swept_samples: int = 5,
-                      pad: float = 0.0) -> np.ndarray:
+                      pad: float = 0.0, return_sweep: bool = False):
     """Hinge residuals sqrt(w) max(0, eps_safe + pad - d) per (segment, obstacle).
 
     A quadratic hinge balances against the other cost terms slightly inside
     its boundary, so ``pad`` moves the penalized boundary outward; the
-    settled trajectory then clears ``eps_safe`` itself.
+    settled trajectory then clears ``eps_safe`` itself.  With
+    ``return_sweep``, returns (residuals, the ``_Sweep`` they came from).
     """
-    dmin = _segment_min_distances(model, configs, obstacles, swept_samples)
-    hinge = np.maximum(eps_safe + pad - dmin, 0.0)
-    hinge[~np.isfinite(dmin)] = 0.0
-    return np.sqrt(w_collision) * hinge.ravel()
+    sweep = _sweep(model, configs, obstacles, swept_samples)
+    hinge = np.maximum(eps_safe + pad - sweep.seg_min, 0.0)
+    hinge[~np.isfinite(sweep.seg_min)] = 0.0
+    residuals = np.sqrt(w_collision) * hinge.ravel()
+    return (residuals, sweep) if return_sweep else residuals
+
+
+class _LastSweep:
+    """The sweep of the configurations whose residual was evaluated last.
+
+    LM asks for the Jacobian at the iterate whose residual it has just
+    evaluated, so the Jacobian finds that iterate's sweep here.  The match
+    is on the configurations' bytes; at any other point the Jacobian sweeps
+    again.
+    """
+
+    def __init__(self) -> None:
+        self._key: bytes | None = None
+        self._sweep: _Sweep | None = None
+
+    def put(self, full: np.ndarray, sweep: _Sweep) -> None:
+        self._key, self._sweep = full.tobytes(), sweep
+
+    def get(self, full: np.ndarray) -> _Sweep | None:
+        return self._sweep if full.tobytes() == self._key else None
 
 
 def init_trajectory(q_start: np.ndarray, q_end: np.ndarray, steps: int) -> np.ndarray:
@@ -553,6 +583,7 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
     q_rest = problem.q_rest if problem.q_rest is not None \
         else 0.5 * (model.q_min + model.q_max)
     w = problem.weights
+    last_sweep = _LastSweep()
 
     def assemble(x: np.ndarray) -> np.ndarray:
         full = np.empty((steps, dof))
@@ -563,13 +594,15 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
         return full
 
     def residuals_of(full: np.ndarray) -> np.ndarray:
+        collision, sweep = penalty_collision(
+            full, model, problem.obstacles, w.collision, problem.eps_safe,
+            problem.swept_samples, pad=problem.collision_pad, return_sweep=True)
+        last_sweep.put(full, sweep)
         return np.concatenate([
             cost_smooth(full, w.smooth).ravel(),
             cost_rest(full, q_rest, w.rest).ravel(),
             penalty_limits(full, model, w.limits, problem.dt),
-            penalty_collision(full, model, problem.obstacles, w.collision,
-                              problem.eps_safe, problem.swept_samples,
-                              pad=problem.collision_pad),
+            collision,
         ])
 
     if steps == 2:
@@ -579,7 +612,7 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
     else:
         x0 = init_trajectory(problem.q_start, problem.q_end, steps)[1:-1].ravel()
         lm = levenberg_marquardt(lambda x: residuals_of(assemble(x)), x0,
-                                 jacobian=_make_jacobian(problem, assemble),
+                                 jacobian=_make_jacobian(problem, assemble, last_sweep),
                                  options=problem.lm)
         full, residual = assemble(lm.x), lm.residual
         cost, iterations, converged = lm.cost, lm.iterations, lm.converged
@@ -589,8 +622,7 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
     ends = np.cumsum([segment_rows, frame_rows, frame_rows, frame_rows, segment_rows])
     smooth, rest, upper, lower, velocity, collision = (
         float(np.sum(block ** 2)) for block in np.split(residual, ends))
-    dense = _segment_min_distances(model, full, problem.obstacles,
-                                   2 * problem.swept_samples)
+    dense = _sweep(model, full, problem.obstacles, 2 * problem.swept_samples).seg_min
     clearance = float(dense.min()) if dense.size else np.inf
     return TrajOptResult(
         trajectory=JointTrajectory(full, problem.dt),
@@ -603,8 +635,8 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
     )
 
 
-def _make_jacobian(problem: TrajOptProblem,
-                   assemble) -> Callable[[np.ndarray], FrameJacobian]:
+def _make_jacobian(problem: TrajOptProblem, assemble,
+                   last_sweep: _LastSweep) -> Callable[[np.ndarray], FrameJacobian]:
     """Jacobian of the stacked residual w.r.t. interior configurations.
 
     Rows are first written against full frames: each touches frames t and
@@ -613,7 +645,8 @@ def _make_jacobian(problem: TrajOptProblem,
     and renumbers the frames.  The smooth/rest/limit blocks are linear or
     hinge-linear and filled analytically; collision rows use segment-local
     forward differences with step h = ``lm.fd_step`` (each segment depends
-    on two frames only), batched through one FK call.
+    on two frames only).  The unperturbed sweep is the residual's own when
+    ``last_sweep`` holds it for this point.
 
     Only segments near the hinge boundary b = eps_safe + collision_pad are
     forward-differenced.  Let R be the sum of the joint-origin offset norms
@@ -671,7 +704,9 @@ def _make_jacobian(problem: TrajOptProblem,
         upper = one_hot(root_l * (full > model.q_max))
         lower = one_hot(-root_l * (full < model.q_min))
         vel = one_hot(root_l * np.sign(delta) * (np.abs(delta) > caps))
-        coll_a, coll_b = _collision_rows(problem, full)
+        sweep = last_sweep.get(full) or _sweep(model, full, problem.obstacles,
+                                               problem.swept_samples)
+        coll_a, coll_b = _collision_rows(problem, full, sweep)
         c_lo = np.concatenate([smooth, rest, upper, lower, -vel, coll_a])
         c_hi = np.concatenate([-smooth, zero, zero, zero, vel, coll_b])
         return _interior_rows(lo, c_lo, c_hi, steps)
@@ -685,14 +720,23 @@ def _sphere_reach(model: RobotModel) -> float:
     return offsets + max(float(np.linalg.norm(s.center)) for s in model.collision_spheres)
 
 
-def _collision_rows(problem: TrajOptProblem,
-                    full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _collision_rows(problem: TrajOptProblem, full: np.ndarray,
+                    sweep: _Sweep) -> tuple[np.ndarray, np.ndarray]:
     """Collision-row coefficients on each segment's first and second frame.
 
-    Rows are ordered (segment, obstacle), coefficients over joints.  Only
-    segments with clearance below the hinge boundary plus ``margin`` are
-    forward-differenced; ``_make_jacobian`` proves every other coefficient
-    is exactly 0.
+    Rows are ordered (segment, obstacle), coefficients over joints.
+    ``sweep`` is the swept pass of ``full``.  Only segments with clearance
+    below the hinge boundary plus ``margin`` are forward-differenced;
+    ``_make_jacobian`` proves every other coefficient is exactly 0.
+
+    Moving joint j of one segment end moves each swept sample in joint j
+    alone, since the interpolation is per joint.  So the frames of links
+    0..j-1 and the distances of the spheres on them are the sweep's, and
+    FK resumes at joint j from the sweep's frame of link j-1 (or is skipped
+    when no sphere sits past it); the perturbed clearance is the min over
+    the new distances and the kept ones.  The other joints enter FK as the sweep's samples, which can
+    differ from a moved copy of the endpoints only in the sign of a zero
+    angle, and a rotation by -0.0 is bit-identical to one by +0.0.
     """
     model = problem.model
     steps, dof = full.shape
@@ -703,8 +747,7 @@ def _collision_rows(problem: TrajOptProblem,
         root_c = np.sqrt(problem.weights.collision)
         boundary = problem.eps_safe + problem.collision_pad
         margin = h * _sphere_reach(model) + 1e-9
-        base = _segment_min_distances(model, full, problem.obstacles,
-                                      problem.swept_samples)
+        base = sweep.seg_min
         base_r = root_c * np.maximum(boundary - base, 0.0)  # (T-1, n_obs)
         # Perturbations per (segment, side, joint): side 0 moves the
         # segment's first frame, side 1 its second; endpoint frames are
@@ -713,26 +756,34 @@ def _collision_rows(problem: TrajOptProblem,
         active = (moved >= 1) & (moved <= steps - 2) \
             & ~(base.min(axis=1) >= boundary + margin)[:, None]
         if active.any():
-            eye = np.eye(dof)
-            ends = np.stack([full[:-1], full[1:]], axis=1)      # (T-1, 2, dof)
-            pert = np.broadcast_to(ends[:, None, None],
-                                   (steps - 1, 2, dof, 2, dof)).copy()
-            pert[:, 0, :, 0, :] += h * eye
-            pert[:, 1, :, 1, :] += h * eye
-            pert = pert[active]                                 # (P, dof, 2, dof)
-            qa, qb = pert[..., 0, :], pert[..., 1, :]
+            seg, side = np.nonzero(active)                      # (P,) each
+            n_pert = seg.size
             s_grid = np.linspace(0.0, 1.0, problem.swept_samples)
-            swept = qa[..., None, :] + s_grid[:, None] * (qb - qa)[..., None, :]
-            centers = sphere_centers_batch(model, swept.reshape(-1, dof))
             radii = sphere_radii(model)
-            n_pert = pert.shape[0] * dof
-            dmin = np.empty((n_pert, n_obs))
-            for i, obs in enumerate(problem.obstacles):
-                d = obs.distance(centers) - radii
-                dmin[:, i] = d.reshape(n_pert, -1).min(axis=1)
+            links = np.array([s.link for s in model.collision_spheres])
+            samples = sweep.configs[seg]                        # (P, S, dof)
+            kept = sweep.distances[:, seg]                      # (n_obs, P, S, n_spheres)
+            dmin = np.empty((n_pert, dof, n_obs))
+            for j in range(dof):
+                high = links >= j
+                parts = [kept[..., ~high].reshape(n_obs, n_pert, -1)]
+                if high.any():
+                    qa, qb = full[seg, j], full[seg + 1, j]
+                    qa = np.where(side == 0, qa + h, qa)
+                    qb = np.where(side == 1, qb + h, qb)
+                    configs = samples.copy()
+                    configs[..., j] = qa[:, None] + s_grid * (qb - qa)[:, None]
+                    parent = None if j == 0 else (
+                        sweep.rotations[seg, :, j - 1].reshape(-1, 3, 3),
+                        sweep.origins[seg, :, j - 1].reshape(-1, 3))
+                    centers = sphere_centers_batch(model, configs.reshape(-1, dof),
+                                                   start=j, parent=parent)
+                    parts.append(np.stack([obs.distance(centers) - radii[high]
+                                           for obs in problem.obstacles]
+                                          ).reshape(n_obs, n_pert, -1))
+                dmin[:, j] = np.concatenate(parts, axis=2).min(axis=2).T
             pert_r = root_c * np.maximum(boundary - dmin, 0.0)
-            coef[active] = (pert_r.reshape(-1, dof, n_obs)
-                            - base_r[np.nonzero(active)[0], None, :]) / h
+            coef[active] = (pert_r - base_r[seg, None, :]) / h
     return (coef[:, 0].transpose(0, 2, 1).reshape(-1, dof),
             coef[:, 1].transpose(0, 2, 1).reshape(-1, dof))
 
@@ -776,13 +827,13 @@ def problem_from_doc(doc: dict, base_dir=None) -> TrajOptProblem:
         return np.asarray(value, dtype=float)
 
     kwargs = _doc_fields(doc, {
-        "robot": robot, "q_start": vector, "q_end": vector, "steps": int,
+        "robot": robot, "q_start": vector, "q_end": vector, "steps": _int,
         "q_rest": vector,
         "weights": lambda weights: TrajOptWeights(**_doc_fields(weights, dict.fromkeys(
-            ("smooth", "rest", "limits", "collision"), float))),
-        "eps_safe": float, "collision_pad": float, "swept_samples": int, "dt": float,
+            ("smooth", "rest", "limits", "collision"), _float))),
+        "eps_safe": _float, "collision_pad": _float, "swept_samples": _int, "dt": _float,
         "obstacles": obstacles_from_doc,
-        "max_iters": lambda max_iters: LMOptions(max_iters=int(max_iters)),
+        "max_iters": lambda max_iters: LMOptions(max_iters=_int(max_iters)),
     })
     kwargs["model"] = kwargs.pop("robot")
     if "max_iters" in kwargs:

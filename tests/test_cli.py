@@ -327,6 +327,28 @@ MALFORMED_INPUT_CASES = {
     "dynamics-damping-nan": lambda c: _plan_deformable(c, damping=NAN),
     "dynamics-mass-inf": lambda c: _plan_deformable(c, mass=INF),
     "dynamics-ground-height-nan": lambda c: _plan_deformable(c, ground_height=NAN),
+    # JSON values of the wrong type that int(), float() and bool() would coerce
+    "dynamics-gravity-string-false": lambda c: _plan_deformable(c, gravity="false"),
+    "dynamics-substeps-true": lambda c: _plan_deformable(c, substeps=True),
+    "dynamics-stiffness-string": lambda c: _plan_deformable(c, stiffness="500"),
+    "scene-rope-pinned-string-false": lambda c: _simulate(c, c.rope_edited(pinned="false")),
+    "scene-rope-particles-fraction": lambda c: _simulate(c, c.rope_edited(particles=20.5)),
+    "scene-frames-string": lambda c: _simulate(
+        c, c.edited(c.fixture("rigid_config_path"), frames="8")),
+    "scene-frames-fraction": lambda c: _simulate(
+        c, c.edited(c.fixture("rigid_config_path"), frames=8.9)),
+    "scene-seed-true": lambda c: _simulate(
+        c, c.edited(c.fixture("rigid_config_path"), seed=True)),
+    "scene-image-focal-string": lambda c: _simulate(
+        c, c.rigid_edited("image", focal="600")),
+    "trajopt-steps-fraction": lambda c: _optimize_traj(c, steps=21.7),
+    "trajopt-swept-samples-fraction": lambda c: _optimize_traj(c, swept_samples=2.9),
+    "trajopt-max-iters-fraction": lambda c: _optimize_traj(c, max_iters=2.5),
+    "trajopt-dt-string": lambda c: _optimize_traj(c, dt="0.1"),
+    "trajopt-eps-safe-true": lambda c: _optimize_traj(c, eps_safe=True),
+    "trajopt-weight-string": lambda c: _optimize_traj(c, weights={"smooth": "10"}),
+    "trajopt-sphere-radius-string": lambda c: _optimize_traj(c, obstacles=[{
+        "type": "sphere", "center": [0.01, 0.0, 0.87], "radius": "0.03"}]),
 }
 
 # Every top-level key of the two documents a user writes by hand, each

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvflow.geometry import SE3Pose, axis_angle_from_rotation
+import nvflow.kinematics as kinematics
+from nvflow.geometry import SE3Pose, axis_angle_from_rotation, rotation_from_axis_angle
 from nvflow.kinematics import (
     CollisionSphere,
     IKOptions,
@@ -19,6 +20,7 @@ from nvflow.kinematics import (
     RobotModel,
     forward_kinematics,
     jacobian,
+    link_frames_batch,
     load_robot,
     robot_from_doc,
     robot_to_doc,
@@ -113,6 +115,51 @@ class TestJacobian:
                 assert np.allclose(jac[3:, j], ang_fd, atol=1e-5)
 
 
+def reference_solve_ik(model, target, seed_config=None, options=IKOptions()):
+    """``solve_ik`` as it was before it kept each iterate's FK: two FK calls
+    and one Jacobian per iteration, each through the public functions.
+    Returns (q, attempt) where ``solve_ik`` returns q."""
+    def pose_error(current):
+        rot_err = axis_angle_from_rotation(target.rotation @ current.rotation.T)
+        return np.concatenate([target.translation - current.translation, rot_err])
+
+    q_min, q_max = model.q_min, model.q_max
+    if seed_config is None:
+        seed_config = 0.5 * (q_min + q_max)
+    seed_config = np.clip(np.asarray(seed_config, dtype=float), q_min, q_max)
+    rng = np.random.default_rng(options.seed)
+    best_pos, best_rot = np.inf, np.inf
+    for attempt in range(options.restarts + 1):
+        q = seed_config.copy() if attempt == 0 else rng.uniform(q_min, q_max)
+        damping = options.damping
+        err = pose_error(forward_kinematics(model, q)[0])
+        residual = np.linalg.norm(err)
+        stall = 0
+        for _ in range(options.max_iters):
+            pos_err = float(np.linalg.norm(err[:3]))
+            rot_err = float(np.linalg.norm(err[3:]))
+            if pos_err + rot_err < best_pos + best_rot:
+                best_pos, best_rot = pos_err, rot_err
+            if pos_err <= options.pos_tol and rot_err <= options.rot_tol:
+                return q, attempt
+            jac = jacobian(model, q)
+            jtj = jac.T @ jac + damping**2 * np.eye(model.dof)
+            step = np.linalg.solve(jtj, jac.T @ err)
+            q_new = np.clip(q + step, q_min, q_max)
+            err_new = pose_error(forward_kinematics(model, q_new)[0])
+            residual_new = np.linalg.norm(err_new)
+            if residual_new < residual:
+                q, err, residual = q_new, err_new, residual_new
+                damping = max(damping * 0.5, 1e-6)
+                stall = 0
+            else:
+                damping = min(damping * 4.0, 1e3)
+                stall += 1
+                if stall >= 10:
+                    break
+    raise IKUnreachableError(best_pos, best_rot)
+
+
 class TestSolveIK:
     def test_fixed_point(self):
         model = planar_two_link()
@@ -157,6 +204,93 @@ class TestSolveIK:
         ee, _ = forward_kinematics(model, q)
         assert np.linalg.norm(ee.translation - target.translation) <= 1e-4
         assert (q >= model.q_min).all() and (q <= model.q_max).all()
+
+
+    def test_same_bytes_as_the_reference_loop(self):
+        """Solved and unreachable targets, restarts included, give the bytes
+        (or the best residual) of the loop that computed FK twice per step."""
+        model = load_robot(ARM7_PATH)
+        rng = np.random.default_rng(11)
+        options = IKOptions(max_iters=15, restarts=3)
+        attempts = []
+        for i in range(12):
+            if i < 8:
+                q_true = rng.uniform(model.q_min, model.q_max)
+                target, _ = forward_kinematics(model, q_true)
+                if i % 2:    # off the arm's exact poses, still within reach
+                    target = SE3Pose(target.rotation @ rotation_from_axis_angle(
+                        0.05 * rng.standard_normal(3)),
+                        target.translation + 0.02 * rng.standard_normal(3))
+            else:
+                target = SE3Pose(rotation_from_axis_angle(rng.standard_normal(3)),
+                                 3.0 * rng.standard_normal(3))
+            seed = rng.uniform(model.q_min, model.q_max) if i % 3 else None
+            try:
+                ref, attempt = reference_solve_ik(model, target, seed, options)
+            except IKUnreachableError as ref_exc:
+                with pytest.raises(IKUnreachableError) as exc:
+                    solve_ik(model, target, seed, options)
+                assert (exc.value.pos_err, exc.value.rot_err) == (
+                    ref_exc.pos_err, ref_exc.rot_err)
+                attempts.append(None)
+                continue
+            assert solve_ik(model, target, seed, options).tobytes() == ref.tobytes()
+            attempts.append(attempt)
+        assert None in attempts                               # unreachable
+        assert 0 in attempts                                  # solved at once
+        assert any(a is not None and a > 0 for a in attempts)  # after a restart
+
+
+class TestPrefixKinematics:
+    """FK resumed at joint j from a stored frame of link j-1 is the full FK."""
+
+    @staticmethod
+    def configs_with_signed_zeros(model, rng, n=40):
+        q = rng.uniform(model.q_min, model.q_max, size=(n, model.dof))
+        q[::3, 1] = -0.0
+        q[1::3, 4] = -0.0
+        q[2::3, model.dof - 1] = -0.0
+        return q
+
+    def test_resumed_frames_and_centers_equal_full_fk(self):
+        model = load_robot(ARM7_PATH)
+        base_pose = SE3Pose(rotation_from_axis_angle(np.array([0.1, -0.2, 0.3])),
+                            np.array([0.3, -0.1, 0.05]))
+        shifted = RobotModel(joints=model.joints, ee_offset=model.ee_offset,
+                             collision_spheres=model.collision_spheres,
+                             base_pose=base_pose)
+        rng = np.random.default_rng(6)
+        links = np.array([s.link for s in model.collision_spheres])
+        for robot in (model, shifted):
+            q = self.configs_with_signed_zeros(robot, rng)
+            rotations, origins = link_frames_batch(robot, q)
+            centers = sphere_centers_batch(robot, q)
+            for j in range(robot.dof):
+                rows = rng.permutation(len(q))[:25]     # gathered copies, as trajopt's
+                parent = None if j == 0 else (rotations[rows, j - 1], origins[rows, j - 1])
+                rot_j, org_j = link_frames_batch(robot, q[rows], start=j, parent=parent)
+                assert rot_j.tobytes() == rotations[rows, j:].tobytes()
+                assert org_j.tobytes() == origins[rows, j:].tobytes()
+                cen_j = sphere_centers_batch(robot, q[rows], start=j, parent=parent)
+                assert cen_j.tobytes() == centers[rows][:, links >= j].tobytes()
+
+    def test_a_negative_zero_angle_turns_like_a_positive_zero(self):
+        """Trajopt's perturbed samples may hold +0.0 where the sweep holds
+        -0.0; the rotation, and so every frame, has the same bytes."""
+        model = load_robot(ARM7_PATH)
+        for joint in model.joints:
+            assert (kinematics._axis_rotations(joint.axis, np.array([-0.0])).tobytes()
+                    == kinematics._axis_rotations(joint.axis, np.array([0.0])).tobytes())
+        q = self.configs_with_signed_zeros(model, np.random.default_rng(8))
+        plus = q + 0.0                                 # -0.0 + 0.0 is +0.0
+        assert q.tobytes() != plus.tobytes()
+        for a, b in zip(link_frames_batch(model, q), link_frames_batch(model, plus)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_start_is_validated(self):
+        model = planar_two_link()
+        with pytest.raises(ValueError, match="start"):
+            link_frames_batch(model, np.zeros((1, 2)), start=2)
 
 
 class TestCollisionSpheres:

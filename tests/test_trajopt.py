@@ -37,8 +37,14 @@ from nvflow.trajopt import (
     penalty_limits,
     problem_from_doc,
     result_to_doc,
-    signed_distance,
 )
+
+
+def swept_clearance(model: RobotModel, q_a: np.ndarray, q_b: np.ndarray,
+                    obstacle, swept_samples: int = 5) -> float:
+    """Swept signed distance of the segment q_a -> q_b to one obstacle."""
+    configs = np.stack([np.asarray(q_a, dtype=float), np.asarray(q_b, dtype=float)])
+    return float(trajopt._sweep(model, configs, (obstacle,), swept_samples).seg_min[0, 0])
 
 
 def yaw_pitch_pointer(radius: float = 0.05) -> RobotModel:
@@ -269,10 +275,11 @@ class TestStructuredSolve:
             ref = np.linalg.solve(jtj + lam * scale, -jac.T @ r)
             assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
 
-def full_collision_rows(problem: TrajOptProblem, full: np.ndarray):
+def full_collision_rows(problem: TrajOptProblem, full: np.ndarray, sweep=None):
     """Collision-row coefficients with every (segment, side, joint) pair
-    forward-differenced, as before the active set: the oracle for
-    ``trajopt._collision_rows``."""
+    forward-differenced, as before the active set and with full FK for every
+    perturbation: the oracle for ``trajopt._collision_rows``.  It sweeps
+    ``full`` itself and does not read ``sweep``."""
     model = problem.model
     steps, dof = full.shape
     n_obs = len(problem.obstacles)
@@ -286,8 +293,8 @@ def full_collision_rows(problem: TrajOptProblem, full: np.ndarray):
     perturbed_seg = np.nonzero(perturbed)[0]
     coef = np.zeros((steps - 1, 2, dof, n_obs))
     if n_obs and model.collision_spheres:
-        base = trajopt._segment_min_distances(model, full, problem.obstacles,
-                                              problem.swept_samples)
+        base = trajopt._sweep(model, full, problem.obstacles,
+                              problem.swept_samples).seg_min
         boundary = problem.eps_safe + problem.collision_pad
         base_r = root_c * np.maximum(boundary - base, 0.0)
         ends = np.stack([full[:-1], full[1:]], axis=1)
@@ -311,15 +318,21 @@ def full_collision_rows(problem: TrajOptProblem, full: np.ndarray):
             coef[:, 1].transpose(0, 2, 1).reshape(-1, dof))
 
 
+def collision_rows(problem: TrajOptProblem, full: np.ndarray):
+    """``trajopt._collision_rows`` of ``full``, given its own sweep."""
+    sweep = trajopt._sweep(problem.model, full, problem.obstacles, problem.swept_samples)
+    return trajopt._collision_rows(problem, full, sweep)
+
+
 @pytest.fixture
 def fk_batches(monkeypatch):
     """Sizes of the batches trajopt passes to ``sphere_centers_batch``, in order."""
     sizes = []
     fk = trajopt.sphere_centers_batch
 
-    def counting(model, configs):
+    def counting(model, configs, *args, **kwargs):
         sizes.append(configs.shape[0])
-        return fk(model, configs)
+        return fk(model, configs, *args, **kwargs)
 
     monkeypatch.setattr(trajopt, "sphere_centers_batch", counting)
     return sizes
@@ -344,7 +357,13 @@ def rotated_box() -> BoxObstacle:
 
 class TestActiveSetJacobian:
     """The collision Jacobian differences only segments near the hinge
-    boundary and is bit-identical to differencing every segment."""
+    boundary and is bit-identical to differencing every segment.
+
+    LM evaluates the residual at a point before it asks for the Jacobian
+    there, so these tests do too: the Jacobian then reuses the residual's
+    sweep, and its FK batches are the perturbations alone, one batch per
+    moved joint of the 7-dof arm.
+    """
 
     @staticmethod
     def oracle(jacobian, x: np.ndarray) -> FrameJacobian:
@@ -368,11 +387,13 @@ class TestActiveSetJacobian:
         at 5% some segments still cut it."""
         problem = packaged_problem(steps)
         converged = optimize_trajectory(problem).trajectory.configs[1:-1].ravel()
-        _, jacobian, x0 = lm_inputs(problem, monkeypatch)
+        residual, jacobian, x0 = lm_inputs(problem, monkeypatch)
         x = x0 + at * (converged - x0)
+        residual(x)
         fk_batches.clear()
         fast = jacobian(x)
-        assert len(fk_batches) == (1 if at == 1.0 else 2)
+        assert len(fk_batches) == (0 if at == 1.0 else 7)
+        assert len(set(fk_batches)) <= 1     # the same perturbed samples per joint
         assert fast.cur[-(steps - 1):].any() == (at < 1.0)   # live collision rows
         self.assert_identical(fast, self.oracle(jacobian, x))
 
@@ -381,13 +402,15 @@ class TestActiveSetJacobian:
     ], ids=["rotated-box", "halfspace", "box-and-halfspace"])
     def test_box_and_halfspace(self, monkeypatch, fk_batches, obstacles):
         problem = with_obstacles(packaged_problem(41), *obstacles)
-        _, jacobian, x0 = lm_inputs(problem, monkeypatch)
-        every_pair = 39 * 2 * 7 * problem.swept_samples
+        residual, jacobian, x0 = lm_inputs(problem, monkeypatch)
+        every_pair = 39 * 2 * problem.swept_samples
         for x in (x0, perturbed(x0, seed=5)):
+            residual(x)
             fk_batches.clear()
             fast = jacobian(x)
-            base, differenced = fk_batches    # some segments skipped, some not
-            assert base == 40 * problem.swept_samples
+            assert len(fk_batches) == 7
+            differenced = fk_batches[0]     # some segments skipped, some not
+            assert fk_batches == [differenced] * 7
             assert 0 < differenced < every_pair
             self.assert_identical(fast, self.oracle(jacobian, x))
 
@@ -398,8 +421,8 @@ class TestActiveSetJacobian:
         full_q = trajopt.init_trajectory(problem.q_start, problem.q_end, 81)
 
         def closest(problem):
-            return trajopt._segment_min_distances(
-                problem.model, full_q, problem.obstacles, problem.swept_samples).min()
+            return trajopt._sweep(problem.model, full_q, problem.obstacles,
+                                  problem.swept_samples).seg_min.min()
 
         margin = problem.lm.fd_step * trajopt._sphere_reach(problem.model) + 1e-9
         target = problem.eps_safe + problem.collision_pad + margin + gap
@@ -408,19 +431,21 @@ class TestActiveSetJacobian:
         problem = with_obstacles(problem, HalfspaceObstacle(
             point=plane.point + shift * plane.normal, normal=plane.normal))
         assert abs(closest(problem) - target) < 1e-12
-        _, jacobian, x0 = lm_inputs(problem, monkeypatch)
+        residual, jacobian, x0 = lm_inputs(problem, monkeypatch)
+        residual(x0)
         fk_batches.clear()
         fast = jacobian(x0)
-        assert len(fk_batches) == (1 if gap > 0 else 2)
+        assert len(fk_batches) == (0 if gap > 0 else 7)
         self.assert_identical(fast, self.oracle(jacobian, x0))
 
     def test_no_active_segment_skips_perturbation_fk(self, monkeypatch, fk_batches):
         far = SphereObstacle(center=np.array([5.0, 5.0, 5.0]), radius=0.03)
         problem = with_obstacles(packaged_problem(41), far)
-        _, jacobian, x0 = lm_inputs(problem, monkeypatch)
+        residual, jacobian, x0 = lm_inputs(problem, monkeypatch)
+        residual(x0)
         fk_batches.clear()
         fast = jacobian(x0)
-        assert fk_batches == [40 * problem.swept_samples]   # the base sweep only
+        assert fk_batches == []     # the residual's sweep is all it needs
         assert not fast.cur[-40:].any() and not fast.nxt[-40:].any()
         self.assert_identical(fast, self.oracle(jacobian, x0))
 
@@ -441,17 +466,38 @@ class TestActiveSetJacobian:
             wall = HalfspaceObstacle(point=np.array([0.0, clearance + 0.05, 0.0]),
                                      normal=np.array([0.0, -1.0, 0.0]))
             problem = with_obstacles(base, wall)
-            rows = trajopt._collision_rows(problem, full_q)
+            rows = collision_rows(problem, full_q)
             oracle = full_collision_rows(problem, full_q)
             for fast, full in zip(rows, oracle):
                 assert np.array_equal(fast, full)
             assert bool(np.any(rows[0]) or np.any(rows[1])) == live
 
+    def test_joint_past_every_sphere_runs_no_fk(self, fk_batches):
+        """Joint 1 of this arm carries no sphere on its link or later: its
+        perturbations change no distance, so only joint 0's run FK, and the
+        rows are still the oracle's."""
+        two = planar_two_link()
+        model = RobotModel(joints=two.joints, ee_offset=two.ee_offset,
+                           collision_spheres=(CollisionSphere(
+                               link=0, center=np.array([0.5, 0.0, 0.0]), radius=0.1),))
+        problem = TrajOptProblem(
+            model=model, q_start=np.array([0.0, 0.0]), q_end=np.array([1.0, 0.5]),
+            steps=9, obstacles=(SphereObstacle(center=np.array([0.4, 0.3, 0.0]),
+                                               radius=0.1),))
+        full_q = init_trajectory(problem.q_start, problem.q_end, problem.steps)
+        sweep = trajopt._sweep(model, full_q, problem.obstacles, problem.swept_samples)
+        fk_batches.clear()
+        rows = trajopt._collision_rows(problem, full_q, sweep)
+        assert len(fk_batches) == 1
+        assert rows[0][:, 0].any() and not rows[0][:, 1].any()
+        for fast, full in zip(rows, full_collision_rows(problem, full_q)):
+            assert np.array_equal(fast, full)
+
     def test_nan_clearance_stays_active(self):
         problem = packaged_problem(21)
         full_q = trajopt.init_trajectory(problem.q_start, problem.q_end, 21)
         full_q[10, 3] = np.nan
-        rows = trajopt._collision_rows(problem, full_q)
+        rows = collision_rows(problem, full_q)
         oracle = full_collision_rows(problem, full_q)
         assert np.isnan(rows[0]).any()
         for fast, full in zip(rows, oracle):
@@ -467,7 +513,59 @@ class TestActiveSetJacobian:
         full_configs = sum(fk_batches)
         assert np.array_equal(fast.trajectory.configs, full.trajectory.configs)
         assert fast.final_cost == full.final_cost
-        assert fast_configs < full_configs / 3
+        assert fast_configs < full_configs / 5
+
+    def test_lm_sweeps_each_iterate_once(self, monkeypatch):
+        """Over a 241-step solve the Jacobian sweeps nothing itself: every
+        unperturbed sweep runs inside ``penalty_collision``, where a traced
+        run times it, and the only other full sweep is the final dense one.
+        The Jacobian's own FK batches resume at joints 0..6 in turn."""
+        problem = packaged_problem(241)
+        batches, inside = [], []
+        fk, penalty = trajopt.sphere_centers_batch, trajopt.penalty_collision
+
+        def counting_fk(model, configs, start=0, parent=None, return_frames=False):
+            batches.append((configs.shape[0], start, bool(inside)))
+            return fk(model, configs, start, parent, return_frames)
+
+        def counting_penalty(*args, **kwargs):
+            inside.append(True)
+            try:
+                return penalty(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(trajopt, "sphere_centers_batch", counting_fk)
+        monkeypatch.setattr(trajopt, "penalty_collision", counting_penalty)
+        optimize_trajectory(problem)
+        sweep = 240 * problem.swept_samples
+        in_residual = [b for b in batches if b[2]]
+        assert len(in_residual) > 1
+        assert all(b == (sweep, 0, True) for b in in_residual)
+        outside = [b for b in batches if not b[2]]
+        assert outside[-1] == (2 * sweep, 0, False)
+        starts = [start for _, start, _ in outside[:-1]]
+        assert starts and starts == list(range(7)) * (len(starts) // 7)
+
+    @pytest.mark.parametrize("obstacles", [(), (rotated_box(), tilted_plane())],
+                             ids=["packaged", "box-and-halfspace"])
+    def test_jacobian_away_from_the_last_residual(self, monkeypatch, fk_batches,
+                                                  obstacles):
+        """At a point whose residual was not the last evaluated, the Jacobian
+        sweeps it again and gives the bytes it gives after that residual."""
+        problem = packaged_problem(41)
+        if obstacles:
+            problem = with_obstacles(problem, *obstacles)
+        residual, jacobian, x0 = lm_inputs(problem, monkeypatch)
+        x = perturbed(x0, seed=7)
+        residual(x)
+        after_residual = jacobian(x)
+        for elsewhere in (x0, -0.0 * x):
+            residual(elsewhere)
+            fk_batches.clear()
+            missed = jacobian(x)
+            assert fk_batches[0] == 40 * problem.swept_samples    # its own sweep
+            self.assert_identical(missed, after_residual)
 
 
 class TestObstacles:
@@ -631,21 +729,21 @@ class TestSignedDistance:
     def test_analytic_clearance(self):
         model = one_link_with_sphere(radius=0.1)
         obs = SphereObstacle(center=np.array([1.0, 0.0, 0.0]), radius=0.2)
-        d = signed_distance(model, np.array([0.0]), np.array([0.0]), obs)
+        d = swept_clearance(model, np.array([0.0]), np.array([0.0]), obs)
         assert d == pytest.approx(0.7, abs=1e-12)
 
     def test_analytic_penetration(self):
         model = one_link_with_sphere(radius=0.1)
         obs = SphereObstacle(center=np.array([0.25, 0.0, 0.0]), radius=0.2)
-        d = signed_distance(model, np.array([0.0]), np.array([0.0]), obs)
+        d = swept_clearance(model, np.array([0.0]), np.array([0.0]), obs)
         assert d == pytest.approx(-0.05, abs=1e-12)
 
     def test_swept_sampling_catches_mid_segment_contact(self):
         model = spinner_with_tip_sphere(arm=1.0, radius=0.05)
         obs = SphereObstacle(center=np.array([0.0, 1.0, 0.0]), radius=0.05)
         q_a, q_b = np.array([0.0]), np.array([np.pi])
-        coarse = signed_distance(model, q_a, q_b, obs, swept_samples=2)
-        fine = signed_distance(model, q_a, q_b, obs, swept_samples=3)
+        coarse = swept_clearance(model, q_a, q_b, obs, swept_samples=2)
+        fine = swept_clearance(model, q_a, q_b, obs, swept_samples=3)
         assert coarse == pytest.approx(np.sqrt(2.0) - 0.1, abs=1e-12)
         assert fine == pytest.approx(-0.1, abs=1e-12)
         assert fine < 0.0 < coarse
@@ -654,13 +752,13 @@ class TestSignedDistance:
         model = one_link_with_sphere()
         obs = SphereObstacle(center=np.array([1.0, 0.0, 0.0]), radius=0.2)
         with pytest.raises(ValueError, match="swept_samples"):
-            signed_distance(model, np.array([0.0]), np.array([0.0]), obs,
+            swept_clearance(model, np.array([0.0]), np.array([0.0]), obs,
                             swept_samples=1)
 
     def test_no_spheres_means_infinitely_clear(self):
         model = planar_two_link()
         obs = SphereObstacle(center=np.zeros(3), radius=1.0)
-        d = signed_distance(model, np.zeros(2), np.zeros(2), obs)
+        d = swept_clearance(model, np.zeros(2), np.zeros(2), obs)
         assert np.isinf(d) and d > 0
 
 
@@ -813,7 +911,7 @@ class TestOptimizeTrajectory:
         )
         init = init_trajectory(problem.q_start, problem.q_end, problem.steps)
         init_clearance = min(
-            signed_distance(model, init[t], init[t + 1], obstacle,
+            swept_clearance(model, init[t], init[t + 1], obstacle,
                             problem.swept_samples)
             for t in range(problem.steps - 1))
         assert init_clearance < 0.0, "fixture must start in collision"
@@ -857,7 +955,7 @@ class TestOptimizeTrajectory:
         result = optimize_trajectory(problem)
         configs = result.trajectory.configs
         audit = min(
-            signed_distance(model, configs[t], configs[t + 1], obstacle,
+            swept_clearance(model, configs[t], configs[t + 1], obstacle,
                             swept_samples=4 * problem.swept_samples)
             for t in range(problem.steps - 1))
         assert abs(audit - result.min_clearance) <= 1e-3
