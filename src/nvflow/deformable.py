@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .flow import ActionableFlow
-from .geometry import _bool, _doc_fields, _float, _frozen, _int
+from .geometry import _bool, _doc_fields, _doc_list, _float, _frozen, _int
 
 __all__ = [
     "DegenerateEdgeError",
@@ -157,9 +157,10 @@ class MassSpringModel:
             raise ValueError(
                 f"unstable integrator: h*c/m = {a:.4g} must be < 2 "
                 f"(h = dt/substeps = {h:.4g} s); raise substeps")
-        free = np.setdiff1d(np.arange(self.n_particles), self.attachment + self.pinned)
+        free = np.ones(self.n_particles, dtype=bool)
+        free[list(self.attachment + self.pinned)] = False
         lam_max = 0.0
-        if self.edges.size and free.size:
+        if self.edges.size and free.any():
             inc = self.incidence()[free]
             lam_max = float(np.linalg.eigvalsh(inc @ inc.T)[-1])
         b = h * h * self.stiffness * lam_max / self.mass
@@ -189,11 +190,12 @@ class MassSpringModel:
     def from_doc(cls, doc: dict) -> "MassSpringModel":
         return cls(**_doc_fields(doc, {
             "n_particles": _int,
-            "edges": lambda edges: np.asarray(edges, dtype=int).reshape(-1, 2),
+            "edges": lambda edges: np.array([_edge(e) for e in _doc_list(edges)],
+                                            dtype=int).reshape(-1, 2),
             "rest_lengths": lambda lengths: np.asarray(lengths, dtype=float),
             "stiffness": _float, "damping": _float, "mass": _float, "dt": _float,
             "substeps": _int, "gravity": _bool, "ground_height": _float,
-            "attachment": tuple, "pinned": tuple,
+            "attachment": _indices, "pinned": _indices,
         }))
 
     def incidence(self) -> np.ndarray:
@@ -229,6 +231,31 @@ class MassSpringModel:
         table_signs[ends, slot] = signs
         return table, table_signs
 
+    @cached_property
+    def _signed_slots(self) -> np.ndarray:
+        """The incident-edge table as rows of a (2E + 1)-row signed force buffer.
+
+        Row e of the buffer holds edge e's force, row E + e its negation and
+        row 2E the padding term (edge 0's force times 0.0), so a slot of sign
+        +1, -1 or 0 names row e, E + e or 2E.  Only models with edges use it.
+        """
+        table, signs = self._incident_edges
+        n_edges = self.edges.shape[0]
+        return np.where(signs > 0.0, table,
+                        np.where(signs < 0.0, n_edges + table, 2 * n_edges))
+
+
+def _edge(doc) -> tuple[int, int]:
+    """A JSON array of two particle indices."""
+    pair = _doc_list(doc)
+    if len(pair) != 2:
+        raise ValueError(f"an edge is two particle indices, got {doc!r}")
+    return _int(pair[0]), _int(pair[1])
+
+
+def _indices(doc) -> tuple[int, ...]:
+    return tuple(_int(i) for i in _doc_list(doc))
+
 
 def save_dynamics(model: MassSpringModel, path) -> None:
     Path(path).write_text(json.dumps(model.to_doc(), indent=2) + "\n")
@@ -248,61 +275,72 @@ def _step_batch(model: MassSpringModel, positions: np.ndarray, velocities: np.nd
     innermost, so that every operation is a contiguous loop over the batch
     rather than numpy's inner loop over a length-3 axis.
 
-    Spring vectors are gathered per edge as ``pos[head] - pos[tail]``; edge
-    forces are scattered back through the model's incident-edge table, one
-    slot at a time onto zeros.  That adds the same terms in the same order,
-    from the same +0.0 start, as the dense product with the (N, E) incidence
-    matrix, so the result is bit-identical to it without building one.  The
-    spring length is ``sqrt((x^2 + y^2) + z^2)``, in that order, because that
-    is the order in which ``np.linalg.norm`` reduces a length-3 axis; any
-    other grouping changes the last bit of some lengths.
+    Spring vectors are gathered per edge as ``pos[head] - pos[tail]``.  Edge
+    forces are scattered back through the model's incident-edge table: each
+    slot's signed term is read from a buffer holding every edge force, its
+    negation and the padding term, and the slots are added in slot order from
+    +0.0.  That adds the same terms in the same order, from the same +0.0
+    start, as the dense product with the (N, E) incidence matrix, so the
+    result is bit-identical to it without building one.  The spring length is
+    ``sqrt((x^2 + y^2) + z^2)``, in that order, because that is the order in
+    which ``np.linalg.norm`` reduces a length-3 axis (``np.add.reduce`` over
+    the (E, 3, B) middle axis adds in the same order); any other grouping
+    changes the last bit of some lengths.
 
     A sample with a spring shorter than 1e-9 m is dead: its forces are not
     evaluated (no division by the zero length) and it is frozen at its state
     from the substep where the collapse was seen.
     """
     h = model.dt / model.substeps
-    tail, head = model.edges[:, 0], model.edges[:, 1]
-    slots, signs = model._incident_edges
-    signs = signs[:, :, None, None]
-    attached = list(model.attachment)
-    pinned = list(model.pinned)
+    n_edges = model.edges.shape[0]
+    ends_of = model.edges.T
+    attached = np.array(model.attachment, dtype=np.intp)
+    pinned = np.array(model.pinned, dtype=np.intp)
     # np.array copies even where the transpose is already contiguous (B = 1)
     pos = np.array(positions.transpose(1, 2, 0), order="C")
     vel = np.array(velocities.transpose(1, 2, 0), order="C")
-    dead = np.zeros(pos.shape[2], dtype=bool)
+    batch = pos.shape[2]
+    dead = np.zeros(batch, dtype=bool)
+    any_dead = False
     kinematic_vel = (deltas / model.dt).T  # (3, B)
     rest = model.rest_lengths[:, None]
+    if n_edges:
+        slots = model._signed_slots
+        signed = np.empty((2 * n_edges + 1, 3, batch))
+        edge_force = signed[:n_edges]
     for _ in range(model.substeps):
         prev_pos, prev_vel = pos, vel
-        d = pos[head] - pos[tail]  # (E, 3, B)
-        sq = d * d
-        lengths = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
-        short = lengths < 1e-9
-        if short.any():
-            dead |= short.any(axis=0)
-            lengths[:, dead] = 1.0   # any nonzero length; dead samples are reset below
-        stretch = model.stiffness * (lengths - rest)
-        edge_force = (stretch / lengths)[:, None, :] * d
-        terms = edge_force[slots]  # (N, D, 3, B)
-        terms *= signs
-        force = np.zeros_like(pos)
-        for k in range(slots.shape[1]):
-            force += terms[:, k]
+        if n_edges:
+            ends = pos[ends_of]            # (2, E, 3, B): tails, then heads
+            d = ends[1] - ends[0]
+            lengths = np.sqrt(np.add.reduce(d * d, axis=1))
+            short = lengths < 1e-9
+            if np.count_nonzero(short):
+                dead |= short.any(axis=0)
+                any_dead = True
+                lengths[:, dead] = 1.0   # any nonzero length; dead samples are reset below
+            stretch = model.stiffness * (lengths - rest)
+            np.multiply((stretch / lengths)[:, None, :], d, out=edge_force)
+            np.multiply(edge_force, -1.0, out=signed[n_edges:-1])
+            np.multiply(edge_force[0], 0.0, out=signed[-1])
+            # (N, D, 3, B) terms, summed over the D slots in order from +0.0
+            force = np.add.reduce(signed[slots], axis=1, initial=0.0)
+        else:
+            force = np.zeros_like(pos)
         force -= model.damping * vel
         if model.gravity:
             force[:, 2] -= 9.81 * model.mass
         vel = vel + (h / model.mass) * force
-        if attached:
+        if model.attachment:
             vel[attached] = kinematic_vel
-        if pinned:
+        if model.pinned:
             vel[pinned] = 0.0
         pos = pos + h * vel
         below = pos[:, 2] < model.ground_height
-        if below.any():
+        if np.count_nonzero(below):
             pos[:, 2] = np.maximum(pos[:, 2], model.ground_height)
             vel[:, 2] = np.where(below, np.maximum(vel[:, 2], 0.0), vel[:, 2])
-        if dead.any():
+        if any_dead:
             pos[..., dead] = prev_pos[..., dead]
             vel[..., dead] = prev_vel[..., dead]
     return (np.ascontiguousarray(pos.transpose(2, 0, 1)),
@@ -395,6 +433,9 @@ class MPCConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.elites <= self.population:
             raise ValueError("need 1 <= elites <= population")
+        if self.population < 2:
+            raise ValueError("population must be >= 2: the zero and mean plans are "
+                             "in every population")
         if self.horizon < 1 or self.iterations < 1:
             raise ValueError("horizon and iterations must be positive")
         if self.action_cap <= 0.0 or self.init_std <= 0.0 or self.min_std <= 0.0:
@@ -408,10 +449,13 @@ def _cap_actions(seqs: np.ndarray, cap: float) -> np.ndarray:
 
 
 def _batch_costs(model: MassSpringModel, state: ParticleState, seqs: np.ndarray,
-                 targets: np.ndarray, final_goal: np.ndarray | None) -> np.ndarray:
+                 targets: np.ndarray, final_goal: np.ndarray | None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cumulative tracking cost of action sequences (B, H, 3) -> (B,).
 
-    A sequence whose rollout collapses a spring costs +inf.
+    Also returns the (B, N, 3) positions and velocities after each
+    sequence's first action, the state a rollout executes.  A sequence whose
+    rollout collapses a spring costs +inf.
     """
     batch = seqs.shape[0]
     pos = np.broadcast_to(state.positions, (batch,) + state.positions.shape).copy()
@@ -419,6 +463,8 @@ def _batch_costs(model: MassSpringModel, state: ParticleState, seqs: np.ndarray,
     costs = np.zeros(batch)
     for j in range(seqs.shape[1]):
         pos, vel, dead = _step_batch(model, pos, vel, seqs[:, j])
+        if j == 0:
+            first_pos, first_vel = pos, vel
         if final_goal is None:
             diff = pos - targets[j]
             costs += np.sum(diff ** 2, axis=(1, 2))
@@ -426,7 +472,67 @@ def _batch_costs(model: MassSpringModel, state: ParticleState, seqs: np.ndarray,
             d2 = np.sum((pos[:, :, None, :] - final_goal[None, None, :, :]) ** 2, axis=-1)
             costs += d2.min(axis=2).mean(axis=1) + d2.min(axis=1).mean(axis=1)
         costs[dead] = np.inf
-    return costs
+    return costs, first_pos, first_vel
+
+
+def _plan(model: MassSpringModel, state: ParticleState, flow: ActionableFlow,
+          t: int, config: MPCConfig, correspondence: Correspondence,
+          cost_mode: str) -> tuple[np.ndarray, ParticleState]:
+    """``plan_actions``'s plan, with the state its first action leads to.
+
+    That state is the one the planner simulated when it scored the plan, and
+    equals ``mass_spring_step(model, state, plan[0])`` bit for bit: a batch
+    row of ``_step_batch`` does not depend on the rest of the batch.
+    """
+    if not 1 <= t < flow.frames:
+        raise ValueError(f"frame index t must be in [1, {flow.frames - 1}], got {t}")
+    if cost_mode not in ("flow", "chamfer_final"):
+        raise ValueError(f"unknown cost mode {cost_mode!r}")
+    steps = min(config.horizon, flow.frames - t)
+    if cost_mode == "flow":
+        targets = flow.positions[t:t + steps][:, correspondence.indices, :]
+        final_goal = None
+    else:
+        targets = np.zeros((steps, 1, 3))
+        final_goal = flow.positions[-1]
+
+    mean = np.zeros((steps, 3))
+    std = np.full((steps, 3), config.init_std)
+    best_seq = np.zeros((steps, 3))
+    best_cost = np.inf
+    best_next = None
+    noise = np.zeros((config.population, steps, 3))
+
+    for iteration in range(config.iterations):
+        # Samples 0 and 1 are replaced below, so their streams are not drawn.
+        for k in range(2, config.population):
+            rng = np.random.default_rng([config.seed, t, iteration, k])
+            rng.standard_normal(out=noise[k])
+        samples = _cap_actions(mean + std * noise, config.action_cap)
+        samples[0] = 0.0                          # the do-nothing plan
+        samples[1] = _cap_actions(mean[None], config.action_cap)[0]
+        costs, next_pos, next_vel = _batch_costs(model, state, samples, targets,
+                                                 final_goal)
+        order = np.argsort(costs, kind="stable")
+        if costs[order[0]] == np.inf:
+            raise DegenerateEdgeError(
+                "degenerate edge: every sampled action sequence collapses a spring")
+        if costs[order[0]] < best_cost:
+            best_cost = float(costs[order[0]])
+            best_seq = samples[order[0]].copy()
+            best_next = next_pos[order[0]], next_vel[order[0]]
+        elite = samples[order[:config.elites]]
+        mean = elite.mean(axis=0)
+        std = np.maximum(elite.std(axis=0), config.min_std)
+
+    final = _cap_actions(mean[None], config.action_cap)[0]
+    final_costs, next_pos, next_vel = _batch_costs(model, state, final[None], targets,
+                                                   final_goal)
+    if float(final_costs[0]) <= best_cost:
+        return final, ParticleState(next_pos[0], next_vel[0])
+    if best_next is None:     # no sample ever scored below +inf (NaN costs)
+        return best_seq, mass_spring_step(model, state, best_seq[0])
+    return best_seq, ParticleState(*best_next)
 
 
 def plan_actions(model: MassSpringModel, state: ParticleState, flow: ActionableFlow,
@@ -447,48 +553,7 @@ def plan_actions(model: MassSpringModel, state: ParticleState, flow: ActionableF
     index, iteration, sample index), so results do not depend on evaluation
     order.
     """
-    if not 1 <= t < flow.frames:
-        raise ValueError(f"frame index t must be in [1, {flow.frames - 1}], got {t}")
-    if cost_mode not in ("flow", "chamfer_final"):
-        raise ValueError(f"unknown cost mode {cost_mode!r}")
-    steps = min(config.horizon, flow.frames - t)
-    if cost_mode == "flow":
-        targets = flow.positions[t:t + steps][:, correspondence.indices, :]
-        final_goal = None
-    else:
-        targets = np.zeros((steps, 1, 3))
-        final_goal = flow.positions[-1]
-
-    mean = np.zeros((steps, 3))
-    std = np.full((steps, 3), config.init_std)
-    best_seq = np.zeros((steps, 3))
-    best_cost = np.inf
-
-    for iteration in range(config.iterations):
-        samples = np.empty((config.population, steps, 3))
-        for k in range(config.population):
-            rng = np.random.default_rng([config.seed, t, iteration, k])
-            samples[k] = mean + std * rng.standard_normal((steps, 3))
-        samples = _cap_actions(samples, config.action_cap)
-        samples[0] = 0.0                          # the do-nothing plan
-        samples[1] = _cap_actions(mean[None], config.action_cap)[0]
-        costs = _batch_costs(model, state, samples, targets, final_goal)
-        order = np.argsort(costs, kind="stable")
-        if costs[order[0]] == np.inf:
-            raise DegenerateEdgeError(
-                "degenerate edge: every sampled action sequence collapses a spring")
-        if costs[order[0]] < best_cost:
-            best_cost = float(costs[order[0]])
-            best_seq = samples[order[0]].copy()
-        elite = samples[order[:config.elites]]
-        mean = elite.mean(axis=0)
-        std = np.maximum(elite.std(axis=0), config.min_std)
-
-    final = _cap_actions(mean[None], config.action_cap)[0]
-    final_cost = float(_batch_costs(model, state, final[None], targets, final_goal)[0])
-    if final_cost <= best_cost:
-        return final
-    return best_seq
+    return _plan(model, state, flow, t, config, correspondence, cost_mode)[0]
 
 
 @dataclass(frozen=True)
@@ -514,7 +579,8 @@ def mpc_rollout(model: MassSpringModel, initial: ParticleState, flow: Actionable
     """Receding-horizon rollout across all flow frames.
 
     At each frame the planner is re-run from the current state and only the
-    first action of its plan is executed.  The recorded per-frame cost
+    first action of its plan is executed: the next state is the one the
+    planner simulated for that action.  The recorded per-frame cost
     is always the corresponded flow cost, so rollouts under different planning
     objectives stay comparable.
     """
@@ -526,9 +592,8 @@ def mpc_rollout(model: MassSpringModel, initial: ParticleState, flow: Actionable
     costs[0] = flow_cost(initial, flow.positions[0], correspondence.indices)
     state = initial
     for t in range(1, flow.frames):
-        plan = plan_actions(model, state, flow, t, config, correspondence, cost_mode)
+        plan, state = _plan(model, state, flow, t, config, correspondence, cost_mode)
         actions[t - 1] = plan[0]
-        state = mass_spring_step(model, state, plan[0])
         states.append(state)
         costs[t] = flow_cost(state, flow.positions[t], correspondence.indices)
     return RolloutResult(tuple(states), actions, costs)

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import SE3Pose, _doc_fields, axis_angle_from_rotation
+from .geometry import SE3Pose, _doc_fields, _float, _int, axis_angle_from_rotation
 
 __all__ = [
     "Joint",
@@ -151,14 +151,14 @@ def robot_from_doc(doc: dict) -> RobotModel:
         "joints": lambda joints: tuple(
             Joint(axis=np.asarray(j["axis"], dtype=float),
                   origin=SE3Pose.from_doc(j["origin"]),
-                  q_min=float(j["q_min"]), q_max=float(j["q_max"]),
-                  velocity_limit=float(j["velocity_limit"]))
+                  q_min=_float(j["q_min"]), q_max=_float(j["q_max"]),
+                  velocity_limit=_float(j["velocity_limit"]))
             for j in joints),
         "ee_offset": SE3Pose.from_doc,
         "collision_spheres": lambda spheres: tuple(
-            CollisionSphere(link=int(s["link"]),
+            CollisionSphere(link=_int(s["link"]),
                             center=np.asarray(s["center"], dtype=float),
-                            radius=float(s["radius"]))
+                            radius=_float(s["radius"]))
             for s in spheres),
         "base_pose": SE3Pose.from_doc,
         "name": str,

@@ -148,6 +148,28 @@ _CLEARANCE = 0.01      # slack added to the closing extent, meters
 _TOP_FRACTION = 0.2    # share of points, nearest the camera, the grasp centers on
 
 
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` of a finite 1-d array, bit for bit, without numpy.ma.
+
+    np.quantile imports numpy.ma on its first call, 11-14 ms of a fresh
+    process.  This is its default (linear) method step for step: the same
+    partition split points, and the same two-sided interpolation between
+    the neighbouring order statistics a and b at fraction g, a + (b - a) g
+    below g = 0.5 and b - (b - a)(1 - g) from there on.
+    """
+    n = values.size
+    virtual = (n - 1) * q
+    lower = -1 if virtual >= n - 1 else int(np.floor(virtual))
+    upper = -1 if lower == -1 else lower + 1
+    part = np.partition(values, sorted({0, -1, lower, upper}))
+    a, b = part[lower], part[upper]
+    gamma = virtual - lower
+    diff = b - a
+    if gamma >= 0.5:
+        return float(b - diff * (1.0 - gamma))
+    return float(a + diff * gamma)
+
+
 def propose_grasp(object_points: np.ndarray) -> list[GraspProposal]:
     """Top-down parallel-jaw grasp proposals from a camera-frame point cloud.
 
@@ -176,7 +198,7 @@ def propose_grasp(object_points: np.ndarray) -> list[GraspProposal]:
     height = -pts[:, 2]
     approach_vec = np.array([0.0, 0.0, 1.0])
 
-    cutoff = np.quantile(height, 1.0 - _TOP_FRACTION)
+    cutoff = _quantile(height, 1.0 - _TOP_FRACTION)
     top = pts[height >= cutoff]
     center = top.mean(axis=0)
 

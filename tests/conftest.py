@@ -2,7 +2,8 @@
 
 The robot builders (``planar_two_link``, ``one_link_with_sphere``,
 ``spinner_with_tip_sphere``) and the rotation helpers (``random_rotation``,
-``random_pose``, ``rotation_distance``) are plain functions, not fixtures:
+``random_pose``, ``rotation_distance``) and the oracle inputs
+(``tie_heavy_arrays``, ``assert_same_float``) are plain functions, not fixtures:
 import them with ``from conftest import ...`` and call them, e.g.
 ``model = planar_two_link()``.  Naming one as a test parameter makes pytest
 look for a fixture of that name and error at setup.  ``rng`` is the only
@@ -78,6 +79,29 @@ def spinner_with_tip_sphere(arm: float = 1.0, radius: float = 0.05) -> RobotMode
         ),
         name="spinner",
     )
+
+
+def tie_heavy_arrays(rng, count=3000):
+    """Random 1-d arrays of sizes 1-60, odd and even, many with repeated values.
+
+    One in four is drawn from {-1, -0.0, +0.0, 1}, so signed zeros tie too.
+    """
+    for i in range(count):
+        n = int(rng.integers(1, 61))
+        kind = i % 4
+        if kind == 0:
+            yield rng.standard_normal(n)
+        elif kind == 1:
+            yield rng.integers(-3, 4, n).astype(float)
+        elif kind == 2:
+            yield rng.choice([-1.0, -0.0, 0.0, 1.0], n)
+        else:
+            yield np.round(rng.uniform(0.2, 5.0, n), 1)
+
+
+def assert_same_float(got, want):
+    assert isinstance(got, float)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.fixture

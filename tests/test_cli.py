@@ -192,6 +192,18 @@ def _plan_deformable(c, **dynamics):
             "--horizon", 2, "--out-dir", c.out]
 
 
+def _rope_dynamics(c):
+    return json.loads((c.fixture("rope_bundle_dir") / "dynamics.json").read_text())
+
+
+def _optimize_traj_robot(c, joint=None, sphere=None):
+    """The packaged problem at 21 steps on an arm7 copy with joint 0 and sphere 1 edited."""
+    robot = json.loads(fixture_path("arm7.json").read_text())
+    robot["joints"][0].update(joint or {})
+    robot["collision_spheres"][1].update(sphere or {})
+    return _optimize_traj(c, steps=21, robot=str(c.write(robot, "robot.json")))
+
+
 def _eval(c, plan_doc):
     return ["eval", c.rigid_plan(plan_doc), c.fixture("rigid_bundle_dir"),
             "--out-dir", c.out]
@@ -349,6 +361,14 @@ MALFORMED_INPUT_CASES = {
     "trajopt-weight-string": lambda c: _optimize_traj(c, weights={"smooth": "10"}),
     "trajopt-sphere-radius-string": lambda c: _optimize_traj(c, obstacles=[{
         "type": "sphere", "center": [0.01, 0.0, 0.87], "radius": "0.03"}]),
+    "dynamics-edge-fraction": lambda c: _plan_deformable(
+        c, edges=[[0, 1.6]] + _rope_dynamics(c)["edges"][1:]),
+    "dynamics-edge-three-indices": lambda c: _plan_deformable(
+        c, edges=[[0, 1, 2]] + _rope_dynamics(c)["edges"][1:]),
+    "dynamics-attachment-fraction": lambda c: _plan_deformable(c, attachment=[0.5]),
+    "dynamics-pinned-string": lambda c: _plan_deformable(c, pinned=["7"]),
+    "robot-sphere-link-fraction": lambda c: _optimize_traj_robot(c, sphere={"link": 1.7}),
+    "robot-joint-q-min-string": lambda c: _optimize_traj_robot(c, joint={"q_min": "-2.9"}),
 }
 
 # Every top-level key of the two documents a user writes by hand, each
@@ -927,3 +947,24 @@ class TestInstalledEntryPoints:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.startswith("nvflow")
+
+    def test_runs_never_import_numpy_ma(self, tmp_path):
+        """numpy.ma costs 11-14 ms to import; no stage of a rigid or rope run needs it.
+
+        np.median, np.quantile, np.setdiff1d and np.unique import it on first use.
+        """
+        src = str(Path(nvflow.__file__).resolve().parent.parent)
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        rope = fixture_path("scene_rope.json")
+        script = (
+            "import sys\n"
+            "from nvflow.cli import main\n"
+            f"codes = [main(['run', '--seed', '0', '--candidates', '1', '--out-dir', "
+            f"{str(tmp_path / 'rigid')!r}]), main(['run', '--config', {str(rope)!r}, "
+            f"'--horizon', '2', '--out-dir', {str(tmp_path / 'rope')!r}])]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0] False"

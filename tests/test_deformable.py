@@ -90,9 +90,16 @@ def einsum_step(model: MassSpringModel, positions: np.ndarray,
     return pos, vel
 
 
-def packaged_rope():
+def packaged_rope_scene(frames=None):
+    """The packaged rope scene, optionally cut to fewer frames."""
     doc = json.loads((resources.files("nvflow") / "fixtures" / "scene_rope.json").read_text())
-    bundle = generate_scene(SceneConfig.from_doc(doc))
+    if frames is not None:
+        doc["frames"] = frames
+    return generate_scene(SceneConfig.from_doc(doc))
+
+
+def packaged_rope():
+    bundle = packaged_rope_scene()
     return bundle.dynamics, bundle.initial_state.positions
 
 
@@ -317,9 +324,9 @@ class TestDegenerateSamples:
         seen = []
 
         def spy(*args):
-            costs = batch_costs(*args)
-            seen.append(costs)
-            return costs
+            scored = batch_costs(*args)
+            seen.append(scored[0])       # the costs; the first-step states follow
+            return scored
 
         monkeypatch.setattr(deformable, "_batch_costs", spy)
         with np.errstate(divide="raise", invalid="raise"):
@@ -592,10 +599,92 @@ class TestMPCConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="elites"):
             MPCConfig(population=4, elites=8)
+        with pytest.raises(ValueError, match="population must be >= 2"):
+            MPCConfig(population=1, elites=1)
         with pytest.raises(ValueError, match="horizon"):
             MPCConfig(horizon=0)
         with pytest.raises(ValueError, match="positive"):
             MPCConfig(init_std=0.0)
+
+
+def reference_plan(model, state, flow, t, config, correspondence, cost_mode="flow"):
+    """The planner drawing each sample into its own row, one stream at a time.
+
+    This is the sampling loop ``plan_actions`` replaced, scoring through the
+    same ``_batch_costs``; ``reference_rollout`` replays its first action with
+    ``mass_spring_step``.  The planner must reproduce both bit for bit.
+    """
+    steps = min(config.horizon, flow.frames - t)
+    if cost_mode == "flow":
+        targets = flow.positions[t:t + steps][:, correspondence.indices, :]
+        final_goal = None
+    else:
+        targets = np.zeros((steps, 1, 3))
+        final_goal = flow.positions[-1]
+    mean = np.zeros((steps, 3))
+    std = np.full((steps, 3), config.init_std)
+    best_seq = np.zeros((steps, 3))
+    best_cost = np.inf
+    for iteration in range(config.iterations):
+        samples = np.empty((config.population, steps, 3))
+        for k in range(config.population):
+            rng = np.random.default_rng([config.seed, t, iteration, k])
+            samples[k] = mean + std * rng.standard_normal((steps, 3))
+        samples = deformable._cap_actions(samples, config.action_cap)
+        samples[0] = 0.0
+        samples[1] = deformable._cap_actions(mean[None], config.action_cap)[0]
+        costs = deformable._batch_costs(model, state, samples, targets, final_goal)[0]
+        order = np.argsort(costs, kind="stable")
+        if costs[order[0]] < best_cost:
+            best_cost = float(costs[order[0]])
+            best_seq = samples[order[0]].copy()
+        elite = samples[order[:config.elites]]
+        mean = elite.mean(axis=0)
+        std = np.maximum(elite.std(axis=0), config.min_std)
+    final = deformable._cap_actions(mean[None], config.action_cap)[0]
+    final_cost = deformable._batch_costs(model, state, final[None], targets, final_goal)[0]
+    return final if float(final_cost[0]) <= best_cost else best_seq
+
+
+def reference_rollout(model, initial, flow, config, correspondence, cost_mode):
+    states, actions = [initial], []
+    for t in range(1, flow.frames):
+        plan = reference_plan(model, states[-1], flow, t, config, correspondence, cost_mode)
+        actions.append(plan[0])
+        states.append(mass_spring_step(model, states[-1], plan[0]))
+    return states, np.array(actions)
+
+
+class TestPlannerOracle:
+    """The rollout against the per-sample planner and the replayed executed step."""
+
+    @pytest.mark.parametrize("cost_mode", ["flow", "chamfer_final"])
+    def test_bit_identical_to_the_reference_rollout(self, cost_mode):
+        bundle = packaged_rope_scene(frames=4)
+        model, initial, flow = bundle.dynamics, bundle.initial_state, bundle.gt_flow
+        corr = build_correspondence(flow, initial.positions)
+        config = MPCConfig(horizon=2, seed=3)
+        result = mpc_rollout(model, initial, flow, config, corr, cost_mode=cost_mode)
+        states, actions = reference_rollout(model, initial, flow, config, corr, cost_mode)
+        assert_same_bits(result.actions, actions)
+        assert len(result.states) == len(states) == flow.frames
+        for got, want in zip(result.states, states):
+            assert_same_bits(got.positions, want.positions)
+            assert_same_bits(got.velocities, want.velocities)
+        for t in range(1, flow.frames):
+            replay = mass_spring_step(model, result.states[t - 1], result.actions[t - 1])
+            assert_same_bits(result.states[t].positions, replay.positions)
+            assert_same_bits(result.states[t].velocities, replay.velocities)
+        assert not np.array_equal(result.actions, np.zeros_like(result.actions))
+
+    def test_plan_actions_equals_the_reference_plan(self):
+        bundle = packaged_rope_scene(frames=4)
+        model, initial, flow = bundle.dynamics, bundle.initial_state, bundle.gt_flow
+        corr = build_correspondence(flow, initial.positions)
+        config = MPCConfig(horizon=2, population=16, elites=4, iterations=3, seed=8)
+        for t in (1, 3):
+            assert_same_bits(plan_actions(model, initial, flow, t, config, corr),
+                             reference_plan(model, initial, flow, t, config, corr))
 
 
 class TestMPCRollout:

@@ -12,6 +12,7 @@ from nvflow.flow import (
     FlowCandidate,
     GroundingError,
     TrackSet,
+    _median,
     _stamp_digits,
     calibrate_depth,
     distill_flow,
@@ -21,6 +22,8 @@ from nvflow.flow import (
 )
 from nvflow.geometry import CameraIntrinsics, DepthMap, project
 from nvflow.sim import DEFAULT_SENSOR_NOISE, SceneConfig, corrupt_flow, generate_scene
+
+from conftest import assert_same_float, tie_heavy_arrays
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -32,6 +35,12 @@ def sorted_median(values) -> float:
     if n % 2 == 1:
         return ordered[n // 2]
     return 0.5 * (ordered[n // 2 - 1] + ordered[n // 2])
+
+
+class TestMedian:
+    def test_bit_identical_to_np_median(self, rng):
+        for values in tie_heavy_arrays(rng):
+            assert_same_float(_median(values), np.median(values))
 
 
 class TestCalibrateDepth:

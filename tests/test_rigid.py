@@ -12,13 +12,14 @@ from nvflow.rigid import (
     GraspProposal,
     GraspWarning,
     ObjectPoseTrajectory,
+    _quantile,
     compose_ee_trajectory,
     estimate_rigid_transform,
     flow_to_pose_trajectory,
     propose_grasp,
 )
 
-from conftest import random_pose, random_rotation
+from conftest import assert_same_float, random_pose, random_rotation, tie_heavy_arrays
 
 
 class TestEstimateRigidTransform:
@@ -189,6 +190,13 @@ def fibonacci_sphere(radius, count=400):
 # Grasp clouds are in the camera frame, where -z is up: negating z turns a
 # cloud whose top face is at +z into one whose top face is nearest the camera.
 FLIP_Z = np.array([1.0, 1.0, -1.0])
+
+
+class TestQuantile:
+    def test_bit_identical_to_np_quantile(self, rng):
+        for values in tie_heavy_arrays(rng):
+            for q in (0.0, 0.5, 0.8, 1.0, float(rng.random())):
+                assert_same_float(_quantile(values, q), np.quantile(values, q))
 
 
 class TestProposeGrasp:
