@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .flow import ActionableFlow
-from .geometry import _bool, _doc_fields, _doc_list, _float, _frozen, _int
+from .geometry import _bool, _doc_fields, _doc_list, _float, _floats, _frozen, _int
 
 __all__ = [
     "DegenerateEdgeError",
@@ -69,7 +69,7 @@ class ParticleState:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ParticleState":
-        return cls(doc["positions"], doc["velocities"])
+        return cls(_floats(doc["positions"]), _floats(doc["velocities"]))
 
     @classmethod
     def at_rest(cls, positions: np.ndarray) -> "ParticleState":
@@ -192,7 +192,7 @@ class MassSpringModel:
             "n_particles": _int,
             "edges": lambda edges: np.array([_edge(e) for e in _doc_list(edges)],
                                             dtype=int).reshape(-1, 2),
-            "rest_lengths": lambda lengths: np.asarray(lengths, dtype=float),
+            "rest_lengths": _floats,
             "stiffness": _float, "damping": _float, "mass": _float, "dt": _float,
             "substeps": _int, "gravity": _bool, "ground_height": _float,
             "attachment": _indices, "pinned": _indices,

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import DepthMap
+from .geometry import DepthMap, _floats
 
 __all__ = [
     "FlowFormatError",
@@ -93,7 +93,7 @@ def read_flow(path) -> tuple[np.ndarray, str]:
         doc = json.loads(path.read_text())
         if doc.get("version") != FLOW_VERSION:
             raise FlowFormatError(f"unsupported flow version {doc.get('version')}", 0)
-        pos = np.asarray(doc["positions"], dtype=float)
+        pos = _floats(doc["positions"])
         if pos.shape != (doc["frames"], doc["points"], 3):
             raise FlowFormatError(
                 f"positions shape {pos.shape} does not match header "

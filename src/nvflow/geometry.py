@@ -81,6 +81,24 @@ def _float(value) -> float:
     return float(value)
 
 
+def _floats(value) -> np.ndarray:
+    """A JSON array of numbers, nested to any depth, as a float array.
+
+    ``np.asarray(value, dtype=float)`` would parse "1" and read true as
+    1.0; each element goes through ``_float`` instead, so either is a
+    TypeError, as is a value that is not an array.  Shapes are left to the
+    caller; a ragged array is a ValueError.
+    """
+    pending = [_doc_list(value)]
+    while pending:
+        for item in pending.pop():
+            if isinstance(item, list):
+                pending.append(item)
+            else:
+                _float(item)
+    return np.array(value, dtype=float)
+
+
 def _bool(value) -> bool:
     """JSON true or false; ``bool`` would read the string "false" as true."""
     if not isinstance(value, bool):
@@ -147,8 +165,7 @@ class SE3Pose:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SE3Pose":
-        return cls(np.asarray(doc["rotation"], dtype=float).reshape(3, 3),
-                   np.asarray(doc["translation"], dtype=float))
+        return cls(_floats(doc["rotation"]).reshape(3, 3), _floats(doc["translation"]))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one (3,) point or an (..., 3) array of points."""

@@ -40,7 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import SE3Pose, _doc_fields, _float, _int, axis_angle_from_rotation
+from .geometry import (SE3Pose, _doc_fields, _doc_list, _float, _floats, _int,
+                       axis_angle_from_rotation)
 
 __all__ = [
     "Joint",
@@ -149,17 +150,17 @@ def robot_to_doc(model: RobotModel) -> dict:
 def robot_from_doc(doc: dict) -> RobotModel:
     return RobotModel(**_doc_fields(doc, {
         "joints": lambda joints: tuple(
-            Joint(axis=np.asarray(j["axis"], dtype=float),
+            Joint(axis=_floats(j["axis"]),
                   origin=SE3Pose.from_doc(j["origin"]),
                   q_min=_float(j["q_min"]), q_max=_float(j["q_max"]),
                   velocity_limit=_float(j["velocity_limit"]))
-            for j in joints),
+            for j in _doc_list(joints)),
         "ee_offset": SE3Pose.from_doc,
         "collision_spheres": lambda spheres: tuple(
             CollisionSphere(link=_int(s["link"]),
-                            center=np.asarray(s["center"], dtype=float),
+                            center=_floats(s["center"]),
                             radius=_float(s["radius"]))
-            for s in spheres),
+            for s in _doc_list(spheres)),
         "base_pose": SE3Pose.from_doc,
         "name": str,
     }))

@@ -53,6 +53,7 @@ from .geometry import (
     _doc_fields,
     _doc_list,
     _float,
+    _floats,
     _frozen,
     _int,
     project,
@@ -293,20 +294,24 @@ class SceneConfig:
     @classmethod
     def from_doc(cls, doc: dict) -> "SceneConfig":
         """Inverse of ``to_doc``; a left-out key takes the default its type declares."""
+        def numbers(values) -> tuple:
+            return tuple(_floats(values).tolist())
+
         kwargs = _doc_fields(doc, {
             "scene": str, "seed": _int, "frames": _int, "distractor_points": _int,
             "camera": SE3Pose.from_doc,
             "noise": lambda noise: NoiseConfig(**_doc_fields(noise, dict.fromkeys(
                 ("track_sigma", "depth_sigma", "dropout_prob", "depth_scale"), _float))),
             "object": lambda obj: ObjectSpec(**_doc_fields(obj, {
-                "shape": str, "size": tuple, "surface_samples": _int, "label": str})),
+                "shape": str, "size": numbers, "surface_samples": _int, "label": str})),
             "motion_script": lambda script: tuple(
-                Waypoint(**_doc_fields(w, {"time": _float, "position": tuple,
+                Waypoint(**_doc_fields(w, {"time": _float, "position": numbers,
                                            "yaw": _float}))
                 for w in _doc_list(script)),
             "rope": lambda rope: RopeSpec(**_doc_fields(rope, {
                 "length": _float, "particles": _int, "flow_keypoints": _int,
-                "center": tuple, "height": _float, "pinned": _bool, "script": tuple})),
+                "center": numbers, "height": _float, "pinned": _bool,
+                "script": lambda keys: tuple(numbers(key) for key in _doc_list(keys))})),
         })
         if "motion_script" in kwargs:
             kwargs["waypoints"] = kwargs.pop("motion_script")

@@ -15,9 +15,11 @@ velocity and collision rows touch frames t and t+1, rest and limit rows
 frame t alone.  The Jacobian is therefore kept as per-row frame blocks
 (``FrameJacobian``) and never as an m x n matrix, and J^T J is exactly
 block-tridiagonal with dof x dof blocks.  Levenberg-Marquardt forms those
-blocks and solves each damped step by block Cholesky in time linear in the
-horizon.  The solver stays generic: a plain (m, n) Jacobian, as the tests'
-curve fits use, is the one-block case of the same normal equations.
+blocks with stacked products over all frames at once and solves each damped
+step by block cyclic reduction, block Cholesky in odd-even order, in about
+log2 of the horizon levels of stacked work.  The solver stays generic: a
+plain (m, n) Jacobian, as the tests' curve fits use, is the one-block case
+of the same normal equations.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .geometry import SE3Pose, _doc_fields, _doc_list, _float, _frozen, _int
+from .geometry import SE3Pose, _doc_fields, _doc_list, _float, _floats, _frozen, _int
 from .kinematics import (JointTrajectory, RobotModel, load_robot, robot_from_doc,
                          sphere_centers_batch, sphere_radii)
 
@@ -120,57 +122,81 @@ def _normal_equations(jac: FrameJacobian, r: np.ndarray
     """Blocks of J^T J and J^T r for F frames of b variables.
 
     Returns the diagonal blocks (F, b, b), the blocks (k, k+1) (F-1, b, b)
-    and the gradient J^T r as (F, b).
+    and the gradient J^T r as (F, b).  The rows, sorted by frame, are
+    scattered into zero-padded (F, R, b) stacks of ``cur`` and ``nxt``
+    coefficients, R the largest row count of any frame, so every product
+    is one stacked matmul; padding rows add exact zeros.
     """
+    n_frames, b = jac.n_frames, jac.cur.shape[1]
     order = np.argsort(jac.frame, kind="stable")
-    cur, nxt, r = jac.cur[order], jac.nxt[order], r[order]
-    bounds = np.searchsorted(jac.frame[order], np.arange(jac.n_frames + 1))
-    n_frames, b = jac.n_frames, cur.shape[1]
-    diag = np.zeros((n_frames, b, b))
-    upper = np.zeros((n_frames - 1, b, b))
-    grad = np.zeros((n_frames, b))
-    for k in range(n_frames):
-        rows = slice(bounds[k], bounds[k + 1])
-        c, rk = cur[rows], r[rows]
-        diag[k] += c.T @ c
-        grad[k] += c.T @ rk
-        if k + 1 < n_frames:
-            n = nxt[rows]
-            diag[k + 1] += n.T @ n
-            upper[k] = c.T @ n
-            grad[k + 1] += n.T @ rk
-    return diag, upper, grad
+    frame = jac.frame[order]
+    counts = np.bincount(frame, minlength=n_frames)
+    slot = np.arange(frame.size) - (np.cumsum(counts) - counts)[frame]
+    cur = np.zeros((n_frames, counts.max(initial=0), b))
+    nxt = np.zeros_like(cur)
+    res = np.zeros(cur.shape[:2] + (1,))
+    cur[frame, slot] = jac.cur[order]
+    nxt[frame, slot] = jac.nxt[order]
+    res[frame, slot, 0] = r[order]
+    cur_t, nxt_t = _transpose(cur), _transpose(nxt[:-1])
+    diag = cur_t @ cur
+    diag[1:] += nxt_t @ nxt[:-1]
+    grad = (cur_t @ res)[..., 0]
+    grad[1:] += (nxt_t @ res[:-1])[..., 0]
+    return diag, cur_t[:-1] @ nxt[:-1], grad
+
+
+def _transpose(blocks: np.ndarray) -> np.ndarray:
+    """Every matrix of an (n, p, q) stack transposed, as a view."""
+    return blocks.transpose(0, 2, 1)
 
 
 def _solve_block_tridiagonal(diag: np.ndarray, upper: np.ndarray,
                              rhs: np.ndarray) -> np.ndarray:
-    """Solve the SPD block-tridiagonal system A x = rhs by block Cholesky.
+    """Solve the SPD block-tridiagonal system A x = rhs by block cyclic reduction.
 
     ``diag`` (F, b, b) holds the diagonal blocks, ``upper`` (F-1, b, b) the
-    blocks A[k, k+1], ``rhs`` is (F, b).  A = L L^T with L block
-    lower-bidiagonal: L[k, k] is the Cholesky factor of the Schur complement
-    D_k - L[k, k-1] L[k, k-1]^T, and L[k+1, k] = (L[k, k]^-1 A[k, k+1])^T.
+    blocks A[k, k+1], ``rhs`` is (F, b).  Cyclic reduction is block
+    Cholesky in odd-even order.  The odd frames couple only to even ones,
+    so all of them are factored by one stacked Cholesky and eliminated at
+    once; the Schur complement on the ceil(F/2) even frames is again
+    block-tridiagonal and is solved the same way, and back-substitution
+    gives the odd frames.  That is about log2(F) levels of stacked work;
+    one frame is the dense base case.
 
     Raises:
         numpy.linalg.LinAlgError: A is not positive definite.
     """
-    n_frames, b = rhs.shape
-    eye = np.eye(b)
-    inv_diag = np.empty_like(diag)     # L[k, k]^-1
-    lower = np.empty_like(upper)       # L[k+1, k]
-    y = np.empty_like(rhs)
-    schur, rhs_k = diag[0], rhs[0]
-    for k in range(n_frames):
-        inv_diag[k] = np.linalg.solve(np.linalg.cholesky(schur), eye)
-        y[k] = inv_diag[k] @ rhs_k
-        if k + 1 < n_frames:
-            lower[k] = (inv_diag[k] @ upper[k]).T
-            schur = diag[k + 1] - lower[k] @ lower[k].T
-            rhs_k = rhs[k + 1] - lower[k] @ y[k]
+    return _cyclic_reduction(diag, upper, rhs[..., None])[..., 0]
+
+
+def _cyclic_reduction(diag: np.ndarray, upper: np.ndarray,
+                      rhs: np.ndarray) -> np.ndarray:
+    """``_solve_block_tridiagonal`` with the right-hand side as (F, b, 1)."""
+    if diag.shape[0] == 1:
+        inv = np.linalg.inv(np.linalg.cholesky(diag))
+        return _transpose(inv) @ (inv @ rhs)
+    n_odd = diag.shape[0] // 2
+    n_right = upper.shape[0] - n_odd     # odd frames with an even frame after them
+    # Odd frame k, A[k, k] = L L^T, couples to frame k-1 through
+    # A[k, k-1] = upper[k-1]^T and to frame k+1 through upper[k].
+    inv = np.linalg.inv(np.linalg.cholesky(diag[1::2]))    # L^-1
+    left = inv @ _transpose(upper[0::2])
+    right = inv[:n_right] @ upper[1::2]
+    y = inv @ rhs[1::2]
+    left_t, right_t = _transpose(left), _transpose(right)
+    even_diag = diag[0::2].copy()        # their Schur complement
+    even_diag[:n_odd] -= left_t @ left
+    even_diag[1:] -= right_t @ right
+    even_rhs = rhs[0::2].copy()
+    even_rhs[:n_odd] -= left_t @ y
+    even_rhs[1:] -= right_t @ y[:n_right]
+    x_even = _cyclic_reduction(even_diag, -left_t[:n_right] @ right, even_rhs)
+    z = y - left @ x_even[:n_odd]
+    z[:n_right] -= right @ x_even[1:]
     x = np.empty_like(rhs)
-    x[-1] = inv_diag[-1].T @ y[-1]
-    for k in range(n_frames - 2, -1, -1):
-        x[k] = inv_diag[k].T @ (y[k] - lower[k].T @ x[k + 1])
+    x[0::2] = x_even
+    x[1::2] = _transpose(inv) @ z
     return x
 
 
@@ -203,8 +229,9 @@ def levenberg_marquardt(residual_fn: Callable[[np.ndarray], np.ndarray],
     accepted only if the cost decreases, so the final cost never exceeds the
     initial one.  ``jacobian`` may return a ``FrameJacobian``, whose rows
     each touch two consecutive frames of variables; J^T J is then
-    block-tridiagonal and is formed and factored by blocks, by block
-    Cholesky, in time linear in the number of frames.  A plain (m, n) array
+    block-tridiagonal and is formed by stacked products over all frames and
+    factored by block cyclic reduction, in about log2 of the number of
+    frames levels of stacked work.  A plain (m, n) array
     is the one-block case of the same normal equations and solver.  A damped
     system that is not numerically positive definite counts as a rejected
     step and raises lambda.  Convergence is declared when the gradient
@@ -356,14 +383,17 @@ def obstacles_from_doc(docs: list[dict]) -> tuple[Obstacle, ...]:
     for doc in _doc_list(docs):
         kind = doc.get("type")
         if kind == "sphere":
-            out.append(SphereObstacle(center=doc["center"], radius=_float(doc["radius"])))
+            out.append(SphereObstacle(center=_floats(doc["center"]),
+                                      radius=_float(doc["radius"])))
         elif kind == "box":
-            rotation = np.asarray(doc["rotation"], dtype=float).reshape(3, 3) \
-                if "rotation" in doc else np.eye(3)
-            out.append(BoxObstacle(center=doc["center"],
-                                   half_extents=doc["half_extents"], rotation=rotation))
+            rotation = _floats(doc["rotation"]).reshape(3, 3) if "rotation" in doc \
+                else np.eye(3)
+            out.append(BoxObstacle(center=_floats(doc["center"]),
+                                   half_extents=_floats(doc["half_extents"]),
+                                   rotation=rotation))
         elif kind == "halfspace":
-            out.append(HalfspaceObstacle(point=doc["point"], normal=doc["normal"]))
+            out.append(HalfspaceObstacle(point=_floats(doc["point"]),
+                                         normal=_floats(doc["normal"])))
         else:
             raise ValueError(f"unknown obstacle type {kind!r}")
     return tuple(out)
@@ -823,12 +853,9 @@ def problem_from_doc(doc: dict, base_dir=None) -> TrajOptProblem:
             path = Path(base_dir) / path
         return load_robot(path)
 
-    def vector(value) -> np.ndarray:
-        return np.asarray(value, dtype=float)
-
     kwargs = _doc_fields(doc, {
-        "robot": robot, "q_start": vector, "q_end": vector, "steps": _int,
-        "q_rest": vector,
+        "robot": robot, "q_start": _floats, "q_end": _floats, "steps": _int,
+        "q_rest": _floats,
         "weights": lambda weights: TrajOptWeights(**_doc_fields(weights, dict.fromkeys(
             ("smooth", "rest", "limits", "collision"), _float))),
         "eps_safe": _float, "collision_pad": _float, "swept_samples": _int, "dt": _float,

@@ -204,6 +204,20 @@ def _optimize_traj_robot(c, joint=None, sphere=None):
     return _optimize_traj(c, steps=21, robot=str(c.write(robot, "robot.json")))
 
 
+def _stringified_rope_flow(c):
+    """The rope bundle's flow as a JSON flow file with its positions as strings."""
+    positions, _ = read_flow(c.fixture("rope_bundle_dir") / "gt_flow.nvfl")
+    frames, points, _ = positions.shape
+    return c.write({"version": 1, "frames": frames, "points": points, "positions": [
+        [[str(v) for v in p] for p in frame] for frame in positions.tolist()]}, "f.json")
+
+
+def _stringified_state(c):
+    """The rope bundle's initial particle state with its positions as strings."""
+    doc = json.loads((c.fixture("rope_bundle_dir") / "initial_state.json").read_text())
+    return {**doc, "positions": [[str(x) for x in p] for p in doc["positions"]]}
+
+
 def _eval(c, plan_doc):
     return ["eval", c.rigid_plan(plan_doc), c.fixture("rigid_bundle_dir"),
             "--out-dir", c.out]
@@ -257,6 +271,10 @@ MALFORMED_INPUT_CASES = {
         c, c.write({"version": 1, "frames": 2, "points": 1}, "f.json")),
     "flow-json-list": lambda c: _plan_rigid(c, c.write([1], "f.json")),
     "flow-directory": lambda c: _plan_rigid(c, c.tmp),
+    "flow-json-positions-strings": lambda c: [
+        "plan-deformable", "--flow", _stringified_rope_flow(c),
+        "--dynamics", c.fixture("rope_bundle_dir") / "dynamics.json",
+        "--horizon", 2, "--out-dir", c.out],
     "flow-json-one-frame": lambda c: _plan_rigid(c, c.write(
         {"version": 1, "frames": 1, "points": 1, "positions": [[[0.0, 0.0, 1.0]]]},
         "f.json")),
@@ -369,6 +387,32 @@ MALFORMED_INPUT_CASES = {
     "dynamics-pinned-string": lambda c: _plan_deformable(c, pinned=["7"]),
     "robot-sphere-link-fraction": lambda c: _optimize_traj_robot(c, sphere={"link": 1.7}),
     "robot-joint-q-min-string": lambda c: _optimize_traj_robot(c, joint={"q_min": "-2.9"}),
+    # array elements of the wrong type that np.asarray(..., dtype=float) would coerce
+    "dynamics-rest-lengths-strings": lambda c: _plan_deformable(
+        c, rest_lengths=[str(x) for x in _rope_dynamics(c)["rest_lengths"]]),
+    "dynamics-rest-lengths-true": lambda c: _plan_deformable(
+        c, rest_lengths=[True] + _rope_dynamics(c)["rest_lengths"][1:]),
+    "state-positions-strings": lambda c: _plan_deformable(c) + ["--state", c.write(
+        _stringified_state(c), "state.json")],
+    "robot-joint-axis-strings": lambda c: _optimize_traj_robot(
+        c, joint={"axis": ["0", "0", "1"]}),
+    "robot-joint-origin-translation-true": lambda c: _optimize_traj_robot(c, joint={
+        "origin": {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, True]}}),
+    "robot-sphere-center-string": lambda c: _optimize_traj_robot(
+        c, sphere={"center": ["0.0", 0.0, 0.1]}),
+    "trajopt-box-rotation-strings": lambda c: _optimize_traj(c, obstacles=[{
+        "type": "box", "center": [0.01, 0.0, 0.87], "half_extents": [0.03] * 3,
+        "rotation": ["1", 0, 0, 0, "1", 0, 0, 0, "1"]}]),
+    "trajopt-sphere-center-string": lambda c: _optimize_traj(c, obstacles=[{
+        "type": "sphere", "center": ["0.01", 0.0, 0.87], "radius": 0.03}]),
+    "trajopt-q-end-true": lambda c: _optimize_traj(c, q_end=[True, 0.0, 0.0, -1.0,
+                                                             0.0, -1.0, 0.0]),
+    "scene-camera-translation-string": lambda c: _simulate(
+        c, c.rigid_edited("camera", translation=["0.45", 0.0, 0.9])),
+    "scene-object-size-strings": lambda c: _simulate(
+        c, c.rigid_edited("object", size=["0.08", "0.06", "0.05"])),
+    "scene-rope-script-true": lambda c: _simulate(c, c.rope_edited(
+        script=[[0.0, 3.0, 0.0], [True, 0.0, 0.0]])),
 }
 
 # Every top-level key of the two documents a user writes by hand, each

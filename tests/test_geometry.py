@@ -9,6 +9,7 @@ from nvflow.geometry import (
     CameraIntrinsics,
     DepthMap,
     SE3Pose,
+    _floats,
     axis_angle_from_rotation,
     project,
     quaternion_from_rotation,
@@ -181,3 +182,22 @@ class TestDepthMap:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             DepthMap(np.array([[-1.0]]))
+
+
+class TestJsonNumberArrays:
+    def test_nested_numbers_read_as_floats(self):
+        out = _floats([[1, 2.5], [3, -4]])
+        assert out.dtype == np.float64 and out.tolist() == [[1.0, 2.5], [3.0, -4.0]]
+        assert _floats([]).shape == (0,)
+
+    @pytest.mark.parametrize("value", [["1", 2.0], [[1.0], [True]], [None], [[1.0, [{}]]],
+                                       1.0, "1", {"x": 1.0}])
+    def test_anything_but_numbers_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            _floats(value)
+
+    def test_pose_doc_with_a_string_element(self):
+        doc = SE3Pose.identity().to_doc()
+        doc["translation"][1] = "0"
+        with pytest.raises(TypeError, match="JSON number"):
+            SE3Pose.from_doc(doc)

@@ -223,8 +223,43 @@ def random_block_tridiagonal(rng, n_frames: int, b: int):
     return a, blocks[k, k], blocks[k[:-1], k[1:]]
 
 
+def sequential_block_cholesky(diag, upper, rhs):
+    """Block Cholesky frame by frame, in order: the oracle for the cyclic
+    reduction of ``trajopt._solve_block_tridiagonal``.  L[k, k] is the
+    Cholesky factor of the Schur complement D_k - L[k, k-1] L[k, k-1]^T and
+    L[k+1, k] = (L[k, k]^-1 A[k, k+1])^T."""
+    n_frames, b = rhs.shape
+    eye = np.eye(b)
+    inv_diag = np.empty_like(diag)     # L[k, k]^-1
+    lower = np.empty_like(upper)       # L[k+1, k]
+    y = np.empty_like(rhs)
+    schur, rhs_k = diag[0], rhs[0]
+    for k in range(n_frames):
+        inv_diag[k] = np.linalg.solve(np.linalg.cholesky(schur), eye)
+        y[k] = inv_diag[k] @ rhs_k
+        if k + 1 < n_frames:
+            lower[k] = (inv_diag[k] @ upper[k]).T
+            schur = diag[k + 1] - lower[k] @ lower[k].T
+            rhs_k = rhs[k + 1] - lower[k] @ y[k]
+    x = np.empty_like(rhs)
+    x[-1] = inv_diag[-1].T @ y[-1]
+    for k in range(n_frames - 2, -1, -1):
+        x[k] = inv_diag[k].T @ (y[k] - lower[k].T @ x[k + 1])
+    return x
+
+
+def dense_normal_equations(jac: FrameJacobian, r: np.ndarray):
+    """Diagonal blocks, (k, k+1) blocks and J^T r cut from the dense J^T J."""
+    a = dense(jac)
+    b = jac.cur.shape[1]
+    blocks = (a.T @ a).reshape(jac.n_frames, b, jac.n_frames, b).transpose(0, 2, 1, 3)
+    k = np.arange(jac.n_frames)
+    return blocks[k, k], blocks[k[:-1], k[1:]], (a.T @ r).reshape(jac.n_frames, b)
+
+
 class TestStructuredSolve:
-    @pytest.mark.parametrize("n_frames,b", [(1, 1), (1, 6), (9, 1), (12, 3), (40, 7)])
+    @pytest.mark.parametrize("n_frames,b", [(1, 1), (1, 6), (2, 3), (3, 2), (5, 7),
+                                            (8, 3), (9, 1), (12, 3), (40, 7), (241, 7)])
     def test_block_cholesky_matches_dense_solve(self, rng, n_frames, b):
         a, diag, upper = random_block_tridiagonal(rng, n_frames, b)
         rhs = rng.standard_normal((n_frames, b))
@@ -232,11 +267,65 @@ class TestStructuredSolve:
         ref = np.linalg.solve(a, rhs.ravel())
         assert np.linalg.norm(x.ravel() - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    def test_block_cholesky_rejects_indefinite_system(self, rng):
-        _, diag, upper = random_block_tridiagonal(rng, 5, 2)
-        diag[3] -= 100.0 * np.eye(2)
+    @pytest.mark.parametrize("n_frames", [8, 9])
+    @pytest.mark.parametrize("where", ["first", "odd", "even interior", "last"])
+    def test_block_cholesky_rejects_indefinite_system(self, rng, n_frames, where):
+        # odd frames are factored at the first level of the reduction, even
+        # ones at later levels; the last frame is odd for 8 frames, even for 9
+        frame = {"first": 0, "odd": 3, "even interior": 4, "last": n_frames - 1}[where]
+        _, diag, upper = random_block_tridiagonal(rng, n_frames, 2)
+        diag[frame] -= 100.0 * np.eye(2)
+        rhs = np.ones((n_frames, 2))
         with pytest.raises(np.linalg.LinAlgError):
-            trajopt._solve_block_tridiagonal(diag, upper, np.ones((5, 2)))
+            sequential_block_cholesky(diag, upper, rhs)
+        with pytest.raises(np.linalg.LinAlgError):
+            trajopt._solve_block_tridiagonal(diag, upper, rhs)
+
+    @pytest.mark.parametrize("frame", [0, 3, 4, 8])
+    def test_nan_block_fails_as_the_sequential_solve_does(self, rng, frame):
+        # the same Cholesky check sees the NaN: either both solves raise or
+        # both return a non-finite solution
+        _, diag, upper = random_block_tridiagonal(rng, 9, 2)
+        diag[frame, 1, 1] = np.nan
+        rhs = np.ones((9, 2))
+        outcomes = []
+        for solve in (sequential_block_cholesky, trajopt._solve_block_tridiagonal):
+            try:
+                outcomes.append(bool(np.isfinite(solve(diag, upper, rhs)).all()))
+            except np.linalg.LinAlgError:
+                outcomes.append("raised")
+        assert outcomes[0] == outcomes[1] and outcomes[0] is not True
+
+    def test_long_horizon_solve_matches_sequential_cholesky(self, monkeypatch):
+        fast = optimize_trajectory(packaged_problem(241))
+        monkeypatch.setattr(trajopt, "_solve_block_tridiagonal", sequential_block_cholesky)
+        ref = optimize_trajectory(packaged_problem(241))
+        assert fast.iterations == ref.iterations
+        assert fast.final_cost == pytest.approx(ref.final_cost, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(fast.trajectory.configs, ref.trajectory.configs,
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["unsorted", "empty frame", "no rows", "one block"])
+    def test_normal_equations_match_dense(self, rng, case):
+        b, n_frames, m = 3, 6, 40
+        frame = rng.integers(0, n_frames, m)
+        if case == "empty frame":
+            frame[frame == 2] = 3
+        if case == "no rows":
+            frame = frame[:0]
+        cur = rng.standard_normal((frame.size, b))
+        nxt = rng.standard_normal((frame.size, b)) * (frame < n_frames - 1)[:, None]
+        jac = FrameJacobian(frame, cur, nxt, n_frames)
+        if case == "one block":
+            jac = FrameJacobian.one_block(rng.standard_normal((m, 5)))
+        r = rng.standard_normal(jac.frame.size)
+        assert case != "unsorted" or (np.diff(jac.frame) < 0).any()
+        got = trajopt._normal_equations(jac, r)
+        for blocks, ref in zip(got, dense_normal_equations(jac, r)):
+            assert blocks.shape == ref.shape
+            np.testing.assert_allclose(blocks, ref, rtol=1e-12, atol=1e-12)
+        if case == "empty frame":   # no row couples frame 2 to frame 3
+            assert not got[1][2].any()
 
     def test_trajectory_jacobian_matches_forward_differences(self, monkeypatch):
         residual, jacobian, x0 = lm_inputs(packaged_problem(21), monkeypatch)
