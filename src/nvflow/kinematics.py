@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (SE3Pose, _doc_fields, _doc_list, _float, _floats, _int,
+from .geometry import (SE3Pose, _doc_fields, _doc_list, _float, _floats, _int, _skew,
                        axis_angle_from_rotation)
 
 __all__ = [
@@ -54,6 +54,8 @@ __all__ = [
     "forward_kinematics",
     "link_frames_batch",
     "sphere_centers_batch",
+    "world_axes",
+    "point_jacobian",
     "jacobian",
     "solve_ik",
 ]
@@ -66,6 +68,9 @@ class Joint:
     q_min: float
     q_max: float
     velocity_limit: float     # rad/s
+    # (K, K @ K) for the cross-product matrix K of the axis, which every
+    # Rodrigues rotation about it reads
+    _rodrigues: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         axis = np.array(self.axis, dtype=float)
@@ -75,6 +80,8 @@ class Joint:
         axis /= norm
         axis.flags.writeable = False
         object.__setattr__(self, "axis", axis)
+        k = _skew(axis)
+        object.__setattr__(self, "_rodrigues", (k, k @ k))
         if not self.q_min < self.q_max:
             raise ValueError(f"empty joint range [{self.q_min}, {self.q_max}]")
         if self.velocity_limit <= 0.0:
@@ -170,52 +177,33 @@ def load_robot(path) -> RobotModel:
     return robot_from_doc(json.loads(Path(path).read_text()))
 
 
-def _axis_rotations(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rodrigues rotations (B, 3, 3) about one fixed unit axis."""
-    x, y, z = axis
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    kk = k @ k
+def _axis_rotations(joint: Joint, angles: np.ndarray) -> np.ndarray:
+    """Rodrigues rotations (B, 3, 3) about the joint's fixed unit axis."""
+    k, kk = joint._rodrigues
     sin = np.sin(angles)[:, None, None]
     cos = np.cos(angles)[:, None, None]
     return np.eye(3) + sin * k + (1.0 - cos) * kk
 
 
-def link_frames_batch(model: RobotModel, configs: np.ndarray, start: int = 0,
-                      parent: tuple[np.ndarray, np.ndarray] | None = None
+def link_frames_batch(model: RobotModel, configs: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Link frames for a batch of configurations, from link ``start`` on.
+    """Link frames for a batch of (B, dof) configurations.
 
-    Args:
-        configs: (B, dof) joint angles; joints before ``start`` are not read.
-        start: the first joint to turn.  With 0 the chain starts at the base
-            pose.  Otherwise ``parent`` holds the frame of link ``start - 1``
-            for each configuration, (rotations (B, 3, 3), origins (B, 3)),
-            as an earlier call returned it.
-
-    Returns:
-        (rotations (B, dof - start, 3, 3), origins (B, dof - start, 3)) of
-        links start..dof-1 in the base-pose frame.  The link origin doubles
-        as the joint position.  Each link runs the same arithmetic whatever
-        ``start`` is, so a chain resumed from an earlier call's frame of
-        link start-1 is bit-identical to the chain computed from the base.
+    Returns (rotations (B, dof, 3, 3), origins (B, dof, 3)) in the
+    base-pose frame.  The link origin doubles as the joint position.
     """
     q = np.asarray(configs, dtype=float)
     if q.ndim != 2 or q.shape[1] != model.dof:
         raise ValueError(f"configs must be (B, {model.dof}), got {q.shape}")
-    if not 0 <= start < model.dof:
-        raise ValueError(f"start must be a joint index below {model.dof}, got {start}")
     batch = q.shape[0]
-    if start == 0:
-        rot = np.broadcast_to(model.base_pose.rotation, (batch, 3, 3))
-        pos = np.broadcast_to(model.base_pose.translation, (batch, 3))
-    else:
-        rot, pos = parent
-    rotations = np.empty((batch, model.dof - start, 3, 3))
-    origins = np.empty((batch, model.dof - start, 3))
-    for j, joint in enumerate(model.joints[start:]):
+    rot = np.broadcast_to(model.base_pose.rotation, (batch, 3, 3))
+    pos = np.broadcast_to(model.base_pose.translation, (batch, 3))
+    rotations = np.empty((batch, model.dof, 3, 3))
+    origins = np.empty((batch, model.dof, 3))
+    for j, joint in enumerate(model.joints):
         pos = pos + rot @ joint.origin.translation
         rot = rot @ joint.origin.rotation
-        rot = rot @ _axis_rotations(joint.axis, q[:, start + j])
+        rot = rot @ _axis_rotations(joint, q[:, j])
         rotations[:, j] = rot
         origins[:, j] = pos
     return rotations, origins
@@ -255,20 +243,17 @@ def forward_kinematics(model: RobotModel, config: np.ndarray) -> tuple[SE3Pose, 
     return SE3Pose(chain.ee_rotation, chain.ee_position), links
 
 
-def sphere_centers_batch(model: RobotModel, configs: np.ndarray, start: int = 0,
-                         parent: tuple[np.ndarray, np.ndarray] | None = None,
+def sphere_centers_batch(model: RobotModel, configs: np.ndarray,
                          return_frames: bool = False):
-    """World centers of the collision spheres on links ``start`` and later.
+    """World centers (B, n, 3) of the collision spheres, in model order.
 
-    ``start`` and ``parent`` are as for ``link_frames_batch``.  Returns the
-    centers as (B, n, 3), spheres in model order; with ``return_frames``,
-    (centers, rotations, origins) with the link frames that call returns.
+    With ``return_frames``, returns (centers, rotations, origins) with the
+    link frames ``link_frames_batch`` gives.
     """
-    rotations, origins = link_frames_batch(model, configs, start, parent)
-    spheres = [s for s in model.collision_spheres if s.link >= start]
-    centers = np.empty((rotations.shape[0], len(spheres), 3))
-    for i, sphere in enumerate(spheres):
-        link = sphere.link - start
+    rotations, origins = link_frames_batch(model, configs)
+    centers = np.empty((rotations.shape[0], len(model.collision_spheres), 3))
+    for i, sphere in enumerate(model.collision_spheres):
+        link = sphere.link
         centers[:, i] = origins[:, link] + rotations[:, link] @ sphere.center
     return (centers, rotations, origins) if return_frames else centers
 
@@ -277,13 +262,31 @@ def sphere_radii(model: RobotModel) -> np.ndarray:
     return np.array([s.radius for s in model.collision_spheres])
 
 
+def world_axes(model: RobotModel, rotations: np.ndarray) -> np.ndarray:
+    """Joint axes (..., dof, 3) in the base-pose frame, from link frames
+    (..., dof, 3, 3)."""
+    axes = np.array([joint.axis for joint in model.joints])
+    return (rotations @ axes[:, :, None])[..., 0]
+
+
+def point_jacobian(axes: np.ndarray, origins: np.ndarray,
+                   points: np.ndarray) -> np.ndarray:
+    """Velocity (..., dof, 3) of world points (..., 3) per unit rate of each
+    joint, axis_j x (p - o_j), for points that every joint moves.
+
+    ``axes`` are ``world_axes`` and ``origins`` the joint positions of the
+    same link frames.  A point on link k does not move with joints after k:
+    their rows are the caller's to drop.
+    """
+    return np.cross(axes, points[..., None, :] - origins)
+
+
 def _jacobian(model: RobotModel, chain: _Chain) -> np.ndarray:
     """``jacobian`` from the forward kinematics ``_chain`` gives."""
-    jac = np.zeros((6, model.dof))
-    for j, joint in enumerate(model.joints):
-        axis_world = chain.rotations[j] @ joint.axis
-        jac[:3, j] = np.cross(axis_world, chain.ee_position - chain.origins[j])
-        jac[3:, j] = axis_world
+    axes = world_axes(model, chain.rotations)
+    jac = np.empty((6, model.dof))
+    jac[:3] = point_jacobian(axes, chain.origins, chain.ee_position).T
+    jac[3:] = axes.T
     return jac
 
 

@@ -31,8 +31,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .geometry import SE3Pose, _doc_fields, _doc_list, _float, _floats, _frozen, _int
-from .kinematics import (JointTrajectory, RobotModel, load_robot, robot_from_doc,
-                         sphere_centers_batch, sphere_radii)
+from .kinematics import (JointTrajectory, RobotModel, load_robot, point_jacobian,
+                         robot_from_doc, sphere_centers_batch, sphere_radii, world_axes)
 
 __all__ = [
     "LMOptions",
@@ -62,10 +62,11 @@ __all__ = [
 # -- Levenberg-Marquardt -------------------------------------------------------
 
 class NonFiniteResidualError(RuntimeError):
-    """A residual evaluation produced NaN/inf; ``x`` is the last valid iterate."""
+    """A residual or Jacobian evaluation produced NaN/inf; ``x`` is the last
+    valid iterate."""
 
-    def __init__(self, x: np.ndarray):
-        super().__init__("non-finite residual during iteration")
+    def __init__(self, x: np.ndarray, what: str = "residual"):
+        super().__init__(f"non-finite {what} during iteration")
         self.x = np.array(x)
 
 
@@ -77,7 +78,7 @@ class LMOptions:
     lambda_down: float = 0.1   # tenfold decrease keeps near-linear problems at ~3 steps
     grad_tol: float = 1e-8     # infinity norm of J^T r
     step_tol: float = 1e-10    # euclidean norm of the accepted step
-    fd_step: float = 1e-6      # forward-difference step when no Jacobian is given
+    fd_step: float = 1e-6      # forward-difference step, used only without a jacobian
     lambda_max: float = 1e12
 
     def __post_init__(self) -> None:
@@ -165,7 +166,9 @@ def _solve_block_tridiagonal(diag: np.ndarray, upper: np.ndarray,
     one frame is the dense base case.
 
     Raises:
-        numpy.linalg.LinAlgError: A is not positive definite.
+        numpy.linalg.LinAlgError: A Cholesky factorization meets a pivot that
+            is not positive.  A NaN pivot raises nothing and the solution
+            comes back non-finite, so the caller checks A for NaN.
     """
     return _cyclic_reduction(diag, upper, rhs[..., None])[..., 0]
 
@@ -240,8 +243,9 @@ def levenberg_marquardt(residual_fn: Callable[[np.ndarray], np.ndarray],
     with step ``fd_step`` are used.
 
     Raises:
-        NonFiniteResidualError: a residual evaluation returned NaN/inf; the
-            error carries the last valid iterate.
+        NonFiniteResidualError: a residual evaluation returned NaN/inf, or a
+            Jacobian made J^T J or J^T r non-finite; the error carries the
+            last valid iterate.
     """
     x = np.array(x0, dtype=float).ravel()
     r = np.asarray(residual_fn(x), dtype=float)
@@ -259,6 +263,8 @@ def levenberg_marquardt(residual_fn: Callable[[np.ndarray], np.ndarray],
         if not isinstance(jac, FrameJacobian):
             jac = FrameJacobian.one_block(jac)
         diag, upper, grad = _normal_equations(jac, r)
+        if not (np.isfinite(diag).all() and np.isfinite(grad).all()):
+            raise NonFiniteResidualError(x, "Jacobian")
         if np.abs(grad).max(initial=0.0) < options.grad_tol:
             converged = True
             break
@@ -307,13 +313,6 @@ def _vec(v) -> np.ndarray:
     return out
 
 
-# Every obstacle's ``distance`` is 1-Lipschitz in the query point, which the
-# collision Jacobian's active set relies on (see ``_make_jacobian``): a
-# sphere's distance is a norm minus a constant, a box's is the distance to a
-# convex set (negated depth inside) after a rigid change of frame, and a
-# halfspace's is a projection on a unit normal.  So the box rotation must be
-# a proper rotation, and every field must be finite.
-
 @dataclass(frozen=True)
 class SphereObstacle:
     center: np.ndarray
@@ -327,6 +326,13 @@ class SphereObstacle:
     def distance(self, points: np.ndarray) -> np.ndarray:
         """Signed distance from (..., 3) points to the surface; negative inside."""
         return np.linalg.norm(points - self.center, axis=-1) - self.radius
+
+    def gradient(self, points: np.ndarray) -> np.ndarray:
+        """Unit gradient (..., 3) of ``distance``; +z at the center itself."""
+        offset = points - self.center
+        norm = np.linalg.norm(offset, axis=-1, keepdims=True)
+        return np.where(norm > 0.0, offset / np.where(norm > 0.0, norm, 1.0),
+                        np.array([0.0, 0.0, 1.0]))
 
 
 @dataclass(frozen=True)
@@ -353,6 +359,22 @@ class BoxObstacle:
         inside = np.minimum(q.max(axis=-1), 0.0)
         return outside + inside
 
+    def gradient(self, points: np.ndarray) -> np.ndarray:
+        """Unit gradient (..., 3) of ``distance``.
+
+        Outside, the direction from the nearest box point; inside or on the
+        surface, the outward normal of the nearest face, the lowest axis on
+        a tie, pointing to the + side where the point sits on the mid-plane.
+        """
+        local = (points - self.center) @ self.rotation
+        q = np.abs(local) - self.half_extents
+        side = np.where(local < 0.0, -1.0, 1.0)
+        excess = np.maximum(q, 0.0)
+        norm = np.linalg.norm(excess, axis=-1, keepdims=True)
+        face = np.arange(3) == q.argmax(axis=-1)[..., None]
+        grad = np.where(norm > 0.0, excess / np.where(norm > 0.0, norm, 1.0), face)
+        return (side * grad) @ self.rotation.T
+
 
 @dataclass(frozen=True)
 class HalfspaceObstacle:
@@ -373,6 +395,10 @@ class HalfspaceObstacle:
 
     def distance(self, points: np.ndarray) -> np.ndarray:
         return (points - self.point) @ self.normal
+
+    def gradient(self, points: np.ndarray) -> np.ndarray:
+        """Unit gradient (..., 3) of ``distance``: the normal everywhere."""
+        return np.broadcast_to(self.normal, np.shape(points)).copy()
 
 
 Obstacle = Union[SphereObstacle, BoxObstacle, HalfspaceObstacle]
@@ -436,12 +462,11 @@ class _Sweep:
     Each segment q_a -> q_b is sampled at S evenly spaced points
     q_a + s (q_b - q_a), s in [0, 1], both endpoints included.  Besides the
     per-segment clearance, the sweep keeps what the collision Jacobian
-    reuses: the samples, their link frames and every sphere's distance.
-    Without obstacles, spheres or segments only ``seg_min`` is set.
+    reuses: the samples' link frames and every sphere's distance.  Without
+    obstacles, spheres or segments only ``seg_min`` is set.
     """
 
     seg_min: np.ndarray                    # (T-1, n_obs) min over samples and spheres
-    configs: np.ndarray | None = None      # (T-1, S, dof) joint-space samples
     rotations: np.ndarray | None = None    # (T-1, S, dof, 3, 3) link frames
     origins: np.ndarray | None = None      # (T-1, S, dof, 3)
     distances: np.ndarray | None = None    # (n_obs, T-1, S, n_spheres) signed
@@ -467,8 +492,7 @@ def _sweep(model: RobotModel, configs: np.ndarray, obstacles: Sequence[Obstacle]
     radii = sphere_radii(model)
     distances = np.stack([obs.distance(centers) - radii for obs in obstacles])
     seg_min = distances.reshape(len(obstacles), segments, -1).min(axis=2).T.copy()
-    return _Sweep(seg_min, swept,
-                  rotations.reshape(segments, swept_samples, dof, 3, 3),
+    return _Sweep(seg_min, rotations.reshape(segments, swept_samples, dof, 3, 3),
                   origins.reshape(segments, swept_samples, dof, 3),
                   distances.reshape(len(obstacles), segments, swept_samples, -1))
 
@@ -673,36 +697,9 @@ def _make_jacobian(problem: TrajOptProblem, assemble,
     t+1 (smooth, velocity, collision) or frame t alone (rest, limits).
     ``_interior_rows`` then drops the coefficients on the pinned endpoints
     and renumbers the frames.  The smooth/rest/limit blocks are linear or
-    hinge-linear and filled analytically; collision rows use segment-local
-    forward differences with step h = ``lm.fd_step`` (each segment depends
-    on two frames only).  The unperturbed sweep is the residual's own when
-    ``last_sweep`` holds it for this point.
-
-    Only segments near the hinge boundary b = eps_safe + collision_pad are
-    forward-differenced.  Let R be the sum of the joint-origin offset norms
-    plus the largest sphere-center norm.  A segment whose clearance d (the
-    minimum over swept samples, spheres and obstacles) satisfies
-    d >= b + margin, with margin = h R + 1e-9 m, has every collision
-    coefficient exactly 0 and needs no FK:
-
-    1. A swept sample q_a + s (q_b - q_a) is affine in the endpoints, so
-       moving one endpoint by h in joint j moves each sample by (1 - s) h or
-       s h, at most h, in joint j alone.
-    2. Turning joint j by at most h rotates everything after it about joint
-       j's axis.  A sphere center at distance r from that axis moves by
-       2 r sin(h / 2) <= h r, and r is at most the offsets of the joints
-       after j plus the sphere's own center offset, so at most R.
-    3. Every obstacle's ``distance`` is 1-Lipschitz in the point, so no
-       sample's clearance falls by more than h R.
-
-    Every perturbed clearance is then at least b + 1e-9 m; the 1e-9 m
-    absorbs the rounding of the interpolation, FK and distances, which is
-    of order 1e-15 m for joint angles and positions of order 1.  The hinge
-    max(b - d, 0) is exactly 0 before and after each perturbation, and its
-    difference quotient is the exact 0.0 that differencing the segment
-    would give.  A NaN clearance fails the comparison and stays active.
-    Active segments run the same arithmetic as when every segment is
-    differenced, so the Jacobian is bit-identical to that one.
+    hinge-linear and filled analytically, and ``_collision_rows`` gives the
+    collision rows in closed form from the sweep of the point, which is the
+    residual's own when ``last_sweep`` holds it.
     """
     model = problem.model
     dof = model.dof
@@ -744,78 +741,50 @@ def _make_jacobian(problem: TrajOptProblem, assemble,
     return jac
 
 
-def _sphere_reach(model: RobotModel) -> float:
-    """Bound R on any collision sphere center's distance from any joint axis."""
-    offsets = sum(float(np.linalg.norm(j.origin.translation)) for j in model.joints)
-    return offsets + max(float(np.linalg.norm(s.center)) for s in model.collision_spheres)
-
-
 def _collision_rows(problem: TrajOptProblem, full: np.ndarray,
                     sweep: _Sweep) -> tuple[np.ndarray, np.ndarray]:
     """Collision-row coefficients on each segment's first and second frame.
 
-    Rows are ordered (segment, obstacle), coefficients over joints.
-    ``sweep`` is the swept pass of ``full``.  Only segments with clearance
-    below the hinge boundary plus ``margin`` are forward-differenced;
-    ``_make_jacobian`` proves every other coefficient is exactly 0.
-
-    Moving joint j of one segment end moves each swept sample in joint j
-    alone, since the interpolation is per joint.  So the frames of links
-    0..j-1 and the distances of the spheres on them are the sweep's, and
-    FK resumes at joint j from the sweep's frame of link j-1 (or is skipped
-    when no sphere sits past it); the perturbed clearance is the min over
-    the new distances and the kept ones.  The other joints enter FK as the sweep's samples, which can
-    differ from a moved copy of the endpoints only in the sign of a zero
-    angle, and a rotation by -0.0 is bit-identical to one by +0.0.
+    Rows are ordered (segment, obstacle), coefficients over joints;
+    ``sweep`` is the swept pass of ``full`` and supplies every input, so no
+    forward kinematics runs.  A row's hinge sqrt(w) max(b - d, 0), with
+    b = eps_safe + collision_pad, is on where the clearance d is below b
+    (or NaN) and its coefficients are 0 elsewhere.  Where it is on, d is
+    the distance of the sample s and sphere k that attain the minimum, the
+    lowest index on a tie, and its derivative in joint j is
+    n . (axis_j x (c - o_j)) for the obstacle's unit gradient n at the
+    sphere center c and joints j up to sphere k's link, 0 past it.  The
+    sample q_a + s (q_b - q_a) weighs that by 1 - s on the segment's first
+    frame and by s on its second.
     """
     model = problem.model
     steps, dof = full.shape
     n_obs = len(problem.obstacles)
-    coef = np.zeros((steps - 1, 2, dof, n_obs))
+    coef = np.zeros((steps - 1, n_obs, 2, dof))
     if n_obs and model.collision_spheres:
-        h = problem.lm.fd_step
-        root_c = np.sqrt(problem.weights.collision)
         boundary = problem.eps_safe + problem.collision_pad
-        margin = h * _sphere_reach(model) + 1e-9
-        base = sweep.seg_min
-        base_r = root_c * np.maximum(boundary - base, 0.0)  # (T-1, n_obs)
-        # Perturbations per (segment, side, joint): side 0 moves the
-        # segment's first frame, side 1 its second; endpoint frames are
-        # fixed, and segments clear of boundary + margin are skipped.
-        moved = np.arange(steps - 1)[:, None] + np.arange(2)
-        active = (moved >= 1) & (moved <= steps - 2) \
-            & ~(base.min(axis=1) >= boundary + margin)[:, None]
-        if active.any():
-            seg, side = np.nonzero(active)                      # (P,) each
-            n_pert = seg.size
-            s_grid = np.linspace(0.0, 1.0, problem.swept_samples)
-            radii = sphere_radii(model)
-            links = np.array([s.link for s in model.collision_spheres])
-            samples = sweep.configs[seg]                        # (P, S, dof)
-            kept = sweep.distances[:, seg]                      # (n_obs, P, S, n_spheres)
-            dmin = np.empty((n_pert, dof, n_obs))
-            for j in range(dof):
-                high = links >= j
-                parts = [kept[..., ~high].reshape(n_obs, n_pert, -1)]
-                if high.any():
-                    qa, qb = full[seg, j], full[seg + 1, j]
-                    qa = np.where(side == 0, qa + h, qa)
-                    qb = np.where(side == 1, qb + h, qb)
-                    configs = samples.copy()
-                    configs[..., j] = qa[:, None] + s_grid * (qb - qa)[:, None]
-                    parent = None if j == 0 else (
-                        sweep.rotations[seg, :, j - 1].reshape(-1, 3, 3),
-                        sweep.origins[seg, :, j - 1].reshape(-1, 3))
-                    centers = sphere_centers_batch(model, configs.reshape(-1, dof),
-                                                   start=j, parent=parent)
-                    parts.append(np.stack([obs.distance(centers) - radii[high]
-                                           for obs in problem.obstacles]
-                                          ).reshape(n_obs, n_pert, -1))
-                dmin[:, j] = np.concatenate(parts, axis=2).min(axis=2).T
-            pert_r = root_c * np.maximum(boundary - dmin, 0.0)
-            coef[active] = (pert_r - base_r[seg, None, :]) / h
-    return (coef[:, 0].transpose(0, 2, 1).reshape(-1, dof),
-            coef[:, 1].transpose(0, 2, 1).reshape(-1, dof))
+        seg, obs = np.nonzero(~(sweep.seg_min >= boundary))
+        n_spheres = len(model.collision_spheres)
+        nearest = sweep.distances[obs, seg].reshape(
+            seg.size, problem.swept_samples * n_spheres).argmin(axis=1)
+        sample, sphere = np.divmod(nearest, n_spheres)
+        rotations = sweep.rotations[seg, sample]                   # (P, dof, 3, 3)
+        origins = sweep.origins[seg, sample]                       # (P, dof, 3)
+        links = np.array([s.link for s in model.collision_spheres])[sphere]
+        local = np.array([s.center for s in model.collision_spheres])[sphere]
+        row = np.arange(seg.size)
+        centers = origins[row, links] + (rotations[row, links] @ local[:, :, None])[..., 0]
+        normals = np.empty_like(centers)
+        for i, obstacle in enumerate(problem.obstacles):
+            normals[obs == i] = obstacle.gradient(centers[obs == i])
+        velocity = point_jacobian(world_axes(model, rotations), origins, centers)
+        moves = np.arange(dof) <= links[:, None]
+        rate = -np.sqrt(problem.weights.collision) * np.where(
+            moves, (velocity @ normals[:, :, None])[..., 0], 0.0)  # (P, dof)
+        s = np.linspace(0.0, 1.0, problem.swept_samples)[sample, None]
+        coef[seg, obs, 0] = (1.0 - s) * rate
+        coef[seg, obs, 1] = s * rate
+    return coef[:, :, 0].reshape(-1, dof), coef[:, :, 1].reshape(-1, dof)
 
 
 def _interior_rows(lo: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray,

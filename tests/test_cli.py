@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import nvflow
+import nvflow.trajopt as trajopt
 from nvflow.cli import main
 from nvflow.fileio import read_flow, read_pgm, sha256_file, write_flow, write_pgm
 from nvflow.sim import DEFAULT_SENSOR_NOISE, ObjectSpec, RopeSpec, SceneConfig
@@ -657,6 +658,21 @@ class TestRuntimeErrors:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "unreachable" in err
+
+    def test_non_finite_jacobian_exits_3(self, tmp_path, capsys, monkeypatch):
+        """A NaN collision gradient makes one Jacobian entry NaN; the solve
+        stops there and says so, instead of failing later on the residual."""
+        doc = json.loads(fixture_path("trajopt_fixture.json").read_text())
+        doc.update(steps=21, robot=str(fixture_path("arm7.json")))
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps(doc))
+        monkeypatch.setattr(trajopt.SphereObstacle, "gradient",
+                            lambda self, points: np.full(np.shape(points), np.nan))
+        assert run_main(["optimize-traj", "--config", config,
+                         "--out-dir", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "non-finite Jacobian" in err
 
 
 class TestSimulate:

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nvflow.kinematics as kinematics
 from nvflow.geometry import SE3Pose, axis_angle_from_rotation, rotation_from_axis_angle
 from nvflow.kinematics import (
     CollisionSphere,
@@ -20,7 +19,6 @@ from nvflow.kinematics import (
     RobotModel,
     forward_kinematics,
     jacobian,
-    link_frames_batch,
     load_robot,
     robot_from_doc,
     robot_to_doc,
@@ -239,58 +237,6 @@ class TestSolveIK:
         assert None in attempts                               # unreachable
         assert 0 in attempts                                  # solved at once
         assert any(a is not None and a > 0 for a in attempts)  # after a restart
-
-
-class TestPrefixKinematics:
-    """FK resumed at joint j from a stored frame of link j-1 is the full FK."""
-
-    @staticmethod
-    def configs_with_signed_zeros(model, rng, n=40):
-        q = rng.uniform(model.q_min, model.q_max, size=(n, model.dof))
-        q[::3, 1] = -0.0
-        q[1::3, 4] = -0.0
-        q[2::3, model.dof - 1] = -0.0
-        return q
-
-    def test_resumed_frames_and_centers_equal_full_fk(self):
-        model = load_robot(ARM7_PATH)
-        base_pose = SE3Pose(rotation_from_axis_angle(np.array([0.1, -0.2, 0.3])),
-                            np.array([0.3, -0.1, 0.05]))
-        shifted = RobotModel(joints=model.joints, ee_offset=model.ee_offset,
-                             collision_spheres=model.collision_spheres,
-                             base_pose=base_pose)
-        rng = np.random.default_rng(6)
-        links = np.array([s.link for s in model.collision_spheres])
-        for robot in (model, shifted):
-            q = self.configs_with_signed_zeros(robot, rng)
-            rotations, origins = link_frames_batch(robot, q)
-            centers = sphere_centers_batch(robot, q)
-            for j in range(robot.dof):
-                rows = rng.permutation(len(q))[:25]     # gathered copies, as trajopt's
-                parent = None if j == 0 else (rotations[rows, j - 1], origins[rows, j - 1])
-                rot_j, org_j = link_frames_batch(robot, q[rows], start=j, parent=parent)
-                assert rot_j.tobytes() == rotations[rows, j:].tobytes()
-                assert org_j.tobytes() == origins[rows, j:].tobytes()
-                cen_j = sphere_centers_batch(robot, q[rows], start=j, parent=parent)
-                assert cen_j.tobytes() == centers[rows][:, links >= j].tobytes()
-
-    def test_a_negative_zero_angle_turns_like_a_positive_zero(self):
-        """Trajopt's perturbed samples may hold +0.0 where the sweep holds
-        -0.0; the rotation, and so every frame, has the same bytes."""
-        model = load_robot(ARM7_PATH)
-        for joint in model.joints:
-            assert (kinematics._axis_rotations(joint.axis, np.array([-0.0])).tobytes()
-                    == kinematics._axis_rotations(joint.axis, np.array([0.0])).tobytes())
-        q = self.configs_with_signed_zeros(model, np.random.default_rng(8))
-        plus = q + 0.0                                 # -0.0 + 0.0 is +0.0
-        assert q.tobytes() != plus.tobytes()
-        for a, b in zip(link_frames_batch(model, q), link_frames_batch(model, plus)):
-            assert a.tobytes() == b.tobytes()
-
-    def test_start_is_validated(self):
-        model = planar_two_link()
-        with pytest.raises(ValueError, match="start"):
-            link_frames_batch(model, np.zeros((1, 2)), start=2)
 
 
 class TestCollisionSpheres:

@@ -151,6 +151,27 @@ class TestLevenbergMarquardt:
             levenberg_marquardt(residual, x0, jacobian=lambda x: np.array([[10.0]]))
         assert np.array_equal(excinfo.value.x, x0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_jacobian_names_the_jacobian(self, bad):
+        """The Cholesky factorization does not flag a NaN pivot, so a
+        non-finite Jacobian is caught in J^T J before any step is solved."""
+        a = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        b = np.array([1.0, -1.0, 0.5])
+        calls = []
+
+        def jacobian(x):
+            calls.append(x.copy())
+            return a if len(calls) == 1 else np.where(a == 2.0, bad, a)
+
+        x0 = np.array([3.0, -2.0])
+        with pytest.raises(NonFiniteResidualError, match="non-finite Jacobian") as excinfo:
+            levenberg_marquardt(lambda x: a @ x - b, x0, jacobian=jacobian,
+                                options=LMOptions(lambda0=1e3))
+        assert len(calls) == 2
+        assert np.array_equal(excinfo.value.x, calls[1])
+        assert not np.array_equal(calls[1], x0)      # one step was accepted
+
 
     def test_rank_deficient_linear_problem_reaches_lstsq_minimum(self, rng):
         a = rng.standard_normal((12, 4))
@@ -366,7 +387,7 @@ class TestStructuredSolve:
 
 def full_collision_rows(problem: TrajOptProblem, full: np.ndarray, sweep=None):
     """Collision-row coefficients with every (segment, side, joint) pair
-    forward-differenced, as before the active set and with full FK for every
+    forward-differenced with step ``lm.fd_step`` and full FK for every
     perturbation: the oracle for ``trajopt._collision_rows``.  It sweeps
     ``full`` itself and does not read ``sweep``."""
     model = problem.model
@@ -444,14 +465,20 @@ def rotated_box() -> BoxObstacle:
                            np.array([0.5, 0.5, 0.0]) / np.sqrt(2.0)))
 
 
-class TestActiveSetJacobian:
-    """The collision Jacobian differences only segments near the hinge
-    boundary and is bit-identical to differencing every segment.
+def full_of(problem: TrajOptProblem, x: np.ndarray) -> np.ndarray:
+    """The full (steps, dof) trajectory of interior configurations ``x``."""
+    return np.concatenate([problem.q_start[None], x.reshape(-1, problem.model.dof),
+                           problem.q_end[None]])
+
+
+class TestAnalyticCollisionJacobian:
+    """The collision rows come in closed form from the residual's sweep.
 
     LM evaluates the residual at a point before it asks for the Jacobian
     there, so these tests do too: the Jacobian then reuses the residual's
-    sweep, and its FK batches are the perturbations alone, one batch per
-    moved joint of the 7-dof arm.
+    sweep and runs no forward kinematics.  The oracle forward-differences
+    every (segment, side, joint) with full FK; away from argmin ties and
+    the hinge boundary it is the derivative up to its O(h) truncation.
     """
 
     @staticmethod
@@ -462,160 +489,123 @@ class TestActiveSetJacobian:
             return jacobian(x)
 
     @staticmethod
-    def assert_identical(fast: FrameJacobian, full: FrameJacobian):
-        assert fast.n_frames == full.n_frames
-        for name in ("frame", "cur", "nxt"):
-            assert np.array_equal(getattr(fast, name), getattr(full, name)), name
+    def rows_near_a_kink(problem: TrajOptProblem, x: np.ndarray):
+        """Which collision rows at ``x`` are active, and which lie within
+        ``gap`` of a kink of the hinge of a min: a clearance that close to
+        the boundary, or a nearest (sample, sphere) that close to the next.
+        A step h = 1e-6 rad moves no sphere by more than h R, R = 1.405 m
+        for this arm (its joint offsets plus its farthest sphere center),
+        so past 2 h R the oracle differences one smooth piece.  Both masks
+        are flat in row order (segment, obstacle)."""
+        gap = 3e-6
+        sweep = trajopt._sweep(problem.model, full_of(problem, x), problem.obstacles,
+                               problem.swept_samples)
+        boundary = problem.eps_safe + problem.collision_pad
+        n_obs, segments = sweep.distances.shape[:2]
+        nearest = np.sort(sweep.distances.reshape(n_obs, segments, -1), axis=2)
+        active = sweep.seg_min < boundary
+        kink = (np.abs(sweep.seg_min - boundary) <= gap) \
+            | (active & (nearest[..., 1] - nearest[..., 0] <= gap).T)
+        return active.ravel(), kink.ravel()
 
-    @pytest.mark.parametrize("steps", [21, 81, 241])
-    @pytest.mark.parametrize("at", [0.0, 0.05, 1.0],
-                             ids=["initial", "near-initial", "converged"])
-    def test_packaged_problem(self, monkeypatch, fk_batches, steps, at):
-        """At ``at`` of the way from the initial guess to the solution.  The
-        solution clears the boundary everywhere, so nothing is differenced;
-        at 5% some segments still cut it."""
-        problem = packaged_problem(steps)
-        converged = optimize_trajectory(problem).trajectory.configs[1:-1].ravel()
-        residual, jacobian, x0 = lm_inputs(problem, monkeypatch)
-        x = x0 + at * (converged - x0)
+    def check_against_oracle(self, problem: TrajOptProblem, x: np.ndarray,
+                             monkeypatch, fk_batches):
+        """The analytic Jacobian at ``x`` runs no FK and is the oracle's to
+        1e-4 of the largest coefficient, except on rows next to a kink."""
+        residual, jacobian, _ = lm_inputs(problem, monkeypatch)
         residual(x)
         fk_batches.clear()
         fast = jacobian(x)
-        assert len(fk_batches) == (0 if at == 1.0 else 7)
-        assert len(set(fk_batches)) <= 1     # the same perturbed samples per joint
-        assert fast.cur[-(steps - 1):].any() == (at < 1.0)   # live collision rows
-        self.assert_identical(fast, self.oracle(jacobian, x))
+        assert fk_batches == []             # no forward kinematics at all
+        oracle = self.oracle(jacobian, x)
+        assert fast.n_frames == oracle.n_frames
+        assert np.array_equal(fast.frame, oracle.frame)
+        active, kink = self.rows_near_a_kink(problem, x)
+        assert (active & ~kink).sum() >= 10 and kink.sum() <= 2
+        keep = np.concatenate([np.ones(fast.frame.size - kink.size, dtype=bool), ~kink])
+        scale = max(np.abs(oracle.cur).max(), np.abs(oracle.nxt).max())
+        for name in ("cur", "nxt"):
+            np.testing.assert_allclose(getattr(fast, name)[keep], getattr(oracle, name)[keep],
+                                       rtol=0.0, atol=1e-4 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("steps", [21, 81, 241])
+    @pytest.mark.parametrize("at", ["initial", "perturbed"])
+    def test_packaged_problem(self, monkeypatch, fk_batches, steps, at):
+        problem = packaged_problem(steps)
+        x = init_trajectory(problem.q_start, problem.q_end, steps)[1:-1].ravel()
+        if at == "perturbed":
+            x = perturbed(x)
+        self.check_against_oracle(problem, x, monkeypatch, fk_batches)
 
     @pytest.mark.parametrize("obstacles", [
         (rotated_box(),), (tilted_plane(),), (rotated_box(), tilted_plane()),
     ], ids=["rotated-box", "halfspace", "box-and-halfspace"])
-    def test_box_and_halfspace(self, monkeypatch, fk_batches, obstacles):
+    @pytest.mark.parametrize("at", ["initial", "perturbed"])
+    def test_box_and_halfspace(self, monkeypatch, fk_batches, obstacles, at):
         problem = with_obstacles(packaged_problem(41), *obstacles)
-        residual, jacobian, x0 = lm_inputs(problem, monkeypatch)
-        every_pair = 39 * 2 * problem.swept_samples
-        for x in (x0, perturbed(x0, seed=5)):
-            residual(x)
-            fk_batches.clear()
-            fast = jacobian(x)
-            assert len(fk_batches) == 7
-            differenced = fk_batches[0]     # some segments skipped, some not
-            assert fk_batches == [differenced] * 7
-            assert 0 < differenced < every_pair
-            self.assert_identical(fast, self.oracle(jacobian, x))
+        x = init_trajectory(problem.q_start, problem.q_end, 41)[1:-1].ravel()
+        if at == "perturbed":
+            x = perturbed(x, seed=5)
+        self.check_against_oracle(problem, x, monkeypatch, fk_batches)
 
-    @pytest.mark.parametrize("gap", [5e-7, -5e-7], ids=["outside", "inside"])
-    def test_clearance_next_to_the_active_boundary(self, monkeypatch, fk_batches, gap):
-        """The closest segment sits ``gap`` from boundary + margin."""
-        problem = with_obstacles(packaged_problem(81), tilted_plane())
-        full_q = trajopt.init_trajectory(problem.q_start, problem.q_end, 81)
+    def test_hinge_switches_at_the_boundary_on_a_spinner(self):
+        """A tip sphere at unit distance from its axis, nearest to a wall at
+        interior frame 1 (q = -0.2) of segment 0: the coefficient is
+        sqrt(w) cos(0.2) a hair inside the boundary, 0 a hair outside, and
+        segment 1, nearest at its free end frame, puts nothing on frame 1."""
+        model = spinner_with_tip_sphere(arm=1.0, radius=0.05)
+        base = TrajOptProblem(model=model, q_start=np.array([-0.4]),
+                              q_end=np.array([0.0]), steps=3)
+        full_q = np.array([[-0.4], [-0.2], [0.0]])
+        boundary = base.eps_safe + base.collision_pad
+        root_c = np.sqrt(base.weights.collision)
+        for gap, coefficient in ((-1e-9, root_c * np.cos(0.2)), (1e-9, 0.0)):
+            # free space along -y, the tip at (cos q, sin q, 0) turns toward +y
+            # and is nearest the wall at the segment end with the largest q
+            wall_y = np.sin(-0.2) + 0.05 + boundary + gap
+            wall = HalfspaceObstacle(point=np.array([0.0, wall_y, 0.0]),
+                                     normal=np.array([0.0, -1.0, 0.0]))
+            problem = with_obstacles(base, wall)
+            first, second = collision_rows(problem, full_q)
+            assert second[0, 0] == pytest.approx(coefficient, rel=1e-12, abs=0.0)
+            assert first[1, 0] == 0.0
 
-        def closest(problem):
-            return trajopt._sweep(problem.model, full_q, problem.obstacles,
-                                  problem.swept_samples).seg_min.min()
-
-        margin = problem.lm.fd_step * trajopt._sphere_reach(problem.model) + 1e-9
-        target = problem.eps_safe + problem.collision_pad + margin + gap
-        plane = problem.obstacles[0]
-        shift = closest(problem) - target        # every distance falls by shift
-        problem = with_obstacles(problem, HalfspaceObstacle(
-            point=plane.point + shift * plane.normal, normal=plane.normal))
-        assert abs(closest(problem) - target) < 1e-12
-        residual, jacobian, x0 = lm_inputs(problem, monkeypatch)
-        residual(x0)
-        fk_batches.clear()
-        fast = jacobian(x0)
-        assert len(fk_batches) == (0 if gap > 0 else 7)
-        self.assert_identical(fast, self.oracle(jacobian, x0))
-
-    def test_no_active_segment_skips_perturbation_fk(self, monkeypatch, fk_batches):
+    def test_rows_are_zero_when_every_hinge_is_off(self, monkeypatch):
         far = SphereObstacle(center=np.array([5.0, 5.0, 5.0]), radius=0.03)
         problem = with_obstacles(packaged_problem(41), far)
         residual, jacobian, x0 = lm_inputs(problem, monkeypatch)
         residual(x0)
-        fk_batches.clear()
         fast = jacobian(x0)
-        assert fk_batches == []     # the residual's sweep is all it needs
         assert not fast.cur[-40:].any() and not fast.nxt[-40:].any()
-        self.assert_identical(fast, self.oracle(jacobian, x0))
-
-    def test_margin_is_tight_on_a_spinner(self):
-        """A tip sphere at unit distance from its axis moves by sin(h) ~ h
-        toward a plane, so a clearance h - 1e-7 above the boundary still
-        gives a nonzero coefficient, while boundary + margin + 1e-7 gives 0."""
-        model = spinner_with_tip_sphere(arm=1.0, radius=0.05)
-        assert trajopt._sphere_reach(model) == 1.0
-        base = TrajOptProblem(model=model, q_start=np.zeros(1), q_end=np.zeros(1),
-                              steps=3)
-        h = base.lm.fd_step
-        boundary = base.eps_safe + base.collision_pad
-        full_q = np.zeros((3, 1))
-        for clearance, live in ((boundary + h - 1e-7, True),
-                                (boundary + h + 1e-9 + 1e-7, False)):
-            # free space along -y; the tip at (1, 0, 0) turns toward +y
-            wall = HalfspaceObstacle(point=np.array([0.0, clearance + 0.05, 0.0]),
-                                     normal=np.array([0.0, -1.0, 0.0]))
-            problem = with_obstacles(base, wall)
-            rows = collision_rows(problem, full_q)
-            oracle = full_collision_rows(problem, full_q)
-            for fast, full in zip(rows, oracle):
-                assert np.array_equal(fast, full)
-            assert bool(np.any(rows[0]) or np.any(rows[1])) == live
-
-    def test_joint_past_every_sphere_runs_no_fk(self, fk_batches):
-        """Joint 1 of this arm carries no sphere on its link or later: its
-        perturbations change no distance, so only joint 0's run FK, and the
-        rows are still the oracle's."""
-        two = planar_two_link()
-        model = RobotModel(joints=two.joints, ee_offset=two.ee_offset,
-                           collision_spheres=(CollisionSphere(
-                               link=0, center=np.array([0.5, 0.0, 0.0]), radius=0.1),))
-        problem = TrajOptProblem(
-            model=model, q_start=np.array([0.0, 0.0]), q_end=np.array([1.0, 0.5]),
-            steps=9, obstacles=(SphereObstacle(center=np.array([0.4, 0.3, 0.0]),
-                                               radius=0.1),))
-        full_q = init_trajectory(problem.q_start, problem.q_end, problem.steps)
-        sweep = trajopt._sweep(model, full_q, problem.obstacles, problem.swept_samples)
-        fk_batches.clear()
-        rows = trajopt._collision_rows(problem, full_q, sweep)
-        assert len(fk_batches) == 1
-        assert rows[0][:, 0].any() and not rows[0][:, 1].any()
-        for fast, full in zip(rows, full_collision_rows(problem, full_q)):
-            assert np.array_equal(fast, full)
 
     def test_nan_clearance_stays_active(self):
         problem = packaged_problem(21)
         full_q = trajopt.init_trajectory(problem.q_start, problem.q_end, 21)
         full_q[10, 3] = np.nan
-        rows = collision_rows(problem, full_q)
-        oracle = full_collision_rows(problem, full_q)
-        assert np.isnan(rows[0]).any()
-        for fast, full in zip(rows, oracle):
-            assert np.array_equal(fast, full, equal_nan=True)
+        first, second = collision_rows(problem, full_q)
+        nan_rows = np.isnan(first).any(axis=1) | np.isnan(second).any(axis=1)
+        assert np.flatnonzero(nan_rows).tolist() == [9, 10]   # the segments of frame 10
 
-    def test_fk_configurations_fall_at_241_steps(self, monkeypatch, fk_batches):
+    def test_long_horizon_solve_matches_the_oracle_solve(self, monkeypatch):
         problem = packaged_problem(241)
         fast = optimize_trajectory(problem)
-        fast_configs = sum(fk_batches)
-        fk_batches.clear()
         monkeypatch.setattr(trajopt, "_collision_rows", full_collision_rows)
-        full = optimize_trajectory(problem)
-        full_configs = sum(fk_batches)
-        assert np.array_equal(fast.trajectory.configs, full.trajectory.configs)
-        assert fast.final_cost == full.final_cost
-        assert fast_configs < full_configs / 5
+        ref = optimize_trajectory(problem)
+        assert fast.final_cost == pytest.approx(ref.final_cost, rel=1e-9, abs=0.0)
+        np.testing.assert_allclose(fast.trajectory.configs, ref.trajectory.configs,
+                                   rtol=0.0, atol=1e-8)
 
     def test_lm_sweeps_each_iterate_once(self, monkeypatch):
-        """Over a 241-step solve the Jacobian sweeps nothing itself: every
-        unperturbed sweep runs inside ``penalty_collision``, where a traced
-        run times it, and the only other full sweep is the final dense one.
-        The Jacobian's own FK batches resume at joints 0..6 in turn."""
+        """Over a 241-step solve every sphere FK runs inside
+        ``penalty_collision``, where a traced run times it, one sweep per
+        residual, except the final dense sweep."""
         problem = packaged_problem(241)
         batches, inside = [], []
         fk, penalty = trajopt.sphere_centers_batch, trajopt.penalty_collision
 
-        def counting_fk(model, configs, start=0, parent=None, return_frames=False):
-            batches.append((configs.shape[0], start, bool(inside)))
-            return fk(model, configs, start, parent, return_frames)
+        def counting_fk(model, configs, return_frames=False):
+            batches.append((configs.shape[0], bool(inside)))
+            return fk(model, configs, return_frames)
 
         def counting_penalty(*args, **kwargs):
             inside.append(True)
@@ -628,13 +618,9 @@ class TestActiveSetJacobian:
         monkeypatch.setattr(trajopt, "penalty_collision", counting_penalty)
         optimize_trajectory(problem)
         sweep = 240 * problem.swept_samples
-        in_residual = [b for b in batches if b[2]]
-        assert len(in_residual) > 1
-        assert all(b == (sweep, 0, True) for b in in_residual)
-        outside = [b for b in batches if not b[2]]
-        assert outside[-1] == (2 * sweep, 0, False)
-        starts = [start for _, start, _ in outside[:-1]]
-        assert starts and starts == list(range(7)) * (len(starts) // 7)
+        assert len(batches) > 2
+        assert batches[:-1] == [(sweep, True)] * (len(batches) - 1)
+        assert batches[-1] == (2 * sweep, False)
 
     @pytest.mark.parametrize("obstacles", [(), (rotated_box(), tilted_plane())],
                              ids=["packaged", "box-and-halfspace"])
@@ -653,8 +639,10 @@ class TestActiveSetJacobian:
             residual(elsewhere)
             fk_batches.clear()
             missed = jacobian(x)
-            assert fk_batches[0] == 40 * problem.swept_samples    # its own sweep
-            self.assert_identical(missed, after_residual)
+            assert fk_batches == [40 * problem.swept_samples]    # its own sweep
+            for name in ("frame", "cur", "nxt"):
+                assert np.array_equal(getattr(missed, name),
+                                      getattr(after_residual, name)), name
 
 
 class TestObstacles:
@@ -687,6 +675,54 @@ class TestObstacles:
         assert obs.distance(np.array([0.0, 0.0, 0.8])) == pytest.approx(0.3)
         assert obs.distance(np.array([0.0, 0.0, 0.2])) == pytest.approx(-0.3)
 
+    @staticmethod
+    def central_differences(obstacle, point: np.ndarray, h: float = 1e-6) -> np.ndarray:
+        return np.array([(obstacle.distance(point + h * e) - obstacle.distance(point - h * e))
+                         / (2.0 * h) for e in np.eye(3)])
+
+    @pytest.mark.parametrize("where,local", [
+        ("face", [0.05, 0.006, -0.008]), ("edge", [0.05, -0.03, 0.012]),
+        ("corner", [-0.04, 0.035, 0.07]), ("inside", [0.015, -0.004, 0.002]),
+    ])
+    def test_box_gradient_matches_central_differences(self, where, local):
+        box = rotated_box()
+        point = box.center + box.rotation @ np.array(local)
+        assert (box.distance(point) < 0.0) == (where == "inside")
+        grad = box.gradient(point[None])[0]
+        np.testing.assert_allclose(grad, self.central_differences(box, point),
+                                   rtol=0.0, atol=1e-8)
+        assert np.linalg.norm(grad) == pytest.approx(1.0, abs=1e-12)
+
+    def test_sphere_and_halfspace_gradients_match_central_differences(self, rng):
+        sphere = SphereObstacle(center=np.array([0.01, 0.0, 0.87]), radius=0.03)
+        for obstacle in (sphere, tilted_plane()):
+            points = np.array([0.0, 0.0, 0.9]) + 0.1 * rng.standard_normal((8, 3))
+            grads = obstacle.gradient(points)
+            assert grads.shape == (8, 3)
+            for point, grad in zip(points, grads):
+                np.testing.assert_allclose(grad, self.central_differences(obstacle, point),
+                                           rtol=0.0, atol=1e-8)
+                assert np.linalg.norm(grad) == pytest.approx(1.0, abs=1e-12)
+
+    def test_gradient_at_degenerate_points_is_a_fixed_unit_vector(self):
+        sphere = SphereObstacle(center=np.array([0.1, 0.2, 0.3]), radius=0.05)
+        assert sphere.gradient(sphere.center).tolist() == [0.0, 0.0, 1.0]
+        rot = rotation_from_axis_angle(np.array([0.3, -0.2, 0.5]))
+        box = BoxObstacle(center=np.array([1.0, 0.0, 0.0]),
+                          half_extents=np.array([0.3, 0.1, 0.2]), rotation=rot)
+        # at the center the nearest face is the one of the smallest extent,
+        # on its + side
+        np.testing.assert_allclose(box.gradient(box.center), rot[:, 1], atol=1e-15)
+        # ties between faces go to the lowest axis; an axis-aligned cube
+        # with dyadic sizes keeps the tied coordinates exact
+        cube = BoxObstacle(center=np.array([0.5, 0.25, 0.0]), half_extents=np.full(3, 0.125))
+        for local, grad in (([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                            ([0.0, -0.0625, 0.0625], [0.0, -1.0, 0.0]),
+                            ([0.125, 0.0, 0.0], [1.0, 0.0, 0.0]),          # on a face
+                            ([0.125, -0.125, 0.0], [1.0, 0.0, 0.0]),       # on an edge
+                            ([-0.125, -0.125, 0.125], [-1.0, 0.0, 0.0])):  # on a corner
+            assert cube.gradient(cube.center + np.array(local)).tolist() == grad
+
     def test_validation(self):
         with pytest.raises(ValueError, match="radius"):
             SphereObstacle(center=np.zeros(3), radius=0.0)
@@ -695,8 +731,9 @@ class TestObstacles:
         with pytest.raises(ValueError, match="normal"):
             HalfspaceObstacle(point=np.zeros(3), normal=np.zeros(3))
 
-        # The distance must stay 1-Lipschitz: a box rotation passes the
-        # orthonormality and determinant test of a pose (2 I would double it).
+        # The distance must stay a distance and its gradient a unit vector: a
+        # box rotation passes the orthonormality and determinant test of a
+        # pose (2 I would double both).
         for rotation, match in ((2.0 * np.eye(3), "orthonormal"),
                                 (np.diag([1.0, 1.0, -1.0]), "determinant"),
                                 (np.full((3, 3), np.nan), "non-finite"),
