@@ -218,7 +218,7 @@ def _do_simulate(config: SceneConfig, seed: int, out: Path,
     Returns it as ``distill`` will read it back, and the files written: those
     its manifest lists, and the manifest.
     """
-    from .sim import generate_scene
+    from .sim import generate_scene   # looked up per call, so a patched sim.generate_scene is seen
     bundle = stages.run("simulate", lambda: generate_scene(config, seed))
     stored = stages.run("write_bundle", lambda: bundle.write(out))
     listed = json.loads((out / "manifest.json").read_text())["files"]
@@ -467,9 +467,12 @@ def _read_joint_csv(path) -> np.ndarray:
     if len(rows) < 3 or not rows[0] or rows[0][0] != "t":
         raise ConfigError(f"bad joint trajectory CSV: {path}")
     try:
-        return np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+        configs = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
     except ValueError as exc:
         raise ConfigError(f"bad joint trajectory CSV {path}: {exc}") from None
+    if not np.isfinite(configs).all():
+        raise ConfigError(f"bad joint trajectory CSV {path}: non-finite joint value")
+    return configs
 
 
 def _plan_from_doc(doc: dict) -> tuple[RobotModel, SE3Pose, int]:
@@ -490,11 +493,13 @@ def _executed_object_poses(model: RobotModel, grasp: SE3Pose, spf: int,
     if configs.shape[0] != expected:
         raise ConfigError(f"joint trajectory has {configs.shape[0]} steps, "
                           f"expected {expected} for {frames} flow frames")
+    if configs.shape[1] != model.dof:
+        raise ConfigError(f"joint trajectory has {configs.shape[1]} joints, "
+                          f"the plan's robot has {model.dof}")
     grasp_inv = grasp.inverse()
     poses = []
     for t in range(frames):
-        ee, _ = forward_kinematics(model, configs[t * spf])
-        poses.append(ee.compose(grasp_inv))
+        poses.append(forward_kinematics(model, configs[t * spf]).compose(grasp_inv))
     return ObjectPoseTrajectory(tuple(poses), frame="camera")
 
 

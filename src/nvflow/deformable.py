@@ -14,10 +14,8 @@ baseline it is compared against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -37,8 +35,6 @@ __all__ = [
     "build_correspondence",
     "plan_actions",
     "mpc_rollout",
-    "load_dynamics",
-    "save_dynamics",
 ]
 
 
@@ -206,43 +202,27 @@ class MassSpringModel:
         return inc
 
     @cached_property
-    def _incident_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each particle's incident edges as a padded (N, D) table, D the max degree.
-
-        Row i lists the edges that touch particle i in increasing edge index,
-        with sign +1 where i is the tail and -1 where it is the head; padding
-        slots name edge 0 with sign 0.  Summed along a row in slot order, sign
-        times edge force adds the nonzero terms of ``-incidence() @ edge_force``
-        in the order the dense product adds them.
-        """
-        n_edges = self.edges.shape[0]
-        ends = self.edges.T.ravel()                    # tails, then heads
-        edge_ids = np.tile(np.arange(n_edges), 2)
-        signs = np.repeat([1.0, -1.0], n_edges)
-        order = np.lexsort((edge_ids, ends))           # by particle, then edge
-        ends, edge_ids, signs = ends[order], edge_ids[order], signs[order]
-        degree = np.bincount(ends, minlength=self.n_particles)
-        first = np.cumsum(degree) - degree
-        slot = np.arange(ends.size) - first[ends]
-        width = int(degree.max()) if n_edges else 0
-        table = np.zeros((self.n_particles, width), dtype=int)
-        table_signs = np.zeros((self.n_particles, width))
-        table[ends, slot] = edge_ids
-        table_signs[ends, slot] = signs
-        return table, table_signs
-
-    @cached_property
     def _signed_slots(self) -> np.ndarray:
-        """The incident-edge table as rows of a (2E + 1)-row signed force buffer.
+        """Each particle's incident edges as a padded (N, D) table of rows of a
+        (2E + 1)-row signed force buffer, D the max degree.
 
         Row e of the buffer holds edge e's force, row E + e its negation and
-        row 2E the padding term (edge 0's force times 0.0), so a slot of sign
-        +1, -1 or 0 names row e, E + e or 2E.  Only models with edges use it.
+        row 2E the padding term (edge 0's force times 0.0).  Row i of the table
+        names, in increasing edge index, row e where i is edge e's tail and
+        row E + e where it is its head, then pads with row 2E.  Summed along a
+        row in slot order, the named terms add the nonzero terms of
+        ``-incidence() @ edge_force`` in the order the dense product adds
+        them.  Only models with edges use it.
         """
-        table, signs = self._incident_edges
         n_edges = self.edges.shape[0]
-        return np.where(signs > 0.0, table,
-                        np.where(signs < 0.0, n_edges + table, 2 * n_edges))
+        ends = self.edges.T.ravel()            # tails, then heads: buffer rows 0..2E-1
+        order = np.lexsort((np.tile(np.arange(n_edges), 2), ends))   # by particle, then edge
+        particle = ends[order]
+        degree = np.bincount(ends, minlength=self.n_particles)
+        first = np.cumsum(degree) - degree
+        slots = np.full((self.n_particles, int(degree.max()) if n_edges else 0), 2 * n_edges)
+        slots[particle, np.arange(ends.size) - first[particle]] = order
+        return slots
 
 
 def _edge(doc) -> tuple[int, int]:
@@ -255,14 +235,6 @@ def _edge(doc) -> tuple[int, int]:
 
 def _indices(doc) -> tuple[int, ...]:
     return tuple(_int(i) for i in _doc_list(doc))
-
-
-def save_dynamics(model: MassSpringModel, path) -> None:
-    Path(path).write_text(json.dumps(model.to_doc(), indent=2) + "\n")
-
-
-def load_dynamics(path) -> MassSpringModel:
-    return MassSpringModel.from_doc(json.loads(Path(path).read_text()))
 
 
 def _step_batch(model: MassSpringModel, positions: np.ndarray, velocities: np.ndarray,

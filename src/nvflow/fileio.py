@@ -110,6 +110,8 @@ def read_flow(path) -> tuple[np.ndarray, str]:
     expected = 16 + frames * points * 12
     if len(blob) < expected:
         raise FlowFormatError("unexpected end of file", len(blob))
+    if len(blob) > expected:
+        raise FlowFormatError("trailing data after the positions", expected)
     pos = np.frombuffer(blob, dtype="<f4", count=frames * points * 3, offset=16)
     return pos.reshape(frames, points, 3).astype(np.float32), ""
 

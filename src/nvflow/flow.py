@@ -284,7 +284,9 @@ def _segment_pixels(a: np.ndarray, b: np.ndarray, width: int, height: int) -> np
     return (v * width + u)[ok].astype(np.intp)
 
 
-def _stamp_digits(img: np.ndarray, text: str, origin: tuple[int, int], scale: int = 3) -> None:
+def _stamp_digits(img: np.ndarray, text: str, origin: tuple[int, int]) -> None:
+    """Stamp ``text``'s digits in white, each glyph cell 3x3 pixels."""
+    scale = 3
     x0, y0 = origin
     for ch in text:
         glyph = _DIGITS.get(ch)

@@ -24,8 +24,6 @@ __all__ = [
     "SE3Pose",
     "CameraIntrinsics",
     "DepthMap",
-    "se3_compose",
-    "se3_inverse",
     "project",
     "rotation_from_axis_angle",
     "axis_angle_from_rotation",
@@ -173,26 +171,13 @@ class SE3Pose:
         return p @ self.rotation.T + self.translation
 
     def compose(self, other: "SE3Pose") -> "SE3Pose":
-        return se3_compose(self, other)
+        """Return the pose applying ``other`` first, then this one (matrix product)."""
+        return SE3Pose(self.rotation @ other.rotation,
+                       self.rotation @ other.translation + self.translation)
 
     def inverse(self) -> "SE3Pose":
-        return se3_inverse(self)
-
-    def allclose(self, other: "SE3Pose", atol: float = 1e-9) -> bool:
-        return bool(
-            np.allclose(self.rotation, other.rotation, rtol=0.0, atol=atol)
-            and np.allclose(self.translation, other.translation, rtol=0.0, atol=atol)
-        )
-
-
-def se3_compose(a: SE3Pose, b: SE3Pose) -> SE3Pose:
-    """Return the pose applying ``b`` first, then ``a`` (matrix product a.b)."""
-    return SE3Pose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
-
-
-def se3_inverse(a: SE3Pose) -> SE3Pose:
-    rot_inv = a.rotation.T
-    return SE3Pose(rot_inv, -rot_inv @ a.translation)
+        rot_inv = self.rotation.T
+        return SE3Pose(rot_inv, -rot_inv @ self.translation)
 
 
 @dataclass(frozen=True)
@@ -395,5 +380,5 @@ def se3_log(pose: SE3Pose) -> np.ndarray:
 
 def screw_interpolate(a: SE3Pose, b: SE3Pose, tau: float) -> SE3Pose:
     """Constant-twist interpolation from ``a`` (tau=0) to ``b`` (tau=1)."""
-    delta = se3_log(se3_compose(se3_inverse(a), b))
-    return se3_compose(a, se3_exp(tau * delta))
+    delta = se3_log(a.inverse().compose(b))
+    return a.compose(se3_exp(tau * delta))

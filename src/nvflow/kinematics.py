@@ -56,7 +56,6 @@ __all__ = [
     "sphere_centers_batch",
     "world_axes",
     "point_jacobian",
-    "jacobian",
     "solve_ik",
 ]
 
@@ -221,7 +220,7 @@ class _Chain(NamedTuple):
 def _chain(model: RobotModel, config: np.ndarray) -> _Chain:
     """Link frames and end-effector pose of one (dof,) configuration; the
     end effector is the last link composed with ``ee_offset`` by
-    ``se3_compose``'s arithmetic."""
+    ``SE3Pose.compose``'s arithmetic."""
     rotations, origins = link_frames_batch(model, config[None, :])
     last_rot, last_pos = rotations[0, -1], origins[0, -1]
     ee = model.ee_offset
@@ -229,18 +228,13 @@ def _chain(model: RobotModel, config: np.ndarray) -> _Chain:
                   last_rot @ ee.translation + last_pos)
 
 
-def _one_config(model: RobotModel, config: np.ndarray) -> np.ndarray:
+def forward_kinematics(model: RobotModel, config: np.ndarray) -> SE3Pose:
+    """End-effector pose of one (dof,) configuration."""
     q = np.asarray(config, dtype=float)
     if q.shape != (model.dof,):
         raise ValueError(f"config must be ({model.dof},), got {q.shape}")
-    return q
-
-
-def forward_kinematics(model: RobotModel, config: np.ndarray) -> tuple[SE3Pose, list[SE3Pose]]:
-    """End-effector pose and all link poses for one configuration."""
-    chain = _chain(model, _one_config(model, config))
-    links = [SE3Pose(rot, pos) for rot, pos in zip(chain.rotations, chain.origins)]
-    return SE3Pose(chain.ee_rotation, chain.ee_position), links
+    chain = _chain(model, q)
+    return SE3Pose(chain.ee_rotation, chain.ee_position)
 
 
 def sphere_centers_batch(model: RobotModel, configs: np.ndarray,
@@ -282,21 +276,16 @@ def point_jacobian(axes: np.ndarray, origins: np.ndarray,
 
 
 def _jacobian(model: RobotModel, chain: _Chain) -> np.ndarray:
-    """``jacobian`` from the forward kinematics ``_chain`` gives."""
+    """Geometric Jacobian (6, dof) at the end effector of a ``_chain``.
+
+    Rows 0..2 are the linear velocity map, rows 3..5 the angular one, both in
+    the base-pose frame with the end-effector origin as the reference point.
+    """
     axes = world_axes(model, chain.rotations)
     jac = np.empty((6, model.dof))
     jac[:3] = point_jacobian(axes, chain.origins, chain.ee_position).T
     jac[3:] = axes.T
     return jac
-
-
-def jacobian(model: RobotModel, config: np.ndarray) -> np.ndarray:
-    """Geometric Jacobian at the end effector, (6, dof).
-
-    Rows 0..2 are the linear velocity map, rows 3..5 the angular one, both in
-    the base-pose frame with the end-effector origin as the reference point.
-    """
-    return _jacobian(model, _chain(model, _one_config(model, config)))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .flow import ActionableFlow
-from .geometry import SE3Pose, _doc_fields, se3_compose
+from .geometry import SE3Pose, _doc_fields
 
 __all__ = [
     "DegenerateCloudError",
@@ -126,7 +126,7 @@ def compose_ee_trajectory(object_poses: ObjectPoseTrajectory,
     The grasp pose is the end-effector pose at the first frame, expressed in
     the same frame as the object poses; rigid attachment carries it along.
     """
-    return [se3_compose(pose, grasp_pose) for pose in object_poses.poses]
+    return [pose.compose(grasp_pose) for pose in object_poses.poses]
 
 
 @dataclass(frozen=True)

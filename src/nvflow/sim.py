@@ -7,7 +7,7 @@ circular-arc centerline through scripted bend/turn keyframes.  Each scene
 yields the observations the planning pipeline consumes (3-d tracks, the
 first-frame object mask and depth map, a metric first-frame reference depth)
 plus the ground truth to grade it against (keypoint flow, relative object
-poses, track membership, rope dynamics).
+poses, rope dynamics).
 
 All randomness is drawn from one generator seeded per scene, so a given
 config-and-seed pair reproduces byte-identical bundles.  On disk a bundle
@@ -32,8 +32,6 @@ from .deformable import (
     build_correspondence,
     chamfer_cost,
     flow_cost,
-    save_dynamics,
-    load_dynamics,
 )
 from .fileio import (
     depth_from_pgm,
@@ -73,8 +71,6 @@ __all__ = [
     "SceneConfig",
     "SceneBundle",
     "Metrics",
-    "generate_rigid_scene",
-    "generate_rope_scene",
     "generate_scene",
     "corrupt_flow",
     "evaluate_rigid",
@@ -383,15 +379,14 @@ def _default_waypoints(spec: ObjectSpec) -> tuple[Waypoint, ...]:
 
 # -- camera and rasterization ----------------------------------------------------
 
-def _ground_depth(intrinsics: CameraIntrinsics, extrinsic: SE3Pose,
-                  plane_z: float = 0.0) -> np.ndarray:
-    """Per-pixel camera-frame depth of the world plane z = plane_z.
+def _ground_depth(intrinsics: CameraIntrinsics, extrinsic: SE3Pose) -> np.ndarray:
+    """Per-pixel camera-frame depth of the table, the world plane z = 0.
 
     ``extrinsic`` maps world to camera coordinates.  Pixels whose rays miss
     the plane (or hit it behind the camera) are left at 0, i.e. invalid.
     """
     normal = extrinsic.rotation @ np.array([0.0, 0.0, 1.0])
-    on_plane = extrinsic.apply(np.array([0.0, 0.0, plane_z]))
+    on_plane = extrinsic.apply(np.zeros(3))
     offset = float(normal @ on_plane)
     # Each ray (u - cx) / fx, (v - cy) / fy, 1 broadcast along its row or column.
     rays = np.empty((intrinsics.height, intrinsics.width, 3))
@@ -495,7 +490,7 @@ def _place_distractors(config: SceneConfig, rng: np.random.Generator,
     A candidate is rejected when the 5x5 window around its rounded projection
     touches ``union``, the OR of every frame's object mask, or when it lies
     within 4 px of any object keypoint projection in any frame, which keeps
-    the ground-truth track membership unambiguous.  Each round draws one
+    object and distractor tracks apart.  Each round draws one
     (x, y) pair per point still missing and accepts the passing pairs in draw
     order, so the stream is consumed as by testing one pair at a time.  A
     point that meets 500 rejections in a row is an error.
@@ -590,8 +585,9 @@ def _render_depth(config: SceneConfig, rng: np.random.Generator,
 def _observe(config: SceneConfig, rng: np.random.Generator, gt_points: np.ndarray) -> dict:
     """What the sensors see of true camera-frame object keypoints (T, K, 3).
 
-    Returns the ``SceneBundle`` fields ``tracks``, ``mask``, ``depth``, ``depth_ref``
-    and ``membership``; ``rng`` draws distractors, then track and depth noise.
+    Returns the ``SceneBundle`` fields ``tracks`` (the K object tracks, then
+    the distractors), ``mask``, ``depth`` and ``depth_ref``; ``rng`` draws
+    distractors, then track and depth noise.
     """
     intr = config.intrinsics
     pixels = project(intr, gt_points.reshape(-1, 3)).reshape(gt_points.shape[:2] + (2,))
@@ -607,10 +603,7 @@ def _observe(config: SceneConfig, rng: np.random.Generator, gt_points: np.ndarra
         [gt_points, np.broadcast_to(distractors, (config.frames,) + distractors.shape)], axis=1)
     tracks = _observe_tracks(config, rng, true_camera)
     depth, depth_ref = _render_depth(config, rng, mask, _first_object_depth(gt_points))
-    n_object = gt_points.shape[1]
-    return {"tracks": tracks, "mask": mask, "depth": depth, "depth_ref": depth_ref,
-            "membership": {"object": list(range(n_object)),
-                           "distractors": list(range(n_object, true_camera.shape[1]))}}
+    return {"tracks": tracks, "mask": mask, "depth": depth, "depth_ref": depth_ref}
 
 
 # -- rigid scenes -----------------------------------------------------------------
@@ -657,18 +650,8 @@ def _waypoint_poses(waypoints: tuple[Waypoint, ...], frames: int) -> list[SE3Pos
     return out
 
 
-def generate_rigid_scene(config: SceneConfig, seed: int | None = None) -> "SceneBundle":
-    """Render a rigid-object scene with exact pose and flow ground truth.
-
-    ``seed`` overrides ``config.seed`` when given.
-
-    Raises:
-        ValueError: "object leaves view" if the motion exits the camera frustum.
-    """
-    if config.scene != "rigid":
-        raise ValueError(f"config is for a {config.scene!r} scene")
-    seed = config.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
+def _rigid_scene(config: SceneConfig, seed: int, rng: np.random.Generator) -> "SceneBundle":
+    """A rigid-object scene with exact pose and flow ground truth."""
     extr = config.camera.inverse()
 
     obj_pts = _sample_surface_points(config.object, rng)
@@ -762,62 +745,12 @@ def _rope_model(spec: RopeSpec) -> MassSpringModel:
     )
 
 
-def _spurious_shape_audit(spec: RopeSpec, cam_points: np.ndarray,
-                          kp_idx: np.ndarray, extr: SE3Pose) -> dict:
-    """Grid-evaluate the Chamfer-to-goal landscape over flattened shapes.
-
-    Scans in-plane rotations of the final centerline shape (5 degree grid)
-    and records the one minimizing Chamfer distance to the goal among shapes
-    that are genuinely wrong under point correspondence (corresponded cost at
-    least half the worst over the grid).  A near-zero spurious Chamfer cost
-    next to a large corresponded cost certifies the local minimum that
-    shape-matching objectives fall into on mirrored scripts.
-    """
-    s = np.linspace(-0.5, 0.5, spec.particles)
-    _, bend0, turn0, dx0, dy0 = spec.script[0]
-    _, bend1, _, dx1, dy1 = spec.script[-1]
-    first = _arc_points(s, spec.length, bend0, turn0) + np.array([dx0, dy0])
-    goal = cam_points[-1]
-    turns = np.linspace(0.0, 2.0 * math.pi, 73)[:-1]
-    chamfers = np.empty(turns.size)
-    flows = np.empty(turns.size)
-    for i, turn in enumerate(turns):
-        xy = _arc_points(s, spec.length, bend1, turn) + np.array([dx1, dy1])
-        if spec.pinned:
-            xy = xy - xy[-1] + first[-1]
-        world = np.zeros((spec.particles, 3))
-        world[:, 0] = xy[:, 0] + spec.center[0]
-        world[:, 1] = xy[:, 1] + spec.center[1]
-        world[:, 2] = spec.height
-        candidate = extr.apply(world)[kp_idx]
-        chamfers[i] = chamfer_cost(candidate, goal)
-        flows[i] = float(np.sum((candidate - goal) ** 2))
-    wrong = flows >= 0.5 * flows.max()
-    best = int(np.flatnonzero(wrong)[np.argmin(chamfers[wrong])])
-    return {
-        "spurious_turn": float(turns[best]),
-        "spurious_chamfer_cost": float(chamfers[best]),
-        "spurious_flow_cost": float(flows[best]),
-    }
-
-
-def generate_rope_scene(config: SceneConfig, seed: int | None = None) -> "SceneBundle":
-    """Render a rope scene; ground truth includes dynamics and initial state.
+def _rope_scene(config: SceneConfig, seed: int, rng: np.random.Generator) -> "SceneBundle":
+    """A rope scene; ground truth includes dynamics and initial state.
 
     The flow, dynamics and particle states all live in the camera frame (the
     frame the planner works in); gravity is off because the motion is planar.
-    The bundle's audit records how deep the shape-matching local minimum is
-    for this script (Chamfer cost vs corresponded cost of the in-place
-    flattening).
-
-    Raises:
-        ValueError: "self-intersecting spline" for scripts that fold the rope
-            onto itself, "object leaves view" if it exits the frustum.
     """
-    if config.scene != "rope":
-        raise ValueError(f"config is for a {config.scene!r} scene")
-    seed = config.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
     spec = config.rope
     extr = config.camera.inverse()
 
@@ -827,14 +760,25 @@ def generate_rope_scene(config: SceneConfig, seed: int | None = None) -> "SceneB
     gt_points = cam[:, kp_idx, :]                              # (T, K, 3)
     return SceneBundle(config=config, seed=seed, gt_flow=ActionableFlow(gt_points, label="rope"),
                        dynamics=_rope_model(spec), initial_state=ParticleState.at_rest(cam[0]),
-                       audit=_spurious_shape_audit(spec, gt_points, kp_idx, extr),
                        **_observe(config, rng, gt_points))
 
 
 def generate_scene(config: SceneConfig, seed: int | None = None) -> "SceneBundle":
-    if config.scene == "rigid":
-        return generate_rigid_scene(config, seed)
-    return generate_rope_scene(config, seed)
+    """Render the scene ``config`` describes, rigid or rope, with its ground truth.
+
+    ``seed`` overrides ``config.seed`` when given.  One generator seeded with
+    it draws everything: a rigid scene's surface points first, then what the
+    sensors see (distractors, track noise, depth noise).
+
+    Raises:
+        ValueError: "object leaves view" if the motion exits the camera
+            frustum, "self-intersecting spline" for rope scripts that fold
+            the rope onto itself.
+    """
+    seed = config.seed if seed is None else seed
+    rng = np.random.default_rng(seed)
+    build = _rigid_scene if config.scene == "rigid" else _rope_scene
+    return build(config, seed, rng)
 
 
 # -- flow corruption (candidate ladders) -------------------------------------------
@@ -941,7 +885,9 @@ class SceneBundle:
 
     Of the rendered images the bundle keeps only what a stage reads: the
     first-frame object mask, the first-frame sensor depth map and the metric
-    reference for that frame, each at the config's image size.
+    reference for that frame, each at the config's image size.  The track
+    layout is fixed: the K object tracks (those of ``gt_flow``, in its
+    keypoint order) come first, then the distractors.
     """
 
     config: SceneConfig
@@ -952,10 +898,8 @@ class SceneBundle:
     depth_ref: DepthMap                      # first frame, metric
     gt_flow: ActionableFlow
     gt_poses: ObjectPoseTrajectory | None = None
-    membership: dict = field(default_factory=dict)
     dynamics: MassSpringModel | None = None
     initial_state: ParticleState | None = None
-    audit: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         frames = {"tracks": self.tracks.frames, "ground-truth flow": self.gt_flow.frames}
@@ -1004,12 +948,9 @@ class SceneBundle:
             self.gt_poses.to_json(out / "gt_poses.json")
             files.append("gt_poses.json")
 
-        (out / "gt_membership.json").write_text(
-            json.dumps({"version": 1, **self.membership}, sort_keys=True) + "\n")
-        files.append("gt_membership.json")
-
         if self.dynamics is not None:
-            save_dynamics(self.dynamics, out / "dynamics.json")
+            (out / "dynamics.json").write_text(
+                json.dumps(self.dynamics.to_doc(), indent=2) + "\n")
             files.append("dynamics.json")
         if self.initial_state is not None:
             (out / "initial_state.json").write_text(
@@ -1024,7 +965,6 @@ class SceneBundle:
             "tracks": self.tracks.count,
             "keypoints": self.gt_flow.keypoints,
             "label": self.gt_flow.label,
-            "audit": self.audit,
             "files": {rel: sha256_file(out / rel) for rel in sorted(files)},
         }
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -1054,14 +994,11 @@ class SceneBundle:
         if "gt_poses.json" in listed:
             gt_poses = ObjectPoseTrajectory.from_json(root / "gt_poses.json")
 
-        membership_doc = json.loads((root / "gt_membership.json").read_text())
-        membership = {"object": list(membership_doc.get("object", [])),
-                      "distractors": list(membership_doc.get("distractors", []))}
-
         dynamics = None
         initial_state = None
         if "dynamics.json" in listed:
-            dynamics = load_dynamics(root / "dynamics.json")
+            dynamics = MassSpringModel.from_doc(
+                json.loads((root / "dynamics.json").read_text()))
         if "initial_state.json" in listed:
             initial_state = ParticleState.from_doc(
                 json.loads((root / "initial_state.json").read_text()))
@@ -1069,5 +1006,4 @@ class SceneBundle:
         return cls(config=config, seed=int(manifest["seed"]), tracks=tracks,
                    mask=mask, depth=depth, depth_ref=depth_ref,
                    gt_flow=gt_flow, gt_poses=gt_poses,
-                   membership=membership, dynamics=dynamics, initial_state=initial_state,
-                   audit=dict(manifest.get("audit", {})))
+                   dynamics=dynamics, initial_state=initial_state)

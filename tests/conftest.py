@@ -2,8 +2,8 @@
 
 The robot builders (``planar_two_link``, ``one_link_with_sphere``,
 ``spinner_with_tip_sphere``) and the rotation helpers (``random_rotation``,
-``random_pose``, ``rotation_distance``) and the oracle inputs
-(``tie_heavy_arrays``, ``assert_same_float``) are plain functions, not fixtures:
+``random_pose``, ``rotation_distance``, ``assert_pose_close``) and the oracle
+inputs (``tie_heavy_arrays``, ``assert_same_float``) are plain functions, not fixtures:
 import them with ``from conftest import ...`` and call them, e.g.
 ``model = planar_two_link()``.  Naming one as a test parameter makes pytest
 look for a fixture of that name and error at setup.  ``rng`` is the only
@@ -36,6 +36,12 @@ def random_pose(rng: np.random.Generator, trans_scale: float = 1.0) -> SE3Pose:
 def rotation_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius distance between rotation matrices."""
     return float(np.linalg.norm(a - b))
+
+
+def assert_pose_close(a: SE3Pose, b: SE3Pose, atol: float = 1e-9) -> None:
+    """Rotation and translation agree entrywise within ``atol``."""
+    assert np.allclose(a.rotation, b.rotation, rtol=0.0, atol=atol)
+    assert np.allclose(a.translation, b.translation, rtol=0.0, atol=atol)
 
 
 def planar_two_link() -> RobotModel:

@@ -76,6 +76,14 @@ def rigid_bundle_dir(rigid_config_path, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def rigid_run_dir(rigid_config_path, tmp_path_factory):
+    out = tmp_path_factory.mktemp("runs") / "rigid"
+    assert run_main(["run", "--config", rigid_config_path, "--candidates", 1,
+                     "--out-dir", out]) == 0
+    return out
+
+
 class MalformedInputs:
     """Builds the files one malformed-input case passes on its command line."""
 
@@ -224,6 +232,29 @@ def _eval(c, plan_doc):
             "--out-dir", c.out]
 
 
+def _eval_joint_csv(c, edit):
+    """``eval`` of the small rigid run, its joint CSV rows (lists of cells) edited."""
+    run = c.fixture("rigid_run_dir")
+    plan = c.tmp / "plan"
+    shutil.copytree(run / "plan", plan)
+    path = plan / "joint_traj.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    path.write_text("".join(",".join(row) + "\n" for row in edit(rows)))
+    return ["eval", plan, run / "scene", "--out-dir", c.out]
+
+
+def _first_joint_at_step_0(value):
+    return lambda rows: [rows[0], [rows[1][0], value, *rows[1][2:]], *rows[2:]]
+
+
+def _padded_flow(c):
+    """The small rigid bundle's flow file with 12 bytes after its positions."""
+    path = c.tmp / "padded.nvfl"
+    path.write_bytes((c.fixture("rigid_bundle_dir") / "gt_flow.nvfl").read_bytes()
+                     + bytes(12))
+    return path
+
+
 # Each builds the argv of one malformed input that must exit 2 with one
 # error line, never 3 with a bare Python message.
 MALFORMED_INPUT_CASES = {
@@ -268,6 +299,11 @@ MALFORMED_INPUT_CASES = {
         "type": "halfspace", "point": [0.0, 0.0, 0.0], "normal": [0.0, 0.0, INF]}]),
     "eval-plan-list": lambda c: _eval(c, [1]),
     "eval-plan-robot-number": lambda c: _eval(c, {"robot": 3}),
+    "eval-joint-csv-nan": lambda c: _eval_joint_csv(c, _first_joint_at_step_0("nan")),
+    "eval-joint-csv-overflow": lambda c: _eval_joint_csv(c, _first_joint_at_step_0("1e400")),
+    "eval-joint-csv-column-dropped": lambda c: _eval_joint_csv(
+        c, lambda rows: [row[:-1] for row in rows]),
+    "flow-trailing-bytes": lambda c: _plan_rigid(c, _padded_flow(c)),
     "flow-json-without-positions": lambda c: _plan_rigid(
         c, c.write({"version": 1, "frames": 2, "points": 1}, "f.json")),
     "flow-json-list": lambda c: _plan_rigid(c, c.write([1], "f.json")),

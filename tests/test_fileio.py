@@ -62,6 +62,15 @@ class TestFlowFiles:
         with pytest.raises(FlowFormatError, match="unexpected end of file"):
             read_flow(path)
 
+    def test_trailing_bytes_are_rejected(self, tmp_path, rng):
+        path = tmp_path / "flow.nvfl"
+        write_flow(path, rng.standard_normal((2, 3, 3)))
+        blob = path.read_bytes()
+        path.write_bytes(blob + bytes(12))
+        with pytest.raises(FlowFormatError, match="trailing data") as excinfo:
+            read_flow(path)
+        assert excinfo.value.byte_offset == len(blob)
+
     def test_truncated_header_reports_unexpected_end(self, tmp_path):
         path = tmp_path / "flow.nvfl"
         path.write_bytes(b"NVFL\x01\x00")

@@ -17,8 +17,10 @@ from nvflow.kinematics import (
     Joint,
     JointTrajectory,
     RobotModel,
+    _chain,
+    _jacobian,
     forward_kinematics,
-    jacobian,
+    link_frames_batch,
     load_robot,
     robot_from_doc,
     robot_to_doc,
@@ -27,7 +29,8 @@ from nvflow.kinematics import (
     sphere_radii,
 )
 
-from conftest import one_link_with_sphere, planar_two_link, spinner_with_tip_sphere
+from conftest import (assert_pose_close, one_link_with_sphere, planar_two_link,
+                      spinner_with_tip_sphere)
 
 ARM7_PATH = files("nvflow").joinpath("fixtures/arm7.json")
 
@@ -41,17 +44,18 @@ def planar_ee(q):
 
 class TestForwardKinematics:
     def test_planar_arm_stretched_along_x(self):
-        ee, links = forward_kinematics(planar_two_link(), np.zeros(2))
+        ee = forward_kinematics(planar_two_link(), np.zeros(2))
         assert np.allclose(ee.translation, [2.0, 0.0, 0.0], atol=1e-15)
-        assert np.allclose(links[0].translation, [0.0, 0.0, 0.0])
-        assert np.allclose(links[1].translation, [1.0, 0.0, 0.0])
+        _, origins = link_frames_batch(planar_two_link(), np.zeros((1, 2)))
+        assert np.allclose(origins[0, 0], [0.0, 0.0, 0.0])
+        assert np.allclose(origins[0, 1], [1.0, 0.0, 0.0])
 
     def test_planar_arm_straight_up(self):
-        ee, _ = forward_kinematics(planar_two_link(), np.array([math.pi / 2.0, 0.0]))
+        ee = forward_kinematics(planar_two_link(), np.array([math.pi / 2.0, 0.0]))
         assert np.allclose(ee.translation, [0.0, 2.0, 0.0], atol=1e-12)
 
     def test_planar_arm_elbow_bend(self):
-        ee, _ = forward_kinematics(planar_two_link(),
+        ee = forward_kinematics(planar_two_link(),
                                    np.array([math.pi / 2.0, -math.pi / 2.0]))
         assert np.allclose(ee.translation, [1.0, 1.0, 0.0], atol=1e-12)
 
@@ -59,25 +63,30 @@ class TestForwardKinematics:
         model = planar_two_link()
         for _ in range(50):
             q = rng.uniform(-math.pi, math.pi, size=2)
-            ee, _ = forward_kinematics(model, q)
+            ee = forward_kinematics(model, q)
             assert np.allclose(ee.translation, planar_ee(q), atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(q1=st.floats(-math.pi, math.pi), q2=st.floats(-math.pi, math.pi))
     def test_reach_never_exceeds_link_sum(self, q1, q2):
-        ee, _ = forward_kinematics(planar_two_link(), np.array([q1, q2]))
+        ee = forward_kinematics(planar_two_link(), np.array([q1, q2]))
         assert np.linalg.norm(ee.translation) <= 2.0 + 1e-9
 
     def test_base_pose_offsets_the_chain(self):
         base = SE3Pose(np.eye(3), np.array([0.5, 0.0, 0.2]))
         model = RobotModel(joints=planar_two_link().joints,
                            ee_offset=planar_two_link().ee_offset, base_pose=base)
-        ee, _ = forward_kinematics(model, np.zeros(2))
+        ee = forward_kinematics(model, np.zeros(2))
         assert np.allclose(ee.translation, [2.5, 0.0, 0.2])
 
     def test_wrong_config_shape_raises(self):
         with pytest.raises(ValueError):
             forward_kinematics(planar_two_link(), np.zeros(3))
+
+
+def jacobian(model, q):
+    """IK's geometric end-effector Jacobian (6, dof) at configuration ``q``."""
+    return _jacobian(model, _chain(model, np.asarray(q, dtype=float)))
 
 
 class TestJacobian:
@@ -104,8 +113,8 @@ class TestJacobian:
             for j in range(model.dof):
                 dq = np.zeros(model.dof)
                 dq[j] = h
-                ee_plus, _ = forward_kinematics(model, q + dq)
-                ee_minus, _ = forward_kinematics(model, q - dq)
+                ee_plus = forward_kinematics(model, q + dq)
+                ee_minus = forward_kinematics(model, q - dq)
                 lin_fd = (ee_plus.translation - ee_minus.translation) / (2.0 * h)
                 ang_fd = axis_angle_from_rotation(
                     ee_plus.rotation @ ee_minus.rotation.T) / (2.0 * h)
@@ -115,7 +124,7 @@ class TestJacobian:
 
 def reference_solve_ik(model, target, seed_config=None, options=IKOptions()):
     """``solve_ik`` as it was before it kept each iterate's FK: two FK calls
-    and one Jacobian per iteration, each through the public functions.
+    and one Jacobian per iteration, each computed afresh.
     Returns (q, attempt) where ``solve_ik`` returns q."""
     def pose_error(current):
         rot_err = axis_angle_from_rotation(target.rotation @ current.rotation.T)
@@ -130,7 +139,7 @@ def reference_solve_ik(model, target, seed_config=None, options=IKOptions()):
     for attempt in range(options.restarts + 1):
         q = seed_config.copy() if attempt == 0 else rng.uniform(q_min, q_max)
         damping = options.damping
-        err = pose_error(forward_kinematics(model, q)[0])
+        err = pose_error(forward_kinematics(model, q))
         residual = np.linalg.norm(err)
         stall = 0
         for _ in range(options.max_iters):
@@ -144,7 +153,7 @@ def reference_solve_ik(model, target, seed_config=None, options=IKOptions()):
             jtj = jac.T @ jac + damping**2 * np.eye(model.dof)
             step = np.linalg.solve(jtj, jac.T @ err)
             q_new = np.clip(q + step, q_min, q_max)
-            err_new = pose_error(forward_kinematics(model, q_new)[0])
+            err_new = pose_error(forward_kinematics(model, q_new))
             residual_new = np.linalg.norm(err_new)
             if residual_new < residual:
                 q, err, residual = q_new, err_new, residual_new
@@ -162,17 +171,17 @@ class TestSolveIK:
     def test_fixed_point(self):
         model = planar_two_link()
         q0 = np.array([0.4, -0.8])
-        target, _ = forward_kinematics(model, q0)
+        target = forward_kinematics(model, q0)
         q = solve_ik(model, target, seed_config=q0)
         assert np.allclose(q, q0, atol=1e-3)
-        ee, _ = forward_kinematics(model, q)
+        ee = forward_kinematics(model, q)
         assert np.linalg.norm(ee.translation - target.translation) <= 1e-4
 
     def test_two_link_against_trig_oracle(self):
         model = planar_two_link()
         options = IKOptions(pos_tol=1e-7, rot_tol=1e-7, max_iters=200)
         q_true = np.array([0.3, 0.9])
-        target, _ = forward_kinematics(model, q_true)
+        target = forward_kinematics(model, q_true)
         q = solve_ik(model, target, options=options)
         assert np.linalg.norm(planar_ee(q) - target.translation) <= 1e-6
         yaw_err = (q.sum() - q_true.sum()) % (2.0 * math.pi)
@@ -189,7 +198,7 @@ class TestSolveIK:
         rng = np.random.default_rng(9)
         for _ in range(5):
             q_true = rng.uniform(-2.0, 2.0, size=2)
-            target, _ = forward_kinematics(model, q_true)
+            target = forward_kinematics(model, q_true)
             q = solve_ik(model, target)
             assert (q >= model.q_min).all() and (q <= model.q_max).all()
 
@@ -197,9 +206,9 @@ class TestSolveIK:
         model = load_robot(ARM7_PATH)
         rng = np.random.default_rng(2)
         q_true = rng.uniform(0.3 * model.q_min, 0.3 * model.q_max)
-        target, _ = forward_kinematics(model, q_true)
+        target = forward_kinematics(model, q_true)
         q = solve_ik(model, target, seed_config=q_true + 0.2)
-        ee, _ = forward_kinematics(model, q)
+        ee = forward_kinematics(model, q)
         assert np.linalg.norm(ee.translation - target.translation) <= 1e-4
         assert (q >= model.q_min).all() and (q <= model.q_max).all()
 
@@ -214,7 +223,7 @@ class TestSolveIK:
         for i in range(12):
             if i < 8:
                 q_true = rng.uniform(model.q_min, model.q_max)
-                target, _ = forward_kinematics(model, q_true)
+                target = forward_kinematics(model, q_true)
                 if i % 2:    # off the arm's exact poses, still within reach
                     target = SE3Pose(target.rotation @ rotation_from_axis_angle(
                         0.05 * rng.standard_normal(3)),
@@ -273,14 +282,14 @@ class TestRobotIO:
             assert np.array_equal(a.origin.rotation, b.origin.rotation)
             assert np.array_equal(a.origin.translation, b.origin.translation)
         assert len(back.collision_spheres) == len(model.collision_spheres)
-        assert back.base_pose.allclose(model.base_pose)
+        assert_pose_close(back.base_pose, model.base_pose)
 
     def test_fixture_arm_is_well_formed(self):
         model = load_robot(ARM7_PATH)
         assert model.dof == 7
         assert len(model.collision_spheres) >= 8
         assert (model.q_min < model.q_max).all()
-        ee, _ = forward_kinematics(model, np.zeros(7))
+        ee = forward_kinematics(model, np.zeros(7))
         assert np.isfinite(ee.translation).all()
 
     def test_joint_validation(self):

@@ -45,3 +45,35 @@ def test_smoke_run_passes():
     proc = run_python([str(PERFBENCH / "run.py"), "--smoke"], timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "smoke: 0 failed"
+
+
+# Spans a rigid and a rope `run` must open.  `deformable.plan` and
+# `deformable.exec_step` are left out: the rollout plans through the private
+# `_plan`, so those patched names are never called.
+TRACED_SPANS = (
+    "sim.generate", "sim.bundle_write", "fileio.hash", "fileio.ppm_write",
+    "flow.calibrate", "flow.distill", "flow.score", "flow.render",
+    "rigid.pose_fit", "rigid.grasp", "kinematics.ik", "kinematics.fk",
+    "kinematics.sphere_fk", "trajopt.optimize", "trajopt.collision", "trajopt.lm",
+    "trajopt.residual", "trajopt.jacobian", "deformable.mpc",
+)
+
+
+def test_traced_layers_are_called(tmp_path):
+    script = textwrap.dedent(f"""
+        import json, sys
+        sys.path.insert(0, {str(PERFBENCH)!r})
+        from nvflow.cli import main     # imported before the patches, as child.py does
+        from tracing import Tracer
+        tracer = Tracer()
+        tracer.install()
+        assert main(["run", "--seed", "0", "--candidates", "2",
+                     "--out-dir", {str(tmp_path / "rigid")!r}]) == 0
+        assert main(["run", "--config", {str(SRC / "nvflow/fixtures/scene_rope.json")!r},
+                     "--horizon", "2", "--out-dir", {str(tmp_path / "rope")!r}]) == 0
+        print(json.dumps(tracer.calls))
+    """)
+    proc = run_python(["-c", script], timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert [name for name in TRACED_SPANS if not calls.get(name)] == []

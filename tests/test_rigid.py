@@ -19,7 +19,8 @@ from nvflow.rigid import (
     propose_grasp,
 )
 
-from conftest import assert_same_float, random_pose, random_rotation, tie_heavy_arrays
+from conftest import (assert_pose_close, assert_same_float, random_pose, random_rotation,
+                      tie_heavy_arrays)
 
 
 class TestEstimateRigidTransform:
@@ -131,7 +132,7 @@ class TestComposeEETrajectory:
         grasp = random_pose(rng)
         poses = ObjectPoseTrajectory((SE3Pose.identity(),) * 4)
         for ee in compose_ee_trajectory(poses, grasp):
-            assert ee.allclose(grasp)
+            assert_pose_close(ee, grasp)
 
     def test_matches_homogeneous_matrix_product(self, rng):
         def homogeneous(pose):
