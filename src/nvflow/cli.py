@@ -274,16 +274,17 @@ def _do_distill(bundle: SceneBundle, out: Path, candidates: int, seed: int,
 
     def write_outputs():
         files = []
-        stored = write_flow(out / "flow.nvfl", scored[selected].flow.positions)
+        best = scored[selected]
+        stored = write_flow(out / "flow.nvfl", best.flow.positions)
         files.append("flow.nvfl")
-        for cand in scored:
-            rel = f"flow_{cand.candidate_id:02d}.ppm"
-            write_ppm(out / rel, render_flow_image(cand.flow, intr,
-                                                   candidate_id=cand.candidate_id))
-            files.append(rel)
+        # Only the kept candidate is drawn; scores.json lists every score.
+        rel = f"flow_{best.candidate_id:02d}.ppm"
+        write_ppm(out / rel, render_flow_image(best.flow, intr,
+                                               candidate_id=best.candidate_id))
+        files.append(rel)
         _write_json(out / "scores.json", {
             "version": 1,
-            "selected": scored[selected].candidate_id,
+            "selected": best.candidate_id,
             "depth_scale": scale,
             "candidates": [
                 {"id": c.candidate_id, "score": c.score, "keypoints": c.flow.keypoints}
@@ -466,6 +467,10 @@ def _read_joint_csv(path) -> np.ndarray:
         raise ConfigError(f"no such file: {path}") from None
     if len(rows) < 3 or not rows[0] or rows[0][0] != "t":
         raise ConfigError(f"bad joint trajectory CSV: {path}")
+    steps = [row[0] if row else "" for row in rows[1:]]
+    if steps != [str(t) for t in range(len(steps))]:
+        raise ConfigError(f"bad joint trajectory CSV {path}: the t column must read "
+                          f"0, 1, ..., {len(steps) - 1} in order")
     try:
         configs = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
     except ValueError as exc:

@@ -20,8 +20,11 @@ import pytest
 import nvflow
 import nvflow.trajopt as trajopt
 from nvflow.cli import main
-from nvflow.fileio import read_flow, read_pgm, sha256_file, write_flow, write_pgm
-from nvflow.sim import DEFAULT_SENSOR_NOISE, ObjectSpec, RopeSpec, SceneConfig
+from nvflow.fileio import (read_flow, read_pgm, sha256_file, write_flow, write_pgm,
+                           write_ppm)
+from nvflow.flow import TrackSet, calibrate_depth, distill_flow, render_flow_image
+from nvflow.sim import (DEFAULT_SENSOR_NOISE, ObjectSpec, RopeSpec, SceneBundle,
+                        SceneConfig)
 
 SUBCOMMANDS = ("simulate", "distill", "plan-rigid", "plan-deformable",
                "optimize-traj", "eval", "run")
@@ -303,6 +306,8 @@ MALFORMED_INPUT_CASES = {
     "eval-joint-csv-overflow": lambda c: _eval_joint_csv(c, _first_joint_at_step_0("1e400")),
     "eval-joint-csv-column-dropped": lambda c: _eval_joint_csv(
         c, lambda rows: [row[:-1] for row in rows]),
+    "eval-joint-csv-first-and-last-steps-swapped": lambda c: _eval_joint_csv(
+        c, lambda rows: [rows[0], rows[-1], *rows[2:-1], rows[1]]),
     "flow-trailing-bytes": lambda c: _plan_rigid(c, _padded_flow(c)),
     "flow-json-without-positions": lambda c: _plan_rigid(
         c, c.write({"version": 1, "frames": 2, "points": 1}, "f.json")),
@@ -766,14 +771,11 @@ class TestDistill:
         positions, _ = read_flow(out / "flow.nvfl")
         assert positions.shape[0] == 6
         assert positions.shape[1] == next(iter(keypoint_counts))
-        for k in range(4):
-            assert (out / f"flow_{k:02d}.ppm").exists()
+        assert sorted(p.name for p in out.glob("*.ppm")) == ["flow_00.ppm"]
 
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["subcommand"] == "distill"
-        assert set(manifest["files"]) == {
-            "flow.nvfl", "scores.json",
-            "flow_00.ppm", "flow_01.ppm", "flow_02.ppm", "flow_03.ppm"}
+        assert set(manifest["files"]) == {"flow.nvfl", "scores.json", "flow_00.ppm"}
 
 
 class TestPlanDeformable:
@@ -933,6 +935,27 @@ class TestFullRun:
         assert (run / "metrics.json").read_bytes() == \
             (chain / "eval" / "metrics.json").read_bytes()
 
+    def test_run_draws_only_the_selected_candidate(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_main(["run", "--seed", 1, "--candidates", 8, "--out-dir", out]) == 0
+        scores = json.loads((out / "flow" / "scores.json").read_text())
+        selected = scores["selected"]
+        name = f"flow_{selected:02d}.ppm"
+        assert sorted(p.name for p in (out / "flow").glob("*.ppm")) == [name]
+        assert selected == 0          # the clean candidate wins on this seed
+
+        # The clean candidate rebuilt from the scene, as distill builds it.
+        bundle = SceneBundle.read(out / "scene")
+        intr = bundle.config.intrinsics
+        scale = calibrate_depth(bundle.depth, bundle.depth_ref)
+        assert scale == scores["depth_scale"]
+        flow = distill_flow(TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible),
+                            bundle.mask, intr, label=bundle.gt_flow.label)
+        assert np.array_equal(read_flow(out / "flow" / "flow.nvfl")[0],
+                              flow.positions.astype(np.float32))
+        write_ppm(tmp_path / name, render_flow_image(flow, intr, candidate_id=selected))
+        assert (out / "flow" / name).read_bytes() == (tmp_path / name).read_bytes()
+
     def test_rerun_with_the_other_scene_kind_grades_that_kind(
             self, rigid_config_path, rope_config_path, tmp_path):
         out = tmp_path / "run"
@@ -961,12 +984,14 @@ class TestFullRun:
         args = ["run", "--config", rigid_config_path, "--seed", 1]
         out, fresh = tmp_path / "run", tmp_path / "fresh"
         assert run_main(args + ["--candidates", 8, "--out-dir", out]) == 0
+        # A candidate image as a run that drew every candidate left it.
+        shutil.copy(out / "flow" / "flow_00.ppm", out / "flow" / "flow_07.ppm")
         assert run_main(args + ["--candidates", 2, "--out-dir", out]) == 0
         assert run_main(args + ["--candidates", 2, "--out-dir", fresh]) == 0
-        assert (out / "flow" / "flow_07.ppm").exists()        # left by the first run
+        assert (out / "flow" / "flow_07.ppm").exists()
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert [rel for rel in manifest["files"] if rel.endswith(".ppm")] == [
-            "flow/flow_00.ppm", "flow/flow_01.ppm"]
+            "flow/flow_00.ppm"]
         assert (out / "run_manifest.json").read_bytes() == \
             (fresh / "run_manifest.json").read_bytes()
 
