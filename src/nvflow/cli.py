@@ -239,6 +239,10 @@ def cmd_simulate(args) -> None:
 
 # -- distill -----------------------------------------------------------------------
 
+# `distill` and `run` share it, so the stages chained with default flags are `run`.
+_DEFAULT_CANDIDATES = 8
+
+
 def _candidate_sigmas(count: int) -> list[float]:
     """Noise ladder for the corrupted candidates (count - 1 rungs)."""
     if count <= 1:
@@ -631,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distill", parents=[common],
                        help="distill, score and select an object flow from a bundle")
     p.add_argument("bundle_dir", help="scene bundle directory")
-    p.add_argument("--candidates", type=int, default=1,
+    p.add_argument("--candidates", type=int, default=_DEFAULT_CANDIDATES,
                    help="candidate count: the clean flow plus N-1 corrupted rungs")
     p.set_defaults(func=cmd_distill)
 
@@ -675,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="robot model JSON (default: the packaged 7-dof arm)")
     p.add_argument("--obstacles", default=None,
                    help="obstacle list JSON (default: the packaged demo obstacle)")
-    p.add_argument("--candidates", type=int, default=8,
+    p.add_argument("--candidates", type=int, default=_DEFAULT_CANDIDATES,
                    help="flow candidates to score during distillation")
     p.add_argument("--steps-per-frame", type=int, default=4,
                    help="trajectory steps per flow frame (rigid scenes)")

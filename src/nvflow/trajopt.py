@@ -8,18 +8,25 @@ with per-block weights applied once, inside the residuals.  Start and end
 configurations are hard constraints handled by variable elimination: only the
 interior configurations are decision variables, so the endpoints come back
 bit-identical.  Collision terms hinge on the swept signed distance between
-robot collision spheres and analytic obstacles, sampled along each segment.
+robot collision spheres and analytic obstacles, sampled along each segment;
+the sweep runs forward kinematics once per distinct configuration, the
+frames and then each segment's inner samples, so every frame's link frames
+are kept.
 
 Every residual row touches at most two consecutive interior frames: smooth,
 velocity and collision rows touch frames t and t+1, rest and limit rows
 frame t alone.  The Jacobian is therefore kept as per-row frame blocks
 (``FrameJacobian``) and never as an m x n matrix, and J^T J is exactly
-block-tridiagonal with dof x dof blocks.  Levenberg-Marquardt forms those
-blocks with stacked products over all frames at once and solves each damped
-step by block cyclic reduction, block Cholesky in odd-even order, in about
-log2 of the horizon levels of stacked work.  The solver stays generic: a
-plain (m, n) Jacobian, as the tests' curve fits use, is the one-block case
-of the same normal equations.
+block-tridiagonal with dof x dof blocks.  The smooth, rest, limit and
+velocity rows each touch one joint and are kept as scalar per-joint rows,
+whose J^T J and J^T r terms are per-(frame, joint) sums on the blocks'
+diagonals; only the collision rows, which touch several joints, are kept as
+coefficient vectors.  Levenberg-Marquardt forms the blocks of those with
+stacked products over all frames at once and solves each damped step by
+block cyclic reduction, block Cholesky in odd-even order, in about log2 of
+the horizon levels of stacked work.  The solver stays generic: a plain
+(m, n) Jacobian, as the tests' curve fits use, is the one-block case of the
+same normal equations.
 """
 
 from __future__ import annotations
@@ -82,8 +89,26 @@ class LMOptions:
     lambda_max: float = 1e12
 
     def __post_init__(self) -> None:
+        for name in ("max_iters", "lambda0", "lambda_up", "lambda_down", "grad_tol",
+                     "step_tol", "fd_step", "lambda_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        # lambda must grow on every rejected step, or a problem where no step
+        # descends never leaves the damping loop
+        if not self.lambda_up > 1.0:
+            raise ValueError(f"lambda_up must be > 1, got {self.lambda_up}")
+        if not 0.0 < self.lambda_down < 1.0:
+            raise ValueError(f"lambda_down must be in (0, 1), got {self.lambda_down}")
+        if not 0.0 < self.lambda0 <= self.lambda_max:
+            raise ValueError(f"need 0 < lambda0 <= lambda_max, got {self.lambda0} "
+                             f"and {self.lambda_max}")
+        for name in ("grad_tol", "step_tol"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.fd_step > 0.0:
+            raise ValueError(f"fd_step must be > 0, got {self.fd_step}")
 
 
 @dataclass(frozen=True)
@@ -101,15 +126,28 @@ class FrameJacobian:
     """A Jacobian whose every row touches one frame of variables and the next.
 
     The variables are ``n_frames`` frames of ``cur.shape[1]`` values each,
-    laid out frame-major.  Row i has coefficients ``cur[i]`` on frame
-    ``frame[i]`` and ``nxt[i]`` on frame ``frame[i] + 1``; a row on the last
-    frame has a zero ``nxt``.  J^T J of such a matrix is block-tridiagonal.
+    laid out frame-major.  The rows come in two kinds, in residual order the
+    per-joint rows first, then the block rows:
+
+    - per-joint row i touches only variable ``joint[i]`` of frame
+      ``joint_frame[i]``, with coefficient ``joint_cur[i]``, and the same
+      variable of the next frame, with ``joint_nxt[i]``;
+    - block row i has coefficients ``cur[i]`` on frame ``frame[i]`` and
+      ``nxt[i]`` on frame ``frame[i] + 1``.
+
+    A row on the last frame has zero next-frame coefficients.  J^T J of such
+    a matrix is block-tridiagonal, and the per-joint rows add to the
+    diagonals of its blocks only.
     """
 
     frame: np.ndarray   # (m,) int
     cur: np.ndarray     # (m, b)
     nxt: np.ndarray     # (m, b)
     n_frames: int
+    joint_frame: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    joint: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    joint_cur: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    joint_nxt: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def one_block(cls, jac: np.ndarray) -> "FrameJacobian":
@@ -123,12 +161,15 @@ def _normal_equations(jac: FrameJacobian, r: np.ndarray
     """Blocks of J^T J and J^T r for F frames of b variables.
 
     Returns the diagonal blocks (F, b, b), the blocks (k, k+1) (F-1, b, b)
-    and the gradient J^T r as (F, b).  The rows, sorted by frame, are
+    and the gradient J^T r as (F, b).  The block rows, sorted by frame, are
     scattered into zero-padded (F, R, b) stacks of ``cur`` and ``nxt``
-    coefficients, R the largest row count of any frame, so every product
-    is one stacked matmul; padding rows add exact zeros.
+    coefficients, R the largest block-row count of any frame, so every
+    product is one stacked matmul; padding rows add exact zeros.  The
+    per-joint rows add their terms to the blocks' diagonals as sums per
+    (frame, joint).
     """
     n_frames, b = jac.n_frames, jac.cur.shape[1]
+    r_joint, r = r[:jac.joint.size], r[jac.joint.size:]
     order = np.argsort(jac.frame, kind="stable")
     frame = jac.frame[order]
     counts = np.bincount(frame, minlength=n_frames)
@@ -139,12 +180,31 @@ def _normal_equations(jac: FrameJacobian, r: np.ndarray
     cur[frame, slot] = jac.cur[order]
     nxt[frame, slot] = jac.nxt[order]
     res[frame, slot, 0] = r[order]
+    at = jac.joint_frame * b + jac.joint      # the row's variable on its first frame
+
+    def per_joint(weights: np.ndarray, shift: int = 0) -> np.ndarray:
+        """(F, b) sums of ``weights`` over the per-joint rows, by the variable
+        ``shift`` frames after each row's first."""
+        sums = np.bincount(at + shift * b, weights, minlength=(n_frames + 1) * b)
+        return sums[:n_frames * b].reshape(n_frames, b)
+
+    # Each per-joint sum goes in ahead of the block rows' product, and the
+    # terms of a frame's own rows ahead of those of the rows on the frame
+    # before: the order of one stack of all rows, per-joint rows first,
+    # which keeps the sums at or next to that stack's last bits.
+    idx = np.arange(b)
+    c, d = jac.joint_cur, jac.joint_nxt
     cur_t, nxt_t = _transpose(cur), _transpose(nxt[:-1])
     diag = cur_t @ cur
-    diag[1:] += nxt_t @ nxt[:-1]
-    grad = (cur_t @ res)[..., 0]
-    grad[1:] += (nxt_t @ res[:-1])[..., 0]
-    return diag, cur_t[:-1] @ nxt[:-1], grad
+    diag[:, idx, idx] = per_joint(c * c) + diag[:, idx, idx]
+    from_prev = nxt_t @ nxt[:-1]
+    from_prev[:, idx, idx] = per_joint(d * d, 1)[1:] + from_prev[:, idx, idx]
+    diag[1:] += from_prev
+    upper = cur_t[:-1] @ nxt[:-1]
+    upper[:, idx, idx] = per_joint(c * d)[:-1] + upper[:, idx, idx]
+    grad = per_joint(c * r_joint) + (cur_t @ res)[..., 0]
+    grad[1:] += per_joint(d * r_joint, 1)[1:] + (nxt_t @ res[:-1])[..., 0]
+    return diag, upper, grad
 
 
 def _transpose(blocks: np.ndarray) -> np.ndarray:
@@ -232,10 +292,11 @@ def levenberg_marquardt(residual_fn: Callable[[np.ndarray], np.ndarray],
     accepted only if the cost decreases, so the final cost never exceeds the
     initial one.  ``jacobian`` may return a ``FrameJacobian``, whose rows
     each touch two consecutive frames of variables; J^T J is then
-    block-tridiagonal and is formed by stacked products over all frames and
-    factored by block cyclic reduction, in about log2 of the number of
-    frames levels of stacked work.  A plain (m, n) array
-    is the one-block case of the same normal equations and solver.  A damped
+    block-tridiagonal and is formed by stacked products over all frames,
+    and by per-(frame, joint) sums for its per-joint rows, and factored by
+    block cyclic reduction, in about log2 of the number of frames levels of
+    stacked work.  A plain (m, n) array is the one-block case of the same
+    normal equations and solver.  A damped
     system that is not numerically positive definite counts as a rejected
     step and raises lambda.  Convergence is declared when the gradient
     infinity norm falls below ``grad_tol`` or an accepted step is shorter
@@ -460,16 +521,21 @@ class _Sweep:
     """The collision spheres swept along every segment of a trajectory.
 
     Each segment q_a -> q_b is sampled at S evenly spaced points
-    q_a + s (q_b - q_a), s in [0, 1], both endpoints included.  Besides the
+    q_a + s (q_b - q_a), s in [0, 1], both endpoints included.  The end
+    samples are the frames themselves, so forward kinematics runs once per
+    distinct configuration: the T frames, then the S - 2 inner samples of
+    each segment in segment order, and ``samples`` maps each (segment,
+    sample) to its configuration; frame t is configuration t.  Besides the
     per-segment clearance, the sweep keeps what the collision Jacobian
-    reuses: the samples' link frames and every sphere's distance.  Without
-    obstacles, spheres or segments only ``seg_min`` is set.
+    reuses: the configurations' link frames and every sphere's distance.
+    Without obstacles, spheres or segments only ``seg_min`` is set.
     """
 
     seg_min: np.ndarray                    # (T-1, n_obs) min over samples and spheres
-    rotations: np.ndarray | None = None    # (T-1, S, dof, 3, 3) link frames
-    origins: np.ndarray | None = None      # (T-1, S, dof, 3)
-    distances: np.ndarray | None = None    # (n_obs, T-1, S, n_spheres) signed
+    samples: np.ndarray | None = None      # (T-1, S) configuration of each sample
+    rotations: np.ndarray | None = None    # (C, dof, 3, 3) link frames
+    origins: np.ndarray | None = None      # (C, dof, 3)
+    distances: np.ndarray | None = None    # (n_obs, C, n_spheres) signed
 
 
 def _sweep(model: RobotModel, configs: np.ndarray, obstacles: Sequence[Obstacle],
@@ -485,16 +551,19 @@ def _sweep(model: RobotModel, configs: np.ndarray, obstacles: Sequence[Obstacle]
     segments, dof = q.shape[0] - 1, q.shape[1]
     if not obstacles or not model.collision_spheres or segments == 0:
         return _Sweep(np.full((segments, len(obstacles)), np.inf))
-    s = np.linspace(0.0, 1.0, swept_samples)
-    swept = q[:-1, None, :] + s[None, :, None] * np.diff(q, axis=0)[:, None, :]
+    s = np.linspace(0.0, 1.0, swept_samples)[1:-1]
+    inner = q[:-1, None, :] + s[None, :, None] * np.diff(q, axis=0)[:, None, :]
+    samples = np.empty((segments, swept_samples), dtype=int)
+    samples[:, 0] = np.arange(segments)
+    samples[:, -1] = np.arange(1, segments + 1)
+    samples[:, 1:-1] = segments + 1 + np.arange(inner.shape[0] * inner.shape[1]
+                                                ).reshape(inner.shape[:2])
     centers, rotations, origins = sphere_centers_batch(
-        model, swept.reshape(-1, dof), return_frames=True)
+        model, np.concatenate([q, inner.reshape(-1, dof)]), return_frames=True)
     radii = sphere_radii(model)
     distances = np.stack([obs.distance(centers) - radii for obs in obstacles])
-    seg_min = distances.reshape(len(obstacles), segments, -1).min(axis=2).T.copy()
-    return _Sweep(seg_min, rotations.reshape(segments, swept_samples, dof, 3, 3),
-                  origins.reshape(segments, swept_samples, dof, 3),
-                  distances.reshape(len(obstacles), segments, swept_samples, -1))
+    seg_min = distances.min(axis=2)[:, samples].min(axis=2).T.copy()
+    return _Sweep(seg_min, samples, rotations, origins, distances)
 
 
 def penalty_collision(configs: np.ndarray, model: RobotModel,
@@ -696,47 +765,45 @@ def _make_jacobian(problem: TrajOptProblem, assemble,
     Rows are first written against full frames: each touches frames t and
     t+1 (smooth, velocity, collision) or frame t alone (rest, limits).
     ``_interior_rows`` then drops the coefficients on the pinned endpoints
-    and renumbers the frames.  The smooth/rest/limit blocks are linear or
-    hinge-linear and filled analytically, and ``_collision_rows`` gives the
-    collision rows in closed form from the sweep of the point, which is the
-    residual's own when ``last_sweep`` holds it.
+    and renumbers the frames.  The smooth, rest, limit and velocity rows
+    each touch one joint, are linear or hinge-linear, and are filled
+    analytically as per-joint rows with one scalar coefficient per frame.
+    ``_collision_rows`` gives the collision rows, the block rows, in closed
+    form from the sweep of the point, which is the residual's own when
+    ``last_sweep`` holds it.
     """
     model = problem.model
     dof = model.dof
     steps = problem.steps
     w = problem.weights
-    n_obs = len(problem.obstacles)
     root_s, root_l = np.sqrt(w.smooth), np.sqrt(w.limits)
-    root_r = np.sqrt(w.rest)
     caps = model.velocity_limits * problem.dt
-    eye = np.eye(dof)
     seg_lo = np.repeat(np.arange(steps - 1), dof)
     frame_lo = np.repeat(np.arange(steps), dof)
-    # first full frame of each row, in residual order: smooth, rest, upper,
-    # lower, velocity, collision
-    lo = np.concatenate([seg_lo, frame_lo, frame_lo, frame_lo, seg_lo,
-                         np.repeat(np.arange(steps - 1), n_obs)])
-
-    def one_hot(values: np.ndarray) -> np.ndarray:
-        """(F, dof) per-joint coefficients as (F * dof, dof) rows, one joint each."""
-        return (values[:, :, None] * eye).reshape(-1, dof)
-
-    smooth = one_hot(np.full((steps - 1, dof), -root_s))
-    rest = one_hot(np.full((steps, dof), root_r))
-    zero = np.zeros((steps * dof, dof))
+    # first full frame of each per-joint row, in residual order: smooth,
+    # rest, upper, lower, velocity; the collision rows follow them
+    joint_lo = np.concatenate([seg_lo, frame_lo, frame_lo, frame_lo, seg_lo])
+    joint = np.tile(np.arange(dof), joint_lo.size // dof)
+    coll_lo = np.repeat(np.arange(steps - 1), len(problem.obstacles))
+    smooth = np.full(seg_lo.size, root_s)
+    rest = np.full(frame_lo.size, np.sqrt(w.rest))
+    zero = np.zeros(3 * frame_lo.size)
 
     def jac(x: np.ndarray) -> FrameJacobian:
         full = assemble(x)
         delta = np.diff(full, axis=0)
-        upper = one_hot(root_l * (full > model.q_max))
-        lower = one_hot(-root_l * (full < model.q_min))
-        vel = one_hot(root_l * np.sign(delta) * (np.abs(delta) > caps))
+        upper = root_l * (full > model.q_max)
+        lower = -root_l * (full < model.q_min)
+        vel = (root_l * np.sign(delta) * (np.abs(delta) > caps)).ravel()
+        joint_frame, joint_cur, joint_nxt = _interior_rows(
+            joint_lo, np.concatenate([-smooth, rest, upper.ravel(), lower.ravel(), -vel]),
+            np.concatenate([smooth, zero, vel]), steps)
         sweep = last_sweep.get(full) or _sweep(model, full, problem.obstacles,
                                                problem.swept_samples)
-        coll_a, coll_b = _collision_rows(problem, full, sweep)
-        c_lo = np.concatenate([smooth, rest, upper, lower, -vel, coll_a])
-        c_hi = np.concatenate([-smooth, zero, zero, zero, vel, coll_b])
-        return _interior_rows(lo, c_lo, c_hi, steps)
+        frame, cur, nxt = _interior_rows(coll_lo, *_collision_rows(problem, full, sweep),
+                                         steps)
+        return FrameJacobian(frame, cur, nxt, steps - 2,
+                             joint_frame, joint, joint_cur, joint_nxt)
 
     return jac
 
@@ -765,11 +832,12 @@ def _collision_rows(problem: TrajOptProblem, full: np.ndarray,
         boundary = problem.eps_safe + problem.collision_pad
         seg, obs = np.nonzero(~(sweep.seg_min >= boundary))
         n_spheres = len(model.collision_spheres)
-        nearest = sweep.distances[obs, seg].reshape(
+        nearest = sweep.distances[obs[:, None], sweep.samples[seg]].reshape(
             seg.size, problem.swept_samples * n_spheres).argmin(axis=1)
         sample, sphere = np.divmod(nearest, n_spheres)
-        rotations = sweep.rotations[seg, sample]                   # (P, dof, 3, 3)
-        origins = sweep.origins[seg, sample]                       # (P, dof, 3)
+        config = sweep.samples[seg, sample]
+        rotations = sweep.rotations[config]                        # (P, dof, 3, 3)
+        origins = sweep.origins[config]                            # (P, dof, 3)
         links = np.array([s.link for s in model.collision_spheres])[sphere]
         local = np.array([s.center for s in model.collision_spheres])[sphere]
         row = np.arange(seg.size)
@@ -787,20 +855,22 @@ def _collision_rows(problem: TrajOptProblem, full: np.ndarray,
     return coef[:, :, 0].reshape(-1, dof), coef[:, :, 1].reshape(-1, dof)
 
 
-def _interior_rows(lo: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray,
-                   steps: int) -> FrameJacobian:
-    """Rows with coefficients on full frames lo and lo+1 -> interior frame blocks.
+def _interior_rows(lo: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray, steps: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows with coefficients on full frames lo and lo+1 -> interior frame rows.
 
-    Full frame t is interior frame t-1; coefficients on frames 0 and
-    steps-1 (the eliminated endpoints) are dropped.  A row whose first frame
-    is the start frame becomes a one-frame row on interior frame 0.
+    Returns (frame, cur, nxt) on interior frames; the coefficients are
+    per-joint scalars (n,) or block rows (n, dof).  Full frame t is interior
+    frame t-1; coefficients on frames 0 and steps-1 (the eliminated
+    endpoints) are dropped.  A row whose first frame is the start frame
+    becomes a one-frame row on interior frame 0.
     """
-    c_lo = c_lo * ((lo >= 1) & (lo <= steps - 2))[:, None]
-    c_hi = c_hi * (lo + 1 <= steps - 2)[:, None]
-    at_start = (lo == 0)[:, None]
-    frame = np.clip(lo - 1, 0, steps - 3)
-    return FrameJacobian(frame=frame, cur=np.where(at_start, c_hi, c_lo),
-                         nxt=np.where(at_start, 0.0, c_hi), n_frames=steps - 2)
+    rows = (-1,) + (1,) * (c_lo.ndim - 1)
+    c_lo = c_lo * ((lo >= 1) & (lo <= steps - 2)).reshape(rows)
+    c_hi = c_hi * (lo + 1 <= steps - 2).reshape(rows)
+    at_start = (lo == 0).reshape(rows)
+    return (np.clip(lo - 1, 0, steps - 3), np.where(at_start, c_hi, c_lo),
+            np.where(at_start, 0.0, c_hi))
 
 
 # -- problem/result documents ---------------------------------------------------

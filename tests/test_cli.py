@@ -777,6 +777,18 @@ class TestDistill:
         assert manifest["subcommand"] == "distill"
         assert set(manifest["files"]) == {"flow.nvfl", "scores.json", "flow_00.ppm"}
 
+    def test_default_candidates_are_runs(self, tmp_path):
+        """`distill` and `run` share one default candidate count, so `distill`
+        with default flags on the scene of `run --seed 0` writes run's flow."""
+        run, out = tmp_path / "run", tmp_path / "flow"
+        assert run_main(["run", "--seed", 0, "--out-dir", run]) == 0
+        assert run_main(["distill", run / "scene", "--out-dir", out]) == 0
+        written = {p.name: p.read_bytes() for p in (run / "flow").iterdir()}
+        assert set(written) == {"flow.nvfl", "scores.json", "flow_00.ppm"}
+        for name, blob in written.items():
+            assert (out / name).read_bytes() == blob, name
+        assert len(json.loads(written["scores.json"])["candidates"]) == 8
+
 
 class TestPlanDeformable:
     def test_plan_from_bundle_files(self, rope_bundle_dir, tmp_path):

@@ -14,6 +14,7 @@ from nvflow.kinematics import (
     CollisionSphere,
     Joint,
     RobotModel,
+    link_frames_batch,
     robot_to_doc,
     sphere_radii,
 )
@@ -184,6 +185,31 @@ class TestLevenbergMarquardt:
                                             rel=1e-9)
         assert result.converged
 
+    @pytest.mark.parametrize("name,values", [
+        ("max_iters", [0, -3]),
+        ("lambda0", [0.0, -1e-3, np.nan, np.inf, 2e12]),      # 2e12 > lambda_max
+        ("lambda_up", [1.0, 0.5, -10.0, np.nan, np.inf]),
+        ("lambda_down", [0.0, 1.0, 1.5, -0.1, np.nan]),
+        ("grad_tol", [-1e-8, np.nan, np.inf]),
+        ("step_tol", [-1e-10, np.nan, np.inf]),
+        ("fd_step", [0.0, -1e-6, np.nan, np.inf]),
+        ("lambda_max", [1e-4, np.nan, np.inf]),                # 1e-4 < lambda0
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_options_reject_out_of_range_values(self, name, values):
+        for value in values:
+            with pytest.raises(ValueError, match=name):
+                LMOptions(**{name: value})
+
+    def test_no_descent_at_any_damping_returns(self):
+        """A wrong-sign Jacobian makes every step go uphill.  LM raises lambda
+        on each rejection and stops once it passes lambda_max, which is why
+        ``lambda_up`` must exceed 1."""
+        result = levenberg_marquardt(lambda x: x - 1.0, np.zeros(1),
+                                     jacobian=lambda x: -np.eye(1))
+        assert result.iterations == 0
+        assert not result.converged
+        assert np.array_equal(result.x, np.zeros(1))
+
 
 def packaged_problem(steps: int) -> TrajOptProblem:
     """The packaged colliding 7-dof problem with its horizon set to ``steps``."""
@@ -218,10 +244,15 @@ def perturbed(x0: np.ndarray, seed: int = 3) -> np.ndarray:
 
 
 def dense(jac: FrameJacobian) -> np.ndarray:
-    """The (m, n) matrix that frame blocks stand for."""
+    """The (m, n) matrix that frame blocks stand for: the per-joint rows,
+    then the block rows."""
     b = jac.cur.shape[1]
-    rows = np.arange(jac.frame.size)
-    out = np.zeros((jac.frame.size, (jac.n_frames + 1) * b))
+    n_joint = jac.joint.size
+    out = np.zeros((n_joint + jac.frame.size, (jac.n_frames + 1) * b))
+    rows = np.arange(n_joint)
+    out[rows, jac.joint_frame * b + jac.joint] += jac.joint_cur
+    out[rows, (jac.joint_frame + 1) * b + jac.joint] += jac.joint_nxt
+    rows = n_joint + np.arange(jac.frame.size)
     for col in range(b):
         out[rows, jac.frame * b + col] += jac.cur[:, col]
         out[rows, (jac.frame + 1) * b + col] += jac.nxt[:, col]
@@ -326,8 +357,14 @@ class TestStructuredSolve:
         np.testing.assert_allclose(fast.trajectory.configs, ref.trajectory.configs,
                                    rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("joint_case", ["no per-joint rows", "random", "end frames",
+                                            "one (frame, joint)"])
     @pytest.mark.parametrize("case", ["unsorted", "empty frame", "no rows", "one block"])
-    def test_normal_equations_match_dense(self, rng, case):
+    def test_normal_equations_match_dense(self, rng, case, joint_case):
+        """Block rows as ``case`` says, with per-joint rows as ``joint_case``
+        says ("no rows" with per-joint rows is a Jacobian of per-joint rows
+        only).  "end frames" puts them on the first and last frame, where a
+        trajectory's rows next to its eliminated endpoints land."""
         b, n_frames, m = 3, 6, 40
         frame = rng.integers(0, n_frames, m)
         if case == "empty frame":
@@ -339,7 +376,19 @@ class TestStructuredSolve:
         jac = FrameJacobian(frame, cur, nxt, n_frames)
         if case == "one block":
             jac = FrameJacobian.one_block(rng.standard_normal((m, 5)))
-        r = rng.standard_normal(jac.frame.size)
+            b, n_frames = 5, 1
+        k = 0 if joint_case == "no per-joint rows" else 30
+        joint_frame, joint = rng.integers(0, n_frames, k), rng.integers(0, b, k)
+        if case == "empty frame":
+            joint_frame[joint_frame == 2] = 3
+        if joint_case == "end frames":
+            joint_frame = np.where(np.arange(k) % 2, n_frames - 1, 0)
+        if joint_case == "one (frame, joint)":
+            joint_frame[:], joint[:] = joint_frame[0], joint[0]
+        jac = dataclasses.replace(
+            jac, joint_frame=joint_frame, joint=joint, joint_cur=rng.standard_normal(k),
+            joint_nxt=rng.standard_normal(k) * (joint_frame < n_frames - 1))
+        r = rng.standard_normal(k + jac.frame.size)
         assert case != "unsorted" or (np.diff(jac.frame) < 0).any()
         got = trajopt._normal_equations(jac, r)
         for blocks, ref in zip(got, dense_normal_equations(jac, r)):
@@ -501,8 +550,9 @@ class TestAnalyticCollisionJacobian:
         sweep = trajopt._sweep(problem.model, full_of(problem, x), problem.obstacles,
                                problem.swept_samples)
         boundary = problem.eps_safe + problem.collision_pad
-        n_obs, segments = sweep.distances.shape[:2]
-        nearest = np.sort(sweep.distances.reshape(n_obs, segments, -1), axis=2)
+        distances = sweep.distances[:, sweep.samples]      # (n_obs, T-1, S, n_spheres)
+        n_obs, segments = distances.shape[:2]
+        nearest = np.sort(distances.reshape(n_obs, segments, -1), axis=2)
         active = sweep.seg_min < boundary
         kink = (np.abs(sweep.seg_min - boundary) <= gap) \
             | (active & (nearest[..., 1] - nearest[..., 0] <= gap).T)
@@ -598,7 +648,9 @@ class TestAnalyticCollisionJacobian:
     def test_lm_sweeps_each_iterate_once(self, monkeypatch):
         """Over a 241-step solve every sphere FK runs inside
         ``penalty_collision``, where a traced run times it, one sweep per
-        residual, except the final dense sweep."""
+        residual, except the final dense sweep.  A sweep runs FK once per
+        distinct configuration: the 241 frames and the S - 2 inner samples
+        of each of the 240 segments."""
         problem = packaged_problem(241)
         batches, inside = [], []
         fk, penalty = trajopt.sphere_centers_batch, trajopt.penalty_collision
@@ -617,10 +669,10 @@ class TestAnalyticCollisionJacobian:
         monkeypatch.setattr(trajopt, "sphere_centers_batch", counting_fk)
         monkeypatch.setattr(trajopt, "penalty_collision", counting_penalty)
         optimize_trajectory(problem)
-        sweep = 240 * problem.swept_samples
+        assert problem.swept_samples == 5
         assert len(batches) > 2
-        assert batches[:-1] == [(sweep, True)] * (len(batches) - 1)
-        assert batches[-1] == (2 * sweep, False)
+        assert batches[:-1] == [(961, True)] * (len(batches) - 1)     # 241 + 240 * 3
+        assert batches[-1] == (2161, False)                            # 241 + 240 * 8
 
     @pytest.mark.parametrize("obstacles", [(), (rotated_box(), tilted_plane())],
                              ids=["packaged", "box-and-halfspace"])
@@ -639,8 +691,10 @@ class TestAnalyticCollisionJacobian:
             residual(elsewhere)
             fk_batches.clear()
             missed = jacobian(x)
-            assert fk_batches == [40 * problem.swept_samples]    # its own sweep
-            for name in ("frame", "cur", "nxt"):
+            # its own sweep: 41 frames and 40 segments' inner samples
+            assert fk_batches == [41 + 40 * (problem.swept_samples - 2)]
+            for name in ("frame", "cur", "nxt", "joint_frame", "joint", "joint_cur",
+                         "joint_nxt"):
                 assert np.array_equal(getattr(missed, name),
                                       getattr(after_residual, name)), name
 
@@ -873,6 +927,31 @@ class TestSignedDistance:
         assert coarse == pytest.approx(np.sqrt(2.0) - 0.1, abs=1e-12)
         assert fine == pytest.approx(-0.1, abs=1e-12)
         assert fine < 0.0 < coarse
+
+    @pytest.mark.parametrize("swept_samples", [2, 3, 5, 10])
+    def test_sweep_computes_each_configuration_once(self, swept_samples):
+        """Sample 0 and sample S-1 of each segment are its two frames, with
+        their ``link_frames_batch`` link frames bit for bit; an inner sample
+        has those of its interpolated configuration."""
+        problem = packaged_problem(21)
+        x = perturbed(init_trajectory(problem.q_start, problem.q_end, 21)[1:-1].ravel())
+        full = full_of(problem, x)
+        sweep = trajopt._sweep(problem.model, full, problem.obstacles, swept_samples)
+        assert sweep.rotations.shape[0] == 21 + 20 * (swept_samples - 2)
+        s = np.linspace(0.0, 1.0, swept_samples)
+        for k in range(swept_samples):
+            if k == 0:
+                configs = full[:-1]
+            elif k == swept_samples - 1:
+                configs = full[1:]
+            else:
+                configs = full[:-1] + s[k] * np.diff(full, axis=0)
+            rotations, origins = link_frames_batch(problem.model, configs)
+            rows = sweep.samples[:, k]
+            assert np.array_equal(sweep.rotations[rows], rotations), k
+            assert np.array_equal(sweep.origins[rows], origins), k
+        assert np.array_equal(sweep.samples[:, 0], np.arange(20))      # frame t is row t
+        assert np.array_equal(sweep.samples[:, -1], np.arange(1, 21))
 
     def test_needs_two_samples(self):
         model = one_link_with_sphere()
