@@ -70,6 +70,9 @@ class Joint:
     # (K, K @ K) for the cross-product matrix K of the axis, which every
     # Rodrigues rotation about it reads
     _rodrigues: tuple = field(init=False, repr=False, compare=False)
+    # whether the origin rotation is other than exactly the identity, so
+    # forward kinematics multiplies by it only then
+    _origin_turns: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         axis = np.array(self.axis, dtype=float)
@@ -81,6 +84,8 @@ class Joint:
         object.__setattr__(self, "axis", axis)
         k = _skew(axis)
         object.__setattr__(self, "_rodrigues", (k, k @ k))
+        object.__setattr__(self, "_origin_turns",
+                           not np.array_equal(self.origin.rotation, np.eye(3)))
         if not self.q_min < self.q_max:
             raise ValueError(f"empty joint range [{self.q_min}, {self.q_max}]")
         if self.velocity_limit <= 0.0:
@@ -108,6 +113,14 @@ class RobotModel:
     collision_spheres: tuple[CollisionSphere, ...] = ()
     base_pose: SE3Pose = field(default_factory=SE3Pose.identity)
     name: str = ""
+    # (n_spheres, dof) bounds on the speed of each collision sphere's center
+    # per unit rate of each joint, whatever the configuration.  Joint j turns
+    # center c about an axis through the joint position o_j at speed
+    # |axis_j x (c - o_j)| <= |c - o_j|, and c - o_j is the sum of the rotated
+    # offsets of the joints after j up to the sphere's link and the rotated
+    # center; so reach[k, j] is the sum of their lengths for joints up to the
+    # link, and 0 past it.
+    sphere_reach: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "joints", tuple(self.joints))
@@ -118,6 +131,14 @@ class RobotModel:
             if not 0 <= sphere.link < len(self.joints):
                 raise ValueError(f"collision sphere references link {sphere.link}, "
                                  f"robot has {len(self.joints)} links")
+        offsets = [float(np.linalg.norm(j.origin.translation)) for j in self.joints]
+        reach = np.zeros((len(self.collision_spheres), len(self.joints)))
+        for k, sphere in enumerate(self.collision_spheres):
+            for j in range(sphere.link + 1):
+                reach[k, j] = sum(offsets[j + 1:sphere.link + 1]) \
+                    + float(np.linalg.norm(sphere.center))
+        reach.flags.writeable = False
+        object.__setattr__(self, "sphere_reach", reach)
 
     @property
     def dof(self) -> int:
@@ -201,7 +222,8 @@ def link_frames_batch(model: RobotModel, configs: np.ndarray
     origins = np.empty((batch, model.dof, 3))
     for j, joint in enumerate(model.joints):
         pos = pos + rot @ joint.origin.translation
-        rot = rot @ joint.origin.rotation
+        if joint._origin_turns:
+            rot = rot @ joint.origin.rotation
         rot = rot @ _axis_rotations(joint, q[:, j])
         rotations[:, j] = rot
         origins[:, j] = pos

@@ -10,8 +10,8 @@ interior configurations are decision variables, so the endpoints come back
 bit-identical.  Collision terms hinge on the swept signed distance between
 robot collision spheres and analytic obstacles, sampled along each segment;
 the sweep runs forward kinematics once per distinct configuration, the
-frames and then each segment's inner samples, so every frame's link frames
-are kept.
+frames and then the inner samples of the segments an exact motion bound
+cannot clear of the hinge boundary, so every frame's link frames are kept.
 
 Every residual row touches at most two consecutive interior frames: smooth,
 velocity and collision rows touch frames t and t+1, rest and limit rows
@@ -37,7 +37,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .geometry import SE3Pose, _doc_fields, _doc_list, _float, _floats, _frozen, _int
+from .geometry import (ROTATION_TOL, SE3Pose, _doc_fields, _doc_list, _float, _floats,
+                       _frozen, _int)
 from .kinematics import (JointTrajectory, RobotModel, load_robot, point_jacobian,
                          robot_from_doc, sphere_centers_batch, sphere_radii, world_axes)
 
@@ -524,11 +525,13 @@ class _Sweep:
     q_a + s (q_b - q_a), s in [0, 1], both endpoints included.  The end
     samples are the frames themselves, so forward kinematics runs once per
     distinct configuration: the T frames, then the S - 2 inner samples of
-    each segment in segment order, and ``samples`` maps each (segment,
-    sample) to its configuration; frame t is configuration t.  Besides the
-    per-segment clearance, the sweep keeps what the collision Jacobian
-    reuses: the configurations' link frames and every sphere's distance.
-    Without obstacles, spheres or segments only ``seg_min`` is set.
+    the segments ``_sweep`` could not skip, in segment order.  ``samples``
+    maps each (segment, sample) to its configuration; frame t is
+    configuration t, and the inner samples of a skipped segment are its
+    first frame's.  Besides the per-segment clearance, the sweep keeps what
+    the collision Jacobian reuses: the configurations' link frames and
+    every sphere's distance.  Without obstacles, spheres or segments only
+    ``seg_min`` is set.
     """
 
     seg_min: np.ndarray                    # (T-1, n_obs) min over samples and spheres
@@ -538,12 +541,34 @@ class _Sweep:
     distances: np.ndarray | None = None    # (n_obs, C, n_spheres) signed
 
 
+# Meters taken off the motion bound for the rounding of forward kinematics,
+# of the distances and of the bound itself.
+_BOUND_ROUNDING = 1e-9
+
+
 def _sweep(model: RobotModel, configs: np.ndarray, obstacles: Sequence[Obstacle],
-           swept_samples: int) -> _Sweep:
+           swept_samples: int, floor: float = np.inf) -> _Sweep:
     """Sweep the collision spheres along each segment of ``configs`` (T, dof).
 
     Negative distances mean penetration; a robot without collision spheres
     is infinitely far from everything.
+
+    Forward kinematics runs on the frames first.  A segment's inner samples
+    then run it only if a motion bound says they could matter.  Along a
+    segment, sphere k's center moves at most L = sum_j |dq_j| reach[k, j]
+    (``RobotModel.sphere_reach``), and every obstacle distance is
+    1-Lipschitz in the center, so at sample s the sphere's distance is at
+    least max(d_a - L s, d_b - L (1 - s)) from its distances d_a, d_b at
+    the segment's frames.  A segment is skipped when that bound, less a
+    rounding slack, is at least max(``floor``, the smallest distance at any
+    frame) for every inner sample, sphere and obstacle; a NaN anywhere
+    skips nothing.  Callers pass the hinge boundary as ``floor``, which
+    makes the skip exact for them: a clearance below ``floor`` is attained
+    at a frame of a skipped segment, strictly below its inner samples, so
+    ``seg_min`` below ``floor``, the (sample, sphere) attaining it and the
+    smallest clearance overall are the ones the full sweep gives.  At or
+    above ``floor``, a skipped segment's ``seg_min`` is its frames' and may
+    exceed the full sweep's.  The default ``floor`` skips nothing.
     """
     if swept_samples < 2:
         raise ValueError("swept_samples must be at least 2 to cover both endpoints")
@@ -551,17 +576,39 @@ def _sweep(model: RobotModel, configs: np.ndarray, obstacles: Sequence[Obstacle]
     segments, dof = q.shape[0] - 1, q.shape[1]
     if not obstacles or not model.collision_spheres or segments == 0:
         return _Sweep(np.full((segments, len(obstacles)), np.inf))
+    radii = sphere_radii(model)
+
+    def swept(configs: np.ndarray):
+        """Distances (n_obs, B, n_spheres) and link frames of (B, dof) configurations."""
+        centers, rotations, origins = sphere_centers_batch(model, configs,
+                                                           return_frames=True)
+        return (np.stack([obs.distance(centers) - radii for obs in obstacles]),
+                rotations, origins)
+
+    distances, rotations, origins = swept(q)
     s = np.linspace(0.0, 1.0, swept_samples)[1:-1]
-    inner = q[:-1, None, :] + s[None, :, None] * np.diff(q, axis=0)[:, None, :]
+    delta = np.diff(q, axis=0)
+    # The base and origin rotations that move a center, and a box's rotation,
+    # pass SE3Pose's orthonormality test, so each of these dof + 2 stretches
+    # lengths by at most sqrt(1 + ROTATION_TOL).
+    rate = (np.abs(delta) @ model.sphere_reach.T) * (1.0 + ROTATION_TOL) ** (dof + 2)
+    rate = rate[:, :, None]
+    bound = np.maximum(distances[:, :-1, :, None] - rate * s,
+                       distances[:, 1:, :, None] - rate * (1.0 - s))
+    level = np.maximum(floor, distances.min())      # NaN if any distance is
+    seg = np.flatnonzero(~(bound - _BOUND_ROUNDING >= level).all(axis=(0, 2, 3)))
     samples = np.empty((segments, swept_samples), dtype=int)
     samples[:, 0] = np.arange(segments)
     samples[:, -1] = np.arange(1, segments + 1)
-    samples[:, 1:-1] = segments + 1 + np.arange(inner.shape[0] * inner.shape[1]
-                                                ).reshape(inner.shape[:2])
-    centers, rotations, origins = sphere_centers_batch(
-        model, np.concatenate([q, inner.reshape(-1, dof)]), return_frames=True)
-    radii = sphere_radii(model)
-    distances = np.stack([obs.distance(centers) - radii for obs in obstacles])
+    samples[:, 1:-1] = samples[:, :1]
+    samples[seg, 1:-1] = segments + 1 + np.arange(seg.size * s.size).reshape(seg.size,
+                                                                             s.size)
+    if seg.size:
+        inner = q[seg, None, :] + s[None, :, None] * delta[seg, None, :]
+        more = swept(inner.reshape(-1, dof))
+        distances = np.concatenate([distances, more[0]], axis=1)
+        rotations = np.concatenate([rotations, more[1]])
+        origins = np.concatenate([origins, more[2]])
     seg_min = distances.min(axis=2)[:, samples].min(axis=2).T.copy()
     return _Sweep(seg_min, samples, rotations, origins, distances)
 
@@ -575,9 +622,10 @@ def penalty_collision(configs: np.ndarray, model: RobotModel,
     A quadratic hinge balances against the other cost terms slightly inside
     its boundary, so ``pad`` moves the penalized boundary outward; the
     settled trajectory then clears ``eps_safe`` itself.  With
-    ``return_sweep``, returns (residuals, the ``_Sweep`` they came from).
+    ``return_sweep``, returns (residuals, the ``_Sweep`` they came from),
+    which skips the inner samples that cannot come below the hinge boundary.
     """
-    sweep = _sweep(model, configs, obstacles, swept_samples)
+    sweep = _sweep(model, configs, obstacles, swept_samples, floor=eps_safe + pad)
     hinge = np.maximum(eps_safe + pad - sweep.seg_min, 0.0)
     hinge[~np.isfinite(sweep.seg_min)] = 0.0
     residuals = np.sqrt(w_collision) * hinge.ravel()
@@ -745,7 +793,8 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
     ends = np.cumsum([segment_rows, frame_rows, frame_rows, frame_rows, segment_rows])
     smooth, rest, upper, lower, velocity, collision = (
         float(np.sum(block ** 2)) for block in np.split(residual, ends))
-    dense = _sweep(model, full, problem.obstacles, 2 * problem.swept_samples).seg_min
+    dense = _sweep(model, full, problem.obstacles, 2 * problem.swept_samples,
+                   problem.eps_safe + problem.collision_pad).seg_min
     clearance = float(dense.min()) if dense.size else np.inf
     return TrajOptResult(
         trajectory=JointTrajectory(full, problem.dt),
@@ -778,6 +827,7 @@ def _make_jacobian(problem: TrajOptProblem, assemble,
     w = problem.weights
     root_s, root_l = np.sqrt(w.smooth), np.sqrt(w.limits)
     caps = model.velocity_limits * problem.dt
+    boundary = problem.eps_safe + problem.collision_pad
     seg_lo = np.repeat(np.arange(steps - 1), dof)
     frame_lo = np.repeat(np.arange(steps), dof)
     # first full frame of each per-joint row, in residual order: smooth,
@@ -799,7 +849,7 @@ def _make_jacobian(problem: TrajOptProblem, assemble,
             joint_lo, np.concatenate([-smooth, rest, upper.ravel(), lower.ravel(), -vel]),
             np.concatenate([smooth, zero, vel]), steps)
         sweep = last_sweep.get(full) or _sweep(model, full, problem.obstacles,
-                                               problem.swept_samples)
+                                               problem.swept_samples, boundary)
         frame, cur, nxt = _interior_rows(coll_lo, *_collision_rows(problem, full, sweep),
                                          steps)
         return FrameJacobian(frame, cur, nxt, steps - 2,

@@ -30,7 +30,7 @@ from nvflow.kinematics import (
 )
 
 from conftest import (assert_pose_close, one_link_with_sphere, planar_two_link,
-                      spinner_with_tip_sphere)
+                      random_pose, spinner_with_tip_sphere)
 
 ARM7_PATH = files("nvflow").joinpath("fixtures/arm7.json")
 
@@ -266,6 +266,99 @@ class TestCollisionSpheres:
             RobotModel(joints=planar_two_link().joints,
                        ee_offset=SE3Pose.identity(),
                        collision_spheres=(CollisionSphere(5, np.zeros(3), 0.1),))
+
+
+def reference_link_frames(model, configs):
+    """``link_frames_batch`` multiplying by every joint's origin rotation,
+    the identity included."""
+    batch = configs.shape[0]
+    rot = np.broadcast_to(model.base_pose.rotation, (batch, 3, 3))
+    pos = np.broadcast_to(model.base_pose.translation, (batch, 3))
+    rotations = np.empty((batch, model.dof, 3, 3))
+    origins = np.empty((batch, model.dof, 3))
+    for j, joint in enumerate(model.joints):
+        pos = pos + rot @ joint.origin.translation
+        k, kk = joint._rodrigues
+        turn = np.eye(3) + np.sin(configs[:, j])[:, None, None] * k \
+            + (1.0 - np.cos(configs[:, j]))[:, None, None] * kk
+        rot = rot @ joint.origin.rotation @ turn
+        rotations[:, j] = rot
+        origins[:, j] = pos
+    return rotations, origins
+
+
+def random_robot(rng, dof: int = 5) -> RobotModel:
+    """Random axes and origin poses, every other origin rotated, and two
+    collision spheres off the axis of each link."""
+    joints = []
+    for j in range(dof):
+        axis = rng.standard_normal(3)
+        origin = random_pose(rng, 0.3)
+        if j % 2:
+            origin = SE3Pose(np.eye(3), origin.translation)
+        joints.append(Joint(axis=axis / np.linalg.norm(axis), origin=origin,
+                            q_min=-3.0, q_max=3.0, velocity_limit=1.0))
+    spheres = [CollisionSphere(link=j, center=0.2 * rng.standard_normal(3), radius=0.05)
+               for j in range(dof) for _ in range(2)]
+    return RobotModel(joints=tuple(joints), ee_offset=SE3Pose.identity(),
+                      collision_spheres=tuple(spheres), base_pose=random_pose(rng))
+
+
+class TestOriginRotations:
+    def test_identity_origins_are_not_multiplied(self):
+        model = load_robot(ARM7_PATH)
+        assert not any(joint._origin_turns for joint in model.joints)
+        turned = random_robot(np.random.default_rng(1))
+        assert [joint._origin_turns for joint in turned.joints] == [True, False] * 2 + [True]
+
+    @pytest.mark.parametrize("batch", [1, 961, 2161])
+    def test_same_bytes_as_multiplying_every_origin(self, batch):
+        """Skipping the identity origin rotations leaves every link frame and
+        sphere center bit for bit, on arm7 and on a robot with rotated
+        origins."""
+        rng = np.random.default_rng(batch)
+        for model in (load_robot(ARM7_PATH), random_robot(rng)):
+            q = rng.uniform(model.q_min, model.q_max, (batch, model.dof))
+            rotations, origins = link_frames_batch(model, q)
+            ref_rotations, ref_origins = reference_link_frames(model, q)
+            assert rotations.tobytes() == ref_rotations.tobytes()
+            assert origins.tobytes() == ref_origins.tobytes()
+            centers = sphere_centers_batch(model, q)
+            for i, sphere in enumerate(model.collision_spheres):
+                ref = ref_origins[:, sphere.link] + ref_rotations[:, sphere.link] @ sphere.center
+                assert centers[:, i].tobytes() == ref.tobytes()
+
+
+class TestSphereReach:
+    @pytest.mark.parametrize("make", [lambda: load_robot(ARM7_PATH), one_link_with_sphere,
+                                      spinner_with_tip_sphere,
+                                      lambda: random_robot(np.random.default_rng(6))],
+                             ids=["arm7", "one-link", "spinner", "random"])
+    def test_dominates_the_central_difference_speed(self, make):
+        """|d c_k / d q_j| <= reach[k, j] at random configurations, and both
+        are 0 for joints past the sphere's link."""
+        model = make()
+        reach = model.sphere_reach
+        links = np.array([s.link for s in model.collision_spheres])
+        assert reach.shape == (links.size, model.dof)
+        past = np.arange(model.dof) > links[:, None]
+        assert not reach[past].any()
+        rng = np.random.default_rng(8)
+        h = 1e-6
+        q = rng.uniform(model.q_min, model.q_max, (200, model.dof))
+        for j in range(model.dof):
+            step = h * np.eye(model.dof)[j]
+            speed = np.linalg.norm(sphere_centers_batch(model, q + step)
+                                   - sphere_centers_batch(model, q - step), axis=-1) / (2 * h)
+            assert (speed <= reach[:, j] + 1e-6).all(), j
+            assert not speed[:, past[:, j]].any(), j
+
+    def test_known_values(self):
+        assert load_robot(ARM7_PATH).sphere_reach[2].tolist() == pytest.approx(
+            [0.15 + 0.155, 0.155, 0, 0, 0, 0, 0], abs=1e-15)
+        assert spinner_with_tip_sphere(arm=1.5).sphere_reach.tolist() == [[1.5]]
+        assert one_link_with_sphere().sphere_reach.tolist() == [[0.0]]
+        assert planar_two_link().sphere_reach.shape == (0, 2)
 
 
 class TestRobotIO:

@@ -238,9 +238,9 @@ def lm_inputs(problem: TrajOptProblem, monkeypatch):
     return seen["residual"], seen["jacobian"], seen["x0"]
 
 
-def perturbed(x0: np.ndarray, seed: int = 3) -> np.ndarray:
+def perturbed(x0: np.ndarray, seed: int = 3, scale: float = 0.3) -> np.ndarray:
     """A point off the straight line, so limit and velocity hinges engage."""
-    return x0 + 0.3 * np.random.default_rng(seed).standard_normal(x0.size)
+    return x0 + scale * np.random.default_rng(seed).standard_normal(x0.size)
 
 
 def dense(jac: FrameJacobian) -> np.ndarray:
@@ -649,14 +649,15 @@ class TestAnalyticCollisionJacobian:
         """Over a 241-step solve every sphere FK runs inside
         ``penalty_collision``, where a traced run times it, one sweep per
         residual, except the final dense sweep.  A sweep runs FK once per
-        distinct configuration: the 241 frames and the S - 2 inner samples
-        of each of the 240 segments."""
+        distinct configuration: a batch of the 241 frames, then one of the
+        S - 2 inner samples of the segments it cannot skip, in segment
+        order; on this problem it skips most of them."""
         problem = packaged_problem(241)
         batches, inside = [], []
         fk, penalty = trajopt.sphere_centers_batch, trajopt.penalty_collision
 
         def counting_fk(model, configs, return_frames=False):
-            batches.append((configs.shape[0], bool(inside)))
+            batches.append((configs.copy(), bool(inside)))
             return fk(model, configs, return_frames)
 
         def counting_penalty(*args, **kwargs):
@@ -670,33 +671,183 @@ class TestAnalyticCollisionJacobian:
         monkeypatch.setattr(trajopt, "penalty_collision", counting_penalty)
         optimize_trajectory(problem)
         assert problem.swept_samples == 5
-        assert len(batches) > 2
-        assert batches[:-1] == [(961, True)] * (len(batches) - 1)     # 241 + 240 * 3
-        assert batches[-1] == (2161, False)                            # 241 + 240 * 8
+        sweeps = []                        # [frames, inner samples, inside] per sweep
+        for configs, where in batches:
+            if configs.shape[0] == 241:    # 241 is no multiple of 3 or 8 inner samples
+                sweeps.append([configs, None, where])
+            else:
+                assert sweeps[-1][1] is None and sweeps[-1][2] == where
+                sweeps[-1][1] = configs
+        assert len(sweeps) > 2
+        assert [where for _, _, where in sweeps] == [True] * (len(sweeps) - 1) + [False]
+        inner_count = full_count = 0
+        for i, (frames, inner, _) in enumerate(sweeps):
+            dense = i == len(sweeps) - 1
+            s = np.linspace(0.0, 1.0, problem.swept_samples * (2 if dense else 1))[1:-1]
+            full_count += 240 * s.size
+            if inner is None:
+                continue
+            # each block of S - 2 is one segment's inner samples, segments in order
+            inner = inner.reshape(-1, s.size, problem.model.dof)
+            every = frames[:-1, None] + s[:, None] * np.diff(frames, axis=0)[:, None]
+            match = (inner[:, None] == every[None]).all(axis=(2, 3))
+            assert match.any(axis=1).all()
+            assert (np.diff(match.argmax(axis=1)) > 0).all()
+            inner_count += inner.size // problem.model.dof
+        assert inner_count < full_count / 3
 
     @pytest.mark.parametrize("obstacles", [(), (rotated_box(), tilted_plane())],
                              ids=["packaged", "box-and-halfspace"])
     def test_jacobian_away_from_the_last_residual(self, monkeypatch, fk_batches,
                                                   obstacles):
         """At a point whose residual was not the last evaluated, the Jacobian
-        sweeps it again and gives the bytes it gives after that residual."""
+        sweeps it again, as the residual there does, and gives the bytes it
+        gives after that residual."""
         problem = packaged_problem(41)
         if obstacles:
             problem = with_obstacles(problem, *obstacles)
         residual, jacobian, x0 = lm_inputs(problem, monkeypatch)
         x = perturbed(x0, seed=7)
+        fk_batches.clear()
         residual(x)
+        residual_batches = list(fk_batches)
+        # the 41 frames, then the inner samples of the segments not skipped
+        assert residual_batches[0] == 41 and len(residual_batches) == 2
+        assert 0 < residual_batches[1] <= 40 * (problem.swept_samples - 2)
+        assert residual_batches[1] % (problem.swept_samples - 2) == 0
         after_residual = jacobian(x)
         for elsewhere in (x0, -0.0 * x):
             residual(elsewhere)
             fk_batches.clear()
             missed = jacobian(x)
-            # its own sweep: 41 frames and 40 segments' inner samples
-            assert fk_batches == [41 + 40 * (problem.swept_samples - 2)]
+            assert fk_batches == residual_batches
             for name in ("frame", "cur", "nxt", "joint_frame", "joint", "joint_cur",
                          "joint_nxt"):
                 assert np.array_equal(getattr(missed, name),
                                       getattr(after_residual, name)), name
+
+
+class TestSweepSkipsWhatCannotMatter:
+    """``_sweep`` with the hinge boundary as ``floor``, as every caller in
+    the optimizer passes it, against the sweep that skips nothing (the
+    default ``floor``): every value the optimizer reads is bit-equal."""
+
+    @staticmethod
+    def check(problem: TrajOptProblem, full: np.ndarray) -> tuple:
+        """Compare the two sweeps of ``full`` at ``problem.swept_samples``;
+        returns (segments skipped, segments whose frames' clearances lie on
+        both sides of the boundary)."""
+        model, obstacles, samples = problem.model, problem.obstacles, problem.swept_samples
+        boundary = problem.eps_safe + problem.collision_pad
+        pruned = trajopt._sweep(model, full, obstacles, samples, boundary)
+        whole = trajopt._sweep(model, full, obstacles, samples)
+        segments = full.shape[0] - 1
+        assert not (whole.samples[:, 1:-1] <= segments).any()
+        skipped = (pruned.samples[:, 1:-1] <= segments).any(axis=1)
+        assert pruned.rotations.shape[0] == segments + 1 + (
+            ~skipped).sum() * (samples - 2)
+        below = ~(whole.seg_min >= boundary)
+        assert np.array_equal(below, ~(pruned.seg_min >= boundary))
+        assert pruned.seg_min[below].tobytes() == whole.seg_min[below].tobytes()
+        assert np.min(pruned.seg_min).tobytes() == np.min(whole.seg_min).tobytes()
+        hinge = np.maximum(boundary - whole.seg_min, 0.0)
+        hinge[~np.isfinite(whole.seg_min)] = 0.0
+        residuals = penalty_collision(full, model, obstacles, problem.weights.collision,
+                                      problem.eps_safe, samples, pad=problem.collision_pad)
+        assert residuals.tobytes() == (np.sqrt(problem.weights.collision)
+                                       * hinge.ravel()).tobytes()
+        for got, want in zip(trajopt._collision_rows(problem, full, pruned),
+                             trajopt._collision_rows(problem, full, whole)):
+            assert got.tobytes() == want.tobytes()
+        at_frames = whole.distances[:, :segments + 1].min(axis=2)     # (n_obs, T)
+        straddle = (at_frames[:, :-1] < boundary) != (at_frames[:, 1:] < boundary)
+        assert not (skipped & straddle.any(axis=0)).any()
+        return int(skipped.sum()), int(straddle.sum())
+
+    @staticmethod
+    def trajectory(problem: TrajOptProblem, at: str, seed: int = 3) -> np.ndarray:
+        x = init_trajectory(problem.q_start, problem.q_end, problem.steps)[1:-1].ravel()
+        if at == "solved":
+            return optimize_trajectory(problem).trajectory.configs
+        if at == "near":
+            x = perturbed(x, seed, scale=0.03)
+        elif at == "perturbed":
+            x = perturbed(x, seed)
+        return full_of(problem, x)
+
+    @pytest.mark.parametrize("swept_samples", [5, 10])
+    @pytest.mark.parametrize("steps", [21, 81, 241])
+    @pytest.mark.parametrize("at", ["initial", "near", "perturbed", "solved"])
+    def test_packaged_problem(self, steps, at, swept_samples):
+        problem = packaged_problem(steps)
+        full = self.trajectory(problem, at)
+        skipped, straddle = self.check(
+            dataclasses.replace(problem, swept_samples=swept_samples), full)
+        if at in ("initial", "solved"):
+            assert skipped > 0
+        if at != "solved":
+            assert straddle > 0
+
+    @pytest.mark.parametrize("swept_samples", [5, 10])
+    @pytest.mark.parametrize("at", ["initial", "perturbed", "solved"])
+    def test_box_and_halfspace(self, at, swept_samples):
+        problem = with_obstacles(packaged_problem(41), rotated_box(), tilted_plane())
+        full = self.trajectory(problem, at, seed=5)
+        skipped, straddle = self.check(
+            dataclasses.replace(problem, swept_samples=swept_samples), full)
+        assert straddle > 0
+        if at != "perturbed":
+            assert skipped > 0
+
+    def test_mid_segment_contact_is_never_skipped(self):
+        """The spinner's tip clears the obstacle by 1.31 m at both frames of a
+        half turn and hits it in between; a slow segment far from it is
+        skipped."""
+        model = spinner_with_tip_sphere(arm=1.0, radius=0.05)
+        problem = TrajOptProblem(
+            model=model, q_start=np.array([0.0]), q_end=np.array([np.pi]), steps=3,
+            swept_samples=3,
+            obstacles=(SphereObstacle(center=np.array([0.0, 1.0, 0.0]), radius=0.05),))
+        full = np.array([[0.0], [np.pi], [np.pi + 0.01]])
+        boundary = problem.eps_safe + problem.collision_pad
+        sweep = trajopt._sweep(model, full, problem.obstacles, 3, boundary)
+        assert sweep.seg_min[0, 0] == pytest.approx(-0.1, abs=1e-12)
+        assert sweep.samples.tolist() == [[0, 3, 1], [1, 1, 2]]
+        assert self.check(problem, full) == (1, 0)
+
+    def test_shallow_dip_between_frames_is_not_skipped(self):
+        """The spinner's tip swings past a wall at x = 1.1 m, nearest at the
+        inner sample q = 0, only 1.25e-7 m nearer than at the frames
+        q = -/+5e-4: the bound there is d - 5e-4, below the frames'
+        clearance, so the sample runs and sets the smallest clearance."""
+        model = spinner_with_tip_sphere(arm=1.0, radius=0.05)
+        wall = HalfspaceObstacle(point=np.array([1.1, 0.0, 0.0]),
+                                 normal=np.array([-1.0, 0.0, 0.0]))
+        problem = TrajOptProblem(model=model, q_start=np.array([-5e-4]),
+                                 q_end=np.array([5e-4]), steps=2, swept_samples=3,
+                                 obstacles=(wall,))
+        full = np.array([[-5e-4], [5e-4]])
+        sweep = trajopt._sweep(model, full, (wall,), 3, 0.025)
+        assert sweep.samples.tolist() == [[0, 2, 1]]
+        assert sweep.seg_min[0, 0] == pytest.approx(0.05, abs=1e-15)
+        assert sweep.distances[0, :2, 0] - sweep.seg_min[0, 0] == pytest.approx(
+            [1.25e-7, 1.25e-7], rel=1e-6)
+        assert self.check(problem, full) == (0, 0)
+
+    def test_nan_configuration_skips_nothing(self):
+        problem = packaged_problem(21)
+        full = init_trajectory(problem.q_start, problem.q_end, 21)
+        full[10, 3] = np.nan
+        boundary = problem.eps_safe + problem.collision_pad
+        sweep = trajopt._sweep(problem.model, full, problem.obstacles, 5, boundary)
+        assert (sweep.samples[:, 1:-1] > 20).all()
+        assert np.isnan(sweep.seg_min[9:11]).all()
+        assert self.check(problem, full)[0] == 0
+
+    def test_two_samples_have_nothing_to_skip(self):
+        problem = dataclasses.replace(packaged_problem(21), swept_samples=2)
+        full = self.trajectory(problem, "initial")
+        assert self.check(problem, full) == (0, 2)
 
 
 class TestObstacles:
@@ -757,6 +908,23 @@ class TestObstacles:
                 np.testing.assert_allclose(grad, self.central_differences(obstacle, point),
                                            rtol=0.0, atol=1e-8)
                 assert np.linalg.norm(grad) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("obstacle", [
+        SphereObstacle(center=np.array([0.01, 0.0, 0.87]), radius=0.03),
+        BoxObstacle(center=np.array([0.0, 0.1, 0.9]), half_extents=np.array([0.2, 0.05, 0.1])),
+        rotated_box(), tilted_plane(),
+    ], ids=["sphere", "box", "rotated-box", "halfspace"])
+    def test_distance_is_one_lipschitz(self, obstacle, rng):
+        """|d(a) - d(b)| <= |a - b|, which the sweep's motion bound rests on,
+        on pairs near and far apart, inside and outside."""
+        inside = 0
+        for spread, gap in ((0.05, 1e-3), (0.05, 0.05), (0.3, 0.5)):
+            a = np.array([0.0, 0.0, 0.9]) + spread * rng.standard_normal((2000, 3))
+            b = a + gap * rng.standard_normal((2000, 3))
+            change = np.abs(obstacle.distance(a) - obstacle.distance(b))
+            assert (change <= np.linalg.norm(a - b, axis=-1) + 1e-15).all()
+            inside += (obstacle.distance(a) < 0.0).sum()
+        assert inside > 100
 
     def test_gradient_at_degenerate_points_is_a_fixed_unit_vector(self):
         sphere = SphereObstacle(center=np.array([0.1, 0.2, 0.3]), radius=0.05)
