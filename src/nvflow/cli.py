@@ -59,7 +59,6 @@ from .rigid import (
     propose_grasp,
 )
 from .sim import (
-    DEFAULT_SENSOR_NOISE,
     SceneBundle,
     SceneConfig,
     corrupt_flow,
@@ -563,10 +562,8 @@ def cmd_eval(args) -> None:
 
 def cmd_run(args) -> None:
     """Every option and input file is checked before the first stage runs."""
-    if args.config:
-        config = _load_doc(args.config, "scene config", SceneConfig.from_doc)
-    else:
-        config = SceneConfig.rigid_demo(noise=DEFAULT_SENSOR_NOISE)
+    config = _load_doc(args.config or _fixture_path("scene_rigid_demo.json"),
+                       "scene config", SceneConfig.from_doc)
     _check_at_least_one(args.candidates, "--candidates")
     if config.scene == "rigid":
         _check_at_least_one(args.steps_per_frame, "--steps-per-frame")
@@ -674,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", parents=[common],
                        help="full pipeline: simulate, distill, plan, evaluate")
     p.add_argument("--config", default=None,
-                   help="scene config JSON (default: the rigid demo scene)")
+                   help="scene config JSON (default: the packaged rigid demo scene)")
     p.add_argument("--robot", default=None,
                    help="robot model JSON (default: the packaged 7-dof arm)")
     p.add_argument("--obstacles", default=None,

@@ -67,7 +67,6 @@ __all__ = [
     "Waypoint",
     "RopeSpec",
     "NoiseConfig",
-    "DEFAULT_SENSOR_NOISE",
     "SceneConfig",
     "SceneBundle",
     "Metrics",
@@ -220,14 +219,6 @@ class NoiseConfig:
             raise ValueError("depth scale must be positive")
 
 
-# Canonical "realistic sensor" preset: half-millimeter track jitter (about a
-# third of a pixel at the default focal length and range), 1% depth noise, 3%
-# per-frame track dropout, and a 25% depth miscalibration for the calibration
-# stage to undo.
-DEFAULT_SENSOR_NOISE = NoiseConfig(track_sigma=0.0005, depth_sigma=0.01,
-                                   dropout_prob=0.03, depth_scale=1.25)
-
-
 @dataclass(frozen=True)
 class SceneConfig:
     scene: str = "rigid"          # "rigid" or "rope"
@@ -322,48 +313,6 @@ class SceneConfig:
     @classmethod
     def load(cls, path) -> "SceneConfig":
         return cls.from_doc(json.loads(Path(path).read_text()))
-
-    @classmethod
-    def rigid_demo(cls, seed: int = 0, noise: NoiseConfig | None = None) -> "SceneConfig":
-        """Pick, lift, carry and place a box; zero noise unless given.
-
-        The demo tracks the object densely (240 surface samples, the scale of
-        a tracker's query grid): pose translation error grows with camera
-        distance times rotation error, so a sparse flow cannot deliver
-        millimeter placements from a meter away.
-        """
-        return cls(scene="rigid", seed=seed,
-                   object=ObjectSpec(surface_samples=240),
-                   noise=noise or NoiseConfig())
-
-    @classmethod
-    def rope_demo(cls, mirrored: bool = False, seed: int = 0,
-                  noise: NoiseConfig | None = None) -> "SceneConfig":
-        """Rope straightening.
-
-        The plain variant pins the far end (a fixture) and straightens the
-        semicircle.  The mirrored variant is unpinned and straightens while
-        turning by pi, so the final centerline occupies the same line segment
-        as an in-place flattening but with the particle order reversed:
-        shape-matching objectives cannot tell the two apart, while
-        corresponded flow tracking can.  Its script straightens and turns
-        during the first half, then drags the rope along its own axis back to
-        center; an end-attached gripper can track an axial drag exactly, and
-        the detour leaves the goal segment (and so the shape-matching trap)
-        unchanged.
-        """
-        if mirrored:
-            rope = RopeSpec(pinned=False,
-                            script=((0.0, math.pi, 0.0, 0.0, 0.0),
-                                    (0.5, 0.0, math.pi, -0.30, 0.0),
-                                    (1.0, 0.0, math.pi, 0.0, 0.0)))
-            frames = 40
-        else:
-            rope = RopeSpec(pinned=True,
-                            script=((0.0, math.pi, 0.0), (1.0, 0.0, 0.0)))
-            frames = 24
-        return cls(scene="rope", seed=seed, frames=frames, rope=rope,
-                   distractor_points=60, noise=noise or NoiseConfig())
 
 
 def _default_waypoints(spec: ObjectSpec) -> tuple[Waypoint, ...]:

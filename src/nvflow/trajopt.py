@@ -2,7 +2,7 @@
 
 The objective is a stack of residual blocks whose squared sum is
 
-    C = C_smooth + C_rest + C_limits + C_collision
+    C = C_smooth + C_rest + C_limits + C_velocity + C_collision
 
 with per-block weights applied once, inside the residuals.  Start and end
 configurations are hard constraints handled by variable elimination: only the
@@ -18,15 +18,16 @@ velocity and collision rows touch frames t and t+1, rest and limit rows
 frame t alone.  The Jacobian is therefore kept as per-row frame blocks
 (``FrameJacobian``) and never as an m x n matrix, and J^T J is exactly
 block-tridiagonal with dof x dof blocks.  The smooth, rest, limit and
-velocity rows each touch one joint and are kept as scalar per-joint rows,
-whose J^T J and J^T r terms are per-(frame, joint) sums on the blocks'
-diagonals; only the collision rows, which touch several joints, are kept as
-coefficient vectors.  Levenberg-Marquardt forms the blocks of those with
-stacked products over all frames at once and solves each damped step by
-block cyclic reduction, block Cholesky in odd-even order, in about log2 of
-the horizon levels of stacked work.  The solver stays generic: a plain
-(m, n) Jacobian, as the tests' curve fits use, is the one-block case of the
-same normal equations.
+velocity rows each touch one joint; ``_joint_terms`` defines them, their
+order and their derivatives once, for the residual, the Jacobian and the
+term costs alike.  Their J^T J and J^T r terms are per-(frame, joint) sums
+on the blocks' diagonals; only the collision rows, which touch several
+joints, are kept as coefficient vectors.  Levenberg-Marquardt forms the
+blocks of those with stacked products over all frames at once and solves
+each damped step by block cyclic reduction, block Cholesky in odd-even
+order, in about log2 of the horizon levels of stacked work.  The solver
+stays generic: a plain (m, n) Jacobian, as the tests' curve fits use, is
+the one-block case of the same normal equations.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .kinematics import (JointTrajectory, RobotModel, load_robot, point_jacobian
                          robot_from_doc, sphere_centers_batch, sphere_radii, world_axes)
 
 __all__ = [
-    "LMOptions",
     "LMResult",
     "FrameJacobian",
     "NonFiniteResidualError",
@@ -53,9 +53,6 @@ __all__ = [
     "HalfspaceObstacle",
     "Obstacle",
     "obstacles_from_doc",
-    "cost_smooth",
-    "cost_rest",
-    "penalty_limits",
     "penalty_collision",
     "init_trajectory",
     "TrajOptWeights",
@@ -78,38 +75,17 @@ class NonFiniteResidualError(RuntimeError):
         self.x = np.array(x)
 
 
-@dataclass(frozen=True)
-class LMOptions:
-    max_iters: int = 100
-    lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1   # tenfold decrease keeps near-linear problems at ~3 steps
-    grad_tol: float = 1e-8     # infinity norm of J^T r
-    step_tol: float = 1e-10    # euclidean norm of the accepted step
-    fd_step: float = 1e-6      # forward-difference step, used only without a jacobian
-    lambda_max: float = 1e12
-
-    def __post_init__(self) -> None:
-        for name in ("max_iters", "lambda0", "lambda_up", "lambda_down", "grad_tol",
-                     "step_tol", "fd_step", "lambda_max"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        # lambda must grow on every rejected step, or a problem where no step
-        # descends never leaves the damping loop
-        if not self.lambda_up > 1.0:
-            raise ValueError(f"lambda_up must be > 1, got {self.lambda_up}")
-        if not 0.0 < self.lambda_down < 1.0:
-            raise ValueError(f"lambda_down must be in (0, 1), got {self.lambda_down}")
-        if not 0.0 < self.lambda0 <= self.lambda_max:
-            raise ValueError(f"need 0 < lambda0 <= lambda_max, got {self.lambda0} "
-                             f"and {self.lambda_max}")
-        for name in ("grad_tol", "step_tol"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.fd_step > 0.0:
-            raise ValueError(f"fd_step must be > 0, got {self.fd_step}")
+# The damping lambda starts at _LAMBDA0.  A rejected step multiplies it by
+# _LAMBDA_UP, which must exceed 1, or a problem where no step descends never
+# leaves the damping loop; past _LAMBDA_MAX no further step is tried.  An
+# accepted step multiplies it by _LAMBDA_DOWN: a tenfold decrease keeps
+# near-linear problems at about three steps.
+_LAMBDA0 = 1e-3
+_LAMBDA_UP = 10.0
+_LAMBDA_DOWN = 0.1
+_LAMBDA_MAX = 1e12
+_GRAD_TOL = 1e-8       # on the infinity norm of J^T r
+_STEP_TOL = 1e-10      # on the euclidean norm of an accepted step
 
 
 @dataclass(frozen=True)
@@ -273,20 +249,10 @@ def _damped_step(diag: np.ndarray, upper: np.ndarray, grad: np.ndarray,
     return -_solve_block_tridiagonal(damped, upper, grad).ravel()
 
 
-def _fd_jacobian(residual_fn, x: np.ndarray, r0: np.ndarray, h: float) -> np.ndarray:
-    jac = np.empty((r0.size, x.size))
-    for k in range(x.size):
-        xk = x.copy()
-        xk[k] += h
-        jac[:, k] = (residual_fn(xk) - r0) / h
-    return jac
-
-
 def levenberg_marquardt(residual_fn: Callable[[np.ndarray], np.ndarray],
                         x0: np.ndarray,
-                        jacobian: Callable[[np.ndarray], np.ndarray | FrameJacobian]
-                        | None = None,
-                        options: LMOptions = LMOptions()) -> LMResult:
+                        jacobian: Callable[[np.ndarray], np.ndarray | FrameJacobian],
+                        max_iters: int = 100) -> LMResult:
     """Minimize ||residual_fn(x)||^2 with diagonal-scaled damping.
 
     Each candidate step solves (J^T J + lambda diag(J^T J)) d = -J^T r and is
@@ -297,12 +263,11 @@ def levenberg_marquardt(residual_fn: Callable[[np.ndarray], np.ndarray],
     and by per-(frame, joint) sums for its per-joint rows, and factored by
     block cyclic reduction, in about log2 of the number of frames levels of
     stacked work.  A plain (m, n) array is the one-block case of the same
-    normal equations and solver.  A damped
-    system that is not numerically positive definite counts as a rejected
-    step and raises lambda.  Convergence is declared when the gradient
-    infinity norm falls below ``grad_tol`` or an accepted step is shorter
-    than ``step_tol``.  Without an analytic ``jacobian``, forward differences
-    with step ``fd_step`` are used.
+    normal equations and solver.  A damped system that is not numerically
+    positive definite counts as a rejected step and raises lambda.  At most
+    ``max_iters`` Jacobians are evaluated.  Convergence is declared when the
+    gradient infinity norm falls below ``_GRAD_TOL`` or an accepted step is
+    shorter than ``_STEP_TOL``.
 
     Raises:
         NonFiniteResidualError: a residual evaluation returned NaN/inf, or a
@@ -315,29 +280,28 @@ def levenberg_marquardt(residual_fn: Callable[[np.ndarray], np.ndarray],
         raise NonFiniteResidualError(x)
     cost = float(r @ r)
     history = [cost]
-    lam = options.lambda0
+    lam = _LAMBDA0
     accepted_steps = 0
     converged = False
 
-    for _ in range(options.max_iters):
-        jac = jacobian(x) if jacobian is not None else _fd_jacobian(
-            residual_fn, x, r, options.fd_step)
+    for _ in range(max_iters):
+        jac = jacobian(x)
         if not isinstance(jac, FrameJacobian):
             jac = FrameJacobian.one_block(jac)
         diag, upper, grad = _normal_equations(jac, r)
         if not (np.isfinite(diag).all() and np.isfinite(grad).all()):
             raise NonFiniteResidualError(x, "Jacobian")
-        if np.abs(grad).max(initial=0.0) < options.grad_tol:
+        if np.abs(grad).max(initial=0.0) < _GRAD_TOL:
             converged = True
             break
 
         accepted = False
         step_norm = 0.0
-        while lam <= options.lambda_max:
+        while lam <= _LAMBDA_MAX:
             try:
                 step = _damped_step(diag, upper, grad, lam)
             except np.linalg.LinAlgError:
-                lam *= options.lambda_up
+                lam *= _LAMBDA_UP
                 continue
             x_new = x + step
             r_new = np.asarray(residual_fn(x_new), dtype=float)
@@ -349,13 +313,13 @@ def levenberg_marquardt(residual_fn: Callable[[np.ndarray], np.ndarray],
                 x, r, cost = x_new, r_new, cost_new
                 history.append(cost)
                 accepted_steps += 1
-                lam = max(lam * options.lambda_down, 1e-12)
+                lam = max(lam * _LAMBDA_DOWN, 1e-12)
                 accepted = True
                 break
-            lam *= options.lambda_up
+            lam *= _LAMBDA_UP
         if not accepted:
             break  # no descent direction at any damping: stalled
-        if step_norm < options.step_tol:
+        if step_norm < _STEP_TOL:
             converged = True
             break
 
@@ -489,32 +453,44 @@ def obstacles_from_doc(docs: list[dict]) -> tuple[Obstacle, ...]:
 
 # -- residual blocks -----------------------------------------------------------
 
-def cost_smooth(configs: np.ndarray, w_smooth: float) -> np.ndarray:
-    """Residuals sqrt(w) (q_t - q_{t-1}) as a (T-1, dof) block."""
-    q = np.asarray(configs, dtype=float)
-    return np.sqrt(w_smooth) * np.diff(q, axis=0)
+def _joint_terms(problem: TrajOptProblem, q_rest: np.ndarray, full: np.ndarray,
+                 slopes: bool = True) -> tuple[tuple, ...]:
+    """The per-joint residual terms of the trajectory ``full`` (T, dof), in
+    residual order.
 
+    Each term is (name, rows, cur, nxt).  Row (t, j) of ``rows`` depends on
+    joint j alone, on frame t and, in a segment term, on frame t+1; ``cur``
+    and ``nxt`` are its derivatives in that joint on frame t and on frame
+    t+1, a scalar where every row has the same.  The terms are, with the
+    weights w of ``problem``:
 
-def cost_rest(configs: np.ndarray, q_rest: np.ndarray, w_rest: float) -> np.ndarray:
-    """Residuals sqrt(w) (q_t - q_rest) as a (T, dof) block."""
-    q = np.asarray(configs, dtype=float)
-    return np.sqrt(w_rest) * (q - np.asarray(q_rest, dtype=float))
+    - smooth, sqrt(w_smooth) (q_{t+1} - q_t), (T-1, dof);
+    - rest, sqrt(w_rest) (q_t - q_rest), (T, dof);
+    - limits, the upper-bound hinges sqrt(w_limits) max(0, q_t - q_max),
+      (T, dof), then limits again, the lower-bound hinges
+      sqrt(w_limits) max(0, q_min - q_t), (T, dof);
+    - velocity, sqrt(w_limits) max(0, |q_{t+1} - q_t| - v_max dt), (T-1, dof).
 
-
-def penalty_limits(configs: np.ndarray, model: RobotModel, w_limits: float,
-                   dt: float) -> np.ndarray:
-    """Hinge residuals for position and velocity limits, flattened.
-
-    Layout: upper-bound hinges (T, dof), lower-bound hinges (T, dof), then
-    velocity hinges sqrt(w) max(0, |q_{t+1} - q_t| - v_max dt) of shape
-    (T-1, dof).
+    The collision rows follow these in the residual.  A hinge's derivative
+    is 0 where it is off, its kink included; terms of one name make one term
+    cost.  Without ``slopes`` the hinges' derivatives are None, which spares
+    a residual evaluation their arithmetic.
     """
-    q = np.asarray(configs, dtype=float)
-    root = np.sqrt(w_limits)
-    upper = root * np.maximum(q - model.q_max, 0.0)
-    lower = root * np.maximum(model.q_min - q, 0.0)
-    vel = root * np.maximum(np.abs(np.diff(q, axis=0)) - model.velocity_limits * dt, 0.0)
-    return np.concatenate([upper.ravel(), lower.ravel(), vel.ravel()])
+    model, w = problem.model, problem.weights
+    root_s, root_r, root_l = np.sqrt(w.smooth), np.sqrt(w.rest), np.sqrt(w.limits)
+    delta = np.diff(full, axis=0)
+    caps = model.velocity_limits * problem.dt
+    d_upper = d_lower = d_vel = None
+    if slopes:
+        d_upper = root_l * (full > model.q_max)
+        d_lower = -root_l * (full < model.q_min)
+        d_vel = root_l * np.sign(delta) * (np.abs(delta) > caps)
+    return (("smooth", root_s * delta, -root_s, root_s),
+            ("rest", root_r * (full - q_rest), root_r, 0.0),
+            ("limits", root_l * np.maximum(full - model.q_max, 0.0), d_upper, 0.0),
+            ("limits", root_l * np.maximum(model.q_min - full, 0.0), d_lower, 0.0),
+            ("velocity", root_l * np.maximum(np.abs(delta) - caps, 0.0),
+             -d_vel if slopes else None, d_vel))
 
 
 @dataclass(frozen=True)
@@ -616,20 +592,19 @@ def _sweep(model: RobotModel, configs: np.ndarray, obstacles: Sequence[Obstacle]
 def penalty_collision(configs: np.ndarray, model: RobotModel,
                       obstacles: Sequence[Obstacle], w_collision: float,
                       eps_safe: float, swept_samples: int = 5,
-                      pad: float = 0.0, return_sweep: bool = False):
-    """Hinge residuals sqrt(w) max(0, eps_safe + pad - d) per (segment, obstacle).
+                      pad: float = 0.0) -> tuple[np.ndarray, _Sweep]:
+    """Hinge residuals sqrt(w) max(0, eps_safe + pad - d) per (segment, obstacle),
+    and the ``_Sweep`` they came from.
 
     A quadratic hinge balances against the other cost terms slightly inside
     its boundary, so ``pad`` moves the penalized boundary outward; the
-    settled trajectory then clears ``eps_safe`` itself.  With
-    ``return_sweep``, returns (residuals, the ``_Sweep`` they came from),
-    which skips the inner samples that cannot come below the hinge boundary.
+    settled trajectory then clears ``eps_safe`` itself.  The sweep skips the
+    inner samples that cannot come below the hinge boundary.
     """
     sweep = _sweep(model, configs, obstacles, swept_samples, floor=eps_safe + pad)
     hinge = np.maximum(eps_safe + pad - sweep.seg_min, 0.0)
     hinge[~np.isfinite(sweep.seg_min)] = 0.0
-    residuals = np.sqrt(w_collision) * hinge.ravel()
-    return (residuals, sweep) if return_sweep else residuals
+    return np.sqrt(w_collision) * hinge.ravel(), sweep
 
 
 class _LastSweep:
@@ -696,11 +671,13 @@ class TrajOptProblem:
     swept_samples: int = 5
     dt: float = 0.1                     # seconds per step, for velocity hinges
     obstacles: tuple[Obstacle, ...] = ()
-    lm: LMOptions = LMOptions()
+    max_iters: int = 100                # Jacobian evaluations LM may make
 
     def __post_init__(self) -> None:
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.swept_samples < 2:
             raise ValueError("swept_samples must be at least 2 to cover both "
                              f"endpoints, got {self.swept_samples}")
@@ -738,23 +715,26 @@ class TrajOptResult:
 def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
     """Optimize interior configurations between hard start/end constraints.
 
-    The stacked residual is [smooth, rest, limit hinges (upper, lower,
-    velocity), collision hinges]; each term cost is the squared sum of its
-    blocks at the solution.  Endpoints are eliminated from the decision
-    vector and returned bit-identical to the inputs.  Collision hinges
-    penalize distances below ``eps_safe + collision_pad`` so the settled
-    trajectory clears ``eps_safe`` itself.  The reported ``min_clearance``
-    comes from a final sweep at twice the optimization sampling;
-    ``converged`` is false when the solver stalled or the clearance still
-    violates ``eps_safe`` (beyond a 1e-4 slack).
+    The stacked residual is the per-joint terms of ``_joint_terms`` followed
+    by the collision hinges; each term cost is the squared sum of its rows
+    at the solution.  Endpoints are eliminated from the decision vector and
+    returned bit-identical to the inputs.  Collision hinges penalize
+    distances below ``eps_safe + collision_pad`` so the settled trajectory
+    clears ``eps_safe`` itself.  The reported ``min_clearance`` comes from a
+    final sweep at twice the optimization sampling; ``converged`` is false
+    when the solver stalled or the clearance still violates ``eps_safe``
+    (beyond a 1e-4 slack).
     """
     model = problem.model
     dof = model.dof
     steps = problem.steps
     q_rest = problem.q_rest if problem.q_rest is not None \
         else 0.5 * (model.q_min + model.q_max)
-    w = problem.weights
     last_sweep = _LastSweep()
+    init = init_trajectory(problem.q_start, problem.q_end, steps)
+    # the per-joint terms' names and sizes, the same at every point
+    names, sizes = zip(*((name, rows.size) for name, rows, _, _ in
+                         _joint_terms(problem, q_rest, init, slopes=False)))
 
     def assemble(x: np.ndarray) -> np.ndarray:
         full = np.empty((steps, dof))
@@ -766,88 +746,78 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
 
     def residuals_of(full: np.ndarray) -> np.ndarray:
         collision, sweep = penalty_collision(
-            full, model, problem.obstacles, w.collision, problem.eps_safe,
-            problem.swept_samples, pad=problem.collision_pad, return_sweep=True)
+            full, model, problem.obstacles, problem.weights.collision, problem.eps_safe,
+            problem.swept_samples, pad=problem.collision_pad)
         last_sweep.put(full, sweep)
-        return np.concatenate([
-            cost_smooth(full, w.smooth).ravel(),
-            cost_rest(full, q_rest, w.rest).ravel(),
-            penalty_limits(full, model, w.limits, problem.dt),
-            collision,
-        ])
+        terms = _joint_terms(problem, q_rest, full, slopes=False)
+        return np.concatenate([rows.ravel() for _, rows, _, _ in terms] + [collision])
 
     if steps == 2:
         full = assemble(np.zeros(0))
         residual = residuals_of(full)
         cost, iterations, converged = float(np.sum(residual ** 2)), 0, True
     else:
-        x0 = init_trajectory(problem.q_start, problem.q_end, steps)[1:-1].ravel()
-        lm = levenberg_marquardt(lambda x: residuals_of(assemble(x)), x0,
-                                 jacobian=_make_jacobian(problem, assemble, last_sweep),
-                                 options=problem.lm)
+        lm = levenberg_marquardt(lambda x: residuals_of(assemble(x)), init[1:-1].ravel(),
+                                 _make_jacobian(problem, q_rest, sizes, assemble,
+                                                last_sweep),
+                                 max_iters=problem.max_iters)
         full, residual = assemble(lm.x), lm.residual
         cost, iterations, converged = lm.cost, lm.iterations, lm.converged
 
-    # Block ends in the stacked residual: smooth, rest, upper, lower, velocity.
-    segment_rows, frame_rows = (steps - 1) * dof, steps * dof
-    ends = np.cumsum([segment_rows, frame_rows, frame_rows, frame_rows, segment_rows])
-    smooth, rest, upper, lower, velocity, collision = (
-        float(np.sum(block ** 2)) for block in np.split(residual, ends))
+    term_costs: dict[str, float] = {}
+    for name, block in zip(names + ("collision",), np.split(residual, np.cumsum(sizes))):
+        term_costs[name] = term_costs.get(name, 0.0) + float(np.sum(block ** 2))
     dense = _sweep(model, full, problem.obstacles, 2 * problem.swept_samples,
                    problem.eps_safe + problem.collision_pad).seg_min
     clearance = float(dense.min()) if dense.size else np.inf
     return TrajOptResult(
         trajectory=JointTrajectory(full, problem.dt),
         final_cost=cost,
-        term_costs={"smooth": smooth, "rest": rest, "limits": upper + lower,
-                    "velocity": velocity, "collision": collision},
+        term_costs=term_costs,
         iterations=iterations,
         converged=converged and clearance >= problem.eps_safe - 1e-4,
         min_clearance=clearance,
     )
 
 
-def _make_jacobian(problem: TrajOptProblem, assemble,
-                   last_sweep: _LastSweep) -> Callable[[np.ndarray], FrameJacobian]:
+def _make_jacobian(problem: TrajOptProblem, q_rest: np.ndarray, sizes: Sequence[int],
+                   assemble, last_sweep: _LastSweep
+                   ) -> Callable[[np.ndarray], FrameJacobian]:
     """Jacobian of the stacked residual w.r.t. interior configurations.
 
     Rows are first written against full frames: each touches frames t and
     t+1 (smooth, velocity, collision) or frame t alone (rest, limits).
     ``_interior_rows`` then drops the coefficients on the pinned endpoints
-    and renumbers the frames.  The smooth, rest, limit and velocity rows
-    each touch one joint, are linear or hinge-linear, and are filled
-    analytically as per-joint rows with one scalar coefficient per frame.
-    ``_collision_rows`` gives the collision rows, the block rows, in closed
-    form from the sweep of the point, which is the residual's own when
-    ``last_sweep`` holds it.
+    and renumbers the frames.  The per-joint rows take their one scalar
+    coefficient per frame from ``_joint_terms``, whose terms have ``sizes``
+    rows; the rows' frames and joints do not depend on the point and are
+    laid out once.  ``_collision_rows`` gives the collision rows, the block
+    rows, in closed form from the sweep of the point, which is the
+    residual's own when ``last_sweep`` holds it.
     """
     model = problem.model
     dof = model.dof
     steps = problem.steps
-    w = problem.weights
-    root_s, root_l = np.sqrt(w.smooth), np.sqrt(w.limits)
-    caps = model.velocity_limits * problem.dt
     boundary = problem.eps_safe + problem.collision_pad
-    seg_lo = np.repeat(np.arange(steps - 1), dof)
-    frame_lo = np.repeat(np.arange(steps), dof)
-    # first full frame of each per-joint row, in residual order: smooth,
-    # rest, upper, lower, velocity; the collision rows follow them
-    joint_lo = np.concatenate([seg_lo, frame_lo, frame_lo, frame_lo, seg_lo])
+    # each per-joint row's first full frame, in residual order
+    joint_lo = np.concatenate([np.repeat(np.arange(size // dof), dof) for size in sizes])
     joint = np.tile(np.arange(dof), joint_lo.size // dof)
+    parts = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
     coll_lo = np.repeat(np.arange(steps - 1), len(problem.obstacles))
-    smooth = np.full(seg_lo.size, root_s)
-    rest = np.full(frame_lo.size, np.sqrt(w.rest))
-    zero = np.zeros(3 * frame_lo.size)
+
+    def flat(coefficients) -> np.ndarray:
+        """Per-term coefficients, scalars included, as one array in row order."""
+        out = np.empty(joint_lo.size)
+        for c, part in zip(coefficients, parts):
+            out[part] = np.ravel(c)
+        return out
 
     def jac(x: np.ndarray) -> FrameJacobian:
         full = assemble(x)
-        delta = np.diff(full, axis=0)
-        upper = root_l * (full > model.q_max)
-        lower = -root_l * (full < model.q_min)
-        vel = (root_l * np.sign(delta) * (np.abs(delta) > caps)).ravel()
+        terms = _joint_terms(problem, q_rest, full)
         joint_frame, joint_cur, joint_nxt = _interior_rows(
-            joint_lo, np.concatenate([-smooth, rest, upper.ravel(), lower.ravel(), -vel]),
-            np.concatenate([smooth, zero, vel]), steps)
+            joint_lo, flat([cur for _, _, cur, _ in terms]),
+            flat([nxt for _, _, _, nxt in terms]), steps)
         sweep = last_sweep.get(full) or _sweep(model, full, problem.obstacles,
                                                problem.swept_samples, boundary)
         frame, cur, nxt = _interior_rows(coll_lo, *_collision_rows(problem, full, sweep),
@@ -930,9 +900,9 @@ def problem_from_doc(doc: dict, base_dir=None) -> TrajOptProblem:
 
     ``robot`` may be an inline robot document or a path (resolved against
     ``base_dir`` when relative).  Required keys: robot, q_start, q_end,
-    steps.  Optional keys, which default as ``TrajOptProblem``,
-    ``TrajOptWeights`` and ``LMOptions`` declare: q_rest, weights, eps_safe,
-    collision_pad, swept_samples, dt, obstacles, max_iters.
+    steps.  Optional keys, which default as ``TrajOptProblem`` and
+    ``TrajOptWeights`` declare: q_rest, weights, eps_safe, collision_pad,
+    swept_samples, dt, obstacles, max_iters.
     """
     def robot(value) -> RobotModel:
         if not isinstance(value, str):
@@ -948,12 +918,9 @@ def problem_from_doc(doc: dict, base_dir=None) -> TrajOptProblem:
         "weights": lambda weights: TrajOptWeights(**_doc_fields(weights, dict.fromkeys(
             ("smooth", "rest", "limits", "collision"), _float))),
         "eps_safe": _float, "collision_pad": _float, "swept_samples": _int, "dt": _float,
-        "obstacles": obstacles_from_doc,
-        "max_iters": lambda max_iters: LMOptions(max_iters=_int(max_iters)),
+        "obstacles": obstacles_from_doc, "max_iters": _int,
     })
     kwargs["model"] = kwargs.pop("robot")
-    if "max_iters" in kwargs:
-        kwargs["lm"] = kwargs.pop("max_iters")
     return TrajOptProblem(**kwargs)
 
 

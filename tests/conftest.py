@@ -2,19 +2,24 @@
 
 The robot builders (``planar_two_link``, ``one_link_with_sphere``,
 ``spinner_with_tip_sphere``) and the rotation helpers (``random_rotation``,
-``random_pose``, ``rotation_distance``, ``assert_pose_close``) and the oracle
-inputs (``tie_heavy_arrays``, ``assert_same_float``) are plain functions, not fixtures:
+``random_pose``, ``rotation_distance``, ``assert_pose_close``), the oracle
+inputs (``tie_heavy_arrays``, ``assert_same_float``) and the packaged demo
+scenes (``demo_scene``) are plain functions, not fixtures:
 import them with ``from conftest import ...`` and call them, e.g.
 ``model = planar_two_link()``.  Naming one as a test parameter makes pytest
 look for a fixture of that name and error at setup.  ``rng`` is the only
 fixture defined here.
 """
 
+import dataclasses
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from nvflow.geometry import SE3Pose
 from nvflow.kinematics import CollisionSphere, Joint, RobotModel
+from nvflow.sim import SceneConfig
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -85,6 +90,14 @@ def spinner_with_tip_sphere(arm: float = 1.0, radius: float = 0.05) -> RobotMode
         ),
         name="spinner",
     )
+
+
+def demo_scene(name: str, **changes) -> SceneConfig:
+    """The packaged scene config ``name`` ("scene_rigid_demo.json",
+    "scene_rope.json" or "scene_rope_mirrored.json"), with ``changes`` such
+    as ``seed`` or ``noise`` made by ``dataclasses.replace``."""
+    config = SceneConfig.load(resources.files("nvflow") / "fixtures" / name)
+    return dataclasses.replace(config, **changes)
 
 
 def tie_heavy_arrays(rng, count=3000):

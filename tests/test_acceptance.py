@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import planar_two_link
+from conftest import demo_scene, planar_two_link
 from nvflow.cli import main as cli_main
 from nvflow.deformable import MPCConfig, build_correspondence, flow_cost, mpc_rollout
 from nvflow.fileio import read_flow, write_flow
@@ -30,24 +30,20 @@ from nvflow.flow import (
 from nvflow.geometry import DepthMap, rotation_from_axis_angle, rotation_geodesic_angle
 from nvflow.rigid import estimate_rigid_transform, flow_to_pose_trajectory
 from nvflow.sim import (
-    DEFAULT_SENSOR_NOISE,
-    SceneConfig,
+    NoiseConfig,
     corrupt_flow,
     evaluate_deformable,
     evaluate_rigid,
     generate_scene,
 )
 from nvflow.trajopt import (
-    LMOptions,
     TrajOptProblem,
     TrajOptWeights,
-    cost_rest,
-    cost_smooth,
+    _joint_terms,
     init_trajectory,
     levenberg_marquardt,
     optimize_trajectory,
     penalty_collision,
-    penalty_limits,
     problem_from_doc,
 )
 
@@ -198,8 +194,7 @@ def test_criterion_03_least_squares_solver():
         return np.array([[-20.0 * x, 10.0], [-1.0, 0.0]])
 
     rosen = levenberg_marquardt(rosenbrock, np.array([-1.2, 1.0]),
-                                jacobian=rosenbrock_jac,
-                                options=LMOptions(max_iters=200))
+                                jacobian=rosenbrock_jac, max_iters=200)
     rosen_err = float(np.max(np.abs(rosen.x - 1.0)))
     rosen_ok = rosen_err <= 1e-6
 
@@ -214,7 +209,11 @@ def test_criterion_03_least_squares_solver():
         def residual(x, a_k=a_k, b_k=b_k, y_k=y_k):
             return a_k @ x + 0.5 * np.sin(b_k @ x) - y_k
 
-        result = levenberg_marquardt(residual, 0.5 * prng.standard_normal(5))
+        def jacobian(x, a_k=a_k, b_k=b_k):
+            return a_k + 0.5 * np.cos(b_k @ x)[:, None] * b_k
+
+        result = levenberg_marquardt(residual, 0.5 * prng.standard_normal(5),
+                                     jacobian=jacobian)
         history = np.asarray(result.cost_history)
         if np.isfinite(history).all() and np.all(np.diff(history) < 0.0):
             monotone += 1
@@ -282,13 +281,11 @@ def test_criterion_04_trajectory_optimizer():
             else 0.5 * (model.q_min + model.q_max))
     init = init_trajectory(problem.q_start, problem.q_end, problem.steps)
     init_residual = np.concatenate([
-        cost_smooth(init, problem.weights.smooth).ravel(),
-        cost_rest(init, rest, problem.weights.rest).ravel(),
-        penalty_limits(init, model, problem.weights.limits, problem.dt),
+        *(rows.ravel() for _, rows, _, _ in _joint_terms(problem, rest, init)),
         penalty_collision(init, model, problem.obstacles,
                           problem.weights.collision, problem.eps_safe,
                           problem.swept_samples,
-                          pad=problem.collision_pad),
+                          pad=problem.collision_pad)[0],
     ])
     init_cost = float(init_residual @ init_residual)
     cost_ok = result.final_cost <= init_cost
@@ -331,7 +328,7 @@ def test_criterion_05_depth_calibration():
 
 
 def test_criterion_06_pipeline_pose_closure():
-    clean = generate_scene(SceneConfig.rigid_demo())
+    clean = generate_scene(demo_scene("scene_rigid_demo.json", noise=NoiseConfig()))
     poses = distill_pose_trajectory(clean)
     worst_rot = max(float(np.linalg.norm(a.rotation - b.rotation))
                     for a, b in zip(poses.poses, clean.gt_poses.poses))
@@ -342,8 +339,7 @@ def test_criterion_06_pipeline_pose_closure():
     hits = 0
     worst_final = (0.0, 0.0)
     for seed in range(10):
-        bundle = generate_scene(
-            SceneConfig.rigid_demo(seed=seed, noise=DEFAULT_SENSOR_NOISE))
+        bundle = generate_scene(demo_scene("scene_rigid_demo.json", seed=seed))
         metrics = evaluate_rigid(distill_pose_trajectory(bundle), bundle.gt_poses)
         worst_final = (max(worst_final[0], metrics.rotation_error_deg[-1]),
                        max(worst_final[1], metrics.translation_error_mm[-1]))
@@ -380,7 +376,7 @@ def test_criterion_07_end_to_end_rigid_runs(tmp_path):
 def test_criterion_08_deformable_tracking():
     start = time.perf_counter()
 
-    plain = generate_scene(SceneConfig.rope_demo())
+    plain = generate_scene(demo_scene("scene_rope.json"))
     corr = build_correspondence(plain.gt_flow, plain.initial_state.positions)
     rollout = mpc_rollout(plain.dynamics, plain.initial_state, plain.gt_flow,
                           MPCConfig(), corr)
@@ -392,7 +388,7 @@ def test_criterion_08_deformable_tracking():
     straighten_ratio = rollout.costs[-1] / initial_cost
     straighten_ok = rollout.costs[-1] <= 0.10 * initial_cost
 
-    mirrored = generate_scene(SceneConfig.rope_demo(mirrored=True))
+    mirrored = generate_scene(demo_scene("scene_rope_mirrored.json"))
     corr_m = build_correspondence(mirrored.gt_flow,
                                   mirrored.initial_state.positions)
     flow_roll = mpc_rollout(mirrored.dynamics, mirrored.initial_state,
@@ -416,8 +412,7 @@ def test_criterion_08_deformable_tracking():
 
 
 def test_criterion_09_candidate_selection():
-    bundle = generate_scene(SceneConfig.rigid_demo(seed=0,
-                                                   noise=DEFAULT_SENSOR_NOISE))
+    bundle = generate_scene(demo_scene("scene_rigid_demo.json", seed=0))
     intr = bundle.config.intrinsics
     scale = calibrate_depth(bundle.depth, bundle.depth_ref)
     tracks = TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible)
@@ -442,7 +437,7 @@ def test_criterion_09_candidate_selection():
 
 def test_criterion_10_determinism_and_round_trip(tmp_path):
     config_path = tmp_path / "demo_config.json"
-    SceneConfig.rigid_demo(noise=DEFAULT_SENSOR_NOISE).save(config_path)
+    demo_scene("scene_rigid_demo.json").save(config_path)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     code_a = cli_main(["simulate", "--config", str(config_path), "--seed", "3",

@@ -16,15 +16,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import nvflow
 import nvflow.trajopt as trajopt
+from conftest import demo_scene
 from nvflow.cli import main
 from nvflow.fileio import (read_flow, read_pgm, sha256_file, write_flow, write_pgm,
                            write_ppm)
 from nvflow.flow import TrackSet, calibrate_depth, distill_flow, render_flow_image
-from nvflow.sim import (DEFAULT_SENSOR_NOISE, ObjectSpec, RopeSpec, SceneBundle,
-                        SceneConfig)
+from nvflow.sim import ObjectSpec, RopeSpec, SceneBundle, SceneConfig
 
 SUBCOMMANDS = ("simulate", "distill", "plan-rigid", "plan-deformable",
                "optimize-traj", "eval", "run")
@@ -461,8 +463,12 @@ MALFORMED_INPUT_CASES = {
 # deleted or set to every one of these values.
 BAD_VALUES = {"deleted": DELETE, "string": "x", "list": [], "object": {},
               "null": None, "nan": NAN, "inf": INF, "minus-1": -1}
-PROBLEM_KEYS = ("robot", "q_start", "q_end", "steps", "q_rest", "weights", "eps_safe",
-                "collision_pad", "swept_samples", "dt", "obstacles", "max_iters")
+# The JSON type of each key of a trajectory problem; float is any number.
+PROBLEM_TYPES = {"robot": (dict, str), "q_start": list, "q_end": list, "steps": int,
+                 "q_rest": list, "weights": dict, "eps_safe": float,
+                 "collision_pad": float, "swept_samples": int, "dt": float,
+                 "obstacles": list, "max_iters": int}
+PROBLEM_KEYS = tuple(PROBLEM_TYPES)
 # Each scene key maps to the small config it is edited in: "rope" is read
 # only in a rope scene, "object" and "motion_script" only in a rigid one.
 SCENE_KEYS = {"scene": "rigid", "seed": "rigid", "frames": "rigid", "image": "rigid",
@@ -476,6 +482,27 @@ READER_TABLE = {
         c, c.edited(c.fixture(f"{kind}_config_path"), **{key: value})))
        for key, kind in SCENE_KEYS.items() for name, value in BAD_VALUES.items()},
 }
+
+
+def _has_json_type(value, kind) -> bool:
+    """Whether ``value`` is JSON of ``kind``: true and false are no number,
+    and an integer is a number too."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+@st.composite
+def _mistyped_problem_key(draw):
+    """A problem key and a value for it of another JSON type, or non-finite."""
+    key = draw(st.sampled_from(PROBLEM_KEYS))
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 30),
+                        st.floats(-10.0, 10.0), st.text(max_size=4))
+    values = st.one_of(scalars, st.lists(scalars, max_size=3),
+                       st.dictionaries(st.text(max_size=3), scalars, max_size=2))
+    return key, draw(st.one_of(
+        values.filter(lambda value: not _has_json_type(value, PROBLEM_TYPES[key])),
+        st.sampled_from([NAN, INF, -INF])))
 
 
 class TestArgumentSurface:
@@ -651,6 +678,25 @@ class TestConfigErrors:
         assert code in (0, 2)
         if code == 2:
             assert_one_error_line(capsys.readouterr().err)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_mistyped_problem_key())
+    @example(case=("max_iters", 0))
+    @example(case=("max_iters", True))
+    @example(case=("max_iters", 2.5))
+    @example(case=("max_iters", "3"))
+    def test_mistyped_problem_key_exits_2(self, case, tmp_path, capsys):
+        key, value = case
+        doc = json.loads(fixture_path("trajopt_fixture.json").read_text())
+        doc.update(steps=11, robot=str(fixture_path("arm7.json")))
+        doc[key] = value
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_main(["optimize-traj", "--config", config,
+                         "--out-dir", tmp_path / "o"]) == 2
+        assert_one_error_line(capsys.readouterr().err)
 
     @pytest.mark.parametrize("case", ["run-rope-horizon-0", "run-obstacle-list",
                                       "run-seed-flag-negative"])
@@ -861,6 +907,21 @@ class TestOptimizeTraj:
         assert set(manifest["files"]) == {"joint_traj.csv", "result.json"}
 
 
+    def test_max_iters_from_the_problem_document(self, tmp_path):
+        doc = json.loads(fixture_path("trajopt_fixture.json").read_text())
+        doc["robot"] = str(fixture_path("arm7.json"))
+        iterations = {}
+        for max_iters in (None, 2):
+            if max_iters is not None:
+                doc["max_iters"] = max_iters
+            config = tmp_path / f"problem_{max_iters}.json"
+            config.write_text(json.dumps(doc))
+            out = tmp_path / f"traj_{max_iters}"
+            assert run_main(["optimize-traj", "--config", config, "--out-dir", out]) == 0
+            iterations[max_iters] = json.loads((out / "result.json").read_text())["iterations"]
+        assert iterations[None] > 2 and iterations[2] <= 2
+
+
 class TestFullRun:
     def test_rigid_pipeline_succeeds(self, rigid_config_path, tmp_path,
                                      capsys):
@@ -882,6 +943,14 @@ class TestFullRun:
         assert "run_manifest.json" not in manifest["files"]
         assert "metrics.json" in manifest["files"]
         assert "scene/manifest.json" in manifest["files"]
+
+    def test_run_without_config_runs_the_packaged_rigid_demo(self, tmp_path):
+        default, packaged = tmp_path / "default", tmp_path / "packaged"
+        assert run_main(["run", "--candidates", 1, "--out-dir", default]) == 0
+        assert run_main(["run", "--config", fixture_path("scene_rigid_demo.json"),
+                         "--candidates", 1, "--out-dir", packaged]) == 0
+        assert ((default / "run_manifest.json").read_bytes()
+                == (packaged / "run_manifest.json").read_bytes())
 
     def test_rigid_run_manifest_is_reproducible(self, rigid_config_path,
                                                 tmp_path):
@@ -913,7 +982,8 @@ class TestFullRun:
         else:
             config = tmp_path / "rigid_noisy.json"
             SceneConfig(scene="rigid", frames=9, object=ObjectSpec(surface_samples=24),
-                        distractor_points=10, noise=DEFAULT_SENSOR_NOISE).save(config)
+                        distractor_points=10,
+                        noise=demo_scene("scene_rigid_demo.json").noise).save(config)
             plan_args = []
         seed = ["--seed", 3]
         run, chain = tmp_path / "run", tmp_path / "chain"

@@ -21,9 +21,9 @@ from nvflow.flow import (
     select_candidate,
 )
 from nvflow.geometry import CameraIntrinsics, DepthMap, project
-from nvflow.sim import DEFAULT_SENSOR_NOISE, SceneConfig, corrupt_flow, generate_scene
+from nvflow.sim import corrupt_flow, generate_scene
 
-from conftest import assert_same_float, tie_heavy_arrays
+from conftest import assert_same_float, demo_scene, tie_heavy_arrays
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -304,7 +304,7 @@ def reference_render(flow, intrinsics, candidate_id=None):
 @pytest.fixture(scope="module")
 def demo_flow():
     """The flow `nvflow distill` selects on the default rigid demo, and its camera."""
-    bundle = generate_scene(SceneConfig.rigid_demo(noise=DEFAULT_SENSOR_NOISE), 0)
+    bundle = generate_scene(demo_scene("scene_rigid_demo.json"), 0)
     scale = calibrate_depth(bundle.depth, bundle.depth_ref)
     tracks = TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible)
     intr = bundle.config.intrinsics
@@ -413,7 +413,7 @@ class TestRenderMatchesReference:
     def test_every_candidate_distill_draws(self, seed, tmp_path):
         # The images `nvflow run --candidates 8` writes: the flow distilled
         # from the bundle as stored, and its noise ladder at seed * 1000 + k.
-        config = SceneConfig.rigid_demo(noise=DEFAULT_SENSOR_NOISE)
+        config = demo_scene("scene_rigid_demo.json")
         bundle = generate_scene(config, seed).write(tmp_path / "scene")
         scale = calibrate_depth(bundle.depth, bundle.depth_ref)
         tracks = TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible)

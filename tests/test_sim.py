@@ -4,7 +4,6 @@ import copy
 import dataclasses
 import json
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from nvflow.geometry import (
 from nvflow.rigid import ObjectPoseTrajectory, flow_to_pose_trajectory
 import nvflow.sim as sim
 from nvflow.sim import (
-    DEFAULT_SENSOR_NOISE,
     NoiseConfig,
     ObjectSpec,
     RopeSpec,
@@ -40,15 +38,17 @@ from nvflow.sim import (
     generate_scene,
 )
 
+from conftest import demo_scene
+
 
 @pytest.fixture(scope="module")
 def plain_rope_bundle():
-    return generate_scene(SceneConfig.rope_demo())
+    return generate_scene(demo_scene("scene_rope.json"))
 
 
 @pytest.fixture(scope="module")
 def mirrored_rope_bundle():
-    return generate_scene(SceneConfig.rope_demo(mirrored=True))
+    return generate_scene(demo_scene("scene_rope_mirrored.json"))
 
 
 def small_rigid_config(frames=5, **overrides):
@@ -451,7 +451,7 @@ class TestBundleIO:
         assert on_disk == files | {"manifest.json"}
 
     def test_tracks_and_visibility_round_trip_bit_for_bit(self, tmp_path):
-        config = SceneConfig.rigid_demo(seed=3, noise=DEFAULT_SENSOR_NOISE)
+        config = demo_scene("scene_rigid_demo.json", seed=3)
         written = generate_scene(config).write(tmp_path / "scene")
         back = SceneBundle.read(tmp_path / "scene")
         assert not back.tracks.visible.all()      # dropout made some samples invisible
@@ -460,7 +460,7 @@ class TestBundleIO:
         assert back.tracks.visible.dtype == np.bool_
 
     def test_distill_from_disk_matches_distill_in_memory(self, tmp_path):
-        config = SceneConfig.rigid_demo(seed=2, noise=DEFAULT_SENSOR_NOISE)
+        config = demo_scene("scene_rigid_demo.json", seed=2)
         bundle = generate_scene(config)
         bundle.write(tmp_path / "scene")
         back = SceneBundle.read(tmp_path / "scene")
@@ -502,34 +502,24 @@ class TestNoiseHonesty:
 
 class TestConfigs:
     def test_rigid_demo_profile(self):
-        config = SceneConfig.rigid_demo(seed=3)
+        config = demo_scene("scene_rigid_demo.json", seed=3)
         assert config.scene == "rigid"
         assert config.seed == 3
         assert config.object.surface_samples == 240
-        assert config.noise == NoiseConfig()
+        assert config.noise == NoiseConfig(track_sigma=0.0005, depth_sigma=0.01,
+                                           dropout_prob=0.03, depth_scale=1.25)
 
     def test_rope_demo_profiles(self):
-        plain = SceneConfig.rope_demo()
+        plain = demo_scene("scene_rope.json")
         assert plain.rope.pinned
         assert plain.frames == 24
-        mirrored = SceneConfig.rope_demo(mirrored=True)
+        mirrored = demo_scene("scene_rope_mirrored.json")
         assert not mirrored.rope.pinned
         assert mirrored.frames == 40
         assert mirrored.rope.script[-1][0] == 1.0
 
-    @pytest.mark.parametrize("fixture,config", [
-        ("scene_rigid_demo.json", SceneConfig.rigid_demo(noise=DEFAULT_SENSOR_NOISE)),
-        ("scene_rope.json", SceneConfig.rope_demo()),
-        ("scene_rope_mirrored.json", SceneConfig.rope_demo(mirrored=True))])
-    def test_demo_constructor_saves_the_packaged_fixture(self, fixture, config, tmp_path):
-        # ``run`` without --config builds the constructor's scene; CI, the
-        # benchmark and the README load the fixture.  They must be one scene.
-        config.save(tmp_path / fixture)
-        packaged = resources.files("nvflow").joinpath("fixtures", fixture).read_bytes()
-        assert (tmp_path / fixture).read_bytes() == packaged
-
     def test_config_save_load_round_trip(self, tmp_path):
-        config = SceneConfig.rope_demo(mirrored=True, seed=9)
+        config = demo_scene("scene_rope_mirrored.json", seed=9)
         path = tmp_path / "config.json"
         config.save(path)
         back = SceneConfig.load(path)
@@ -691,16 +681,17 @@ def generator_at_state(state):
 
 def yawed_camera_config(seed):
     """The rigid demo seen by a camera turned 0.3 rad about the vertical."""
-    demo = SceneConfig.rigid_demo(seed=seed)
+    demo = demo_scene("scene_rigid_demo.json", seed=seed, noise=NoiseConfig())
     yaw = rotation_from_axis_angle(np.array([0.0, 0.0, 0.3]))
     return dataclasses.replace(
         demo, camera=SE3Pose(yaw @ demo.camera.rotation, demo.camera.translation))
 
 
 ORACLE_CONFIGS = (
-    [pytest.param(SceneConfig.rigid_demo(seed=s), id=f"rigid-{s}") for s in range(16)]
-    + [pytest.param(SceneConfig.rope_demo(seed=s), id=f"rope-{s}") for s in range(4)]
-    + [pytest.param(SceneConfig.rope_demo(mirrored=True, seed=s), id=f"mirrored-{s}")
+    [pytest.param(demo_scene("scene_rigid_demo.json", seed=s, noise=NoiseConfig()),
+                  id=f"rigid-{s}") for s in range(16)]
+    + [pytest.param(demo_scene("scene_rope.json", seed=s), id=f"rope-{s}") for s in range(4)]
+    + [pytest.param(demo_scene("scene_rope_mirrored.json", seed=s), id=f"mirrored-{s}")
        for s in range(4)]
     + [pytest.param(yawed_camera_config(s), id=f"yawed-camera-{s}") for s in range(2)])
 
@@ -819,7 +810,8 @@ class TestHullOracle:
         assert kept <= {tuple(p) for p in np.round(points[edge], 6).tolist()}
 
     def test_a_rigid_demo_frame_is_thinned_before_the_chain(self):
-        bundle = generate_scene(SceneConfig.rigid_demo(seed=0))
+        bundle = generate_scene(demo_scene("scene_rigid_demo.json", seed=0,
+                                           noise=NoiseConfig()))
         intr = bundle.config.intrinsics
         for frame in (0, 10, 20):
             pixels = project(intr, bundle.gt_flow.positions[frame])

@@ -22,20 +22,16 @@ from nvflow.trajopt import (
     BoxObstacle,
     FrameJacobian,
     HalfspaceObstacle,
-    LMOptions,
     LMResult,
     NonFiniteResidualError,
     SphereObstacle,
     TrajOptProblem,
     TrajOptWeights,
-    cost_rest,
-    cost_smooth,
     init_trajectory,
     levenberg_marquardt,
     obstacles_from_doc,
     optimize_trajectory,
     penalty_collision,
-    penalty_limits,
     problem_from_doc,
     result_to_doc,
 )
@@ -79,14 +75,6 @@ class TestLevenbergMarquardt:
         assert result.iterations <= 3
         assert result.converged
 
-    def test_linear_least_squares_with_numeric_jacobian(self, rng):
-        a = rng.standard_normal((10, 4))
-        b = rng.standard_normal(10)
-        result = levenberg_marquardt(lambda x: a @ x - b, np.zeros(4))
-        x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
-        assert np.linalg.norm(result.x - x_ref) <= 1e-6
-        assert result.iterations <= 4
-
     def test_rosenbrock_valley(self):
         def residual(x):
             return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
@@ -95,19 +83,24 @@ class TestLevenbergMarquardt:
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
         result = levenberg_marquardt(residual, np.array([-1.2, 1.0]),
-                                     jacobian=jac,
-                                     options=LMOptions(max_iters=200))
+                                     jacobian=jac, max_iters=200)
         assert np.linalg.norm(result.x - np.array([1.0, 1.0])) <= 1e-6
         assert result.converged
         assert result.cost <= 1e-12
 
-    def test_rosenbrock_without_analytic_jacobian(self):
-        def residual(x):
-            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    def test_max_iters_bounds_the_jacobian_evaluations(self):
+        calls = []
 
-        result = levenberg_marquardt(residual, np.array([-1.2, 1.0]),
-                                     options=LMOptions(max_iters=200))
-        assert np.linalg.norm(result.x - np.array([1.0, 1.0])) <= 1e-6
+        def jac(x):
+            calls.append(x.copy())
+            return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+        result = levenberg_marquardt(
+            lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+            np.array([-1.2, 1.0]), jacobian=jac, max_iters=3)
+        assert len(calls) == 3
+        assert 0 < result.iterations <= 3
+        assert not result.converged
 
     def test_cost_history_is_monotone_on_seeded_problems(self):
         for seed in range(20):
@@ -119,7 +112,11 @@ class TestLevenbergMarquardt:
             def residual(x, a=a, b_mat=b_mat, target=target):
                 return a @ x + 0.5 * np.sin(b_mat @ x) - target
 
-            result = levenberg_marquardt(residual, 0.5 * gen.standard_normal(3))
+            def jacobian(x, a=a, b_mat=b_mat):
+                return a + 0.5 * np.cos(b_mat @ x)[:, None] * b_mat
+
+            result = levenberg_marquardt(residual, 0.5 * gen.standard_normal(3),
+                                         jacobian=jacobian)
             history = np.asarray(result.cost_history)
             assert np.all(np.diff(history) < 0.0), f"seed {seed} not monotone"
             assert result.cost == history[-1]
@@ -138,7 +135,8 @@ class TestLevenbergMarquardt:
     def test_non_finite_residual_at_start(self):
         x0 = np.array([0.3, -0.7])
         with pytest.raises(NonFiniteResidualError) as excinfo:
-            levenberg_marquardt(lambda x: np.array([np.nan, 1.0]), x0)
+            levenberg_marquardt(lambda x: np.array([np.nan, 1.0]), x0,
+                                jacobian=lambda x: np.eye(2))
         assert np.array_equal(excinfo.value.x, x0)
 
     def test_non_finite_residual_mid_iteration_keeps_last_iterate(self):
@@ -167,8 +165,7 @@ class TestLevenbergMarquardt:
 
         x0 = np.array([3.0, -2.0])
         with pytest.raises(NonFiniteResidualError, match="non-finite Jacobian") as excinfo:
-            levenberg_marquardt(lambda x: a @ x - b, x0, jacobian=jacobian,
-                                options=LMOptions(lambda0=1e3))
+            levenberg_marquardt(lambda x: a @ x - b, x0, jacobian=jacobian)
         assert len(calls) == 2
         assert np.array_equal(excinfo.value.x, calls[1])
         assert not np.array_equal(calls[1], x0)      # one step was accepted
@@ -185,25 +182,10 @@ class TestLevenbergMarquardt:
                                             rel=1e-9)
         assert result.converged
 
-    @pytest.mark.parametrize("name,values", [
-        ("max_iters", [0, -3]),
-        ("lambda0", [0.0, -1e-3, np.nan, np.inf, 2e12]),      # 2e12 > lambda_max
-        ("lambda_up", [1.0, 0.5, -10.0, np.nan, np.inf]),
-        ("lambda_down", [0.0, 1.0, 1.5, -0.1, np.nan]),
-        ("grad_tol", [-1e-8, np.nan, np.inf]),
-        ("step_tol", [-1e-10, np.nan, np.inf]),
-        ("fd_step", [0.0, -1e-6, np.nan, np.inf]),
-        ("lambda_max", [1e-4, np.nan, np.inf]),                # 1e-4 < lambda0
-    ], ids=lambda v: v if isinstance(v, str) else "")
-    def test_options_reject_out_of_range_values(self, name, values):
-        for value in values:
-            with pytest.raises(ValueError, match=name):
-                LMOptions(**{name: value})
-
     def test_no_descent_at_any_damping_returns(self):
         """A wrong-sign Jacobian makes every step go uphill.  LM raises lambda
-        on each rejection and stops once it passes lambda_max, which is why
-        ``lambda_up`` must exceed 1."""
+        on each rejection and stops once it passes ``_LAMBDA_MAX``, which is
+        why ``_LAMBDA_UP`` must exceed 1."""
         result = levenberg_marquardt(lambda x: x - 1.0, np.zeros(1),
                                      jacobian=lambda x: -np.eye(1))
         assert result.iterations == 0
@@ -228,7 +210,7 @@ def lm_inputs(problem: TrajOptProblem, monkeypatch):
     """The residual, Jacobian and start point that optimize_trajectory gives LM."""
     seen = {}
 
-    def capture(residual_fn, x0, jacobian=None, options=None):
+    def capture(residual_fn, x0, jacobian, max_iters):
         seen.update(residual=residual_fn, jacobian=jacobian, x0=x0)
         return LMResult(x=x0, residual=residual_fn(x0), cost=0.0, iterations=0,
                         converged=False, cost_history=(0.0,))
@@ -436,13 +418,13 @@ class TestStructuredSolve:
 
 def full_collision_rows(problem: TrajOptProblem, full: np.ndarray, sweep=None):
     """Collision-row coefficients with every (segment, side, joint) pair
-    forward-differenced with step ``lm.fd_step`` and full FK for every
+    forward-differenced with step h = 1e-6 and full FK for every
     perturbation: the oracle for ``trajopt._collision_rows``.  It sweeps
     ``full`` itself and does not read ``sweep``."""
     model = problem.model
     steps, dof = full.shape
     n_obs = len(problem.obstacles)
-    h = problem.lm.fd_step
+    h = 1e-6
     root_c = np.sqrt(problem.weights.collision)
     s_grid = np.linspace(0.0, 1.0, problem.swept_samples)
     radii = sphere_radii(model)
@@ -752,8 +734,8 @@ class TestSweepSkipsWhatCannotMatter:
         assert np.min(pruned.seg_min).tobytes() == np.min(whole.seg_min).tobytes()
         hinge = np.maximum(boundary - whole.seg_min, 0.0)
         hinge[~np.isfinite(whole.seg_min)] = 0.0
-        residuals = penalty_collision(full, model, obstacles, problem.weights.collision,
-                                      problem.eps_safe, samples, pad=problem.collision_pad)
+        residuals, _ = penalty_collision(full, model, obstacles, problem.weights.collision,
+                                         problem.eps_safe, samples, pad=problem.collision_pad)
         assert residuals.tobytes() == (np.sqrt(problem.weights.collision)
                                        * hinge.ravel()).tobytes()
         for got, want in zip(trajopt._collision_rows(problem, full, pruned),
@@ -1003,57 +985,81 @@ class TestObstacles:
             obstacles_from_doc([{"type": "torus"}])
 
 
+def joint_rows(model: RobotModel, configs, q_rest=None, dt: float = 0.1,
+               **weights) -> dict:
+    """The rows of ``trajopt._joint_terms`` at ``configs`` (T, dof), by term:
+    smooth, rest, upper and lower (its two limits terms) and velocity.
+    ``q_rest`` defaults to the mid-range configuration."""
+    mid = 0.5 * (model.q_min + model.q_max)
+    problem = TrajOptProblem(model=model, q_start=mid, q_end=mid, steps=2,
+                             weights=TrajOptWeights(**weights), dt=dt)
+    terms = trajopt._joint_terms(problem, mid if q_rest is None else np.asarray(q_rest),
+                                 np.asarray(configs, dtype=float))
+    assert [name for name, _, _, _ in terms] == ["smooth", "rest", "limits", "limits",
+                                                 "velocity"]
+    return dict(zip(("smooth", "rest", "upper", "lower", "velocity"),
+                    (rows for _, rows, _, _ in terms)))
+
+
+def limit_rows(model: RobotModel, configs, w_limits: float, dt: float) -> np.ndarray:
+    """The position- and velocity-limit hinge rows of ``configs``, flattened."""
+    rows = joint_rows(model, configs, dt=dt, limits=w_limits)
+    return np.concatenate([rows[name].ravel() for name in ("upper", "lower", "velocity")])
+
+
 class TestResidualBlocks:
     def test_smooth_zero_for_constant_trajectory(self):
         configs = np.tile(np.array([0.3, -0.1]), (5, 1))
-        block = cost_smooth(configs, 10.0)
+        block = joint_rows(planar_two_link(), configs, smooth=10.0)["smooth"]
         assert block.shape == (4, 2)
         assert np.all(block == 0.0)
 
     def test_smooth_known_value(self):
         configs = np.array([[0.0], [0.1]])
-        block = cost_smooth(configs, 10.0)
+        block = joint_rows(one_link_with_sphere(), configs, smooth=10.0)["smooth"]
         assert float(np.sum(block ** 2)) == pytest.approx(0.1, abs=1e-12)
 
     def test_linear_interpolation_minimizes_smoothness(self, rng):
+        model = planar_two_link()
         q_start = np.array([-0.4, 0.2])
         q_end = np.array([0.6, -0.5])
         linear = init_trajectory(q_start, q_end, 9)
-        best = float(np.sum(cost_smooth(linear, 10.0) ** 2))
+        best = float(np.sum(joint_rows(model, linear, smooth=10.0)["smooth"] ** 2))
         for _ in range(100):
             perturbed = linear.copy()
             perturbed[1:-1] += 0.05 * rng.standard_normal((7, 2))
-            cost = float(np.sum(cost_smooth(perturbed, 10.0) ** 2))
+            cost = float(np.sum(joint_rows(model, perturbed, smooth=10.0)["smooth"] ** 2))
             assert best <= cost + 1e-15
 
     def test_rest_zero_at_rest_posture(self):
         q_rest = np.array([0.2, -0.3])
         configs = np.tile(q_rest, (4, 1))
-        assert np.all(cost_rest(configs, q_rest, 0.1) == 0.0)
+        assert np.all(joint_rows(planar_two_link(), configs, q_rest, rest=0.1)["rest"] == 0.0)
 
     def test_rest_known_value_and_weight_scaling(self):
+        model = one_link_with_sphere()
         configs = np.array([[1.0]])
         q_rest = np.array([0.0])
-        low = float(np.sum(cost_rest(configs, q_rest, 0.1) ** 2))
-        high = float(np.sum(cost_rest(configs, q_rest, 0.2) ** 2))
+        low = float(np.sum(joint_rows(model, configs, q_rest, rest=0.1)["rest"] ** 2))
+        high = float(np.sum(joint_rows(model, configs, q_rest, rest=0.2)["rest"] ** 2))
         assert low == pytest.approx(0.1, abs=1e-12)
         assert high == pytest.approx(2.0 * low, rel=1e-12)
 
     def test_limits_zero_inside(self):
         model = planar_two_link()
         configs = np.array([[0.5, -0.5], [0.52, -0.48], [0.54, -0.46]])
-        assert np.all(penalty_limits(configs, model, 100.0, dt=0.1) == 0.0)
+        assert np.all(limit_rows(model, configs, 100.0, dt=0.1) == 0.0)
 
     def test_limits_known_violation_value(self):
         model = planar_two_link()
         configs = np.array([[np.pi + 0.2, 0.0]])
-        block = penalty_limits(configs, model, 100.0, dt=0.1)
+        block = limit_rows(model, configs, 100.0, dt=0.1)
         assert float(np.sum(block ** 2)) == pytest.approx(4.0, abs=1e-9)
 
     def test_velocity_hinge_value(self):
         model = planar_two_link()  # velocity limit 5.0 rad/s
         configs = np.array([[0.0, 0.0], [0.7, 0.0]])
-        block = penalty_limits(configs, model, 100.0, dt=0.1)
+        block = limit_rows(model, configs, 100.0, dt=0.1)
         # |0.7| - 5.0 * 0.1 = 0.2 over the cap on joint 0 only.
         assert float(np.sum(block ** 2)) == pytest.approx(4.0, abs=1e-9)
 
@@ -1063,7 +1069,7 @@ class TestResidualBlocks:
         q_max = model.q_max[0]
 
         def f(q):
-            return float(np.sum(penalty_limits(np.array([[q]]), model, w, 0.1) ** 2))
+            return float(np.sum(limit_rows(model, np.array([[q]]), w, 0.1) ** 2))
 
         h = 1e-6
         outside = q_max + 0.1
@@ -1071,6 +1077,94 @@ class TestResidualBlocks:
         assert fd == pytest.approx(2.0 * w * 0.1, abs=1e-3)
         inside = q_max - 0.1
         assert (f(inside + h) - f(inside - h)) / (2.0 * h) == 0.0
+
+
+def block_formulas(problem: TrajOptProblem, full: np.ndarray) -> list:
+    """The smooth, rest and limit blocks of ``full`` written out as (name,
+    block) in residual order: the oracle for ``trajopt._joint_terms``."""
+    model, w = problem.model, problem.weights
+    q = np.asarray(full, dtype=float)
+    q_rest = problem.q_rest if problem.q_rest is not None \
+        else 0.5 * (model.q_min + model.q_max)
+    root = np.sqrt(w.limits)
+    return [
+        ("smooth", np.sqrt(w.smooth) * np.diff(q, axis=0)),
+        ("rest", np.sqrt(w.rest) * (q - q_rest)),
+        ("limits", root * np.maximum(q - model.q_max, 0.0)),
+        ("limits", root * np.maximum(model.q_min - q, 0.0)),
+        ("velocity", root * np.maximum(np.abs(np.diff(q, axis=0))
+                                       - model.velocity_limits * problem.dt, 0.0)),
+    ]
+
+
+def reference_residual(problem: TrajOptProblem, full: np.ndarray) -> np.ndarray:
+    """The stacked residual of ``full``: the block formulas, then the collision
+    hinges."""
+    collision, _ = penalty_collision(full, problem.model, problem.obstacles,
+                                     problem.weights.collision, problem.eps_safe,
+                                     problem.swept_samples, pad=problem.collision_pad)
+    return np.concatenate([block.ravel() for _, block in block_formulas(problem, full)]
+                          + [collision])
+
+
+class TestJointTermsMatchTheBlockFormulas:
+    """``trajopt._joint_terms`` defines the per-joint rows once; the block
+    formulas written out above are the oracle, bit for bit, for its rows,
+    for the residual LM minimizes and for the reported term costs."""
+
+    @staticmethod
+    def result_at(problem: TrajOptProblem, at: str, monkeypatch):
+        """``optimize_trajectory``'s result at the straight line, at a point
+        off it or at the solution; at the first two, LM is a stand-in that
+        returns the point as it is."""
+        if at == "solved":
+            return optimize_trajectory(problem)
+        move = perturbed if at == "perturbed" else (lambda x: x)
+
+        def stand_in(residual_fn, x0, jacobian, max_iters):
+            x = move(x0)
+            r = residual_fn(x)
+            return LMResult(x=x, residual=r, cost=float(r @ r), iterations=0,
+                            converged=False, cost_history=(float(r @ r),))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(trajopt, "levenberg_marquardt", stand_in)
+            return optimize_trajectory(problem)
+
+    @pytest.mark.parametrize("make", [lambda: packaged_problem(21),
+                                      lambda: packaged_problem(241), planar_problem],
+                             ids=["fixture-21", "fixture-241", "planar_two_link"])
+    @pytest.mark.parametrize("at", ["initial", "perturbed", "solved"])
+    def test_rows_residual_and_term_costs(self, make, at, monkeypatch):
+        problem = make()
+        result = self.result_at(problem, at, monkeypatch)
+        full = result.trajectory.configs
+        blocks = block_formulas(problem, full)
+        assert problem.q_rest is None      # optimize_trajectory rests at mid-range
+        q_rest = 0.5 * (problem.model.q_min + problem.model.q_max)
+        for slopes in (True, False):
+            terms = trajopt._joint_terms(problem, q_rest, full, slopes=slopes)
+            assert [name for name, _, _, _ in terms] == [name for name, _ in blocks]
+            for (name, rows, cur, nxt), (_, block) in zip(terms, blocks):
+                assert rows.shape == block.shape, name
+                assert rows.tobytes() == block.tobytes(), name
+                if not slopes and name in ("limits", "velocity"):
+                    assert cur is None and (nxt is None or nxt == 0.0)
+
+        residual, _, _ = lm_inputs(problem, monkeypatch)
+        want = reference_residual(problem, full)
+        assert residual(full[1:-1].ravel()).tobytes() == want.tobytes()
+
+        costs = [float(np.sum(block.ravel() ** 2)) for _, block in blocks]
+        collision = want[sum(block.size for _, block in blocks):]
+        expected = {"smooth": costs[0], "rest": costs[1], "limits": costs[2] + costs[3],
+                    "velocity": costs[4], "collision": float(np.sum(collision ** 2))}
+        assert list(result.term_costs) == list(expected)
+        for name, cost in expected.items():
+            assert np.float64(result.term_costs[name]).tobytes() == \
+                np.float64(cost).tobytes(), name
+        if at == "perturbed":     # the hinges are on somewhere
+            assert result.term_costs["limits"] > 0.0 or result.term_costs["velocity"] > 0.0
 
 
 class TestSignedDistance:
@@ -1140,7 +1234,7 @@ class TestPenaltyCollision:
         model = one_link_with_sphere(radius=0.1)
         obs = SphereObstacle(center=np.array([10.0, 0.0, 0.0]), radius=0.2)
         configs = np.array([[0.0], [0.5]])
-        block = penalty_collision(configs, model, (obs,), 15.0, eps_safe=0.02)
+        block, _ = penalty_collision(configs, model, (obs,), 15.0, eps_safe=0.02)
         assert block.shape == (1,)
         assert np.all(block == 0.0)
 
@@ -1148,7 +1242,7 @@ class TestPenaltyCollision:
         model = one_link_with_sphere(radius=0.1)
         obs = SphereObstacle(center=np.array([0.31, 0.0, 0.0]), radius=0.2)
         configs = np.array([[0.0], [0.0]])
-        block = penalty_collision(configs, model, (obs,), 15.0, eps_safe=0.02)
+        block, _ = penalty_collision(configs, model, (obs,), 15.0, eps_safe=0.02)
         # clearance 0.01 against eps 0.02: cost w * (0.01)^2
         assert float(np.sum(block ** 2)) == pytest.approx(1.5e-3, abs=1e-12)
 
@@ -1158,13 +1252,13 @@ class TestPenaltyCollision:
         costs = []
         for x in (0.31, 0.30, 0.29):
             obs = SphereObstacle(center=np.array([x, 0.0, 0.0]), radius=0.2)
-            block = penalty_collision(configs, model, (obs,), 15.0, eps_safe=0.02)
+            block, _ = penalty_collision(configs, model, (obs,), 15.0, eps_safe=0.02)
             costs.append(float(np.sum(block ** 2)))
         assert costs[0] < costs[1] < costs[2]
 
     def test_no_obstacles_gives_empty_block(self):
         model = one_link_with_sphere()
-        block = penalty_collision(np.array([[0.0], [1.0]]), model, (), 15.0, 0.02)
+        block, _ = penalty_collision(np.array([[0.0], [1.0]]), model, (), 15.0, 0.02)
         assert block.size == 0
 
 
@@ -1299,15 +1393,7 @@ class TestOptimizeTrajectory:
         assert np.all(configs >= model.q_min - 1e-12)
         assert np.all(configs <= model.q_max + 1e-12)
 
-        init_cost = float(np.sum(np.concatenate([
-            cost_smooth(init, problem.weights.smooth).ravel(),
-            cost_rest(init, problem.q_rest, problem.weights.rest).ravel(),
-            penalty_limits(init, model, problem.weights.limits, problem.dt),
-            penalty_collision(init, model, problem.obstacles,
-                              problem.weights.collision, problem.eps_safe,
-                              problem.swept_samples,
-                              pad=problem.collision_pad),
-        ]) ** 2))
+        init_cost = float(np.sum(reference_residual(problem, init) ** 2))
         assert result.final_cost <= init_cost
 
     def test_reported_clearance_survives_denser_audit(self):
@@ -1345,6 +1431,9 @@ class TestOptimizeTrajectory:
         with pytest.raises(ValueError, match="steps"):
             optimize_trajectory(TrajOptProblem(
                 model=model, q_start=np.zeros(2), q_end=np.zeros(2), steps=1))
+        with pytest.raises(ValueError, match="max_iters"):
+            TrajOptProblem(model=model, q_start=np.zeros(2), q_end=np.zeros(2), steps=5,
+                           max_iters=0)
 
 
 class TestProblemDocuments:
@@ -1376,7 +1465,7 @@ class TestProblemDocuments:
         assert problem.eps_safe == 0.03
         assert problem.swept_samples == 7
         assert problem.dt == 0.05
-        assert problem.lm.max_iters == 50
+        assert problem.max_iters == 50
         assert len(problem.obstacles) == 1
         assert isinstance(problem.obstacles[0], SphereObstacle)
 
