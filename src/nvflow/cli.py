@@ -13,7 +13,9 @@ Exit codes: 0 success, 2 missing/malformed configuration or input files,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import hashlib
 import json
 import platform
@@ -161,19 +163,23 @@ def _doc_hash(doc) -> str:
 
 
 class _Stages:
-    """Collects (name, seconds) wall-clock pairs; optionally narrates them."""
+    """Collects (name, seconds) wall-clock pairs; optionally narrates them.
+
+    ``with stages("distill"):`` times its block; a block that raises records
+    nothing.
+    """
 
     def __init__(self, verbose: bool):
         self.verbose = verbose
         self.timings: list[tuple[str, float]] = []
 
-    def run(self, name: str, fn):
+    @contextlib.contextmanager
+    def __call__(self, name: str):
         if self.verbose:
             print(f"[nvflow] {name} ...", file=sys.stderr)
         start = time.perf_counter()
-        out = fn()
+        yield
         self.timings.append((name, time.perf_counter() - start))
-        return out
 
 
 def _finish(out_dir: Path, subcommand: str, seed: int, inputs: dict,
@@ -200,10 +206,11 @@ def _finish(out_dir: Path, subcommand: str, seed: int, inputs: dict,
     })
 
 
-def _out_dir(args) -> Path:
-    if not args.out_dir:
+def _out_dir(path) -> Path:
+    """``path``, created if it does not exist; ``--out-dir`` may not be left out."""
+    if not path:
         raise ConfigError("an output directory is required (--out-dir)")
-    out = Path(args.out_dir)
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -218,19 +225,20 @@ def _do_simulate(config: SceneConfig, seed: int, out: Path,
     its manifest lists, and the manifest.
     """
     from .sim import generate_scene   # looked up per call, so a patched sim.generate_scene is seen
-    bundle = stages.run("simulate", lambda: generate_scene(config, seed))
-    stored = stages.run("write_bundle", lambda: bundle.write(out))
+    with stages("simulate"):
+        bundle = generate_scene(config, seed)
+    with stages("write_bundle"):
+        stored = bundle.write(out)
     listed = json.loads((out / "manifest.json").read_text())["files"]
     return stored, [*listed, "manifest.json"]
 
 
-def cmd_simulate(args) -> None:
+def cmd_simulate(args, stages: _Stages) -> None:
     if not args.config:
         raise ConfigError("simulate requires a scene config (--config)")
     config = _load_doc(args.config, "scene config", SceneConfig.from_doc)
     seed = config.seed if args.seed is None else args.seed
-    out = _out_dir(args)
-    stages = _Stages(args.verbose)
+    out = _out_dir(args.out_dir)
     _, files = _do_simulate(config, seed, out, stages)
     inputs = {"scene_config": _doc_hash(config.to_doc()), "seed": seed}
     _finish(out, "simulate", seed, inputs, files, stages)
@@ -253,38 +261,24 @@ def _do_distill(bundle: SceneBundle, out: Path, candidates: int, seed: int,
                 stages: _Stages) -> tuple[ActionableFlow, list[str]]:
     """Returns the selected flow as ``flow.nvfl`` stores it, and the files written."""
     intr = bundle.config.intrinsics
-
-    def calibrate():
+    with stages("calibrate"):
         scale = calibrate_depth(bundle.depth, bundle.depth_ref)
         tracks = TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible)
-        return tracks, scale
-
-    tracks, scale = stages.run("calibrate", calibrate)
-    clean = stages.run("distill", lambda: distill_flow(
-        tracks, bundle.mask, intr, label=bundle.gt_flow.label))
-
-    def corrupt_ladder():
+    with stages("distill"):
+        clean = distill_flow(tracks, bundle.mask, intr, label=bundle.gt_flow.label)
+    with stages("corrupt"):
         flows = [clean]
         for k, sigma in enumerate(_candidate_sigmas(candidates), start=1):
             flows.append(corrupt_flow(clean, sigma=sigma, seed=seed * 1000 + k))
-        return flows
-
-    flows = stages.run("corrupt", corrupt_ladder)
-
-    scored = stages.run("score", lambda: [
-        FlowCandidate(k, f, score_flow(f, intr)) for k, f in enumerate(flows)])
-    selected = select_candidate(scored)
-
-    def write_outputs():
-        files = []
-        best = scored[selected]
+    with stages("score"):
+        scored = [FlowCandidate(k, f, score_flow(f, intr)) for k, f in enumerate(flows)]
+    best = scored[select_candidate(scored)]
+    image = f"flow_{best.candidate_id:02d}.ppm"
+    with stages("write_flow"):
         stored = write_flow(out / "flow.nvfl", best.flow.positions)
-        files.append("flow.nvfl")
         # Only the kept candidate is drawn; scores.json lists every score.
-        rel = f"flow_{best.candidate_id:02d}.ppm"
-        write_ppm(out / rel, render_flow_image(best.flow, intr,
-                                               candidate_id=best.candidate_id))
-        files.append(rel)
+        write_ppm(out / image, render_flow_image(best.flow, intr,
+                                                 candidate_id=best.candidate_id))
         _write_json(out / "scores.json", {
             "version": 1,
             "selected": best.candidate_id,
@@ -294,18 +288,14 @@ def _do_distill(bundle: SceneBundle, out: Path, candidates: int, seed: int,
                 for c in scored
             ],
         })
-        files.append("scores.json")
-        return ActionableFlow(stored), files
-
-    return stages.run("write_flow", write_outputs)
+    return ActionableFlow(stored), ["flow.nvfl", image, "scores.json"]
 
 
-def cmd_distill(args) -> None:
+def cmd_distill(args, stages: _Stages) -> None:
     _check_at_least_one(args.candidates, "--candidates")
     bundle = _load_bundle(args.bundle_dir)
     seed = 0 if args.seed is None else args.seed
-    out = _out_dir(args)
-    stages = _Stages(args.verbose)
+    out = _out_dir(args.out_dir)
     _, files = _do_distill(bundle, out, args.candidates, seed, stages)
     inputs = {"bundle_manifest": sha256_file(Path(args.bundle_dir) / "manifest.json"),
               "candidates": args.candidates, "seed": seed}
@@ -317,38 +307,28 @@ def cmd_distill(args) -> None:
 def _do_plan_rigid(flow: ActionableFlow, model: RobotModel, obstacles: tuple,
                    out: Path, steps_per_frame: int, seed: int,
                    stages: _Stages) -> list[str]:
-    poses = stages.run("poses", lambda: flow_to_pose_trajectory(flow))
-
-    def grasp_stage():
+    with stages("poses"):
+        poses = flow_to_pose_trajectory(flow)
+    with stages("grasp"):
         proposals = propose_grasp(flow.positions[0])
         if not proposals:
             raise RuntimeError("no feasible grasp for this object")
-        return proposals[0]
-
-    grasp = stages.run("grasp", grasp_stage)
+    grasp = proposals[0]
     ee_targets = compose_ee_trajectory(poses, grasp.grasp_pose)
-
-    def ik_stage():
+    with stages("ik"):
         options = IKOptions(seed=seed)
         q_start = solve_ik(model, ee_targets[0], options=options)
         q_end = solve_ik(model, ee_targets[-1], seed_config=q_start, options=options)
-        return q_start, q_end
-
-    q_start, q_end = stages.run("ik", ik_stage)
 
     steps = (len(ee_targets) - 1) * steps_per_frame + 1
     problem = TrajOptProblem(model=model, q_start=q_start, q_end=q_end,
                              steps=steps, obstacles=obstacles)
-    result = stages.run("optimize", lambda: optimize_trajectory(problem))
-
-    def write_outputs():
-        files = []
+    with stages("optimize"):
+        result = optimize_trajectory(problem)
+    with stages("write_plan"):
         ObjectPoseTrajectory(tuple(ee_targets), frame="camera").to_json(out / "ee_traj.json")
-        files.append("ee_traj.json")
         result.trajectory.to_csv(out / "joint_traj.csv")
-        files.append("joint_traj.csv")
         _write_json(out / "result.json", result_to_doc(result))
-        files.append("result.json")
         _write_json(out / "plan.json", {
             "version": 1,
             "robot": robot_to_doc(model),
@@ -357,21 +337,17 @@ def _do_plan_rigid(flow: ActionableFlow, model: RobotModel, obstacles: tuple,
             "steps_per_flow_frame": steps_per_frame,
             "flow_frames": flow.frames,
         })
-        files.append("plan.json")
-        return files
-
-    return stages.run("write_plan", write_outputs)
+    return ["ee_traj.json", "joint_traj.csv", "result.json", "plan.json"]
 
 
-def cmd_plan_rigid(args) -> None:
+def cmd_plan_rigid(args, stages: _Stages) -> None:
     _check_at_least_one(args.steps_per_frame, "--steps-per-frame")
     flow = _load_flow_file(args.flow)
     model = _load_doc(args.robot, "robot model", robot_from_doc)
     obstacles = _load_doc(args.obstacles, "obstacle file",
                           _obstacles_from_doc) if args.obstacles else ()
     seed = 0 if args.seed is None else args.seed
-    out = _out_dir(args)
-    stages = _Stages(args.verbose)
+    out = _out_dir(args.out_dir)
     files = _do_plan_rigid(flow, model, obstacles, out, args.steps_per_frame,
                            seed, stages)
     inputs = {"flow": sha256_file(args.flow), "robot": sha256_file(args.robot),
@@ -387,32 +363,26 @@ def _do_plan_deformable(flow: ActionableFlow, model: MassSpringModel,
                         seed: int, cost_mode: str, stages: _Stages) -> list[str]:
     config = MPCConfig(horizon=horizon, seed=seed)
     correspondence = build_correspondence(flow, state.positions)
-    rollout = stages.run("mpc", lambda: mpc_rollout(
-        model, state, flow, config, correspondence, cost_mode=cost_mode))
-
-    def write_outputs():
-        files = []
+    with stages("mpc"):
+        rollout = mpc_rollout(model, state, flow, config, correspondence,
+                              cost_mode=cost_mode)
+    with stages("write_plan"):
         _write_json(out / "actions.json", {
             "version": 1,
             "dt": model.dt,
             "substeps_per_frame": 1,
             "actions": [[float(v) for v in row] for row in rollout.actions],
         })
-        files.append("actions.json")
         with open(out / "costs.csv", "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["t", "flow_cost"])
             for t, cost in enumerate(rollout.costs):
                 writer.writerow([str(t), f"{cost:.9g}"])
-        files.append("costs.csv")
         _write_json(out / "final_state.json", rollout.states[-1].to_doc())
-        files.append("final_state.json")
-        return files
-
-    return stages.run("write_plan", write_outputs)
+    return ["actions.json", "costs.csv", "final_state.json"]
 
 
-def cmd_plan_deformable(args) -> None:
+def cmd_plan_deformable(args, stages: _Stages) -> None:
     _check_at_least_one(args.horizon, "--horizon")
     flow = _load_flow_file(args.flow)
     model = _load_doc(args.dynamics, "dynamics file", MassSpringModel.from_doc)
@@ -428,8 +398,7 @@ def cmd_plan_deformable(args) -> None:
         raise ConfigError(f"state has {state.count} particles, model expects "
                           f"{model.n_particles}")
     seed = 0 if args.seed is None else args.seed
-    out = _out_dir(args)
-    stages = _Stages(args.verbose)
+    out = _out_dir(args.out_dir)
     files = _do_plan_deformable(flow, model, state, out, args.horizon, seed,
                                 args.cost_mode, stages)
     inputs = {"flow": sha256_file(args.flow), "dynamics": sha256_file(args.dynamics),
@@ -440,24 +409,20 @@ def cmd_plan_deformable(args) -> None:
 
 # -- standalone trajectory optimization ----------------------------------------------
 
-def cmd_optimize_traj(args) -> None:
+def cmd_optimize_traj(args, stages: _Stages) -> None:
     if not args.config:
         raise ConfigError("optimize-traj requires a problem file (--config)")
-    problem = _load_doc(args.config, "problem file", lambda doc: problem_from_doc(
-        doc, base_dir=Path(args.config).parent))
-    out = _out_dir(args)
-    stages = _Stages(args.verbose)
-    result = stages.run("optimize", lambda: optimize_trajectory(problem))
-
-    def write_outputs():
+    problem = _load_doc(args.config, "problem file", functools.partial(
+        problem_from_doc, base_dir=Path(args.config).parent))
+    out = _out_dir(args.out_dir)
+    with stages("optimize"):
+        result = optimize_trajectory(problem)
+    with stages("write_result"):
         result.trajectory.to_csv(out / "joint_traj.csv")
         _write_json(out / "result.json", result_to_doc(result))
-        return ["joint_traj.csv", "result.json"]
-
-    files = stages.run("write_result", write_outputs)
     seed = 0 if args.seed is None else args.seed
     inputs = {"problem": sha256_file(args.config), "seed": seed}
-    _finish(out, "optimize-traj", seed, inputs, files, stages)
+    _finish(out, "optimize-traj", seed, inputs, ["joint_traj.csv", "result.json"], stages)
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -522,34 +487,29 @@ def _do_eval(run_dir: Path, bundle: SceneBundle, out: Path, stages: _Stages):
         configs = _read_joint_csv(run_dir / "joint_traj.csv")
         if bundle.gt_poses is None:
             raise ConfigError("ground-truth bundle has no object poses to grade against")
-
-        def grade():
+        with stages("evaluate"):
             executed = _executed_object_poses(model, grasp, spf, configs,
                                               bundle.config.frames)
-            return evaluate_rigid(executed, bundle.gt_poses)
+            metrics = evaluate_rigid(executed, bundle.gt_poses)
     else:
         graded = ["final_state.json"]
         final = _load_doc(run_dir / "final_state.json", "particle state",
                           ParticleState.from_doc)
         if bundle.initial_state is None:
             raise ConfigError("ground-truth bundle has no particle state to grade against")
-
-        def grade():
+        with stages("evaluate"):
             corr = build_correspondence(bundle.gt_flow, bundle.initial_state.positions)
-            return evaluate_deformable(final, bundle.gt_flow, corr)
-
-    metrics = stages.run("evaluate", grade)
+            metrics = evaluate_deformable(final, bundle.gt_flow, corr)
     _write_json(out / "metrics.json", metrics.to_doc())
     return metrics, graded
 
 
-def cmd_eval(args) -> None:
+def cmd_eval(args, stages: _Stages) -> None:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise ConfigError(f"no such directory: {run_dir}")
     bundle = _load_bundle(args.gt_dir)
-    out = _out_dir(args)
-    stages = _Stages(args.verbose)
+    out = _out_dir(args.out_dir)
     _, graded = _do_eval(run_dir, bundle, out, stages)
     seed = 0 if args.seed is None else args.seed
     inputs = {"gt_manifest": sha256_file(Path(args.gt_dir) / "manifest.json"),
@@ -560,7 +520,7 @@ def cmd_eval(args) -> None:
 
 # -- full pipeline ------------------------------------------------------------------
 
-def cmd_run(args) -> None:
+def cmd_run(args, stages: _Stages) -> None:
     """Every option and input file is checked before the first stage runs."""
     config = _load_doc(args.config or _fixture_path("scene_rigid_demo.json"),
                        "scene config", SceneConfig.from_doc)
@@ -574,19 +534,18 @@ def cmd_run(args) -> None:
     else:
         _check_at_least_one(args.horizon, "--horizon")
     seed = config.seed if args.seed is None else args.seed
-    out = _out_dir(args)
-    stages = _Stages(args.verbose)
+    out = _out_dir(args.out_dir)
 
     bundle, scene_files = _do_simulate(config, seed, out / "scene", stages)
-    flow, flow_files = _do_distill(bundle, _mkdir(out / "flow"), args.candidates,
+    flow, flow_files = _do_distill(bundle, _out_dir(out / "flow"), args.candidates,
                                    seed, stages)
 
     if config.scene == "rigid":
-        plan_files = _do_plan_rigid(flow, model, obstacles, _mkdir(out / "plan"),
+        plan_files = _do_plan_rigid(flow, model, obstacles, _out_dir(out / "plan"),
                                     args.steps_per_frame, seed, stages)
     else:
         plan_files = _do_plan_deformable(flow, bundle.dynamics, bundle.initial_state,
-                                         _mkdir(out / "plan"), args.horizon, seed,
+                                         _out_dir(out / "plan"), args.horizon, seed,
                                          args.cost_mode, stages)
 
     metrics, _ = _do_eval(out / "plan", bundle, out, stages)
@@ -601,11 +560,6 @@ def cmd_run(args) -> None:
     _finish(out, "run", seed, inputs, files, stages)
     if args.verbose:
         print(f"[nvflow] success={metrics.success}", file=sys.stderr)
-
-
-def _mkdir(path: Path) -> Path:
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -696,7 +650,7 @@ def main(argv=None) -> int:
         if getattr(args, "command", None) is None:
             parser.print_usage(sys.stderr)
             return 2
-        args.func(args)
+        args.func(args, _Stages(args.verbose))
     except ConfigError as exc:
         print(f"nvflow: error: {exc}", file=sys.stderr)
         return 2

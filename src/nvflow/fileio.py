@@ -149,6 +149,8 @@ def _parse_pnm_header(blob: bytes, magic: bytes, fields: int) -> tuple[list[int]
             pos += 1
         if start == pos:
             raise ValueError("truncated header")
+        if not blob[start:pos].isdigit():     # no sign, point or digit separator
+            raise ValueError(f"bad header field {blob[start:pos][:12]!r}")
         values.append(int(blob[start:pos]))
     return values, pos + 1  # single whitespace separates header from raster
 
@@ -197,7 +199,9 @@ def mask_to_pgm(path, mask: np.ndarray) -> None:
 
 
 def mask_from_pgm(path) -> np.ndarray:
-    values, _ = read_pgm(path)
+    values, maxval = read_pgm(path)
+    if maxval != 255:
+        raise ValueError("mask PGM must be 8-bit (maxval 255)")
     return values > 127
 
 

@@ -674,6 +674,10 @@ class TrajOptProblem:
     max_iters: int = 100                # Jacobian evaluations LM may make
 
     def __post_init__(self) -> None:
+        for name in ("steps", "max_iters", "swept_samples"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps}")
         if self.max_iters < 1:

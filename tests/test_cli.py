@@ -9,6 +9,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from importlib import resources
@@ -252,6 +253,20 @@ def _first_joint_at_step_0(value):
     return lambda rows: [rows[0], [rows[1][0], value, *rows[1][2:]], *rows[2:]]
 
 
+def _distill_rewritten_mask(c, header, object_value):
+    """``distill`` of the small rigid bundle, its mask rewritten as the header
+    ``header % (width, height)`` over the same pixels, ``object_value`` where
+    the object is."""
+    bundle = c.tmp / "bundle"
+    shutil.copytree(c.fixture("rigid_bundle_dir"), bundle)
+    path = bundle / "masks/0000.pgm"
+    values, _ = read_pgm(path)
+    height, width = values.shape
+    path.write_bytes(header % (width, height)
+                     + ((values > 127) * object_value).astype(np.uint8).tobytes())
+    return _distill(c, bundle)
+
+
 def _padded_flow(c):
     """The small rigid bundle's flow file with 12 bytes after its positions."""
     path = c.tmp / "padded.nvfl"
@@ -372,6 +387,9 @@ MALFORMED_INPUT_CASES = {
         c, c.edited(c.fixture("rigid_config_path"), motion_script={})),
     "trajopt-obstacles-object": lambda c: _optimize_traj(c, steps=11, obstacles={}),
     "bundle-mask-cropped": lambda c: _distill(c, c.cropped_bundle("masks/0000.pgm")),
+    "bundle-mask-maxval-1": lambda c: _distill_rewritten_mask(c, b"P5\n%d %d\n1\n", 1),
+    "bundle-mask-width-negative": lambda c: _distill_rewritten_mask(
+        c, b"P5\n-%d %d\n255\n", 255),
     "bundle-depth-cropped": lambda c: _distill(
         c, c.cropped_bundle("depth/0000.pgm", "depth_ref.pgm")),
     "bundle-tracks-empty": lambda c: _distill(c, c.edited_bundle(tracks=lambda a: b"")),
@@ -503,6 +521,71 @@ def _mistyped_problem_key(draw):
     return key, draw(st.one_of(
         values.filter(lambda value: not _has_json_type(value, PROBLEM_TYPES[key])),
         st.sampled_from([NAN, INF, -INF])))
+
+
+# A valid .nvfl of 2 frames and 4 keypoints: more keypoints than the pose fit
+# needs, so each defect below is all that is wrong with it.
+_FLOW_VALUES = np.linspace(0.1, 1.0, 2 * 4 * 3, dtype="<f4")
+
+
+def _nvfl(magic=b"NVFL", version=1, frames=2, points=4, body=_FLOW_VALUES.tobytes()):
+    return magic + struct.pack("<III", version, frames, points) + body
+
+
+def _nvfl_with_value(index_and_value):
+    index, value = index_and_value
+    values = _FLOW_VALUES.copy()
+    values[index] = value
+    return _nvfl(body=values.tobytes())
+
+
+_VALID_NVFL = _nvfl()
+# One defect each; every other byte is as the writer made it.
+MALFORMED_NVFL = {
+    "magic": st.binary(min_size=4, max_size=4).filter(lambda m: m != b"NVFL").map(
+        lambda magic: _nvfl(magic=magic)),
+    "version": st.integers(0, 2**32 - 1).filter(lambda v: v != 1).map(
+        lambda v: _nvfl(version=v)),
+    "header-cut": st.integers(0, 15).map(lambda n: _VALID_NVFL[:n]),
+    "body-cut": st.integers(16, len(_VALID_NVFL) - 1).map(lambda n: _VALID_NVFL[:n]),
+    "body-long": st.binary(min_size=1, max_size=24).map(lambda tail: _VALID_NVFL + tail),
+    "non-finite": st.tuples(st.integers(0, _FLOW_VALUES.size - 1),
+                            st.sampled_from([NAN, INF, -INF])).map(_nvfl_with_value),
+    "frames-under-2": st.integers(0, 1).map(
+        lambda t: _nvfl(frames=t, body=_FLOW_VALUES[:12 * t].tobytes())),
+    "points-0": st.just(_nvfl(points=0, body=b"")),
+}
+BUNDLE_PGMS = ("masks/0000.pgm", "depth/0000.pgm", "depth_ref.pgm")
+PGM_DEFECTS = ("header-cut", "raster-cut", "magic", "width-non-integer",
+               "height-non-integer", "width-oversized", "height-oversized", "maxval")
+
+
+@st.composite
+def _malformed_pgm(draw, blob, defect):
+    """``blob``, a P5 PGM as write_pgm writes it, with the named defect."""
+    magic, dims, maxval, raster = blob.split(b"\n", 3)
+    width, height = dims.split()
+    header = len(blob) - len(raster)
+
+    def pgm(magic=magic, width=width, height=height, maxval=maxval):
+        return b"%s\n%s %s\n%s\n" % (magic, width, height, maxval) + raster
+
+    non_integer = st.text("0123456789.ex+-_", min_size=1, max_size=6).filter(
+        lambda token: not token.isdigit()).map(str.encode)
+    oversize = st.integers(1, 10**6)
+    maxvals = st.one_of(st.sampled_from([0, 1, 254, 255, 256, 65534, 65535, 65536]),
+                        st.integers(0, 70000)).filter(lambda v: v != int(maxval))
+    return draw({
+        "header-cut": st.integers(0, header - 1).map(lambda n: blob[:n]),
+        "raster-cut": st.integers(header, len(blob) - 1).map(lambda n: blob[:n]),
+        "magic": st.binary(min_size=2, max_size=2).filter(lambda m: m != b"P5").map(
+            lambda m: pgm(magic=m)),
+        "width-non-integer": non_integer.map(lambda w: pgm(width=w)),
+        "height-non-integer": non_integer.map(lambda h: pgm(height=h)),
+        "width-oversized": oversize.map(lambda n: pgm(width=b"%d" % (int(width) + n))),
+        "height-oversized": oversize.map(lambda n: pgm(height=b"%d" % (int(height) + n))),
+        "maxval": maxvals.map(lambda v: pgm(maxval=b"%d" % v)),
+    }[defect])
 
 
 class TestArgumentSurface:
@@ -732,6 +815,44 @@ class TestConfigErrors:
             main(argv + ["--config", "x.json"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+class TestReaderFuzzing:
+    """Malformed flow and bundle image bytes exit 2 with one error line."""
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_NVFL))
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_malformed_flow_file_exits_2(self, defect, data, tmp_path, capsys):
+        path, out = tmp_path / "flow.nvfl", tmp_path / "o"
+        path.write_bytes(data.draw(MALFORMED_NVFL[defect]))
+        capsys.readouterr()
+        assert run_main(["plan-rigid", "--flow", path,
+                         "--robot", fixture_path("arm7.json"), "--out-dir", out]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defect", PGM_DEFECTS)
+    @pytest.mark.parametrize("name", BUNDLE_PGMS)
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_malformed_bundle_pgm_exits_2(self, name, defect, data, rigid_bundle_dir,
+                                          tmp_path, capsys):
+        bundle, out = tmp_path / "bundle", tmp_path / "o"
+        if not bundle.exists():       # one copy for every example; each restores its file
+            shutil.copytree(rigid_bundle_dir, bundle)
+        path = bundle / name
+        original = path.read_bytes()
+        path.write_bytes(data.draw(_malformed_pgm(original, defect)))
+        try:
+            capsys.readouterr()
+            assert run_main(["distill", bundle, "--out-dir", out]) == 2
+            assert_one_error_line(capsys.readouterr().err)
+            assert not out.exists()
+        finally:
+            path.write_bytes(original)
 
 
 class TestRuntimeErrors:
@@ -1139,6 +1260,51 @@ class TestFullRun:
         assert "--out-dir" in err
         assert (plan / "run_manifest.json").read_bytes() == manifest
         assert not (plan / "metrics.json").exists()
+
+
+# The argv of each command, and the stages it times in run order: the names
+# timings.json lists and --verbose narrates.
+STAGE_CASES = {
+    "run-rigid": (lambda c: ["run", "--config", c.fixture("rigid_config_path"),
+                             "--candidates", 2, "--out-dir", c.out],
+                  ["simulate", "write_bundle", "calibrate", "distill", "corrupt", "score",
+                   "write_flow", "poses", "grasp", "ik", "optimize", "write_plan",
+                   "evaluate"]),
+    "run-rope": (lambda c: ["run", "--config", c.fixture("rope_config_path"),
+                            "--candidates", 2, "--horizon", 2, "--out-dir", c.out],
+                 ["simulate", "write_bundle", "calibrate", "distill", "corrupt", "score",
+                  "write_flow", "mpc", "write_plan", "evaluate"]),
+    "simulate": (lambda c: _simulate(c, c.fixture("rope_config_path")),
+                 ["simulate", "write_bundle"]),
+    "distill": (lambda c: _distill(c, c.fixture("rigid_bundle_dir")),
+                ["calibrate", "distill", "corrupt", "score", "write_flow"]),
+    "plan-rigid": (lambda c: _plan_rigid(c, c.fixture("rigid_run_dir") / "flow/flow.nvfl"),
+                   ["poses", "grasp", "ik", "optimize", "write_plan"]),
+    "plan-deformable": (_plan_deformable, ["mpc", "write_plan"]),
+    "eval": (lambda c: ["eval", c.fixture("rigid_run_dir") / "plan",
+                        c.fixture("rigid_run_dir") / "scene", "--out-dir", c.out],
+             ["evaluate"]),
+    "optimize-traj": (lambda c: _optimize_traj(c, steps=11), ["optimize", "write_result"]),
+}
+
+
+class TestStageTimings:
+    @pytest.mark.parametrize("case", sorted(STAGE_CASES))
+    def test_timings_and_verbose_name_the_stages_in_order(self, case, tmp_path, request,
+                                                          capsys):
+        build, stages = STAGE_CASES[case]
+        inputs = MalformedInputs(tmp_path, request)
+        argv = build(inputs)
+        capsys.readouterr()
+        assert run_main(argv + ["--verbose"]) == 0
+        timings = json.loads((inputs.out / "timings.json").read_text())
+        assert [name for name, _ in timings["stages"]] == stages
+        assert all(seconds >= 0.0 for _, seconds in timings["stages"])
+        assert timings["total"] == sum(seconds for _, seconds in timings["stages"])
+        narrated = [f"[nvflow] {name} ..." for name in stages]
+        if case.startswith("run"):        # both small scenes succeed
+            narrated.append("[nvflow] success=True")
+        assert capsys.readouterr().err.splitlines() == narrated
 
 
 class TestInstalledEntryPoints:

@@ -1435,6 +1435,26 @@ class TestOptimizeTrajectory:
             TrajOptProblem(model=model, q_start=np.zeros(2), q_end=np.zeros(2), steps=5,
                            max_iters=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("steps", 5.0), ("steps", True), ("steps", np.float64(5.0)),
+        ("max_iters", 2.5), ("max_iters", True), ("max_iters", "3"),
+        ("swept_samples", 3.0), ("swept_samples", np.True_)])
+    def test_integer_fields_reject_other_types(self, name, value):
+        """A float or a bool in an integer field fails at construction, not
+        inside the solve, and True is not taken as 1."""
+        fields = {"steps": 5, "max_iters": 10, "swept_samples": 3, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TrajOptProblem(model=planar_two_link(), q_start=np.zeros(2),
+                           q_end=np.full(2, 0.3), **fields)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        problem = TrajOptProblem(model=planar_two_link(), q_start=np.zeros(2),
+                                 q_end=np.full(2, 0.3), steps=np.int64(5),
+                                 max_iters=np.int32(10), swept_samples=np.uint8(3))
+        result = optimize_trajectory(problem)
+        assert result.trajectory.configs.shape == (5, 2)
+        assert 1 <= result.iterations <= 10
+
 
 class TestProblemDocuments:
     def test_problem_from_doc_inline_robot(self):
