@@ -206,11 +206,16 @@ def _finish(out_dir: Path, subcommand: str, seed: int, inputs: dict,
     })
 
 
-def _out_dir(path) -> Path:
-    """``path``, created if it does not exist; ``--out-dir`` may not be left out."""
+def _out_path(path) -> Path:
+    """``path`` as a Path; ``--out-dir`` may not be left out."""
     if not path:
         raise ConfigError("an output directory is required (--out-dir)")
-    out = Path(path)
+    return Path(path)
+
+
+def _out_dir(path) -> Path:
+    """``path``, created if it does not exist; ``--out-dir`` may not be left out."""
+    out = _out_path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -479,7 +484,9 @@ def _executed_object_poses(model: RobotModel, grasp: SE3Pose, spf: int,
 def _do_eval(run_dir: Path, bundle: SceneBundle, out: Path, stages: _Stages):
     """Grade a plan directory as the bundle's scene kind asks; writes metrics.json.
 
-    Returns the metrics and the plan files it graded.
+    ``out`` is created only once the plan files are read and graded, so a
+    malformed plan leaves no output directory.  Returns the metrics and the
+    plan files it graded.
     """
     if bundle.config.scene == "rigid":
         graded = ["plan.json", "joint_traj.csv"]
@@ -500,7 +507,7 @@ def _do_eval(run_dir: Path, bundle: SceneBundle, out: Path, stages: _Stages):
         with stages("evaluate"):
             corr = build_correspondence(bundle.gt_flow, bundle.initial_state.positions)
             metrics = evaluate_deformable(final, bundle.gt_flow, corr)
-    _write_json(out / "metrics.json", metrics.to_doc())
+    _write_json(_out_dir(out) / "metrics.json", metrics.to_doc())
     return metrics, graded
 
 
@@ -509,7 +516,7 @@ def cmd_eval(args, stages: _Stages) -> None:
     if not run_dir.is_dir():
         raise ConfigError(f"no such directory: {run_dir}")
     bundle = _load_bundle(args.gt_dir)
-    out = _out_dir(args.out_dir)
+    out = _out_path(args.out_dir)
     _, graded = _do_eval(run_dir, bundle, out, stages)
     seed = 0 if args.seed is None else args.seed
     inputs = {"gt_manifest": sha256_file(Path(args.gt_dir) / "manifest.json"),

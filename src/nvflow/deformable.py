@@ -14,6 +14,7 @@ baseline it is compared against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -447,6 +448,98 @@ def _batch_costs(model: MassSpringModel, state: ParticleState, seqs: np.ndarray,
     return costs, first_pos, first_vel
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as SeedSequence takes an int: 32-bit words, least significant first."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(const: int, mult: int):
+    """SeedSequence's running hash constant: (before, after) each multiply."""
+    while True:
+        following = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(following)
+        const = following
+
+
+def _hashmix(value: np.ndarray, constants) -> np.ndarray:
+    xor, mult = next(constants)
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _cem_noise(seed: int, t: int, iterations: int, population: int,
+               steps: int) -> np.ndarray:
+    """Every CEM sample's noise for frame ``t``, (iterations, population, steps, 3).
+
+    Row k >= 2 of iteration i is
+    ``np.random.default_rng([seed, t, i, k]).standard_normal((steps, 3))`` bit
+    for bit.  Rows 0 and 1, which the zero and mean plans replace, are zero.
+
+    Instead of one ``SeedSequence`` and ``PCG64`` per sample, it runs
+    SeedSequence's entropy mixing and ``generate_state(4, np.uint64)`` as
+    uint32 array arithmetic over every stream of the frame at once, takes
+    PCG64's seeding step ``state = (inc + initstate) * MULT + inc`` in Python
+    ints, and sets that state on one generator before each stream's draw.
+    The entropy is seed's and t's words, then i's and k's (one word each, as
+    any array index is below 2^32), so it is never shorter than the pool of
+    four words.  A negative seed raises ``ValueError``, as numpy's does.
+    """
+    entropy = _uint32_words(seed) + _uint32_words(t)
+    noise = np.zeros((iterations, population, steps, 3))
+    streams = iterations * (population - 2)
+    iteration, sample = np.divmod(np.arange(streams, dtype=np.uint32),
+                                  np.uint32(population - 2))
+    words = ([np.full(streams, word, dtype=np.uint32) for word in entropy]
+             + [iteration, sample + np.uint32(2)])
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, constants) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    state = [_hashmix(pool[j % 4], constants).astype(np.uint64) for j in range(8)]
+    # little-endian word pairs: initstate's high and low halves, then initseq's
+    halves = [(state[2 * m] | state[2 * m + 1] << np.uint64(32)).tolist()
+              for m in range(4)]
+    generator = np.random.default_rng(0)
+    bit_generator = generator.bit_generator
+    rows = (noise[i, k] for i in range(iterations) for k in range(2, population))
+    for row, seed_hi, seed_lo, seq_hi, seq_lo in zip(rows, *halves):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        initstate = seed_hi << 64 | seed_lo
+        bit_generator.state = {
+            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128,
+                      "inc": inc}}
+        generator.standard_normal(out=row)
+    return noise
+
+
 def _plan(model: MassSpringModel, state: ParticleState, flow: ActionableFlow,
           t: int, config: MPCConfig, correspondence: Correspondence,
           cost_mode: str) -> tuple[np.ndarray, ParticleState]:
@@ -473,14 +566,10 @@ def _plan(model: MassSpringModel, state: ParticleState, flow: ActionableFlow,
     best_seq = np.zeros((steps, 3))
     best_cost = np.inf
     best_next = None
-    noise = np.zeros((config.population, steps, 3))
+    noise = _cem_noise(config.seed, t, config.iterations, config.population, steps)
 
     for iteration in range(config.iterations):
-        # Samples 0 and 1 are replaced below, so their streams are not drawn.
-        for k in range(2, config.population):
-            rng = np.random.default_rng([config.seed, t, iteration, k])
-            rng.standard_normal(out=noise[k])
-        samples = _cap_actions(mean + std * noise, config.action_cap)
+        samples = _cap_actions(mean + std * noise[iteration], config.action_cap)
         samples[0] = 0.0                          # the do-nothing plan
         samples[1] = _cap_actions(mean[None], config.action_cap)[0]
         costs, next_pos, next_vel = _batch_costs(model, state, samples, targets,
@@ -521,9 +610,11 @@ def plan_actions(model: MassSpringModel, state: ParticleState, flow: ActionableF
     rollouts against the final flow frame with the symmetric Chamfer distance
     instead of corresponded tracking.
 
-    Deterministic: each sample draws from its own stream keyed on (seed, frame
-    index, iteration, sample index), so results do not depend on evaluation
-    order.
+    Deterministic: each sample draws from its own stream, numpy's
+    ``default_rng([seed, t, iteration, k])`` for frame index t and sample
+    index k, so results do not depend on evaluation order.  All of a frame's
+    streams are built in one vectorized seeding pass (``_cem_noise``), not one
+    generator per sample.
     """
     return _plan(model, state, flow, t, config, correspondence, cost_mode)[0]
 

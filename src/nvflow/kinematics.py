@@ -32,7 +32,6 @@ declares (the identity, none, and "").
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -424,10 +423,13 @@ class JointTrajectory:
         return self.configs.shape[0]
 
     def to_csv(self, path) -> None:
-        """CSV rows (t, q_0, ..., q_{dof-1}) with 9 significant digits."""
+        """CSV rows (t, q_0, ..., q_{dof-1}) with 9 significant digits.
+
+        The bytes ``csv.writer`` writes for these rows: no cell needs quoting,
+        and lines end in ``\r\n``.
+        """
         dof = self.configs.shape[1]
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t"] + [f"q_{j}" for j in range(dof)])
-            for t, row in enumerate(self.configs):
-                writer.writerow([str(t)] + [f"{v:.9g}" for v in row])
+        row = "%d" + ",%.9g" * dof + "\r\n"
+        lines = ["t" + "".join(f",q_{j}" for j in range(dof)) + "\r\n"]
+        lines += [row % (t, *q) for t, q in enumerate(self.configs.tolist())]
+        Path(path).write_text("".join(lines), newline="")

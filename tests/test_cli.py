@@ -792,6 +792,17 @@ class TestConfigErrors:
         assert not (inputs.out / "scene").exists()
         assert not (inputs.out / "flow").exists()
 
+    @pytest.mark.parametrize("case", sorted(c for c in MALFORMED_INPUT_CASES
+                                            if c.startswith("eval-")))
+    def test_eval_rejects_a_plan_before_making_out_dir(self, case, tmp_path, request,
+                                                       capsys):
+        inputs = MalformedInputs(tmp_path, request)
+        argv = MALFORMED_INPUT_CASES[case](inputs)
+        capsys.readouterr()
+        assert run_main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err)
+        assert not inputs.out.exists()
+
     def test_optimize_traj_without_config(self, tmp_path, capsys):
         assert run_main(["optimize-traj", "--out-dir", tmp_path / "o"]) == 2
         err = capsys.readouterr().err

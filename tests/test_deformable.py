@@ -602,6 +602,33 @@ class TestMPCConfig:
             MPCConfig(init_std=0.0)
 
 
+class TestCemNoise:
+    """``_cem_noise`` against numpy's per-sample ``default_rng`` streams, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 8, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_equals_the_default_rng_streams(self, seed):
+        for t in (1, 7, 2**32):
+            for iterations in (1, 2, 3):
+                for population in (2, 3, 64):
+                    for steps in range(1, 6):
+                        noise = deformable._cem_noise(seed, t, iterations, population,
+                                                      steps)
+                        assert noise.shape == (iterations, population, steps, 3)
+                        assert_same_bits(noise[:, :2], np.zeros((iterations, 2, steps, 3)))
+                        for i in range(iterations):
+                            for k in range(2, population):
+                                rng = np.random.default_rng([seed, t, i, k])
+                                assert_same_bits(noise[i, k],
+                                                 rng.standard_normal((steps, 3)))
+
+    @pytest.mark.parametrize("population", [2, 64])
+    def test_negative_seed_raises(self, population):
+        with pytest.raises(ValueError):
+            np.random.default_rng([-1, 1, 0, 2])
+        with pytest.raises(ValueError):
+            deformable._cem_noise(-1, 1, 2, population, 3)
+
+
 def reference_plan(model, state, flow, t, config, correspondence, cost_mode="flow"):
     """The planner drawing each sample into its own row, one stream at a time.
 

@@ -409,6 +409,23 @@ class TestJointTrajectory:
         parsed = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
         assert np.allclose(parsed, configs, rtol=1e-8)
 
+    @pytest.mark.parametrize("configs", [
+        np.random.default_rng(3).standard_normal((241, 7)) * 10.0 ** np.arange(-3, 4),
+        np.array([[-0.0, 1e-300, 1e300], [0.0, -1e-300, -1e300]]),
+        np.array([[1.0], [123456789.5]]),
+    ], ids=["random", "extremes", "one-joint"])
+    def test_csv_bytes_are_csv_writers(self, configs, tmp_path):
+        path = tmp_path / "traj.csv"
+        JointTrajectory(configs, dt=0.1).to_csv(path)
+        with open(tmp_path / "reference.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["t"] + [f"q_{j}" for j in range(configs.shape[1])])
+            for t, row in enumerate(configs):
+                writer.writerow([str(t)] + [f"{v:.9g}" for v in row])
+        data = path.read_bytes()
+        assert data == (tmp_path / "reference.csv").read_bytes()
+        assert data.count(b"\r\n") == configs.shape[0] + 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             JointTrajectory(np.zeros((1, 3)), dt=0.1)
