@@ -45,7 +45,7 @@ from .flow import (
     score_flow,
     select_candidate,
 )
-from .geometry import SE3Pose
+from .geometry import SE3Pose, _doc_fields
 from .kinematics import (
     IKOptions,
     RobotModel,
@@ -111,8 +111,12 @@ def _load_doc(path, what: str, build):
 
 
 def _obstacles_from_doc(doc) -> tuple:
-    """An obstacle file is a list of obstacles or an object holding one."""
-    return obstacles_from_doc(doc.get("obstacles", []) if isinstance(doc, dict) else doc)
+    """An obstacle file is a list of obstacles or an object holding one,
+    with an optional ``description``."""
+    if isinstance(doc, dict):
+        return _doc_fields(doc, {"obstacles": obstacles_from_doc},
+                           extra=("description",)).get("obstacles", ())
+    return obstacles_from_doc(doc)
 
 
 def _load_flow_file(path) -> ActionableFlow:

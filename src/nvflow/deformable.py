@@ -66,7 +66,7 @@ class ParticleState:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ParticleState":
-        return cls(_floats(doc["positions"]), _floats(doc["velocities"]))
+        return cls(**_doc_fields(doc, {"positions": _floats, "velocities": _floats}))
 
     @classmethod
     def at_rest(cls, positions: np.ndarray) -> "ParticleState":

@@ -129,7 +129,9 @@ def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:
         raise ValueError(f"values out of range for maxval {maxval}")
     header = f"P5\n{v.shape[1]} {v.shape[0]}\n{maxval}\n".encode("ascii")
     dtype = ">u2" if maxval == 65535 else np.uint8
-    Path(path).write_bytes(header + v.astype(dtype).tobytes(order="C"))
+    with open(path, "wb") as handle:
+        handle.write(header)
+        handle.write(np.ascontiguousarray(v, dtype=dtype).data)
 
 
 def _parse_pnm_header(blob: bytes, magic: bytes, fields: int) -> tuple[list[int], int]:
@@ -195,7 +197,7 @@ def mask_to_pgm(path, mask: np.ndarray) -> None:
     m = np.asarray(mask)
     if m.dtype != bool:
         raise ValueError("mask must be boolean")
-    write_pgm(path, m.astype(np.uint8) * 255, maxval=255)
+    write_pgm(path, m * np.uint8(255), maxval=255)
 
 
 def mask_from_pgm(path) -> np.ndarray:
@@ -207,8 +209,9 @@ def mask_from_pgm(path) -> np.ndarray:
 
 # -- depth -------------------------------------------------------------------
 
-def _depth_from_mm(mm: np.ndarray) -> DepthMap:
-    return DepthMap(mm.astype(float) / 1000.0)
+def _depth_from_mm(mm: np.ndarray, out: np.ndarray | None = None) -> DepthMap:
+    """Millimeters as a depth map in meters, decoded into ``out`` if given."""
+    return DepthMap(np.divide(mm, 1000.0, out=out))
 
 
 def depth_to_pgm(path, depth: DepthMap) -> DepthMap:
@@ -216,12 +219,13 @@ def depth_to_pgm(path, depth: DepthMap) -> DepthMap:
 
     Returns the depth map :func:`depth_from_pgm` decodes from the file.
     """
-    mm = np.round(depth.values * 1000.0)
+    mm = depth.values * 1000.0
+    np.round(mm, out=mm)
     if mm.max(initial=0.0) > 65535:
         raise ValueError("depth exceeds the 65.535 m range of 16-bit millimeters")
-    stored = mm.astype(np.uint16)
+    stored = mm.astype(">u2")    # the file's byte order, so write_pgm copies nothing
     write_pgm(path, stored, maxval=65535)
-    return _depth_from_mm(stored)
+    return _depth_from_mm(stored, out=mm)
 
 
 def depth_from_pgm(path) -> DepthMap:

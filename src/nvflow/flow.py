@@ -110,17 +110,17 @@ def _median(values: np.ndarray) -> float:
     """``np.median`` of a finite 1-d array, bit for bit, without importing numpy.ma.
 
     np.median imports numpy.ma on its first call, 11-14 ms of a fresh
-    process.  This partitions with the same split points (the middle one or
-    two, and the last), so it picks the same elements, and averages them as
+    process.  This partitions at the upper middle index n // 2 alone, so
+    that element is numpy's; for even n the lower middle value is the
+    largest of the part before it.  The one or two values are averaged as
     numpy's mean does: summed from +0.0, so that -0.0 reads +0.0, then
     divided by their count.
     """
     n = values.size
-    middle = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
-    part = np.partition(values, middle + [-1])
+    part = np.partition(values, n // 2)
     if n % 2:
         return float(0.0 + part[n // 2])
-    return float((0.0 + part[n // 2 - 1] + part[n // 2]) / 2.0)
+    return float((0.0 + part[:n // 2].max() + part[n // 2]) / 2.0)
 
 
 def calibrate_depth(first: DepthMap, reference: DepthMap) -> float:

@@ -46,18 +46,25 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
-def _doc_fields(doc, casts: dict) -> dict:
+def _doc_fields(doc, casts: dict, extra: tuple[str, ...] = ()) -> dict:
     """Constructor arguments from the keys of a JSON object that ``casts`` names.
 
     Each present key is passed through its cast; an absent key is left out,
     so the constructor supplies the default its type declares.  Every JSON
-    reader builds its types this way, and unknown keys are ignored.
+    reader builds its types this way.  A key that neither ``casts`` nor
+    ``extra`` names is an error, so a misspelled key cannot fall back to
+    its default unseen; ``extra`` names the keys the caller reads itself
+    or lets pass (a scene's ``image``, a document's ``description``).
 
     Raises:
         TypeError: ``doc`` is not a JSON object.
+        ValueError: ``doc`` has a key that neither table names.
     """
     if not isinstance(doc, dict):
         raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in casts and key not in extra:
+            raise ValueError(f"unknown key {key!r}")
     return {key: cast(doc[key]) for key, cast in casts.items() if key in doc}
 
 

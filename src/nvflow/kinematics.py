@@ -176,16 +176,14 @@ def robot_to_doc(model: RobotModel) -> dict:
 def robot_from_doc(doc: dict) -> RobotModel:
     return RobotModel(**_doc_fields(doc, {
         "joints": lambda joints: tuple(
-            Joint(axis=_floats(j["axis"]),
-                  origin=SE3Pose.from_doc(j["origin"]),
-                  q_min=_float(j["q_min"]), q_max=_float(j["q_max"]),
-                  velocity_limit=_float(j["velocity_limit"]))
+            Joint(**_doc_fields(j, {"axis": _floats, "origin": SE3Pose.from_doc,
+                                    "q_min": _float, "q_max": _float,
+                                    "velocity_limit": _float}))
             for j in _doc_list(joints)),
         "ee_offset": SE3Pose.from_doc,
         "collision_spheres": lambda spheres: tuple(
-            CollisionSphere(link=_int(s["link"]),
-                            center=_floats(s["center"]),
-                            radius=_float(s["radius"]))
+            CollisionSphere(**_doc_fields(s, {"link": _int, "center": _floats,
+                                              "radius": _float}))
             for s in _doc_list(spheres)),
         "base_pose": SE3Pose.from_doc,
         "name": str,

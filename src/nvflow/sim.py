@@ -57,7 +57,8 @@ from .geometry import (
     project,
     rotation_from_axis_angle,
     rotation_geodesic_angle,
-    screw_interpolate,
+    se3_exp,
+    se3_log,
 )
 from .rigid import ObjectPoseTrajectory
 
@@ -299,7 +300,7 @@ class SceneConfig:
                 "length": _float, "particles": _int, "flow_keypoints": _int,
                 "center": numbers, "height": _float, "pinned": _bool,
                 "script": lambda keys: tuple(numbers(key) for key in _doc_list(keys))})),
-        })
+        }, extra=("image",))
         if "motion_script" in kwargs:
             kwargs["waypoints"] = kwargs.pop("motion_script")
         if "image" in doc:
@@ -328,24 +329,36 @@ def _default_waypoints(spec: ObjectSpec) -> tuple[Waypoint, ...]:
 
 # -- camera and rasterization ----------------------------------------------------
 
+_GROUND_ROWS = 32      # image rows per block of rays in _ground_depth
+
+
 def _ground_depth(intrinsics: CameraIntrinsics, extrinsic: SE3Pose) -> np.ndarray:
     """Per-pixel camera-frame depth of the table, the world plane z = 0.
 
     ``extrinsic`` maps world to camera coordinates.  Pixels whose rays miss
     the plane (or hit it behind the camera) are left at 0, i.e. invalid.
+    The rays ((u - cx) / fx, (v - cy) / fy, 1) are built and dotted with the
+    plane normal a block of rows at a time, not as one (H, W, 3) array.  The
+    bits are the same: numpy's matmul of a stack of (W, 3) rows with a (3,)
+    vector makes one BLAS gemv call per image row either way, on the same
+    row of rays, so no sum is accumulated in another order.
     """
     normal = extrinsic.rotation @ np.array([0.0, 0.0, 1.0])
     on_plane = extrinsic.apply(np.zeros(3))
     offset = float(normal @ on_plane)
-    # Each ray (u - cx) / fx, (v - cy) / fy, 1 broadcast along its row or column.
-    rays = np.empty((intrinsics.height, intrinsics.width, 3))
-    rays[..., 0] = (np.arange(intrinsics.width) - intrinsics.cx) / intrinsics.fx
-    rays[..., 1] = ((np.arange(intrinsics.height) - intrinsics.cy) / intrinsics.fy)[:, None]
-    rays[..., 2] = 1.0
-    denom = rays @ normal
-    depth = np.zeros((intrinsics.height, intrinsics.width))
-    np.divide(offset, denom, out=depth, where=np.abs(denom) > 1e-9)
-    np.copyto(depth, 0.0, where=depth < 0.0)
+    height, width = intrinsics.height, intrinsics.width
+    ys = (np.arange(height) - intrinsics.cy) / intrinsics.fy
+    block = np.empty((min(height, _GROUND_ROWS), width, 3))
+    block[..., 0] = (np.arange(width) - intrinsics.cx) / intrinsics.fx
+    block[..., 2] = 1.0
+    depth = np.zeros((height, width))
+    for start in range(0, height, _GROUND_ROWS):
+        out = depth[start:start + _GROUND_ROWS]
+        rows = block[:len(out)]
+        rows[..., 1] = ys[start:start + len(out), None]
+        denom = rows @ normal
+        np.divide(offset, denom, out=out, where=np.abs(denom) > 1e-9)
+        np.copyto(out, 0.0, where=out < 0.0)
     return depth
 
 
@@ -420,16 +433,20 @@ def _render_mask(intrinsics: CameraIntrinsics, pixels: np.ndarray,
         y0 = max(int(math.floor(hull[:, 1].min())), 0)
         y1 = min(int(math.ceil(hull[:, 1].max())), height - 1)
         if x1 >= x0 and y1 >= y0:
-            # Every edge's half-plane test in one (edges, rows, cols) broadcast.
-            a, b = hull[:, :, None, None], np.roll(hull, -1, axis=0)[:, :, None, None]
+            # The AND of every edge's half-plane test over the hull's box.
             u, v = np.arange(x0, x1 + 1), np.arange(y0, y1 + 1)[:, None]
-            side = (b[:, 0] - a[:, 0]) * (v - a[:, 1]) - (b[:, 1] - a[:, 1]) * (u - a[:, 0])
-            mask[y0:y1 + 1, x0:x1 + 1] |= (side >= -1e-9).all(axis=0)
+            inside = np.ones((len(v), len(u)), dtype=bool)
+            for a, b in zip(hull, np.roll(hull, -1, axis=0)):
+                inside &= (b[0] - a[0]) * (v - a[1]) - (b[1] - a[1]) * (u - a[0]) >= -1e-9
+            mask[y0:y1 + 1, x0:x1 + 1] |= inside
     u, v = np.round(pixels).astype(int).T
     step = np.arange(-1, 2)
     mask[np.clip(v[:, None, None] + step[:, None], 0, height - 1),
          np.clip(u[:, None, None] + step, 0, width - 1)] = True
     return mask
+
+
+_NEAR_CHUNK = 1 << 15   # (candidate, keypoint) distances per block in _place_distractors
 
 
 def _place_distractors(config: SceneConfig, rng: np.random.Generator,
@@ -442,7 +459,8 @@ def _place_distractors(config: SceneConfig, rng: np.random.Generator,
     object and distractor tracks apart.  Each round draws one
     (x, y) pair per point still missing and accepts the passing pairs in draw
     order, so the stream is consumed as by testing one pair at a time.  A
-    point that meets 500 rejections in a row is an error.
+    point that meets 500 rejections in a row is an error.  The keypoint test
+    runs on blocks of whole candidates, each candidate's minimum its own.
     """
     intr = config.intrinsics
     cx, cy = float(config.camera.translation[0]), float(config.camera.translation[1])
@@ -467,7 +485,9 @@ def _place_distractors(config: SceneConfig, rng: np.random.Generator,
         ok[ok] = ~blocked[iv, iu]
         # Outside the keypoints' box grown by 5 px, every keypoint is > 4 px away.
         near = np.flatnonzero(ok & np.all((uv >= near_low) & (uv <= near_high), axis=1))
-        for chunk in np.array_split(near, max(1, len(near) * len(flat) >> 18)):
+        step = max(1, _NEAR_CHUNK // len(flat))
+        for start in range(0, len(near), step):
+            chunk = near[start:start + step]
             du, dv = flat[:, 0] - uv[chunk, :1], flat[:, 1] - uv[chunk, 1:]
             # The sum np.linalg.norm forms over a length-2 axis.
             ok[chunk] = np.sqrt(du * du + dv * dv).min(axis=1) >= 4.0
@@ -527,8 +547,14 @@ def _render_depth(config: SceneConfig, rng: np.random.Generator,
     depth[mask] = object_depth
     reference = DepthMap(depth)
     if noise.depth_sigma > 0.0:
-        depth = np.maximum(depth * (1.0 + noise.depth_sigma * rng.standard_normal(depth.shape)), 0.0)
-    return DepthMap(depth * noise.depth_scale), reference
+        # depth * (1 + sigma * N), clipped at 0, computed in place on the draws.
+        sensor = rng.standard_normal(depth.shape)
+        sensor *= noise.depth_sigma
+        sensor += 1.0
+        sensor *= depth
+        depth = np.maximum(sensor, 0.0, out=sensor)
+    depth *= noise.depth_scale
+    return DepthMap(depth), reference
 
 
 def _observe(config: SceneConfig, rng: np.random.Generator, gt_points: np.ndarray) -> dict:
@@ -587,15 +613,18 @@ def _sample_surface_points(spec: ObjectSpec, rng: np.random.Generator) -> np.nda
 
 
 def _waypoint_poses(waypoints: tuple[Waypoint, ...], frames: int) -> list[SE3Pose]:
+    """Each frame's pose, ``screw_interpolate`` between the waypoints around
+    it, with each segment's twist taken once instead of once per frame."""
     times = np.array([w.time for w in waypoints])
     poses = [w.pose() for w in waypoints]
+    twists = [se3_log(a.inverse().compose(b)) for a, b in zip(poses[:-1], poses[1:])]
     out = []
     for t in range(frames):
         frac = t / (frames - 1)
         seg = int(np.clip(np.searchsorted(times, frac, side="right") - 1, 0, len(poses) - 2))
         t0, t1 = times[seg], times[seg + 1]
         tau = 0.0 if t1 == t0 else (frac - t0) / (t1 - t0)
-        out.append(screw_interpolate(poses[seg], poses[seg + 1], float(np.clip(tau, 0.0, 1.0))))
+        out.append(poses[seg].compose(se3_exp(float(np.clip(tau, 0.0, 1.0)) * twists[seg])))
     return out
 
 

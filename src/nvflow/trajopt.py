@@ -430,24 +430,23 @@ class HalfspaceObstacle:
 Obstacle = Union[SphereObstacle, BoxObstacle, HalfspaceObstacle]
 
 
+_OBSTACLE_FIELDS = {
+    "sphere": (SphereObstacle, {"center": _floats, "radius": _float}),
+    "box": (BoxObstacle, {"center": _floats, "half_extents": _floats,
+                          "rotation": lambda rotation: _floats(rotation).reshape(3, 3)}),
+    "halfspace": (HalfspaceObstacle, {"point": _floats, "normal": _floats}),
+}
+
+
 def obstacles_from_doc(docs: list[dict]) -> tuple[Obstacle, ...]:
+    """Obstacles from a JSON array of objects, each with its ``type``."""
     out: list[Obstacle] = []
     for doc in _doc_list(docs):
         kind = doc.get("type")
-        if kind == "sphere":
-            out.append(SphereObstacle(center=_floats(doc["center"]),
-                                      radius=_float(doc["radius"])))
-        elif kind == "box":
-            rotation = _floats(doc["rotation"]).reshape(3, 3) if "rotation" in doc \
-                else np.eye(3)
-            out.append(BoxObstacle(center=_floats(doc["center"]),
-                                   half_extents=_floats(doc["half_extents"]),
-                                   rotation=rotation))
-        elif kind == "halfspace":
-            out.append(HalfspaceObstacle(point=_floats(doc["point"]),
-                                         normal=_floats(doc["normal"])))
-        else:
+        if not isinstance(kind, str) or kind not in _OBSTACLE_FIELDS:
             raise ValueError(f"unknown obstacle type {kind!r}")
+        build, casts = _OBSTACLE_FIELDS[kind]
+        out.append(build(**_doc_fields(doc, casts, extra=("type",))))
     return tuple(out)
 
 
@@ -923,7 +922,7 @@ def problem_from_doc(doc: dict, base_dir=None) -> TrajOptProblem:
             ("smooth", "rest", "limits", "collision"), _float))),
         "eps_safe": _float, "collision_pad": _float, "swept_samples": _int, "dt": _float,
         "obstacles": obstacles_from_doc, "max_iters": _int,
-    })
+    }, extra=("description",))
     kwargs["model"] = kwargs.pop("robot")
     return TrajOptProblem(**kwargs)
 

@@ -477,6 +477,55 @@ MALFORMED_INPUT_CASES = {
         script=[[0.0, 3.0, 0.0], [True, 0.0, 0.0]])),
 }
 
+
+def _run_rigid(c, *flags):
+    return ["run", "--config", c.fixture("rigid_config_path"), "--candidates", 1,
+            *flags, "--out-dir", c.out]
+
+
+def _misspelled_spheres(c):
+    robot = json.loads(fixture_path("arm7.json").read_text())
+    robot["colision_spheres"] = robot.pop("collision_spheres")
+    return c.write(robot, "robot.json")
+
+
+# A key no reader names, at each level of each document a user writes, and
+# the key the one error line must name.  Read leniently, each would plan
+# with the default in its place (no collision spheres, a perfect sensor).
+MISSPELLED_KEY_CASES = {
+    "run-robot-colision-spheres": (
+        lambda c: _run_rigid(c, "--robot", _misspelled_spheres(c)), "colision_spheres"),
+    "robot-joint-qmin": (lambda c: _optimize_traj_robot(c, joint={"qmin": -2.9}), "qmin"),
+    "robot-sphere-radious": (
+        lambda c: _optimize_traj_robot(c, sphere={"radious": 0.03}), "radious"),
+    "run-obstacle-file-obstacle": (lambda c: _run_rigid(c, "--obstacles", c.write(
+        {"obstacle": [{"type": "sphere", "center": [0.01, 0.0, 0.87], "radius": 0.03}]},
+        "obstacles.json")), "obstacle"),
+    "trajopt-sphere-radiuss": (lambda c: _optimize_traj(c, obstacles=[{
+        "type": "sphere", "center": [0.01, 0.0, 0.87], "radius": 0.03, "radiuss": 0.1}]),
+        "radiuss"),
+    "trajopt-max-iter": (lambda c: _optimize_traj(c, max_iter=2), "max_iter"),
+    "trajopt-weights-smoth": (lambda c: _optimize_traj(c, weights={"smoth": 1.0}), "smoth"),
+    "scene-noize": (lambda c: _simulate(c, c.edited(
+        c.fixture("rigid_config_path"), noize={"depth_sigma": 0.0})), "noize"),
+    "scene-noise-track-sigam": (
+        lambda c: _simulate(c, c.rigid_edited("noise", track_sigam=0.0)), "track_sigam"),
+    "scene-image-focl": (lambda c: _simulate(c, c.rigid_edited("image", focl=600.0)), "focl"),
+    "scene-object-sise": (
+        lambda c: _simulate(c, c.rigid_edited("object", sise=[0.1, 0.1, 0.1])), "sise"),
+    "scene-waypoint-positon": (lambda c: _simulate(c, c.edited(
+        c.fixture("rigid_config_path"), motion_script=[
+            {"time": 0.0, "position": [0.4, 0.0, 0.025]},
+            {"time": 1.0, "positon": [0.5, 0.0, 0.025]}])), "positon"),
+    "scene-rope-pinnd": (lambda c: _simulate(c, c.rope_edited(pinnd=False)), "pinnd"),
+    "dynamics-stifness": (lambda c: _plan_deformable(c, stifness=500.0), "stifness"),
+    "state-velocity": (lambda c: _plan_deformable(c) + ["--state", c.write({**json.loads(
+        (c.fixture("rope_bundle_dir") / "initial_state.json").read_text()), "velocity": []},
+        "state.json")], "velocity"),
+}
+MALFORMED_INPUT_CASES.update(
+    {case: build for case, (build, _) in MISSPELLED_KEY_CASES.items()})
+
 # Every top-level key of the two documents a user writes by hand, each
 # deleted or set to every one of these values.
 BAD_VALUES = {"deleted": DELETE, "string": "x", "list": [], "object": {},
@@ -781,8 +830,16 @@ class TestConfigErrors:
                          "--out-dir", tmp_path / "o"]) == 2
         assert_one_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("case", sorted(MISSPELLED_KEY_CASES))
+    def test_error_names_the_unknown_key(self, case, tmp_path, request, capsys):
+        build, key = MISSPELLED_KEY_CASES[case]
+        argv = build(MalformedInputs(tmp_path, request))
+        capsys.readouterr()
+        assert run_main(argv) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", ["run-rope-horizon-0", "run-obstacle-list",
-                                      "run-seed-flag-negative"])
+                                      "run-seed-flag-negative", "run-robot-colision-spheres"])
     def test_run_rejects_input_before_any_stage(self, case, tmp_path, request, capsys):
         inputs = MalformedInputs(tmp_path, request)
         argv = MALFORMED_INPUT_CASES[case](inputs)

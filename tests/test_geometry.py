@@ -9,6 +9,7 @@ from nvflow.geometry import (
     CameraIntrinsics,
     DepthMap,
     SE3Pose,
+    _doc_fields,
     _floats,
     axis_angle_from_rotation,
     project,
@@ -194,3 +195,20 @@ class TestJsonNumberArrays:
         doc["translation"][1] = "0"
         with pytest.raises(TypeError, match="JSON number"):
             SE3Pose.from_doc(doc)
+
+
+class TestDocFields:
+    def test_present_keys_are_cast_and_absent_ones_left_out(self):
+        assert _doc_fields({"a": 2}, {"a": float, "b": int}) == {"a": 2.0}
+
+    def test_a_key_no_table_names_is_an_error_that_names_it(self):
+        with pytest.raises(ValueError, match="unknown key 'colision_spheres'"):
+            _doc_fields({"a": 1, "colision_spheres": []}, {"a": int})
+
+    def test_extra_keys_pass_uncast(self):
+        doc = {"a": 1, "description": "a ball"}
+        assert _doc_fields(doc, {"a": int}, extra=("description",)) == {"a": 1}
+
+    def test_a_list_is_a_type_error(self):
+        with pytest.raises(TypeError, match="JSON object"):
+            _doc_fields([1], {"a": int})

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nvflow.geometry import (
     SE3Pose,
     project,
     rotation_from_axis_angle,
+    screw_interpolate,
 )
 from nvflow.rigid import ObjectPoseTrajectory, flow_to_pose_trajectory
 import nvflow.sim as sim
@@ -32,6 +34,7 @@ from nvflow.sim import (
     _ground_depth,
     _place_distractors,
     _render_mask,
+    _waypoint_poses,
     corrupt_flow,
     evaluate_deformable,
     evaluate_rigid,
@@ -840,3 +843,88 @@ class TestGroundDepthOracle:
         extr = _camera(tilt, yaw).inverse()
         expected = ground_depth_by_meshgrid(intrinsics, extr)
         assert _ground_depth(intrinsics, extr).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("tilt,yaw", [(0.4, 0.7), (-0.9, 0.2), (1.2, 0.7)])
+    @pytest.mark.parametrize("height", [1, sim._GROUND_ROWS - 1, sim._GROUND_ROWS + 1, 481])
+    def test_row_blocks_keep_the_bits_at_every_height(self, tilt, yaw, height):
+        # One row, a block cut short, one row past a block, and a last
+        # block of one row after 15 whole ones.
+        intrinsics = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=height / 2.0,
+                                      width=640, height=height)
+        extr = _camera(tilt, yaw).inverse()
+        expected = ground_depth_by_meshgrid(intrinsics, extr)
+        assert _ground_depth(intrinsics, extr).tobytes() == expected.tobytes()
+
+
+class TestDistractorChunks:
+    def test_blocks_of_the_keypoint_test_match_one_block(self, monkeypatch):
+        # 2,000 keypoints over a 300 px square and no mask: about two in three
+        # candidates there are rejected by the keypoint test alone, and a
+        # 2^15 block holds 16 of the 100-odd candidates a round draws there.
+        config = small_rigid_config(distractor_points=300)
+        pixels = np.random.default_rng(5).uniform([170.0, 90.0], [470.0, 390.0], (1, 2000, 2))
+        union = np.zeros((config.height, config.width), dtype=bool)
+        placed = {}
+        for chunk in (1, sim._NEAR_CHUNK, 1 << 62):
+            monkeypatch.setattr(sim, "_NEAR_CHUNK", chunk)
+            rng = np.random.default_rng(7)
+            placed[chunk] = (_place_distractors(config, rng, pixels, union).tobytes(),
+                             rng.bit_generator.state)
+        assert placed[1] == placed[1 << 62]
+        assert placed[sim._NEAR_CHUNK] == placed[1 << 62]
+
+
+def _waypoints(rng, count):
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, count - 2)), [1.0]])
+    return tuple(Waypoint(float(t), tuple(rng.uniform(-0.5, 0.5, 3)), float(rng.uniform(-3, 3)))
+                 for t in times)
+
+
+class TestWaypointPoses:
+    @pytest.mark.parametrize("frames", [2, 7, 21, 50])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_match_screw_interpolate_per_frame_bit_for_bit(self, frames, seed):
+        rng = np.random.default_rng(seed)
+        waypoints = (_waypoints(rng, 2 + seed) if seed
+                     else demo_scene("scene_rigid_demo.json").waypoints)
+        times = [w.time for w in waypoints]
+        for t, pose in enumerate(_waypoint_poses(waypoints, frames)):
+            frac = t / (frames - 1)
+            seg = min(max(int(np.searchsorted(times, frac, side="right")) - 1, 0),
+                      len(waypoints) - 2)
+            tau = (frac - times[seg]) / (times[seg + 1] - times[seg])
+            expected = screw_interpolate(waypoints[seg].pose(), waypoints[seg + 1].pose(),
+                                         float(np.clip(tau, 0.0, 1.0)))
+            assert pose.rotation.tobytes() == expected.rotation.tobytes()
+            assert pose.translation.tobytes() == expected.translation.tobytes()
+
+
+def _traced_peak(call) -> int:
+    """The most memory ``call`` holds at once, in bytes, as tracemalloc counts
+    it: allocation sizes, not time."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFootprint:
+    """The rigid demo at seed 0 renders 640 x 480 float64 maps, 2.46 MB each.
+
+    Scene generation once peaked at 16.6 MB and the bundle write at 10.8 MB,
+    with full-frame ray arrays, noise terms and decoded copies that were
+    thrown away at once.
+    """
+
+    CONFIG = demo_scene("scene_rigid_demo.json", seed=0)
+
+    def test_generate_scene_peak(self):
+        generate_scene(self.CONFIG)          # first-call caches out of the count
+        assert _traced_peak(lambda: generate_scene(self.CONFIG)) < 11.5e6
+
+    def test_bundle_write_peak(self, tmp_path):
+        bundle = generate_scene(self.CONFIG)
+        bundle.write(tmp_path / "first")
+        assert _traced_peak(lambda: bundle.write(tmp_path / "second")) < 9.6e6
