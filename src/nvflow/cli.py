@@ -45,7 +45,7 @@ from .flow import (
     score_flow,
     select_candidate,
 )
-from .geometry import SE3Pose, _doc_fields
+from .geometry import SE3Pose, _doc_fields, _int
 from .kinematics import (
     IKOptions,
     RobotModel,
@@ -459,8 +459,11 @@ def _read_joint_csv(path) -> np.ndarray:
 
 def _plan_from_doc(doc: dict) -> tuple[RobotModel, SE3Pose, int]:
     """The robot, grasp and trajectory steps per flow frame of a rigid plan."""
-    return (robot_from_doc(doc["robot"]), SE3Pose.from_doc(doc["grasp"]),
-            int(doc["steps_per_flow_frame"]))
+    plan = _doc_fields(doc, {
+        "robot": robot_from_doc,
+        "grasp": lambda grasp: SE3Pose.from_doc(grasp, extra=("width", "quality")),
+        "steps_per_flow_frame": _int}, extra=("version", "flow_frames"))
+    return plan["robot"], plan["grasp"], plan["steps_per_flow_frame"]
 
 
 def _executed_object_poses(model: RobotModel, grasp: SE3Pose, spf: int,
@@ -485,32 +488,35 @@ def _executed_object_poses(model: RobotModel, grasp: SE3Pose, spf: int,
     return ObjectPoseTrajectory(tuple(poses), frame="camera")
 
 
-def _do_eval(run_dir: Path, bundle: SceneBundle, out: Path, stages: _Stages):
-    """Grade a plan directory as the bundle's scene kind asks; writes metrics.json.
+def _do_eval(run_dir: Path, config: SceneConfig, gt_flow: ActionableFlow,
+             gt_poses: ObjectPoseTrajectory | None, initial_state: ParticleState | None,
+             out: Path, stages: _Stages):
+    """Grade a plan directory against a scene's ground truth, as its kind asks;
+    writes metrics.json.
 
-    ``out`` is created only once the plan files are read and graded, so a
-    malformed plan leaves no output directory.  Returns the metrics and the
-    plan files it graded.
+    A rigid plan is graded against ``gt_poses``, a rope plan against
+    ``gt_flow`` from ``initial_state``.  ``out`` is created only once the
+    plan files are read and graded, so a malformed plan leaves no output
+    directory.  Returns the metrics and the plan files it graded.
     """
-    if bundle.config.scene == "rigid":
+    if config.scene == "rigid":
         graded = ["plan.json", "joint_traj.csv"]
         model, grasp, spf = _load_doc(run_dir / "plan.json", "plan file", _plan_from_doc)
         configs = _read_joint_csv(run_dir / "joint_traj.csv")
-        if bundle.gt_poses is None:
+        if gt_poses is None:
             raise ConfigError("ground-truth bundle has no object poses to grade against")
         with stages("evaluate"):
-            executed = _executed_object_poses(model, grasp, spf, configs,
-                                              bundle.config.frames)
-            metrics = evaluate_rigid(executed, bundle.gt_poses)
+            executed = _executed_object_poses(model, grasp, spf, configs, config.frames)
+            metrics = evaluate_rigid(executed, gt_poses)
     else:
         graded = ["final_state.json"]
         final = _load_doc(run_dir / "final_state.json", "particle state",
                           ParticleState.from_doc)
-        if bundle.initial_state is None:
+        if initial_state is None:
             raise ConfigError("ground-truth bundle has no particle state to grade against")
         with stages("evaluate"):
-            corr = build_correspondence(bundle.gt_flow, bundle.initial_state.positions)
-            metrics = evaluate_deformable(final, bundle.gt_flow, corr)
+            corr = build_correspondence(gt_flow, initial_state.positions)
+            metrics = evaluate_deformable(final, gt_flow, corr)
     _write_json(_out_dir(out) / "metrics.json", metrics.to_doc())
     return metrics, graded
 
@@ -521,7 +527,8 @@ def cmd_eval(args, stages: _Stages) -> None:
         raise ConfigError(f"no such directory: {run_dir}")
     bundle = _load_bundle(args.gt_dir)
     out = _out_path(args.out_dir)
-    _, graded = _do_eval(run_dir, bundle, out, stages)
+    _, graded = _do_eval(run_dir, bundle.config, bundle.gt_flow, bundle.gt_poses,
+                         bundle.initial_state, out, stages)
     seed = 0 if args.seed is None else args.seed
     inputs = {"gt_manifest": sha256_file(Path(args.gt_dir) / "manifest.json"),
               "graded": {name: sha256_file(run_dir / name) for name in graded},
@@ -550,16 +557,21 @@ def cmd_run(args, stages: _Stages) -> None:
     bundle, scene_files = _do_simulate(config, seed, out / "scene", stages)
     flow, flow_files = _do_distill(bundle, _out_dir(out / "flow"), args.candidates,
                                    seed, stages)
+    # Planning and grading read only these; the tracks and images go now.
+    gt_flow, gt_poses = bundle.gt_flow, bundle.gt_poses
+    dynamics, initial_state = bundle.dynamics, bundle.initial_state
+    del bundle
 
     if config.scene == "rigid":
         plan_files = _do_plan_rigid(flow, model, obstacles, _out_dir(out / "plan"),
                                     args.steps_per_frame, seed, stages)
     else:
-        plan_files = _do_plan_deformable(flow, bundle.dynamics, bundle.initial_state,
+        plan_files = _do_plan_deformable(flow, dynamics, initial_state,
                                          _out_dir(out / "plan"), args.horizon, seed,
                                          args.cost_mode, stages)
 
-    metrics, _ = _do_eval(out / "plan", bundle, out, stages)
+    metrics, _ = _do_eval(out / "plan", config, gt_flow, gt_poses, initial_state, out,
+                          stages)
 
     # Only what this run wrote: files an earlier command left in --out-dir
     # are not hashed into the manifest.

@@ -176,19 +176,9 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
         raise ValueError(f"PPM data must be (H, W, 3) uint8, got {img.shape} {img.dtype}")
     header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.tobytes(order="C"))
-
-
-def read_ppm(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    (width, height, maxval), offset = _parse_pnm_header(blob, b"P6", 3)
-    if maxval != 255:
-        raise ValueError("only 8-bit PPM is supported")
-    count = width * height * 3
-    if len(blob) - offset < count:
-        raise ValueError("unexpected end of file in PPM raster")
-    data = np.frombuffer(blob, dtype=np.uint8, count=count, offset=offset)
-    return data.reshape(height, width, 3).copy()
+    with open(path, "wb") as handle:
+        handle.write(header)
+        handle.write(np.ascontiguousarray(img).data)
 
 
 # -- masks -------------------------------------------------------------------
@@ -209,30 +199,35 @@ def mask_from_pgm(path) -> np.ndarray:
 
 # -- depth -------------------------------------------------------------------
 
-def _depth_from_mm(mm: np.ndarray, out: np.ndarray | None = None) -> DepthMap:
-    """Millimeters as a depth map in meters, decoded into ``out`` if given."""
-    return DepthMap(np.divide(mm, 1000.0, out=out))
+_DEPTH_ROWS = 32    # image rows per block encoded by depth_to_pgm
 
 
-def depth_to_pgm(path, depth: DepthMap) -> DepthMap:
+def depth_to_pgm(path, depth: DepthMap) -> None:
     """Write depth as 16-bit PGM millimeters (rounded; 0 stays invalid).
 
-    Returns the depth map :func:`depth_from_pgm` decodes from the file.
+    A map already in whole millimeters, as generated sensor depth is, is
+    written exactly: :func:`depth_from_pgm` gives its values back bit for
+    bit.  Rows are scaled and rounded a block at a time into the file's
+    samples, so no full-frame float copy is made.
     """
-    mm = depth.values * 1000.0
-    np.round(mm, out=mm)
-    if mm.max(initial=0.0) > 65535:
+    values = depth.values
+    # Scaling and rounding are monotone, so the largest sample is the max's.
+    if np.round(values.max() * 1000.0) > 65535:
         raise ValueError("depth exceeds the 65.535 m range of 16-bit millimeters")
-    stored = mm.astype(">u2")    # the file's byte order, so write_pgm copies nothing
+    stored = np.empty(values.shape, dtype=">u2")   # the file's byte order: write_pgm copies nothing
+    for start in range(0, len(values), _DEPTH_ROWS):
+        mm = values[start:start + _DEPTH_ROWS] * 1000.0
+        stored[start:start + _DEPTH_ROWS] = np.round(mm, out=mm)
     write_pgm(path, stored, maxval=65535)
-    return _depth_from_mm(stored, out=mm)
 
 
 def depth_from_pgm(path) -> DepthMap:
     values, maxval = read_pgm(path)
     if maxval != 65535:
         raise ValueError("depth PGM must be 16-bit (maxval 65535)")
-    return _depth_from_mm(values)
+    meters = np.divide(values, 1000.0)
+    meters.flags.writeable = False    # handed over to the DepthMap, not copied
+    return DepthMap(meters)
 
 
 def sha256_file(path) -> str:

@@ -110,17 +110,17 @@ def _median(values: np.ndarray) -> float:
     """``np.median`` of a finite 1-d array, bit for bit, without importing numpy.ma.
 
     np.median imports numpy.ma on its first call, 11-14 ms of a fresh
-    process.  This partitions at the upper middle index n // 2 alone, so
-    that element is numpy's; for even n the lower middle value is the
-    largest of the part before it.  The one or two values are averaged as
-    numpy's mean does: summed from +0.0, so that -0.0 reads +0.0, then
-    divided by their count.
+    process.  This partitions ``values`` in place (callers pass a fresh
+    copy) at the upper middle index n // 2 alone, so that element is
+    numpy's; for even n the lower middle value is the largest of the part
+    before it.  The one or two values are averaged as numpy's mean does:
+    summed from +0.0, so that -0.0 reads +0.0, then divided by their count.
     """
     n = values.size
-    part = np.partition(values, n // 2)
+    values.partition(n // 2)
     if n % 2:
-        return float(0.0 + part[n // 2])
-    return float((0.0 + part[:n // 2].max() + part[n // 2]) / 2.0)
+        return float(0.0 + values[n // 2])
+    return float((0.0 + values[:n // 2].max() + values[n // 2]) / 2.0)
 
 
 def calibrate_depth(first: DepthMap, reference: DepthMap) -> float:
@@ -322,7 +322,7 @@ def render_flow_image(flow: ActionableFlow, intrinsics: CameraIntrinsics,
     if front.any():
         uv[front] = project(intrinsics, pos[front])
 
-    last = np.zeros(height * width, dtype=np.intp)     # pair number per pixel
+    last = np.zeros(height * width, dtype=np.min_scalar_type(frames))  # pair number per pixel
     red = np.zeros(frames, dtype=np.uint8)              # color of each number
     blue = np.zeros(frames, dtype=np.uint8)
     for t in range(frames - 1):
@@ -331,8 +331,8 @@ def render_flow_image(flow: ActionableFlow, intrinsics: CameraIntrinsics,
         key = front[t] & front[t + 1]
         last[_segment_pixels(uv[t, key], uv[t + 1, key], width, height)] = t + 1
     img = np.zeros((height, width, 3), dtype=np.uint8)
-    img[..., 0] = red.take(last).reshape(height, width)
-    img[..., 2] = blue.take(last).reshape(height, width)
+    img[..., 0] = red[last].reshape(height, width)
+    img[..., 2] = blue[last].reshape(height, width)
     if candidate_id is not None:
         _stamp_digits(img, str(int(candidate_id)), origin=(4, 4))
     return img

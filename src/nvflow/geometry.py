@@ -9,8 +9,9 @@ Conventions used throughout the package:
   and depth is the camera-frame z coordinate in meters,
 * a depth value of exactly 0 marks an invalid pixel.
 
-All public types are value-semantic: arrays are copied on construction and
-frozen, so instances can be shared freely across threads.
+All public types are value-semantic: arrays are frozen on construction
+(copied, unless the caller hands over a read-only array it owns), so
+instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -40,7 +41,17 @@ ROTATION_TOL = 1e-9
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
-    """Read-only copy of ``a``; every module's value types store arrays this way."""
+    """``a`` as a read-only array of ``dtype``; every module's value types store
+    arrays this way.
+
+    An ndarray of ``dtype`` that owns its data and is already read-only is
+    kept as it is: whoever froze it hands it over and keeps no writable
+    view of it.  Anything else is copied, so a caller's array never
+    aliases the stored one.
+    """
+    if (type(a) is np.ndarray and a.dtype == dtype and a.flags.owndata
+            and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
@@ -169,8 +180,11 @@ class SE3Pose:
                 "translation": [float(x) for x in self.translation]}
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "SE3Pose":
-        return cls(_floats(doc["rotation"]).reshape(3, 3), _floats(doc["translation"]))
+    def from_doc(cls, doc: dict, extra: tuple[str, ...] = ()) -> "SE3Pose":
+        """Inverse of ``to_doc``; ``extra`` names the keys a caller's pose
+        objects carry beside the two (see ``_doc_fields``)."""
+        return cls(**_doc_fields(doc, {"rotation": lambda r: _floats(r).reshape(3, 3),
+                                       "translation": _floats}, extra=extra))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one (3,) point or an (..., 3) array of points."""

@@ -102,7 +102,7 @@ class ObjectPoseTrajectory:
     @classmethod
     def from_json(cls, path) -> "ObjectPoseTrajectory":
         return cls(**_doc_fields(json.loads(Path(path).read_text()), {
-            "poses": lambda poses: tuple(SE3Pose.from_doc(p) for p in poses),
+            "poses": lambda poses: tuple(SE3Pose.from_doc(p, extra=("t",)) for p in poses),
             "frame": str}))
 
 

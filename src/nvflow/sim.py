@@ -467,9 +467,16 @@ def _place_distractors(config: SceneConfig, rng: np.random.Generator,
     low, high = np.array([cx - 0.4, cy - 0.3]), np.array([cx + 0.4, cy + 0.3])
     flat = object_pixels.reshape(-1, 2)
     near_low, near_high = flat.min(axis=0) - 5.0, flat.max(axis=0) + 5.0
-    padded = np.pad(union, 2)   # windows of in-bounds centers are never clipped
-    rows = padded[:-4] | padded[1:-3] | padded[2:-2] | padded[3:-1] | padded[4:]
-    blocked = rows[:, :-4] | rows[:, 1:-3] | rows[:, 2:-2] | rows[:, 3:-1] | rows[:, 4:]
+    # The 5x5 dilation of union, worked out on union's bounding box grown by
+    # 2 px: every pixel whose window meets union lies in it, and the zeros
+    # padded around it stand for pixels that are not in union.
+    blocked = np.zeros_like(union)
+    ys, xs = np.flatnonzero(union.any(axis=1)), np.flatnonzero(union.any(axis=0))
+    if len(ys):
+        box = (slice(max(ys[0] - 2, 0), ys[-1] + 3), slice(max(xs[0] - 2, 0), xs[-1] + 3))
+        padded = np.pad(union[box], 2)
+        rows = padded[:-4] | padded[1:-3] | padded[2:-2] | padded[3:-1] | padded[4:]
+        blocked[box] = rows[:, :-4] | rows[:, 1:-3] | rows[:, 2:-2] | rows[:, 3:-1] | rows[:, 4:]
     out = np.zeros((config.distractor_points, 3))
     filled = misses = 0
     while filled < len(out):
@@ -539,22 +546,32 @@ def _render_depth(config: SceneConfig, rng: np.random.Generator,
     """First-frame sensor depth map plus the metric first-frame reference.
 
     Depth noise is relative (multiplicative 1 + sigma * N); the reference map
-    is the same frame, unscaled and noise-free.  Only the first frame is
-    rendered, because no stage reads a later one.
+    is the same frame, unscaled and noise-free.  The sensor reports whole
+    millimeters, as the bundle's 16-bit PGMs store them: after the noise
+    draw both maps are rounded to the millimeter, and equal bit for bit
+    what ``SceneBundle.read`` decodes from the written bundle.  Only the
+    first frame is rendered, because no stage reads a later one.
     """
     noise = config.noise
-    depth = _ground_depth(config.intrinsics, config.camera.inverse())
-    depth[mask] = object_depth
-    reference = DepthMap(depth)
+    reference = _ground_depth(config.intrinsics, config.camera.inverse())
+    reference[mask] = object_depth
     if noise.depth_sigma > 0.0:
-        # depth * (1 + sigma * N), clipped at 0, computed in place on the draws.
-        sensor = rng.standard_normal(depth.shape)
+        # reference * (1 + sigma * N), computed in place on the draws, then
+        # clipped to +0.0 (-0.0 too, as a stored 0 decodes).
+        sensor = rng.standard_normal(reference.shape)
         sensor *= noise.depth_sigma
         sensor += 1.0
-        sensor *= depth
-        depth = np.maximum(sensor, 0.0, out=sensor)
-    depth *= noise.depth_scale
-    return DepthMap(depth), reference
+        sensor *= reference
+        np.copyto(sensor, 0.0, where=sensor <= 0.0)
+    else:
+        sensor = reference.copy()
+    sensor *= noise.depth_scale
+    for values in (sensor, reference):
+        values *= 1000.0
+        np.round(values, out=values)
+        values /= 1000.0
+        values.flags.writeable = False    # handed over to the DepthMap, not copied
+    return DepthMap(sensor), DepthMap(reference)
 
 
 def _observe(config: SceneConfig, rng: np.random.Generator, gt_points: np.ndarray) -> dict:
@@ -571,6 +588,7 @@ def _observe(config: SceneConfig, rng: np.random.Generator, gt_points: np.ndarra
         raise ValueError("object leaves view: keypoints project outside the image")
     mask = _render_mask(intr, pixels[0])
     union = mask.copy()
+    mask.flags.writeable = False      # handed over to the SceneBundle, not copied
     for frame in pixels[1:]:
         _render_mask(intr, frame, union)
     distractors = config.camera.inverse().apply(_place_distractors(config, rng, pixels, union))
@@ -897,9 +915,10 @@ class SceneBundle:
     def write(self, out_dir) -> "SceneBundle":
         """Write the bundle; the manifest hashes every file and is written last.
 
-        Returns the bundle :meth:`read` gives back: the depth maps in whole
-        millimeters and the ground-truth flow at float32 precision, as the
-        files store them.  Every other field round-trips bit for bit.
+        Returns the bundle :meth:`read` gives back: the ground-truth flow at
+        float32 precision, as ``gt_flow.nvfl`` stores it.  Every other field
+        round-trips bit for bit, the depth maps too when they hold whole
+        millimeters, as generated sensor depth does.
         """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -915,8 +934,8 @@ class SceneBundle:
         files += ["tracks.npy", "visible.npy"]
 
         mask_to_pgm(out / "masks/0000.pgm", self.mask)
-        depth = depth_to_pgm(out / "depth/0000.pgm", self.depth)
-        depth_ref = depth_to_pgm(out / "depth_ref.pgm", self.depth_ref)
+        depth_to_pgm(out / "depth/0000.pgm", self.depth)
+        depth_to_pgm(out / "depth_ref.pgm", self.depth_ref)
         files += ["masks/0000.pgm", "depth/0000.pgm", "depth_ref.pgm"]
 
         gt_flow = write_flow(out / "gt_flow.nvfl", self.gt_flow.positions)
@@ -946,8 +965,7 @@ class SceneBundle:
             "files": {rel: sha256_file(out / rel) for rel in sorted(files)},
         }
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        return replace(self, depth=depth, depth_ref=depth_ref,
-                       gt_flow=ActionableFlow(gt_flow, label=self.gt_flow.label))
+        return replace(self, gt_flow=ActionableFlow(gt_flow, label=self.gt_flow.label))
 
     @classmethod
     def read(cls, bundle_dir) -> "SceneBundle":

@@ -249,6 +249,16 @@ def _eval_joint_csv(c, edit):
     return ["eval", plan, run / "scene", "--out-dir", c.out]
 
 
+def _eval_plan(c, edit):
+    """``eval`` of the small rigid run, its ``plan.json`` document edited."""
+    run = c.fixture("rigid_run_dir")
+    plan = c.tmp / "plan"
+    shutil.copytree(run / "plan", plan)
+    path = plan / "plan.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return ["eval", plan, run / "scene", "--out-dir", c.out]
+
+
 def _first_joint_at_step_0(value):
     return lambda rows: [rows[0], [rows[1][0], value, *rows[1][2:]], *rows[2:]]
 
@@ -518,6 +528,14 @@ MISSPELLED_KEY_CASES = {
             {"time": 0.0, "position": [0.4, 0.0, 0.025]},
             {"time": 1.0, "positon": [0.5, 0.0, 0.025]}])), "positon"),
     "scene-rope-pinnd": (lambda c: _simulate(c, c.rope_edited(pinnd=False)), "pinnd"),
+    "scene-camera-translaton": (lambda c: _simulate(c, c.rigid_edited(
+        "camera", translaton=[0.45, 0.0, 0.9])), "translaton"),
+    "bundle-gt-poses-rotaton": (lambda c: _distill(c, c.edited_bundle(
+        gt_poses=lambda doc: {**doc, "poses": [
+            {**doc["poses"][0], "rotaton": doc["poses"][0]["rotation"]}, *doc["poses"][1:]]})),
+        "rotaton"),
+    "eval-plan-steps-per-flow-fram": (lambda c: _eval_plan(c, lambda doc: {
+        **doc, "steps_per_flow_fram": doc["steps_per_flow_frame"]}), "steps_per_flow_fram"),
     "dynamics-stifness": (lambda c: _plan_deformable(c, stifness=500.0), "stifness"),
     "state-velocity": (lambda c: _plan_deformable(c) + ["--state", c.write({**json.loads(
         (c.fixture("rope_bundle_dir") / "initial_state.json").read_text()), "velocity": []},

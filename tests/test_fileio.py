@@ -13,7 +13,6 @@ from nvflow.fileio import (
     mask_to_pgm,
     read_flow,
     read_pgm,
-    read_ppm,
     sha256_file,
     write_flow,
     write_pgm,
@@ -156,11 +155,11 @@ class TestNetpbm:
         with pytest.raises(ValueError, match="unexpected end of file"):
             read_pgm(path)
 
-    def test_ppm_round_trip(self, tmp_path, rng):
+    def test_ppm_is_the_header_then_the_pixel_bytes(self, tmp_path, rng):
         img = rng.integers(0, 256, size=(10, 12, 3)).astype(np.uint8)
         path = tmp_path / "img.ppm"
-        write_ppm(path, img)
-        assert np.array_equal(read_ppm(path), img)
+        write_ppm(path, img[:, ::-1])    # a strided view is written in row order
+        assert path.read_bytes() == b"P6\n12 10\n255\n" + img[:, ::-1].tobytes()
 
     def test_ppm_rejects_wrong_dtype(self, tmp_path):
         with pytest.raises(ValueError):
@@ -175,35 +174,43 @@ class TestMasks:
         assert np.array_equal(mask_from_pgm(path), mask)
 
 
+def _rewritten(path, depth):
+    """The bytes of ``depth`` written to a PGM beside ``path``."""
+    again = path.with_name("again.pgm")
+    depth_to_pgm(again, depth)
+    return again.read_bytes()
+
+
 class TestDepth:
     def test_pgm_round_trip_at_millimeter_resolution(self, tmp_path, rng):
         mm = rng.integers(0, 3000, size=(6, 6)).astype(float)
         depth = DepthMap(mm / 1000.0)
         path = tmp_path / "depth.pgm"
-        stored = depth_to_pgm(path, depth)
+        depth_to_pgm(path, depth)
         back = depth_from_pgm(path)
         assert np.allclose(back.values, depth.values, atol=1e-12)
-        assert stored.values.tobytes() == back.values.tobytes()
+        assert depth.values.tobytes() == back.values.tobytes()
 
     def test_pgm_quantizes_to_millimeters(self, tmp_path):
         depth = DepthMap(np.array([[1.2344, 0.0]]))
         path = tmp_path / "depth.pgm"
-        stored = depth_to_pgm(path, depth)
+        depth_to_pgm(path, depth)
         back = depth_from_pgm(path)
         assert np.isclose(back.values[0, 0], 1.234)
         assert back.values[0, 1] == 0.0
-        assert stored.values.tobytes() == back.values.tobytes()
+        assert _rewritten(path, back) == path.read_bytes()
 
-    def test_pgm_writer_returns_the_depth_the_reader_decodes(self, tmp_path, rng):
+    def test_pgm_reader_decodes_a_map_the_writer_stores_exactly(self, tmp_path, rng):
         values = rng.uniform(0.2, 3.0, size=(7, 9))     # sub-millimetre sensor depth
         values[rng.random(values.shape) < 0.2] = 0.0    # invalid pixels
         path = tmp_path / "depth.pgm"
-        stored = depth_to_pgm(path, DepthMap(values))
+        depth_to_pgm(path, DepthMap(values))
         back = depth_from_pgm(path)
-        assert stored.values.dtype == back.values.dtype == np.float64
-        assert stored.values.tobytes() == back.values.tobytes()
-        assert np.abs(stored.values - values).max() <= 0.0005 + 1e-12
-        assert np.array_equal(stored.values == 0.0, values == 0.0)
+        assert back.values.dtype == np.float64
+        assert _rewritten(path, back) == path.read_bytes()
+        assert depth_from_pgm(path).values.tobytes() == back.values.tobytes()
+        assert np.abs(back.values - values).max() <= 0.0005 + 1e-12
+        assert np.array_equal(back.values == 0.0, values == 0.0)
 
     def test_pgm_rejects_out_of_range_depth(self, tmp_path):
         with pytest.raises(ValueError, match="range"):

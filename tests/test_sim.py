@@ -9,8 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nvflow.cli import main
 from nvflow.deformable import ParticleState, build_correspondence
-from nvflow.fileio import sha256_file
+from nvflow.fileio import depth_from_pgm, depth_to_pgm, sha256_file
 from nvflow.flow import ActionableFlow, TrackSet, distill_flow
 from nvflow.geometry import (
     CameraIntrinsics,
@@ -408,6 +409,27 @@ class TestBundleIO:
         assert np.array_equal(back.initial_state.positions,
                               bundle.initial_state.positions)
         assert back.gt_poses is None
+
+    @pytest.mark.parametrize("name", ["scene_rigid_demo.json", "scene_rope.json"])
+    def test_generated_depth_maps_are_the_ones_read_back(self, name, tmp_path):
+        # The sensor reports whole millimeters, as the 16-bit PGMs store them.
+        bundle = generate_scene(demo_scene(name))
+        bundle.write(tmp_path / "scene")
+        back = SceneBundle.read(tmp_path / "scene")
+        assert_same_bits(back.depth, bundle.depth, "depth")
+        assert_same_bits(back.depth_ref, bundle.depth_ref, "depth_ref")
+
+    def test_noisy_depth_with_invalid_pixels_is_what_its_pgm_decodes(self, tmp_path):
+        # Tilted toward the horizon, 80 of the 16 x 16 pixels miss the table
+        # (depth 0), and no table pixel is more than 10.9 m away.  Six of
+        # the 80 draw a negative noise factor: -0.0 before the clip at 0.
+        config = small_rigid_config(camera=_camera(tilt=1.2), width=16, height=16, focal=10.0,
+                                    noise=NoiseConfig(depth_sigma=0.5, depth_scale=1.25))
+        mask = np.zeros((config.height, config.width), dtype=bool)
+        for depth in sim._render_depth(config, np.random.default_rng(3), mask, 0.8):
+            assert 0 < depth.valid.sum() < depth.values.size
+            depth_to_pgm(tmp_path / "depth.pgm", depth)
+            assert depth_from_pgm(tmp_path / "depth.pgm").values.tobytes() == depth.values.tobytes()
 
     def test_rigid_bundle_round_trip_keeps_poses(self, tmp_path):
         bundle = generate_scene(small_rigid_config(distractor_points=0))
@@ -874,6 +896,22 @@ class TestDistractorChunks:
         assert placed[sim._NEAR_CHUNK] == placed[1 << 62]
 
 
+class TestDistractorWindows:
+    @pytest.mark.parametrize("marks", [[(8, 8)], [(0, 0), (9, 6)], [(15, 15), (4, 11)]])
+    def test_match_the_per_attempt_code_on_a_small_image(self, marks):
+        # On a 16 x 16 image the 5x5 windows of a few marked pixels, their
+        # edges and the image's border take a large share of the candidates.
+        config = small_rigid_config(width=16, height=16, focal=10.0, distractor_points=50)
+        union = np.zeros((config.height, config.width), dtype=bool)
+        union[tuple(np.transpose(marks))] = True
+        pixels = np.zeros((1, 1, 2))        # one keypoint, more than 4 px from any candidate
+        rng, oracle = np.random.default_rng(11), np.random.default_rng(11)
+        placed = _place_distractors(config, rng, pixels, union)
+        expected = place_distractors_per_attempt(config, oracle, pixels, union[None])
+        assert placed.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 def _waypoints(rng, count):
     times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, count - 2)), [1.0]])
     return tuple(Waypoint(float(t), tuple(rng.uniform(-0.5, 0.5, 3)), float(rng.uniform(-3, 3)))
@@ -915,16 +953,28 @@ class TestFootprint:
 
     Scene generation once peaked at 16.6 MB and the bundle write at 10.8 MB,
     with full-frame ray arrays, noise terms and decoded copies that were
-    thrown away at once.
+    thrown away at once; then at 9.2 and 8.3 MB, with a copy of every depth
+    map made on construction and one more decoded per map written.  A whole
+    ``run`` then peaked at 14.0 MB on the rigid demo and at 13.6 MB on the
+    rope cut to 8 frames.
     """
 
     CONFIG = demo_scene("scene_rigid_demo.json", seed=0)
 
     def test_generate_scene_peak(self):
         generate_scene(self.CONFIG)          # first-call caches out of the count
-        assert _traced_peak(lambda: generate_scene(self.CONFIG)) < 11.5e6
+        assert _traced_peak(lambda: generate_scene(self.CONFIG)) < 7.2e6
 
     def test_bundle_write_peak(self, tmp_path):
         bundle = generate_scene(self.CONFIG)
         bundle.write(tmp_path / "first")
-        assert _traced_peak(lambda: bundle.write(tmp_path / "second")) < 9.6e6
+        assert _traced_peak(lambda: bundle.write(tmp_path / "second")) < 2.2e6
+
+    @pytest.mark.parametrize("scene,bound", [("rigid", 9.0e6), ("rope", 8.6e6)])
+    def test_run_peak(self, scene, bound, tmp_path):
+        argv = ["run"]                       # the packaged rigid demo, 8 candidates
+        if scene == "rope":
+            demo_scene("scene_rope.json", frames=8).save(tmp_path / "rope.json")
+            argv += ["--config", str(tmp_path / "rope.json")]
+        assert main(argv + ["--out-dir", str(tmp_path / "first")]) == 0
+        assert _traced_peak(lambda: main(argv + ["--out-dir", str(tmp_path / "second")])) < bound
