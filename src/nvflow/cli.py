@@ -154,6 +154,13 @@ def _check_at_least_one(value: int, flag: str) -> None:
         raise ConfigError(f"{flag} must be at least 1")
 
 
+def _check_collision_model(model: RobotModel, obstacles) -> None:
+    """Obstacles need a robot with collision spheres: without them the
+    collision term would read 0 whatever the motion."""
+    if obstacles and not model.collision_spheres:
+        raise ConfigError("obstacles are given, but the robot has no collision spheres")
+
+
 def _fixture_path(name: str) -> Path:
     return Path(str(resources.files("nvflow") / "fixtures" / name))
 
@@ -335,7 +342,7 @@ def _do_plan_rigid(flow: ActionableFlow, model: RobotModel, obstacles: tuple,
     with stages("optimize"):
         result = optimize_trajectory(problem)
     with stages("write_plan"):
-        ObjectPoseTrajectory(tuple(ee_targets), frame="camera").to_json(out / "ee_traj.json")
+        ObjectPoseTrajectory(tuple(ee_targets)).to_json(out / "ee_traj.json")
         result.trajectory.to_csv(out / "joint_traj.csv")
         _write_json(out / "result.json", result_to_doc(result))
         _write_json(out / "plan.json", {
@@ -355,6 +362,7 @@ def cmd_plan_rigid(args, stages: _Stages) -> None:
     model = _load_doc(args.robot, "robot model", robot_from_doc)
     obstacles = _load_doc(args.obstacles, "obstacle file",
                           _obstacles_from_doc) if args.obstacles else ()
+    _check_collision_model(model, obstacles)
     seed = 0 if args.seed is None else args.seed
     out = _out_dir(args.out_dir)
     files = _do_plan_rigid(flow, model, obstacles, out, args.steps_per_frame,
@@ -423,6 +431,7 @@ def cmd_optimize_traj(args, stages: _Stages) -> None:
         raise ConfigError("optimize-traj requires a problem file (--config)")
     problem = _load_doc(args.config, "problem file", functools.partial(
         problem_from_doc, base_dir=Path(args.config).parent))
+    _check_collision_model(problem.model, problem.obstacles)
     out = _out_dir(args.out_dir)
     with stages("optimize"):
         result = optimize_trajectory(problem)
@@ -485,7 +494,7 @@ def _executed_object_poses(model: RobotModel, grasp: SE3Pose, spf: int,
     poses = []
     for t in range(frames):
         poses.append(forward_kinematics(model, configs[t * spf]).compose(grasp_inv))
-    return ObjectPoseTrajectory(tuple(poses), frame="camera")
+    return ObjectPoseTrajectory(tuple(poses))
 
 
 def _do_eval(run_dir: Path, config: SceneConfig, gt_flow: ActionableFlow,
@@ -549,6 +558,7 @@ def cmd_run(args, stages: _Stages) -> None:
                           robot_from_doc)
         obstacles = _load_doc(args.obstacles or _fixture_path("obstacles_demo.json"),
                               "obstacle file", _obstacles_from_doc)
+        _check_collision_model(model, obstacles)
     else:
         _check_at_least_one(args.horizon, "--horizon")
     seed = config.seed if args.seed is None else args.seed

@@ -4,9 +4,11 @@ Formats defined here:
 
 * flow, binary (``.nvfl``): magic ``NVFL``, then little-endian u32 version (=1),
   u32 frame count T, u32 keypoint count K, then T*K*3 float32 positions in
-  frame-major, keypoint-minor, xyz order.  The label is not stored.
-* flow, JSON (``.json``): ``{"version": 1, "frames": T, "points": K,
-  "label": str, "positions": [[[x, y, z] * K] * T]}``.
+  frame-major, keypoint-minor, xyz order.  The label is not stored.  This is
+  the layout nvflow writes.
+* flow, JSON (``.json``), read only, for flows made elsewhere:
+  ``{"version": 1, "frames": T, "points": K, "label": str,
+  "positions": [[[x, y, z] * K] * T]}``; ``label`` may be left out.
 * mask: the first frame's object mask, one PGM (P5, maxval 255, 255 = object).
 * depth: 16-bit PGM (P5, maxval 65535) holding millimeters.  A zero value
   marks an invalid pixel.
@@ -51,42 +53,31 @@ class FlowFormatError(ValueError):
         self.byte_offset = byte_offset
 
 
-def write_flow(path, positions: np.ndarray, label: str = "") -> np.ndarray:
-    """Write a flow to ``path``; JSON when the suffix is ``.json``, else binary.
+def write_flow(path, positions: np.ndarray) -> np.ndarray:
+    """Write a flow to ``path`` in the binary layout.
 
-    ``positions`` must be a finite (T, K, 3) array.  The binary layout stores
-    float32 positions and no label; the JSON layout keeps full precision and
-    the label.  Returns the positions :func:`read_flow` gives back, as
-    float64: the float32 values for the binary layout, ``positions`` for JSON.
+    ``positions`` must be a finite (T, K, 3) array; they are stored as
+    float32.  Returns the positions :func:`read_flow` gives back, the
+    stored float32 values as float64.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 3 or pos.shape[2] != 3 or pos.shape[0] < 1 or pos.shape[1] < 1:
         raise ValueError(f"flow positions must be (T, K, 3) with T, K >= 1, got {pos.shape}")
     if not np.isfinite(pos).all():
         raise ValueError("flow positions contain non-finite values")
-    path = Path(path)
-    frames, points = pos.shape[0], pos.shape[1]
-    if path.suffix == ".json":
-        doc = {
-            "version": FLOW_VERSION,
-            "frames": frames,
-            "points": points,
-            "label": label,
-            "positions": pos.tolist(),
-        }
-        path.write_text(json.dumps(doc) + "\n")
-        return pos
     stored = pos.astype("<f4")
-    header = FLOW_MAGIC + struct.pack("<III", FLOW_VERSION, frames, points)
-    path.write_bytes(header + stored.tobytes(order="C"))
+    header = FLOW_MAGIC + struct.pack("<III", FLOW_VERSION, pos.shape[0], pos.shape[1])
+    Path(path).write_bytes(header + stored.tobytes(order="C"))
     return stored.astype(float)
 
 
 def read_flow(path) -> tuple[np.ndarray, str]:
-    """Read a flow file; returns (positions (T, K, 3) float32-exact, label).
+    """Read a flow file, JSON when the suffix is ``.json``, else binary;
+    returns (positions (T, K, 3), label).
 
-    Binary reads are bit-exact round-trips of :func:`write_flow`; the binary
-    layout carries no label, so it comes back empty.
+    Binary reads are bit-exact round-trips of :func:`write_flow`, as
+    float32; the binary layout carries no label, so it comes back empty.
+    JSON positions come back as float64, with the document's label.
     """
     path = Path(path)
     if path.suffix == ".json":

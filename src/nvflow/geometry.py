@@ -3,7 +3,7 @@
 Conventions used throughout the package:
 
 * rotations are 3x3 row-major matrices with det +1; helper conversions to and
-  from axis-angle vectors and wxyz quaternions live here,
+  from axis-angle vectors, and to wxyz quaternions, live here,
 * an ``SE3Pose`` maps points as ``x_out = R @ x_in + t``,
 * camera frames follow the pinhole convention (x right, y down, z forward),
   and depth is the camera-frame z coordinate in meters,
@@ -28,7 +28,6 @@ __all__ = [
     "project",
     "rotation_from_axis_angle",
     "axis_angle_from_rotation",
-    "rotation_from_quaternion",
     "quaternion_from_rotation",
     "rotation_geodesic_angle",
     "se3_exp",
@@ -113,6 +112,13 @@ def _floats(value) -> np.ndarray:
             else:
                 _float(item)
     return np.array(value, dtype=float)
+
+
+def _str(value) -> str:
+    """A JSON string as itself; ``str`` would turn any value into one."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a JSON string, got {value!r}")
+    return value
 
 
 def _bool(value) -> bool:
@@ -328,21 +334,6 @@ def quaternion_from_rotation(rotation: np.ndarray) -> np.ndarray:
     if q[0] < 0.0:
         q = -q
     return q
-
-
-def rotation_from_quaternion(quat_wxyz: np.ndarray) -> np.ndarray:
-    q = np.asarray(quat_wxyz, dtype=float)
-    if q.shape != (4,):
-        raise ValueError(f"quaternion must be (4,) in wxyz order, got {q.shape}")
-    n = np.linalg.norm(q)
-    if n < 1e-12:
-        raise ValueError("quaternion has near-zero norm")
-    w, x, y, z = q / n
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
 
 
 def axis_angle_from_rotation(rotation: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (SE3Pose, _doc_fields, _doc_list, _float, _floats, _int, _skew,
+from .geometry import (SE3Pose, _doc_fields, _doc_list, _float, _floats, _int, _skew, _str,
                        axis_angle_from_rotation)
 
 __all__ = [
@@ -186,7 +186,7 @@ def robot_from_doc(doc: dict) -> RobotModel:
                                               "radius": _float}))
             for s in _doc_list(spheres)),
         "base_pose": SE3Pose.from_doc,
-        "name": str,
+        "name": _str,
     }))
 
 

@@ -78,10 +78,9 @@ def estimate_rigid_transform(source: np.ndarray, target: np.ndarray) -> SE3Pose:
 
 @dataclass(frozen=True)
 class ObjectPoseTrajectory:
-    """Per-frame object poses, all expressed in one fixed frame."""
+    """Per-frame object poses, all expressed in the camera frame."""
 
     poses: tuple[SE3Pose, ...]
-    frame: str = "camera"
 
     def __post_init__(self) -> None:
         if len(self.poses) < 1:
@@ -95,15 +94,21 @@ class ObjectPoseTrajectory:
         return self.poses[index]
 
     def to_json(self, path) -> None:
-        """JSON ``{"frame", "poses"}``; each pose is ``SE3Pose.to_doc`` plus its index ``t``."""
+        """JSON ``{"frame": "camera", "poses"}``; each pose is ``SE3Pose.to_doc``
+        plus its index ``t``."""
         doc = [{"t": t, **pose.to_doc()} for t, pose in enumerate(self.poses)]
-        Path(path).write_text(json.dumps({"frame": self.frame, "poses": doc}) + "\n")
+        Path(path).write_text(json.dumps({"frame": "camera", "poses": doc}) + "\n")
 
     @classmethod
     def from_json(cls, path) -> "ObjectPoseTrajectory":
-        return cls(**_doc_fields(json.loads(Path(path).read_text()), {
-            "poses": lambda poses: tuple(SE3Pose.from_doc(p, extra=("t",)) for p in poses),
-            "frame": str}))
+        """Poses from a ``to_json`` document; a ``frame`` other than "camera"
+        is a ValueError."""
+        doc = json.loads(Path(path).read_text())
+        fields = _doc_fields(doc, {"poses": lambda poses: tuple(
+            SE3Pose.from_doc(p, extra=("t",)) for p in poses)}, extra=("frame",))
+        if doc.get("frame", "camera") != "camera":
+            raise ValueError(f"poses must be in the camera frame, got {doc['frame']!r}")
+        return cls(**fields)
 
 
 def flow_to_pose_trajectory(flow: ActionableFlow) -> ObjectPoseTrajectory:

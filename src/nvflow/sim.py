@@ -54,6 +54,7 @@ from .geometry import (
     _floats,
     _frozen,
     _int,
+    _str,
     project,
     rotation_from_axis_angle,
     rotation_geodesic_angle,
@@ -286,12 +287,12 @@ class SceneConfig:
             return tuple(_floats(values).tolist())
 
         kwargs = _doc_fields(doc, {
-            "scene": str, "seed": _int, "frames": _int, "distractor_points": _int,
+            "scene": _str, "seed": _int, "frames": _int, "distractor_points": _int,
             "camera": SE3Pose.from_doc,
             "noise": lambda noise: NoiseConfig(**_doc_fields(noise, dict.fromkeys(
                 ("track_sigma", "depth_sigma", "dropout_prob", "depth_scale"), _float))),
             "object": lambda obj: ObjectSpec(**_doc_fields(obj, {
-                "shape": str, "size": numbers, "surface_samples": _int, "label": str})),
+                "shape": _str, "size": numbers, "surface_samples": _int, "label": _str})),
             "motion_script": lambda script: tuple(
                 Waypoint(**_doc_fields(w, {"time": _float, "position": numbers,
                                            "yaw": _float}))
@@ -660,7 +661,7 @@ def _rigid_scene(config: SceneConfig, seed: int, rng: np.random.Generator) -> "S
     base_inv = cam_poses[0].inverse()
     for pose in cam_poses[1:]:
         rel.append(pose.compose(base_inv))
-    gt_poses = ObjectPoseTrajectory(tuple(rel), frame="camera")
+    gt_poses = ObjectPoseTrajectory(tuple(rel))
 
     gt_flow = ActionableFlow(gt_points, label=config.object.label)
     return SceneBundle(config=config, seed=seed, gt_flow=gt_flow, gt_poses=gt_poses,
@@ -820,9 +821,16 @@ class Metrics:
         return doc
 
 
-def evaluate_rigid(executed: ObjectPoseTrajectory, gt: ObjectPoseTrajectory,
-                   rot_tol_deg: float = 2.0, trans_tol_mm: float = 5.0) -> Metrics:
-    """Per-frame pose errors; success iff the final frame is within tolerance."""
+# Success tolerances: a rigid plan's final-frame rotation and translation
+# errors, and a rope plan's corresponded RMSE.
+_ROT_TOL_DEG = 2.0
+_TRANS_TOL_MM = 5.0
+_RMSE_TOL_MM = 50.0
+
+
+def evaluate_rigid(executed: ObjectPoseTrajectory, gt: ObjectPoseTrajectory) -> Metrics:
+    """Per-frame pose errors; success iff the final frame is within
+    ``_ROT_TOL_DEG`` and ``_TRANS_TOL_MM``."""
     if len(executed) != len(gt):
         raise ValueError(f"trajectory lengths differ: {len(executed)} vs {len(gt)}")
     rot = np.zeros(len(executed))
@@ -833,14 +841,15 @@ def evaluate_rigid(executed: ObjectPoseTrajectory, gt: ObjectPoseTrajectory,
     return Metrics(
         rotation_error_deg=rot,
         translation_error_mm=trans,
-        success=bool(rot[-1] <= rot_tol_deg and trans[-1] <= trans_tol_mm),
+        success=bool(rot[-1] <= _ROT_TOL_DEG and trans[-1] <= _TRANS_TOL_MM),
     )
 
 
 def evaluate_deformable(final: ParticleState, flow: ActionableFlow,
-                        correspondence: Correspondence | np.ndarray | None = None,
-                        rmse_tol_mm: float = 50.0) -> Metrics:
-    """Grade a final particle state against the last flow frame.
+                        correspondence: Correspondence | np.ndarray | None = None
+                        ) -> Metrics:
+    """Grade a final particle state against the last flow frame; success iff
+    the corresponded RMSE is within ``_RMSE_TOL_MM``.
 
     final_correspondence_rmse_mm is sqrt(flow_cost / N) * 1000; the Chamfer
     grade is reported as an RMS distance in mm (sqrt of half the symmetric
@@ -857,7 +866,7 @@ def evaluate_deformable(final: ParticleState, flow: ActionableFlow,
     return Metrics(
         final_chamfer_mm=chamfer_mm,
         final_correspondence_rmse_mm=rmse_mm,
-        success=bool(rmse_mm <= rmse_tol_mm),
+        success=bool(rmse_mm <= _RMSE_TOL_MM),
     )
 
 

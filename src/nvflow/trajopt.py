@@ -22,7 +22,9 @@ velocity rows each touch one joint; ``_joint_terms`` defines them, their
 order and their derivatives once, for the residual, the Jacobian and the
 term costs alike.  Their J^T J and J^T r terms are per-(frame, joint) sums
 on the blocks' diagonals; only the collision rows, which touch several
-joints, are kept as coefficient vectors.  Levenberg-Marquardt forms the
+joints, are kept as coefficient vectors.  The Jacobian reads the
+residual's own evaluation at its point, those terms and the sweep, and
+so runs no forward kinematics.  Levenberg-Marquardt forms the
 blocks of those with stacked products over all frames at once and solves
 each damped step by block cyclic reduction, block Cholesky in odd-even
 order, in about log2 of the horizon levels of stacked work.  The solver
@@ -452,8 +454,8 @@ def obstacles_from_doc(docs: list[dict]) -> tuple[Obstacle, ...]:
 
 # -- residual blocks -----------------------------------------------------------
 
-def _joint_terms(problem: TrajOptProblem, q_rest: np.ndarray, full: np.ndarray,
-                 slopes: bool = True) -> tuple[tuple, ...]:
+def _joint_terms(problem: TrajOptProblem, q_rest: np.ndarray,
+                 full: np.ndarray) -> tuple[tuple, ...]:
     """The per-joint residual terms of the trajectory ``full`` (T, dof), in
     residual order.
 
@@ -472,24 +474,20 @@ def _joint_terms(problem: TrajOptProblem, q_rest: np.ndarray, full: np.ndarray,
 
     The collision rows follow these in the residual.  A hinge's derivative
     is 0 where it is off, its kink included; terms of one name make one term
-    cost.  Without ``slopes`` the hinges' derivatives are None, which spares
-    a residual evaluation their arithmetic.
+    cost.
     """
     model, w = problem.model, problem.weights
     root_s, root_r, root_l = np.sqrt(w.smooth), np.sqrt(w.rest), np.sqrt(w.limits)
     delta = np.diff(full, axis=0)
     caps = model.velocity_limits * problem.dt
-    d_upper = d_lower = d_vel = None
-    if slopes:
-        d_upper = root_l * (full > model.q_max)
-        d_lower = -root_l * (full < model.q_min)
-        d_vel = root_l * np.sign(delta) * (np.abs(delta) > caps)
+    d_vel = root_l * np.sign(delta) * (np.abs(delta) > caps)
     return (("smooth", root_s * delta, -root_s, root_s),
             ("rest", root_r * (full - q_rest), root_r, 0.0),
-            ("limits", root_l * np.maximum(full - model.q_max, 0.0), d_upper, 0.0),
-            ("limits", root_l * np.maximum(model.q_min - full, 0.0), d_lower, 0.0),
-            ("velocity", root_l * np.maximum(np.abs(delta) - caps, 0.0),
-             -d_vel if slopes else None, d_vel))
+            ("limits", root_l * np.maximum(full - model.q_max, 0.0),
+             root_l * (full > model.q_max), 0.0),
+            ("limits", root_l * np.maximum(model.q_min - full, 0.0),
+             -root_l * (full < model.q_min), 0.0),
+            ("velocity", root_l * np.maximum(np.abs(delta) - caps, 0.0), -d_vel, d_vel))
 
 
 @dataclass(frozen=True)
@@ -606,26 +604,6 @@ def penalty_collision(configs: np.ndarray, model: RobotModel,
     return np.sqrt(w_collision) * hinge.ravel(), sweep
 
 
-class _LastSweep:
-    """The sweep of the configurations whose residual was evaluated last.
-
-    LM asks for the Jacobian at the iterate whose residual it has just
-    evaluated, so the Jacobian finds that iterate's sweep here.  The match
-    is on the configurations' bytes; at any other point the Jacobian sweeps
-    again.
-    """
-
-    def __init__(self) -> None:
-        self._key: bytes | None = None
-        self._sweep: _Sweep | None = None
-
-    def put(self, full: np.ndarray, sweep: _Sweep) -> None:
-        self._key, self._sweep = full.tobytes(), sweep
-
-    def get(self, full: np.ndarray) -> _Sweep | None:
-        return self._sweep if full.tobytes() == self._key else None
-
-
 def init_trajectory(q_start: np.ndarray, q_end: np.ndarray, steps: int) -> np.ndarray:
     """Straight-line joint-space initialization with exact endpoints."""
     if steps < 2:
@@ -733,11 +711,11 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
     steps = problem.steps
     q_rest = problem.q_rest if problem.q_rest is not None \
         else 0.5 * (model.q_min + model.q_max)
-    last_sweep = _LastSweep()
     init = init_trajectory(problem.q_start, problem.q_end, steps)
     # the per-joint terms' names and sizes, the same at every point
     names, sizes = zip(*((name, rows.size) for name, rows, _, _ in
-                         _joint_terms(problem, q_rest, init, slopes=False)))
+                         _joint_terms(problem, q_rest, init)))
+    last: dict = {}     # the trajectory whose residual was evaluated last
 
     def assemble(x: np.ndarray) -> np.ndarray:
         full = np.empty((steps, dof))
@@ -751,8 +729,8 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
         collision, sweep = penalty_collision(
             full, model, problem.obstacles, problem.weights.collision, problem.eps_safe,
             problem.swept_samples, pad=problem.collision_pad)
-        last_sweep.put(full, sweep)
-        terms = _joint_terms(problem, q_rest, full, slopes=False)
+        terms = _joint_terms(problem, q_rest, full)
+        last.update(full=full, terms=terms, sweep=sweep)
         return np.concatenate([rows.ravel() for _, rows, _, _ in terms] + [collision])
 
     if steps == 2:
@@ -761,8 +739,7 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
         cost, iterations, converged = float(np.sum(residual ** 2)), 0, True
     else:
         lm = levenberg_marquardt(lambda x: residuals_of(assemble(x)), init[1:-1].ravel(),
-                                 _make_jacobian(problem, q_rest, sizes, assemble,
-                                                last_sweep),
+                                 _make_jacobian(problem, sizes, last),
                                  max_iters=problem.max_iters)
         full, residual = assemble(lm.x), lm.residual
         cost, iterations, converged = lm.cost, lm.iterations, lm.converged
@@ -783,25 +760,26 @@ def optimize_trajectory(problem: TrajOptProblem) -> TrajOptResult:
     )
 
 
-def _make_jacobian(problem: TrajOptProblem, q_rest: np.ndarray, sizes: Sequence[int],
-                   assemble, last_sweep: _LastSweep
+def _make_jacobian(problem: TrajOptProblem, sizes: Sequence[int], last: dict
                    ) -> Callable[[np.ndarray], FrameJacobian]:
     """Jacobian of the stacked residual w.r.t. interior configurations.
+
+    LM asks for the Jacobian only at the point whose residual it evaluated
+    last, so it is built from that evaluation, which ``last`` holds: the
+    trajectory ``full``, its ``_joint_terms`` and its ``_Sweep``.  A point
+    whose bytes differ from that trajectory's interior raises RuntimeError.
 
     Rows are first written against full frames: each touches frames t and
     t+1 (smooth, velocity, collision) or frame t alone (rest, limits).
     ``_interior_rows`` then drops the coefficients on the pinned endpoints
     and renumbers the frames.  The per-joint rows take their one scalar
-    coefficient per frame from ``_joint_terms``, whose terms have ``sizes``
-    rows; the rows' frames and joints do not depend on the point and are
-    laid out once.  ``_collision_rows`` gives the collision rows, the block
-    rows, in closed form from the sweep of the point, which is the
-    residual's own when ``last_sweep`` holds it.
+    coefficient per frame from the terms, which have ``sizes`` rows; the
+    rows' frames and joints do not depend on the point and are laid out
+    once.  ``_collision_rows`` gives the collision rows, the block rows, in
+    closed form from the sweep.
     """
-    model = problem.model
-    dof = model.dof
+    dof = problem.model.dof
     steps = problem.steps
-    boundary = problem.eps_safe + problem.collision_pad
     # each per-joint row's first full frame, in residual order
     joint_lo = np.concatenate([np.repeat(np.arange(size // dof), dof) for size in sizes])
     joint = np.tile(np.arange(dof), joint_lo.size // dof)
@@ -816,15 +794,16 @@ def _make_jacobian(problem: TrajOptProblem, q_rest: np.ndarray, sizes: Sequence[
         return out
 
     def jac(x: np.ndarray) -> FrameJacobian:
-        full = assemble(x)
-        terms = _joint_terms(problem, q_rest, full)
+        full = last.get("full")
+        if full is None or full[1:-1].tobytes() != np.asarray(x, dtype=float).tobytes():
+            raise RuntimeError("the trajectory Jacobian is asked at a point whose "
+                               "residual was not the last evaluated")
+        terms = last["terms"]
         joint_frame, joint_cur, joint_nxt = _interior_rows(
             joint_lo, flat([cur for _, _, cur, _ in terms]),
             flat([nxt for _, _, _, nxt in terms]), steps)
-        sweep = last_sweep.get(full) or _sweep(model, full, problem.obstacles,
-                                               problem.swept_samples, boundary)
-        frame, cur, nxt = _interior_rows(coll_lo, *_collision_rows(problem, full, sweep),
-                                         steps)
+        frame, cur, nxt = _interior_rows(
+            coll_lo, *_collision_rows(problem, full, last["sweep"]), steps)
         return FrameJacobian(frame, cur, nxt, steps - 2,
                              joint_frame, joint, joint_cur, joint_nxt)
 

@@ -485,6 +485,9 @@ MALFORMED_INPUT_CASES = {
         c, c.rigid_edited("object", size=["0.08", "0.06", "0.05"])),
     "scene-rope-script-true": lambda c: _simulate(c, c.rope_edited(
         script=[[0.0, 3.0, 0.0], [True, 0.0, 0.0]])),
+    "eval-gt-poses-world": lambda c: [
+        "eval", c.fixture("rigid_run_dir") / "plan",
+        c.edited_bundle(gt_poses=lambda doc: {**doc, "frame": "world"}), "--out-dir", c.out],
 }
 
 
@@ -544,6 +547,26 @@ MISSPELLED_KEY_CASES = {
 MALFORMED_INPUT_CASES.update(
     {case: build for case, (build, _) in MISSPELLED_KEY_CASES.items()})
 
+
+def _sphere_less_robot(c):
+    robot = json.loads(fixture_path("arm7.json").read_text())
+    del robot["collision_spheres"]
+    return c.write(robot, "robot.json")
+
+
+# Obstacles with a robot that has no collision spheres, whose collision
+# term would read 0 whatever the motion: one case per command that plans.
+SPHERE_LESS_ROBOT_CASES = {
+    "run-robot-without-spheres": lambda c: _run_rigid(c, "--robot", _sphere_less_robot(c)),
+    "plan-rigid-robot-without-spheres": lambda c: [
+        "plan-rigid", "--flow", c.fixture("rigid_bundle_dir") / "gt_flow.nvfl",
+        "--robot", _sphere_less_robot(c), "--obstacles", fixture_path("obstacles_demo.json"),
+        "--out-dir", c.out],
+    "trajopt-robot-without-spheres": lambda c: _optimize_traj(
+        c, steps=21, robot=str(_sphere_less_robot(c))),
+}
+MALFORMED_INPUT_CASES.update(SPHERE_LESS_ROBOT_CASES)
+
 # Every top-level key of the two documents a user writes by hand, each
 # deleted or set to every one of these values.
 BAD_VALUES = {"deleted": DELETE, "string": "x", "list": [], "object": {},
@@ -573,7 +596,7 @@ def _has_json_type(value, kind) -> bool:
     """Whether ``value`` is JSON of ``kind``: true and false are no number,
     and an integer is a number too."""
     if isinstance(value, bool):
-        return False
+        return kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
 
 
@@ -588,6 +611,121 @@ def _mistyped_problem_key(draw):
     return key, draw(st.one_of(
         values.filter(lambda value: not _has_json_type(value, PROBLEM_TYPES[key])),
         st.sampled_from([NAN, INF, -INF])))
+
+
+# The JSON readers the reader table leaves out.  Each maps to the command
+# that reads its document from a path, the JSON type of every key it reads,
+# wherever the key sits in the document, and the keys it cannot do without.
+# Keys a reader lets pass unread (a ``description``, a plan's ``version``)
+# are in no table.
+_POSE_TYPES = {"rotation": list, "translation": list}
+_ROBOT_TYPES = {"joints": list, "ee_offset": dict, "collision_spheres": list,
+                "base_pose": dict, "name": str, "axis": list, "origin": dict,
+                "q_min": float, "q_max": float, "velocity_limit": float, "link": int,
+                "center": list, "radius": float, **_POSE_TYPES}
+_ROBOT_REQUIRED = set(_ROBOT_TYPES) - {"collision_spheres", "base_pose", "name"}
+
+
+def _fuzz_robot(c, path):
+    return _optimize_traj(c, steps=11, robot=str(path))
+
+
+def _fuzz_obstacles(c, path):
+    return _run_rigid(c, "--obstacles", path)
+
+
+def _fuzz_dynamics(c, path):
+    bundle = c.fixture("rope_bundle_dir")
+    return ["plan-deformable", "--flow", bundle / "gt_flow.nvfl", "--dynamics", path,
+            "--horizon", 2, "--out-dir", c.out]
+
+
+def _fuzz_state(c, path):
+    bundle = c.fixture("rope_bundle_dir")
+    return _fuzz_dynamics(c, bundle / "dynamics.json") + ["--state", path]
+
+
+def _fuzz_plan(c, path):
+    run = c.fixture("rigid_run_dir")
+    plan = c.tmp / "plan"
+    plan.mkdir(exist_ok=True)
+    shutil.copy(path, plan / "plan.json")
+    shutil.copy(run / "plan" / "joint_traj.csv", plan / "joint_traj.csv")
+    return ["eval", plan, run / "scene", "--out-dir", c.out]
+
+
+FUZZED_READERS = {
+    "robot": (lambda c: json.loads(fixture_path("arm7.json").read_text()), _fuzz_robot,
+              _ROBOT_TYPES, _ROBOT_REQUIRED),
+    "obstacles": (
+        lambda c: {"description": "one of each type", "obstacles": [
+            {"type": "sphere", "center": [0.01, 0.0, 0.87], "radius": 0.03},
+            {"type": "box", "center": [0.3, 0.2, 0.9], "half_extents": [0.02] * 3,
+             "rotation": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+            {"type": "halfspace", "point": [0.0, 0.0, 1.2], "normal": [0.0, 0.0, -1.0]}]},
+        _fuzz_obstacles,
+        {"obstacles": list, "type": str, "center": list, "radius": float,
+         "half_extents": list, "rotation": list, "point": list, "normal": list},
+        {"type", "center", "radius", "half_extents", "point", "normal"}),
+    "dynamics": (_rope_dynamics, _fuzz_dynamics,
+                 {"n_particles": int, "edges": list, "rest_lengths": list,
+                  "stiffness": float, "damping": float, "mass": float, "dt": float,
+                  "substeps": int, "gravity": bool, "ground_height": float,
+                  "attachment": list, "pinned": list},
+                 {"n_particles", "edges", "rest_lengths"}),
+    "state": (lambda c: json.loads(
+        (c.fixture("rope_bundle_dir") / "initial_state.json").read_text()), _fuzz_state,
+        {"positions": list, "velocities": list}, {"positions", "velocities"}),
+    "plan": (lambda c: json.loads(
+        (c.fixture("rigid_run_dir") / "plan" / "plan.json").read_text()), _fuzz_plan,
+        {"robot": dict, "grasp": dict, "steps_per_flow_frame": int, **_ROBOT_TYPES},
+        {"robot", "grasp", "steps_per_flow_frame"} | _ROBOT_REQUIRED),
+}
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 30),
+                          st.floats(-10.0, 10.0), st.text(max_size=4))
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3),
+                         st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2))
+
+
+def _objects(doc, path=()):
+    """The path of every JSON object in ``doc``, ``doc`` itself first."""
+    if isinstance(doc, dict):
+        yield path
+        for key, value in doc.items():
+            yield from _objects(value, path + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _objects(value, path + (index,))
+
+
+def _with_defect(draw, doc, types, required):
+    """``doc`` with one defect that ``draw`` picks, as (name, document)."""
+    holders = list(_objects(doc))
+    keys = [(path, key) for path in holders for key in _at(doc, path)]
+    defect = draw(st.sampled_from(["extra-key", "wrong-type", "missing-key",
+                                   "not-an-object"]))
+    if defect == "not-an-object":
+        return defect, draw(_JSON_SCALARS)
+    if defect == "extra-key":
+        path = draw(st.sampled_from(holders))
+        key = "unread_" + draw(st.text(max_size=4))
+        _at(doc, path)[key] = draw(_JSON_VALUES)
+        return defect, doc
+    path, key = draw(st.sampled_from([(p, k) for p, k in keys
+                                      if (k in required if defect == "missing-key"
+                                          else k in types)]))
+    if defect == "missing-key":
+        del _at(doc, path)[key]
+    else:
+        _at(doc, path)[key] = draw(_JSON_VALUES.filter(
+            lambda value: not _has_json_type(value, types[key])))
+    return defect, doc
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
 
 
 # A valid .nvfl of 2 frames and 4 keypoints: more keypoints than the pose fit
@@ -848,6 +986,22 @@ class TestConfigErrors:
                          "--out-dir", tmp_path / "o"]) == 2
         assert_one_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("reader", sorted(FUZZED_READERS))
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_document_exits_2(self, reader, data, tmp_path, request, capsys):
+        """One defect in a valid robot, obstacle, dynamics, particle-state or
+        plan document: an extra key at any level, a value of another JSON
+        type, a key the reader needs deleted, or no object at all."""
+        build, argv_of, types, required = FUZZED_READERS[reader]
+        inputs = MalformedInputs(tmp_path, request)
+        defect, doc = _with_defect(data.draw, build(inputs), types, required)
+        argv = argv_of(inputs, inputs.write(doc, "fuzzed.json"))
+        capsys.readouterr()
+        assert run_main(argv) == 2, defect
+        assert_one_error_line(capsys.readouterr().err)
+
     @pytest.mark.parametrize("case", sorted(MISSPELLED_KEY_CASES))
     def test_error_names_the_unknown_key(self, case, tmp_path, request, capsys):
         build, key = MISSPELLED_KEY_CASES[case]
@@ -866,6 +1020,26 @@ class TestConfigErrors:
         assert_one_error_line(capsys.readouterr().err)
         assert not (inputs.out / "scene").exists()
         assert not (inputs.out / "flow").exists()
+
+    @pytest.mark.parametrize("case", sorted(SPHERE_LESS_ROBOT_CASES))
+    def test_sphere_less_robot_with_obstacles_writes_nothing(self, case, tmp_path,
+                                                              request, capsys):
+        inputs = MalformedInputs(tmp_path, request)
+        argv = SPHERE_LESS_ROBOT_CASES[case](inputs)
+        capsys.readouterr()
+        assert run_main(argv) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "no collision spheres" in err
+        assert not inputs.out.exists()
+
+    def test_pose_file_outside_the_camera_frame_is_named(self, tmp_path, request, capsys):
+        argv = MALFORMED_INPUT_CASES["eval-gt-poses-world"](MalformedInputs(tmp_path, request))
+        capsys.readouterr()
+        assert run_main(argv) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "camera frame" in err and "'world'" in err
 
     @pytest.mark.parametrize("case", sorted(c for c in MALFORMED_INPUT_CASES
                                             if c.startswith("eval-")))

@@ -1,7 +1,8 @@
-"""Every name a module exports through ``__all__`` must resolve, and the
-package's top level exports nothing but its version: the API is the
-submodules."""
+"""Every name a module exports through ``__all__`` must resolve, the
+package's top level exports nothing but its version (the API is the
+submodules), and every module-level function or class has a caller."""
 
+import ast
 import importlib
 import json
 import os
@@ -38,3 +39,63 @@ def test_top_level_exports_only_the_version():
     exported, submodules = json.loads(proc.stdout)
     assert exported == ["__version__"]
     assert submodules == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# Kept with no caller in src/ or perfbench/: the oracle the waypoint tests
+# compare scene generation against.
+UNCALLED_ON_PURPOSE = {"screw_interpolate"}
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """The names, attributes and imported names under ``node``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name.rpartition(".")[2])
+    return found
+
+
+def _patched(tree: ast.Module) -> set[str]:
+    """The names ``patch(owner, attr, ...)`` calls replace: each attr, and
+    the class of an owner written ``module:Class``."""
+    found = set()
+    for sub in ast.walk(tree):
+        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr == "patch" and len(sub.args) >= 2
+                and all(isinstance(a, ast.Constant) for a in sub.args[:2])):
+            owner, attr = sub.args[0].value, sub.args[1].value
+            found |= {attr, owner.rpartition(":")[2]} - {""}
+    return found
+
+
+def test_every_module_level_definition_has_a_caller():
+    """A function or class of ``src/nvflow`` that nothing in ``src/`` or
+    ``perfbench/`` names, outside its own definition, is API only its
+    tests use.  An ``__all__`` entry is a string, so it is no reference."""
+    defined: dict[str, str] = {}
+    uses: dict[str, set] = {}          # name -> the definitions referring to it
+    for path in sorted([*(ROOT / "src" / "nvflow").glob("*.py"),
+                        *(ROOT / "perfbench").glob("*.py")]):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        in_package = path.parent.name == "nvflow"
+        for node in tree.body:
+            own = None
+            if in_package and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                ast.ClassDef)):
+                own = node.name
+                defined[own] = path.name
+            for name in _referenced(node):
+                uses.setdefault(name, set()).add(own)
+        if path.name == "tracing.py":
+            for name in _patched(tree):
+                uses.setdefault(name, set()).add(None)
+    uncalled = sorted(f"{module}: {name}" for name, module in defined.items()
+                      if not uses.get(name, set()) - {name}
+                      and name not in UNCALLED_ON_PURPOSE)
+    assert uncalled == []
+    assert UNCALLED_ON_PURPOSE <= set(defined)

@@ -15,7 +15,6 @@ from nvflow.geometry import (
     project,
     quaternion_from_rotation,
     rotation_from_axis_angle,
-    rotation_from_quaternion,
     rotation_geodesic_angle,
     screw_interpolate,
     se3_exp,
@@ -92,11 +91,15 @@ class TestSE3Pose:
 
 
 class TestRotationConversions:
-    def test_quaternion_round_trip(self, rng):
+    def test_quaternion_of_an_axis_angle_rotation(self, rng):
+        # a turn by theta about the unit axis u is (cos(theta/2), sin(theta/2) u)
         for _ in range(200):
-            rot = random_rotation(rng)
-            back = rotation_from_quaternion(quaternion_from_rotation(rot))
-            assert np.linalg.norm(back - rot) < 1e-9
+            axis = rng.standard_normal(3)
+            axis /= np.linalg.norm(axis)
+            theta = rng.uniform(0.0, np.pi)
+            quat = quaternion_from_rotation(rotation_from_axis_angle(theta * axis))
+            want = np.concatenate([[np.cos(theta / 2.0)], np.sin(theta / 2.0) * axis])
+            assert np.linalg.norm(quat - want) < 1e-9
 
     def test_quaternion_identity(self):
         assert np.allclose(quaternion_from_rotation(np.eye(3)), [1.0, 0.0, 0.0, 0.0])

@@ -165,7 +165,7 @@ class TestRigidScenes:
         bundle = generate_scene(small_rigid_config(frames=6, distractor_points=0))
         cut_tracks = TrackSet(bundle.tracks.positions[:-2], bundle.tracks.visible[:-2])
         cut_flow = ActionableFlow(bundle.gt_flow.positions[:-2], label="box")
-        cut_poses = ObjectPoseTrajectory(bundle.gt_poses.poses[:-2], frame="camera")
+        cut_poses = ObjectPoseTrajectory(bundle.gt_poses.poses[:-2])
         for changes in ({"tracks": cut_tracks}, {"gt_flow": cut_flow},
                         {"gt_poses": cut_poses},
                         {"tracks": cut_tracks, "gt_flow": cut_flow, "gt_poses": cut_poses}):
@@ -269,9 +269,7 @@ class TestCorruptFlow:
 class TestEvaluateRigid:
     @staticmethod
     def identity_trajectory(frames=5):
-        return ObjectPoseTrajectory(tuple(SE3Pose.identity()
-                                          for _ in range(frames)),
-                                    frame="camera")
+        return ObjectPoseTrajectory(tuple(SE3Pose.identity() for _ in range(frames)))
 
     def test_identical_trajectories_score_perfectly(self):
         gt = self.identity_trajectory()
@@ -284,7 +282,7 @@ class TestEvaluateRigid:
         gt = self.identity_trajectory()
         poses = list(gt.poses)
         poses[-1] = SE3Pose(np.eye(3), np.array([0.01, 0.0, 0.0]))
-        metrics = evaluate_rigid(ObjectPoseTrajectory(tuple(poses), "camera"), gt)
+        metrics = evaluate_rigid(ObjectPoseTrajectory(tuple(poses)), gt)
         assert metrics.translation_error_mm[-1] == pytest.approx(10.0, rel=1e-9)
         assert not metrics.success
 
@@ -293,7 +291,7 @@ class TestEvaluateRigid:
         poses = list(gt.poses)
         rot = rotation_from_axis_angle(np.array([0.0, 0.0, math.radians(1.0)]))
         poses[-1] = SE3Pose(rot, np.zeros(3))
-        metrics = evaluate_rigid(ObjectPoseTrajectory(tuple(poses), "camera"), gt)
+        metrics = evaluate_rigid(ObjectPoseTrajectory(tuple(poses)), gt)
         assert metrics.rotation_error_deg[-1] == pytest.approx(1.0, abs=1e-9)
         assert metrics.success  # 1 degree is inside the 2 degree default
 
@@ -337,10 +335,11 @@ class TestEvaluateDeformable:
 
     def test_tolerance_controls_success(self):
         flow = self.line_flow()
-        final = ParticleState.at_rest(flow.positions[-1]
-                                      + np.array([0.0, 0.01, 0.0]))
-        metrics = evaluate_deformable(final, flow, np.arange(6), rmse_tol_mm=5.0)
-        assert not metrics.success
+        for offset, success in ((0.049, True), (0.051, False)):   # 50 mm tolerance
+            final = ParticleState.at_rest(flow.positions[-1]
+                                          + np.array([0.0, offset, 0.0]))
+            metrics = evaluate_deformable(final, flow, np.arange(6))
+            assert metrics.success is success
 
     def test_correspondence_object_and_default(self):
         flow = self.line_flow()

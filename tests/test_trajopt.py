@@ -382,8 +382,8 @@ class TestStructuredSolve:
     def test_trajectory_jacobian_matches_forward_differences(self, monkeypatch):
         residual, jacobian, x0 = lm_inputs(packaged_problem(21), monkeypatch)
         x = perturbed(x0)
-        jac = dense(jacobian(x))
         r0 = residual(x)
+        jac = dense(jacobian(x))
         h = 1e-6
         fd = np.empty_like(jac)
         for k in range(x.size):
@@ -407,7 +407,8 @@ class TestStructuredSolve:
     def test_damped_step_matches_dense_normal_equations(self, monkeypatch, make):
         residual, jacobian, x0 = lm_inputs(make(), monkeypatch)
         x = perturbed(x0)
-        blocks, r = jacobian(x), residual(x)
+        r = residual(x)
+        blocks = jacobian(x)
         jac = dense(blocks)
         jtj = jac.T @ jac
         scale = np.diag(np.maximum(np.diag(jtj), 1e-12))
@@ -682,31 +683,25 @@ class TestAnalyticCollisionJacobian:
                              ids=["packaged", "box-and-halfspace"])
     def test_jacobian_away_from_the_last_residual(self, monkeypatch, fk_batches,
                                                   obstacles):
-        """At a point whose residual was not the last evaluated, the Jacobian
-        sweeps it again, as the residual there does, and gives the bytes it
-        gives after that residual."""
+        """The Jacobian is built from the last residual evaluation, so at
+        any other point it raises and sweeps nothing; before any residual
+        evaluation it raises too."""
         problem = packaged_problem(41)
         if obstacles:
             problem = with_obstacles(problem, *obstacles)
         residual, jacobian, x0 = lm_inputs(problem, monkeypatch)
         x = perturbed(x0, seed=7)
-        fk_batches.clear()
         residual(x)
-        residual_batches = list(fk_batches)
-        # the 41 frames, then the inner samples of the segments not skipped
-        assert residual_batches[0] == 41 and len(residual_batches) == 2
-        assert 0 < residual_batches[1] <= 40 * (problem.swept_samples - 2)
-        assert residual_batches[1] % (problem.swept_samples - 2) == 0
-        after_residual = jacobian(x)
+        jacobian(x)
         for elsewhere in (x0, -0.0 * x):
             residual(elsewhere)
             fk_batches.clear()
-            missed = jacobian(x)
-            assert fk_batches == residual_batches
-            for name in ("frame", "cur", "nxt", "joint_frame", "joint", "joint_cur",
-                         "joint_nxt"):
-                assert np.array_equal(getattr(missed, name),
-                                      getattr(after_residual, name)), name
+            with pytest.raises(RuntimeError, match="not the last evaluated"):
+                jacobian(x)
+            assert fk_batches == []
+        fresh = trajopt._make_jacobian(problem, [1], {})
+        with pytest.raises(RuntimeError, match="not the last evaluated"):
+            fresh(x)
 
 
 class TestSweepSkipsWhatCannotMatter:
@@ -1142,14 +1137,11 @@ class TestJointTermsMatchTheBlockFormulas:
         blocks = block_formulas(problem, full)
         assert problem.q_rest is None      # optimize_trajectory rests at mid-range
         q_rest = 0.5 * (problem.model.q_min + problem.model.q_max)
-        for slopes in (True, False):
-            terms = trajopt._joint_terms(problem, q_rest, full, slopes=slopes)
-            assert [name for name, _, _, _ in terms] == [name for name, _ in blocks]
-            for (name, rows, cur, nxt), (_, block) in zip(terms, blocks):
-                assert rows.shape == block.shape, name
-                assert rows.tobytes() == block.tobytes(), name
-                if not slopes and name in ("limits", "velocity"):
-                    assert cur is None and (nxt is None or nxt == 0.0)
+        terms = trajopt._joint_terms(problem, q_rest, full)
+        assert [name for name, _, _, _ in terms] == [name for name, _ in blocks]
+        for (name, rows, _, _), (_, block) in zip(terms, blocks):
+            assert rows.shape == block.shape, name
+            assert rows.tobytes() == block.tobytes(), name
 
         residual, _, _ = lm_inputs(problem, monkeypatch)
         want = reference_residual(problem, full)
