@@ -8,10 +8,12 @@ Formats defined here:
   the layout nvflow writes.
 * flow, JSON (``.json``), read only, for flows made elsewhere:
   ``{"version": 1, "frames": T, "points": K, "label": str,
-  "positions": [[[x, y, z] * K] * T]}``; ``label`` may be left out.
+  "positions": [[[x, y, z] * K] * T]}``; ``label`` may be left out, and
+  any other key is an error.
 * mask: the first frame's object mask, one PGM (P5, maxval 255, 255 = object).
 * depth: 16-bit PGM (P5, maxval 65535) holding millimeters.  A zero value
-  marks an invalid pixel.
+  marks an invalid pixel.  It is read back as a ``DepthMap`` of its uint16
+  samples, not converted to meters.
 
 A scene bundle (``sim.SceneBundle``) also holds its 3-d tracks in numpy's
 own ``.npy`` format, written by ``np.save`` and read without pickles:
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import DepthMap, _floats
+from .geometry import DepthMap, _doc_fields, _floats, _int, _str, _store_millimeters
 
 __all__ = [
     "FlowFormatError",
@@ -78,18 +80,26 @@ def read_flow(path) -> tuple[np.ndarray, str]:
     Binary reads are bit-exact round-trips of :func:`write_flow`, as
     float32; the binary layout carries no label, so it comes back empty.
     JSON positions come back as float64, with the document's label.
+
+    Raises:
+        FlowFormatError: a malformed binary layout, or a JSON version or
+            shape that does not match.
+        TypeError, ValueError: a JSON document with an unknown key or a
+            value of the wrong JSON type (see ``geometry._doc_fields``).
     """
     path = Path(path)
     if path.suffix == ".json":
-        doc = json.loads(path.read_text())
+        doc = _doc_fields(json.loads(path.read_text()), {
+            "version": _int, "frames": _int, "points": _int, "label": _str,
+            "positions": _floats})
         if doc.get("version") != FLOW_VERSION:
             raise FlowFormatError(f"unsupported flow version {doc.get('version')}", 0)
-        pos = _floats(doc["positions"])
+        pos = doc["positions"]
         if pos.shape != (doc["frames"], doc["points"], 3):
             raise FlowFormatError(
                 f"positions shape {pos.shape} does not match header "
                 f"({doc['frames']}, {doc['points']}, 3)", 0)
-        return pos, str(doc.get("label", ""))
+        return pos, doc.get("label", "")
     blob = path.read_bytes()
     if len(blob) < 4 or blob[:4] != FLOW_MAGIC:
         raise FlowFormatError("not a flow file (bad magic)", 0)
@@ -190,35 +200,31 @@ def mask_from_pgm(path) -> np.ndarray:
 
 # -- depth -------------------------------------------------------------------
 
-_DEPTH_ROWS = 32    # image rows per block encoded by depth_to_pgm
-
-
 def depth_to_pgm(path, depth: DepthMap) -> None:
-    """Write depth as 16-bit PGM millimeters (rounded; 0 stays invalid).
+    """Write depth as 16-bit PGM millimeters (0 stays invalid).
 
-    A map already in whole millimeters, as generated sensor depth is, is
-    written exactly: :func:`depth_from_pgm` gives its values back bit for
-    bit.  Rows are scaled and rounded a block at a time into the file's
-    samples, so no full-frame float copy is made.
+    A millimeter map, as generated sensor depth is, is written as it is:
+    :func:`depth_from_pgm` gives its samples back bit for bit.  A map in
+    float meters is rounded to the millimeter first.
+
+    Raises:
+        ValueError: a float map holds depth beyond 65.535 m.
     """
-    values = depth.values
-    # Scaling and rounding are monotone, so the largest sample is the max's.
-    if np.round(values.max() * 1000.0) > 65535:
-        raise ValueError("depth exceeds the 65.535 m range of 16-bit millimeters")
-    stored = np.empty(values.shape, dtype=">u2")   # the file's byte order: write_pgm copies nothing
-    for start in range(0, len(values), _DEPTH_ROWS):
-        mm = values[start:start + _DEPTH_ROWS] * 1000.0
-        stored[start:start + _DEPTH_ROWS] = np.round(mm, out=mm)
-    write_pgm(path, stored, maxval=65535)
+    samples = depth.samples
+    if samples.dtype != np.uint16:
+        stored = np.empty(samples.shape, dtype=np.uint16)
+        _store_millimeters(samples.copy(), stored)
+        samples = stored
+    write_pgm(path, samples, maxval=65535)
 
 
 def depth_from_pgm(path) -> DepthMap:
+    """The depth map a 16-bit PGM holds, as its uint16 millimeter samples."""
     values, maxval = read_pgm(path)
     if maxval != 65535:
         raise ValueError("depth PGM must be 16-bit (maxval 65535)")
-    meters = np.divide(values, 1000.0)
-    meters.flags.writeable = False    # handed over to the DepthMap, not copied
-    return DepthMap(meters)
+    values.flags.writeable = False    # handed over to the DepthMap, not copied
+    return DepthMap(values)
 
 
 def sha256_file(path) -> str:

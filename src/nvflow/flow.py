@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, DepthMap, _frozen, project
+from .geometry import CameraIntrinsics, DepthMap, _frozen, _meters, project
 
 __all__ = [
     "TrackSet",
@@ -106,45 +106,52 @@ class FlowCandidate:
     score: float
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a finite 1-d array, bit for bit, without importing numpy.ma.
+def _median(samples: np.ndarray) -> float:
+    """Median in meters of a 1-d array of depth samples (see ``DepthMap``),
+    ``np.median`` of their values in meters bit for bit, without importing
+    numpy.ma.
 
     np.median imports numpy.ma on its first call, 11-14 ms of a fresh
-    process.  This partitions ``values`` in place (callers pass a fresh
-    copy) at the upper middle index n // 2 alone, so that element is
-    numpy's; for even n the lower middle value is the largest of the part
-    before it.  The one or two values are averaged as numpy's mean does:
-    summed from +0.0, so that -0.0 reads +0.0, then divided by their count.
+    process.  This partitions ``samples`` in place, in their own dtype
+    (callers pass a fresh copy), at the upper middle index n // 2 alone, so
+    that element is numpy's; for even n the lower middle sample is the
+    largest of the part before it.  Only those one or two samples are
+    converted to meters: the conversion is monotone, so they are the middle
+    values in meters too.  They are averaged as numpy's mean does: summed
+    from +0.0, so that -0.0 reads +0.0, then divided by their count.
     """
-    n = values.size
-    values.partition(n // 2)
+    n = samples.size
+    samples.partition(n // 2)
     if n % 2:
-        return float(0.0 + values[n // 2])
-    return float((0.0 + values[:n // 2].max() + values[n // 2]) / 2.0)
+        return float(0.0 + _meters(samples[n // 2:n // 2 + 1])[0])
+    low, high = _meters(np.array([samples[:n // 2].max(), samples[n // 2]]))
+    return float((0.0 + low + high) / 2.0)
 
 
 def calibrate_depth(first: DepthMap, reference: DepthMap) -> float:
     """Scale that brings an estimated first-frame depth map onto a metric one.
 
     The scale is median(reference) / median(first), each median taken over
-    that map's own valid pixels.  Because a positive scale commutes with the
-    median, ``first`` times the scale has the reference's median exactly; the
-    median ratio is also robust to outlier pixels, which is why it is
-    preferred over an affine fit here.  One global scale serves the whole
-    clip: multiply the 3-d tracks (or any later depth map) by it.
+    that map's own valid pixels, in meters.  Because a positive scale
+    commutes with the median, ``first`` times the scale has the reference's
+    median exactly; the median ratio is also robust to outlier pixels,
+    which is why it is preferred over an affine fit here.  One global scale
+    serves the whole clip: multiply the 3-d tracks (or any later depth map)
+    by it.  Each median partitions a copy of the valid samples alone, in
+    the map's own dtype: 2 bytes a pixel for a millimeter map.
 
     Raises:
         DepthCalibrationError: if the two maps differ in size, either map has
             no valid pixel ("empty depth") or either median is non-positive.
     """
-    if first.values.shape != reference.values.shape:
+    if first.samples.shape != reference.samples.shape:
         raise DepthCalibrationError(
-            f"estimated {first.values.shape} and reference "
-            f"{reference.values.shape} sizes differ")
+            f"estimated {first.samples.shape} and reference "
+            f"{reference.samples.shape} sizes differ")
     if not first.valid.any() or not reference.valid.any():
         raise DepthCalibrationError("empty depth (a map has no valid pixels)")
-    med_est = _median(first.values[first.valid])
-    med_ref = _median(reference.values[reference.valid])
+    med_est = _median(first.samples[first.valid])
+    med_ref = _median(reference.samples[reference.valid])
     if med_est <= 0.0 or med_ref <= 0.0:
         raise DepthCalibrationError("non-positive depth median")
     return med_ref / med_est

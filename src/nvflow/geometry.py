@@ -6,7 +6,8 @@ Conventions used throughout the package:
   from axis-angle vectors, and to wxyz quaternions, live here,
 * an ``SE3Pose`` maps points as ``x_out = R @ x_in + t``,
 * camera frames follow the pinhole convention (x right, y down, z forward),
-  and depth is the camera-frame z coordinate in meters,
+  and depth is the camera-frame z coordinate in meters (a ``DepthMap`` may
+  hold it as whole millimeters, as depth sensors report it),
 * a depth value of exactly 0 marks an invalid pixel.
 
 All public types are value-semantic: arrays are frozen on construction
@@ -228,33 +229,71 @@ class CameraIntrinsics:
             raise ValueError("image size must be positive")
 
 
+def _meters(samples: np.ndarray) -> np.ndarray:
+    """Depth samples in meters: uint16 millimeters divided by 1000.0, float
+    meters as they are.  The division is the one a 16-bit PGM decodes by."""
+    return samples / 1000.0 if samples.dtype == np.uint16 else samples
+
+
+def _store_millimeters(meters: np.ndarray, out: np.ndarray) -> None:
+    """Round float ``meters`` to whole millimeters into the uint16 ``out``.
+
+    ``meters`` is a buffer the caller gives up: it is scaled and rounded in
+    place.  0 stays 0, the invalid mark.
+
+    Raises:
+        ValueError: a sample rounds above 65535 mm, the 16-bit range.
+    """
+    meters *= 1000.0
+    np.round(meters, out=meters)
+    if meters.max() > 65535:
+        raise ValueError("depth exceeds the 65.535 m range of 16-bit millimeters")
+    out[...] = meters
+
+
 @dataclass(frozen=True)
 class DepthMap:
-    """Per-pixel camera-frame z in meters; exactly 0 marks an invalid pixel."""
+    """Per-pixel camera-frame z; exactly 0 marks an invalid pixel.
 
-    values: np.ndarray  # (height, width) float, row-major
+    ``samples`` holds either float meters or, as a depth sensor and the
+    bundle's 16-bit PGMs store it, uint16 whole millimeters; a uint16 array
+    is taken as millimeters, anything else as meters.  ``values`` is the
+    map in float meters either way: a millimeter map's is computed on each
+    access, ``samples / 1000.0``, so hold on to it rather than ask twice.
+    """
+
+    samples: np.ndarray  # (height, width) float meters or uint16 millimeters, row-major
 
     def __post_init__(self) -> None:
-        v = _frozen(self.values)
+        millimeters = isinstance(self.samples, np.ndarray) and self.samples.dtype == np.uint16
+        v = _frozen(self.samples, dtype=np.uint16 if millimeters else float)
         if v.ndim != 2 or v.size == 0:
             raise ValueError(f"depth map must be a non-empty 2-d array, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("depth map contains non-finite values")
-        if (v < 0.0).any():
-            raise ValueError("depth values must be non-negative (0 marks invalid)")
-        object.__setattr__(self, "values", v)
+        if not millimeters:
+            if not np.isfinite(v).all():
+                raise ValueError("depth map contains non-finite values")
+            if (v < 0.0).any():
+                raise ValueError("depth values must be non-negative (0 marks invalid)")
+        object.__setattr__(self, "samples", v)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The map in float meters, read-only."""
+        meters = _meters(self.samples)
+        meters.flags.writeable = False
+        return meters
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self.samples.shape[0]
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.samples.shape[1]
 
     @property
     def valid(self) -> np.ndarray:
-        return self.values > 0.0
+        return self.samples > 0
 
 
 def project(intrinsics: CameraIntrinsics, points: np.ndarray) -> np.ndarray:

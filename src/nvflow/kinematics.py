@@ -85,6 +85,9 @@ class Joint:
         object.__setattr__(self, "_rodrigues", (k, k @ k))
         object.__setattr__(self, "_origin_turns",
                            not np.array_equal(self.origin.rotation, np.eye(3)))
+        if not np.isfinite([self.q_min, self.q_max, self.velocity_limit]).all():
+            raise ValueError(f"joint limits must be finite, got q_min {self.q_min}, "
+                             f"q_max {self.q_max}, velocity_limit {self.velocity_limit}")
         if not self.q_min < self.q_max:
             raise ValueError(f"empty joint range [{self.q_min}, {self.q_max}]")
         if self.velocity_limit <= 0.0:

@@ -54,6 +54,7 @@ from .geometry import (
     _floats,
     _frozen,
     _int,
+    _store_millimeters,
     _str,
     project,
     rotation_from_axis_angle,
@@ -333,16 +334,18 @@ def _default_waypoints(spec: ObjectSpec) -> tuple[Waypoint, ...]:
 _GROUND_ROWS = 32      # image rows per block of rays in _ground_depth
 
 
-def _ground_depth(intrinsics: CameraIntrinsics, extrinsic: SE3Pose) -> np.ndarray:
+def _ground_depth(intrinsics: CameraIntrinsics, extrinsic: SE3Pose):
     """Per-pixel camera-frame depth of the table, the world plane z = 0.
 
+    Yields the map top to bottom in blocks of ``_GROUND_ROWS`` rows, each a
+    fresh (rows, W) float array, so no full-frame map is made.
     ``extrinsic`` maps world to camera coordinates.  Pixels whose rays miss
-    the plane (or hit it behind the camera) are left at 0, i.e. invalid.
-    The rays ((u - cx) / fx, (v - cy) / fy, 1) are built and dotted with the
-    plane normal a block of rows at a time, not as one (H, W, 3) array.  The
-    bits are the same: numpy's matmul of a stack of (W, 3) rows with a (3,)
-    vector makes one BLAS gemv call per image row either way, on the same
-    row of rays, so no sum is accumulated in another order.
+    the plane (or hit it behind the camera) are 0, i.e. invalid.  The rays
+    ((u - cx) / fx, (v - cy) / fy, 1) are built and dotted with the plane
+    normal a block at a time, not as one (H, W, 3) array.  The bits are
+    the same: numpy's matmul of a stack of (W, 3) rows with a (3,) vector
+    makes one BLAS gemv call per image row either way, on the same row of
+    rays, so no sum is accumulated in another order.
     """
     normal = extrinsic.rotation @ np.array([0.0, 0.0, 1.0])
     on_plane = extrinsic.apply(np.zeros(3))
@@ -352,15 +355,14 @@ def _ground_depth(intrinsics: CameraIntrinsics, extrinsic: SE3Pose) -> np.ndarra
     block = np.empty((min(height, _GROUND_ROWS), width, 3))
     block[..., 0] = (np.arange(width) - intrinsics.cx) / intrinsics.fx
     block[..., 2] = 1.0
-    depth = np.zeros((height, width))
     for start in range(0, height, _GROUND_ROWS):
-        out = depth[start:start + _GROUND_ROWS]
-        rows = block[:len(out)]
-        rows[..., 1] = ys[start:start + len(out), None]
+        rows = block[:min(_GROUND_ROWS, height - start)]
+        rows[..., 1] = ys[start:start + len(rows), None]
         denom = rows @ normal
+        out = np.zeros((len(rows), width))
         np.divide(offset, denom, out=out, where=np.abs(denom) > 1e-9)
         np.copyto(out, 0.0, where=out < 0.0)
-    return depth
+        yield out
 
 
 def _drop_interior(pts: np.ndarray) -> np.ndarray:
@@ -548,30 +550,39 @@ def _render_depth(config: SceneConfig, rng: np.random.Generator,
 
     Depth noise is relative (multiplicative 1 + sigma * N); the reference map
     is the same frame, unscaled and noise-free.  The sensor reports whole
-    millimeters, as the bundle's 16-bit PGMs store them: after the noise
-    draw both maps are rounded to the millimeter, and equal bit for bit
-    what ``SceneBundle.read`` decodes from the written bundle.  Only the
-    first frame is rendered, because no stage reads a later one.
+    millimeters, and both maps hold them as uint16 samples, as the bundle's
+    16-bit PGMs store them, so ``SceneBundle.read`` decodes the maps
+    generated here bit for bit.  Each block of rows is rendered, noised,
+    scaled and rounded on its own; the noise rows come from the stream in
+    order, the same values one full-frame draw takes.  Only the first frame
+    is rendered, because no stage reads a later one.
+
+    Raises:
+        ValueError: a sample lies beyond the 65.535 m range of 16-bit millimeters.
     """
     noise = config.noise
-    reference = _ground_depth(config.intrinsics, config.camera.inverse())
-    reference[mask] = object_depth
-    if noise.depth_sigma > 0.0:
-        # reference * (1 + sigma * N), computed in place on the draws, then
-        # clipped to +0.0 (-0.0 too, as a stored 0 decodes).
-        sensor = rng.standard_normal(reference.shape)
-        sensor *= noise.depth_sigma
-        sensor += 1.0
-        sensor *= reference
-        np.copyto(sensor, 0.0, where=sensor <= 0.0)
-    else:
-        sensor = reference.copy()
-    sensor *= noise.depth_scale
-    for values in (sensor, reference):
-        values *= 1000.0
-        np.round(values, out=values)
-        values /= 1000.0
-        values.flags.writeable = False    # handed over to the DepthMap, not copied
+    shape = (config.height, config.width)
+    sensor = np.empty(shape, dtype=np.uint16)
+    reference = np.empty(shape, dtype=np.uint16)
+    blocks = _ground_depth(config.intrinsics, config.camera.inverse())
+    for start, rows in zip(range(0, config.height, _GROUND_ROWS), blocks):
+        stop = start + len(rows)
+        rows[mask[start:stop]] = object_depth
+        if noise.depth_sigma > 0.0:
+            # rows * (1 + sigma * N), computed in place on the draws, then
+            # clipped to +0.0 (-0.0 too, as a stored 0 decodes).
+            seen = rng.standard_normal(rows.shape)
+            seen *= noise.depth_sigma
+            seen += 1.0
+            seen *= rows
+            np.copyto(seen, 0.0, where=seen <= 0.0)
+        else:
+            seen = rows.copy()
+        seen *= noise.depth_scale
+        _store_millimeters(seen, sensor[start:stop])
+        _store_millimeters(rows, reference[start:stop])
+    sensor.flags.writeable = False       # handed over to the DepthMaps, not copied
+    reference.flags.writeable = False
     return DepthMap(sensor), DepthMap(reference)
 
 
@@ -915,8 +926,8 @@ class SceneBundle:
                 raise ValueError(f"{name}: {count} frames, the config has {self.config.frames}")
         mask = _frozen(self.mask, dtype=bool)
         size = (self.config.height, self.config.width)
-        for name, shape in (("mask", mask.shape), ("depth map", self.depth.values.shape),
-                            ("reference depth map", self.depth_ref.values.shape)):
+        for name, shape in (("mask", mask.shape), ("depth map", self.depth.samples.shape),
+                            ("reference depth map", self.depth_ref.samples.shape)):
             if shape != size:
                 raise ValueError(f"{name} is {shape}, the config's image is {size}")
         object.__setattr__(self, "mask", mask)
@@ -927,7 +938,8 @@ class SceneBundle:
         Returns the bundle :meth:`read` gives back: the ground-truth flow at
         float32 precision, as ``gt_flow.nvfl`` stores it.  Every other field
         round-trips bit for bit, the depth maps too when they hold whole
-        millimeters, as generated sensor depth does.
+        millimeters, as generated depth maps do: they come back as the same
+        uint16 samples.
         """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

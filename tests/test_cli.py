@@ -227,6 +227,16 @@ def _stringified_rope_flow(c):
         [[str(v) for v in p] for p in frame] for frame in positions.tolist()]}, "f.json")
 
 
+def _json_flow(c, **changes):
+    """The small rigid bundle's flow as a JSON flow file, with ``changes``
+    made to its document; a key set to DELETE is removed."""
+    positions, _ = read_flow(c.fixture("rigid_bundle_dir") / "gt_flow.nvfl")
+    frames, points, _ = positions.shape
+    doc = {"version": 1, "frames": frames, "points": points, "label": "box",
+           "positions": positions.tolist(), **changes}
+    return c.write({k: v for k, v in doc.items() if v is not DELETE}, "f.json")
+
+
 def _stringified_state(c):
     """The rope bundle's initial particle state with its positions as strings."""
     doc = json.loads((c.fixture("rope_bundle_dir") / "initial_state.json").read_text())
@@ -344,6 +354,7 @@ MALFORMED_INPUT_CASES = {
         "plan-deformable", "--flow", _stringified_rope_flow(c),
         "--dynamics", c.fixture("rope_bundle_dir") / "dynamics.json",
         "--horizon", 2, "--out-dir", c.out],
+    "flow-json-label-list": lambda c: _plan_rigid(c, _json_flow(c, label=[3])),
     "flow-json-one-frame": lambda c: _plan_rigid(c, c.write(
         {"version": 1, "frames": 1, "points": 1, "positions": [[[0.0, 0.0, 1.0]]]},
         "f.json")),
@@ -459,6 +470,10 @@ MALFORMED_INPUT_CASES = {
     "dynamics-pinned-string": lambda c: _plan_deformable(c, pinned=["7"]),
     "robot-sphere-link-fraction": lambda c: _optimize_traj_robot(c, sphere={"link": 1.7}),
     "robot-joint-q-min-string": lambda c: _optimize_traj_robot(c, joint={"q_min": "-2.9"}),
+    "robot-joint-velocity-limit-nan": lambda c: _optimize_traj_robot(
+        c, joint={"velocity_limit": NAN}),
+    "robot-joint-q-max-inf": lambda c: _optimize_traj_robot(c, joint={"q_max": INF}),
+    "robot-joint-q-min-inf": lambda c: _optimize_traj_robot(c, joint={"q_min": -INF}),
     # array elements of the wrong type that np.asarray(..., dtype=float) would coerce
     "dynamics-rest-lengths-strings": lambda c: _plan_deformable(
         c, rest_lengths=[str(x) for x in _rope_dynamics(c)["rest_lengths"]]),
@@ -539,6 +554,8 @@ MISSPELLED_KEY_CASES = {
         "rotaton"),
     "eval-plan-steps-per-flow-fram": (lambda c: _eval_plan(c, lambda doc: {
         **doc, "steps_per_flow_fram": doc["steps_per_flow_frame"]}), "steps_per_flow_fram"),
+    "flow-json-lable": (
+        lambda c: _plan_rigid(c, _json_flow(c, label=DELETE, lable="box")), "lable"),
     "dynamics-stifness": (lambda c: _plan_deformable(c, stifness=500.0), "stifness"),
     "state-velocity": (lambda c: _plan_deformable(c) + ["--state", c.write({**json.loads(
         (c.fixture("rope_bundle_dir") / "initial_state.json").read_text()), "velocity": []},
@@ -1050,6 +1067,19 @@ class TestConfigErrors:
         capsys.readouterr()
         assert run_main(argv) == 2
         assert_one_error_line(capsys.readouterr().err)
+        assert not inputs.out.exists()
+
+    @pytest.mark.parametrize("case", ["robot-joint-velocity-limit-nan", "robot-joint-q-max-inf",
+                                      "robot-joint-q-min-inf"])
+    def test_non_finite_joint_limit_is_rejected_before_making_out_dir(
+            self, case, tmp_path, request, capsys):
+        inputs = MalformedInputs(tmp_path, request)
+        argv = MALFORMED_INPUT_CASES[case](inputs)
+        capsys.readouterr()
+        assert run_main(argv) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "must be finite" in err
         assert not inputs.out.exists()
 
     def test_optimize_traj_without_config(self, tmp_path, capsys):

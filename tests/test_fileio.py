@@ -214,6 +214,16 @@ class TestDepth:
         assert np.abs(back.values - values).max() <= 0.0005 + 1e-12
         assert np.array_equal(back.values == 0.0, values == 0.0)
 
+    def test_millimeter_map_is_written_and_read_back_as_its_samples(self, tmp_path, rng):
+        mm = rng.integers(0, 65536, size=(5, 7)).astype(np.uint16)
+        mm[0, :2] = 0, 65535
+        path = tmp_path / "depth.pgm"
+        depth_to_pgm(path, DepthMap(mm))
+        assert path.read_bytes() == b"P5\n7 5\n65535\n" + mm.astype(">u2").tobytes()
+        back = depth_from_pgm(path)
+        assert back.samples.dtype == np.uint16
+        assert back.samples.tobytes() == mm.tobytes()
+
     def test_pgm_rejects_out_of_range_depth(self, tmp_path):
         with pytest.raises(ValueError, match="range"):
             depth_to_pgm(tmp_path / "depth.pgm", DepthMap(np.array([[70.0]])))

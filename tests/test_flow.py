@@ -63,7 +63,48 @@ class TestMedian:
                 assert_same_float(_median(values), np.median(values))
 
 
+    def test_millimeter_samples_give_np_median_of_their_meters(self, rng):
+        for values in tie_heavy_arrays(rng, count=1000):
+            samples = np.abs(values * 20.0).astype(np.uint16)
+            assert_same_float(_median(samples.copy()), np.median(samples / 1000.0))
+        for n in (4000, 4001):
+            samples = rng.integers(1, 65536, n).astype(np.uint16)
+            assert_same_float(_median(samples.copy()), np.median(samples / 1000.0))
+
+
+def millimeter_map(rng, shape, valid, high=65536):
+    """A uint16 map with ``valid`` pixels at random places, 1 to high - 1 mm."""
+    samples = np.zeros(shape[0] * shape[1], dtype=np.uint16)
+    samples[rng.choice(samples.size, valid, replace=False)] = rng.integers(1, high, valid)
+    return DepthMap(samples.reshape(shape))
+
+
 class TestCalibrateDepth:
+    @pytest.mark.parametrize("valid", [1, 2, 7, 8, 383, 384])
+    @pytest.mark.parametrize("high", [40, 65536], ids=["tie-heavy", "full-range"])
+    def test_millimeter_maps_give_the_scale_of_their_float_form(self, valid, high, rng):
+        for _ in range(20):
+            est, ref = (millimeter_map(rng, (16, 24), valid, high) for _ in range(2))
+            float_est, float_ref = DepthMap(est.values), DepthMap(ref.values)
+            assert float_est.samples.dtype == np.float64
+            want = calibrate_depth(float_est, float_ref)
+            assert_same_float(calibrate_depth(est, ref), want)
+            assert_same_float(calibrate_depth(est, float_ref), want)
+            assert_same_float(calibrate_depth(float_est, ref), want)
+
+    def test_generated_maps_give_the_scale_of_their_float_form(self):
+        bundle = generate_scene(demo_scene("scene_rigid_demo.json", seed=0))
+        assert bundle.depth.samples.dtype == np.uint16
+        want = calibrate_depth(DepthMap(bundle.depth.values), DepthMap(bundle.depth_ref.values))
+        assert_same_float(calibrate_depth(bundle.depth, bundle.depth_ref), want)
+
+    def test_all_invalid_millimeter_map_raises(self, rng):
+        empty = DepthMap(np.zeros((4, 4), dtype=np.uint16))
+        full = millimeter_map(rng, (4, 4), 16)
+        for est, ref in ((empty, full), (full, empty)):
+            with pytest.raises(DepthCalibrationError, match="empty depth"):
+                calibrate_depth(est, ref)
+
     def test_constant_maps(self):
         est = DepthMap(np.full((4, 4), 2.0))
         ref = DepthMap(np.full((4, 4), 1.0))

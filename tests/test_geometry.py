@@ -180,6 +180,32 @@ class TestDepthMap:
         with pytest.raises(ValueError):
             DepthMap(np.array([[-1.0]]))
 
+    def test_millimeter_map_reads_as_its_pgm_decode(self):
+        mm = np.array([[0, 1, 1234], [65535, 999, 0]], dtype=np.uint16)
+        depth = DepthMap(mm)
+        assert depth.samples.dtype == np.uint16
+        assert depth.values.dtype == np.float64
+        assert depth.values.tobytes() == (mm / 1000.0).tobytes()
+        assert not depth.values.flags.writeable
+        assert np.array_equal(depth.valid, [[False, True, True], [True, True, False]])
+        assert (depth.height, depth.width) == (2, 3)
+
+    def test_a_read_only_millimeter_array_is_handed_over(self):
+        mm = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.uint16)
+        mm.flags.writeable = False
+        assert DepthMap(mm).samples is mm
+        writable = np.arange(6, dtype=np.uint16).reshape(2, 3)
+        depth = DepthMap(writable)
+        writable[0, 0] = 7
+        assert depth.samples[0, 0] == 0
+
+    def test_float_map_keeps_sub_millimeter_and_far_values(self):
+        values = np.array([[0.0, 1.2344], [70.0, 0.0005]])
+        depth = DepthMap(values)
+        assert depth.samples.dtype == np.float64
+        assert depth.values.tobytes() == values.tobytes()
+        assert np.array_equal(depth.valid, values > 0.0)
+
 
 class TestJsonNumberArrays:
     def test_nested_numbers_read_as_floats(self):

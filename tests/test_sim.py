@@ -415,6 +415,7 @@ class TestBundleIO:
         bundle = generate_scene(demo_scene(name))
         bundle.write(tmp_path / "scene")
         back = SceneBundle.read(tmp_path / "scene")
+        assert bundle.depth.samples.dtype == bundle.depth_ref.samples.dtype == np.uint16
         assert_same_bits(back.depth, bundle.depth, "depth")
         assert_same_bits(back.depth_ref, bundle.depth_ref, "depth_ref")
 
@@ -639,6 +640,11 @@ def ground_depth_by_meshgrid(intrinsics, extrinsic):
     return depth
 
 
+def ground_depth_map(intrinsics, extrinsic):
+    """The blocks of rows ``_ground_depth`` yields, joined into one map."""
+    return np.concatenate(list(_ground_depth(intrinsics, extrinsic)))
+
+
 def render_mask_per_edge(intrinsics, pixels):
     """One frame's object mask, one hull edge and one 3x3 stamp at a time."""
     height, width = intrinsics.height, intrinsics.width
@@ -739,7 +745,7 @@ class TestGenerationOracles:
         for frame in pixels:
             assert np.array_equal(_convex_hull(frame), convex_hull_by_set(frame))
         extr = config.camera.inverse()
-        assert (_ground_depth(config.intrinsics, extr).tobytes()
+        assert (ground_depth_map(config.intrinsics, extr).tobytes()
                 == ground_depth_by_meshgrid(config.intrinsics, extr).tobytes())
         stack = np.stack([render_mask_per_edge(config.intrinsics, frame) for frame in pixels])
         assert np.array_equal(bundle.mask, stack[0])
@@ -863,7 +869,7 @@ class TestGroundDepthOracle:
     def test_matches_the_meshgrid_code(self, tilt, yaw, intrinsics):
         extr = _camera(tilt, yaw).inverse()
         expected = ground_depth_by_meshgrid(intrinsics, extr)
-        assert _ground_depth(intrinsics, extr).tobytes() == expected.tobytes()
+        assert ground_depth_map(intrinsics, extr).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("tilt,yaw", [(0.4, 0.7), (-0.9, 0.2), (1.2, 0.7)])
     @pytest.mark.parametrize("height", [1, sim._GROUND_ROWS - 1, sim._GROUND_ROWS + 1, 481])
@@ -874,7 +880,49 @@ class TestGroundDepthOracle:
                                       width=640, height=height)
         extr = _camera(tilt, yaw).inverse()
         expected = ground_depth_by_meshgrid(intrinsics, extr)
-        assert _ground_depth(intrinsics, extr).tobytes() == expected.tobytes()
+        assert ground_depth_map(intrinsics, extr).tobytes() == expected.tobytes()
+
+
+def render_depth_full_frame(config, rng, mask, object_depth):
+    """The two depth maps from full-frame float arrays and one noise draw,
+    rounded to uint16 millimeters at the end."""
+    reference = ground_depth_by_meshgrid(config.intrinsics, config.camera.inverse())
+    reference[mask] = object_depth
+    noise = config.noise
+    sensor = reference
+    if noise.depth_sigma > 0.0:
+        sensor = reference * (1.0 + noise.depth_sigma * rng.standard_normal(reference.shape))
+        sensor[sensor <= 0.0] = 0.0
+    return tuple(np.round(values * 1000.0).astype(np.uint16)
+                 for values in (sensor * noise.depth_scale, reference))
+
+
+class TestRenderDepthOracle:
+    @pytest.mark.parametrize("height", [sim._GROUND_ROWS - 1, sim._GROUND_ROWS + 1, 97])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_row_blocks_match_one_full_frame_draw(self, height, sigma):
+        # Tilted toward the horizon, some rays miss the table, and no table
+        # pixel is more than 11.7 m away; at sigma 0.5 some pixels draw a
+        # negative noise factor.
+        config = small_rigid_config(camera=_camera(tilt=1.0), width=16, height=height,
+                                    focal=10.0,
+                                    noise=NoiseConfig(depth_sigma=sigma, depth_scale=1.25))
+        mask = np.zeros((height, 16), dtype=bool)
+        mask[height // 2:, 4:9] = True
+        rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+        depth, depth_ref = sim._render_depth(config, rng, mask, 0.8)
+        sensor, reference = render_depth_full_frame(config, oracle_rng, mask, 0.8)
+        assert 0 < depth.valid.sum() < depth.samples.size
+        assert depth.samples.tobytes() == sensor.tobytes()
+        assert depth_ref.samples.tobytes() == reference.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_depth_beyond_16_bit_millimeters_is_an_error_at_generation(self):
+        config = small_rigid_config(width=16, height=16, focal=10.0)
+        mask = np.ones((16, 16), dtype=bool)
+        sim._render_depth(config, np.random.default_rng(0), mask, 65.535)
+        with pytest.raises(ValueError, match="65.535 m range"):
+            sim._render_depth(config, np.random.default_rng(0), mask, 65.5355)
 
 
 class TestDistractorChunks:
@@ -948,28 +996,44 @@ def _traced_peak(call) -> int:
 
 
 class TestFootprint:
-    """The rigid demo at seed 0 renders 640 x 480 float64 maps, 2.46 MB each.
+    """The rigid demo at seed 0 renders 640 x 480 depth maps.
 
     Scene generation once peaked at 16.6 MB and the bundle write at 10.8 MB,
     with full-frame ray arrays, noise terms and decoded copies that were
     thrown away at once; then at 9.2 and 8.3 MB, with a copy of every depth
     map made on construction and one more decoded per map written.  A whole
     ``run`` then peaked at 14.0 MB on the rigid demo and at 13.6 MB on the
-    rope cut to 8 frames.
+    rope cut to 8 frames.  With the maps held as 2.46 MB of float64 each,
+    and calibration copying every valid pixel as float64, generation then
+    peaked at 6.8 MB and a whole ``run`` at 8.5 and 8.1 MB.  The maps are
+    now 0.6 MB of uint16 millimeters each, rendered a block of rows at a
+    time: 4.1 MB for generation, 4.5 and 3.3 MB for a whole ``run``.
     """
 
     CONFIG = demo_scene("scene_rigid_demo.json", seed=0)
 
     def test_generate_scene_peak(self):
         generate_scene(self.CONFIG)          # first-call caches out of the count
-        assert _traced_peak(lambda: generate_scene(self.CONFIG)) < 7.2e6
+        assert _traced_peak(lambda: generate_scene(self.CONFIG)) < 4.5e6
 
     def test_bundle_write_peak(self, tmp_path):
         bundle = generate_scene(self.CONFIG)
         bundle.write(tmp_path / "first")
         assert _traced_peak(lambda: bundle.write(tmp_path / "second")) < 2.2e6
 
-    @pytest.mark.parametrize("scene,bound", [("rigid", 9.0e6), ("rope", 8.6e6)])
+    @pytest.mark.parametrize("scene", ["rigid", "rope"])
+    def test_run_converts_no_depth_map_to_float_meters(self, scene, tmp_path, monkeypatch):
+        def refuse(depth):
+            raise AssertionError("a depth map was converted to float meters")
+
+        argv = ["run", "--out-dir", str(tmp_path / "run")]
+        if scene == "rope":
+            demo_scene("scene_rope.json", frames=8).save(tmp_path / "rope.json")
+            argv += ["--config", str(tmp_path / "rope.json")]
+        monkeypatch.setattr(DepthMap, "values", property(refuse))
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("scene,bound", [("rigid", 5.0e6), ("rope", 3.8e6)])
     def test_run_peak(self, scene, bound, tmp_path):
         argv = ["run"]                       # the packaged rigid demo, 8 candidates
         if scene == "rope":
