@@ -45,7 +45,7 @@ from .flow import (
     score_flow,
     select_candidate,
 )
-from .geometry import SE3Pose, _doc_fields, _int
+from .geometry import CameraIntrinsics, SE3Pose, _doc_fields, _int
 from .kinematics import (
     IKOptions,
     RobotModel,
@@ -194,13 +194,16 @@ class _Stages:
 
 
 def _finish(out_dir: Path, subcommand: str, seed: int, inputs: dict,
-            files: list[str], stages: _Stages) -> None:
+            files: list[str], stages: _Stages, digests: dict | None = None) -> None:
     """Write the run manifest and, beside it, the stage timings.
 
     The manifest holds only reproducible content (inputs, seed, library
     versions, output hashes); wall-clock stage timings go to timings.json so
     re-running with the same seed yields a byte-identical manifest.
+    ``digests`` gives the sha256 of files already hashed, a scene bundle's
+    as its manifest lists them; only the other files are read and hashed.
     """
+    digests = digests or {}
     _write_json(out_dir / "run_manifest.json", {
         "version": 1,
         "subcommand": subcommand,
@@ -209,7 +212,8 @@ def _finish(out_dir: Path, subcommand: str, seed: int, inputs: dict,
         "versions": {"nvflow": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
         "inputs": inputs,
-        "files": {rel: sha256_file(out_dir / rel) for rel in sorted(files)},
+        "files": {rel: digests.get(rel) or sha256_file(out_dir / rel)
+                  for rel in sorted(files)},
     })
     _write_json(out_dir / "timings.json", {
         "stages": [[name, sec] for name, sec in stages.timings],
@@ -234,19 +238,18 @@ def _out_dir(path) -> Path:
 # -- simulate ----------------------------------------------------------------------
 
 def _do_simulate(config: SceneConfig, seed: int, out: Path,
-                 stages: _Stages) -> tuple[SceneBundle, list[str]]:
+                 stages: _Stages) -> tuple[SceneBundle, dict[str, str]]:
     """Generate and write a bundle.
 
-    Returns it as ``distill`` will read it back, and the files written: those
-    its manifest lists, and the manifest.
+    Returns it as ``distill`` will read it back, and the sha256 of each file
+    its manifest lists, as listed there; the manifest itself is written too.
     """
     from .sim import generate_scene   # looked up per call, so a patched sim.generate_scene is seen
     with stages("simulate"):
         bundle = generate_scene(config, seed)
     with stages("write_bundle"):
         stored = bundle.write(out)
-    listed = json.loads((out / "manifest.json").read_text())["files"]
-    return stored, [*listed, "manifest.json"]
+    return stored, json.loads((out / "manifest.json").read_text())["files"]
 
 
 def cmd_simulate(args, stages: _Stages) -> None:
@@ -255,9 +258,9 @@ def cmd_simulate(args, stages: _Stages) -> None:
     config = _load_doc(args.config, "scene config", SceneConfig.from_doc)
     seed = config.seed if args.seed is None else args.seed
     out = _out_dir(args.out_dir)
-    _, files = _do_simulate(config, seed, out, stages)
+    _, digests = _do_simulate(config, seed, out, stages)
     inputs = {"scene_config": _doc_hash(config.to_doc()), "seed": seed}
-    _finish(out, "simulate", seed, inputs, files, stages)
+    _finish(out, "simulate", seed, inputs, [*digests, "manifest.json"], stages, digests)
 
 
 # -- distill -----------------------------------------------------------------------
@@ -273,22 +276,38 @@ def _candidate_sigmas(count: int) -> list[float]:
     return [float(s) for s in np.linspace(0.02, 0.15, count - 1)]
 
 
-def _do_distill(bundle: SceneBundle, out: Path, candidates: int, seed: int,
-                stages: _Stages) -> tuple[ActionableFlow, list[str]]:
-    """Returns the selected flow as ``flow.nvfl`` stores it, and the files written."""
-    intr = bundle.config.intrinsics
+def _calibrate(bundle: SceneBundle, stages: _Stages) -> tuple[TrackSet, float]:
+    """The calibrate stage: the bundle's depth scale, and its tracks times it.
+
+    No later stage reads the depth maps, so a caller lets go of the bundle
+    once this returns.
+    """
     with stages("calibrate"):
         scale = calibrate_depth(bundle.depth, bundle.depth_ref)
-        tracks = TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible)
+        return TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible), scale
+
+
+def _do_distill(tracks: TrackSet, mask: np.ndarray, intr: CameraIntrinsics, label: str,
+                scale: float, out: Path, candidates: int, seed: int,
+                stages: _Stages) -> tuple[ActionableFlow, list[str]]:
+    """Distill the flow from the calibrated ``tracks``, then corrupt, score,
+    select and write it; ``scale`` is the depth scale they were calibrated by.
+
+    Returns the selected flow as ``flow.nvfl`` stores it, and the files
+    written.  Once the candidates are scored, only the selected one and the
+    rows of scores.json are kept.
+    """
     with stages("distill"):
-        clean = distill_flow(tracks, bundle.mask, intr, label=bundle.gt_flow.label)
+        flows = [distill_flow(tracks, mask, intr, label=label)]
     with stages("corrupt"):
-        flows = [clean]
         for k, sigma in enumerate(_candidate_sigmas(candidates), start=1):
-            flows.append(corrupt_flow(clean, sigma=sigma, seed=seed * 1000 + k))
+            flows.append(corrupt_flow(flows[0], sigma=sigma, seed=seed * 1000 + k))
     with stages("score"):
         scored = [FlowCandidate(k, f, score_flow(f, intr)) for k, f in enumerate(flows)]
     best = scored[select_candidate(scored)]
+    rows = [{"id": c.candidate_id, "score": c.score, "keypoints": c.flow.keypoints}
+            for c in scored]
+    del flows, scored
     image = f"flow_{best.candidate_id:02d}.ppm"
     with stages("write_flow"):
         stored = write_flow(out / "flow.nvfl", best.flow.positions)
@@ -299,10 +318,7 @@ def _do_distill(bundle: SceneBundle, out: Path, candidates: int, seed: int,
             "version": 1,
             "selected": best.candidate_id,
             "depth_scale": scale,
-            "candidates": [
-                {"id": c.candidate_id, "score": c.score, "keypoints": c.flow.keypoints}
-                for c in scored
-            ],
+            "candidates": rows,
         })
     return ActionableFlow(stored), ["flow.nvfl", image, "scores.json"]
 
@@ -312,7 +328,11 @@ def cmd_distill(args, stages: _Stages) -> None:
     bundle = _load_bundle(args.bundle_dir)
     seed = 0 if args.seed is None else args.seed
     out = _out_dir(args.out_dir)
-    _, files = _do_distill(bundle, out, args.candidates, seed, stages)
+    tracks, scale = _calibrate(bundle, stages)
+    mask, intr, label = bundle.mask, bundle.config.intrinsics, bundle.gt_flow.label
+    del bundle
+    _, files = _do_distill(tracks, mask, intr, label, scale, out, args.candidates, seed,
+                           stages)
     inputs = {"bundle_manifest": sha256_file(Path(args.bundle_dir) / "manifest.json"),
               "candidates": args.candidates, "seed": seed}
     _finish(out, "distill", seed, inputs, files, stages)
@@ -564,13 +584,17 @@ def cmd_run(args, stages: _Stages) -> None:
     seed = config.seed if args.seed is None else args.seed
     out = _out_dir(args.out_dir)
 
-    bundle, scene_files = _do_simulate(config, seed, out / "scene", stages)
-    flow, flow_files = _do_distill(bundle, _out_dir(out / "flow"), args.candidates,
-                                   seed, stages)
-    # Planning and grading read only these; the tracks and images go now.
+    bundle, scene_digests = _do_simulate(config, seed, out / "scene", stages)
+    tracks, scale = _calibrate(bundle, stages)
+    # Distilling reads the tracks, the mask and the label, and planning and
+    # grading the ground truth; the depth maps go now, before distilling.
+    mask, label = bundle.mask, bundle.gt_flow.label
     gt_flow, gt_poses = bundle.gt_flow, bundle.gt_poses
     dynamics, initial_state = bundle.dynamics, bundle.initial_state
     del bundle
+    flow, flow_files = _do_distill(tracks, mask, config.intrinsics, label, scale,
+                                   _out_dir(out / "flow"), args.candidates, seed, stages)
+    del tracks, mask
 
     if config.scene == "rigid":
         plan_files = _do_plan_rigid(flow, model, obstacles, _out_dir(out / "plan"),
@@ -585,12 +609,13 @@ def cmd_run(args, stages: _Stages) -> None:
 
     # Only what this run wrote: files an earlier command left in --out-dir
     # are not hashed into the manifest.
-    files = ([f"scene/{rel}" for rel in scene_files]
+    digests = {f"scene/{rel}": digest for rel, digest in scene_digests.items()}
+    files = ([*digests, "scene/manifest.json"]
              + [f"flow/{rel}" for rel in flow_files]
              + [f"plan/{rel}" for rel in plan_files] + ["metrics.json"])
     inputs = {"scene_config": _doc_hash(config.to_doc()),
               "candidates": args.candidates, "seed": seed}
-    _finish(out, "run", seed, inputs, files, stages)
+    _finish(out, "run", seed, inputs, files, stages, digests)
     if args.verbose:
         print(f"[nvflow] success={metrics.success}", file=sys.stderr)
 

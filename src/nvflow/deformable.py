@@ -43,7 +43,7 @@ class DegenerateEdgeError(RuntimeError):
     """Two particles joined by a spring (near-)coincide; forces are undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParticleState:
     positions: np.ndarray    # (N, 3) meters
     velocities: np.ndarray   # (N, 3) m/s
@@ -78,7 +78,7 @@ class ParticleState:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MassSpringModel:
     """Particle-spring dynamics integrated with semi-implicit Euler substeps.
 
@@ -370,7 +370,7 @@ def chamfer_cost(points_a: np.ndarray, points_b: np.ndarray) -> float:
     return float(d2.min(axis=1).mean() + d2.min(axis=0).mean())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Correspondence:
     indices: np.ndarray      # (N,) keypoint index per particle
     total_distance: float    # sum of assignment distances at build time
@@ -619,7 +619,7 @@ def plan_actions(model: MassSpringModel, state: ParticleState, flow: ActionableF
     return _plan(model, state, flow, t, config, correspondence, cost_mode)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RolloutResult:
     """What a rollout executed, for a flow of T frames.
 

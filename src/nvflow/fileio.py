@@ -228,8 +228,15 @@ def depth_from_pgm(path) -> DepthMap:
 
 
 def sha256_file(path) -> str:
+    """Hex sha256 of the file at ``path``.
+
+    The file is read into one 64 KiB buffer, reused for every read, so
+    hashing holds that much whatever the file's size.
+    """
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = bytearray(1 << 16)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()

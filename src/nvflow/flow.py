@@ -36,7 +36,7 @@ class GroundingError(RuntimeError):
     """No tracked point satisfied the object-membership tests."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackSet:
     """Dense 3-d point tracks in the camera frame.
 
@@ -73,7 +73,7 @@ class TrackSet:
         return self.positions.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActionableFlow:
     """Object keypoint trajectories: (T, K, 3) camera-frame meters, all finite."""
 
@@ -99,7 +99,7 @@ class ActionableFlow:
         return self.positions.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowCandidate:
     candidate_id: int
     flow: ActionableFlow
@@ -318,6 +318,7 @@ def render_flow_image(flow: ActionableFlow, intrinsics: CameraIntrinsics,
     of earlier ones.  Pair t paints its number t + 1 (0 is background) into
     one integer per pixel, and the numbers become colors once after the last
     pair, so each pixel takes the color of the last pair that crossed it.
+    Only painted pixels are colored: number 0 is black, as the image starts.
     When given, ``candidate_id`` is stamped in the top-left corner so a
     downstream verifier can tell candidates apart.  Returns (H, W, 3) uint8.
     """
@@ -338,8 +339,11 @@ def render_flow_image(flow: ActionableFlow, intrinsics: CameraIntrinsics,
         key = front[t] & front[t + 1]
         last[_segment_pixels(uv[t, key], uv[t + 1, key], width, height)] = t + 1
     img = np.zeros((height, width, 3), dtype=np.uint8)
-    img[..., 0] = red[last].reshape(height, width)
-    img[..., 2] = blue[last].reshape(height, width)
+    painted = np.flatnonzero(last)
+    pairs = last[painted]
+    pixels = img.reshape(-1, 3)                         # a view: colors land in img
+    pixels[painted, 0] = red[pairs]
+    pixels[painted, 2] = blue[pairs]
     if candidate_id is not None:
         _stamp_digits(img, str(int(candidate_id)), origin=(4, 4))
     return img

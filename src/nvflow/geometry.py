@@ -12,7 +12,11 @@ Conventions used throughout the package:
 
 All public types are value-semantic: arrays are frozen on construction
 (copied, unless the caller hands over a read-only array it owns), so
-instances can be shared freely across threads.
+instances can be shared freely across threads.  The types that hold an
+array, directly or through a pose, compare and hash by identity, in every
+module: ``a == b`` is ``a is b``.  Compare their fields with
+``np.array_equal`` instead.  Types made of scalars alone, such as
+``CameraIntrinsics``, compare by value.
 """
 
 from __future__ import annotations
@@ -151,7 +155,7 @@ def _skew(v: np.ndarray) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SE3Pose:
     """Rigid transform mapping points as ``rotation @ x + translation``."""
 
@@ -251,7 +255,7 @@ def _store_millimeters(meters: np.ndarray, out: np.ndarray) -> None:
     out[...] = meters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepthMap:
     """Per-pixel camera-frame z; exactly 0 marks an invalid pixel.
 

@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Joint:
     axis: np.ndarray          # (3,) unit vector in the joint frame
     origin: SE3Pose           # joint frame in the parent link frame
@@ -68,10 +68,10 @@ class Joint:
     velocity_limit: float     # rad/s
     # (K, K @ K) for the cross-product matrix K of the axis, which every
     # Rodrigues rotation about it reads
-    _rodrigues: tuple = field(init=False, repr=False, compare=False)
+    _rodrigues: tuple = field(init=False, repr=False)
     # whether the origin rotation is other than exactly the identity, so
     # forward kinematics multiplies by it only then
-    _origin_turns: bool = field(init=False, repr=False, compare=False)
+    _origin_turns: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         axis = np.array(self.axis, dtype=float)
@@ -94,7 +94,7 @@ class Joint:
             raise ValueError("velocity limit must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollisionSphere:
     link: int                 # index of the link the sphere is attached to
     center: np.ndarray        # (3,) in the link frame
@@ -108,7 +108,7 @@ class CollisionSphere:
             raise ValueError("sphere radius must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobotModel:
     joints: tuple[Joint, ...]
     ee_offset: SE3Pose
@@ -122,7 +122,7 @@ class RobotModel:
     # offsets of the joints after j up to the sphere's link and the rotated
     # center; so reach[k, j] is the sum of their lengths for joints up to the
     # link, and 0 past it.
-    sphere_reach: np.ndarray = field(init=False, repr=False, compare=False)
+    sphere_reach: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "joints", tuple(self.joints))
@@ -401,7 +401,7 @@ def solve_ik(model: RobotModel, target: SE3Pose, seed_config: np.ndarray | None 
     raise IKUnreachableError(best_pos, best_rot)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointTrajectory:
     """Discrete joint-space trajectory with a fixed timestep."""
 

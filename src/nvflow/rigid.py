@@ -76,7 +76,7 @@ def estimate_rigid_transform(source: np.ndarray, target: np.ndarray) -> SE3Pose:
     return SE3Pose(rotation, translation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectPoseTrajectory:
     """Per-frame object poses, all expressed in the camera frame."""
 
@@ -134,7 +134,7 @@ def compose_ee_trajectory(object_poses: ObjectPoseTrajectory,
     return [pose.compose(grasp_pose) for pose in object_poses.poses]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraspProposal:
     grasp_pose: SE3Pose   # gripper frame: x = closing axis, z = approach axis
     width: float          # jaw opening in meters

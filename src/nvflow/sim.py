@@ -222,7 +222,7 @@ class NoiseConfig:
             raise ValueError("depth scale must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneConfig:
     scene: str = "rigid"          # "rigid" or "rope"
     seed: int = 0
@@ -591,7 +591,10 @@ def _observe(config: SceneConfig, rng: np.random.Generator, gt_points: np.ndarra
 
     Returns the ``SceneBundle`` fields ``tracks`` (the K object tracks, then
     the distractors), ``mask``, ``depth`` and ``depth_ref``; ``rng`` draws
-    distractors, then track and depth noise.
+    distractors, then track and depth noise.  Each working array is let go
+    once its last reader is done, so that the depth maps, rendered last,
+    are not drawn beside the union of the object masks, the keypoints'
+    projections or the noise-free tracks.
     """
     intr = config.intrinsics
     pixels = project(intr, gt_points.reshape(-1, 3)).reshape(gt_points.shape[:2] + (2,))
@@ -604,9 +607,11 @@ def _observe(config: SceneConfig, rng: np.random.Generator, gt_points: np.ndarra
     for frame in pixels[1:]:
         _render_mask(intr, frame, union)
     distractors = config.camera.inverse().apply(_place_distractors(config, rng, pixels, union))
+    del union, pixels
     true_camera = np.concatenate(
         [gt_points, np.broadcast_to(distractors, (config.frames,) + distractors.shape)], axis=1)
     tracks = _observe_tracks(config, rng, true_camera)
+    del true_camera
     depth, depth_ref = _render_depth(config, rng, mask, _first_object_depth(gt_points))
     return {"tracks": tracks, "mask": mask, "depth": depth, "depth_ref": depth_ref}
 
@@ -805,7 +810,7 @@ def corrupt_flow(flow: ActionableFlow, sigma: float = 0.0,
 
 # -- evaluation --------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metrics:
     """Task-level grades; rigid runs fill the pose fields, rope runs the rest."""
 
@@ -895,7 +900,7 @@ def _load_array(path: Path, dtype) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneBundle:
     """Everything a scene provides: observations, ground truth, provenance.
 

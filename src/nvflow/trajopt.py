@@ -90,7 +90,7 @@ _GRAD_TOL = 1e-8       # on the infinity norm of J^T r
 _STEP_TOL = 1e-10      # on the euclidean norm of an accepted step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LMResult:
     x: np.ndarray
     residual: np.ndarray       # the residuals at x
@@ -100,7 +100,7 @@ class LMResult:
     cost_history: tuple[float, ...]  # cost after each accepted step, incl. start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameJacobian:
     """A Jacobian whose every row touches one frame of variables and the next.
 
@@ -341,7 +341,7 @@ def _vec(v) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereObstacle:
     center: np.ndarray
     radius: float
@@ -363,7 +363,7 @@ class SphereObstacle:
                         np.array([0.0, 0.0, 1.0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxObstacle:
     center: np.ndarray
     half_extents: np.ndarray
@@ -404,7 +404,7 @@ class BoxObstacle:
         return (side * grad) @ self.rotation.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfspaceObstacle:
     """Occupies the side opposite ``normal``; free space lies along +normal."""
 
@@ -490,7 +490,7 @@ def _joint_terms(problem: TrajOptProblem, q_rest: np.ndarray,
             ("velocity", root_l * np.maximum(np.abs(delta) - caps, 0.0), -d_vel, d_vel))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Sweep:
     """The collision spheres swept along every segment of a trajectory.
 
@@ -635,7 +635,7 @@ class TrajOptWeights:
                 raise ValueError(f"weight {name} must be finite and >= 0, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajOptProblem:
     model: RobotModel
     q_start: np.ndarray
@@ -683,7 +683,7 @@ class TrajOptProblem:
             raise ValueError("start or end configuration violates joint limits")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajOptResult:
     trajectory: JointTrajectory
     final_cost: float

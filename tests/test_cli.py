@@ -5,6 +5,7 @@ exit codes and stderr discipline are asserted exactly as a shell would see
 them.  One subprocess smoke test checks the installed entry points.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -630,17 +631,60 @@ def _mistyped_problem_key(draw):
         st.sampled_from([NAN, INF, -INF])))
 
 
-# The JSON readers the reader table leaves out.  Each maps to the command
-# that reads its document from a path, the JSON type of every key it reads,
-# wherever the key sits in the document, and the keys it cannot do without.
-# Keys a reader lets pass unread (a ``description``, a plan's ``version``)
-# are in no table.
+# The JSON readers fuzzed at every level of their documents; the reader
+# table above edits only the top-level keys of a scene or problem.  Each
+# maps to the command that reads its document from a path, the JSON type of
+# every key it reads, wherever the key sits in the document, and the keys it
+# cannot do without: those with no default.  Keys a reader lets pass unread
+# (a ``description``, a plan's ``version``) are in no table.
 _POSE_TYPES = {"rotation": list, "translation": list}
 _ROBOT_TYPES = {"joints": list, "ee_offset": dict, "collision_spheres": list,
                 "base_pose": dict, "name": str, "axis": list, "origin": dict,
                 "q_min": float, "q_max": float, "velocity_limit": float, "link": int,
                 "center": list, "radius": float, **_POSE_TYPES}
 _ROBOT_REQUIRED = set(_ROBOT_TYPES) - {"collision_spheres", "base_pose", "name"}
+
+
+_SCENE_TYPES = {"scene": str, "seed": int, "frames": int, "distractor_points": int,
+                "image": dict, "width": int, "height": int, "focal": float,
+                "camera": dict, "noise": dict, "track_sigma": float, "depth_sigma": float,
+                "dropout_prob": float, "depth_scale": float, **_POSE_TYPES}
+_RIGID_SCENE_TYPES = {**_SCENE_TYPES, "object": dict, "shape": str, "size": list,
+                      "surface_samples": int, "label": str, "motion_script": list,
+                      "time": float, "position": list, "yaw": float}
+# A rope scene's "height" is also the rope's, which takes any number.
+_ROPE_SCENE_TYPES = {**_SCENE_TYPES, "rope": dict, "length": float, "particles": int,
+                     "flow_keypoints": int, "center": list, "height": float,
+                     "pinned": bool, "script": list}
+_OBSTACLE_TYPES = {"obstacles": list, "type": str, "center": list, "radius": float,
+                   "half_extents": list, "rotation": list, "point": list, "normal": list}
+_OBSTACLE_REQUIRED = {"type", "center", "radius", "half_extents", "point", "normal"}
+
+
+def _obstacles():
+    """One obstacle of each type, a fresh list for each document a defect edits."""
+    return [
+        {"type": "sphere", "center": [0.01, 0.0, 0.87], "radius": 0.03},
+        {"type": "box", "center": [0.3, 0.2, 0.9], "half_extents": [0.02] * 3,
+         "rotation": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+        {"type": "halfspace", "point": [0.0, 0.0, 1.2], "normal": [0.0, 0.0, -1.0]}]
+
+
+def _problem_doc(c):
+    """The packaged problem at 11 steps, with every optional key given."""
+    doc = json.loads(fixture_path("trajopt_fixture.json").read_text())
+    doc.update(steps=11, robot=str(fixture_path("arm7.json")), q_rest=doc["q_start"],
+               weights={"smooth": 10.0, "rest": 0.1, "limits": 100.0, "collision": 15.0},
+               collision_pad=0.005, max_iters=5, obstacles=_obstacles())
+    return doc
+
+
+def _fuzz_scene(c, path):
+    return _simulate(c, path)
+
+
+def _fuzz_problem(c, path):
+    return ["optimize-traj", "--config", path, "--out-dir", c.out]
 
 
 def _fuzz_robot(c, path):
@@ -674,16 +718,20 @@ def _fuzz_plan(c, path):
 FUZZED_READERS = {
     "robot": (lambda c: json.loads(fixture_path("arm7.json").read_text()), _fuzz_robot,
               _ROBOT_TYPES, _ROBOT_REQUIRED),
-    "obstacles": (
-        lambda c: {"description": "one of each type", "obstacles": [
-            {"type": "sphere", "center": [0.01, 0.0, 0.87], "radius": 0.03},
-            {"type": "box", "center": [0.3, 0.2, 0.9], "half_extents": [0.02] * 3,
-             "rotation": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
-            {"type": "halfspace", "point": [0.0, 0.0, 1.2], "normal": [0.0, 0.0, -1.0]}]},
-        _fuzz_obstacles,
-        {"obstacles": list, "type": str, "center": list, "radius": float,
-         "half_extents": list, "rotation": list, "point": list, "normal": list},
-        {"type", "center", "radius", "half_extents", "point", "normal"}),
+    "obstacles": (lambda c: {"description": "one of each type", "obstacles": _obstacles()},
+                  _fuzz_obstacles, _OBSTACLE_TYPES, _OBSTACLE_REQUIRED),
+    "scene-rigid": (lambda c: json.loads(c.fixture("rigid_config_path").read_text()),
+                    _fuzz_scene, _RIGID_SCENE_TYPES,
+                    {"time", "position", "rotation", "translation"}),
+    "scene-rope": (lambda c: json.loads(c.fixture("rope_config_path").read_text()),
+                   _fuzz_scene, _ROPE_SCENE_TYPES, {"rotation", "translation"}),
+    "problem": (_problem_doc, _fuzz_problem,
+                {"robot": (dict, str), "q_start": list, "q_end": list, "steps": int,
+                 "q_rest": list, "weights": dict, "smooth": float, "rest": float,
+                 "limits": float, "collision": float, "eps_safe": float,
+                 "collision_pad": float, "swept_samples": int, "dt": float,
+                 "max_iters": int, **_OBSTACLE_TYPES},
+                {"robot", "q_start", "q_end", "steps"} | _OBSTACLE_REQUIRED),
     "dynamics": (_rope_dynamics, _fuzz_dynamics,
                  {"n_particles": int, "edges": list, "rest_lengths": list,
                   "stiffness": float, "damping": float, "mass": float, "dt": float,
@@ -1008,9 +1056,10 @@ class TestConfigErrors:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_fuzzed_document_exits_2(self, reader, data, tmp_path, request, capsys):
-        """One defect in a valid robot, obstacle, dynamics, particle-state or
-        plan document: an extra key at any level, a value of another JSON
-        type, a key the reader needs deleted, or no object at all."""
+        """One defect in a valid robot, obstacle, dynamics, particle-state,
+        plan, scene or trajectory-problem document: an extra key at any
+        level, a value of another JSON type, a key the reader needs deleted,
+        or no object at all."""
         build, argv_of, types, required = FUZZED_READERS[reader]
         inputs = MalformedInputs(tmp_path, request)
         defect, doc = _with_defect(data.draw, build(inputs), types, required)
@@ -1354,6 +1403,21 @@ class TestFullRun:
         assert "run_manifest.json" not in manifest["files"]
         assert "metrics.json" in manifest["files"]
         assert "scene/manifest.json" in manifest["files"]
+
+    @pytest.mark.parametrize("command", ["run-rigid", "run-rope", "simulate"])
+    def test_manifest_digests_are_those_of_the_files(self, command, rigid_config_path,
+                                                     rope_config_path, tmp_path):
+        """The digests of scene files come from the bundle manifest, not
+        from hashing them again: each still matches the file on disk."""
+        out = tmp_path / "out"
+        argv = {"run-rigid": ["run", "--config", rigid_config_path, "--candidates", 2],
+                "run-rope": ["run", "--config", rope_config_path, "--horizon", 2],
+                "simulate": ["simulate", "--config", rigid_config_path]}[command]
+        assert run_main(argv + ["--out-dir", out]) == 0
+        files = json.loads((out / "run_manifest.json").read_text())["files"]
+        assert command == "simulate" or "scene/tracks.npy" in files
+        for rel, digest in files.items():
+            assert digest == hashlib.sha256((out / rel).read_bytes()).hexdigest(), rel
 
     def test_run_without_config_runs_the_packaged_rigid_demo(self, tmp_path):
         default, packaged = tmp_path / "default", tmp_path / "packaged"

@@ -1,6 +1,8 @@
 """Tests for the on-disk formats: flow binaries, netpbm, masks, depth."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,3 +236,25 @@ def test_sha256_matches_known_digest(tmp_path):
     path.write_bytes(b"abc")
     assert sha256_file(path) == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+
+
+@pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 2**20 + 1])
+def test_sha256_is_hashlib_sha256_of_the_bytes(size, tmp_path, rng):
+    """Sizes around the 64 KiB read, and one past a MiB."""
+    data = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_holds_one_small_buffer(tmp_path):
+    path = tmp_path / "blob"
+    path.write_bytes(bytes(1 << 20))
+    sha256_file(path)                     # first-call caches out of the count
+    tracemalloc.start()
+    try:
+        sha256_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2e6

@@ -1,10 +1,13 @@
 """Tests for SE(3) poses, rotation conversions, and the pinhole camera."""
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from nvflow import deformable, flow, geometry, kinematics, rigid, sim, trajopt
 from nvflow.geometry import (
     CameraIntrinsics,
     DepthMap,
@@ -21,7 +24,8 @@ from nvflow.geometry import (
     se3_log,
 )
 
-from conftest import assert_pose_close, random_pose, random_rotation
+from conftest import (assert_pose_close, demo_scene, one_link_with_sphere, random_pose,
+                      random_rotation)
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -241,3 +245,80 @@ class TestDocFields:
     def test_a_list_is_a_type_error(self):
         with pytest.raises(TypeError, match="JSON object"):
             _doc_fields([1], {"a": int})
+
+
+def _trajopt_problem():
+    return trajopt.TrajOptProblem(model=one_link_with_sphere(), q_start=np.zeros(1),
+                                  q_end=np.ones(1), steps=3)
+
+
+def _value_types():
+    """One instance factory per frozen dataclass of the package, and whether
+    the type compares by value (scalar fields only) or by identity."""
+    flow2 = lambda: flow.ActionableFlow(np.zeros((2, 1, 3)))            # noqa: E731
+    state = lambda: deformable.ParticleState.at_rest(np.zeros((2, 3)))  # noqa: E731
+    return {
+        "SE3Pose": (SE3Pose.identity, False),
+        "DepthMap": (lambda: DepthMap(np.ones((2, 2))), False),
+        "CameraIntrinsics": (lambda: CameraIntrinsics(1.0, 1.0, 0.5, 0.5, 2, 2), True),
+        "TrackSet": (lambda: flow.TrackSet(np.zeros((2, 1, 3)), np.ones((2, 1), bool)), False),
+        "ActionableFlow": (flow2, False),
+        "FlowCandidate": (lambda: flow.FlowCandidate(0, flow2(), 0.0), False),
+        "ParticleState": (state, False),
+        "MassSpringModel": (lambda: deformable.MassSpringModel(
+            n_particles=2, edges=np.array([[0, 1]]), rest_lengths=np.array([1.0])), False),
+        "Correspondence": (lambda: deformable.Correspondence(np.zeros(2), 0.0), False),
+        "MPCConfig": (deformable.MPCConfig, True),
+        "RolloutResult": (lambda: deformable.RolloutResult(
+            (state(), state()), np.zeros((1, 3)), np.zeros(2)), False),
+        "Joint": (lambda: one_link_with_sphere().joints[0], False),
+        "CollisionSphere": (lambda: one_link_with_sphere().collision_spheres[0], False),
+        "RobotModel": (one_link_with_sphere, False),
+        "IKOptions": (kinematics.IKOptions, True),
+        "JointTrajectory": (lambda: kinematics.JointTrajectory(np.zeros((2, 1)), 0.1), False),
+        "ObjectPoseTrajectory": (lambda: rigid.ObjectPoseTrajectory(
+            (SE3Pose.identity(), SE3Pose.identity())), False),
+        "GraspProposal": (lambda: rigid.GraspProposal(SE3Pose.identity(), 0.05, 0.5), False),
+        "ObjectSpec": (sim.ObjectSpec, True),
+        "Waypoint": (lambda: sim.Waypoint(0.0, (0.0, 0.0, 0.0)), True),
+        "RopeSpec": (sim.RopeSpec, True),
+        "NoiseConfig": (sim.NoiseConfig, True),
+        "SceneConfig": (sim.SceneConfig, False),
+        "Metrics": (lambda: sim.Metrics(rotation_error_deg=np.zeros(2),
+                                        translation_error_mm=np.zeros(2)), False),
+        "SceneBundle": (lambda: sim.generate_scene(demo_scene(
+            "scene_rope.json", frames=2, width=64, height=48, focal=60.0)), False),
+        "LMResult": (lambda: trajopt.levenberg_marquardt(
+            lambda x: x - 1.0, np.zeros(2), lambda x: np.eye(2)), False),
+        "FrameJacobian": (lambda: trajopt.FrameJacobian(
+            np.zeros(1, int), np.ones((1, 2)), np.zeros((1, 2)), 1), False),
+        "SphereObstacle": (lambda: trajopt.SphereObstacle(np.zeros(3), 0.1), False),
+        "BoxObstacle": (lambda: trajopt.BoxObstacle(np.zeros(3), np.ones(3)), False),
+        "HalfspaceObstacle": (lambda: trajopt.HalfspaceObstacle(
+            np.zeros(3), np.array([0.0, 0.0, 1.0])), False),
+        "_Sweep": (lambda: trajopt._Sweep(np.zeros((1, 1))), False),
+        "TrajOptWeights": (trajopt.TrajOptWeights, True),
+        "TrajOptProblem": (_trajopt_problem, False),
+        "TrajOptResult": (lambda: trajopt.optimize_trajectory(_trajopt_problem()), False),
+    }
+
+
+class TestEquality:
+    """``==`` and ``hash`` work on every value type: by identity where a
+    field holds an array, by value where every field is a scalar."""
+
+    def test_every_frozen_dataclass_is_covered(self):
+        found = {name for module in (deformable, flow, geometry, kinematics, rigid, sim, trajopt)
+                 for name, obj in vars(module).items()
+                 if inspect.isclass(obj) and obj.__module__ == module.__name__
+                 and dataclasses.is_dataclass(obj)}
+        assert found == set(_value_types())
+
+    @pytest.mark.parametrize("name", sorted(_value_types()))
+    def test_eq_and_hash_do_not_raise(self, name):
+        factory, by_value = _value_types()[name]
+        x = factory()
+        assert type(x).__name__ == name
+        assert x == x
+        assert hash(x) == hash(x)
+        assert (x == factory()) is by_value
