@@ -17,6 +17,7 @@ import contextlib
 import csv
 import functools
 import hashlib
+import io
 import json
 import platform
 import sys
@@ -82,32 +83,38 @@ class ConfigError(Exception):
     """Bad usage, missing file, or malformed configuration (exit code 2)."""
 
 
-# What a document that parses but does not build into its type raises: a
-# wrong type or shape, a missing key, a file it names that cannot be read,
-# or a value out of range (Infinity in an integer field overflows).
-_MALFORMED = (AttributeError, KeyError, OSError, OverflowError, TypeError, ValueError)
+# What reading a malformed input file raises: a wrong type or shape, a
+# missing key, a file it names that cannot be read, a value out of range
+# (Infinity in an integer field overflows), a CSV field past the csv
+# module's limit, or a document nested too deep to parse.
+_MALFORMED = (AttributeError, KeyError, OSError, OverflowError, TypeError, ValueError,
+              csv.Error, RecursionError)
 
 
-def _load_doc(path, what: str, build):
-    """``build`` applied to the JSON document at ``path``.
+def _load(path, what: str, read):
+    """``read(path)``: the ``what`` the file or bundle at ``path`` holds.
 
-    Every JSON file named on the command line, or found in a plan directory,
-    is read here, so a missing, unparsable or malformed one is always a
-    ConfigError (exit 2).
+    Every input a command reads goes through here, so a missing, unparsable
+    or malformed one is always a ConfigError (exit 2).  A missing file or a
+    directory is named as the file that failed, which may be one that the
+    input at ``path`` names.
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"no such file: {path}") from None
-    except IsADirectoryError:
-        raise ConfigError(f"expected a file, got a directory: {path}") from None
-    except ValueError as exc:    # not JSON, or not text at all
+        return read(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"no such file: {exc.filename}") from None
+    except IsADirectoryError as exc:
+        raise ConfigError(f"expected a file, got a directory: {exc.filename}") from None
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from None
-    try:
-        return build(doc)
     except _MALFORMED as exc:
         raise ConfigError(f"bad {what} {path}: {exc}") from None
+
+
+def _load_doc(path, what: str, build):
+    """``build`` applied to the JSON document at ``path``."""
+    return _load(path, what, lambda file: build(json.loads(file.read_text())))
 
 
 def _obstacles_from_doc(doc) -> tuple:
@@ -120,26 +127,7 @@ def _obstacles_from_doc(doc) -> tuple:
 
 
 def _load_flow_file(path) -> ActionableFlow:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"no such file: {path}")
-    if path.is_dir():
-        raise ConfigError(f"expected a file, got a directory: {path}")
-    try:
-        positions, label = read_flow(path)
-        return ActionableFlow(np.asarray(positions, dtype=float), label=label)
-    except _MALFORMED as exc:  # FlowFormatError is a ValueError
-        raise ConfigError(f"bad flow file {path}: {exc}") from None
-
-
-def _load_bundle(path) -> SceneBundle:
-    root = Path(path)
-    if not (root / "manifest.json").exists():
-        raise ConfigError(f"not a scene bundle (no manifest.json): {root}")
-    try:
-        return SceneBundle.read(root)
-    except _MALFORMED as exc:
-        raise ConfigError(f"bad scene bundle {root}: {exc}") from None
+    return _load(path, "flow file", lambda file: ActionableFlow(*read_flow(file)))
 
 
 def _seed(text: str) -> int:
@@ -159,6 +147,17 @@ def _check_collision_model(model: RobotModel, obstacles) -> None:
     collision term would read 0 whatever the motion."""
     if obstacles and not model.collision_spheres:
         raise ConfigError("obstacles are given, but the robot has no collision spheres")
+
+
+def _rigid_inputs(steps_per_frame: int, robot, obstacles) -> tuple[RobotModel, tuple]:
+    """The robot and obstacles the rigid planner reads, with its options
+    checked; no obstacle file means no obstacles."""
+    _check_at_least_one(steps_per_frame, "--steps-per-frame")
+    model = _load_doc(robot, "robot model", robot_from_doc)
+    obstacles = _load_doc(obstacles, "obstacle file",
+                          _obstacles_from_doc) if obstacles else ()
+    _check_collision_model(model, obstacles)
+    return model, obstacles
 
 
 def _fixture_path(name: str) -> Path:
@@ -325,7 +324,7 @@ def _do_distill(tracks: TrackSet, mask: np.ndarray, intr: CameraIntrinsics, labe
 
 def cmd_distill(args, stages: _Stages) -> None:
     _check_at_least_one(args.candidates, "--candidates")
-    bundle = _load_bundle(args.bundle_dir)
+    bundle = _load(args.bundle_dir, "scene bundle", SceneBundle.read)
     seed = 0 if args.seed is None else args.seed
     out = _out_dir(args.out_dir)
     tracks, scale = _calibrate(bundle, stages)
@@ -377,12 +376,8 @@ def _do_plan_rigid(flow: ActionableFlow, model: RobotModel, obstacles: tuple,
 
 
 def cmd_plan_rigid(args, stages: _Stages) -> None:
-    _check_at_least_one(args.steps_per_frame, "--steps-per-frame")
+    model, obstacles = _rigid_inputs(args.steps_per_frame, args.robot, args.obstacles)
     flow = _load_flow_file(args.flow)
-    model = _load_doc(args.robot, "robot model", robot_from_doc)
-    obstacles = _load_doc(args.obstacles, "obstacle file",
-                          _obstacles_from_doc) if args.obstacles else ()
-    _check_collision_model(model, obstacles)
     seed = 0 if args.seed is None else args.seed
     out = _out_dir(args.out_dir)
     files = _do_plan_rigid(flow, model, obstacles, out, args.steps_per_frame,
@@ -465,24 +460,23 @@ def cmd_optimize_traj(args, stages: _Stages) -> None:
 
 # -- evaluation ---------------------------------------------------------------------
 
-def _read_joint_csv(path) -> np.ndarray:
-    try:
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-    except FileNotFoundError:
-        raise ConfigError(f"no such file: {path}") from None
-    if len(rows) < 3 or not rows[0] or rows[0][0] != "t":
-        raise ConfigError(f"bad joint trajectory CSV: {path}")
+def _read_joint_csv(path: Path) -> np.ndarray:
+    """The configurations of a joint trajectory CSV as ``to_csv`` writes it:
+    a header ``t, q_0, ..., q_{n-1}``, then one row per step, each line
+    ended."""
+    with open(path, newline="") as handle:
+        text = handle.read()
+    if not text.endswith("\n"):
+        raise ValueError("its last line is cut off")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if len(rows) < 3 or rows[0] != ["t", *(f"q_{j}" for j in range(len(rows[0]) - 1))]:
+        raise ValueError("expected a header t, q_0, q_1, ... and at least two steps")
     steps = [row[0] if row else "" for row in rows[1:]]
     if steps != [str(t) for t in range(len(steps))]:
-        raise ConfigError(f"bad joint trajectory CSV {path}: the t column must read "
-                          f"0, 1, ..., {len(steps) - 1} in order")
-    try:
-        configs = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    except ValueError as exc:
-        raise ConfigError(f"bad joint trajectory CSV {path}: {exc}") from None
+        raise ValueError(f"the t column must read 0, 1, ..., {len(steps) - 1} in order")
+    configs = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
     if not np.isfinite(configs).all():
-        raise ConfigError(f"bad joint trajectory CSV {path}: non-finite joint value")
+        raise ValueError("non-finite joint value")
     return configs
 
 
@@ -531,7 +525,7 @@ def _do_eval(run_dir: Path, config: SceneConfig, gt_flow: ActionableFlow,
     if config.scene == "rigid":
         graded = ["plan.json", "joint_traj.csv"]
         model, grasp, spf = _load_doc(run_dir / "plan.json", "plan file", _plan_from_doc)
-        configs = _read_joint_csv(run_dir / "joint_traj.csv")
+        configs = _load(run_dir / "joint_traj.csv", "joint trajectory CSV", _read_joint_csv)
         if gt_poses is None:
             raise ConfigError("ground-truth bundle has no object poses to grade against")
         with stages("evaluate"):
@@ -554,7 +548,7 @@ def cmd_eval(args, stages: _Stages) -> None:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise ConfigError(f"no such directory: {run_dir}")
-    bundle = _load_bundle(args.gt_dir)
+    bundle = _load(args.gt_dir, "scene bundle", SceneBundle.read)
     out = _out_path(args.out_dir)
     _, graded = _do_eval(run_dir, bundle.config, bundle.gt_flow, bundle.gt_poses,
                          bundle.initial_state, out, stages)
@@ -573,12 +567,9 @@ def cmd_run(args, stages: _Stages) -> None:
                        "scene config", SceneConfig.from_doc)
     _check_at_least_one(args.candidates, "--candidates")
     if config.scene == "rigid":
-        _check_at_least_one(args.steps_per_frame, "--steps-per-frame")
-        model = _load_doc(args.robot or _fixture_path("arm7.json"), "robot model",
-                          robot_from_doc)
-        obstacles = _load_doc(args.obstacles or _fixture_path("obstacles_demo.json"),
-                              "obstacle file", _obstacles_from_doc)
-        _check_collision_model(model, obstacles)
+        model, obstacles = _rigid_inputs(
+            args.steps_per_frame, args.robot or _fixture_path("arm7.json"),
+            args.obstacles or _fixture_path("obstacles_demo.json"))
     else:
         _check_at_least_one(args.horizon, "--horizon")
     seed = config.seed if args.seed is None else args.seed

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import DepthMap, _doc_fields, _floats, _int, _str, _store_millimeters
+from .geometry import DepthMap, _doc_fields, _floats, _int, _str
 
 __all__ = [
     "FlowFormatError",
@@ -201,21 +201,17 @@ def mask_from_pgm(path) -> np.ndarray:
 # -- depth -------------------------------------------------------------------
 
 def depth_to_pgm(path, depth: DepthMap) -> None:
-    """Write depth as 16-bit PGM millimeters (0 stays invalid).
-
-    A millimeter map, as generated sensor depth is, is written as it is:
-    :func:`depth_from_pgm` gives its samples back bit for bit.  A map in
-    float meters is rounded to the millimeter first.
+    """Write a millimeter depth map, as generated depth is, as 16-bit PGM
+    samples; :func:`depth_from_pgm` gives them back bit for bit.
 
     Raises:
-        ValueError: a float map holds depth beyond 65.535 m.
+        ValueError: ``depth`` is in float meters, which written as samples
+            would be truncated.
     """
-    samples = depth.samples
-    if samples.dtype != np.uint16:
-        stored = np.empty(samples.shape, dtype=np.uint16)
-        _store_millimeters(samples.copy(), stored)
-        samples = stored
-    write_pgm(path, samples, maxval=65535)
+    if depth.samples.dtype != np.uint16:
+        raise ValueError(f"depth to write must be uint16 millimeters, "
+                         f"got {depth.samples.dtype}")
+    write_pgm(path, depth.samples, maxval=65535)
 
 
 def depth_from_pgm(path) -> DepthMap:

@@ -889,12 +889,13 @@ def evaluate_deformable(final: ParticleState, flow: ActionableFlow,
 # -- bundle I/O --------------------------------------------------------------------
 
 def _load_array(path: Path, dtype) -> np.ndarray:
-    """The array a ``.npy`` file holds, which must be of ``dtype``."""
-    try:
-        with open(path, "rb") as file:
+    """The array a ``.npy`` file holds, which must be of ``dtype``; whatever
+    ``np.load`` raises on bytes it cannot parse is a ValueError naming the file."""
+    with open(path, "rb") as file:
+        try:
             array = np.load(file, allow_pickle=False)
-    except (EOFError, ValueError) as exc:     # empty, cut short, or pickled objects
-        raise ValueError(f"{path.name}: {exc}") from None
+        except Exception as exc:
+            raise ValueError(f"{path.name}: {exc}") from None
     if not isinstance(array, np.ndarray) or array.dtype != dtype:
         raise ValueError(f"{path.name} must hold a {np.dtype(dtype)} array")
     return array

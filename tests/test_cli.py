@@ -5,6 +5,7 @@ exit codes and stderr discipline are asserted exactly as a shell would see
 them.  One subprocess smoke test checks the installed entry points.
 """
 
+import ast
 import hashlib
 import io
 import json
@@ -22,6 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import nvflow
+import nvflow.cli as cli
 import nvflow.trajopt as trajopt
 from conftest import demo_scene
 from nvflow.cli import main
@@ -249,15 +251,28 @@ def _eval(c, plan_doc):
             "--out-dir", c.out]
 
 
-def _eval_joint_csv(c, edit):
-    """``eval`` of the small rigid run, its joint CSV rows (lists of cells) edited."""
+def _eval_joint_csv_bytes(c, edit):
+    """``eval`` of the small rigid run, its joint CSV's bytes replaced by
+    ``edit`` of them; None leaves a directory in the file's place."""
     run = c.fixture("rigid_run_dir")
     plan = c.tmp / "plan"
     shutil.copytree(run / "plan", plan)
     path = plan / "joint_traj.csv"
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    path.write_text("".join(",".join(row) + "\n" for row in edit(rows)))
+    blob = edit(path.read_bytes())
+    path.unlink()
+    if blob is None:
+        path.mkdir()
+    else:
+        path.write_bytes(blob)
     return ["eval", plan, run / "scene", "--out-dir", c.out]
+
+
+def _eval_joint_csv(c, edit):
+    """``eval`` of the small rigid run, its joint CSV rows (lists of cells) edited."""
+    def rewrite(blob):
+        rows = [line.split(",") for line in blob.decode().splitlines()]
+        return "".join(",".join(row) + "\n" for row in edit(rows)).encode()
+    return _eval_joint_csv_bytes(c, rewrite)
 
 
 def _eval_plan(c, edit):
@@ -268,6 +283,25 @@ def _eval_plan(c, edit):
     path = plan / "plan.json"
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     return ["eval", plan, run / "scene", "--out-dir", c.out]
+
+
+def _deep_json(c, name):
+    """A JSON file of 100,000 nested arrays, deeper than json.loads recurses."""
+    path = c.tmp / name
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return path
+
+
+def _npy_header_end(blob):
+    """The offset just past the header of ``blob``, a version 1.0 .npy file."""
+    return 10 + int.from_bytes(blob[8:10], "little")
+
+
+def _npy_shape_cut(blob):
+    """``blob``, an .npy file, its header cut off just inside the shape and
+    padded back to its length with spaces, so the length field still fits."""
+    cut, end = blob.index(b"(") + 1, _npy_header_end(blob)
+    return blob[:cut] + b" " * (end - 1 - cut) + blob[end - 1:]
 
 
 def _first_joint_at_step_0(value):
@@ -346,6 +380,29 @@ MALFORMED_INPUT_CASES = {
         c, lambda rows: [row[:-1] for row in rows]),
     "eval-joint-csv-first-and-last-steps-swapped": lambda c: _eval_joint_csv(
         c, lambda rows: [rows[0], rows[-1], *rows[2:-1], rows[1]]),
+    # Failures of the read itself, not of the values read: a byte that is
+    # not UTF-8, a directory, a field past the csv module's limit, a NUL
+    # (csv.Error on Python 3.10), nesting past the recursion limit, and
+    # bytes np.load cannot parse.
+    "eval-joint-csv-not-utf8": lambda c: _eval_joint_csv_bytes(
+        c, lambda blob: blob[:40] + b"\xff" + blob[41:]),
+    "eval-joint-csv-directory": lambda c: _eval_joint_csv_bytes(c, lambda blob: None),
+    "eval-joint-csv-field-too-long": lambda c: _eval_joint_csv_bytes(
+        c, lambda blob: blob + b"1" * 200_000 + b"\r\n"),
+    "eval-joint-csv-nul": lambda c: _eval_joint_csv_bytes(
+        c, lambda blob: blob[:40] + b"\x00" + blob[41:]),
+    "simulate-config-deep-json": lambda c: _simulate(c, _deep_json(c, "deep.json")),
+    "flow-json-deep": lambda c: _plan_rigid(c, _deep_json(c, "f.json")),
+    "bundle-tracks-zip-magic": lambda c: _distill(
+        c, c.edited_bundle(tracks=lambda a: b"PK\x03\x04" + _npy_bytes(a)[4:])),
+    "bundle-tracks-shape-cut": lambda c: _distill(
+        c, c.edited_bundle(tracks=lambda a: _npy_shape_cut(_npy_bytes(a)))),
+    # Defects that leave every step's values parsable: a last line cut short
+    # (inside its last value) and a NUL in a column name.
+    "eval-joint-csv-last-value-cut": lambda c: _eval_joint_csv_bytes(
+        c, lambda blob: blob[:-4]),
+    "eval-joint-csv-header-nul": lambda c: _eval_joint_csv_bytes(
+        c, lambda blob: blob.replace(b"q_3", b"q\x003", 1)),
     "flow-trailing-bytes": lambda c: _plan_rigid(c, _padded_flow(c)),
     "flow-json-without-positions": lambda c: _plan_rigid(
         c, c.write({"version": 1, "frames": 2, "points": 1}, "f.json")),
@@ -1018,10 +1075,12 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUT_CASES))
     def test_malformed_input_exits_2(self, case, tmp_path, request, capsys):
-        argv = MALFORMED_INPUT_CASES[case](MalformedInputs(tmp_path, request))
+        inputs = MalformedInputs(tmp_path, request)
+        argv = MALFORMED_INPUT_CASES[case](inputs)
         capsys.readouterr()          # drop what building the inputs printed
         assert run_main(argv) == 2
         assert_one_error_line(capsys.readouterr().err)
+        assert not inputs.out.exists()
 
     @pytest.mark.parametrize("case", sorted(READER_TABLE))
     def test_reader_table_never_exits_3(self, case, tmp_path, request, capsys):
@@ -1131,6 +1190,25 @@ class TestConfigErrors:
         assert "must be finite" in err
         assert not inputs.out.exists()
 
+    def test_only_load_catches_input_failures(self):
+        """The one input boundary: no function of cli.py but ``_load`` names
+        ``_MALFORMED``, a missing-file error or any failure it lists in an
+        ``except`` clause, so no reader decides on its own what bad input is."""
+        caught = {"_MALFORMED", "FileNotFoundError", "IsADirectoryError", "JSONDecodeError",
+                  *(error.__name__ for error in cli._MALFORMED)}
+        tree = ast.parse(Path(cli.__file__).read_text())
+
+        def catchers(node):
+            return [handler for handler in ast.walk(node)
+                    if isinstance(handler, ast.ExceptHandler) and handler.type
+                    and caught & {getattr(name, "id", getattr(name, "attr", None))
+                                  for name in ast.walk(handler.type)}]
+
+        load = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "_load")
+        assert catchers(load)
+        assert catchers(tree) == catchers(load)
+
     def test_optimize_traj_without_config(self, tmp_path, capsys):
         assert run_main(["optimize-traj", "--out-dir", tmp_path / "o"]) == 2
         err = capsys.readouterr().err
@@ -1156,8 +1234,50 @@ class TestConfigErrors:
         assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
+JOINT_CSV_DEFECTS = ("cut", "byte-0xff", "byte-nul")
+NPY_DEFECTS = ("cut", "header-cut", "byte-0xff", "byte-nul", "zip-magic")
+
+
+@st.composite
+def _malformed_bytes(draw, blob, defect, flip_end):
+    """``blob`` with the named defect; a byte is flipped only before ``flip_end``
+    and ``header-cut`` cuts there too."""
+    def flipped(value):
+        return st.integers(0, flip_end - 1).filter(lambda i: blob[i] != value).map(
+            lambda i: blob[:i] + bytes([value]) + blob[i + 1:])
+
+    return draw({
+        "cut": st.integers(0, len(blob) - 1).map(lambda n: blob[:n]),
+        "header-cut": st.integers(0, flip_end - 1).map(lambda n: blob[:n]),
+        "byte-0xff": flipped(0xFF),
+        "byte-nul": flipped(0),
+        "zip-magic": st.sampled_from([b"PK\x03\x04", b"PK\x05\x06"]).map(
+            lambda magic: magic + blob[4:]),
+    }[defect])
+
+
+def _assert_rejected(path, blob, argv, capsys):
+    """``argv``, run with ``blob`` in the place of ``path``'s bytes, exits 2
+    with one error line and makes no output directory (its last argument);
+    ``path`` gets its own bytes back after."""
+    original = path.read_bytes()
+    path.write_bytes(blob)
+    try:
+        capsys.readouterr()
+        assert run_main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err)
+        assert not Path(argv[-1]).exists()
+    finally:
+        path.write_bytes(original)
+
+
 class TestReaderFuzzing:
-    """Malformed flow and bundle image bytes exit 2 with one error line."""
+    """Malformed flow, joint CSV and bundle bytes exit 2 with one error line.
+
+    A byte of an .npy's data is a value (a NUL in ``visible.npy`` is a valid
+    False), so an array's bytes are flipped only in its header; a byte of a
+    joint CSV is flipped anywhere.
+    """
 
     @pytest.mark.parametrize("defect", sorted(MALFORMED_NVFL))
     @settings(max_examples=8, deadline=None,
@@ -1179,19 +1299,42 @@ class TestReaderFuzzing:
     @given(data=st.data())
     def test_malformed_bundle_pgm_exits_2(self, name, defect, data, rigid_bundle_dir,
                                           tmp_path, capsys):
-        bundle, out = tmp_path / "bundle", tmp_path / "o"
+        bundle = tmp_path / "bundle"
         if not bundle.exists():       # one copy for every example; each restores its file
             shutil.copytree(rigid_bundle_dir, bundle)
         path = bundle / name
-        original = path.read_bytes()
-        path.write_bytes(data.draw(_malformed_pgm(original, defect)))
-        try:
-            capsys.readouterr()
-            assert run_main(["distill", bundle, "--out-dir", out]) == 2
-            assert_one_error_line(capsys.readouterr().err)
-            assert not out.exists()
-        finally:
-            path.write_bytes(original)
+        _assert_rejected(path, data.draw(_malformed_pgm(path.read_bytes(), defect)),
+                         ["distill", bundle, "--out-dir", tmp_path / "o"], capsys)
+
+    @pytest.mark.parametrize("defect", NPY_DEFECTS)
+    @pytest.mark.parametrize("name", ["tracks.npy", "visible.npy"])
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_malformed_bundle_array_exits_2(self, name, defect, data, rigid_bundle_dir,
+                                            tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        if not bundle.exists():
+            shutil.copytree(rigid_bundle_dir, bundle)
+        path = bundle / name
+        blob = path.read_bytes()
+        blob = data.draw(_malformed_bytes(blob, defect, _npy_header_end(blob)))
+        _assert_rejected(path, blob, ["distill", bundle, "--out-dir", tmp_path / "o"], capsys)
+
+    @pytest.mark.parametrize("defect", JOINT_CSV_DEFECTS)
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_malformed_joint_csv_exits_2(self, defect, data, rigid_run_dir, tmp_path,
+                                         capsys):
+        plan = tmp_path / "plan"
+        if not plan.exists():
+            shutil.copytree(rigid_run_dir / "plan", plan)
+        path = plan / "joint_traj.csv"
+        blob = path.read_bytes()
+        _assert_rejected(path, data.draw(_malformed_bytes(blob, defect, len(blob))),
+                         ["eval", plan, rigid_run_dir / "scene", "--out-dir", tmp_path / "o"],
+                         capsys)
 
 
 class TestRuntimeErrors:
