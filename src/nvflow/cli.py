@@ -17,7 +17,6 @@ import contextlib
 import csv
 import functools
 import hashlib
-import io
 import json
 import platform
 import sys
@@ -35,7 +34,7 @@ from .deformable import (
     build_correspondence,
     mpc_rollout,
 )
-from .fileio import read_flow, sha256_file, write_flow, write_ppm
+from .fileio import read_flow, read_json, sha256_file, write_flow, write_json, write_ppm
 from .flow import (
     ActionableFlow,
     FlowCandidate,
@@ -51,6 +50,7 @@ from .kinematics import (
     IKOptions,
     RobotModel,
     forward_kinematics,
+    read_joint_csv,
     robot_from_doc,
     robot_to_doc,
     solve_ik,
@@ -84,9 +84,9 @@ class ConfigError(Exception):
 
 
 # What reading a malformed input file raises: a wrong type or shape, a
-# missing key, a file it names that cannot be read, a value out of range
-# (Infinity in an integer field overflows), a CSV field past the csv
-# module's limit, or a document nested too deep to parse.
+# missing key, a file it names that cannot be read or parsed, a value out
+# of range (Infinity in an integer field overflows), a CSV field past the
+# csv module's limit, or a document nested too deep to build.
 _MALFORMED = (AttributeError, KeyError, OSError, OverflowError, TypeError, ValueError,
               csv.Error, RecursionError)
 
@@ -97,7 +97,7 @@ def _load(path, what: str, read):
     Every input a command reads goes through here, so a missing, unparsable
     or malformed one is always a ConfigError (exit 2).  A missing file or a
     directory is named as the file that failed, which may be one that the
-    input at ``path`` names.
+    input at ``path`` names, and so is a JSON file that does not parse.
     """
     path = Path(path)
     try:
@@ -106,15 +106,13 @@ def _load(path, what: str, read):
         raise ConfigError(f"no such file: {exc.filename}") from None
     except IsADirectoryError as exc:
         raise ConfigError(f"expected a file, got a directory: {exc.filename}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from None
     except _MALFORMED as exc:
         raise ConfigError(f"bad {what} {path}: {exc}") from None
 
 
 def _load_doc(path, what: str, build):
     """``build`` applied to the JSON document at ``path``."""
-    return _load(path, what, lambda file: build(json.loads(file.read_text())))
+    return _load(path, what, lambda file: build(read_json(file)))
 
 
 def _obstacles_from_doc(doc) -> tuple:
@@ -164,10 +162,6 @@ def _fixture_path(name: str) -> Path:
     return Path(str(resources.files("nvflow") / "fixtures" / name))
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _doc_hash(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
@@ -203,7 +197,7 @@ def _finish(out_dir: Path, subcommand: str, seed: int, inputs: dict,
     as its manifest lists them; only the other files are read and hashed.
     """
     digests = digests or {}
-    _write_json(out_dir / "run_manifest.json", {
+    write_json(out_dir / "run_manifest.json", {
         "version": 1,
         "subcommand": subcommand,
         "config_hash": _doc_hash(inputs),
@@ -214,7 +208,7 @@ def _finish(out_dir: Path, subcommand: str, seed: int, inputs: dict,
         "files": {rel: digests.get(rel) or sha256_file(out_dir / rel)
                   for rel in sorted(files)},
     })
-    _write_json(out_dir / "timings.json", {
+    write_json(out_dir / "timings.json", {
         "stages": [[name, sec] for name, sec in stages.timings],
         "total": sum(sec for _, sec in stages.timings),
     })
@@ -247,8 +241,7 @@ def _do_simulate(config: SceneConfig, seed: int, out: Path,
     with stages("simulate"):
         bundle = generate_scene(config, seed)
     with stages("write_bundle"):
-        stored = bundle.write(out)
-    return stored, json.loads((out / "manifest.json").read_text())["files"]
+        return bundle.write(out)
 
 
 def cmd_simulate(args, stages: _Stages) -> None:
@@ -313,7 +306,7 @@ def _do_distill(tracks: TrackSet, mask: np.ndarray, intr: CameraIntrinsics, labe
         # Only the kept candidate is drawn; scores.json lists every score.
         write_ppm(out / image, render_flow_image(best.flow, intr,
                                                  candidate_id=best.candidate_id))
-        _write_json(out / "scores.json", {
+        write_json(out / "scores.json", {
             "version": 1,
             "selected": best.candidate_id,
             "depth_scale": scale,
@@ -363,8 +356,8 @@ def _do_plan_rigid(flow: ActionableFlow, model: RobotModel, obstacles: tuple,
     with stages("write_plan"):
         ObjectPoseTrajectory(tuple(ee_targets)).to_json(out / "ee_traj.json")
         result.trajectory.to_csv(out / "joint_traj.csv")
-        _write_json(out / "result.json", result_to_doc(result))
-        _write_json(out / "plan.json", {
+        write_json(out / "result.json", result_to_doc(result))
+        write_json(out / "plan.json", {
             "version": 1,
             "robot": robot_to_doc(model),
             "grasp": {**grasp.grasp_pose.to_doc(),
@@ -399,7 +392,7 @@ def _do_plan_deformable(flow: ActionableFlow, model: MassSpringModel,
         rollout = mpc_rollout(model, state, flow, config, correspondence,
                               cost_mode=cost_mode)
     with stages("write_plan"):
-        _write_json(out / "actions.json", {
+        write_json(out / "actions.json", {
             "version": 1,
             "dt": model.dt,
             "substeps_per_frame": 1,
@@ -410,7 +403,7 @@ def _do_plan_deformable(flow: ActionableFlow, model: MassSpringModel,
             writer.writerow(["t", "flow_cost"])
             for t, cost in enumerate(rollout.costs):
                 writer.writerow([str(t), f"{cost:.9g}"])
-        _write_json(out / "final_state.json", rollout.states[-1].to_doc())
+        write_json(out / "final_state.json", rollout.states[-1].to_doc())
     return ["actions.json", "costs.csv", "final_state.json"]
 
 
@@ -452,33 +445,13 @@ def cmd_optimize_traj(args, stages: _Stages) -> None:
         result = optimize_trajectory(problem)
     with stages("write_result"):
         result.trajectory.to_csv(out / "joint_traj.csv")
-        _write_json(out / "result.json", result_to_doc(result))
+        write_json(out / "result.json", result_to_doc(result))
     seed = 0 if args.seed is None else args.seed
     inputs = {"problem": sha256_file(args.config), "seed": seed}
     _finish(out, "optimize-traj", seed, inputs, ["joint_traj.csv", "result.json"], stages)
 
 
 # -- evaluation ---------------------------------------------------------------------
-
-def _read_joint_csv(path: Path) -> np.ndarray:
-    """The configurations of a joint trajectory CSV as ``to_csv`` writes it:
-    a header ``t, q_0, ..., q_{n-1}``, then one row per step, each line
-    ended."""
-    with open(path, newline="") as handle:
-        text = handle.read()
-    if not text.endswith("\n"):
-        raise ValueError("its last line is cut off")
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    if len(rows) < 3 or rows[0] != ["t", *(f"q_{j}" for j in range(len(rows[0]) - 1))]:
-        raise ValueError("expected a header t, q_0, q_1, ... and at least two steps")
-    steps = [row[0] if row else "" for row in rows[1:]]
-    if steps != [str(t) for t in range(len(steps))]:
-        raise ValueError(f"the t column must read 0, 1, ..., {len(steps) - 1} in order")
-    configs = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    if not np.isfinite(configs).all():
-        raise ValueError("non-finite joint value")
-    return configs
-
 
 def _plan_from_doc(doc: dict) -> tuple[RobotModel, SE3Pose, int]:
     """The robot, grasp and trajectory steps per flow frame of a rigid plan."""
@@ -525,7 +498,7 @@ def _do_eval(run_dir: Path, config: SceneConfig, gt_flow: ActionableFlow,
     if config.scene == "rigid":
         graded = ["plan.json", "joint_traj.csv"]
         model, grasp, spf = _load_doc(run_dir / "plan.json", "plan file", _plan_from_doc)
-        configs = _load(run_dir / "joint_traj.csv", "joint trajectory CSV", _read_joint_csv)
+        configs = _load(run_dir / "joint_traj.csv", "joint trajectory CSV", read_joint_csv)
         if gt_poses is None:
             raise ConfigError("ground-truth bundle has no object poses to grade against")
         with stages("evaluate"):
@@ -540,7 +513,7 @@ def _do_eval(run_dir: Path, config: SceneConfig, gt_flow: ActionableFlow,
         with stages("evaluate"):
             corr = build_correspondence(gt_flow, initial_state.positions)
             metrics = evaluate_deformable(final, gt_flow, corr)
-    _write_json(_out_dir(out) / "metrics.json", metrics.to_doc())
+    write_json(_out_dir(out) / "metrics.json", metrics.to_doc())
     return metrics, graded
 
 

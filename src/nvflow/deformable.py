@@ -373,7 +373,6 @@ def chamfer_cost(points_a: np.ndarray, points_b: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class Correspondence:
     indices: np.ndarray      # (N,) keypoint index per particle
-    total_distance: float    # sum of assignment distances at build time
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "indices", _frozen(self.indices, dtype=int))
@@ -386,8 +385,7 @@ def build_correspondence(flow: ActionableFlow, particles: np.ndarray) -> Corresp
         raise ValueError(f"particles must be (N, 3), got {pts.shape}")
     first = flow.positions[0]
     d = np.linalg.norm(pts[:, None, :] - first[None, :, :], axis=-1)
-    indices = d.argmin(axis=1)  # argmin returns the lowest index on ties
-    return Correspondence(indices, float(d[np.arange(len(pts)), indices].sum()))
+    return Correspondence(d.argmin(axis=1))  # argmin returns the lowest index on ties
 
 
 # -- planning --------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""On-disk formats: flow files and netpbm images (masks, depth, renders).
+"""On-disk formats: JSON, flow files and netpbm images (masks, depth, renders).
 
 Formats defined here:
 
+* JSON: every JSON file is read by :func:`read_json`, whose error names it.
 * flow, binary (``.nvfl``): magic ``NVFL``, then little-endian u32 version (=1),
   u32 frame count T, u32 keypoint count K, then T*K*3 float32 positions in
   frame-major, keypoint-minor, xyz order.  The label is not stored.  This is
@@ -32,6 +33,8 @@ import numpy as np
 from .geometry import DepthMap, _doc_fields, _floats, _int, _str
 
 __all__ = [
+    "read_json",
+    "write_json",
     "FlowFormatError",
     "write_flow",
     "read_flow",
@@ -45,6 +48,21 @@ __all__ = [
 
 FLOW_MAGIC = b"NVFL"
 FLOW_VERSION = 1
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``; a file that is not UTF-8
+    JSON, or nests deeper than the parser recurses, is a ValueError naming it."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text())
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"malformed JSON in {path}: {exc}") from None
+
+
+def write_json(path, doc) -> None:
+    """``doc`` as JSON indented by 2 with sorted keys, then a newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 class FlowFormatError(ValueError):
@@ -89,7 +107,7 @@ def read_flow(path) -> tuple[np.ndarray, str]:
     """
     path = Path(path)
     if path.suffix == ".json":
-        doc = _doc_fields(json.loads(path.read_text()), {
+        doc = _doc_fields(read_json(path), {
             "version": _int, "frames": _int, "points": _int, "label": _str,
             "positions": _floats})
         if doc.get("version") != FLOW_VERSION:

@@ -288,14 +288,6 @@ class DepthMap:
         return meters
 
     @property
-    def height(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.samples.shape[1]
-
-    @property
     def valid(self) -> np.ndarray:
         return self.samples > 0
 

@@ -32,13 +32,15 @@ declares (the identity, none, and "").
 
 from __future__ import annotations
 
-import json
+import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .fileio import read_json
 from .geometry import (SE3Pose, _doc_fields, _doc_list, _float, _floats, _int, _skew, _str,
                        axis_angle_from_rotation)
 
@@ -47,6 +49,7 @@ __all__ = [
     "CollisionSphere",
     "RobotModel",
     "JointTrajectory",
+    "read_joint_csv",
     "IKOptions",
     "IKUnreachableError",
     "load_robot",
@@ -194,7 +197,7 @@ def robot_from_doc(doc: dict) -> RobotModel:
 
 
 def load_robot(path) -> RobotModel:
-    return robot_from_doc(json.loads(Path(path).read_text()))
+    return robot_from_doc(read_json(path))
 
 
 def _axis_rotations(joint: Joint, angles: np.ndarray) -> np.ndarray:
@@ -419,10 +422,6 @@ class JointTrajectory:
         configs.flags.writeable = False
         object.__setattr__(self, "configs", configs)
 
-    @property
-    def steps(self) -> int:
-        return self.configs.shape[0]
-
     def to_csv(self, path) -> None:
         """CSV rows (t, q_0, ..., q_{dof-1}) with 9 significant digits.
 
@@ -434,3 +433,23 @@ class JointTrajectory:
         lines = ["t" + "".join(f",q_{j}" for j in range(dof)) + "\r\n"]
         lines += [row % (t, *q) for t, q in enumerate(self.configs.tolist())]
         Path(path).write_text("".join(lines), newline="")
+
+
+def read_joint_csv(path) -> np.ndarray:
+    """The configurations of a joint trajectory CSV as ``to_csv`` writes it:
+    a header ``t, q_0, ..., q_{n-1}``, then one row per step, each line
+    ended."""
+    with open(path, newline="") as handle:
+        text = handle.read()
+    if not text.endswith("\n"):
+        raise ValueError("its last line is cut off")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if len(rows) < 3 or rows[0] != ["t", *(f"q_{j}" for j in range(len(rows[0]) - 1))]:
+        raise ValueError("expected a header t, q_0, q_1, ... and at least two steps")
+    steps = [row[0] if row else "" for row in rows[1:]]
+    if steps != [str(t) for t in range(len(steps))]:
+        raise ValueError(f"the t column must read 0, 1, ..., {len(steps) - 1} in order")
+    configs = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+    if not np.isfinite(configs).all():
+        raise ValueError("non-finite joint value")
+    return configs

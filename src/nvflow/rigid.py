@@ -9,18 +9,17 @@ composed with a grasp transform to produce end-effector pose targets.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .fileio import read_json
 from .flow import ActionableFlow
 from .geometry import SE3Pose, _doc_fields
 
 __all__ = [
     "DegenerateCloudError",
-    "GraspWarning",
     "GraspProposal",
     "ObjectPoseTrajectory",
     "estimate_rigid_transform",
@@ -32,10 +31,6 @@ __all__ = [
 
 class DegenerateCloudError(ValueError):
     """Point clouds do not determine a unique rigid transform."""
-
-
-class GraspWarning(UserWarning):
-    pass
 
 
 def estimate_rigid_transform(source: np.ndarray, target: np.ndarray) -> SE3Pose:
@@ -90,9 +85,6 @@ class ObjectPoseTrajectory:
     def __len__(self) -> int:
         return len(self.poses)
 
-    def __getitem__(self, index: int) -> SE3Pose:
-        return self.poses[index]
-
     def to_json(self, path) -> None:
         """JSON ``{"frame": "camera", "poses"}``; each pose is ``SE3Pose.to_doc``
         plus its index ``t``."""
@@ -103,7 +95,7 @@ class ObjectPoseTrajectory:
     def from_json(cls, path) -> "ObjectPoseTrajectory":
         """Poses from a ``to_json`` document; a ``frame`` other than "camera"
         is a ValueError."""
-        doc = json.loads(Path(path).read_text())
+        doc = read_json(path)
         fields = _doc_fields(doc, {"poses": lambda poses: tuple(
             SE3Pose.from_doc(p, extra=("t",)) for p in poses)}, extra=("frame",))
         if doc.get("frame", "camera") != "camera":
@@ -186,8 +178,7 @@ def propose_grasp(object_points: np.ndarray) -> list[GraspProposal]:
     extent relative to the 8.5 cm maximum opening.
 
     Proposals are sorted by quality.  Axes whose extent exceeds the maximum
-    opening are dropped; if none fit, an empty list is returned and a
-    :class:`GraspWarning` is emitted.
+    opening are dropped; if none fit, the list is empty.
 
     Raises:
         ValueError: on fewer than 10 points ("too few points").
@@ -226,8 +217,5 @@ def propose_grasp(object_points: np.ndarray) -> list[GraspProposal]:
             width=min(extent + _CLEARANCE, _MAX_WIDTH),
             quality=max(0.0, 1.0 - extent / _MAX_WIDTH),
         ))
-    if not proposals:
-        warnings.warn("no grasp axis fits within the gripper width", GraspWarning)
-        return []
     proposals.sort(key=lambda p: -p.quality)
     return proposals

@@ -39,8 +39,10 @@ from .fileio import (
     mask_from_pgm,
     mask_to_pgm,
     read_flow,
+    read_json,
     sha256_file,
     write_flow,
+    write_json,
 )
 from .flow import ActionableFlow, TrackSet
 from .geometry import (
@@ -311,11 +313,11 @@ class SceneConfig:
         return cls(**kwargs)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_doc())
 
     @classmethod
     def load(cls, path) -> "SceneConfig":
-        return cls.from_doc(json.loads(Path(path).read_text()))
+        return cls.from_doc(read_json(path))
 
 
 def _default_waypoints(spec: ObjectSpec) -> tuple[Waypoint, ...]:
@@ -389,7 +391,9 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Monotone-chain convex hull of 2-d points; collinear inputs collapse.
 
     The points are rounded to 1e-6, sorted by (x, y) and made distinct;
-    :func:`_drop_interior` then thins them before the chain.
+    :func:`_drop_interior` then thins them before the chain.  The vertices
+    run counterclockwise, the lower hull left to right and then the upper
+    hull right to left, so the hull's signed area is never negative.
     """
     pts = np.round(np.asarray(points, dtype=float).reshape(-1, 2), 6)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
@@ -425,18 +429,12 @@ def _render_mask(intrinsics: CameraIntrinsics, pixels: np.ndarray,
         mask = np.zeros((height, width), dtype=bool)
     hull = _convex_hull(pixels)
     if len(hull) >= 3:
-        area = 0.0
-        for i in range(len(hull)):
-            a, b = hull[i], hull[(i + 1) % len(hull)]
-            area += a[0] * b[1] - b[0] * a[1]
-        if area < 0.0:
-            hull = hull[::-1]
         x0 = max(int(math.floor(hull[:, 0].min())), 0)
         x1 = min(int(math.ceil(hull[:, 0].max())), width - 1)
         y0 = max(int(math.floor(hull[:, 1].min())), 0)
         y1 = min(int(math.ceil(hull[:, 1].max())), height - 1)
         if x1 >= x0 and y1 >= y0:
-            # The AND of every edge's half-plane test over the hull's box.
+            # The AND of every edge's left-side test (the hull is counterclockwise) over its box.
             u, v = np.arange(x0, x1 + 1), np.arange(y0, y1 + 1)[:, None]
             inside = np.ones((len(v), len(u)), dtype=bool)
             for a, b in zip(hull, np.roll(hull, -1, axis=0)):
@@ -938,14 +936,14 @@ class SceneBundle:
                 raise ValueError(f"{name} is {shape}, the config's image is {size}")
         object.__setattr__(self, "mask", mask)
 
-    def write(self, out_dir) -> "SceneBundle":
+    def write(self, out_dir) -> tuple["SceneBundle", dict[str, str]]:
         """Write the bundle; the manifest hashes every file and is written last.
 
-        Returns the bundle :meth:`read` gives back: the ground-truth flow at
-        float32 precision, as ``gt_flow.nvfl`` stores it.  Every other field
-        round-trips bit for bit, the depth maps too when they hold whole
-        millimeters, as generated depth maps do: they come back as the same
-        uint16 samples.
+        Returns the bundle :meth:`read` gives back, its ground-truth flow at
+        float32 precision as ``gt_flow.nvfl`` stores it, and the manifest's
+        file digests.  Every other field round-trips bit for bit, the depth
+        maps too when they hold whole millimeters, as generated depth maps
+        do: they come back as the same uint16 samples.
         """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -981,23 +979,33 @@ class SceneBundle:
                 json.dumps(self.initial_state.to_doc(), sort_keys=True) + "\n")
             files.append("initial_state.json")
 
-        manifest = {
-            "version": 1,
-            "scene": self.config.scene,
-            "seed": self.seed,
-            "frames": self.config.frames,
-            "tracks": self.tracks.count,
-            "keypoints": self.gt_flow.keypoints,
-            "label": self.gt_flow.label,
-            "files": {rel: sha256_file(out / rel) for rel in sorted(files)},
-        }
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        return replace(self, gt_flow=ActionableFlow(gt_flow, label=self.gt_flow.label))
+        digests = {rel: sha256_file(out / rel) for rel in sorted(files)}
+        write_json(out / "manifest.json", {
+            **self._facts(), "seed": self.seed, "label": self.gt_flow.label,
+            "files": digests})
+        return replace(self, gt_flow=ActionableFlow(gt_flow, label=self.gt_flow.label)), digests
+
+    def _facts(self) -> dict:
+        """The manifest fields that the bundle's other files determine."""
+        return {"version": 1, "scene": self.config.scene, "frames": self.config.frames,
+                "tracks": self.tracks.count, "keypoints": self.gt_flow.keypoints}
 
     @classmethod
     def read(cls, bundle_dir) -> "SceneBundle":
+        """The bundle in ``bundle_dir``; a manifest with a key, a value type or a
+        fact that :meth:`write` would not write is a ValueError naming it."""
         root = Path(bundle_dir)
-        manifest = json.loads((root / "manifest.json").read_text())
+        doc = read_json(root / "manifest.json")
+        try:
+            manifest = _doc_fields(doc, {
+                "version": _int, "scene": _str, "seed": _int, "frames": _int, "tracks": _int,
+                "keypoints": _int, "label": _str,
+                # an object of strings: a cast per key it has, if it is one
+                "files": lambda files: _doc_fields(files, dict.fromkeys(
+                    files if isinstance(files, dict) else (), _str))})
+            seed, listed = manifest["seed"], manifest["files"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"manifest.json: {exc}") from None
         config = SceneConfig.load(root / "scene_config.json")
 
         tracks = TrackSet(_load_array(root / "tracks.npy", np.float64),
@@ -1012,7 +1020,6 @@ class SceneBundle:
 
         # Optional files count only when listed: a file an earlier bundle
         # left in the directory is not part of this one.
-        listed = manifest["files"]
         gt_poses = None
         if "gt_poses.json" in listed:
             gt_poses = ObjectPoseTrajectory.from_json(root / "gt_poses.json")
@@ -1020,13 +1027,15 @@ class SceneBundle:
         dynamics = None
         initial_state = None
         if "dynamics.json" in listed:
-            dynamics = MassSpringModel.from_doc(
-                json.loads((root / "dynamics.json").read_text()))
+            dynamics = MassSpringModel.from_doc(read_json(root / "dynamics.json"))
         if "initial_state.json" in listed:
-            initial_state = ParticleState.from_doc(
-                json.loads((root / "initial_state.json").read_text()))
+            initial_state = ParticleState.from_doc(read_json(root / "initial_state.json"))
 
-        return cls(config=config, seed=int(manifest["seed"]), tracks=tracks,
-                   mask=mask, depth=depth, depth_ref=depth_ref,
-                   gt_flow=gt_flow, gt_poses=gt_poses,
-                   dynamics=dynamics, initial_state=initial_state)
+        bundle = cls(config=config, seed=seed, tracks=tracks,
+                     mask=mask, depth=depth, depth_ref=depth_ref,
+                     gt_flow=gt_flow, gt_poses=gt_poses,
+                     dynamics=dynamics, initial_state=initial_state)
+        for key, value in bundle._facts().items():
+            if manifest.get(key) != value:
+                raise ValueError(f"manifest.json says {key} {manifest.get(key)!r}, not {value!r}")
+        return bundle

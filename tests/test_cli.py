@@ -2,7 +2,8 @@
 
 Every test drives ``nvflow.cli.main`` in-process with an explicit argv, so
 exit codes and stderr discipline are asserted exactly as a shell would see
-them.  One subprocess smoke test checks the installed entry points.
+them.  A few run in a subprocess: smoke tests of the installed entry points,
+and one whose stderr must hold nothing Python prints itself, as a warning.
 """
 
 import ast
@@ -143,8 +144,9 @@ class MalformedInputs:
             write_pgm(bundle / name, values[:240, :320], maxval=maxval)
         return bundle
 
-    def edited_bundle(self, **edits):
-        """A copy of the small rigid bundle with files replaced.
+    def edited_bundle(self, fixture="rigid_bundle_dir", **edits):
+        """A copy of the small rigid bundle, or of the bundle ``fixture``
+        names, with files replaced.
 
         ``edits`` maps a file's stem (``tracks`` for ``tracks.npy``,
         ``gt_poses`` for ``gt_poses.json``) to a function of its array or
@@ -153,7 +155,7 @@ class MalformedInputs:
         must be).
         """
         bundle = self.tmp / "bundle"
-        shutil.copytree(self.fixture("rigid_bundle_dir"), bundle)
+        shutil.copytree(self.fixture(fixture), bundle)
         for stem, edit in edits.items():
             path = next(bundle.glob(f"{stem}.*"))
             is_json = path.suffix == ".json"
@@ -641,6 +643,43 @@ SPHERE_LESS_ROBOT_CASES = {
         c, steps=21, robot=str(_sphere_less_robot(c))),
 }
 MALFORMED_INPUT_CASES.update(SPHERE_LESS_ROBOT_CASES)
+
+
+def _not_json(c, name):
+    path = c.tmp / name
+    path.write_text("{not json")
+    return path
+
+
+def _distill_manifest(c, **changes):
+    """``distill`` of the small rigid bundle, its manifest's keys changed; a
+    key set to DELETE is removed."""
+    return _distill(c, c.edited_bundle(manifest=lambda doc: {
+        k: v for k, v in {**doc, **changes}.items() if v is not DELETE}))
+
+
+# A file another input names, and the bundle manifest, each malformed, and
+# the file the one error line must name: the one that failed, not the input
+# given on the command line.
+NAMED_FILE_CASES = {
+    "trajopt-robot-file-not-json": (
+        lambda c: _optimize_traj(c, robot=str(_not_json(c, "bad_robot.json"))),
+        "bad_robot.json"),
+    "bundle-dynamics-not-json": (lambda c: _distill(c, c.edited_bundle(
+        "rope_bundle_dir", dynamics=lambda doc: b"{not json")), "dynamics.json"),
+    "bundle-manifest-seed-fraction": (lambda c: _distill_manifest(c, seed=7.9),
+                                      "manifest.json"),
+    "bundle-manifest-unknown-key": (lambda c: _distill_manifest(c, sed=0), "manifest.json"),
+    "bundle-manifest-label-number": (lambda c: _distill_manifest(c, label=5),
+                                     "manifest.json"),
+    "bundle-manifest-scene-rope": (lambda c: _distill_manifest(c, scene="rope"),
+                                   "manifest.json"),
+    "bundle-manifest-frames-wrong": (lambda c: _distill_manifest(c, frames=10),
+                                     "manifest.json"),
+    "bundle-manifest-seed-missing": (lambda c: _distill_manifest(c, seed=DELETE),
+                                     "manifest.json"),
+}
+MALFORMED_INPUT_CASES.update({case: build for case, (build, _) in NAMED_FILE_CASES.items()})
 
 # Every top-level key of the two documents a user writes by hand, each
 # deleted or set to every one of these values.
@@ -1135,6 +1174,16 @@ class TestConfigErrors:
         assert run_main(argv) == 2
         assert f"unknown key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", sorted(NAMED_FILE_CASES))
+    def test_error_names_the_failing_file(self, case, tmp_path, request, capsys):
+        build, name = NAMED_FILE_CASES[case]
+        argv = build(MalformedInputs(tmp_path, request))
+        capsys.readouterr()
+        assert run_main(argv) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert name in err
+
     @pytest.mark.parametrize("case", ["run-rope-horizon-0", "run-obstacle-list",
                                       "run-seed-flag-negative", "run-robot-colision-spheres"])
     def test_run_rejects_input_before_any_stage(self, case, tmp_path, request, capsys):
@@ -1348,6 +1397,25 @@ class TestRuntimeErrors:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "unreachable" in err
+
+    def test_no_grasp_exits_3_with_one_stderr_line(self, tmp_path):
+        """An object wider than the gripper along both axes: the one error
+        line is all a shell sees, with no warning printed before it."""
+        side = np.linspace(-0.1, 0.1, 5)
+        grid = np.array([[x, y, 0.5 + 0.01 * x] for x in side for y in side])
+        flow_path = tmp_path / "wide.nvfl"
+        write_flow(flow_path, np.stack([grid, grid]))
+        src = str(Path(nvflow.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+        argv = ["plan-rigid", "--flow", flow_path, "--robot", fixture_path("arm7.json"),
+                "--out-dir", tmp_path / "o"]
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", "nvflow.cli",
+                               *map(str, argv)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert_one_error_line(proc.stderr)
+        assert "no feasible grasp" in proc.stderr
 
     def test_non_finite_jacobian_exits_3(self, tmp_path, capsys, monkeypatch):
         """A NaN collision gradient makes one Jacobian entry NaN; the solve

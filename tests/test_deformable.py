@@ -314,7 +314,7 @@ class TestDegenerateSamples:
         positions = np.tile(state.positions, (4, 1, 1))
         positions[:, 0, 0] += 1.5e-9 * np.arange(4)   # the flow drags 0 past the pin
         flow = ActionableFlow(positions)
-        corr = Correspondence(np.arange(2), 0.0)
+        corr = Correspondence(np.arange(2))
         config = MPCConfig(horizon=3, population=32, elites=4, iterations=3,
                            init_std=2e-9, min_std=1e-12, action_cap=1e-8, seed=0)
         batch_costs = deformable._batch_costs
@@ -338,7 +338,7 @@ class TestDegenerateSamples:
     def test_planner_raises_when_every_sample_collapses(self):
         model, state = point_on_a_pin(5e-10)
         flow = constant_flow(state.positions, frames=3)
-        corr = Correspondence(np.arange(2), 0.0)
+        corr = Correspondence(np.arange(2))
         config = MPCConfig(horizon=2, population=8, elites=2, iterations=1)
         with pytest.raises(DegenerateEdgeError, match="every sampled"):
             plan_actions(model, state, flow, 1, config, corr)
@@ -481,7 +481,6 @@ class TestBuildCorrespondence:
         flow = constant_flow(first, frames=3)
         corr = build_correspondence(flow, first.copy())
         assert np.array_equal(corr.indices, [0, 1, 2])
-        assert corr.total_distance == 0.0
 
     def test_robust_to_millimetre_noise(self, rng):
         first = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0],
@@ -490,7 +489,6 @@ class TestBuildCorrespondence:
         jittered = first + 0.001 * rng.standard_normal(first.shape)
         corr = build_correspondence(flow, jittered)
         assert np.array_equal(corr.indices, [0, 1, 2, 3])
-        assert corr.total_distance > 0.0
 
     def test_tie_breaks_to_lowest_index(self):
         first = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -545,7 +543,7 @@ class TestPlanActions:
         frames = 5
         walk = np.cumsum(0.01 * rng.standard_normal((frames, 4, 3)), axis=0)
         flow = ActionableFlow(state.positions[None] + walk)
-        corr = Correspondence(np.arange(4), 0.0)
+        corr = Correspondence(np.arange(4))
         config = MPCConfig(horizon=3, population=16, elites=4, iterations=2,
                            seed=3)
         plan = plan_actions(model, state, flow, 1, config, corr)
@@ -559,7 +557,7 @@ class TestPlanActions:
         target = state.positions + np.array([1.0, 0.0, 0.0])  # far away
         positions = np.stack([state.positions, target, target])
         flow = ActionableFlow(positions)
-        corr = Correspondence(np.arange(4), 0.0)
+        corr = Correspondence(np.arange(4))
         config = MPCConfig(horizon=2, population=16, elites=4, iterations=3,
                            action_cap=0.05, seed=1)
         plan = plan_actions(model, state, flow, 1, config, corr)
@@ -570,7 +568,7 @@ class TestPlanActions:
         positions = np.tile(state.positions, (4, 1, 1))
         positions[:, :, 0] += 0.01 * np.arange(4)[:, None]
         flow = ActionableFlow(positions)
-        corr = Correspondence(np.arange(4), 0.0)
+        corr = Correspondence(np.arange(4))
         config = MPCConfig(horizon=3, population=16, elites=4, iterations=2,
                            seed=9)
         first = plan_actions(model, state, flow, 1, config, corr)
@@ -580,7 +578,7 @@ class TestPlanActions:
     def test_frame_index_validation(self):
         model, state = chain(n=2)
         flow = constant_flow(state.positions, frames=3)
-        corr = Correspondence(np.arange(2), 0.0)
+        corr = Correspondence(np.arange(2))
         with pytest.raises(ValueError, match="frame index"):
             plan_actions(model, state, flow, 0, MPCConfig(), corr)
         with pytest.raises(ValueError, match="frame index"):

@@ -1,14 +1,17 @@
-"""Tests for the on-disk formats: flow binaries, netpbm, masks, depth."""
+"""Tests for the on-disk formats: JSON, flow binaries, netpbm, masks, depth."""
 
+import ast
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nvflow
 from nvflow.fileio import (
     FlowFormatError,
     depth_from_pgm,
@@ -16,13 +19,55 @@ from nvflow.fileio import (
     mask_from_pgm,
     mask_to_pgm,
     read_flow,
+    read_json,
     read_pgm,
     sha256_file,
     write_flow,
+    write_json,
     write_pgm,
     write_ppm,
 )
 from nvflow.geometry import DepthMap
+
+
+class TestJson:
+    @pytest.mark.parametrize("text", ["{not json", "[" * 100_000 + "]" * 100_000,
+                                      b"{\"a\": \"\xff\"}"],
+                             ids=["unparsable", "nested-too-deep", "not-utf8"])
+    def test_a_file_that_does_not_parse_is_named(self, text, tmp_path):
+        path = tmp_path / "bad_robot.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        with pytest.raises(ValueError, match=f"malformed JSON in {path}"):
+            read_json(path)
+
+    def test_round_trip_is_indented_and_sorted(self, tmp_path):
+        doc = {"b": [1, 2.5], "a": {"d": None, "c": "x"}}
+        write_json(tmp_path / "doc.json", doc)
+        assert read_json(tmp_path / "doc.json") == doc
+        assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2,
+                                                                 sort_keys=True) + "\n"
+
+    def test_only_read_json_parses_json(self):
+        """One reader for every JSON file, so a failure to parse one names it:
+        ``json.load`` and ``json.loads`` appear in nvflow only inside it."""
+        found = []
+        for path in sorted(Path(nvflow.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            owner = {}                   # node -> the outermost function it is in
+            for func in ast.walk(tree):
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for node in ast.walk(func):
+                        owner.setdefault(node, func.name)
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                        and getattr(node.value, "id", None) == "json"):
+                    found.append((path.name, owner.get(node)))
+                elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                    found += [(path.name, f"from json import {a.name}") for a in node.names]
+        assert found == [("fileio.py", "read_json")]
 
 
 class TestFlowFiles:

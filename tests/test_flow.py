@@ -475,7 +475,7 @@ class TestRenderMatchesReference:
         # The images `nvflow run --candidates 8` writes: the flow distilled
         # from the bundle as stored, and its noise ladder at seed * 1000 + k.
         config = demo_scene("scene_rigid_demo.json")
-        bundle = generate_scene(config, seed).write(tmp_path / "scene")
+        bundle, _ = generate_scene(config, seed).write(tmp_path / "scene")
         scale = calibrate_depth(bundle.depth, bundle.depth_ref)
         tracks = TrackSet(bundle.tracks.positions * scale, bundle.tracks.visible)
         clean = distill_flow(tracks, bundle.mask, config.intrinsics)

@@ -192,7 +192,7 @@ class TestDepthMap:
         assert depth.values.tobytes() == (mm / 1000.0).tobytes()
         assert not depth.values.flags.writeable
         assert np.array_equal(depth.valid, [[False, True, True], [True, True, False]])
-        assert (depth.height, depth.width) == (2, 3)
+        assert depth.samples.shape == (2, 3)
 
     def test_a_read_only_millimeter_array_is_handed_over(self):
         mm = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.uint16)
@@ -267,7 +267,7 @@ def _value_types():
         "ParticleState": (state, False),
         "MassSpringModel": (lambda: deformable.MassSpringModel(
             n_particles=2, edges=np.array([[0, 1]]), rest_lengths=np.array([1.0])), False),
-        "Correspondence": (lambda: deformable.Correspondence(np.zeros(2), 0.0), False),
+        "Correspondence": (lambda: deformable.Correspondence(np.zeros(2)), False),
         "MPCConfig": (deformable.MPCConfig, True),
         "RolloutResult": (lambda: deformable.RolloutResult(
             (state(), state()), np.zeros((1, 3)), np.zeros(2)), False),

@@ -388,7 +388,7 @@ class TestBundleIO:
                                                dropout_prob=0.05,
                                                depth_scale=1.25))
         bundle = generate_scene(config)
-        written = bundle.write(tmp_path / "scene")
+        written, _ = bundle.write(tmp_path / "scene")
         back = SceneBundle.read(tmp_path / "scene")
         assert_same_bits(back, written)
         assert back.seed == bundle.seed
@@ -435,7 +435,7 @@ class TestBundleIO:
 
     def test_rigid_bundle_round_trip_keeps_poses(self, tmp_path):
         bundle = generate_scene(small_rigid_config(distractor_points=0))
-        written = bundle.write(tmp_path / "scene")
+        written, _ = bundle.write(tmp_path / "scene")
         back = SceneBundle.read(tmp_path / "scene")
         assert_same_bits(back, written)
         assert len(back.gt_poses) == len(bundle.gt_poses)
@@ -468,9 +468,10 @@ class TestBundleIO:
             config = SceneConfig(scene="rope", rope=RopeSpec(particles=8, flow_keypoints=8),
                                  frames=6, distractor_points=5)
             extra = {"dynamics.json", "initial_state.json"}
-        generate_scene(config).write(tmp_path / "scene")
+        _, digests = generate_scene(config).write(tmp_path / "scene")
         manifest = tmp_path / "scene" / "manifest.json"
-        files = set(json.loads(manifest.read_text())["files"])
+        assert json.loads(manifest.read_text())["files"] == digests
+        files = set(digests)
         assert files == {"scene_config.json", "tracks.npy", "visible.npy", "masks/0000.pgm",
                          "depth/0000.pgm", "depth_ref.pgm", "gt_flow.nvfl"} | extra
         on_disk = {p.relative_to(tmp_path / "scene").as_posix()
@@ -479,7 +480,7 @@ class TestBundleIO:
 
     def test_tracks_and_visibility_round_trip_bit_for_bit(self, tmp_path):
         config = demo_scene("scene_rigid_demo.json", seed=3)
-        written = generate_scene(config).write(tmp_path / "scene")
+        written, _ = generate_scene(config).write(tmp_path / "scene")
         back = SceneBundle.read(tmp_path / "scene")
         assert not back.tracks.visible.all()      # dropout made some samples invisible
         assert_same_bits(back.tracks, written.tracks, "tracks")
@@ -829,6 +830,20 @@ class TestHullOracle:
     def test_matches_the_set_and_sort_code(self, kind, seed):
         points = _cloud(kind, seed)
         assert np.array_equal(_convex_hull(points), convex_hull_by_set(points))
+
+    @pytest.mark.parametrize("kind", ["uniform", "gaussian", "grid-snapped", "duplicates",
+                                      "collinear", "axis-lines", "sub-rounding", "few"])
+    def test_the_hull_runs_counterclockwise(self, kind):
+        """``_render_mask`` takes the inside to be left of every hull edge, so
+        it relies on the hull's shoelace sum, as it once checked it in this
+        order, never being negative."""
+        for seed in range(100, 300):
+            hull = _convex_hull(_cloud(kind, seed))
+            area = 0.0
+            for i in range(len(hull)):
+                a, b = hull[i], hull[(i + 1) % len(hull)]
+                area += a[0] * b[1] - b[0] * a[1]
+            assert area > 0.0 if len(hull) >= 3 else area == 0.0, (kind, seed)
 
     @pytest.mark.parametrize("angle", [0.0, math.pi / 2, math.pi, math.pi / 4,
                                        math.pi / 6, -0.5, 0.3])
