@@ -190,13 +190,15 @@ def _finish(out_dir: Path, subcommand: str, seed: int, inputs: dict,
             files: list[str], stages: _Stages, digests: dict | None = None) -> None:
     """Write the run manifest and, beside it, the stage timings.
 
-    The manifest holds only reproducible content (inputs, seed, library
-    versions, output hashes); wall-clock stage timings go to timings.json so
-    re-running with the same seed yields a byte-identical manifest.
+    The manifest holds only reproducible content (inputs, which record
+    ``seed`` too, seed, library versions, output hashes); wall-clock stage
+    timings go to timings.json so re-running with the same seed yields a
+    byte-identical manifest.
     ``digests`` gives the sha256 of files already hashed, a scene bundle's
     as its manifest lists them; only the other files are read and hashed.
     """
     digests = digests or {}
+    inputs = {**inputs, "seed": seed}
     write_json(out_dir / "run_manifest.json", {
         "version": 1,
         "subcommand": subcommand,
@@ -251,15 +253,11 @@ def cmd_simulate(args, stages: _Stages) -> None:
     seed = config.seed if args.seed is None else args.seed
     out = _out_dir(args.out_dir)
     _, digests = _do_simulate(config, seed, out, stages)
-    inputs = {"scene_config": _doc_hash(config.to_doc()), "seed": seed}
+    inputs = {"scene_config": _doc_hash(config.to_doc())}
     _finish(out, "simulate", seed, inputs, [*digests, "manifest.json"], stages, digests)
 
 
 # -- distill -----------------------------------------------------------------------
-
-# `distill` and `run` share it, so the stages chained with default flags are `run`.
-_DEFAULT_CANDIDATES = 8
-
 
 def _candidate_sigmas(count: int) -> list[float]:
     """Noise ladder for the corrupted candidates (count - 1 rungs)."""
@@ -318,16 +316,15 @@ def _do_distill(tracks: TrackSet, mask: np.ndarray, intr: CameraIntrinsics, labe
 def cmd_distill(args, stages: _Stages) -> None:
     _check_at_least_one(args.candidates, "--candidates")
     bundle = _load(args.bundle_dir, "scene bundle", SceneBundle.read)
-    seed = 0 if args.seed is None else args.seed
     out = _out_dir(args.out_dir)
     tracks, scale = _calibrate(bundle, stages)
     mask, intr, label = bundle.mask, bundle.config.intrinsics, bundle.gt_flow.label
     del bundle
-    _, files = _do_distill(tracks, mask, intr, label, scale, out, args.candidates, seed,
-                           stages)
+    _, files = _do_distill(tracks, mask, intr, label, scale, out, args.candidates,
+                           args.seed, stages)
     inputs = {"bundle_manifest": sha256_file(Path(args.bundle_dir) / "manifest.json"),
-              "candidates": args.candidates, "seed": seed}
-    _finish(out, "distill", seed, inputs, files, stages)
+              "candidates": args.candidates}
+    _finish(out, "distill", args.seed, inputs, files, stages)
 
 
 # -- rigid planning ----------------------------------------------------------------
@@ -371,14 +368,13 @@ def _do_plan_rigid(flow: ActionableFlow, model: RobotModel, obstacles: tuple,
 def cmd_plan_rigid(args, stages: _Stages) -> None:
     model, obstacles = _rigid_inputs(args.steps_per_frame, args.robot, args.obstacles)
     flow = _load_flow_file(args.flow)
-    seed = 0 if args.seed is None else args.seed
     out = _out_dir(args.out_dir)
     files = _do_plan_rigid(flow, model, obstacles, out, args.steps_per_frame,
-                           seed, stages)
+                           args.seed, stages)
     inputs = {"flow": sha256_file(args.flow), "robot": sha256_file(args.robot),
               "obstacles": sha256_file(args.obstacles) if args.obstacles else None,
-              "steps_per_frame": args.steps_per_frame, "seed": seed}
-    _finish(out, "plan-rigid", seed, inputs, files, stages)
+              "steps_per_frame": args.steps_per_frame}
+    _finish(out, "plan-rigid", args.seed, inputs, files, stages)
 
 
 # -- deformable planning -----------------------------------------------------------
@@ -387,10 +383,8 @@ def _do_plan_deformable(flow: ActionableFlow, model: MassSpringModel,
                         state: ParticleState, out: Path, horizon: int,
                         seed: int, cost_mode: str, stages: _Stages) -> list[str]:
     config = MPCConfig(horizon=horizon, seed=seed)
-    correspondence = build_correspondence(flow, state.positions)
     with stages("mpc"):
-        rollout = mpc_rollout(model, state, flow, config, correspondence,
-                              cost_mode=cost_mode)
+        rollout = mpc_rollout(model, state, flow, config, cost_mode=cost_mode)
     with stages("write_plan"):
         write_json(out / "actions.json", {
             "version": 1,
@@ -422,14 +416,13 @@ def cmd_plan_deformable(args, stages: _Stages) -> None:
     if state.count != model.n_particles:
         raise ConfigError(f"state has {state.count} particles, model expects "
                           f"{model.n_particles}")
-    seed = 0 if args.seed is None else args.seed
     out = _out_dir(args.out_dir)
-    files = _do_plan_deformable(flow, model, state, out, args.horizon, seed,
+    files = _do_plan_deformable(flow, model, state, out, args.horizon, args.seed,
                                 args.cost_mode, stages)
     inputs = {"flow": sha256_file(args.flow), "dynamics": sha256_file(args.dynamics),
               "state": sha256_file(args.state) if args.state else None,
-              "horizon": args.horizon, "cost_mode": args.cost_mode, "seed": seed}
-    _finish(out, "plan-deformable", seed, inputs, files, stages)
+              "horizon": args.horizon, "cost_mode": args.cost_mode}
+    _finish(out, "plan-deformable", args.seed, inputs, files, stages)
 
 
 # -- standalone trajectory optimization ----------------------------------------------
@@ -446,9 +439,8 @@ def cmd_optimize_traj(args, stages: _Stages) -> None:
     with stages("write_result"):
         result.trajectory.to_csv(out / "joint_traj.csv")
         write_json(out / "result.json", result_to_doc(result))
-    seed = 0 if args.seed is None else args.seed
-    inputs = {"problem": sha256_file(args.config), "seed": seed}
-    _finish(out, "optimize-traj", seed, inputs, ["joint_traj.csv", "result.json"], stages)
+    inputs = {"problem": sha256_file(args.config)}
+    _finish(out, "optimize-traj", args.seed, inputs, ["joint_traj.csv", "result.json"], stages)
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -525,11 +517,9 @@ def cmd_eval(args, stages: _Stages) -> None:
     out = _out_path(args.out_dir)
     _, graded = _do_eval(run_dir, bundle.config, bundle.gt_flow, bundle.gt_poses,
                          bundle.initial_state, out, stages)
-    seed = 0 if args.seed is None else args.seed
     inputs = {"gt_manifest": sha256_file(Path(args.gt_dir) / "manifest.json"),
-              "graded": {name: sha256_file(run_dir / name) for name in graded},
-              "seed": seed}
-    _finish(out, "eval", seed, inputs, ["metrics.json"], stages)
+              "graded": {name: sha256_file(run_dir / name) for name in graded}}
+    _finish(out, "eval", args.seed, inputs, ["metrics.json"], stages)
 
 
 # -- full pipeline ------------------------------------------------------------------
@@ -577,8 +567,7 @@ def cmd_run(args, stages: _Stages) -> None:
     files = ([*digests, "scene/manifest.json"]
              + [f"flow/{rel}" for rel in flow_files]
              + [f"plan/{rel}" for rel in plan_files] + ["metrics.json"])
-    inputs = {"scene_config": _doc_hash(config.to_doc()),
-              "candidates": args.candidates, "seed": seed}
+    inputs = {"scene_config": _doc_hash(config.to_doc()), "candidates": args.candidates}
     _finish(out, "run", seed, inputs, files, stages, digests)
     if args.verbose:
         print(f"[nvflow] success={metrics.success}", file=sys.stderr)
@@ -587,12 +576,24 @@ def cmd_run(args, stages: _Stages) -> None:
 # -- argument parsing ---------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed, default=None,
-                        help="seed for all randomness (recorded in the manifest)")
-    common.add_argument("--out-dir", default=None, help="output directory")
-    common.add_argument("--verbose", action="store_true",
-                        help="narrate pipeline stages on stderr")
+    flags = functools.partial(argparse.ArgumentParser, add_help=False)
+    # Flags that run shares with a stage subcommand, each declared once, so
+    # that the stages chained with default flags give run's bytes.
+    flow = flags()
+    flow.add_argument("--flow", required=True, help="flow file (.nvfl or .json)")
+    candidates = flags()
+    candidates.add_argument("--candidates", type=int, default=8,
+                            help="flow candidates: the clean flow plus N-1 corrupted rungs")
+    rigid = flags()
+    rigid.add_argument("--obstacles", default=None,
+                       help="obstacle list JSON (run's default: the packaged demo obstacle)")
+    rigid.add_argument("--steps-per-frame", type=int, default=4,
+                       help="trajectory steps per flow frame (rigid scenes)")
+    rope = flags()
+    rope.add_argument("--horizon", type=int, default=5,
+                      help="planning horizon in frames (rope scenes)")
+    rope.add_argument("--cost-mode", choices=("flow", "chamfer_final"), default="flow",
+                      help="tracking objective (chamfer_final ignores correspondences)")
 
     parser = argparse.ArgumentParser(
         prog="nvflow",
@@ -600,67 +601,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nvflow {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="render a synthetic scene bundle from a config")
+    def common(seed: int | None) -> argparse.ArgumentParser:
+        """The flags every subcommand takes, with --seed defaulting to ``seed``: one parent
+        per default, as set_defaults on a subcommand would change its parent's action."""
+        parent = flags()
+        parent.add_argument("--seed", type=_seed,
+                            help="seed for all randomness (recorded in the manifest)")
+        parent.add_argument("--out-dir", default=None, help="output directory")
+        parent.add_argument("--verbose", action="store_true",
+                            help="narrate pipeline stages on stderr")
+        parent.set_defaults(seed=seed)
+        return parent
+
+    # Stages read no scene config, so their seed is 0; simulate and run take the config's.
+    stage, configured = common(0), common(None)
+
+    def add(name: str, func, summary: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("simulate", cmd_simulate, "render a synthetic scene bundle from a config",
+            configured)
     p.add_argument("--config", default=None, help="scene config JSON")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("distill", parents=[common],
-                       help="distill, score and select an object flow from a bundle")
+    p = add("distill", cmd_distill,
+            "distill, score and select an object flow from a bundle", stage, candidates)
     p.add_argument("bundle_dir", help="scene bundle directory")
-    p.add_argument("--candidates", type=int, default=_DEFAULT_CANDIDATES,
-                   help="candidate count: the clean flow plus N-1 corrupted rungs")
-    p.set_defaults(func=cmd_distill)
 
-    p = sub.add_parser("plan-rigid", parents=[common],
-                       help="plan a grasp-and-carry joint trajectory from a flow")
-    p.add_argument("--flow", required=True, help="flow file (.nvfl or .json)")
+    p = add("plan-rigid", cmd_plan_rigid,
+            "plan a grasp-and-carry joint trajectory from a flow", stage, flow, rigid)
     p.add_argument("--robot", required=True, help="robot model JSON")
-    p.add_argument("--obstacles", default=None, help="obstacle list JSON")
-    p.add_argument("--steps-per-frame", type=int, default=4,
-                   help="trajectory steps per flow frame")
-    p.set_defaults(func=cmd_plan_rigid)
 
-    p = sub.add_parser("plan-deformable", parents=[common],
-                       help="receding-horizon particle control toward a flow")
-    p.add_argument("--flow", required=True, help="flow file (.nvfl or .json)")
+    p = add("plan-deformable", cmd_plan_deformable,
+            "receding-horizon particle control toward a flow", stage, flow, rope)
     p.add_argument("--dynamics", required=True, help="particle model JSON")
     p.add_argument("--state", default=None,
                    help="initial particle state JSON (defaults to the first "
                         "flow frame at rest when counts match)")
-    p.add_argument("--horizon", type=int, default=5, help="planning horizon in frames")
-    p.add_argument("--cost-mode", choices=("flow", "chamfer_final"), default="flow",
-                   help="tracking objective (chamfer_final ignores correspondences)")
-    p.set_defaults(func=cmd_plan_deformable)
 
-    p = sub.add_parser("optimize-traj", parents=[common],
-                       help="solve one trajectory optimization problem file")
+    p = add("optimize-traj", cmd_optimize_traj,
+            "solve one trajectory optimization problem file", stage)
     p.add_argument("--config", default=None, help="trajectory problem JSON")
-    p.set_defaults(func=cmd_optimize_traj)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="grade a plan directory against a ground-truth bundle")
+    p = add("eval", cmd_eval, "grade a plan directory against a ground-truth bundle", stage)
     p.add_argument("run_dir", help="directory with plan outputs")
     p.add_argument("gt_dir", help="ground-truth scene bundle directory")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("run", parents=[common],
-                       help="full pipeline: simulate, distill, plan, evaluate")
+    p = add("run", cmd_run, "full pipeline: simulate, distill, plan, evaluate",
+            configured, candidates, rigid, rope)
     p.add_argument("--config", default=None,
                    help="scene config JSON (default: the packaged rigid demo scene)")
     p.add_argument("--robot", default=None,
                    help="robot model JSON (default: the packaged 7-dof arm)")
-    p.add_argument("--obstacles", default=None,
-                   help="obstacle list JSON (default: the packaged demo obstacle)")
-    p.add_argument("--candidates", type=int, default=_DEFAULT_CANDIDATES,
-                   help="flow candidates to score during distillation")
-    p.add_argument("--steps-per-frame", type=int, default=4,
-                   help="trajectory steps per flow frame (rigid scenes)")
-    p.add_argument("--horizon", type=int, default=5,
-                   help="planning horizon in frames (rope scenes)")
-    p.add_argument("--cost-mode", choices=("flow", "chamfer_final"), default="flow",
-                   help="tracking objective for rope scenes")
-    p.set_defaults(func=cmd_run)
 
     return parser
 

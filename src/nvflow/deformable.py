@@ -643,7 +643,8 @@ def mpc_rollout(model: MassSpringModel, initial: ParticleState, flow: Actionable
     first action of its plan is executed: the next state is the one the
     planner simulated for that action.  The recorded per-frame cost
     is always the corresponded flow cost, so rollouts under different planning
-    objectives stay comparable.
+    objectives stay comparable.  Without a ``correspondence``, each particle
+    of ``initial`` is matched to its nearest first-frame keypoint.
     """
     if correspondence is None:
         correspondence = build_correspondence(flow, initial.positions)

@@ -34,6 +34,7 @@ from .geometry import DepthMap, _doc_fields, _floats, _int, _str
 
 __all__ = [
     "read_json",
+    "read_named",
     "write_json",
     "FlowFormatError",
     "write_flow",
@@ -58,6 +59,19 @@ def read_json(path):
         return json.loads(path.read_text())
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from None
+
+
+def read_named(root, name: str, read):
+    """``read`` of the file ``name`` in ``root``; a file that cannot be opened raises
+    as it is, and a malformed one's error begins with ``name`` unless it names it."""
+    path = Path(root) / name
+    try:
+        return read(path)
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
+            ValueError) as exc:
+        if str(path) in str(exc):
+            raise
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def write_json(path, doc) -> None:
@@ -137,28 +151,25 @@ def read_flow(path) -> tuple[np.ndarray, str]:
 
 # -- netpbm ------------------------------------------------------------------
 
-def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:
-    """Write a P5 PGM; 16-bit samples are big-endian per the netpbm spec."""
+def write_pgm(path, values: np.ndarray) -> None:
+    """Write a 2-d uint8 or uint16 array as a P5 PGM of maxval 255 or 65535."""
     v = np.asarray(values)
     if v.ndim != 2:
         raise ValueError(f"PGM data must be 2-d, got shape {v.shape}")
-    if maxval not in (255, 65535):
-        raise ValueError("maxval must be 255 or 65535")
-    if v.min() < 0 or v.max() > maxval:
-        raise ValueError(f"values out of range for maxval {maxval}")
-    header = f"P5\n{v.shape[1]} {v.shape[0]}\n{maxval}\n".encode("ascii")
-    dtype = ">u2" if maxval == 65535 else np.uint8
+    if v.dtype not in (np.uint8, np.uint16):
+        raise ValueError(f"PGM data must be uint8 or uint16, got {v.dtype}")
+    header = f"P5\n{v.shape[1]} {v.shape[0]}\n{np.iinfo(v.dtype).max}\n".encode("ascii")
     with open(path, "wb") as handle:
         handle.write(header)
-        handle.write(np.ascontiguousarray(v, dtype=dtype).data)
+        handle.write(np.ascontiguousarray(v, dtype=v.dtype.newbyteorder(">")).data)
 
 
-def _parse_pnm_header(blob: bytes, magic: bytes, fields: int) -> tuple[list[int], int]:
-    if blob[:2] != magic:
-        raise ValueError(f"not a {magic.decode()} file")
+def _parse_pnm_header(blob: bytes) -> tuple[list[int], int]:
+    if blob[:2] != b"P5":
+        raise ValueError("not a P5 file")
     pos = 2
     values: list[int] = []
-    while len(values) < fields:
+    while len(values) < 3:
         while pos < len(blob) and blob[pos:pos + 1].isspace():
             pos += 1
         if blob[pos:pos + 1] == b"#":  # comment runs to end of line
@@ -176,17 +187,19 @@ def _parse_pnm_header(blob: bytes, magic: bytes, fields: int) -> tuple[list[int]
     return values, pos + 1  # single whitespace separates header from raster
 
 
-def read_pgm(path) -> tuple[np.ndarray, int]:
-    """Read a P5 PGM; returns (values as uint8 or uint16, maxval)."""
+def read_pgm(path) -> np.ndarray:
+    """Read a P5 PGM: uint8 samples for maxval 255, uint16 for 65535; any
+    other maxval is a ValueError."""
     blob = Path(path).read_bytes()
-    (width, height, maxval), offset = _parse_pnm_header(blob, b"P5", 3)
-    dtype = ">u2" if maxval > 255 else np.uint8
+    (width, height, maxval), offset = _parse_pnm_header(blob)
+    if maxval not in (255, 65535):
+        raise ValueError(f"PGM maxval must be 255 or 65535, got {maxval}")
+    stored = np.dtype(">u2" if maxval == 65535 else np.uint8)
     count = width * height
-    if len(blob) - offset < count * np.dtype(dtype).itemsize:
+    if len(blob) - offset < count * stored.itemsize:
         raise ValueError("unexpected end of file in PGM raster")
-    data = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
-    out = data.reshape(height, width)
-    return (out.astype(np.uint16) if maxval > 255 else out.copy()), maxval
+    data = np.frombuffer(blob, dtype=stored, count=count, offset=offset)
+    return data.reshape(height, width).astype(stored.newbyteorder("="))
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
@@ -206,12 +219,12 @@ def mask_to_pgm(path, mask: np.ndarray) -> None:
     m = np.asarray(mask)
     if m.dtype != bool:
         raise ValueError("mask must be boolean")
-    write_pgm(path, m * np.uint8(255), maxval=255)
+    write_pgm(path, m * np.uint8(255))
 
 
 def mask_from_pgm(path) -> np.ndarray:
-    values, maxval = read_pgm(path)
-    if maxval != 255:
+    values = read_pgm(path)
+    if values.dtype != np.uint8:
         raise ValueError("mask PGM must be 8-bit (maxval 255)")
     return values > 127
 
@@ -229,13 +242,13 @@ def depth_to_pgm(path, depth: DepthMap) -> None:
     if depth.samples.dtype != np.uint16:
         raise ValueError(f"depth to write must be uint16 millimeters, "
                          f"got {depth.samples.dtype}")
-    write_pgm(path, depth.samples, maxval=65535)
+    write_pgm(path, depth.samples)
 
 
 def depth_from_pgm(path) -> DepthMap:
     """The depth map a 16-bit PGM holds, as its uint16 millimeter samples."""
-    values, maxval = read_pgm(path)
-    if maxval != 65535:
+    values = read_pgm(path)
+    if values.dtype != np.uint16:
         raise ValueError("depth PGM must be 16-bit (maxval 65535)")
     values.flags.writeable = False    # handed over to the DepthMap, not copied
     return DepthMap(values)

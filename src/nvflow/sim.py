@@ -18,6 +18,7 @@ in ``fileio``).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -29,7 +30,6 @@ from .deformable import (
     Correspondence,
     MassSpringModel,
     ParticleState,
-    build_correspondence,
     chamfer_cost,
     flow_cost,
 )
@@ -40,6 +40,7 @@ from .fileio import (
     mask_to_pgm,
     read_flow,
     read_json,
+    read_named,
     sha256_file,
     write_flow,
     write_json,
@@ -314,10 +315,6 @@ class SceneConfig:
 
     def save(self, path) -> None:
         write_json(path, self.to_doc())
-
-    @classmethod
-    def load(cls, path) -> "SceneConfig":
-        return cls.from_doc(read_json(path))
 
 
 def _default_waypoints(spec: ObjectSpec) -> tuple[Waypoint, ...]:
@@ -860,8 +857,7 @@ def evaluate_rigid(executed: ObjectPoseTrajectory, gt: ObjectPoseTrajectory) -> 
 
 
 def evaluate_deformable(final: ParticleState, flow: ActionableFlow,
-                        correspondence: Correspondence | np.ndarray | None = None
-                        ) -> Metrics:
+                        correspondence: Correspondence) -> Metrics:
     """Grade a final particle state against the last flow frame; success iff
     the corresponded RMSE is within ``_RMSE_TOL_MM``.
 
@@ -870,11 +866,8 @@ def evaluate_deformable(final: ParticleState, flow: ActionableFlow,
     squared cost), which never exceeds the corresponded RMSE when the
     correspondence is a bijection.
     """
-    if correspondence is None:
-        correspondence = build_correspondence(flow, final.positions)
-    indices = correspondence.indices if isinstance(correspondence, Correspondence) else correspondence
     goal = flow.positions[-1]
-    cost = flow_cost(final, goal, indices)
+    cost = flow_cost(final, goal, correspondence.indices)
     rmse_mm = 1000.0 * math.sqrt(cost / final.count)
     chamfer_mm = 1000.0 * math.sqrt(chamfer_cost(final.positions, goal) / 2.0)
     return Metrics(
@@ -888,14 +881,14 @@ def evaluate_deformable(final: ParticleState, flow: ActionableFlow,
 
 def _load_array(path: Path, dtype) -> np.ndarray:
     """The array a ``.npy`` file holds, which must be of ``dtype``; whatever
-    ``np.load`` raises on bytes it cannot parse is a ValueError naming the file."""
+    ``np.load`` raises on bytes it cannot parse is a ValueError."""
     with open(path, "rb") as file:
         try:
             array = np.load(file, allow_pickle=False)
         except Exception as exc:
-            raise ValueError(f"{path.name}: {exc}") from None
+            raise ValueError(exc) from None
     if not isinstance(array, np.ndarray) or array.dtype != dtype:
-        raise ValueError(f"{path.name} must hold a {np.dtype(dtype)} array")
+        raise ValueError(f"must hold a {np.dtype(dtype)} array")
     return array
 
 
@@ -992,44 +985,45 @@ class SceneBundle:
 
     @classmethod
     def read(cls, bundle_dir) -> "SceneBundle":
-        """The bundle in ``bundle_dir``; a manifest with a key, a value type or a
-        fact that :meth:`write` would not write is a ValueError naming it."""
-        root = Path(bundle_dir)
-        doc = read_json(root / "manifest.json")
-        try:
-            manifest = _doc_fields(doc, {
-                "version": _int, "scene": _str, "seed": _int, "frames": _int, "tracks": _int,
-                "keypoints": _int, "label": _str,
+        """The bundle in ``bundle_dir``; a file that :meth:`write` would not
+        write, or a manifest fact the other files contradict, is a
+        ValueError naming that file."""
+        read = functools.partial(read_named, bundle_dir)
+
+        def read_doc(name, build):
+            return read(name, lambda path: build(read_json(path)))
+
+        def manifest_fields(doc):
+            fields = _doc_fields(doc, {
+                "version": _int, "scene": _str, "seed": _int, "frames": _int,
+                "tracks": _int, "keypoints": _int, "label": _str,
                 # an object of strings: a cast per key it has, if it is one
                 "files": lambda files: _doc_fields(files, dict.fromkeys(
                     files if isinstance(files, dict) else (), _str))})
-            seed, listed = manifest["seed"], manifest["files"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"manifest.json: {exc}") from None
-        config = SceneConfig.load(root / "scene_config.json")
+            return fields, fields["seed"], fields["files"]    # seed and files are required
 
-        tracks = TrackSet(_load_array(root / "tracks.npy", np.float64),
-                          _load_array(root / "visible.npy", np.bool_))
+        manifest, seed, listed = read_doc("manifest.json", manifest_fields)
+        config = read_doc("scene_config.json", SceneConfig.from_doc)
 
-        mask = mask_from_pgm(root / "masks/0000.pgm")
-        depth = depth_from_pgm(root / "depth/0000.pgm")
-        depth_ref = depth_from_pgm(root / "depth_ref.pgm")
+        tracks = TrackSet(read("tracks.npy", lambda path: _load_array(path, np.float64)),
+                          read("visible.npy", lambda path: _load_array(path, np.bool_)))
 
-        flow_positions, _ = read_flow(root / "gt_flow.nvfl")
+        mask = read("masks/0000.pgm", mask_from_pgm)
+        depth = read("depth/0000.pgm", depth_from_pgm)
+        depth_ref = read("depth_ref.pgm", depth_from_pgm)
+
+        flow_positions, _ = read("gt_flow.nvfl", read_flow)
         gt_flow = ActionableFlow(flow_positions, label=manifest.get("label", ""))
 
         # Optional files count only when listed: a file an earlier bundle
         # left in the directory is not part of this one.
-        gt_poses = None
+        gt_poses = dynamics = initial_state = None
         if "gt_poses.json" in listed:
-            gt_poses = ObjectPoseTrajectory.from_json(root / "gt_poses.json")
-
-        dynamics = None
-        initial_state = None
+            gt_poses = read("gt_poses.json", ObjectPoseTrajectory.from_json)
         if "dynamics.json" in listed:
-            dynamics = MassSpringModel.from_doc(read_json(root / "dynamics.json"))
+            dynamics = read_doc("dynamics.json", MassSpringModel.from_doc)
         if "initial_state.json" in listed:
-            initial_state = ParticleState.from_doc(read_json(root / "initial_state.json"))
+            initial_state = read_doc("initial_state.json", ParticleState.from_doc)
 
         bundle = cls(config=config, seed=seed, tracks=tracks,
                      mask=mask, depth=depth, depth_ref=depth_ref,

@@ -35,11 +35,11 @@ the one-block case of the same normal equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .fileio import read_named
 from .geometry import (ROTATION_TOL, SE3Pose, _doc_fields, _doc_list, _float, _floats,
                        _frozen, _int)
 from .kinematics import (JointTrajectory, RobotModel, load_robot, point_jacobian,
@@ -889,10 +889,8 @@ def problem_from_doc(doc: dict, base_dir=None) -> TrajOptProblem:
     def robot(value) -> RobotModel:
         if not isinstance(value, str):
             return robot_from_doc(value)
-        path = Path(value)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        return load_robot(path)
+        # an absolute path replaces base_dir when joined to it
+        return read_named(base_dir or "", value, load_robot)
 
     kwargs = _doc_fields(doc, {
         "robot": robot, "q_start": _floats, "q_end": _floats, "steps": _int,

@@ -17,6 +17,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from nvflow.fileio import read_json
 from nvflow.geometry import SE3Pose
 from nvflow.kinematics import CollisionSphere, Joint, RobotModel
 from nvflow.sim import SceneConfig
@@ -96,7 +97,7 @@ def demo_scene(name: str, **changes) -> SceneConfig:
     """The packaged scene config ``name`` ("scene_rigid_demo.json",
     "scene_rope.json" or "scene_rope_mirrored.json"), with ``changes`` such
     as ``seed`` or ``noise`` made by ``dataclasses.replace``."""
-    config = SceneConfig.load(resources.files("nvflow") / "fixtures" / name)
+    config = SceneConfig.from_doc(read_json(resources.files("nvflow") / "fixtures" / name))
     return dataclasses.replace(config, **changes)
 
 

@@ -6,6 +6,7 @@ them.  A few run in a subprocess: smoke tests of the installed entry points,
 and one whose stderr must hold nothing Python prints itself, as a warning.
 """
 
+import argparse
 import ast
 import hashlib
 import io
@@ -35,6 +36,19 @@ from nvflow.sim import ObjectSpec, RopeSpec, SceneBundle, SceneConfig
 
 SUBCOMMANDS = ("simulate", "distill", "plan-rigid", "plan-deformable",
                "optimize-traj", "eval", "run")
+# Each flag that run shares with a stage subcommand, or that two stages
+# share, and the two subcommands that take it.
+SHARED_FLAGS = {"--flow": ("plan-rigid", "plan-deformable"),
+                "--candidates": ("distill", "run"),
+                "--obstacles": ("plan-rigid", "run"),
+                "--steps-per-frame": ("plan-rigid", "run"),
+                "--horizon": ("plan-deformable", "run"),
+                "--cost-mode": ("plan-deformable", "run")}
+# The fewest arguments each subcommand parses with.
+MINIMAL_ARGV = {"simulate": [], "distill": ["bundle"],
+                "plan-rigid": ["--flow", "f.nvfl", "--robot", "r.json"],
+                "plan-deformable": ["--flow", "f.nvfl", "--dynamics", "d.json"],
+                "optimize-traj": [], "eval": ["plan", "scene"], "run": []}
 
 
 def run_main(argv):
@@ -140,8 +154,7 @@ class MalformedInputs:
         bundle = self.tmp / "bundle"
         shutil.copytree(self.fixture("rigid_bundle_dir"), bundle)
         for name in names:
-            values, maxval = read_pgm(bundle / name)
-            write_pgm(bundle / name, values[:240, :320], maxval=maxval)
+            write_pgm(bundle / name, read_pgm(bundle / name)[:240, :320])
         return bundle
 
     def edited_bundle(self, fixture="rigid_bundle_dir", **edits):
@@ -317,7 +330,7 @@ def _distill_rewritten_mask(c, header, object_value):
     bundle = c.tmp / "bundle"
     shutil.copytree(c.fixture("rigid_bundle_dir"), bundle)
     path = bundle / "masks/0000.pgm"
-    values, _ = read_pgm(path)
+    values = read_pgm(path)
     height, width = values.shape
     path.write_bytes(header % (width, height)
                      + ((values > 127) * object_value).astype(np.uint8).tobytes())
@@ -678,6 +691,20 @@ NAMED_FILE_CASES = {
                                      "manifest.json"),
     "bundle-manifest-seed-missing": (lambda c: _distill_manifest(c, seed=DELETE),
                                      "manifest.json"),
+    # A semantic fault in a file another input names: an unknown key.
+    "trajopt-robot-file-unknown-key": (lambda c: _optimize_traj(c, robot=str(c.write(
+        {**json.loads(fixture_path("arm7.json").read_text()), "colour": "red"},
+        "robot.json"))), "robot.json"),
+    "bundle-gt-poses-unknown-key": (lambda c: _distill(c, c.edited_bundle(
+        gt_poses=lambda doc: {**doc, "poses": [{**doc["poses"][0], "rotaton": 0},
+                                               *doc["poses"][1:]]})), "gt_poses.json"),
+    "bundle-dynamics-unknown-key": (lambda c: _distill(c, c.edited_bundle(
+        "rope_bundle_dir", dynamics=lambda doc: {**doc, "stifness": 1.0})), "dynamics.json"),
+    "bundle-initial-state-unknown-key": (lambda c: _distill(c, c.edited_bundle(
+        "rope_bundle_dir", initial_state=lambda doc: {**doc, "velocity": 0})),
+        "initial_state.json"),
+    "bundle-scene-config-unknown-key": (lambda c: _distill(c, c.edited_bundle(
+        scene_config=lambda doc: {**doc, "sceen": "rigid"})), "scene_config.json"),
 }
 MALFORMED_INPUT_CASES.update({case: build for case, (build, _) in NAMED_FILE_CASES.items()})
 
@@ -996,6 +1023,30 @@ class TestArgumentSurface:
         assert excinfo.value.code == 2
         assert "--flow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", sorted(SHARED_FLAGS))
+    def test_shared_flag_parses_alike(self, flag):
+        """Chaining the stages with default flags must give run's bytes, so a
+        flag two subcommands share has one default, type and set of choices."""
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction)).choices
+        first, second = (next(action for action in subparsers[name]._actions
+                              if flag in action.option_strings)
+                         for name in SHARED_FLAGS[flag])
+        assert (first.default, first.type, first.choices, first.required) == \
+            (second.default, second.type, second.choices, second.required)
+        parsed = [getattr(cli.build_parser().parse_args([name, *MINIMAL_ARGV[name]]), first.dest)
+                  for name in SHARED_FLAGS[flag]]
+        assert parsed[0] == parsed[1]
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_seed_default(self, name):
+        """Stage subcommands read no config, so their seed is 0 unless given;
+        simulate and run leave it unset for the scene config's."""
+        parse = cli.build_parser().parse_args
+        expected = None if name in ("simulate", "run") else 0
+        assert parse([name, *MINIMAL_ARGV[name]]).seed == expected
+        assert parse([name, *MINIMAL_ARGV[name], "--seed", "7"]).seed == 7
+
 
 class TestConfigErrors:
     def test_simulate_without_config(self, tmp_path, capsys):
@@ -1182,7 +1233,21 @@ class TestConfigErrors:
         assert run_main(argv) == 2
         err = capsys.readouterr().err
         assert_one_error_line(err)
-        assert name in err
+        assert err.count(name) == 1
+
+    @pytest.mark.parametrize("build, missing", [
+        (lambda c: _distill(c, c.edited_bundle(gt_poses=lambda doc: None)),
+         "bundle/gt_poses.json"),
+        (lambda c: _optimize_traj(c, robot=str(c.tmp / "ghost_robot.json")), "ghost_robot.json"),
+    ], ids=["bundle-gt-poses", "trajopt-robot"])
+    def test_missing_nested_file_is_named(self, build, missing, tmp_path, request, capsys):
+        """A missing file that another input names is reported as missing, by its path."""
+        argv = build(MalformedInputs(tmp_path, request))
+        capsys.readouterr()
+        assert run_main(argv) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert f"no such file: {tmp_path / missing}\n" in err
 
     @pytest.mark.parametrize("case", ["run-rope-horizon-0", "run-obstacle-list",
                                       "run-seed-flag-negative", "run-robot-colision-spheres"])

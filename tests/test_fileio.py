@@ -173,30 +173,40 @@ class TestNetpbm:
     def test_pgm_8bit_round_trip(self, tmp_path, rng):
         values = rng.integers(0, 256, size=(15, 23)).astype(np.uint8)
         path = tmp_path / "img.pgm"
-        write_pgm(path, values, maxval=255)
-        back, maxval = read_pgm(path)
-        assert maxval == 255
+        write_pgm(path, values)
+        assert path.read_bytes().startswith(b"P5\n23 15\n255\n")
+        back = read_pgm(path)
+        assert back.dtype == np.uint8
         assert np.array_equal(back, values)
 
     def test_pgm_16bit_round_trip(self, tmp_path, rng):
         values = rng.integers(0, 65536, size=(7, 9)).astype(np.uint16)
         path = tmp_path / "img.pgm"
-        write_pgm(path, values, maxval=65535)
-        back, maxval = read_pgm(path)
-        assert maxval == 65535
+        write_pgm(path, values)
+        assert path.read_bytes().startswith(b"P5\n9 7\n65535\n")
+        back = read_pgm(path)
+        assert back.dtype == np.uint16
         assert np.array_equal(back, values)
 
     def test_pgm_header_comments_are_skipped(self, tmp_path):
         path = tmp_path / "img.pgm"
         raster = bytes([5, 6, 7, 8, 9, 10])
         path.write_bytes(b"P5\n# a comment line\n3 2\n255\n" + raster)
-        back, maxval = read_pgm(path)
-        assert maxval == 255
+        back = read_pgm(path)
+        assert back.dtype == np.uint8
         assert np.array_equal(back, np.frombuffer(raster, np.uint8).reshape(2, 3))
 
-    def test_pgm_rejects_out_of_range(self, tmp_path):
-        with pytest.raises(ValueError, match="out of range"):
-            write_pgm(tmp_path / "img.pgm", np.array([[300]]), maxval=255)
+    @pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint32, np.float64, bool])
+    def test_pgm_rejects_other_sample_types(self, tmp_path, dtype):
+        with pytest.raises(ValueError, match="uint8 or uint16"):
+            write_pgm(tmp_path / "img.pgm", np.array([[1]], dtype=dtype))
+
+    @pytest.mark.parametrize("maxval", [1, 254, 256, 65534, 65536])
+    def test_pgm_rejects_other_maxvals(self, tmp_path, maxval):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n1 1\n%d\n\0\0\0" % maxval)
+        with pytest.raises(ValueError, match="maxval must be 255 or 65535"):
+            read_pgm(path)
 
     def test_pgm_truncated_raster(self, tmp_path):
         path = tmp_path / "img.pgm"

@@ -12,8 +12,8 @@ import pytest
 
 import nvflow.cli
 from nvflow.cli import main
-from nvflow.deformable import ParticleState, build_correspondence
-from nvflow.fileio import depth_from_pgm, depth_to_pgm, sha256_file
+from nvflow.deformable import Correspondence, ParticleState
+from nvflow.fileio import depth_from_pgm, depth_to_pgm, read_json, sha256_file
 from nvflow.flow import ActionableFlow, TrackSet, calibrate_depth, distill_flow
 from nvflow.geometry import (
     CameraIntrinsics,
@@ -320,7 +320,7 @@ class TestEvaluateDeformable:
     def test_exact_final_state_scores_zero(self):
         flow = self.line_flow()
         final = ParticleState.at_rest(flow.positions[-1])
-        metrics = evaluate_deformable(final, flow, np.arange(6))
+        metrics = evaluate_deformable(final, flow, Correspondence(np.arange(6)))
         assert metrics.final_correspondence_rmse_mm == 0.0
         assert metrics.final_chamfer_mm == 0.0
         assert metrics.success
@@ -329,7 +329,7 @@ class TestEvaluateDeformable:
         flow = self.line_flow()
         final = ParticleState.at_rest(flow.positions[-1]
                                       + np.array([0.0, 0.01, 0.0]))
-        metrics = evaluate_deformable(final, flow, np.arange(6))
+        metrics = evaluate_deformable(final, flow, Correspondence(np.arange(6)))
         assert metrics.final_correspondence_rmse_mm == pytest.approx(10.0,
                                                                      rel=1e-9)
         assert metrics.final_chamfer_mm <= metrics.final_correspondence_rmse_mm + 1e-9
@@ -340,17 +340,8 @@ class TestEvaluateDeformable:
         for offset, success in ((0.049, True), (0.051, False)):   # 50 mm tolerance
             final = ParticleState.at_rest(flow.positions[-1]
                                           + np.array([0.0, offset, 0.0]))
-            metrics = evaluate_deformable(final, flow, np.arange(6))
+            metrics = evaluate_deformable(final, flow, Correspondence(np.arange(6)))
             assert metrics.success is success
-
-    def test_correspondence_object_and_default(self):
-        flow = self.line_flow()
-        final = ParticleState.at_rest(flow.positions[-1])
-        corr = build_correspondence(flow, final.positions)
-        via_object = evaluate_deformable(final, flow, corr)
-        via_default = evaluate_deformable(final, flow)
-        assert via_object.final_correspondence_rmse_mm == \
-            via_default.final_correspondence_rmse_mm
 
 
 class TestBundleIO:
@@ -550,7 +541,7 @@ class TestConfigs:
         config = demo_scene("scene_rope_mirrored.json", seed=9)
         path = tmp_path / "config.json"
         config.save(path)
-        back = SceneConfig.load(path)
+        back = SceneConfig.from_doc(read_json(path))
         assert back.to_doc() == config.to_doc()
 
     def test_scene_config_validation(self):
