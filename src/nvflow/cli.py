@@ -97,7 +97,9 @@ def _load(path, what: str, read):
     Every input a command reads goes through here, so a missing, unparsable
     or malformed one is always a ConfigError (exit 2).  A missing file or a
     directory is named as the file that failed, which may be one that the
-    input at ``path`` names, and so is a JSON file that does not parse.
+    input at ``path`` names, and so is a JSON file that does not parse.  A
+    message that already names ``path`` as the file that failed, as
+    ``read_json``'s does, is not prefixed with it again.
     """
     path = Path(path)
     try:
@@ -107,6 +109,8 @@ def _load(path, what: str, read):
     except IsADirectoryError as exc:
         raise ConfigError(f"expected a file, got a directory: {exc.filename}") from None
     except _MALFORMED as exc:
+        if f" {path}: " in f" {exc}":
+            raise ConfigError(str(exc)) from None
         raise ConfigError(f"bad {what} {path}: {exc}") from None
 
 
@@ -390,7 +394,7 @@ def _do_plan_deformable(flow: ActionableFlow, model: MassSpringModel,
             "version": 1,
             "dt": model.dt,
             "substeps_per_frame": 1,
-            "actions": [[float(v) for v in row] for row in rollout.actions],
+            "actions": rollout.actions.tolist(),
         })
         with open(out / "costs.csv", "w", newline="") as handle:
             writer = csv.writer(handle)

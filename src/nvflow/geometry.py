@@ -21,6 +21,7 @@ module: ``a == b`` is ``a is b``.  Compare their fields with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,17 @@ __all__ = [
 
 # Orthonormality tolerance for pose construction (Frobenius norm of R R^T - I).
 ROTATION_TOL = 1e-9
+
+# The 3x3 identity that small-matrix formulas add to, made once.
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-d float64 vector, as ``np.linalg.norm`` forms
+    it for one (the square root of ``v.dot(v)``), without its per-call
+    checks."""
+    return math.sqrt(v.dot(v))
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
@@ -172,7 +184,7 @@ class SE3Pose:
             )
         if not (np.isfinite(rot).all() and np.isfinite(trans).all()):
             raise ValueError("pose contains non-finite values")
-        ortho_err = np.linalg.norm(rot @ rot.T - np.eye(3))
+        ortho_err = _norm((rot @ rot.T - _EYE3).ravel())
         if ortho_err > ROTATION_TOL:
             raise ValueError(f"rotation is not orthonormal (|R R^T - I|_F = {ortho_err:.3e})")
         det = np.linalg.det(rot)

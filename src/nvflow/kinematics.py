@@ -41,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fileio import read_json
-from .geometry import (SE3Pose, _doc_fields, _doc_list, _float, _floats, _int, _skew, _str,
-                       axis_angle_from_rotation)
+from .geometry import (SE3Pose, _EYE3, _doc_fields, _doc_list, _float, _floats, _int, _norm,
+                       _skew, _str, axis_angle_from_rotation)
 
 __all__ = [
     "Joint",
@@ -136,12 +136,12 @@ class RobotModel:
             if not 0 <= sphere.link < len(self.joints):
                 raise ValueError(f"collision sphere references link {sphere.link}, "
                                  f"robot has {len(self.joints)} links")
-        offsets = [float(np.linalg.norm(j.origin.translation)) for j in self.joints]
+        offsets = [_norm(j.origin.translation) for j in self.joints]
         reach = np.zeros((len(self.collision_spheres), len(self.joints)))
         for k, sphere in enumerate(self.collision_spheres):
+            center = _norm(sphere.center)
             for j in range(sphere.link + 1):
-                reach[k, j] = sum(offsets[j + 1:sphere.link + 1]) \
-                    + float(np.linalg.norm(sphere.center))
+                reach[k, j] = sum(offsets[j + 1:sphere.link + 1]) + center
         reach.flags.writeable = False
         object.__setattr__(self, "sphere_reach", reach)
 
@@ -205,7 +205,7 @@ def _axis_rotations(joint: Joint, angles: np.ndarray) -> np.ndarray:
     k, kk = joint._rodrigues
     sin = np.sin(angles)[:, None, None]
     cos = np.cos(angles)[:, None, None]
-    return np.eye(3) + sin * k + (1.0 - cos) * kk
+    return _EYE3 + sin * k + (1.0 - cos) * kk
 
 
 def link_frames_batch(model: RobotModel, configs: np.ndarray
@@ -373,12 +373,12 @@ def solve_ik(model: RobotModel, target: SE3Pose, seed_config: np.ndarray | None 
         damping = options.damping
         chain = _chain(model, q)
         err = _pose_error(target, chain.ee_rotation, chain.ee_position)
-        residual = np.linalg.norm(err)
+        residual = _norm(err)
         normal = None            # (J^T J, J^T err) at q, once asked for
         stall = 0
         for _ in range(options.max_iters):
-            pos_err = float(np.linalg.norm(err[:3]))
-            rot_err = float(np.linalg.norm(err[3:]))
+            pos_err = _norm(err[:3])
+            rot_err = _norm(err[3:])
             if pos_err + rot_err < best_pos + best_rot:
                 best_pos, best_rot = pos_err, rot_err
             if pos_err <= options.pos_tol and rot_err <= options.rot_tol:
@@ -390,7 +390,7 @@ def solve_ik(model: RobotModel, target: SE3Pose, seed_config: np.ndarray | None 
             q_new = np.clip(q + step, q_min, q_max)
             chain_new = _chain(model, q_new)
             err_new = _pose_error(target, chain_new.ee_rotation, chain_new.ee_position)
-            residual_new = np.linalg.norm(err_new)
+            residual_new = _norm(err_new)
             if residual_new < residual:
                 q, chain, err, residual = q_new, chain_new, err_new, residual_new
                 normal = None

@@ -369,19 +369,38 @@ def _drop_interior(pts: np.ndarray) -> np.ndarray:
 
     The polygon joins, counterclockwise, the points extreme along x, x + y,
     y, y - x and their opposites, with repeats removed (a zero-length edge
-    would keep every point).  A point inside it by more than 1e-6 on every
-    edge is no hull vertex.  Order is kept.
+    would keep every point).  Each extreme is the first point that attains
+    it.  A point inside it by more than 1e-6 on every edge is no hull
+    vertex.  Order is kept.
     """
     x, y = pts[:, 0], pts[:, 1]
-    s, d = x + y, x - y
-    ring = np.array([x.argmax(), s.argmax(), y.argmax(), d.argmin(),
-                     x.argmin(), s.argmin(), y.argmin(), d.argmax()])
-    ring = ring[ring != np.roll(ring, 1)]
+    extremes = np.stack((x, x + y, y, y - x))
+    ring = np.concatenate((extremes.argmax(axis=1), extremes.argmin(axis=1)))
+    ring = ring[ring != ring[_RING_BEFORE]]
     if len(ring) < 3:
         return pts
-    a, b = pts[ring][:, :, None], pts[np.roll(ring, -1)][:, :, None]
+    a = pts[ring][:, :, None]
+    b = pts[np.concatenate((ring[1:], ring[:1]))][:, :, None]
     side = (b[:, 0] - a[:, 0]) * (y - a[:, 1]) - (b[:, 1] - a[:, 1]) * (x - a[:, 0])
     return pts[~(side > 1e-6).all(axis=0)]
+
+
+_RING_BEFORE = np.arange(-1, 7)     # each of the 8 extremes' predecessor in the ring
+
+
+def _half_hull(points) -> list:
+    """One half of the monotone chain: the points kept, in order, while each
+    new point turns strictly left of the last two kept."""
+    out: list = []
+    for p in points:
+        px, py = p
+        while len(out) >= 2:
+            (ox, oy), (ax, ay) = out[-2], out[-1]
+            if not (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
+                break
+            out.pop()
+        out.append(p)
+    return out
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -400,47 +419,49 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     if len(pts) <= 2:
         return pts
     pts = _drop_interior(pts).tolist()
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    return np.asarray(lower[:-1] + upper[:-1], dtype=float)
+    return np.asarray(_half_hull(pts)[:-1] + _half_hull(reversed(pts))[:-1], dtype=float)
 
 
 def _render_mask(intrinsics: CameraIntrinsics, pixels: np.ndarray,
                  mask: np.ndarray | None = None) -> np.ndarray:
-    """Filled convex hull of in-image projections plus a 3x3 stamp per point,
-    ORed into ``mask`` if given, else drawn on a new (H, W) image."""
+    """Filled convex hull of each frame's in-image projections plus a 3x3
+    stamp per point, ORed into ``mask`` if given, else drawn on a new (H, W)
+    image; ``pixels`` is one frame's (K, 2) or a stack of frames (T, K, 2).
+
+    A pixel is inside a hull when it lies left of every edge (the hull is
+    counterclockwise), by the test (b_x - a_x)(v - a_y) - (b_y - a_y)(u - a_x)
+    >= -1e-9 on edge a -> b.  Each edge's row and column factors are formed
+    for all edges at once and then subtracted and compared over the hull's
+    box one edge at a time, so each pixel goes through the same float
+    operations as when each edge formed its own.  The stamps of all frames
+    are drawn together after the hulls, three assignments of one row offset
+    each; since OR does not depend on order, that sets the same pixels as
+    drawing each frame's hull and stamps in turn.
+    """
     height, width = intrinsics.height, intrinsics.width
     if mask is None:
         mask = np.zeros((height, width), dtype=bool)
-    hull = _convex_hull(pixels)
-    if len(hull) >= 3:
-        x0 = max(int(math.floor(hull[:, 0].min())), 0)
-        x1 = min(int(math.ceil(hull[:, 0].max())), width - 1)
-        y0 = max(int(math.floor(hull[:, 1].min())), 0)
-        y1 = min(int(math.ceil(hull[:, 1].max())), height - 1)
-        if x1 >= x0 and y1 >= y0:
-            # The AND of every edge's left-side test (the hull is counterclockwise) over its box.
-            u, v = np.arange(x0, x1 + 1), np.arange(y0, y1 + 1)[:, None]
-            inside = np.ones((len(v), len(u)), dtype=bool)
-            for a, b in zip(hull, np.roll(hull, -1, axis=0)):
-                inside &= (b[0] - a[0]) * (v - a[1]) - (b[1] - a[1]) * (u - a[0]) >= -1e-9
-            mask[y0:y1 + 1, x0:x1 + 1] |= inside
-    u, v = np.round(pixels).astype(int).T
-    step = np.arange(-1, 2)
-    mask[np.clip(v[:, None, None] + step[:, None], 0, height - 1),
-         np.clip(u[:, None, None] + step, 0, width - 1)] = True
+    for frame in pixels.reshape((-1,) + pixels.shape[-2:]):
+        hull = _convex_hull(frame)
+        if len(hull) < 3:
+            continue
+        (left, top), (right, bottom) = hull.min(axis=0), hull.max(axis=0)
+        x0, x1 = max(math.floor(left), 0), min(math.ceil(right), width - 1)
+        y0, y1 = max(math.floor(top), 0), min(math.ceil(bottom), height - 1)
+        if x1 < x0 or y1 < y0:
+            continue
+        a, b = hull, np.concatenate((hull[1:], hull[:1]))
+        rows = (b[:, :1] - a[:, :1]) * (np.arange(y0, y1 + 1) - a[:, 1:])    # (edges, h)
+        cols = (b[:, 1:] - a[:, 1:]) * (np.arange(x0, x1 + 1) - a[:, :1])    # (edges, w)
+        inside = rows[0, :, None] - cols[0] >= -1e-9
+        for row, col in zip(rows[1:, :, None], cols[1:]):
+            inside &= row - col >= -1e-9
+        mask[y0:y1 + 1, x0:x1 + 1] |= inside
+    u, v = np.round(pixels.reshape(-1, 2)).astype(int).T
+    step = np.arange(-1, 2)[:, None]
+    stamp_cols = np.clip(u + step, 0, width - 1)         # (3, points)
+    for stamp_row in np.clip(v + step, 0, height - 1):
+        mask[stamp_row, stamp_cols] = True
     return mask
 
 
@@ -458,7 +479,10 @@ def _place_distractors(config: SceneConfig, rng: np.random.Generator,
     (x, y) pair per point still missing and accepts the passing pairs in draw
     order, so the stream is consumed as by testing one pair at a time.  A
     point that meets 500 rejections in a row is an error.  The keypoint test
-    runs on blocks of whole candidates, each candidate's minimum its own.
+    runs on blocks of whole candidates, each candidate's minimum its own, in
+    two buffers that every block of a round reuses.  Worked in place there,
+    each distance still goes through the same float operations, du * du +
+    dv * dv and its square root, so the bits are those of fresh arrays.
     """
     intr = config.intrinsics
     cx, cy = float(config.camera.translation[0]), float(config.camera.translation[1])
@@ -491,11 +515,17 @@ def _place_distractors(config: SceneConfig, rng: np.random.Generator,
         # Outside the keypoints' box grown by 5 px, every keypoint is > 4 px away.
         near = np.flatnonzero(ok & np.all((uv >= near_low) & (uv <= near_high), axis=1))
         step = max(1, _NEAR_CHUNK // len(flat))
+        du_block, dv_block = np.empty((2, min(step, len(near)), len(flat)))
         for start in range(0, len(near), step):
             chunk = near[start:start + step]
-            du, dv = flat[:, 0] - uv[chunk, :1], flat[:, 1] - uv[chunk, 1:]
+            du, dv = du_block[:len(chunk)], dv_block[:len(chunk)]
+            np.subtract(flat[:, 0], uv[chunk, :1], out=du)
+            np.subtract(flat[:, 1], uv[chunk, 1:], out=dv)
             # The sum np.linalg.norm forms over a length-2 axis.
-            ok[chunk] = np.sqrt(du * du + dv * dv).min(axis=1) >= 4.0
+            du *= du
+            dv *= dv
+            du += dv
+            ok[chunk] = np.sqrt(du, out=du).min(axis=1) >= 4.0
         taken = np.flatnonzero(ok)
         # Rejections in a row before each acceptance, and after the last one.
         runs = np.diff(taken, prepend=-1 - misses, append=len(xy)) - 1
@@ -597,10 +627,8 @@ def _observe(config: SceneConfig, rng: np.random.Generator, gt_points: np.ndarra
             or pixels[..., 1].min() < 0.0 or pixels[..., 1].max() > intr.height - 1):
         raise ValueError("object leaves view: keypoints project outside the image")
     mask = _render_mask(intr, pixels[0])
-    union = mask.copy()
+    union = _render_mask(intr, pixels[1:], mask.copy())
     mask.flags.writeable = False      # handed over to the SceneBundle, not copied
-    for frame in pixels[1:]:
-        _render_mask(intr, frame, union)
     distractors = config.camera.inverse().apply(_place_distractors(config, rng, pixels, union))
     del union, pixels
     true_camera = np.concatenate(
@@ -892,6 +920,17 @@ def _load_array(path: Path, dtype) -> np.ndarray:
     return array
 
 
+def _check_frames(config: SceneConfig, name: str, count: int) -> None:
+    if count != config.frames:
+        raise ValueError(f"{name}: {count} frames, the config has {config.frames}")
+
+
+def _check_image(config: SceneConfig, name: str, image: np.ndarray) -> None:
+    size = (config.height, config.width)
+    if image.shape != size:
+        raise ValueError(f"{name} is {image.shape}, the config's image is {size}")
+
+
 @dataclass(frozen=True, eq=False)
 class SceneBundle:
     """Everything a scene provides: observations, ground truth, provenance.
@@ -919,14 +958,11 @@ class SceneBundle:
         if self.gt_poses is not None:
             frames["ground-truth poses"] = len(self.gt_poses)
         for name, count in frames.items():
-            if count != self.config.frames:
-                raise ValueError(f"{name}: {count} frames, the config has {self.config.frames}")
+            _check_frames(self.config, name, count)
         mask = _frozen(self.mask, dtype=bool)
-        size = (self.config.height, self.config.width)
-        for name, shape in (("mask", mask.shape), ("depth map", self.depth.samples.shape),
-                            ("reference depth map", self.depth_ref.samples.shape)):
-            if shape != size:
-                raise ValueError(f"{name} is {shape}, the config's image is {size}")
+        for name, image in (("mask", mask), ("depth map", self.depth.samples),
+                            ("reference depth map", self.depth_ref.samples)):
+            _check_image(self.config, name, image)
         object.__setattr__(self, "mask", mask)
 
     def write(self, out_dir) -> tuple["SceneBundle", dict[str, str]]:
@@ -1005,12 +1041,33 @@ class SceneBundle:
         manifest, seed, listed = read_doc("manifest.json", manifest_fields)
         config = read_doc("scene_config.json", SceneConfig.from_doc)
 
-        tracks = TrackSet(read("tracks.npy", lambda path: _load_array(path, np.float64)),
-                          read("visible.npy", lambda path: _load_array(path, np.bool_)))
+        # Each array is checked against the config as it is read, so that a
+        # mismatch names its file.
+        def read_tracks(path):
+            positions = _load_array(path, np.float64)
+            _check_frames(config, "tracks", len(positions) if positions.ndim else 0)
+            return positions
 
-        mask = read("masks/0000.pgm", mask_from_pgm)
-        depth = read("depth/0000.pgm", depth_from_pgm)
-        depth_ref = read("depth_ref.pgm", depth_from_pgm)
+        def read_visible(path):
+            visible = _load_array(path, np.bool_)
+            if visible.shape != positions.shape[:2]:
+                raise ValueError(f"visibility is {visible.shape}, "
+                                 f"the tracks are {positions.shape[:2]}")
+            return visible
+
+        def read_image(name, what, load):
+            def checked(path):
+                image = load(path)
+                _check_image(config, what, getattr(image, "samples", image))
+                return image
+            return read(name, checked)
+
+        positions = read("tracks.npy", read_tracks)
+        tracks = TrackSet(positions, read("visible.npy", read_visible))
+
+        mask = read_image("masks/0000.pgm", "mask", mask_from_pgm)
+        depth = read_image("depth/0000.pgm", "depth map", depth_from_pgm)
+        depth_ref = read_image("depth_ref.pgm", "reference depth map", depth_from_pgm)
 
         flow_positions, _ = read("gt_flow.nvfl", read_flow)
         gt_flow = ActionableFlow(flow_positions, label=manifest.get("label", ""))

@@ -906,7 +906,7 @@ def problem_from_doc(doc: dict, base_dir=None) -> TrajOptProblem:
 
 def result_to_doc(result: TrajOptResult) -> dict:
     return {
-        "trajectory": [[float(v) for v in row] for row in result.trajectory.configs],
+        "trajectory": result.trajectory.configs.tolist(),
         "dt": result.trajectory.dt,
         "final_cost": result.final_cost,
         "term_costs": {k: float(v) for k, v in result.term_costs.items()},

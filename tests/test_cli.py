@@ -678,6 +678,12 @@ NAMED_FILE_CASES = {
     "trajopt-robot-file-not-json": (
         lambda c: _optimize_traj(c, robot=str(_not_json(c, "bad_robot.json"))),
         "bad_robot.json"),
+    # A JSON file given on the command line, which the parse error names itself.
+    "simulate-config-not-json": (lambda c: _simulate(c, _not_json(c, "bad_scene.json")),
+                                 "bad_scene.json"),
+    "plan-rigid-robot-not-json": (lambda c: [
+        "plan-rigid", "--flow", c.flow(), "--robot", _not_json(c, "bad_arm.json"),
+        "--out-dir", c.out], "bad_arm.json"),
     "bundle-dynamics-not-json": (lambda c: _distill(c, c.edited_bundle(
         "rope_bundle_dir", dynamics=lambda doc: b"{not json")), "dynamics.json"),
     "bundle-manifest-seed-fraction": (lambda c: _distill_manifest(c, seed=7.9),
@@ -705,6 +711,17 @@ NAMED_FILE_CASES = {
         "initial_state.json"),
     "bundle-scene-config-unknown-key": (lambda c: _distill(c, c.edited_bundle(
         scene_config=lambda doc: {**doc, "sceen": "rigid"})), "scene_config.json"),
+    # An array that disagrees with the bundle's config in size or frame count.
+    "bundle-depth-smaller-than-config": (
+        lambda c: _distill(c, c.cropped_bundle("depth/0000.pgm")), "depth/0000.pgm"),
+    "bundle-depth-ref-smaller-than-config": (
+        lambda c: _distill(c, c.cropped_bundle("depth_ref.pgm")), "depth_ref.pgm"),
+    "bundle-mask-smaller-than-config": (
+        lambda c: _distill(c, c.cropped_bundle("masks/0000.pgm")), "masks/0000.pgm"),
+    "bundle-tracks-fewer-frames-than-config": (
+        lambda c: _distill(c, c.edited_bundle(tracks=lambda a: a[:-3])), "tracks.npy"),
+    "bundle-visible-fewer-frames-than-config": (
+        lambda c: _distill(c, c.edited_bundle(visible=lambda a: a[:-3])), "visible.npy"),
 }
 MALFORMED_INPUT_CASES.update({case: build for case, (build, _) in NAMED_FILE_CASES.items()})
 

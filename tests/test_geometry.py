@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nvflow import deformable, flow, geometry, kinematics, rigid, sim, trajopt
 from nvflow.geometry import (
@@ -14,6 +16,7 @@ from nvflow.geometry import (
     SE3Pose,
     _doc_fields,
     _floats,
+    _norm,
     axis_angle_from_rotation,
     project,
     quaternion_from_rotation,
@@ -150,6 +153,36 @@ class TestRotationConversions:
         mid = screw_interpolate(a, b, 0.5)
         assert np.allclose(mid.translation, [1.0, 2.0, -3.0], atol=1e-12)
         assert np.allclose(mid.rotation, np.eye(3), atol=1e-12)
+
+
+# Vector components: any finite double, zeros and subnormals included, and
+# magnitudes near 1e-150 and 1e150, whose squares reach the subnormal range
+# and overflow.
+_COMPONENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308]),
+    st.floats(1e-160, 1e-140), st.floats(-1e-140, -1e-160),
+    st.floats(1e140, 1e160), st.floats(-1e160, -1e140))
+
+
+class TestNorm:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([3, 6, 9]).flatmap(
+        lambda n: st.lists(_COMPONENTS, min_size=n, max_size=n)))
+    @example([0.0] * 6)
+    @example([5e-324, -5e-324, 0.0])
+    @example([1e-150, 1e-150, 1e-150, 3e-151, 0.0, -1e-150])
+    @example([1e150, -1e150, 1e150])
+    @example([1e155, 0.0, 0.0, 1e-155, 1e-155, 1e-155])
+    def test_matches_numpy_bit_for_bit(self, values):
+        """On a vector of 3, 6 or 9 float64s, and on the halves of a 6-vector
+        as ``solve_ik`` reads them."""
+        v = np.array(values, dtype=np.float64)
+        for part in (v, v[:3], v[3:6]):
+            if part.size:
+                with np.errstate(over="ignore"):       # squares past the float range
+                    got, expected = _norm(part), np.linalg.norm(part)
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestCamera:

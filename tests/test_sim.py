@@ -668,6 +668,75 @@ def render_mask_per_edge(intrinsics, pixels):
     return mask
 
 
+def render_mask_edge_by_edge(intrinsics, pixels):
+    """One frame's mask as ``_render_mask`` once drew it: each hull edge
+    formed its own row and column terms over the box, and each frame drew
+    its own stamps, clipped to the image.  The hull is the set-and-sort
+    oracle's."""
+    height, width = intrinsics.height, intrinsics.width
+    mask = np.zeros((height, width), dtype=bool)
+    hull = convex_hull_by_set(pixels)
+    if len(hull) >= 3:
+        x0 = max(int(math.floor(hull[:, 0].min())), 0)
+        x1 = min(int(math.ceil(hull[:, 0].max())), width - 1)
+        y0 = max(int(math.floor(hull[:, 1].min())), 0)
+        y1 = min(int(math.ceil(hull[:, 1].max())), height - 1)
+        if x1 >= x0 and y1 >= y0:
+            u, v = np.arange(x0, x1 + 1), np.arange(y0, y1 + 1)[:, None]
+            inside = np.ones((len(v), len(u)), dtype=bool)
+            for a, b in zip(hull, np.roll(hull, -1, axis=0)):
+                inside &= (b[0] - a[0]) * (v - a[1]) - (b[1] - a[1]) * (u - a[0]) >= -1e-9
+            mask[y0:y1 + 1, x0:x1 + 1] |= inside
+    u, v = np.round(pixels).astype(int).T
+    step = np.arange(-1, 2)
+    mask[np.clip(v[:, None, None] + step[:, None], 0, height - 1),
+         np.clip(u[:, None, None] + step, 0, width - 1)] = True
+    return mask
+
+
+def place_distractors_fresh_blocks(config, rng, object_pixels, union):
+    """``_place_distractors`` as it once ran the keypoint test: fresh arrays
+    for every block of ``sim._NEAR_CHUNK`` distances."""
+    intr = config.intrinsics
+    cx, cy = float(config.camera.translation[0]), float(config.camera.translation[1])
+    low, high = np.array([cx - 0.4, cy - 0.3]), np.array([cx + 0.4, cy + 0.3])
+    flat = object_pixels.reshape(-1, 2)
+    near_low, near_high = flat.min(axis=0) - 5.0, flat.max(axis=0) + 5.0
+    blocked = np.zeros_like(union)
+    ys, xs = np.flatnonzero(union.any(axis=1)), np.flatnonzero(union.any(axis=0))
+    if len(ys):
+        box = (slice(max(ys[0] - 2, 0), ys[-1] + 3), slice(max(xs[0] - 2, 0), xs[-1] + 3))
+        padded = np.pad(union[box], 2)
+        rows = padded[:-4] | padded[1:-3] | padded[2:-2] | padded[3:-1] | padded[4:]
+        blocked[box] = rows[:, :-4] | rows[:, 1:-3] | rows[:, 2:-2] | rows[:, 3:-1] | rows[:, 4:]
+    out = np.zeros((config.distractor_points, 3))
+    filled = misses = 0
+    while filled < len(out):
+        xy = rng.uniform(low, high, size=(len(out) - filled, 2))
+        cam = config.camera.inverse().apply(np.insert(xy, 2, 0.0, axis=1)[:, None])[:, 0]
+        ok = cam[:, 2] > 0.0
+        uv = np.full(xy.shape, -1.0)
+        uv[ok] = project(intr, cam[ok])
+        ok &= ((4.0 <= uv[:, 0]) & (uv[:, 0] <= intr.width - 5)
+               & (4.0 <= uv[:, 1]) & (uv[:, 1] <= intr.height - 5))
+        iu, iv = np.rint(uv[ok]).astype(int).T
+        ok[ok] = ~blocked[iv, iu]
+        near = np.flatnonzero(ok & np.all((uv >= near_low) & (uv <= near_high), axis=1))
+        step = max(1, sim._NEAR_CHUNK // len(flat))
+        for start in range(0, len(near), step):
+            chunk = near[start:start + step]
+            du, dv = flat[:, 0] - uv[chunk, :1], flat[:, 1] - uv[chunk, 1:]
+            ok[chunk] = np.sqrt(du * du + dv * dv).min(axis=1) >= 4.0
+        taken = np.flatnonzero(ok)
+        runs = np.diff(taken, prepend=-1 - misses, append=len(xy)) - 1
+        if runs.max() >= 500:
+            raise ValueError("could not place distractors clear of the object")
+        misses = runs[-1]
+        out[filled:filled + len(taken), :2] = xy[taken]
+        filled += len(taken)
+    return out
+
+
 def place_distractors_per_attempt(config, rng, object_pixels, masks):
     """Distractor placement one (x, y) attempt at a time against a (T, H, W) mask stack."""
     intr = config.intrinsics
@@ -949,6 +1018,94 @@ class TestDistractorChunks:
                              rng.bit_generator.state)
         assert placed[1] == placed[1 << 62]
         assert placed[sim._NEAR_CHUNK] == placed[1 << 62]
+
+
+def _border_squares(intrinsics, half=6.5):
+    """Squares centred on each side and corner of the image, so each box is
+    cut at one or two borders; a square whose box keeps one pixel, at the
+    top-left corner; and one wholly outside the image."""
+    w, h = intrinsics.width - 1, intrinsics.height - 1
+    corners = np.array([[-half, -half], [half, -half], [half, half], [-half, half]])
+    centers = [(0.0, h / 2), (w, h / 2), (w / 2, 0.0), (w / 2, h), (0.0, 0.0), (w, h),
+               (w + 0.3, -0.4)]
+    squares = [corners + c for c in centers]
+    squares.append(np.array([[-5.0, -5.0], [0.0, -5.0], [0.0, 0.0], [-5.0, 0.0]]))
+    squares.append(corners + (w + 20.0, h / 2))
+    return squares
+
+
+class TestMaskFillOracle:
+    """``_render_mask`` against the fill one edge at a time, bit for bit,
+    on pixels in and out of the image.
+
+    ``TestGenerationOracles`` compares the first-frame mask and the union
+    of all 21 frames on the rigid demo at seeds 0-15, among other scenes.
+    """
+
+    INTR = SceneConfig().intrinsics
+
+    @pytest.mark.parametrize("kind", ["uniform", "gaussian", "grid-snapped", "duplicates",
+                                      "collinear", "axis-lines", "sub-rounding", "few"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_hulls(self, kind, seed):
+        # "uniform" spans 640 px on both axes, past the image's 480 rows;
+        # "few" and "collinear" give hulls of fewer than 3 vertices.
+        pixels = _cloud(kind, seed)
+        expected = render_mask_edge_by_edge(self.INTR, pixels)
+        assert _render_mask(self.INTR, pixels).tobytes() == expected.tobytes()
+
+    def test_boxes_clipped_at_the_image_border(self):
+        for pixels in _border_squares(self.INTR):
+            expected = render_mask_edge_by_edge(self.INTR, pixels)
+            assert _render_mask(self.INTR, pixels).tobytes() == expected.tobytes()
+
+    def test_a_stack_of_frames_is_their_union(self):
+        frames = np.stack([square + 3.0 * t for t, square in enumerate(_border_squares(self.INTR))])
+        expected = np.any([render_mask_edge_by_edge(self.INTR, frame) for frame in frames], axis=0)
+        mask = np.zeros_like(expected)
+        assert _render_mask(self.INTR, frames, mask) is mask
+        assert mask.tobytes() == expected.tobytes()
+
+
+class TestDistractorBlockOracle:
+    """``_place_distractors`` against fresh arrays for every block, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [1, 2000 * 3, sim._NEAR_CHUNK, 1 << 62])
+    def test_near_candidates_over_several_blocks(self, chunk, monkeypatch):
+        # As in TestDistractorChunks: 2,000 keypoints over a 300 px square,
+        # about 100 near candidates a round, 16 to a default block.
+        monkeypatch.setattr(sim, "_NEAR_CHUNK", chunk)
+        config = small_rigid_config(distractor_points=300)
+        pixels = np.random.default_rng(5).uniform([170.0, 90.0], [470.0, 390.0], (1, 2000, 2))
+        union = np.zeros((config.height, config.width), dtype=bool)
+        rng, oracle = np.random.default_rng(7), np.random.default_rng(7)
+        placed = _place_distractors(config, rng, pixels, union)
+        expected = place_distractors_fresh_blocks(config, oracle, pixels, union)
+        assert placed.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_the_rigid_demo_draw(self, monkeypatch):
+        seen = []
+
+        def spy(config, rng, object_pixels, union):
+            seen.append((config, copy.deepcopy(rng.bit_generator.state), object_pixels, union))
+            return _place_distractors(config, rng, object_pixels, union)
+
+        monkeypatch.setattr(sim, "_place_distractors", spy)
+        generate_scene(demo_scene("scene_rigid_demo.json", seed=0))
+        [(config, state, pixels, union)] = seen
+        placed = _place_distractors(config, generator_at_state(state), pixels, union)
+        expected = place_distractors_fresh_blocks(config, generator_at_state(state), pixels,
+                                                  union)
+        assert placed.tobytes() == expected.tobytes()
+
+    def test_the_two_buffers_hold_no_more_than_fresh_blocks(self):
+        config = small_rigid_config(distractor_points=300)
+        pixels = np.random.default_rng(5).uniform([170.0, 90.0], [470.0, 390.0], (1, 2000, 2))
+        union = np.zeros((config.height, config.width), dtype=bool)
+        peaks = [_traced_peak(lambda: place(config, np.random.default_rng(7), pixels, union))
+                 for place in (_place_distractors, place_distractors_fresh_blocks)]
+        assert peaks[0] <= peaks[1]
 
 
 class TestDistractorWindows:
