@@ -120,12 +120,10 @@ def _load_doc(path, what: str, build):
 
 
 def _obstacles_from_doc(doc) -> tuple:
-    """An obstacle file is a list of obstacles or an object holding one,
-    with an optional ``description``."""
-    if isinstance(doc, dict):
-        return _doc_fields(doc, {"obstacles": obstacles_from_doc},
-                           extra=("description",)).get("obstacles", ())
-    return obstacles_from_doc(doc)
+    """An obstacle file is an object holding a list of ``obstacles``, with an
+    optional ``description``."""
+    return _doc_fields(doc, {"obstacles": obstacles_from_doc},
+                       extra=("description",)).get("obstacles", ())
 
 
 def _load_flow_file(path) -> ActionableFlow:
@@ -409,14 +407,7 @@ def cmd_plan_deformable(args, stages: _Stages) -> None:
     _check_at_least_one(args.horizon, "--horizon")
     flow = _load_flow_file(args.flow)
     model = _load_doc(args.dynamics, "dynamics file", MassSpringModel.from_doc)
-    if args.state:
-        state = _load_doc(args.state, "particle state", ParticleState.from_doc)
-    elif flow.keypoints == model.n_particles:
-        state = ParticleState.at_rest(flow.positions[0])
-    else:
-        raise ConfigError(
-            f"--state is required when flow keypoints ({flow.keypoints}) differ "
-            f"from model particles ({model.n_particles})")
+    state = _load_doc(args.state, "particle state", ParticleState.from_doc)
     if state.count != model.n_particles:
         raise ConfigError(f"state has {state.count} particles, model expects "
                           f"{model.n_particles}")
@@ -424,7 +415,7 @@ def cmd_plan_deformable(args, stages: _Stages) -> None:
     files = _do_plan_deformable(flow, model, state, out, args.horizon, args.seed,
                                 args.cost_mode, stages)
     inputs = {"flow": sha256_file(args.flow), "dynamics": sha256_file(args.dynamics),
-              "state": sha256_file(args.state) if args.state else None,
+              "state": sha256_file(args.state),
               "horizon": args.horizon, "cost_mode": args.cost_mode}
     _finish(out, "plan-deformable", args.seed, inputs, files, stages)
 
@@ -495,8 +486,6 @@ def _do_eval(run_dir: Path, config: SceneConfig, gt_flow: ActionableFlow,
         graded = ["plan.json", "joint_traj.csv"]
         model, grasp, spf = _load_doc(run_dir / "plan.json", "plan file", _plan_from_doc)
         configs = _load(run_dir / "joint_traj.csv", "joint trajectory CSV", read_joint_csv)
-        if gt_poses is None:
-            raise ConfigError("ground-truth bundle has no object poses to grade against")
         with stages("evaluate"):
             executed = _executed_object_poses(model, grasp, spf, configs, config.frames)
             metrics = evaluate_rigid(executed, gt_poses)
@@ -504,8 +493,6 @@ def _do_eval(run_dir: Path, config: SceneConfig, gt_flow: ActionableFlow,
         graded = ["final_state.json"]
         final = _load_doc(run_dir / "final_state.json", "particle state",
                           ParticleState.from_doc)
-        if initial_state is None:
-            raise ConfigError("ground-truth bundle has no particle state to grade against")
         with stages("evaluate"):
             corr = build_correspondence(gt_flow, initial_state.positions)
             metrics = evaluate_deformable(final, gt_flow, corr)
@@ -590,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="flow candidates: the clean flow plus N-1 corrupted rungs")
     rigid = flags()
     rigid.add_argument("--obstacles", default=None,
-                       help="obstacle list JSON (run's default: the packaged demo obstacle)")
+                       help="obstacle file JSON (run's default: the packaged demo obstacle)")
     rigid.add_argument("--steps-per-frame", type=int, default=4,
                        help="trajectory steps per flow frame (rigid scenes)")
     rope = flags()
@@ -640,9 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("plan-deformable", cmd_plan_deformable,
             "receding-horizon particle control toward a flow", stage, flow, rope)
     p.add_argument("--dynamics", required=True, help="particle model JSON")
-    p.add_argument("--state", default=None,
-                   help="initial particle state JSON (defaults to the first "
-                        "flow frame at rest when counts match)")
+    p.add_argument("--state", required=True, help="initial particle state JSON")
 
     p = add("optimize-traj", cmd_optimize_traj,
             "solve one trajectory optimization problem file", stage)

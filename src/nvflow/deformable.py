@@ -86,7 +86,11 @@ class MassSpringModel:
     d = p_j - p_i, plus a linear velocity drag -c v per particle.  Attached
     particles ignore forces and move kinematically by the commanded delta,
     spread uniformly over substeps.  Pinned particles are clamped in place
-    (a fixture holding part of the object).
+    (a fixture holding part of the object).  ``gravity`` pulls along -z and
+    ``ground_height`` bounds z from below, so both take z as up.  The rope
+    scenes' models live in the camera frame, where +z points at the table
+    (``sim.CAMERA_IN_WORLD``); their bundles write ``gravity: false`` and a
+    ground at -1 m, which never binds there.
     """
 
     n_particles: int

@@ -38,7 +38,6 @@ __all__ = [
     "rotation_geodesic_angle",
     "se3_exp",
     "se3_log",
-    "screw_interpolate",
 ]
 
 # Orthonormality tolerance for pose construction (Frobenius norm of R R^T - I).
@@ -435,9 +434,3 @@ def se3_log(pose: SE3Pose) -> np.ndarray:
             + (1.0 / theta**2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))) * (w @ w)
         )
     return np.concatenate([omega, vmat_inv @ pose.translation])
-
-
-def screw_interpolate(a: SE3Pose, b: SE3Pose, tau: float) -> SE3Pose:
-    """Constant-twist interpolation from ``a`` (tau=0) to ``b`` (tau=1)."""
-    delta = se3_log(a.inverse().compose(b))
-    return a.compose(se3_exp(tau * delta))

@@ -262,19 +262,15 @@ def forward_kinematics(model: RobotModel, config: np.ndarray) -> SE3Pose:
     return SE3Pose(chain.ee_rotation, chain.ee_position)
 
 
-def sphere_centers_batch(model: RobotModel, configs: np.ndarray,
-                         return_frames: bool = False):
-    """World centers (B, n, 3) of the collision spheres, in model order.
-
-    With ``return_frames``, returns (centers, rotations, origins) with the
-    link frames ``link_frames_batch`` gives.
-    """
+def sphere_centers_batch(model: RobotModel, configs: np.ndarray):
+    """World centers (B, n, 3) of the collision spheres, in model order, and
+    the link frames (rotations, origins) ``link_frames_batch`` gives."""
     rotations, origins = link_frames_batch(model, configs)
     centers = np.empty((rotations.shape[0], len(model.collision_spheres), 3))
     for i, sphere in enumerate(model.collision_spheres):
         link = sphere.link
         centers[:, i] = origins[:, link] + rotations[:, link] @ sphere.center
-    return (centers, rotations, origins) if return_frames else centers
+    return centers, rotations, origins
 
 
 def sphere_radii(model: RobotModel) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Synthetic tabletop scenes with exact ground truth.
 
 Scenes are rendered from a fixed overhead camera looking down at a table
-(world z up, table at z = 0).  A rigid scene moves a box or cylinder through
+(world z up, table at z = 0).  A rigid scene moves a box through
 screw-interpolated waypoints; a rope scene deforms a constant-length
 circular-arc centerline through scripted bend/turn keyframes.  Each scene
 yields the observations the planning pipeline consumes (3-d tracks, the
@@ -97,32 +97,23 @@ def _finite(*values: float) -> bool:
 
 @dataclass(frozen=True)
 class ObjectSpec:
-    """A rigid solid with keypoints sampled uniformly over its surface.
+    """A box of (x, y, z) extents ``size``, with keypoints sampled uniformly
+    over its surface.  ``shape`` is always "box", as scene configs write it."""
 
-    ``size`` is (x, y, z) extents for a box and (radius, height) for a
-    cylinder.
-    """
-
-    shape: str = "box"            # "box" or "cylinder"
+    shape: str = "box"
     size: tuple[float, ...] = (0.08, 0.06, 0.05)
     surface_samples: int = 40
     label: str = "box"
 
     def __post_init__(self) -> None:
-        if self.shape not in ("box", "cylinder"):
-            raise ValueError(f"unknown object shape {self.shape!r}")
-        wanted = 3 if self.shape == "box" else 2
+        if self.shape != "box":
+            raise ValueError(f"unknown object shape {self.shape!r}: the one shape is 'box'")
         size = tuple(float(s) for s in self.size)
-        if len(size) != wanted or not _finite(*size) or any(s <= 0.0 for s in size):
-            raise ValueError(f"a {self.shape} needs {wanted} positive finite dimensions")
+        if len(size) != 3 or not _finite(*size) or any(s <= 0.0 for s in size):
+            raise ValueError("a box needs 3 positive finite dimensions")
         if self.surface_samples < 4:
             raise ValueError("need at least four surface samples for pose estimation")
         object.__setattr__(self, "size", size)
-
-    @property
-    def rest_height(self) -> float:
-        """z of the object center when resting on the table."""
-        return (self.size[2] if self.shape == "box" else self.size[1]) / 2.0
 
 
 @dataclass(frozen=True)
@@ -253,7 +244,9 @@ class SceneConfig:
         if self.distractor_points < 0:
             raise ValueError("distractor count must be non-negative")
         if self.scene == "rigid":
-            wps = tuple(self.waypoints) or _default_waypoints(self.object)
+            wps = tuple(self.waypoints)
+            if not wps:
+                raise ValueError("a rigid scene needs a motion_script")
             times = [w.time for w in wps]
             if len(wps) < 2 or times[0] != 0.0 or times[-1] != 1.0:
                 raise ValueError("waypoints must start at time 0 and end at time 1")
@@ -315,17 +308,6 @@ class SceneConfig:
 
     def save(self, path) -> None:
         write_json(path, self.to_doc())
-
-
-def _default_waypoints(spec: ObjectSpec) -> tuple[Waypoint, ...]:
-    rest_z = spec.rest_height
-    lift_z = rest_z + 0.12
-    return (
-        Waypoint(0.0, (0.34, -0.115, rest_z), 0.0),
-        Waypoint(0.35, (0.34, -0.115, lift_z), 0.0),
-        Waypoint(0.7, (0.56, 0.105, lift_z), 0.5),
-        Waypoint(1.0, (0.56, 0.105, rest_z), 0.5),
-    )
 
 
 # -- camera and rasterization ----------------------------------------------------
@@ -642,37 +624,20 @@ def _observe(config: SceneConfig, rng: np.random.Generator, gt_points: np.ndarra
 # -- rigid scenes -----------------------------------------------------------------
 
 def _sample_surface_points(spec: ObjectSpec, rng: np.random.Generator) -> np.ndarray:
-    """Keypoints uniform over the solid's surface, in the object frame."""
+    """Keypoints on the box's faces, each face picked uniformly, in the object frame."""
     n = spec.surface_samples
-    if spec.shape == "box":
-        half = np.asarray(spec.size) / 2.0
-        faces = rng.integers(0, 6, size=n)
-        pts = rng.uniform(-1.0, 1.0, size=(n, 3)) * half
-        for i, face in enumerate(faces):
-            axis, side = divmod(int(face), 2)
-            pts[i, axis] = half[axis] if side == 0 else -half[axis]
-        return pts
-    radius, height = spec.size
-    side_area = 2.0 * math.pi * radius * height
-    cap_area = math.pi * radius ** 2
-    total = side_area + 2.0 * cap_area
-    pts = np.zeros((n, 3))
-    for i in range(n):
-        pick = rng.uniform(0.0, total)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        if pick < side_area:
-            z = rng.uniform(-height / 2.0, height / 2.0)
-            pts[i] = (radius * math.cos(theta), radius * math.sin(theta), z)
-        else:
-            rho = radius * math.sqrt(rng.uniform(0.0, 1.0))
-            z = height / 2.0 if pick < side_area + cap_area else -height / 2.0
-            pts[i] = (rho * math.cos(theta), rho * math.sin(theta), z)
+    half = np.asarray(spec.size) / 2.0
+    faces = rng.integers(0, 6, size=n)
+    pts = rng.uniform(-1.0, 1.0, size=(n, 3)) * half
+    for i, face in enumerate(faces):
+        axis, side = divmod(int(face), 2)
+        pts[i, axis] = half[axis] if side == 0 else -half[axis]
     return pts
 
 
 def _waypoint_poses(waypoints: tuple[Waypoint, ...], frames: int) -> list[SE3Pose]:
-    """Each frame's pose, ``screw_interpolate`` between the waypoints around
-    it, with each segment's twist taken once instead of once per frame."""
+    """Each frame's pose, interpolated at constant twist (a screw motion)
+    between the waypoints around it, each segment's twist taken once."""
     times = np.array([w.time for w in waypoints])
     poses = [w.pose() for w in waypoints]
     twists = [se3_log(a.inverse().compose(b)) for a, b in zip(poses[:-1], poses[1:])]
@@ -939,7 +904,10 @@ class SceneBundle:
     first-frame object mask, the first-frame sensor depth map and the metric
     reference for that frame, each at the config's image size.  The track
     layout is fixed: the K object tracks (those of ``gt_flow``, in its
-    keypoint order) come first, then the distractors.
+    keypoint order) come first, then the distractors.  The scene's kind
+    decides the rest of its ground truth: a rigid scene has ``gt_poses``,
+    a rope scene ``dynamics`` and ``initial_state``, and neither has the
+    other's.
     """
 
     config: SceneConfig
@@ -954,8 +922,15 @@ class SceneBundle:
     initial_state: ParticleState | None = None
 
     def __post_init__(self) -> None:
+        rigid = self.config.scene == "rigid"
+        for name, value, wanted in (("gt_poses.json", self.gt_poses, rigid),
+                                    ("dynamics.json", self.dynamics, not rigid),
+                                    ("initial_state.json", self.initial_state, not rigid)):
+            if (value is not None) != wanted:
+                raise ValueError(f"a {self.config.scene} scene "
+                                 f"{'needs' if wanted else 'has no'} {name}")
         frames = {"tracks": self.tracks.frames, "ground-truth flow": self.gt_flow.frames}
-        if self.gt_poses is not None:
+        if rigid:
             frames["ground-truth poses"] = len(self.gt_poses)
         for name, count in frames.items():
             _check_frames(self.config, name, count)

@@ -553,8 +553,7 @@ def _sweep(model: RobotModel, configs: np.ndarray, obstacles: Sequence[Obstacle]
 
     def swept(configs: np.ndarray):
         """Distances (n_obs, B, n_spheres) and link frames of (B, dof) configurations."""
-        centers, rotations, origins = sphere_centers_batch(model, configs,
-                                                           return_frames=True)
+        centers, rotations, origins = sphere_centers_batch(model, configs)
         return (np.stack([obs.distance(centers) - radii for obs in obstacles]),
                 rotations, origins)
 

@@ -3,7 +3,8 @@
 The robot builders (``planar_two_link``, ``one_link_with_sphere``,
 ``spinner_with_tip_sphere``) and the rotation helpers (``random_rotation``,
 ``random_pose``, ``rotation_distance``, ``assert_pose_close``), the oracle
-inputs (``tie_heavy_arrays``, ``assert_same_float``) and the packaged demo
+inputs (``tie_heavy_arrays``, ``assert_same_float``), the waypoint oracle
+(``screw_interpolate``) and the packaged demo
 scenes (``demo_scene``) are plain functions, not fixtures:
 import them with ``from conftest import ...`` and call them, e.g.
 ``model = planar_two_link()``.  Naming one as a test parameter makes pytest
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from nvflow.fileio import read_json
-from nvflow.geometry import SE3Pose
+from nvflow.geometry import SE3Pose, se3_exp, se3_log
 from nvflow.kinematics import CollisionSphere, Joint, RobotModel
 from nvflow.sim import SceneConfig
 
@@ -37,6 +38,14 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 def random_pose(rng: np.random.Generator, trans_scale: float = 1.0) -> SE3Pose:
     return SE3Pose(random_rotation(rng), trans_scale * rng.standard_normal(3))
+
+
+def screw_interpolate(a: SE3Pose, b: SE3Pose, tau: float) -> SE3Pose:
+    """Constant-twist interpolation from ``a`` (tau=0) to ``b`` (tau=1): the
+    oracle that scene generation's per-segment waypoint poses are checked
+    against."""
+    delta = se3_log(a.inverse().compose(b))
+    return a.compose(se3_exp(tau * delta))
 
 
 def rotation_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -47,7 +47,8 @@ SHARED_FLAGS = {"--flow": ("plan-rigid", "plan-deformable"),
 # The fewest arguments each subcommand parses with.
 MINIMAL_ARGV = {"simulate": [], "distill": ["bundle"],
                 "plan-rigid": ["--flow", "f.nvfl", "--robot", "r.json"],
-                "plan-deformable": ["--flow", "f.nvfl", "--dynamics", "d.json"],
+                "plan-deformable": ["--flow", "f.nvfl", "--dynamics", "d.json",
+                                    "--state", "s.json"],
                 "optimize-traj": [], "eval": ["plan", "scene"], "run": []}
 
 
@@ -71,6 +72,7 @@ def rigid_config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("configs") / "rigid_small.json"
     SceneConfig(scene="rigid", frames=9,
                 object=ObjectSpec(surface_samples=24),
+                waypoints=demo_scene("scene_rigid_demo.json").waypoints,
                 distractor_points=10).save(path)
     return path
 
@@ -222,7 +224,7 @@ def _plan_deformable(c, **dynamics):
     bundle = c.fixture("rope_bundle_dir")
     return ["plan-deformable", "--flow", bundle / "gt_flow.nvfl",
             "--dynamics", c.edited(bundle / "dynamics.json", **dynamics),
-            "--horizon", 2, "--out-dir", c.out]
+            "--state", bundle / "initial_state.json", "--horizon", 2, "--out-dir", c.out]
 
 
 def _rope_dynamics(c):
@@ -362,7 +364,7 @@ MALFORMED_INPUT_CASES = {
         "simulate", "--config", c.edited(c.fixture("rope_config_path"), rope=[1]),
         "--out-dir", c.out],
     "plan-rigid-obstacle-number": lambda c: _plan_rigid(c, c.flow()) + [
-        "--obstacles", c.write([5])],
+        "--obstacles", c.write({"obstacles": [5]})],
     "run-obstacle-list": lambda c: [
         "run", "--config", c.fixture("rigid_config_path"), "--candidates", 1,
         "--obstacles", c.write({"obstacles": [[1]]}), "--out-dir", c.out],
@@ -393,6 +395,8 @@ MALFORMED_INPUT_CASES = {
     "eval-joint-csv-overflow": lambda c: _eval_joint_csv(c, _first_joint_at_step_0("1e400")),
     "eval-joint-csv-column-dropped": lambda c: _eval_joint_csv(
         c, lambda rows: [row[:-1] for row in rows]),
+    # One step fewer than (flow frames - 1) * steps per frame + 1.
+    "eval-joint-csv-last-step-dropped": lambda c: _eval_joint_csv(c, lambda rows: rows[:-1]),
     "eval-joint-csv-first-and-last-steps-swapped": lambda c: _eval_joint_csv(
         c, lambda rows: [rows[0], rows[-1], *rows[2:-1], rows[1]]),
     # Failures of the read itself, not of the values read: a byte that is
@@ -426,8 +430,11 @@ MALFORMED_INPUT_CASES = {
     "flow-json-positions-strings": lambda c: [
         "plan-deformable", "--flow", _stringified_rope_flow(c),
         "--dynamics", c.fixture("rope_bundle_dir") / "dynamics.json",
+        "--state", c.fixture("rope_bundle_dir") / "initial_state.json",
         "--horizon", 2, "--out-dir", c.out],
     "flow-json-label-list": lambda c: _plan_rigid(c, _json_flow(c, label=[3])),
+    "flow-json-version-2": lambda c: _plan_rigid(c, _json_flow(c, version=2)),
+    "flow-json-points-disagree": lambda c: _plan_rigid(c, _json_flow(c, points=5)),
     "flow-json-one-frame": lambda c: _plan_rigid(c, c.write(
         {"version": 1, "frames": 1, "points": 1, "positions": [[[0.0, 0.0, 1.0]]]},
         "f.json")),
@@ -436,11 +443,16 @@ MALFORMED_INPUT_CASES = {
         "--horizon", 0, "--out-dir", c.out],
     "plan-deformable-dynamics-directory": lambda c: [
         "plan-deformable", "--flow", c.fixture("rope_bundle_dir") / "gt_flow.nvfl",
-        "--dynamics", c.tmp, "--out-dir", c.out],
+        "--dynamics", c.tmp, "--state", c.fixture("rope_bundle_dir") / "initial_state.json",
+        "--out-dir", c.out],
     "plan-deformable-horizon-0": lambda c: [
         "plan-deformable", "--flow", c.fixture("rope_bundle_dir") / "gt_flow.nvfl",
         "--dynamics", c.fixture("rope_bundle_dir") / "dynamics.json",
+        "--state", c.fixture("rope_bundle_dir") / "initial_state.json",
         "--horizon", 0, "--out-dir", c.out],
+    # A state of 3 particles for the 8-particle rope.
+    "plan-deformable-state-particle-count": lambda c: _fuzz_state(c, c.write(
+        {"positions": [[0.0, 0.0, 1.0]] * 3, "velocities": [[0.0, 0.0, 0.0]] * 3})),
     "trajopt-steps-inf": lambda c: _optimize_traj(c, steps=INF),
     "trajopt-swept-samples-inf": lambda c: _optimize_traj(c, swept_samples=INF),
     "trajopt-max-iters-inf": lambda c: _optimize_traj(c, max_iters=INF),
@@ -658,6 +670,46 @@ SPHERE_LESS_ROBOT_CASES = {
 MALFORMED_INPUT_CASES.update(SPHERE_LESS_ROBOT_CASES)
 
 
+def _unlisted(c, fixture, name):
+    """A copy of the bundle ``fixture`` whose manifest does not list ``name``."""
+    return c.edited_bundle(fixture, manifest=lambda doc: {
+        **doc, "files": {k: v for k, v in doc["files"].items() if k != name}})
+
+
+# Inputs that nvflow once read and now refuses, and what the one error line
+# must name: an object of another shape than the box, a rigid scene with no
+# motion, an obstacle file that is a bare list, and a bundle without the
+# ground truth its scene kind grades against, from each stage that reads one.
+# eval reads the bundle before any plan file, so the rope case needs no plan.
+REFUSED_INPUT_CASES = {
+    "scene-object-cylinder": (lambda c: _simulate(
+        c, c.rigid_edited("object", shape="cylinder", size=[0.03, 0.08])), "'cylinder'"),
+    "scene-rigid-without-motion-script": (lambda c: _simulate(
+        c, c.edited(c.fixture("rigid_config_path"), motion_script=DELETE)), "motion_script"),
+    "run-rigid-without-motion-script": (lambda c: [
+        "run", "--config", c.edited(c.fixture("rigid_config_path"), motion_script=DELETE),
+        "--out-dir", c.out], "motion_script"),
+    "plan-rigid-obstacle-list": (lambda c: _plan_rigid(c, c.flow()) + [
+        "--obstacles", c.write(json.loads(fixture_path("obstacles_demo.json").read_text())[
+            "obstacles"])], "expected a JSON object"),
+    "run-obstacle-bare-list": (lambda c: _run_rigid(c, "--obstacles", c.write([])),
+                               "expected a JSON object"),
+    "distill-rigid-bundle-without-gt-poses": (lambda c: _distill(
+        c, _unlisted(c, "rigid_bundle_dir", "gt_poses.json")), "needs gt_poses.json"),
+    "eval-rigid-bundle-without-gt-poses": (lambda c: [
+        "eval", c.fixture("rigid_run_dir") / "plan",
+        _unlisted(c, "rigid_bundle_dir", "gt_poses.json"), "--out-dir", c.out],
+        "needs gt_poses.json"),
+    "distill-rope-bundle-without-dynamics": (lambda c: _distill(
+        c, _unlisted(c, "rope_bundle_dir", "dynamics.json")), "needs dynamics.json"),
+    "eval-rope-bundle-without-initial-state": (lambda c: [
+        "eval", c.tmp, _unlisted(c, "rope_bundle_dir", "initial_state.json"),
+        "--out-dir", c.out], "needs initial_state.json"),
+}
+MALFORMED_INPUT_CASES.update(
+    {case: build for case, (build, _) in REFUSED_INPUT_CASES.items()})
+
+
 def _not_json(c, name):
     path = c.tmp / name
     path.write_text("{not json")
@@ -835,15 +887,15 @@ def _fuzz_obstacles(c, path):
     return _run_rigid(c, "--obstacles", path)
 
 
-def _fuzz_dynamics(c, path):
+def _fuzz_dynamics(c, path, state=None):
     bundle = c.fixture("rope_bundle_dir")
     return ["plan-deformable", "--flow", bundle / "gt_flow.nvfl", "--dynamics", path,
-            "--horizon", 2, "--out-dir", c.out]
+            "--state", state or bundle / "initial_state.json", "--horizon", 2,
+            "--out-dir", c.out]
 
 
 def _fuzz_state(c, path):
-    bundle = c.fixture("rope_bundle_dir")
-    return _fuzz_dynamics(c, bundle / "dynamics.json") + ["--state", path]
+    return _fuzz_dynamics(c, c.fixture("rope_bundle_dir") / "dynamics.json", path)
 
 
 def _fuzz_plan(c, path):
@@ -862,7 +914,7 @@ FUZZED_READERS = {
                   _fuzz_obstacles, _OBSTACLE_TYPES, _OBSTACLE_REQUIRED),
     "scene-rigid": (lambda c: json.loads(c.fixture("rigid_config_path").read_text()),
                     _fuzz_scene, _RIGID_SCENE_TYPES,
-                    {"time", "position", "rotation", "translation"}),
+                    {"motion_script", "time", "position", "rotation", "translation"}),
     "scene-rope": (lambda c: json.loads(c.fixture("rope_config_path").read_text()),
                    _fuzz_scene, _ROPE_SCENE_TYPES, {"rotation", "translation"}),
     "problem": (_problem_doc, _fuzz_problem,
@@ -1125,7 +1177,7 @@ class TestConfigErrors:
     def test_plan_deformable_missing_flow(self, tmp_path, capsys):
         missing = tmp_path / "ghost.nvfl"
         assert run_main(["plan-deformable", "--flow", missing,
-                         "--dynamics", tmp_path / "dyn.json",
+                         "--dynamics", tmp_path / "dyn.json", "--state", tmp_path / "s.json",
                          "--out-dir", tmp_path / "o"]) == 2
         err = capsys.readouterr().err
         assert_one_error_line(err)
@@ -1136,7 +1188,7 @@ class TestConfigErrors:
         write_flow(flow_path, np.zeros((2, 3, 3)))
         missing = tmp_path / "ghost_dyn.json"
         assert run_main(["plan-deformable", "--flow", flow_path,
-                         "--dynamics", missing,
+                         "--dynamics", missing, "--state", tmp_path / "s.json",
                          "--out-dir", tmp_path / "o"]) == 2
         err = capsys.readouterr().err
         assert_one_error_line(err)
@@ -1147,21 +1199,22 @@ class TestConfigErrors:
         junk.write_bytes(b"JUNKDATAJUNKDATA")
         assert run_main(["plan-deformable", "--flow", junk,
                          "--dynamics", rope_bundle_dir / "dynamics.json",
+                         "--state", rope_bundle_dir / "initial_state.json",
                          "--out-dir", tmp_path / "o"]) == 2
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "bad flow file" in err
 
-    def test_plan_deformable_needs_state_on_count_mismatch(
-            self, tmp_path, rope_bundle_dir, capsys):
-        flow_path = tmp_path / "three_points.nvfl"
-        write_flow(flow_path, np.zeros((2, 3, 3)))
-        assert run_main(["plan-deformable", "--flow", flow_path,
-                         "--dynamics", rope_bundle_dir / "dynamics.json",
-                         "--out-dir", tmp_path / "o"]) == 2
-        err = capsys.readouterr().err
-        assert_one_error_line(err)
-        assert "--state" in err
+    def test_plan_deformable_requires_state(self, tmp_path, rope_bundle_dir, capsys):
+        """No initial state is made up from the flow: --state is required,
+        as --flow and --dynamics are."""
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plan-deformable", "--flow", str(rope_bundle_dir / "gt_flow.nvfl"),
+                  "--dynamics", str(rope_bundle_dir / "dynamics.json"), "--out-dir", str(out)])
+        assert excinfo.value.code == 2
+        assert "--state" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit,bound", [({"substeps": 1}, "h*c/m"),
                                             ({"stiffness": 1e5}, "lambda_max(L_free)")])
@@ -1173,8 +1226,9 @@ class TestConfigErrors:
         path.write_text(json.dumps(dynamics))
         out = tmp_path / "o"
         assert run_main(["plan-deformable",
-                         "--flow", rope_bundle_dir / "gt_flow.nvfl",
-                         "--dynamics", path, "--out-dir", out]) == 2
+                         "--flow", rope_bundle_dir / "gt_flow.nvfl", "--dynamics", path,
+                         "--state", rope_bundle_dir / "initial_state.json",
+                         "--out-dir", out]) == 2
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "unstable integrator" in err and bound in err
@@ -1241,6 +1295,14 @@ class TestConfigErrors:
         capsys.readouterr()
         assert run_main(argv) == 2
         assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_INPUT_CASES))
+    def test_refused_input_is_named(self, case, tmp_path, request, capsys):
+        build, text = REFUSED_INPUT_CASES[case]
+        argv = build(MalformedInputs(tmp_path, request))
+        capsys.readouterr()
+        assert run_main(argv) == 2
+        assert text in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(NAMED_FILE_CASES))
     def test_error_names_the_failing_file(self, case, tmp_path, request, capsys):
@@ -1355,7 +1417,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize("argv", [
         ["distill", "bundle"],
         ["plan-rigid", "--flow", "f.nvfl", "--robot", "r.json"],
-        ["plan-deformable", "--flow", "f.nvfl", "--dynamics", "d.json"],
+        ["plan-deformable", "--flow", "f.nvfl", "--dynamics", "d.json", "--state", "s.json"],
         ["eval", "plan", "scene"],
     ], ids=lambda argv: argv[0])
     def test_config_flag_only_where_read(self, argv, capsys):
@@ -1595,6 +1657,7 @@ class TestPlanDeformable:
         assert run_main(["plan-deformable",
                          "--flow", rope_bundle_dir / "gt_flow.nvfl",
                          "--dynamics", rope_bundle_dir / "dynamics.json",
+                         "--state", rope_bundle_dir / "initial_state.json",
                          "--horizon", 2, "--out-dir", out]) == 0
 
         actions = json.loads((out / "actions.json").read_text())
@@ -1616,6 +1679,7 @@ class TestPlanDeformable:
         assert run_main(["plan-deformable",
                          "--flow", rope_bundle_dir / "gt_flow.nvfl",
                          "--dynamics", rope_bundle_dir / "dynamics.json",
+                         "--state", rope_bundle_dir / "initial_state.json",
                          "--horizon", 2, "--out-dir", plan]) == 0
         assert run_main(["eval", plan, rope_bundle_dir, "--out-dir", tmp_path / "a"]) == 0
         state = plan / "final_state.json"
@@ -1634,6 +1698,7 @@ class TestPlanDeformable:
         args = ["plan-deformable",
                 "--flow", rope_bundle_dir / "gt_flow.nvfl",
                 "--dynamics", rope_bundle_dir / "dynamics.json",
+                "--state", rope_bundle_dir / "initial_state.json",
                 "--horizon", 2, "--seed", 3]
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -1750,6 +1815,7 @@ class TestFullRun:
         else:
             config = tmp_path / "rigid_noisy.json"
             SceneConfig(scene="rigid", frames=9, object=ObjectSpec(surface_samples=24),
+                        waypoints=demo_scene("scene_rigid_demo.json").waypoints,
                         distractor_points=10,
                         noise=demo_scene("scene_rigid_demo.json").noise).save(config)
             plan_args = []
@@ -1867,6 +1933,7 @@ class TestFullRun:
         plan = tmp_path / "plan"
         assert run_main(["plan-deformable", "--flow", rope_bundle_dir / "gt_flow.nvfl",
                          "--dynamics", rope_bundle_dir / "dynamics.json",
+                         "--state", rope_bundle_dir / "initial_state.json",
                          "--horizon", 1, "--out-dir", plan]) == 0
         capsys.readouterr()
         assert run_main(["eval", plan, rigid_bundle_dir,

@@ -42,9 +42,6 @@ def test_top_level_exports_only_the_version():
 
 
 ROOT = Path(__file__).resolve().parents[1]
-# Kept with no caller in src/ or perfbench/: the oracle the waypoint tests
-# compare scene generation against.
-UNCALLED_ON_PURPOSE = {"screw_interpolate"}
 
 
 def _referenced(node: ast.AST) -> set[str]:
@@ -95,7 +92,5 @@ def test_every_module_level_definition_has_a_caller():
             for name in _patched(tree):
                 uses.setdefault(name, set()).add(None)
     uncalled = sorted(f"{module}: {name}" for name, module in defined.items()
-                      if not uses.get(name, set()) - {name}
-                      and name not in UNCALLED_ON_PURPOSE)
+                      if not uses.get(name, set()) - {name})
     assert uncalled == []
-    assert UNCALLED_ON_PURPOSE <= set(defined)

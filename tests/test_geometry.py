@@ -22,13 +22,12 @@ from nvflow.geometry import (
     quaternion_from_rotation,
     rotation_from_axis_angle,
     rotation_geodesic_angle,
-    screw_interpolate,
     se3_exp,
     se3_log,
 )
 
 from conftest import (assert_pose_close, demo_scene, one_link_with_sphere, random_pose,
-                      random_rotation)
+                      random_rotation, screw_interpolate)
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -316,7 +315,7 @@ def _value_types():
         "Waypoint": (lambda: sim.Waypoint(0.0, (0.0, 0.0, 0.0)), True),
         "RopeSpec": (sim.RopeSpec, True),
         "NoiseConfig": (sim.NoiseConfig, True),
-        "SceneConfig": (sim.SceneConfig, False),
+        "SceneConfig": (lambda: sim.SceneConfig(scene="rope"), False),
         "Metrics": (lambda: sim.Metrics(rotation_error_deg=np.zeros(2),
                                         translation_error_mm=np.zeros(2)), False),
         "SceneBundle": (lambda: sim.generate_scene(demo_scene(

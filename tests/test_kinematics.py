@@ -251,7 +251,7 @@ class TestSolveIK:
 class TestCollisionSpheres:
     def test_tip_sphere_follows_the_link(self):
         model = spinner_with_tip_sphere(arm=1.0)
-        centers = sphere_centers_batch(model, np.array([[0.0], [math.pi / 2.0]]))
+        centers, _, _ = sphere_centers_batch(model, np.array([[0.0], [math.pi / 2.0]]))
         assert np.allclose(centers[0, 0], [1.0, 0.0, 0.0], atol=1e-12)
         assert np.allclose(centers[1, 0], [0.0, 1.0, 0.0], atol=1e-12)
 
@@ -323,7 +323,7 @@ class TestOriginRotations:
             ref_rotations, ref_origins = reference_link_frames(model, q)
             assert rotations.tobytes() == ref_rotations.tobytes()
             assert origins.tobytes() == ref_origins.tobytes()
-            centers = sphere_centers_batch(model, q)
+            centers, _, _ = sphere_centers_batch(model, q)
             for i, sphere in enumerate(model.collision_spheres):
                 ref = ref_origins[:, sphere.link] + ref_rotations[:, sphere.link] @ sphere.center
                 assert centers[:, i].tobytes() == ref.tobytes()
@@ -348,8 +348,8 @@ class TestSphereReach:
         q = rng.uniform(model.q_min, model.q_max, (200, model.dof))
         for j in range(model.dof):
             step = h * np.eye(model.dof)[j]
-            speed = np.linalg.norm(sphere_centers_batch(model, q + step)
-                                   - sphere_centers_batch(model, q - step), axis=-1) / (2 * h)
+            speed = np.linalg.norm(sphere_centers_batch(model, q + step)[0]
+                                   - sphere_centers_batch(model, q - step)[0], axis=-1) / (2 * h)
             assert (speed <= reach[:, j] + 1e-6).all(), j
             assert not speed[:, past[:, j]].any(), j
 

@@ -21,7 +21,6 @@ from nvflow.geometry import (
     SE3Pose,
     project,
     rotation_from_axis_angle,
-    screw_interpolate,
 )
 from nvflow.rigid import ObjectPoseTrajectory, flow_to_pose_trajectory
 import nvflow.sim as sim
@@ -44,7 +43,7 @@ from nvflow.sim import (
     generate_scene,
 )
 
-from conftest import demo_scene
+from conftest import demo_scene, screw_interpolate
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +56,18 @@ def mirrored_rope_bundle():
     return generate_scene(demo_scene("scene_rope_mirrored.json"))
 
 
+# The packaged demo's pick, lift, carry and place of the default box, whose
+# center rests REST_Z above the table.
+DEMO_WAYPOINTS = demo_scene("scene_rigid_demo.json").waypoints
+REST_Z = ObjectSpec().size[2] / 2.0
+
+
 def small_rigid_config(frames=5, **overrides):
     defaults = dict(
         scene="rigid",
         frames=frames,
         object=ObjectSpec(surface_samples=24),
+        waypoints=DEMO_WAYPOINTS,
         distractor_points=10,
     )
     defaults.update(overrides)
@@ -87,7 +93,7 @@ def assert_same_bits(a, b, where="bundle"):
 
 class TestRigidScenes:
     def test_static_script_produces_static_flow(self):
-        spot = (0.45, 0.0, ObjectSpec().rest_height)
+        spot = (0.45, 0.0, REST_Z)
         config = small_rigid_config(
             waypoints=(Waypoint(0.0, spot), Waypoint(1.0, spot)),
             distractor_points=0)
@@ -99,11 +105,10 @@ class TestRigidScenes:
             assert np.allclose(pose.translation, 0.0, atol=1e-12)
 
     def test_vertical_lift_is_linear_in_camera_frame(self):
-        rest = ObjectSpec().rest_height
         config = small_rigid_config(
             frames=41,
-            waypoints=(Waypoint(0.0, (0.45, 0.0, rest)),
-                       Waypoint(1.0, (0.45, 0.0, rest + 0.1))),
+            waypoints=(Waypoint(0.0, (0.45, 0.0, REST_Z)),
+                       Waypoint(1.0, (0.45, 0.0, REST_Z + 0.1))),
             distractor_points=0)
         bundle = generate_scene(config)
         translations = np.stack([p.translation for p in bundle.gt_poses.poses])
@@ -175,10 +180,9 @@ class TestRigidScenes:
                 dataclasses.replace(bundle, **changes)
 
     def test_object_leaving_view_is_an_error(self):
-        rest = ObjectSpec().rest_height
         config = small_rigid_config(
-            waypoints=(Waypoint(0.0, (0.45, 0.0, rest)),
-                       Waypoint(1.0, (5.0, 0.0, rest))),
+            waypoints=(Waypoint(0.0, (0.45, 0.0, REST_Z)),
+                       Waypoint(1.0, (5.0, 0.0, REST_Z))),
             distractor_points=0)
         with pytest.raises(ValueError, match="leaves view"):
             generate_scene(config)
@@ -496,7 +500,7 @@ class TestNoiseHonesty:
         sigma = 0.0005
         config = SceneConfig(scene="rigid", frames=21,
                              object=ObjectSpec(surface_samples=400),
-                             distractor_points=0,
+                             waypoints=DEMO_WAYPOINTS, distractor_points=0,
                              noise=NoiseConfig(track_sigma=sigma))
         bundle = generate_scene(config)
         observed = bundle.tracks.positions
@@ -511,7 +515,7 @@ class TestNoiseHonesty:
     def test_dropout_rate_matches_declared_probability(self):
         config = SceneConfig(scene="rigid", frames=21,
                              object=ObjectSpec(surface_samples=400),
-                             distractor_points=0,
+                             waypoints=DEMO_WAYPOINTS, distractor_points=0,
                              noise=NoiseConfig(dropout_prob=0.1))
         bundle = generate_scene(config)
         rate = 1.0 - bundle.tracks.visible.mean()
@@ -550,11 +554,13 @@ class TestConfigs:
         with pytest.raises(ValueError, match="frames"):
             SceneConfig(frames=1)
         with pytest.raises(ValueError, match="geometry"):
-            SceneConfig(width=8)
-        rest = ObjectSpec().rest_height
+            SceneConfig(width=8, waypoints=DEMO_WAYPOINTS)
         with pytest.raises(ValueError, match="waypoint"):
-            SceneConfig(waypoints=(Waypoint(0.0, (0.4, 0.0, rest)),
-                                   Waypoint(0.5, (0.4, 0.0, rest))))
+            SceneConfig(waypoints=(Waypoint(0.0, (0.4, 0.0, REST_Z)),
+                                   Waypoint(0.5, (0.4, 0.0, REST_Z))))
+        with pytest.raises(ValueError, match="a rigid scene needs a motion_script"):
+            SceneConfig()
+        assert SceneConfig(scene="rope").waypoints == ()
 
     def test_rope_spec_validation(self):
         with pytest.raises(ValueError, match="time 0"):
@@ -576,13 +582,13 @@ class TestConfigs:
             Waypoint(0.5, (0.0, 0.0))
 
     def test_object_spec_validation(self):
-        with pytest.raises(ValueError, match="shape"):
-            ObjectSpec(shape="torus")
+        for shape in ("torus", "cylinder"):
+            with pytest.raises(ValueError, match="shape"):
+                ObjectSpec(shape=shape)
         with pytest.raises(ValueError, match="dimensions"):
-            ObjectSpec(shape="cylinder", size=(0.1, 0.2, 0.3))
+            ObjectSpec(size=(0.03, 0.08))
         with pytest.raises(ValueError, match="surface samples"):
             ObjectSpec(surface_samples=3)
-        assert ObjectSpec(shape="cylinder", size=(0.03, 0.08)).rest_height == 0.04
 
 
 class TestDispatch:
@@ -592,6 +598,21 @@ class TestDispatch:
         assert rigid.dynamics is None
         assert plain_rope_bundle.gt_poses is None
         assert plain_rope_bundle.dynamics is not None
+
+    def test_scene_kind_decides_the_ground_truth(self, plain_rope_bundle):
+        """A rigid bundle has poses and no rope state, a rope bundle the reverse."""
+        rigid = generate_scene(small_rigid_config(distractor_points=0))
+        rope = plain_rope_bundle
+        for bundle, changes, message in (
+                (rigid, {"gt_poses": None}, "a rigid scene needs gt_poses.json"),
+                (rigid, {"dynamics": rope.dynamics}, "a rigid scene has no dynamics.json"),
+                (rigid, {"initial_state": rope.initial_state},
+                 "a rigid scene has no initial_state.json"),
+                (rope, {"dynamics": None}, "a rope scene needs dynamics.json"),
+                (rope, {"initial_state": None}, "a rope scene needs initial_state.json"),
+                (rope, {"gt_poses": rigid.gt_poses}, "a rope scene has no gt_poses.json")):
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(bundle, **changes)
 
 
 # -- oracles: scene generation one frame and one attempt at a time ---------------
@@ -940,7 +961,7 @@ class TestGroundDepthOracle:
     @pytest.mark.parametrize("tilt,yaw", [(0.0, 0.0), (0.0, 0.3), (0.4, 0.0), (0.4, 0.7),
                                           (-0.9, 0.2), (1.2, 0.7), (math.pi, 0.0)])
     @pytest.mark.parametrize("intrinsics", [
-        SceneConfig().intrinsics,
+        SceneConfig(scene="rope").intrinsics,
         CameraIntrinsics(fx=31.0, fy=27.5, cx=11.3, cy=16.0, width=37, height=23)],
         ids=["demo", "small"])
     def test_matches_the_meshgrid_code(self, tilt, yaw, intrinsics):
@@ -1042,7 +1063,7 @@ class TestMaskFillOracle:
     of all 21 frames on the rigid demo at seeds 0-15, among other scenes.
     """
 
-    INTR = SceneConfig().intrinsics
+    INTR = SceneConfig(scene="rope").intrinsics
 
     @pytest.mark.parametrize("kind", ["uniform", "gaussian", "grid-snapped", "duplicates",
                                       "collinear", "axis-lines", "sub-rounding", "few"])

@@ -192,6 +192,27 @@ class TestLevenbergMarquardt:
         assert not result.converged
         assert np.array_equal(result.x, np.zeros(1))
 
+    def test_non_positive_definite_system_retries_with_more_damping(self, monkeypatch, rng):
+        """A damped system whose factorization fails is a rejected step: the
+        next attempt at the same iterate gets ``_LAMBDA_UP`` times the
+        damping, and the solve goes on to the least-squares minimum."""
+        a = rng.standard_normal((10, 4))
+        b = rng.standard_normal(10)
+        damped_step, dampings = trajopt._damped_step, []
+
+        def failing_once(diag, upper, grad, lam):
+            dampings.append(lam)
+            if len(dampings) == 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return damped_step(diag, upper, grad, lam)
+
+        monkeypatch.setattr(trajopt, "_damped_step", failing_once)
+        result = levenberg_marquardt(lambda x: a @ x - b, np.zeros(4), jacobian=lambda x: a)
+        assert dampings[:2] == [trajopt._LAMBDA0, trajopt._LAMBDA0 * trajopt._LAMBDA_UP]
+        x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.linalg.norm(result.x - x_ref) <= 1e-8
+        assert result.converged
+
 
 def packaged_problem(steps: int) -> TrajOptProblem:
     """The packaged colliding 7-dof problem with its horizon set to ``steps``."""
@@ -447,7 +468,7 @@ def full_collision_rows(problem: TrajOptProblem, full: np.ndarray, sweep=None):
         pert = pert[perturbed]
         qa, qb = pert[..., 0, :], pert[..., 1, :]
         swept = qa[..., None, :] + s_grid[:, None] * (qb - qa)[..., None, :]
-        centers = trajopt.sphere_centers_batch(model, swept.reshape(-1, dof))
+        centers, _, _ = trajopt.sphere_centers_batch(model, swept.reshape(-1, dof))
         n_pert = pert.shape[0] * dof
         dmin = np.empty((n_pert, n_obs))
         for i, obs in enumerate(problem.obstacles):
@@ -639,9 +660,9 @@ class TestAnalyticCollisionJacobian:
         batches, inside = [], []
         fk, penalty = trajopt.sphere_centers_batch, trajopt.penalty_collision
 
-        def counting_fk(model, configs, return_frames=False):
+        def counting_fk(model, configs):
             batches.append((configs.copy(), bool(inside)))
-            return fk(model, configs, return_frames)
+            return fk(model, configs)
 
         def counting_penalty(*args, **kwargs):
             inside.append(True)
