@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .flow import ActionableFlow
-from .geometry import _bool, _doc_fields, _doc_list, _float, _floats, _frozen, _int
+from .geometry import _doc_fields, _doc_list, _float, _floats, _frozen, _int
 
 __all__ = [
     "DegenerateEdgeError",
@@ -86,11 +86,10 @@ class MassSpringModel:
     d = p_j - p_i, plus a linear velocity drag -c v per particle.  Attached
     particles ignore forces and move kinematically by the commanded delta,
     spread uniformly over substeps.  Pinned particles are clamped in place
-    (a fixture holding part of the object).  ``gravity`` pulls along -z and
-    ``ground_height`` bounds z from below, so both take z as up.  The rope
-    scenes' models live in the camera frame, where +z points at the table
-    (``sim.CAMERA_IN_WORLD``); their bundles write ``gravity: false`` and a
-    ground at -1 m, which never binds there.
+    (a fixture holding part of the object).  There is no gravity and no
+    ground plane: the rope scenes' models live in the camera frame, where +z
+    points at the table (``sim.CAMERA_IN_WORLD``), so a pull along -z would
+    lift the rope toward the camera and a floor on z would bound its depth.
     """
 
     n_particles: int
@@ -101,8 +100,6 @@ class MassSpringModel:
     mass: float = 0.01          # kg per particle
     dt: float = 1.0 / 16.0      # seconds per control step
     substeps: int = 20
-    gravity: bool = False       # adds -9.81 m/s^2 along z when set
-    ground_height: float = -1.0  # z is clamped to stay >= this
     attachment: tuple[int, ...] = ()
     pinned: tuple[int, ...] = ()
 
@@ -123,9 +120,8 @@ class MassSpringModel:
             raise ValueError("rest lengths must be positive and finite")
         # Every comparison with NaN is false, so the range checks below and
         # the stability check would let a non-finite scalar through.
-        if not np.isfinite([self.stiffness, self.damping, self.mass, self.dt,
-                            self.ground_height]).all():
-            raise ValueError("stiffness, damping, mass, dt and ground_height must be finite")
+        if not np.isfinite([self.stiffness, self.damping, self.mass, self.dt]).all():
+            raise ValueError("stiffness, damping, mass and dt must be finite")
         if self.stiffness < 0.0 or self.damping < 0.0:
             raise ValueError("stiffness and damping must be non-negative")
         if self.mass <= 0.0 or self.dt <= 0.0 or self.substeps < 1:
@@ -181,8 +177,6 @@ class MassSpringModel:
             "mass": self.mass,
             "dt": self.dt,
             "substeps": self.substeps,
-            "gravity": self.gravity,
-            "ground_height": self.ground_height,
             "attachment": list(self.attachment),
             "pinned": list(self.pinned),
         }
@@ -195,8 +189,7 @@ class MassSpringModel:
                                             dtype=int).reshape(-1, 2),
             "rest_lengths": _floats,
             "stiffness": _float, "damping": _float, "mass": _float, "dt": _float,
-            "substeps": _int, "gravity": _bool, "ground_height": _float,
-            "attachment": _indices, "pinned": _indices,
+            "substeps": _int, "attachment": _indices, "pinned": _indices,
         }))
 
     def incidence(self) -> np.ndarray:
@@ -305,18 +298,10 @@ def _step_batch(model: MassSpringModel, positions: np.ndarray, velocities: np.nd
         else:
             force = np.zeros_like(pos)
         force -= model.damping * vel
-        if model.gravity:
-            force[:, 2] -= 9.81 * model.mass
         vel = vel + (h / model.mass) * force
-        if model.attachment:
-            vel[attached] = kinematic_vel
-        if model.pinned:
-            vel[pinned] = 0.0
+        vel[attached] = kinematic_vel
+        vel[pinned] = 0.0
         pos = pos + h * vel
-        below = pos[:, 2] < model.ground_height
-        if np.count_nonzero(below):
-            pos[:, 2] = np.maximum(pos[:, 2], model.ground_height)
-            vel[:, 2] = np.where(below, np.maximum(vel[:, 2], 0.0), vel[:, 2])
         if any_dead:
             pos[..., dead] = prev_pos[..., dead]
             vel[..., dead] = prev_vel[..., dead]

@@ -19,7 +19,6 @@ in ``fileio``).
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -143,10 +142,10 @@ class Waypoint:
 class RopeSpec:
     """A planar rope whose centerline is a constant-length circular arc.
 
-    The script keyframes ``(time, bend, turn)`` or ``(time, bend, turn, dx,
-    dy)`` deform the arc: ``bend`` is the total subtended angle (0 = straight,
-    pi = semicircle), ``turn`` rotates the arc in the table plane, and the
-    optional ``dx, dy`` slide the whole shape relative to ``center``.
+    The script keyframes ``(time, bend, turn, dx, dy)`` deform the arc:
+    ``bend`` is the total subtended angle (0 = straight, pi = semicircle),
+    ``turn`` rotates the arc in the table plane, and ``dx, dy`` slide the
+    whole shape relative to ``center``.
     ``pinned`` clamps the far endpoint in place, modelling a fixture (the
     slide is then absorbed by the anchoring); the gripper always holds
     particle 0.
@@ -158,7 +157,8 @@ class RopeSpec:
     center: tuple[float, float] = (0.45, 0.0)
     height: float = 0.02
     pinned: bool = True
-    script: tuple[tuple[float, ...], ...] = ((0.0, math.pi, 0.0), (1.0, 0.0, 0.0))
+    script: tuple[tuple[float, ...], ...] = ((0.0, math.pi, 0.0, 0.0, 0.0),
+                                             (1.0, 0.0, 0.0, 0.0, 0.0))
 
     def __post_init__(self) -> None:
         center = tuple(float(c) for c in self.center)
@@ -172,18 +172,9 @@ class RopeSpec:
             raise ValueError("need at least four rope particles")
         if not 2 <= self.flow_keypoints <= self.particles:
             raise ValueError("flow keypoints must be in [2, particles]")
-        script = []
-        for key in self.script:
-            if len(key) == 3:
-                t, b, w = key
-                dx = dy = 0.0
-            elif len(key) == 5:
-                t, b, w, dx, dy = key
-            else:
-                raise ValueError("script keyframes must be (time, bend, turn) "
-                                 "or (time, bend, turn, dx, dy)")
-            script.append((float(t), float(b), float(w), float(dx), float(dy)))
-        script = tuple(script)
+        script = tuple(tuple(float(x) for x in key) for key in self.script)
+        if any(len(key) != 5 for key in script):
+            raise ValueError("script keyframes must be (time, bend, turn, dx, dy)")
         if not _finite(*(x for key in script for x in key)):
             raise ValueError("script keyframes must be finite")
         if len(script) < 2 or script[0][0] != 0.0 or script[-1][0] != 1.0:
@@ -732,7 +723,7 @@ def _rope_world_frames(spec: RopeSpec, frames: int) -> np.ndarray:
 
 
 def _rope_model(spec: RopeSpec) -> MassSpringModel:
-    """Structural plus flexion springs along the chain; gravity off (planar)."""
+    """Structural plus flexion springs along the chain, in the camera frame."""
     n = spec.particles
     spacing = spec.length / (n - 1)
     edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
@@ -750,7 +741,7 @@ def _rope_scene(config: SceneConfig, seed: int, rng: np.random.Generator) -> "Sc
     """A rope scene; ground truth includes dynamics and initial state.
 
     The flow, dynamics and particle states all live in the camera frame (the
-    frame the planner works in); gravity is off because the motion is planar.
+    frame the planner works in), as ``MassSpringModel`` requires.
     """
     spec = config.rope
     extr = config.camera.inverse()
@@ -975,12 +966,10 @@ class SceneBundle:
             files.append("gt_poses.json")
 
         if self.dynamics is not None:
-            (out / "dynamics.json").write_text(
-                json.dumps(self.dynamics.to_doc(), indent=2) + "\n")
+            write_json(out / "dynamics.json", self.dynamics.to_doc())
             files.append("dynamics.json")
         if self.initial_state is not None:
-            (out / "initial_state.json").write_text(
-                json.dumps(self.initial_state.to_doc(), sort_keys=True) + "\n")
+            write_json(out / "initial_state.json", self.initial_state.to_doc())
             files.append("initial_state.json")
 
         digests = {rel: sha256_file(out / rel) for rel in sorted(files)}

@@ -443,7 +443,10 @@ _OBSTACLE_FIELDS = {
 def obstacles_from_doc(docs: list[dict]) -> tuple[Obstacle, ...]:
     """Obstacles from a JSON array of objects, each with its ``type``."""
     out: list[Obstacle] = []
-    for doc in _doc_list(docs):
+    for index, doc in enumerate(_doc_list(docs)):
+        if not isinstance(doc, dict):
+            raise TypeError(f"obstacle {index}: expected a JSON object, "
+                            f"got {type(doc).__name__}")
         kind = doc.get("type")
         if not isinstance(kind, str) or kind not in _OBSTACLE_FIELDS:
             raise ValueError(f"unknown obstacle type {kind!r}")

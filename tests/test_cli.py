@@ -485,7 +485,8 @@ MALFORMED_INPUT_CASES = {
     "scene-rope-center-inf": lambda c: _simulate(c, c.rope_edited(center=[INF, 0.0])),
     "scene-rope-center-1-vector": lambda c: _simulate(c, c.rope_edited(center=[0.45])),
     "scene-rope-script-nan": lambda c: _simulate(c, c.rope_edited(
-        script=[[0.0, 3.0, 0.0], [0.5, NAN, 0.0], [1.0, 0.0, 0.0]])),
+        script=[[0.0, 3.0, 0.0, 0.0, 0.0], [0.5, NAN, 0.0, 0.0, 0.0],
+                [1.0, 0.0, 0.0, 0.0, 0.0]])),
     "scene-noise-track-sigma-nan": lambda c: _simulate(
         c, c.rigid_edited("noise", track_sigma=NAN)),
     "scene-image-focal-inf": lambda c: _simulate(c, c.rigid_edited("image", focal=INF)),
@@ -524,9 +525,7 @@ MALFORMED_INPUT_CASES = {
     "dynamics-stiffness-nan": lambda c: _plan_deformable(c, stiffness=NAN),
     "dynamics-damping-nan": lambda c: _plan_deformable(c, damping=NAN),
     "dynamics-mass-inf": lambda c: _plan_deformable(c, mass=INF),
-    "dynamics-ground-height-nan": lambda c: _plan_deformable(c, ground_height=NAN),
     # JSON values of the wrong type that int(), float() and bool() would coerce
-    "dynamics-gravity-string-false": lambda c: _plan_deformable(c, gravity="false"),
     "dynamics-substeps-true": lambda c: _plan_deformable(c, substeps=True),
     "dynamics-stiffness-string": lambda c: _plan_deformable(c, stiffness="500"),
     "scene-rope-pinned-string-false": lambda c: _simulate(c, c.rope_edited(pinned="false")),
@@ -584,7 +583,7 @@ MALFORMED_INPUT_CASES = {
     "scene-object-size-strings": lambda c: _simulate(
         c, c.rigid_edited("object", size=["0.08", "0.06", "0.05"])),
     "scene-rope-script-true": lambda c: _simulate(c, c.rope_edited(
-        script=[[0.0, 3.0, 0.0], [True, 0.0, 0.0]])),
+        script=[[0.0, 3.0, 0.0, 0.0, 0.0], [True, 0.0, 0.0, 0.0, 0.0]])),
     "eval-gt-poses-world": lambda c: [
         "eval", c.fixture("rigid_run_dir") / "plan",
         c.edited_bundle(gt_poses=lambda doc: {**doc, "frame": "world"}), "--out-dir", c.out],
@@ -676,11 +675,14 @@ def _unlisted(c, fixture, name):
         **doc, "files": {k: v for k, v in doc["files"].items() if k != name}})
 
 
-# Inputs that nvflow once read and now refuses, and what the one error line
-# must name: an object of another shape than the box, a rigid scene with no
-# motion, an obstacle file that is a bare list, and a bundle without the
-# ground truth its scene kind grades against, from each stage that reads one.
-# eval reads the bundle before any plan file, so the rope case needs no plan.
+# Refused inputs and what the one error line must name: an object of another
+# shape than the box, a rigid scene with no motion, an obstacle file that is a
+# bare list, a bundle without the ground truth its scene kind grades against,
+# from each stage that reads one, a rope keyframe of three numbers, the
+# gravity and ground keys that older rope bundles wrote into dynamics.json,
+# and an obstacle entry that is not an object.  nvflow once read all but the
+# last; eval reads the bundle before any plan file, so the rope case needs no
+# plan.
 REFUSED_INPUT_CASES = {
     "scene-object-cylinder": (lambda c: _simulate(
         c, c.rigid_edited("object", shape="cylinder", size=[0.03, 0.08])), "'cylinder'"),
@@ -705,6 +707,15 @@ REFUSED_INPUT_CASES = {
     "eval-rope-bundle-without-initial-state": (lambda c: [
         "eval", c.tmp, _unlisted(c, "rope_bundle_dir", "initial_state.json"),
         "--out-dir", c.out], "needs initial_state.json"),
+    "scene-rope-three-number-keyframe": (lambda c: _simulate(c, c.rope_edited(
+        script=[[0.0, 3.0, 0.0], [1.0, 0.0, 0.0]])), "(time, bend, turn, dx, dy)"),
+    "dynamics-gravity-false": (lambda c: _plan_deformable(c, gravity=False),
+                               "unknown key 'gravity'"),
+    "dynamics-ground-height": (lambda c: _plan_deformable(c, ground_height=-1.0),
+                               "unknown key 'ground_height'"),
+    **{case: (MALFORMED_INPUT_CASES[case], f"obstacle 0: expected a JSON object, got {kind}")
+       for case, kind in [("plan-rigid-obstacle-number", "int"), ("run-obstacle-list", "list"),
+                          ("trajopt-obstacle-number", "int")]},
 }
 MALFORMED_INPUT_CASES.update(
     {case: build for case, (build, _) in REFUSED_INPUT_CASES.items()})
@@ -927,8 +938,7 @@ FUZZED_READERS = {
     "dynamics": (_rope_dynamics, _fuzz_dynamics,
                  {"n_particles": int, "edges": list, "rest_lengths": list,
                   "stiffness": float, "damping": float, "mass": float, "dt": float,
-                  "substeps": int, "gravity": bool, "ground_height": float,
-                  "attachment": list, "pinned": list},
+                  "substeps": int, "attachment": list, "pinned": list},
                  {"n_particles", "edges", "rest_lengths"}),
     "state": (lambda c: json.loads(
         (c.fixture("rope_bundle_dir") / "initial_state.json").read_text()), _fuzz_state,

@@ -73,18 +73,12 @@ def einsum_step(model: MassSpringModel, positions: np.ndarray,
         else:
             force = np.zeros_like(pos)
         force -= model.damping * vel
-        if model.gravity:
-            force[..., 2] -= 9.81 * model.mass
         vel = vel + (h / model.mass) * force
         if model.attachment:
             vel[:, list(model.attachment), :] = kinematic_vel[:, None, :]
         if model.pinned:
             vel[:, list(model.pinned), :] = 0.0
         pos = pos + h * vel
-        below = pos[..., 2] < model.ground_height
-        if below.any():
-            pos[..., 2] = np.maximum(pos[..., 2], model.ground_height)
-            vel[..., 2] = np.where(below, np.maximum(vel[..., 2], 0.0), vel[..., 2])
     return pos, vel
 
 
@@ -101,7 +95,7 @@ def packaged_rope():
     return bundle.dynamics, bundle.initial_state.positions
 
 
-def dense_random_graph(seed=0, n=12):
+def dense_random_graph(seed=0, n=12, attachment=(1,)):
     """Particle 0 joins every other particle (degree n - 1), plus random edges."""
     rng = np.random.default_rng(seed)
     positions = 0.3 * rng.random((n, 3))
@@ -113,21 +107,24 @@ def dense_random_graph(seed=0, n=12):
     lengths = np.linalg.norm(positions[edges[:, 1]] - positions[edges[:, 0]], axis=-1)
     model = MassSpringModel(n_particles=n, edges=edges,
                             rest_lengths=lengths * rng.uniform(0.8, 1.2, len(edges)),
-                            stiffness=20.0, attachment=(1,))
+                            stiffness=20.0, attachment=attachment)
     return model, positions
 
 
-def gravity_chain():
-    """Falls onto the ground plane while its head is dragged down into it."""
-    model, state = chain(n=6, gravity=True, ground_height=-0.003,
-                         attachment=(0,), pinned=(5,))
+def free_graph():
+    """A graph with no attached and no pinned particle: every one is free."""
+    return dense_random_graph(seed=2, n=10, attachment=())
+
+
+def pinned_chain():
+    """A chain dragged by its head with its tail pinned."""
+    model, state = chain(n=6, attachment=(0,), pinned=(5,))
     return model, state.positions
 
 
 def edgeless():
     model = MassSpringModel(n_particles=3, edges=np.zeros((0, 2), dtype=int),
-                            rest_lengths=np.zeros(0), gravity=True,
-                            ground_height=0.0, attachment=(2,))
+                            rest_lengths=np.zeros(0), attachment=(2,))
     return model, np.array([[0.0, 0.0, 0.01], [0.1, 0.0, 0.2], [0.2, 0.0, 0.0]])
 
 
@@ -180,23 +177,6 @@ class TestMassSpringStep:
                 worst = max(worst, abs(spring_energy(model, state) - e0) / e0)
         assert worst < 0.01
 
-    def test_gravity_pulls_free_particles_down(self):
-        model = MassSpringModel(n_particles=1, edges=np.zeros((0, 2), dtype=int),
-                                rest_lengths=np.zeros(0), gravity=True,
-                                damping=0.0)
-        state = ParticleState.at_rest(np.array([[0.0, 0.0, 0.5]]))
-        after = mass_spring_step(model, state, np.zeros(3))
-        assert after.positions[0, 2] < 0.5
-
-    def test_ground_plane_clamps_z(self):
-        model = MassSpringModel(n_particles=1, edges=np.zeros((0, 2), dtype=int),
-                                rest_lengths=np.zeros(0), gravity=True,
-                                damping=0.0, ground_height=0.0)
-        state = ParticleState.at_rest(np.array([[0.0, 0.0, 0.001]]))
-        for _ in range(30):
-            state = mass_spring_step(model, state, np.zeros(3))
-        assert state.positions[0, 2] >= 0.0
-
     def test_degenerate_edge_raises(self):
         model = MassSpringModel(n_particles=2, edges=np.array([[0, 1]]),
                                 rest_lengths=np.array([0.1]))
@@ -225,7 +205,8 @@ class TestSpringStepOracle:
     @pytest.mark.parametrize("batch", [1, 64, 256])
     @pytest.mark.parametrize("build", [
         packaged_rope, dense_random_graph, lambda: dense_random_graph(seed=1, n=30),
-        gravity_chain, edgeless], ids=["rope", "graph12", "graph30", "gravity", "edgeless"])
+        free_graph, pinned_chain, edgeless],
+        ids=["rope", "graph12", "graph30", "free", "pinned", "edgeless"])
     def test_bit_identical_to_einsum_step(self, build, batch):
         model, start = build()
         rng = np.random.default_rng(batch)
@@ -235,7 +216,6 @@ class TestSpringStepOracle:
         ref_pos, ref_vel = pos, vel
         for _ in range(6):
             deltas = 0.01 * rng.standard_normal((batch, 3))
-            deltas[:, 2] -= 0.004             # drives the gravity chain into the ground
             given = pos.copy(), vel.copy(), deltas.copy()
             new_pos, new_vel, dead = deformable._step_batch(model, pos, vel, deltas)
             for before, after in zip(given, (pos, vel, deltas)):
@@ -270,12 +250,8 @@ class TestSpringStepOracle:
         assert rope.incidence().shape == (20, 37)
         graph, _ = dense_random_graph()
         assert graph._signed_slots.shape[1] >= 8
-        model, start = gravity_chain()
-        pos = start[None]
-        for _ in range(3):
-            pos, _, _ = deformable._step_batch(model, pos, np.zeros_like(pos),
-                                               np.array([[0.0, 0.0, -0.004]]))
-        assert (pos[0, :, 2] == model.ground_height).any()
+        free, _ = free_graph()
+        assert free.attachment == () and free.pinned == ()
 
     def test_incident_edge_table(self):
         model = MassSpringModel(n_particles=4, edges=np.array([[2, 0], [0, 1], [1, 2]]),
@@ -404,14 +380,13 @@ class TestModelContainers:
 
     def test_dynamics_round_trip(self):
         model, _ = chain(n=4, stiffness=123.5, damping=0.25, mass=0.02,
-                         dt=0.05, substeps=7, gravity=True, ground_height=-0.5,
-                         attachment=(0,), pinned=(3,))
+                         dt=0.05, substeps=7, attachment=(0,), pinned=(3,))
         back = MassSpringModel.from_doc(json.loads(json.dumps(model.to_doc(), indent=2)))
         assert back.n_particles == model.n_particles
         assert np.array_equal(back.edges, model.edges)
         assert np.array_equal(back.rest_lengths, model.rest_lengths)
         for field in ("stiffness", "damping", "mass", "dt", "substeps",
-                      "gravity", "ground_height", "attachment", "pinned"):
+                      "attachment", "pinned"):
             assert getattr(back, field) == getattr(model, field), field
 
 

@@ -195,7 +195,7 @@ class TestRigidScenes:
 
 class TestRopeScenes:
     def test_straight_to_straight_script_is_motionless(self):
-        spec = RopeSpec(script=((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
+        spec = RopeSpec(script=((0.0, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0)))
         config = SceneConfig(scene="rope", rope=spec, frames=6,
                              distractor_points=0)
         bundle = generate_scene(config)
@@ -227,7 +227,8 @@ class TestRopeScenes:
         assert np.all(plain_rope_bundle.initial_state.velocities == 0.0)
 
     def test_self_intersecting_script_is_an_error(self):
-        spec = RopeSpec(script=((0.0, 2.0 * math.pi, 0.0), (1.0, 0.0, 0.0)))
+        spec = RopeSpec(script=((0.0, 2.0 * math.pi, 0.0, 0.0, 0.0),
+                                (1.0, 0.0, 0.0, 0.0, 0.0)))
         config = SceneConfig(scene="rope", rope=spec, frames=4,
                              distractor_points=0)
         with pytest.raises(ValueError, match="self-intersecting spline"):
@@ -564,12 +565,14 @@ class TestConfigs:
 
     def test_rope_spec_validation(self):
         with pytest.raises(ValueError, match="time 0"):
-            RopeSpec(script=((0.2, 0.0, 0.0), (1.0, 0.0, 0.0)))
+            RopeSpec(script=((0.2, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0)))
         with pytest.raises(ValueError, match="increase"):
-            RopeSpec(script=((0.0, 0.0, 0.0), (0.5, 1.0, 0.0),
-                             (0.5, 0.0, 0.0), (1.0, 0.0, 0.0)))
+            RopeSpec(script=((0.0, 0.0, 0.0, 0.0, 0.0), (0.5, 1.0, 0.0, 0.0, 0.0),
+                             (0.5, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0)))
         with pytest.raises(ValueError, match="keyframes"):
-            RopeSpec(script=((0.0, 0.0, 0.0, 0.1), (1.0, 0.0, 0.0)))
+            RopeSpec(script=((0.0, 0.0, 0.0, 0.1), (1.0, 0.0, 0.0, 0.0, 0.0)))
+        with pytest.raises(ValueError, match="keyframes"):
+            RopeSpec(script=((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
         with pytest.raises(ValueError, match="particles"):
             RopeSpec(particles=3)
         with pytest.raises(ValueError, match="keypoints"):
